@@ -96,9 +96,40 @@ class TestEstimateReliability:
         assert "99%" in text
 
 
+#: Levels of the bisection-agreement checks.
+_AGREEMENT_LEVELS = np.array([0.005, 0.025, 0.5, 0.975, 0.995])
+
+#: The sequential tracker's prior (benchmarks/bench_warmstart.py).
+_TRACKER_PRIOR = (100.0, 50.0, 0.2, 0.1)
+
+
+def _tracker_campaign(seed, periods=34, failures=45):
+    """A seeded decaying grouped campaign: ``failures`` spread over unit
+    periods with intensity proportional to e^(-t/25)."""
+    from repro.data.failure_data import GroupedData
+
+    intensity = np.exp(-np.arange(periods) / 25.0)
+    rng = np.random.default_rng(seed)
+    return GroupedData(
+        counts=rng.multinomial(failures, intensity / intensity.sum()),
+        boundaries=np.arange(1.0, periods + 1.0),
+    )
+
+
+def _assert_matches_bisection(posterior, c):
+    from repro.bayes.joint import JointPosterior
+
+    fast = posterior.reliability_quantile_batch(_AGREEMENT_LEVELS, c)
+    for q, value in zip(_AGREEMENT_LEVELS, fast):
+        slow = JointPosterior.reliability_quantile(posterior, q, c)
+        # both paths promise xtol = 1e-10 in r
+        assert value == pytest.approx(slow, abs=5e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNewtonReliabilityQuantile:
-    """VBPosterior's safeguarded-Newton quantile path vs the generic
-    bisection it replaces (docs/PERFORMANCE.md §5)."""
+    """VBPosterior's moment-started, safeguarded Halley quantile path vs
+    the generic bisection on the full tables (docs/PERFORMANCE.md §5)."""
 
     def _early_posterior(self, alpha0):
         from repro.bayes.priors import ModelPrior
@@ -111,32 +142,53 @@ class TestNewtonReliabilityQuantile:
         data = GroupedData(
             counts=np.array([5, 7, 4]), boundaries=np.array([1.0, 2.0, 3.0])
         )
-        prior = ModelPrior.informative(100.0, 50.0, 0.2, 0.1)
+        prior = ModelPrior.informative(*_TRACKER_PRIOR)
         return fit_vb2(data, prior, alpha0), data
 
     @pytest.mark.parametrize("alpha0", [1.0, 2.0])
     @pytest.mark.parametrize("u", [0.5, 1.0, 5.0])
     def test_matches_generic_bisection(self, alpha0, u):
-        from repro.bayes.joint import JointPosterior
-
         posterior, data = self._early_posterior(alpha0)
-        c = reliability_increment(alpha0, data.horizon, u)
-        levels = np.array([0.005, 0.025, 0.5, 0.975, 0.995])
-        fast = posterior.reliability_quantile_batch(levels, c)
-        for q, value in zip(levels, fast):
-            slow = JointPosterior.reliability_quantile(posterior, q, c)
-            # both paths promise xtol = 1e-10 in r
-            assert value == pytest.approx(slow, abs=5e-10)
+        _assert_matches_bisection(
+            posterior, reliability_increment(alpha0, data.horizon, u)
+        )
+
+    @pytest.mark.parametrize("alpha0", [1.0, 2.0])
+    @pytest.mark.parametrize("periods", [3, 17, 34])
+    def test_matches_on_tracker_posteriors(self, alpha0, periods):
+        from repro.bayes.priors import ModelPrior
+        from repro.core.vb2 import fit_vb2
+
+        # the sequential tracker's regime: hundreds of mixture
+        # components, most cells far too light to move the CDF
+        data = _tracker_campaign(seed=501).truncate(periods)
+        posterior = fit_vb2(data, ModelPrior.informative(*_TRACKER_PRIOR), alpha0)
+        assert posterior.n_components >= 100
+        _assert_matches_bisection(
+            posterior, reliability_increment(alpha0, data.horizon, 1.0)
+        )
+
+    def test_matches_on_fleet_posterior(self):
+        from repro.bayes.priors import ModelPrior
+        from repro.core.vb2 import fit_vb2
+        from repro.data.simulation import simulate_failure_times
+        from repro.models.goel_okumoto import GoelOkumoto
+
+        # one project of a fleet report: a window a tenth of the horizon
+        data = simulate_failure_times(
+            GoelOkumoto(21.0, 0.012), 80.0, np.random.default_rng(7)
+        )
+        prior = ModelPrior.informative(30.0, 10.0, 0.01, 0.005)
+        posterior = fit_vb2(data, prior, 1.0)
+        assert posterior.n_components >= 100
+        _assert_matches_bisection(
+            posterior, reliability_increment(1.0, data.horizon, 0.1 * data.horizon)
+        )
 
     def test_matches_on_late_posterior(self, vb2_times, times_data):
-        from repro.bayes.joint import JointPosterior
-
-        c = reliability_increment(1.0, times_data.horizon, 1000.0)
-        levels = np.array([0.005, 0.5, 0.995])
-        fast = vb2_times.reliability_quantile_batch(levels, c)
-        for q, value in zip(levels, fast):
-            slow = JointPosterior.reliability_quantile(vb2_times, q, c)
-            assert value == pytest.approx(slow, abs=5e-10)
+        _assert_matches_bisection(
+            vb2_times, reliability_increment(1.0, times_data.horizon, 1000.0)
+        )
 
     def test_scalar_delegates_to_batch(self, vb2_times, times_data):
         c = reliability_increment(1.0, times_data.horizon, 1000.0)
@@ -161,3 +213,29 @@ class TestNewtonReliabilityQuantile:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError, match="quantile levels"):
                 vb2_times.reliability_quantile_batch(np.array([bad]), c)
+
+    @pytest.mark.parametrize("level", [0.95, 0.99])
+    @pytest.mark.parametrize("case", ["late", "early"])
+    def test_debug_span_records_solver_work(self, case, level, vb2_times,
+                                            times_data):
+        from repro import obs
+
+        if case == "late":
+            posterior = vb2_times
+            c = reliability_increment(1.0, times_data.horizon, 1000.0)
+        else:
+            posterior, data = self._early_posterior(1.0)
+            c = reliability_increment(1.0, data.horizon, 1.0)
+        with obs.capture(level="debug") as collector:
+            posterior.reliability_interval(level, c)
+        (span,) = [
+            e for e in collector.events
+            if e["kind"] == "span" and e["name"] == "reliability.quantile"
+        ]
+        assert span["lanes"] == 2
+        assert 0 < span["cells"] <= posterior.n_components * 48
+        assert 0.0 <= span["dropped_mass"] <= 1e-13
+        assert 0 <= span["bracket_exits"] <= 2
+        # the moment start plus Halley steps takes 3-4 sweeps here;
+        # Newton steps from an omega-quantile start took 7-8
+        assert span["sweeps"] <= 5
