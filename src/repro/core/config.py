@@ -69,10 +69,12 @@ class VBConfig:
         Optional :class:`~repro.core.warmstart.WarmStart` state from a
         previous fit of (an earlier prefix of) the same data. Seeds the
         fixed-point lanes with the cached variational parameters and
-        floors the initial truncation bound at the cached ``nmax``
-        (truncation-growth replay extends a warm grid, never shrinks
-        it). Warm starting changes the iteration path only — warm and
-        cold fits agree on the final posterior to solver tolerance.
+        floors the initial truncation bound at the cached posterior's
+        effective support plus a drift pad (``eff + max(16, (eff -
+        observed) // 8)``, capped by ``nmax_ceiling``; see
+        :meth:`~repro.core.warmstart.WarmStart.effective_nmax`). Warm
+        starting changes the iteration path only — warm and cold fits
+        agree on the final posterior to solver tolerance.
         See ``docs/METHOD.md`` §4.5.
     backend:
         Array backend for the VB2 hot kernels (``None`` → the process

@@ -7,18 +7,20 @@ projects' failure histories — ragged sizes, mixed kinds, per-project
 priors — fit in a handful of array sweeps instead of a Python loop of
 scalar fits.
 
-The contract is the same as PR 4's: every lane is **bit-identical** to
-the scalar fit of its dataset. That falls out of three properties:
+The contract: every dataset's posterior is **bit-identical** to the
+scalar fit of that dataset. :func:`repro.core.vb2.fit_vb2` runs the very
+same truncation-growth driver (:func:`repro.core.vb2._drive_vb2_group`)
+on one dataset, and the lanes of a sweep never interact:
 
-* the frozen-lane fixed point (:func:`repro.stats.rootfind.
-  solve_fixed_point_batch`) replays each lane's scalar iteration
-  regardless of which other lanes share the solve;
-* every transcendental is the same elementwise ufunc on both paths, and
-  ragged interval sums accumulate through in-order scatter-adds
-  (``np.add.at``), matching the scalar loops' left-to-right order;
+* the fixed point (:func:`repro.stats.rootfind.solve_fixed_point_batch`)
+  evaluates each lane's update map on that lane's own inputs, replaying
+  its scalar iteration regardless of which other lanes share the solve;
+* ragged interval sums accumulate through in-order scatter-adds
+  (``np.add.at``), matching the scalar per-``N`` loops' left-to-right
+  order;
 * each dataset's truncation growth, weight normalisation
   (``logsumexp`` over its own contiguous weights), and ELBO constant
-  are driven by the very same scalar code/arithmetic per dataset.
+  are decided by the same arithmetic per dataset.
 
 Mixed shapes are handled by grouping: ``alpha0`` must stay a Python
 scalar inside a solve (the truncated-mean fast paths branch on it), so
@@ -40,27 +42,14 @@ from repro.bayes.nint import (
     log_posterior_matrix,
     times_log_posterior_terms,
 )
-from repro.bayes.priors import ModelPrior
 from repro.bayes.sandwich import apply_sandwich
 from repro.core.config import VBConfig
-from repro.core.gamma_updates import (
-    GroupedStats,
-    TimesStats,
-    solve_grouped_lanes,
-    solve_times_exponential_lanes,
-    solve_times_lanes,
-)
 from repro.core.posterior import VBPosterior
 from repro.core.vb1 import _vb1_elbo
-from repro.core.vb2 import (
-    WARM_LOOSE_RTOL,
-    WARM_LOOSE_WEIGHT,
-    next_truncation_bound,
-)
+from repro.core.vb2 import _drive_vb2_group, _Vb2State
 from repro.core.warmstart import WarmStart
 from repro.data.failure_data import FailureTimeData, GroupedData
-from repro.data.fleet import pack_grouped, pack_times
-from repro.exceptions import ConvergenceError, TruncationError
+from repro.exceptions import ConvergenceError
 from repro.stats.gamma_dist import GammaDistribution
 from repro.stats.quadrature import TensorGrid
 from repro.stats.special import (
@@ -188,359 +177,9 @@ def _per_dataset_warm(warm_start, count: int) -> list:
 # ----------------------------------------------------------------------
 # VB2
 # ----------------------------------------------------------------------
-class _Vb2State:
-    """One dataset's truncation-growth state machine.
-
-    Replays the scalar :func:`repro.core.vb2.fit_vb2` growth loop
-    decision-for-decision; only the *solving* is shared with the other
-    datasets in the lane sweep.
-    """
-
-    __slots__ = (
-        "index", "data", "prior", "alpha0", "stats", "observed", "kind",
-        "nmax_fixed", "bound", "clamped", "growth_rounds", "warm",
-        "gpos", "lanes_done", "last_n", "_parts",
-        "n", "a_omega", "b_omega", "a_beta", "b_beta",
-    )
-
-    def __init__(self, index, data, prior, alpha0, nmax, config, warm=None):
-        if alpha0 <= 0.0:
-            raise ValueError(f"alpha0 must be positive, got {alpha0}")
-        if isinstance(data, FailureTimeData):
-            self.kind = "times"
-            self.stats = TimesStats.from_data(data)
-            self.observed = self.stats.me
-        elif isinstance(data, GroupedData):
-            self.kind = "grouped"
-            self.stats = GroupedStats.from_data(data)
-            self.observed = self.stats.total
-        else:
-            raise TypeError(f"unsupported data type: {type(data).__name__}")
-        if self.observed == 0 and not prior.beta.is_proper:
-            raise ValueError(
-                f"dataset {index}: N = 0 with an improper beta prior "
-                f"leaves Pv(beta | N) improper"
-            )
-        if warm is not None and float(warm.alpha0) != float(alpha0):
-            raise ValueError(
-                f"dataset {index}: warm_start was extracted at "
-                f"alpha0={warm.alpha0:g} but this fit uses "
-                f"alpha0={alpha0:g}; warm seeds only transfer within one "
-                f"gamma shape"
-            )
-        self.index = index
-        self.data = data
-        self.prior = prior
-        self.alpha0 = alpha0
-        self.warm = warm
-        self.nmax_fixed = nmax
-        if nmax is not None:
-            nmax = int(nmax)
-            if nmax < self.observed:
-                raise ValueError(
-                    f"dataset {index}: nmax={nmax} is below the observed "
-                    f"failure count {self.observed}"
-                )
-            self.bound = nmax
-        else:
-            self.bound = self.observed + config.nmax_initial
-            if warm is not None:
-                # Same truncation-growth replay as the scalar fit: floor
-                # the initial bound at the cached grid's effective
-                # support plus a drift pad.
-                eff = warm.effective_nmax(config.tail_tolerance)
-                pad = max(16, (eff - self.observed) // 8)
-                self.bound = max(
-                    self.bound, min(eff + pad, config.nmax_ceiling)
-                )
-        self.clamped = False
-        self.growth_rounds = 0
-        # Solved lanes accumulate as (solutions, slice) references and
-        # concatenate once at finalize — per-round concatenation across
-        # a thousand datasets' seven fields otherwise dominates the
-        # small-sweep cost.
-        self.gpos = -1
-        self.lanes_done = 0
-        self.last_n = -1
-        self._parts: list = []
-        self.n = None
-
-    def extend(self, sols, sl: slice) -> None:
-        self._parts.append((sols, sl))
-        self.lanes_done += sl.stop - sl.start
-        self.last_n = int(sols.n[sl.stop - 1])
-
-    def log_w_parts(self) -> list:
-        return [sols.log_weight[sl] for sols, sl in self._parts]
-
-    def iteration_parts(self) -> list:
-        return [sols.iterations[sl] for sols, sl in self._parts]
-
-    def materialize(self) -> None:
-        """Materialise the flat per-``N`` component arrays. Deferred to
-        the lazy posterior builder: the fleet fit itself only reads the
-        log-weights, so a thousand-dataset sweep never concatenates the
-        other fields for posteriors nobody asks for."""
-        if self.n is not None:
-            return
-        if len(self._parts) == 1:
-            sols, sl = self._parts[0]
-            self.n = sols.n[sl]
-            self.a_omega = sols.a_omega[sl]
-            self.b_omega = sols.b_omega[sl]
-            self.a_beta = sols.a_beta[sl]
-            self.b_beta = sols.b_beta[sl]
-            return
-        self.n = np.concatenate([s.n[sl] for s, sl in self._parts])
-        self.a_omega = np.concatenate([s.a_omega[sl] for s, sl in self._parts])
-        self.b_omega = np.concatenate([s.b_omega[sl] for s, sl in self._parts])
-        self.a_beta = np.concatenate([s.a_beta[sl] for s, sl in self._parts])
-        self.b_beta = np.concatenate([s.b_beta[sl] for s, sl in self._parts])
-
-    def post_round(self, config: VBConfig, tail: float) -> bool:
-        """The scalar fit's post-solve growth decision for one round.
-        ``tail`` is the dataset's normalised mass at the bound (computed
-        batched across the sweep). Returns True when this dataset is
-        done."""
-        if tail < config.tail_tolerance:
-            return True
-        self.growth_rounds += 1
-        self.bound = next_truncation_bound(self.observed, self.bound, config)
-        if self.bound > config.nmax_ceiling:
-            if config.truncation_policy == "clamp":
-                self.bound = config.nmax_ceiling
-                self.clamped = True
-                return self.bound <= self.last_n
-            if obs.enabled():
-                obs.counter_add("vb2.truncation_failures")
-                obs.event(
-                    "vb2.truncation_failure",
-                    dataset=self.index, bound=self.bound,
-                    ceiling=config.nmax_ceiling, tail_mass=tail,
-                )
-            raise TruncationError(
-                f"dataset {self.index}: nmax exceeded the ceiling "
-                f"{config.nmax_ceiling} with tail mass {tail:.3e} still "
-                f"above tolerance {config.tail_tolerance:.3e}"
-            )
-        return False
-
-
-class _GroupStatic:
-    """Per-``(kind, alpha0)`` arrays that never change across growth
-    sweeps: sufficient statistics and prior parameters, one entry per
-    dataset in group order. Packing these once (instead of per sweep)
-    keeps the sweep loop's Python work proportional to the *active*
-    datasets only."""
-
-    __slots__ = (
-        "m_omega", "phi_omega", "m_beta", "phi_beta",
-        "me", "sum_times", "horizon", "packed", "counts_per",
-    )
-
-    def __init__(self, states, kind):
-        for pos, st in enumerate(states):
-            st.gpos = pos
-        self.m_omega = np.array([st.prior.omega.shape for st in states])
-        self.phi_omega = np.array([st.prior.omega.rate for st in states])
-        self.m_beta = np.array([st.prior.beta.shape for st in states])
-        self.phi_beta = np.array([st.prior.beta.rate for st in states])
-        if kind == "times":
-            self.me = np.array([float(st.stats.me) for st in states])
-            self.sum_times = np.array([st.stats.sum_times for st in states])
-            self.horizon = np.array([st.stats.horizon for st in states])
-            self.packed = None
-            self.counts_per = None
-        else:
-            self.packed = pack_grouped([st.data for st in states])
-            self.counts_per = self.packed.interval_counts_per_dataset()
-
-
-def _solve_vb2_lanes(lanes, kind, alpha0, config, static):
-    """One growth round's lane sweep for a ``(kind, alpha0)`` group.
-
-    ``lanes`` is a list of ``(state, n_start, n_stop)``; the lane axis
-    concatenates each dataset's latent-count range. Returns the
-    :class:`LaneSolutions` plus the per-dataset slice offsets.
-    """
-    sizes = np.array([stop - start + 1 for _, start, stop in lanes],
-                     dtype=np.intp)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    ds = np.repeat(np.arange(len(lanes)), sizes)
-    # Ragged [start_k .. stop_k] ranges in one shot: a global arange
-    # shifted per block. Small integers in float64, so this is exact.
-    starts = np.array([start for _, start, _ in lanes], dtype=float)
-    n = np.arange(int(offsets[-1]), dtype=float) - np.repeat(
-        offsets[:-1] - starts, sizes
-    )
-    idx = np.array([st.gpos for st, _, _ in lanes], dtype=np.intp)[ds]
-    m_omega = static.m_omega[idx]
-    phi_omega = static.phi_omega[idx]
-    m_beta = static.m_beta[idx]
-    phi_beta = static.phi_beta[idx]
-
-    # Per-lane warm seeds and stratified tolerances, assembled dataset
-    # by dataset exactly as the scalar warm fit builds them — cold
-    # datasets sharing the sweep contribute nan seeds (solver default)
-    # and the tight tolerance.
-    xi_warm = None
-    rtol_lanes = None
-    if any(st.warm is not None for st, _, _ in lanes):
-        xi_parts, rtol_parts = [], []
-        for k, (st, start, stop) in enumerate(lanes):
-            if st.warm is None:
-                xi_parts.append(np.full(int(sizes[k]), np.nan))
-                rtol_parts.append(
-                    np.full(int(sizes[k]), config.fixed_point_rtol)
-                )
-            else:
-                xi_parts.append(st.warm.seeds_for_range(start, stop))
-                rtol_parts.append(
-                    st.warm.lane_rtols(
-                        start,
-                        stop,
-                        rtol=config.fixed_point_rtol,
-                        loose_rtol=WARM_LOOSE_RTOL,
-                        weight_tolerance=WARM_LOOSE_WEIGHT,
-                    )
-                )
-        xi_warm = np.concatenate(xi_parts)
-        rtol_lanes = np.concatenate(rtol_parts)
-
-    if kind == "times":
-        me = static.me[idx]
-        sum_times = static.sum_times[idx]
-        horizon = static.horizon[idx]
-        if alpha0 == 1.0:
-            sols = solve_times_exponential_lanes(
-                n, me, sum_times, horizon,
-                m_omega, phi_omega, m_beta, phi_beta,
-            )
-        else:
-            states = [st for st, _, _ in lanes]
-            labels = [
-                f"dataset {states[d].index}, N={int(v)}"
-                for d, v in zip(ds, n)
-            ]
-            sols = solve_times_lanes(
-                n, alpha0, me, sum_times, horizon,
-                m_omega, phi_omega, m_beta, phi_beta, config,
-                lane_labels=labels,
-                xi_warm=xi_warm,
-                rtol_lanes=rtol_lanes,
-            )
-    else:
-        packed = static.packed
-        total = packed.total[idx]
-        horizon = packed.horizon[idx]
-        seed_dot = packed.seed_dot[idx]
-        lane_parts, lo_parts, hi_parts, count_parts = [], [], [], []
-        for k, (st, _, _) in enumerate(lanes):
-            n_int = int(static.counts_per[st.gpos])
-            if n_int == 0:
-                continue
-            seg = slice(packed.offsets[st.gpos], packed.offsets[st.gpos + 1])
-            n_lanes = int(sizes[k])
-            lane_parts.append(
-                offsets[k] + np.repeat(np.arange(n_lanes, dtype=np.intp), n_int)
-            )
-            lo_parts.append(np.tile(packed.interval_lo[seg], n_lanes))
-            hi_parts.append(np.tile(packed.interval_hi[seg], n_lanes))
-            count_parts.append(np.tile(packed.interval_count[seg], n_lanes))
-        pair_lane = (
-            np.concatenate(lane_parts) if lane_parts
-            else np.empty(0, dtype=np.intp)
-        )
-        states = [st for st, _, _ in lanes]
-        labels = [
-            f"dataset {states[d].index}, N={int(v)}" for d, v in zip(ds, n)
-        ]
-        sols = solve_grouped_lanes(
-            n, alpha0, total, horizon,
-            pair_lane,
-            np.concatenate(lo_parts) if lo_parts else np.empty(0),
-            np.concatenate(hi_parts) if hi_parts else np.empty(0),
-            np.concatenate(count_parts) if count_parts else np.empty(0),
-            seed_dot, m_omega, phi_omega, m_beta, phi_beta, config,
-            lane_labels=labels,
-            xi_warm=xi_warm,
-            rtol_lanes=rtol_lanes,
-        )
-    return sols, offsets
-
-
-def _drive_vb2_group(states, kind, alpha0, config, heartbeat):
-    """Run one ``(kind, alpha0)`` partition's growth rounds to
-    completion; each round solves every still-active dataset's new
-    latent-count tail in a single lane sweep."""
-    static = _GroupStatic(states, kind)
-    active = list(states)
-    sweep = 0
-    while active:
-        lanes = []
-        for st in active:
-            start = st.observed + st.lanes_done
-            if start <= st.bound:
-                lanes.append((st, start, st.bound))
-        if lanes:
-            sols, offsets = _solve_vb2_lanes(lanes, kind, alpha0, config, static)
-            for k, (st, _, _) in enumerate(lanes):
-                st.extend(sols, slice(offsets[k], offsets[k + 1]))
-        # Fixed-nmax and already-clamped datasets retire before the tail
-        # check, exactly as the scalar loop breaks before computing it.
-        checking = []
-        for st in active:
-            if st.nmax_fixed is not None or st.clamped:
-                heartbeat.tick()
-            else:
-                checking.append(st)
-        remaining = []
-        if checking:
-            # One segmented logsumexp covers every dataset's tail-mass
-            # check this sweep; each segment reduces over that dataset's
-            # own weights only, so the floats match the scalar fit's
-            # per-dataset `log_sum_exp` call.
-            flat = np.concatenate(
-                [p for st in checking for p in st.log_w_parts()]
-            )
-            stops = np.cumsum(
-                np.array([st.lanes_done for st in checking], dtype=np.intp)
-            )
-            starts = np.concatenate(([0], stops[:-1]))
-            tails = np.exp(flat[stops - 1] - log_sum_exp_stream(flat, starts))
-            for st, tail in zip(checking, tails):
-                if st.post_round(config, float(tail)):
-                    heartbeat.tick()
-                else:
-                    remaining.append(st)
-        sweep += 1
-        if remaining:
-            obs.event(
-                "fleet.vb2.grow", level="debug",
-                sweep=sweep, kind=kind, alpha0=alpha0,
-                active=len(remaining),
-            )
-        active = remaining
-
-
 def _vb2_builder(state, weights, elbo, diagnostics, config):
     def build():
-        state.materialize()
-        posterior = VBPosterior(
-            n_values=[int(v) for v in state.n],
-            weights=weights,
-            omega_components=[
-                GammaDistribution(float(a), float(b))
-                for a, b in zip(state.a_omega, state.b_omega)
-            ],
-            beta_components=[
-                GammaDistribution(float(a), float(b))
-                for a, b in zip(state.a_beta, state.b_beta)
-            ],
-            method_name="VB2",
-            elbo=elbo,
-            diagnostics=diagnostics,
-        )
+        posterior = state.posterior(weights, elbo, diagnostics)
         if config.variance_correction == "sandwich":
             return apply_sandwich(posterior, state.data, alpha0=state.alpha0)
         return posterior
@@ -604,8 +243,8 @@ def fit_vb2_fleet(
     with obs.span("fleet.vb2.fit", datasets=count):
         states = [
             _Vb2State(
-                i, datasets[i], priors[i], alpha0s[i], nmaxes[i], config,
-                warm=warms[i],
+                datasets[i], priors[i], alpha0s[i], nmaxes[i], config,
+                warm=warms[i], index=i,
             )
             for i in range(count)
         ]
@@ -614,7 +253,7 @@ def fit_vb2_fleet(
         for st in states:
             groups.setdefault((st.kind, st.alpha0), []).append(st)
         for (kind, a0), members in groups.items():
-            _drive_vb2_group(members, kind, a0, config, heartbeat)
+            _drive_vb2_group(members, kind, a0, config, on_done=heartbeat.tick)
 
         builders, diags, elbos = [], [], []
         total_lanes = 0
@@ -627,7 +266,7 @@ def fit_vb2_fleet(
         sizes = np.array([st.lanes_done for st in states], dtype=np.intp)
         stops = np.cumsum(sizes)
         starts = stops - sizes
-        flat = np.concatenate([p for st in states for p in st.log_w_parts()])
+        flat = np.concatenate([p for st in states for p in st.log_w])
         log_norms = log_sum_exp_stream(flat, starts)
         flat_weights = np.exp(flat - np.repeat(log_norms, sizes))
         iter_sums = np.add.reduceat(

@@ -68,21 +68,18 @@ __all__ = [
     "ConditionalSolution",
     "LaneSolutions",
     "solve_conditional_times",
-    "solve_conditional_times_range",
-    "solve_conditional_times_exponential_range",
     "solve_conditional_grouped",
-    "solve_conditional_grouped_range",
     "solve_times_exponential_lanes",
     "solve_times_lanes",
     "solve_grouped_lanes",
     "elbo_constant",
 ]
 
-# The scalar and range solvers below are kept bit-identical: both
-# evaluate every transcendental through the numpy ufuncs in
-# repro.stats.special (whose scalar calls are 0-d instances of the
-# array code), accumulate interval sums in the same order, and seed the
-# fixed point with the same closed-form expression. Tests in
+# The scalar per-N solvers and the lane solvers below are kept
+# bit-identical: both evaluate every transcendental through the numpy
+# ufuncs in repro.stats.special (whose scalar calls are 0-d instances of
+# the array code), accumulate interval sums in the same order, and seed
+# the fixed point with the same closed-form expression. Tests in
 # tests/core/test_gamma_updates.py and tests/core/test_vb2_batched.py
 # pin the equality exactly (max abs diff 0.0).
 
@@ -302,119 +299,12 @@ def _apply_warm_seeds(
     return np.where(usable, xi_warm, xi_seed)
 
 
-def solve_conditional_times_range(
-    n_start: int,
-    n_end: int,
-    alpha0: float,
-    prior: ModelPrior,
-    stats: TimesStats,
-    config: VBConfig,
-    xi_warm: np.ndarray | None = None,
-    rtol_lanes: np.ndarray | None = None,
-    backend: ArrayBackend | None = None,
-) -> list[ConditionalSolution]:
-    """Solve the conditional posteriors for every ``N ∈ [n_start, n_end]``
-    on failure-time data with one lane-parallel fixed-point solve.
-
-    Each latent count is one lane of
-    :func:`repro.stats.rootfind.solve_fixed_point_batch`; the update map
-    evaluates paper Eq. 24 for the whole grid as array arithmetic.
-    Bit-identical to looping :func:`solve_conditional_times` with the
-    default (closed-form) seed. ``α0 = 1`` short-circuits to the fully
-    closed-form :func:`solve_conditional_times_exponential_range`.
-
-    ``xi_warm`` optionally replaces the default prior-moment seed per
-    lane: finite entries are used as-is (warm starts from a previous
-    fit), ``nan`` entries keep the default. The seed only changes the
-    iteration path, never the fixed point. ``rtol_lanes`` optionally
-    overrides ``config.fixed_point_rtol`` with one tolerance per lane
-    (warm refits loosen weight-negligible tail lanes).
-    """
-    if alpha0 == 1.0:
-        return solve_conditional_times_exponential_range(
-            n_start, n_end, prior, stats
-        )
-    if backend is not None and not backend.is_numpy:
-        if xi_warm is not None or rtol_lanes is not None:
-            raise ValueError(
-                "warm starts are not supported on non-NumPy backends"
-            )
-        return _solve_times_range_backend(
-            backend, n_start, n_end, alpha0, prior, stats, config
-        )
-    _validate_range(n_start, n_end, stats.me, prior)
-    m_omega, phi_omega = prior.omega.shape, prior.omega.rate
-    m_beta, phi_beta = prior.beta.shape, prior.beta.rate
-
-    n = np.arange(n_start, n_end + 1, dtype=float)
-    residual = n - stats.me
-    has_resid = residual > 0
-    a_beta = m_beta + n * alpha0
-    if np.any(a_beta <= 0.0):
-        raise ValueError("m_beta + N*alpha0 must be positive")
-
-    def zeta_of(xi: np.ndarray) -> np.ndarray:
-        total = np.full(xi.shape, stats.sum_times)
-        if np.any(has_resid):
-            eta = censored_gamma_mean(stats.horizon, alpha0, xi[has_resid])
-            total[has_resid] = stats.sum_times + residual[has_resid] * eta
-        return total
-
-    def update(xi: np.ndarray) -> np.ndarray:
-        return a_beta / (phi_beta + zeta_of(xi))
-
-    xi_seed = a_beta / (
-        phi_beta + stats.sum_times + residual * stats.horizon + 1e-300
-    )
-    xi_seed = _apply_warm_seeds(xi_seed, xi_warm)
-    solve = solve_fixed_point_batch(
-        update,
-        xi_seed,
-        rtol=(
-            config.fixed_point_rtol if rtol_lanes is None else rtol_lanes
-        ),
-        max_iter=config.fixed_point_max_iter,
-        use_aitken=config.use_aitken,
-    )
-    xi = solve.values
-    zeta = zeta_of(xi)
-    b_beta = phi_beta + zeta
-    log_weight = (
-        log_gamma_fn(m_omega + n)
-        - (m_omega + n) * float(np.log(phi_omega + 1.0))
-        + log_gamma_fn(a_beta)
-        - a_beta * np.log(b_beta)
-    )
-    if np.any(has_resid):
-        xm = xi[has_resid]
-        eta = censored_gamma_mean(stats.horizon, alpha0, xm)
-        log_weight[has_resid] += residual[has_resid] * (
-            log_gamma_sf(stats.horizon, alpha0, xm)
-            - alpha0 * np.log(xm)
-            + xm * eta
-        )
-        log_weight[has_resid] -= log_factorial(residual[has_resid])
-    return [
-        ConditionalSolution(
-            n=int(n[i]),
-            zeta=float(zeta[i]),
-            xi=float(xi[i]),
-            a_omega=m_omega + float(n[i]),
-            b_omega=phi_omega + 1.0,
-            a_beta=float(a_beta[i]),
-            b_beta=float(b_beta[i]),
-            log_weight=float(log_weight[i]),
-            iterations=int(solve.iterations[i]),
-        )
-        for i in range(n.size)
-    ]
-
-
 # ----------------------------------------------------------------------
 # Generic-backend range solvers
 # ----------------------------------------------------------------------
-# Device/portable counterparts of the range solvers above: the same
-# update map and log-weight algebra expressed through an
+# Device/portable counterparts of the NumPy lane solvers below, over
+# one dataset's latent-count range: the same update map and log-weight
+# algebra expressed through an
 # :class:`~repro.backend.core.ArrayBackend` (full-width ``where``
 # masking, no in-place stores), driving the functional lock-step
 # fixed point. They agree with the NumPy reference within the
@@ -468,7 +358,8 @@ def _solve_times_range_backend(
     stats: TimesStats,
     config: VBConfig,
 ) -> list[ConditionalSolution]:
-    """Generic-backend variant of :func:`solve_conditional_times_range`."""
+    """Generic-backend solve of ``N ∈ [n_start, n_end]`` on failure-time
+    data (the counterpart of :func:`solve_times_lanes`)."""
     _validate_range(n_start, n_end, stats.me, prior)
     xp = B.xp
     m_omega, phi_omega = prior.omega.shape, prior.omega.rate
@@ -533,7 +424,8 @@ def _solve_grouped_range_backend(
     stats: GroupedStats,
     config: VBConfig,
 ) -> list[ConditionalSolution]:
-    """Generic-backend variant of :func:`solve_conditional_grouped_range`."""
+    """Generic-backend solve of ``N ∈ [n_start, n_end]`` on grouped data
+    (the counterpart of :func:`solve_grouped_lanes`)."""
     _validate_range(n_start, n_end, stats.total, prior)
     xp = B.xp
     m_omega, phi_omega = prior.omega.shape, prior.omega.rate
@@ -606,66 +498,6 @@ def _solve_grouped_range_backend(
         B, n, zeta, xi, m_omega, phi_omega, a_beta, b_beta,
         log_weight, solve.iterations,
     )
-
-
-def solve_conditional_times_exponential_range(
-    n_start: int,
-    n_end: int,
-    prior: ModelPrior,
-    stats: TimesStats,
-) -> list[ConditionalSolution]:
-    """Vectorised batch solve for the Goel–Okumoto failure-time case.
-
-    For ``α0 = 1`` every quantity is closed-form, so a whole range of
-    latent counts ``N ∈ [n_start, n_end]`` can be solved with array
-    arithmetic — this is the configuration behind the paper's headline
-    speed numbers (Table 7). Produces bit-for-bit the same solutions as
-    :func:`solve_conditional_times` with ``alpha0 = 1``.
-    """
-    if n_start < stats.me:
-        raise ValueError(
-            f"n_start={n_start} is below the observed failure count {stats.me}"
-        )
-    if n_end < n_start:
-        raise ValueError("n_end must be >= n_start")
-    if n_start == 0 and not prior.beta.is_proper:
-        raise ValueError(
-            "N = 0 with an improper beta prior leaves Pv(beta | N) improper"
-        )
-    m_omega, phi_omega = prior.omega.shape, prior.omega.rate
-    m_beta, phi_beta = prior.beta.shape, prior.beta.rate
-
-    n = np.arange(n_start, n_end + 1, dtype=float)
-    residual = n - stats.me
-    denom = phi_beta + stats.sum_times + residual * stats.horizon
-    xi = (m_beta + stats.me) / denom
-    # Memorylessness: E[T | T > te] = te + 1/xi; zeta in closed form.
-    zeta = stats.sum_times + residual * (stats.horizon + 1.0 / xi)
-    a_beta = m_beta + n
-    b_beta = phi_beta + zeta
-    # log weight, exponential kernel: ln S̄ = -xi te; xi eta = xi te + 1.
-    log_weight = (
-        log_gamma_fn(m_omega + n)
-        - (m_omega + n) * float(np.log(phi_omega + 1.0))
-        + log_gamma_fn(a_beta)
-        - a_beta * np.log(b_beta)
-        + residual * (1.0 - np.log(xi))
-        - log_factorial(residual)
-    )
-    return [
-        ConditionalSolution(
-            n=int(n[i]),
-            zeta=float(zeta[i]),
-            xi=float(xi[i]),
-            a_omega=m_omega + float(n[i]),
-            b_omega=phi_omega + 1.0,
-            a_beta=float(a_beta[i]),
-            b_beta=float(b_beta[i]),
-            log_weight=float(log_weight[i]),
-            iterations=0,
-        )
-        for i in range(n.size)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -764,161 +596,31 @@ def solve_conditional_grouped(
     )
 
 
-def _zeta_grouped_range(
-    residual: np.ndarray,
-    has_resid: np.ndarray,
-    alpha0: float,
-    xi: np.ndarray,
-    stats: GroupedStats,
-) -> np.ndarray:
-    """Lane-parallel form of :func:`_zeta_grouped`: one truncated-mean
-    broadcast per observation interval, accumulated in the same interval
-    order as the scalar loop so the sums match bit-for-bit."""
-    total = np.zeros(xi.shape)
-    edges = stats.edges
-    for i, count in enumerate(stats.counts):
-        if count == 0:
-            continue
-        total += count * truncated_gamma_mean(
-            float(edges[i]), float(edges[i + 1]), alpha0, xi
-        )
-    if np.any(has_resid):
-        total[has_resid] = total[has_resid] + residual[has_resid] * (
-            censored_gamma_mean(stats.horizon, alpha0, xi[has_resid])
-        )
-    return total
-
-
-def solve_conditional_grouped_range(
-    n_start: int,
-    n_end: int,
-    alpha0: float,
-    prior: ModelPrior,
-    stats: GroupedStats,
-    config: VBConfig,
-    xi_warm: np.ndarray | None = None,
-    rtol_lanes: np.ndarray | None = None,
-    backend: ArrayBackend | None = None,
-) -> list[ConditionalSolution]:
-    """Solve the conditional posteriors for every ``N ∈ [n_start, n_end]``
-    on grouped data with one lane-parallel fixed-point solve.
-
-    The grouped case has no closed form even for ``α0 = 1``, so this is
-    the hot path of every grouped-data VB2 fit: the per-``N`` scalar
-    solves (one Python fixed point each) collapse into a single
-    :func:`repro.stats.rootfind.solve_fixed_point_batch` call whose
-    update map evaluates paper Eq. 26 for all lanes at once.
-    Bit-identical to looping :func:`solve_conditional_grouped` with the
-    default seed. ``xi_warm`` optionally replaces the default seed per
-    lane (finite entries only; ``nan`` keeps the default) and
-    ``rtol_lanes`` optionally replaces the shared stopping tolerance
-    with a per-lane one — see :func:`solve_conditional_times_range`.
-    """
-    if backend is not None and not backend.is_numpy:
-        if xi_warm is not None or rtol_lanes is not None:
-            raise ValueError(
-                "warm starts are not supported on non-NumPy backends"
-            )
-        return _solve_grouped_range_backend(
-            backend, n_start, n_end, alpha0, prior, stats, config
-        )
-    _validate_range(n_start, n_end, stats.total, prior)
-    m_omega, phi_omega = prior.omega.shape, prior.omega.rate
-    m_beta, phi_beta = prior.beta.shape, prior.beta.rate
-
-    n = np.arange(n_start, n_end + 1, dtype=float)
-    residual = n - stats.total
-    has_resid = residual > 0
-    a_beta = m_beta + n * alpha0
-    if np.any(a_beta <= 0.0):
-        raise ValueError("m_beta + N*alpha0 must be positive")
-
-    def update(xi: np.ndarray) -> np.ndarray:
-        return a_beta / (
-            phi_beta + _zeta_grouped_range(residual, has_resid, alpha0, xi, stats)
-        )
-
-    zeta_hi = (
-        float(np.dot(stats.counts, stats.edges[1:]))
-        + residual * 2.0 * stats.horizon
-    )
-    solve = solve_fixed_point_batch(
-        update,
-        _apply_warm_seeds(a_beta / (phi_beta + zeta_hi), xi_warm),
-        rtol=(
-            config.fixed_point_rtol if rtol_lanes is None else rtol_lanes
-        ),
-        max_iter=config.fixed_point_max_iter,
-        use_aitken=config.use_aitken,
-    )
-    xi = solve.values
-    zeta = _zeta_grouped_range(residual, has_resid, alpha0, xi, stats)
-    b_beta = phi_beta + zeta
-
-    log_weight = (
-        log_gamma_fn(m_omega + n)
-        - (m_omega + n) * float(np.log(phi_omega + 1.0))
-        + log_gamma_fn(a_beta)
-        - a_beta * np.log(b_beta)
-        - n * alpha0 * np.log(xi)
-        + xi * zeta
-    )
-    edges = stats.edges
-    for i, count in enumerate(stats.counts):
-        if count == 0:
-            continue
-        log_weight += count * log_gamma_cdf_increment(
-            float(edges[i]), float(edges[i + 1]), alpha0, xi
-        )
-    if np.any(has_resid):
-        log_weight[has_resid] += residual[has_resid] * (
-            log_gamma_sf(stats.horizon, alpha0, xi[has_resid])
-        )
-        log_weight[has_resid] -= log_factorial(residual[has_resid])
-    return [
-        ConditionalSolution(
-            n=int(n[i]),
-            zeta=float(zeta[i]),
-            xi=float(xi[i]),
-            a_omega=m_omega + float(n[i]),
-            b_omega=phi_omega + 1.0,
-            a_beta=float(a_beta[i]),
-            b_beta=float(b_beta[i]),
-            log_weight=float(log_weight[i]),
-            iterations=int(solve.iterations[i]),
-        )
-        for i in range(n.size)
-    ]
-
-
 # ----------------------------------------------------------------------
-# Dataset-lane solvers (fleet fitting)
+# Lane solvers (every NumPy VB2 fit: one dataset or a fleet)
 # ----------------------------------------------------------------------
-# The range solvers above batch over the latent-count axis of ONE
-# dataset. The lane solvers below generalise the lane axis to
-# ``(dataset, N)`` pairs: every per-dataset quantity (sufficient
-# statistics, prior hyper-parameters) arrives as a per-lane array, so a
-# whole portfolio's conditional posteriors collapse into one batched
-# fixed-point solve. ``alpha0`` stays a *Python scalar* per call —
-# the truncated/censored gamma means branch on ``shape == 1.0`` at the
-# Python level, so fleets mix shapes by grouping datasets per shape.
+# A lane is one ``(dataset, N)`` pair: every per-dataset quantity
+# (sufficient statistics, prior hyper-parameters) arrives as a per-lane
+# array, so one dataset's latent-count range — or a whole portfolio's —
+# collapses into one batched fixed-point solve. ``alpha0`` stays a
+# *Python scalar* per call — the truncated/censored gamma means branch
+# on ``shape == 1.0`` at the Python level, so fleets mix shapes by
+# grouping datasets per shape.
 #
-# Bit-identity with the scalar range solvers holds lane-wise because
+# Bit-identity with the scalar per-N solvers holds lane-wise because
 # (a) every transcendental is the same elementwise ufunc, (b) the
-# frozen-lane fixed point reproduces each lane's scalar iteration
-# regardless of lane composition, and (c) interval sums accumulate
-# through ``np.ufunc.at`` — an unbuffered, strictly in-order
-# scatter-add, matching the scalar Python loop's left-to-right sums
+# fixed point evaluates each lane's update map on that lane's own
+# inputs only, replaying its scalar iteration regardless of which
+# other lanes are still live, and (c) interval sums accumulate through
+# ``np.ufunc.at`` — an unbuffered, strictly in-order scatter-add,
+# matching the scalar Python loop's left-to-right sums
 # (``np.add.reduceat`` would NOT: its segment reduction is pairwise).
 
 
 @dataclass(frozen=True)
 class LaneSolutions:
-    """Columnar :class:`ConditionalSolution` for many lanes at once.
-
-    Same fields, as per-lane arrays; ``solution(i)`` unpacks one lane
-    for the scalar consumers.
-    """
+    """Columnar :class:`ConditionalSolution` for many lanes at once:
+    the same fields, as per-lane arrays."""
 
     n: np.ndarray
     zeta: np.ndarray
@@ -929,36 +631,6 @@ class LaneSolutions:
     b_beta: np.ndarray
     log_weight: np.ndarray
     iterations: np.ndarray
-
-    def __len__(self) -> int:
-        return self.n.size
-
-    def __getitem__(self, sl: slice) -> "LaneSolutions":
-        """View of a contiguous lane range (no copies)."""
-        return LaneSolutions(
-            n=self.n[sl],
-            zeta=self.zeta[sl],
-            xi=self.xi[sl],
-            a_omega=self.a_omega[sl],
-            b_omega=self.b_omega[sl],
-            a_beta=self.a_beta[sl],
-            b_beta=self.b_beta[sl],
-            log_weight=self.log_weight[sl],
-            iterations=self.iterations[sl],
-        )
-
-    def solution(self, i: int) -> ConditionalSolution:
-        return ConditionalSolution(
-            n=int(self.n[i]),
-            zeta=float(self.zeta[i]),
-            xi=float(self.xi[i]),
-            a_omega=float(self.a_omega[i]),
-            b_omega=float(self.b_omega[i]),
-            a_beta=float(self.a_beta[i]),
-            b_beta=float(self.b_beta[i]),
-            log_weight=float(self.log_weight[i]),
-            iterations=int(self.iterations[i]),
-        )
 
 
 def _validate_lanes(
@@ -984,12 +656,14 @@ def solve_times_exponential_lanes(
     m_beta: np.ndarray,
     phi_beta: np.ndarray,
 ) -> LaneSolutions:
-    """Closed-form Goel–Okumoto lanes: the dataset-lane generalisation
-    of :func:`solve_conditional_times_exponential_range`.
+    """Closed-form Goel–Okumoto failure-time lanes.
 
-    Every argument is a per-lane array (a lane is one ``(dataset, N)``
-    pair). Bit-identical per lane to the scalar range solver run on
-    that lane's dataset.
+    For ``α0 = 1`` every quantity is closed-form (the paper's Section
+    5.2 fixed point ``ξ_N = (m_β + m_e) / (φ_β + Σ t_i + (N - m_e)
+    t_e)``), so no fixed point runs — this is the configuration behind
+    the paper's headline speed numbers (Table 7). Every argument is a
+    per-lane array (a lane is one ``(dataset, N)`` pair). Bit-identical
+    per lane to :func:`solve_conditional_times` with ``alpha0 = 1``.
     """
     n = np.asarray(n, dtype=float)
     residual = n - me
@@ -1031,21 +705,22 @@ def solve_times_lanes(
     m_beta: np.ndarray,
     phi_beta: np.ndarray,
     config: VBConfig,
-    lane_labels=None,
+    lane_label=None,
     xi_warm: np.ndarray | None = None,
     rtol_lanes: np.ndarray | None = None,
 ) -> LaneSolutions:
-    """Failure-time lanes for a general gamma shape: the dataset-lane
-    generalisation of :func:`solve_conditional_times_range`.
+    """Failure-time lanes for a general gamma shape: paper Eq. 24 as
+    the lane-indexed update map of one batched fixed point.
 
     ``alpha0`` must be a Python scalar shared by every lane (callers
     group datasets per shape); all other arguments are per-lane arrays.
-    ``lane_labels`` names lanes in divergence errors (fleet callers
-    label each lane with its dataset). ``xi_warm`` optionally replaces
-    the default seed per lane (finite entries only; ``nan`` keeps the
-    default) and ``rtol_lanes`` the shared stopping tolerance; the
-    exponential short-circuit ignores both (closed form, nothing to
-    iterate).
+    ``lane_label`` (``lane -> str``) names a failed lane in divergence
+    errors (fleet callers label each lane with its dataset).
+    ``xi_warm`` optionally replaces the default seed per lane (finite
+    entries only; ``nan`` keeps the default) and ``rtol_lanes`` the
+    shared stopping tolerance; the exponential short-circuit ignores
+    both (closed form, nothing to iterate). Bit-identical per lane to
+    :func:`solve_conditional_times`.
     """
     if alpha0 == 1.0:
         return solve_times_exponential_lanes(
@@ -1057,17 +732,17 @@ def solve_times_lanes(
     a_beta = m_beta + n * alpha0
     _validate_lanes(n, me, a_beta)
 
-    def zeta_of(xi: np.ndarray) -> np.ndarray:
-        total = sum_times.copy()
-        if np.any(has_resid):
-            eta = censored_gamma_mean(
-                horizon[has_resid], alpha0, xi[has_resid]
-            )
-            total[has_resid] = sum_times[has_resid] + residual[has_resid] * eta
+    def zeta_of(xi: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        total = sum_times[lanes]
+        resid = has_resid[lanes]
+        if np.any(resid):
+            tails = lanes[resid]
+            eta = censored_gamma_mean(horizon[tails], alpha0, xi[resid])
+            total[resid] = sum_times[tails] + residual[tails] * eta
         return total
 
-    def update(xi: np.ndarray) -> np.ndarray:
-        return a_beta / (phi_beta + zeta_of(xi))
+    def update(xi: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return a_beta[lanes] / (phi_beta[lanes] + zeta_of(xi, lanes))
 
     xi_seed = a_beta / (phi_beta + sum_times + residual * horizon + 1e-300)
     solve = solve_fixed_point_batch(
@@ -1078,10 +753,10 @@ def solve_times_lanes(
         ),
         max_iter=config.fixed_point_max_iter,
         use_aitken=config.use_aitken,
-        lane_labels=lane_labels,
+        lane_label=lane_label,
     )
     xi = solve.values
-    zeta = zeta_of(xi)
+    zeta = zeta_of(xi, np.arange(n.size))
     b_beta = phi_beta + zeta
     log_weight = (
         log_gamma_fn(m_omega + n)
@@ -1126,24 +801,26 @@ def solve_grouped_lanes(
     m_beta: np.ndarray,
     phi_beta: np.ndarray,
     config: VBConfig,
-    lane_labels=None,
+    lane_label=None,
     xi_warm: np.ndarray | None = None,
     rtol_lanes: np.ndarray | None = None,
 ) -> LaneSolutions:
-    """Grouped-data lanes: the dataset-lane generalisation of
-    :func:`solve_conditional_grouped_range`.
+    """Grouped-data lanes: paper Eq. 26 as the lane-indexed update map
+    of one batched fixed point — the hot path of every grouped VB2 fit
+    (no closed form exists even for ``α0 = 1``).
 
     The ragged per-dataset interval structure arrives flattened as
     ``(lane, interval)`` pairs: ``pair_lane[j]`` is the lane index of
-    pair ``j`` and ``pair_lo/hi/count`` its interval geometry. Pairs
-    MUST be laid out lane-major with intervals in ascending order
-    within each lane — the scatter-adds below then accumulate each
-    lane's interval sum in exactly the scalar loop's order.
-    ``seed_dot[i]`` is the lane's dataset-level
+    pair ``j`` and ``pair_lo/hi/count`` its interval geometry, so each
+    update evaluates the truncated means of every live lane's intervals
+    in one broadcast. Pairs MUST be laid out lane-major with intervals
+    in ascending order within each lane — the scatter-adds below then
+    accumulate each lane's interval sum in exactly the scalar loop's
+    order. ``seed_dot[i]`` is the lane's dataset-level
     ``float(np.dot(counts, edges[1:]))`` (the scalar solver's
-    upper-bound zeta seed). ``xi_warm`` optionally replaces the
-    default seed per lane (finite entries only; ``nan`` keeps the
-    default) and ``rtol_lanes`` the shared stopping tolerance.
+    upper-bound zeta seed). ``lane_label``, ``xi_warm`` and
+    ``rtol_lanes`` are as in :func:`solve_times_lanes`. Bit-identical
+    per lane to :func:`solve_conditional_grouped`.
     """
     n = np.asarray(n, dtype=float)
     residual = n - total_observed
@@ -1151,23 +828,32 @@ def solve_grouped_lanes(
     a_beta = m_beta + n * alpha0
     _validate_lanes(n, total_observed, a_beta)
 
-    def zeta_of(xi: np.ndarray) -> np.ndarray:
-        total = np.zeros(xi.shape)
+    def zeta_of(xi: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        total = np.zeros(lanes.size)
         if pair_lane.size:
-            terms = pair_count * truncated_gamma_mean(
-                pair_lo, pair_hi, alpha0, xi[pair_lane]
+            if lanes.size == n.size:
+                pairs, local = slice(None), pair_lane
+            else:
+                # The live lanes' pairs, in their original order, and
+                # each pair's position in `lanes`.
+                live = np.zeros(n.size, dtype=bool)
+                live[lanes] = True
+                pairs = np.flatnonzero(live[pair_lane])
+                local = (np.cumsum(live) - 1)[pair_lane[pairs]]
+            terms = pair_count[pairs] * truncated_gamma_mean(
+                pair_lo[pairs], pair_hi[pairs], alpha0, xi[local]
             )
-            np.add.at(total, pair_lane, terms)
-        if np.any(has_resid):
-            total[has_resid] = total[has_resid] + residual[has_resid] * (
-                censored_gamma_mean(
-                    horizon[has_resid], alpha0, xi[has_resid]
-                )
+            np.add.at(total, local, terms)
+        resid = has_resid[lanes]
+        if np.any(resid):
+            tails = lanes[resid]
+            total[resid] = total[resid] + residual[tails] * (
+                censored_gamma_mean(horizon[tails], alpha0, xi[resid])
             )
         return total
 
-    def update(xi: np.ndarray) -> np.ndarray:
-        return a_beta / (phi_beta + zeta_of(xi))
+    def update(xi: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return a_beta[lanes] / (phi_beta[lanes] + zeta_of(xi, lanes))
 
     zeta_hi = seed_dot + residual * 2.0 * horizon
     solve = solve_fixed_point_batch(
@@ -1178,10 +864,10 @@ def solve_grouped_lanes(
         ),
         max_iter=config.fixed_point_max_iter,
         use_aitken=config.use_aitken,
-        lane_labels=lane_labels,
+        lane_label=lane_label,
     )
     xi = solve.values
-    zeta = zeta_of(xi)
+    zeta = zeta_of(xi, np.arange(n.size))
     b_beta = phi_beta + zeta
 
     log_weight = (

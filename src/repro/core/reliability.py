@@ -35,12 +35,14 @@ class ReliabilityIncrement:
     u: float
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0.0:
+        # Written as `not (x >= 0)` so NaN fails too; u = +inf is the
+        # residual-survival limit and stays valid.
+        if not self.alpha0 > 0.0:
             raise ValueError("alpha0 must be positive")
-        if self.te < 0.0:
-            raise ValueError("te must be non-negative")
-        if self.u < 0.0:
-            raise ValueError("u must be non-negative")
+        if not self.te >= 0.0:
+            raise ValueError(f"te must be non-negative, got {self.te}")
+        if not self.u >= 0.0:
+            raise ValueError(f"u must be non-negative, got {self.u}")
 
     def __call__(self, beta: float | np.ndarray) -> float | np.ndarray:
         beta = np.asarray(beta, dtype=float)
@@ -99,10 +101,10 @@ class ResidualSurvival:
     te: float
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0.0:
+        if not self.alpha0 > 0.0:
             raise ValueError("alpha0 must be positive")
-        if self.te < 0.0:
-            raise ValueError("te must be non-negative")
+        if not self.te >= 0.0:
+            raise ValueError(f"te must be non-negative, got {self.te}")
 
     def __call__(self, beta: float | np.ndarray) -> float | np.ndarray:
         beta = np.asarray(beta, dtype=float)

@@ -126,8 +126,17 @@ class ReliabilityTracker:
         warm_start: bool = True,
         cache=None,
     ) -> None:
+        # Validated before any fit is paid for or cached: a NaN window
+        # would otherwise turn every c(beta) into NaN and R into 1.
         if not 0.0 < reliability_target < 1.0:
             raise ValueError("reliability_target must be in (0, 1)")
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level must be in (0, 1), got {level}")
+        if not prediction_window >= 0.0:
+            raise ValueError(
+                f"prediction_window must be non-negative, "
+                f"got {prediction_window}"
+            )
         self._prior = prior
         self._alpha0 = alpha0
         self._window = prediction_window

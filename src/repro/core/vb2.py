@@ -10,9 +10,19 @@ Implements the general algorithm of Section 5.1:
    and continue (previously solved ``N`` are reused, so growth costs
    only the new tail);
 5. return the mixture posterior ``Pv(ω, β) = Σ_N Pv(N) Pv(ω|N) Pv(β|N)``.
+
+Steps 1–4 are one truncation-growth driver (:class:`_Vb2State`,
+:func:`_drive_vb2_group`) shared by :func:`fit_vb2` and
+:func:`repro.core.fleet.fit_vb2_fleet`: each growth round solves every
+still-growing dataset's new latent-count tail as ``(dataset, N)``
+lanes of one batched fixed point (:mod:`repro.core.gamma_updates`).
+A single fit is the one-dataset case of the fleet sweep.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
 
 import numpy as np
 
@@ -22,21 +32,24 @@ from repro.bayes.priors import ModelPrior
 from repro.bayes.sandwich import apply_sandwich
 from repro.core.config import VBConfig
 from repro.core.gamma_updates import (
-    ConditionalSolution,
     GroupedStats,
+    LaneSolutions,
     TimesStats,
+    _solve_grouped_range_backend,
+    _solve_times_range_backend,
     elbo_constant,
     solve_conditional_grouped,
-    solve_conditional_grouped_range,
     solve_conditional_times,
-    solve_conditional_times_exponential_range,
-    solve_conditional_times_range,
+    solve_grouped_lanes,
+    solve_times_exponential_lanes,
+    solve_times_lanes,
 )
 from repro.core.posterior import VBPosterior
 from repro.data.failure_data import FailureTimeData, GroupedData
+from repro.data.fleet import pack_grouped
 from repro.exceptions import TruncationError
 from repro.stats.gamma_dist import GammaDistribution
-from repro.stats.special import log_sum_exp
+from repro.stats.special import log_sum_exp, log_sum_exp_stream
 
 __all__ = ["fit_vb2", "next_truncation_bound"]
 
@@ -59,17 +72,423 @@ WARM_LOOSE_RTOL = 1e-4
 
 def next_truncation_bound(observed: int, bound: int, config: VBConfig) -> int:
     """Step 4's "increase nmax": grow the increment above ``observed``
-    by ``config.nmax_growth``, always advancing by at least one.
-
-    Shared by the scalar fit and the fleet driver so every dataset's
-    truncation-growth schedule is decided by the same arithmetic.
-    """
+    by ``config.nmax_growth``, always advancing by at least one."""
     increment = bound - observed
     return observed + max(
         int(np.ceil(increment * config.nmax_growth)), increment + 1
     )
 
 
+def _check_alpha0(alpha0: float, where: str = "") -> None:
+    if not (math.isfinite(alpha0) and alpha0 > 0.0):
+        raise ValueError(f"{where}alpha0 must be positive and finite, got {alpha0}")
+
+
+# ----------------------------------------------------------------------
+# Truncation-growth driver (one dataset or a fleet)
+# ----------------------------------------------------------------------
+class _Vb2State:
+    """One dataset's truncation-growth state machine (steps 1 and 4).
+
+    Only the *solving* is shared with the other datasets in a lane
+    sweep; every growth decision is this dataset's own. ``index`` is
+    the dataset's fleet position, or ``None`` for a single fit, whose
+    errors and events then carry no ``dataset`` tag.
+    """
+
+    __slots__ = (
+        "index", "where", "tags", "data", "prior", "alpha0", "stats",
+        "observed", "kind", "nmax_fixed", "bound", "clamped",
+        "growth_rounds", "warm", "gpos", "lanes_done", "last_n", "_parts",
+        "log_w", "n", "a_omega", "b_omega", "a_beta", "b_beta",
+    )
+
+    def __init__(self, data, prior, alpha0, nmax, config, warm=None,
+                 index=None):
+        self.index = index
+        self.where = "" if index is None else f"dataset {index}: "
+        self.tags = {} if index is None else {"dataset": index}
+        _check_alpha0(alpha0, self.where)
+        if isinstance(data, FailureTimeData):
+            self.kind = "times"
+            self.stats = TimesStats.from_data(data)
+            self.observed = self.stats.me
+        elif isinstance(data, GroupedData):
+            self.kind = "grouped"
+            self.stats = GroupedStats.from_data(data)
+            self.observed = self.stats.total
+        else:
+            raise TypeError(f"unsupported data type: {type(data).__name__}")
+        if self.observed == 0 and not prior.beta.is_proper:
+            raise ValueError(
+                f"{self.where}N = 0 with an improper beta prior leaves "
+                f"Pv(beta | N) improper"
+            )
+        if warm is not None and float(warm.alpha0) != float(alpha0):
+            raise ValueError(
+                f"{self.where}warm_start was extracted at "
+                f"alpha0={warm.alpha0:g} but this fit uses "
+                f"alpha0={alpha0:g}; warm seeds only transfer within one "
+                f"gamma shape"
+            )
+        self.data = data
+        self.prior = prior
+        self.alpha0 = alpha0
+        self.warm = warm
+        self.nmax_fixed = nmax
+        if nmax is not None:
+            nmax = int(nmax)
+            if nmax < self.observed:
+                raise ValueError(
+                    f"{self.where}nmax={nmax} is below the observed "
+                    f"failure count {self.observed}"
+                )
+            self.bound = nmax
+        else:
+            self.bound = self.observed + config.nmax_initial
+            if warm is not None:
+                # Truncation-growth replay: a warm fit starts from at
+                # least the cached grid's effective support plus a pad
+                # for the drift one period of data causes — so the cold
+                # growth schedule is not re-run, and the stale
+                # schedule's overshoot is not inherited either. If the
+                # pad under-shoots, the normal growth loop resumes.
+                eff = warm.effective_nmax(config.tail_tolerance)
+                pad = max(16, (eff - self.observed) // 8)
+                self.bound = max(
+                    self.bound, min(eff + pad, config.nmax_ceiling)
+                )
+        self.clamped = False
+        self.growth_rounds = 0
+        # Solved lanes accumulate as (solutions, slice) references and
+        # concatenate once at finalize — per-round concatenation across
+        # a thousand datasets' seven fields otherwise dominates the
+        # small-sweep cost. `log_w` keeps the log-weight views every
+        # round's tail check reads.
+        self.gpos = -1
+        self.lanes_done = 0
+        self.last_n = -1
+        self._parts: list = []
+        self.log_w: list = []
+        self.n = None
+
+    def extend(self, sols, start: int, stop: int) -> None:
+        """Append lanes ``start:stop`` of a round's solutions, which
+        solved this dataset's ``N`` up to the current bound."""
+        sl = slice(start, stop)
+        self._parts.append((sols, sl))
+        self.log_w.append(sols.log_weight[sl])
+        self.lanes_done += stop - start
+        self.last_n = self.bound
+
+    def iteration_parts(self) -> list:
+        return [sols.iterations[sl] for sols, sl in self._parts]
+
+    def materialize(self) -> None:
+        """Materialise the flat per-``N`` component arrays. Deferred to
+        posterior construction: the growth loop only reads the
+        log-weights, so a thousand-dataset sweep never concatenates the
+        other fields for posteriors nobody asks for."""
+        if self.n is not None:
+            return
+        fields = ("n", "a_omega", "b_omega", "a_beta", "b_beta")
+        for name in fields:
+            parts = [getattr(s, name)[sl] for s, sl in self._parts]
+            setattr(
+                self, name, parts[0] if len(parts) == 1 else np.concatenate(parts)
+            )
+
+    def posterior(self, weights, elbo, diagnostics) -> VBPosterior:
+        """The mixture posterior (step 5) over the solved grid."""
+        self.materialize()
+        return VBPosterior(
+            n_values=[int(v) for v in self.n],
+            weights=weights,
+            omega_components=[
+                GammaDistribution(a, b)
+                for a, b in zip(self.a_omega.tolist(), self.b_omega.tolist())
+            ],
+            beta_components=[
+                GammaDistribution(a, b)
+                for a, b in zip(self.a_beta.tolist(), self.b_beta.tolist())
+            ],
+            method_name="VB2",
+            elbo=elbo,
+            diagnostics=diagnostics,
+        )
+
+    def post_round(self, config: VBConfig, tail: float) -> bool:
+        """Step 4 for one round. ``tail`` is the dataset's normalised
+        mass at the bound (computed batched across the sweep). Returns
+        True when this dataset is done."""
+        if tail < config.tail_tolerance:
+            return True
+        if obs.enabled():
+            obs.event(
+                "vb2.grow", level="debug", round=self.growth_rounds + 1,
+                bound=self.bound, tail_mass=tail, **self.tags,
+            )
+        self.growth_rounds += 1
+        self.bound = next_truncation_bound(self.observed, self.bound, config)
+        if self.bound > config.nmax_ceiling:
+            if config.truncation_policy == "clamp":
+                self.bound = config.nmax_ceiling
+                self.clamped = True
+                return self.bound <= self.last_n
+            if obs.enabled():
+                obs.counter_add("vb2.truncation_failures")
+                obs.event(
+                    "vb2.truncation_failure", bound=self.bound,
+                    ceiling=config.nmax_ceiling, tail_mass=tail, **self.tags,
+                )
+            raise TruncationError(
+                f"{self.where}nmax exceeded the ceiling "
+                f"{config.nmax_ceiling} with tail mass {tail:.3e} still "
+                f"above tolerance {config.tail_tolerance:.3e}"
+            )
+        return False
+
+
+class _GroupStatic:
+    """Per-``(kind, alpha0)`` arrays that never change across growth
+    sweeps: sufficient statistics and prior parameters, one entry per
+    dataset in group order. Packing these once (instead of per sweep)
+    keeps the sweep loop's Python work proportional to the *active*
+    datasets only."""
+
+    __slots__ = (
+        "m_omega", "phi_omega", "m_beta", "phi_beta",
+        "me", "sum_times", "horizon", "packed", "counts_per",
+    )
+
+    def __init__(self, states, kind):
+        for pos, st in enumerate(states):
+            st.gpos = pos
+        self.m_omega = np.array([st.prior.omega.shape for st in states])
+        self.phi_omega = np.array([st.prior.omega.rate for st in states])
+        self.m_beta = np.array([st.prior.beta.shape for st in states])
+        self.phi_beta = np.array([st.prior.beta.rate for st in states])
+        if kind == "times":
+            self.me = np.array([float(st.stats.me) for st in states])
+            self.sum_times = np.array([st.stats.sum_times for st in states])
+            self.horizon = np.array([st.stats.horizon for st in states])
+            self.packed = None
+            self.counts_per = None
+        else:
+            self.packed = pack_grouped([st.data for st in states])
+            self.counts_per = self.packed.interval_counts_per_dataset()
+
+
+def _solve_vb2_lanes(lanes, kind, alpha0, config, static):
+    """One growth round's lane sweep for a ``(kind, alpha0)`` group.
+
+    ``lanes`` is a list of ``(state, n_start, n_stop)``; the lane axis
+    concatenates each dataset's latent-count range. Returns the
+    :class:`LaneSolutions` plus the per-dataset slice offsets.
+    """
+    sizes = np.array([stop - start + 1 for _, start, stop in lanes],
+                     dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    ds = np.repeat(np.arange(len(lanes)), sizes)
+    # Ragged [start_k .. stop_k] ranges in one shot: a global arange
+    # shifted per block. Small integers in float64, so this is exact.
+    starts = np.array([start for _, start, _ in lanes], dtype=float)
+    n = np.arange(int(offsets[-1]), dtype=float) - np.repeat(
+        offsets[:-1] - starts, sizes
+    )
+    idx = np.array([st.gpos for st, _, _ in lanes], dtype=np.intp)[ds]
+    m_omega = static.m_omega[idx]
+    phi_omega = static.phi_omega[idx]
+    m_beta = static.m_beta[idx]
+    phi_beta = static.phi_beta[idx]
+
+    # Per-lane warm seeds and stratified tolerances, dataset by
+    # dataset — cold datasets sharing the sweep contribute nan seeds
+    # (solver default) and the tight tolerance.
+    xi_warm = None
+    rtol_lanes = None
+    if any(st.warm is not None for st, _, _ in lanes):
+        xi_parts, rtol_parts = [], []
+        for k, (st, start, stop) in enumerate(lanes):
+            if st.warm is None:
+                xi_parts.append(np.full(int(sizes[k]), np.nan))
+                rtol_parts.append(
+                    np.full(int(sizes[k]), config.fixed_point_rtol)
+                )
+            else:
+                xi_parts.append(st.warm.seeds_for_range(start, stop))
+                rtol_parts.append(
+                    st.warm.lane_rtols(
+                        start,
+                        stop,
+                        rtol=config.fixed_point_rtol,
+                        loose_rtol=WARM_LOOSE_RTOL,
+                        weight_tolerance=WARM_LOOSE_WEIGHT,
+                    )
+                )
+        xi_warm = np.concatenate(xi_parts)
+        rtol_lanes = np.concatenate(rtol_parts)
+
+    # Fleet lanes are named by dataset in divergence errors; the label
+    # is only built for a lane that fails.
+    label = None
+    if lanes[0][0].index is not None:
+        def label(lane: int) -> str:
+            return f"dataset {lanes[ds[lane]][0].index}, N={int(n[lane])}"
+
+    if kind == "times":
+        me = static.me[idx]
+        sum_times = static.sum_times[idx]
+        horizon = static.horizon[idx]
+        if alpha0 == 1.0:
+            sols = solve_times_exponential_lanes(
+                n, me, sum_times, horizon,
+                m_omega, phi_omega, m_beta, phi_beta,
+            )
+        else:
+            sols = solve_times_lanes(
+                n, alpha0, me, sum_times, horizon,
+                m_omega, phi_omega, m_beta, phi_beta, config,
+                lane_label=label,
+                xi_warm=xi_warm,
+                rtol_lanes=rtol_lanes,
+            )
+    else:
+        packed = static.packed
+        total = packed.total[idx]
+        horizon = packed.horizon[idx]
+        seed_dot = packed.seed_dot[idx]
+        lane_parts, lo_parts, hi_parts, count_parts = [], [], [], []
+        for k, (st, _, _) in enumerate(lanes):
+            n_int = int(static.counts_per[st.gpos])
+            if n_int == 0:
+                continue
+            seg = slice(packed.offsets[st.gpos], packed.offsets[st.gpos + 1])
+            n_lanes = int(sizes[k])
+            lane_parts.append(
+                offsets[k] + np.repeat(np.arange(n_lanes, dtype=np.intp), n_int)
+            )
+            lo_parts.append(np.tile(packed.interval_lo[seg], n_lanes))
+            hi_parts.append(np.tile(packed.interval_hi[seg], n_lanes))
+            count_parts.append(np.tile(packed.interval_count[seg], n_lanes))
+        pair_lane = (
+            np.concatenate(lane_parts) if lane_parts
+            else np.empty(0, dtype=np.intp)
+        )
+        sols = solve_grouped_lanes(
+            n, alpha0, total, horizon,
+            pair_lane,
+            np.concatenate(lo_parts) if lo_parts else np.empty(0),
+            np.concatenate(hi_parts) if hi_parts else np.empty(0),
+            np.concatenate(count_parts) if count_parts else np.empty(0),
+            seed_dot, m_omega, phi_omega, m_beta, phi_beta, config,
+            lane_label=label,
+            xi_warm=xi_warm,
+            rtol_lanes=rtol_lanes,
+        )
+    return sols, offsets
+
+
+def _drive_vb2_group(states, kind, alpha0, config, *, solve=None,
+                     on_done=None):
+    """Run one ``(kind, alpha0)`` partition's growth rounds to
+    completion; each round solves every still-active dataset's new
+    latent-count tail in a single lane sweep.
+
+    ``solve(lanes) -> (LaneSolutions, offsets)`` replaces the lane
+    sweep (:func:`fit_vb2`'s reference paths); ``on_done`` is called
+    once per dataset as it finishes.
+    """
+    if solve is None:
+        static = _GroupStatic(states, kind)
+
+        def solve(lanes):
+            return _solve_vb2_lanes(lanes, kind, alpha0, config, static)
+
+    active = list(states)
+    while active:
+        lanes = []
+        for st in active:
+            start = st.observed + st.lanes_done
+            if start <= st.bound:
+                lanes.append((st, start, st.bound))
+        if lanes:
+            sols, offsets = solve(lanes)
+            offsets = offsets.tolist()
+            for k, (st, _, _) in enumerate(lanes):
+                st.extend(sols, offsets[k], offsets[k + 1])
+        # Fixed-nmax and already-clamped datasets retire before the tail
+        # check: they never grow.
+        checking = []
+        for st in active:
+            if st.nmax_fixed is not None or st.clamped:
+                if on_done is not None:
+                    on_done()
+            else:
+                checking.append(st)
+        remaining = []
+        if checking:
+            # One segmented logsumexp covers every dataset's tail-mass
+            # check this sweep; each segment reduces over that dataset's
+            # own weights only (`log_sum_exp` is the one-segment case).
+            flat = np.concatenate([p for st in checking for p in st.log_w])
+            stops = np.cumsum(
+                np.array([st.lanes_done for st in checking], dtype=np.intp)
+            )
+            starts = np.concatenate(([0], stops[:-1]))
+            tails = np.exp(flat[stops - 1] - log_sum_exp_stream(flat, starts))
+            for st, tail in zip(checking, tails):
+                if st.post_round(config, float(tail)):
+                    if on_done is not None:
+                        on_done()
+                else:
+                    remaining.append(st)
+        active = remaining
+
+
+def _reference_solver(config: VBConfig, backend):
+    """The per-round solve of the two reference paths kept beside the
+    lane sweep: the generic-backend range solver (``backend`` given),
+    or the scalar per-``N`` loop (``config.batched_solver=False``)."""
+
+    def solve(lanes):
+        ((st, start, stop),) = lanes
+        times = st.kind == "times"
+        if backend is not None:
+            solve_range = (
+                _solve_times_range_backend if times
+                else _solve_grouped_range_backend
+            )
+            sols = solve_range(
+                backend, start, stop, st.alpha0, st.prior, st.stats, config
+            )
+        else:
+            solve_n = solve_conditional_times if times else solve_conditional_grouped
+            seeds = (
+                None if st.warm is None else st.warm.seeds_for_range(start, stop)
+            )
+            sols = []
+            for n in range(start, stop + 1):
+                seed = None if seeds is None else float(seeds[n - start])
+                if seed is not None and not (np.isfinite(seed) and seed > 0.0):
+                    seed = None
+                with obs.span("vb2.solve_n", level="debug", n=n):
+                    sols.append(
+                        solve_n(n, st.alpha0, st.prior, st.stats, config,
+                                xi_start=seed)
+                    )
+        columns = {
+            f.name: np.array([getattr(s, f.name) for s in sols])
+            for f in dataclasses.fields(LaneSolutions)
+        }
+        return LaneSolutions(**columns), np.array([0, len(sols)])
+
+    return solve
+
+
+# ----------------------------------------------------------------------
+# Single-dataset fit
+# ----------------------------------------------------------------------
 def fit_vb2(
     data: FailureTimeData | GroupedData,
     prior: ModelPrior,
@@ -105,8 +524,7 @@ def fit_vb2(
         wrapped in a :class:`~repro.bayes.sandwich.ScaledPosterior`
         whose marginal spreads follow the sandwich covariance.
     """
-    if alpha0 <= 0.0:
-        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    _check_alpha0(alpha0)
     config = config or VBConfig()
     with obs.span("vb2.fit", collect=True, data=type(data).__name__) as sp:
         posterior = _fit_vb2(data, prior, alpha0, config, nmax, sp)
@@ -124,12 +542,6 @@ def _fit_vb2(
     sp,
 ) -> VBPosterior:
     warm = config.warm_start
-    if warm is not None and float(warm.alpha0) != float(alpha0):
-        raise ValueError(
-            f"warm_start was extracted at alpha0={warm.alpha0:g} but this "
-            f"fit uses alpha0={alpha0:g}; warm seeds only transfer within "
-            f"one gamma shape"
-        )
     # Resolve the hot-kernel array backend. config.backend=None follows
     # the process default (normally NumPy, override via REPRO_BACKEND);
     # a named adapter raises BackendUnavailableError here — at fit time,
@@ -151,200 +563,52 @@ def _fit_vb2(
                 f"backend={B.name!r} requires batched_solver=True (the "
                 "scalar per-N escape hatch is NumPy-only)"
             )
+    state = _Vb2State(data, prior, alpha0, nmax, config, warm=warm)
+    # The Goel-Okumoto failure-time case is closed-form, so it always
+    # takes the lane sweep; every other case does too unless the config
+    # selects a reference path (per-N loop or a generic backend).
+    solve = None
+    closed_form = state.kind == "times" and alpha0 == 1.0
+    if not closed_form and (kernel_backend is not None or not config.batched_solver):
+        solve = _reference_solver(config, kernel_backend)
+    _drive_vb2_group([state], state.kind, alpha0, config, solve=solve)
 
-    def warm_seeds(lo: int, hi: int) -> np.ndarray | None:
-        # Per-lane fixed-point seeds from the previous posterior: rows
-        # the cached grid covers take its converged xi, the rest stay
-        # nan (= the solver's default prior-moment seed).
-        if warm is None:
-            return None
-        return warm.seeds_for_range(lo, hi)
-
-    def warm_seed_scalar(n: int) -> float | None:
-        seeds = warm_seeds(n, n)
-        if seeds is None:
-            return None
-        seed = float(seeds[0])
-        return seed if np.isfinite(seed) and seed > 0.0 else None
-
-    def warm_rtols(lo: int, hi: int) -> np.ndarray | None:
-        # Weight-stratified tolerances: cached-negligible tail lanes
-        # stop at the loose tolerance. Batched path only — the scalar
-        # per-N escape hatch (batched_solver=False) keeps every lane
-        # tight.
-        if warm is None:
-            return None
-        return warm.lane_rtols(
-            lo,
-            hi,
-            rtol=config.fixed_point_rtol,
-            loose_rtol=WARM_LOOSE_RTOL,
-            weight_tolerance=WARM_LOOSE_WEIGHT,
-        )
-
-    if isinstance(data, FailureTimeData):
-        stats = TimesStats.from_data(data)
-        observed = stats.me
-
-        def solve(n: int) -> ConditionalSolution:
-            return solve_conditional_times(
-                n, alpha0, prior, stats, config,
-                xi_start=warm_seed_scalar(n),
-            )
-
-        def solve_range(lo: int, hi: int) -> list[ConditionalSolution]:
-            return solve_conditional_times_range(
-                lo, hi, alpha0, prior, stats, config,
-                xi_warm=warm_seeds(lo, hi),
-                rtol_lanes=warm_rtols(lo, hi),
-                backend=kernel_backend,
-            )
-
-    elif isinstance(data, GroupedData):
-        stats = GroupedStats.from_data(data)
-        observed = stats.total
-
-        def solve(n: int) -> ConditionalSolution:
-            return solve_conditional_grouped(
-                n, alpha0, prior, stats, config,
-                xi_start=warm_seed_scalar(n),
-            )
-
-        def solve_range(lo: int, hi: int) -> list[ConditionalSolution]:
-            return solve_conditional_grouped_range(
-                lo, hi, alpha0, prior, stats, config,
-                xi_warm=warm_seeds(lo, hi),
-                rtol_lanes=warm_rtols(lo, hi),
-                backend=kernel_backend,
-            )
-
-    else:
-        raise TypeError(f"unsupported data type: {type(data).__name__}")
-
-    solutions: list[ConditionalSolution] = []
-    growth_rounds = 0
-    if nmax is not None:
-        if nmax < observed:
-            raise ValueError(
-                f"nmax={nmax} is below the observed failure count {observed}"
-            )
-        bound = nmax
-    else:
-        bound = observed + config.nmax_initial
-        if warm is not None:
-            # Truncation-growth replay: a warm fit starts from at least
-            # the cached grid's effective support (plus a pad for the
-            # drift one period of data causes), never below what the
-            # previous posterior needed — so the cold growth schedule
-            # is not re-run, and the stale schedule's overshoot is not
-            # inherited either. If the pad under-shoots, the normal
-            # growth loop resumes from there.
-            eff = warm.effective_nmax(config.tail_tolerance)
-            pad = max(16, (eff - observed) // 8)
-            bound = max(bound, min(eff + pad, config.nmax_ceiling))
-
-    # Fast path: the Goel-Okumoto failure-time case is fully closed-form,
-    # so whole ranges of N are solved with array arithmetic. Every other
-    # configuration goes through the lane-parallel fixed-point solver
-    # unless the config opts back into the scalar per-N loop.
-    vectorised = isinstance(data, FailureTimeData) and alpha0 == 1.0
-    debug_spans = obs.enabled()
-
-    # Log-weights accumulate alongside `solutions`: each growth round
-    # appends only the new tail instead of rebuilding the whole array.
-    log_w = np.empty(0)
-    clamped = False
-    while True:
-        start_n = observed + len(solutions)
-        if start_n <= bound:
-            if vectorised:
-                grown = solve_conditional_times_exponential_range(
-                    start_n, bound, prior, stats
-                )
-            elif config.batched_solver:
-                grown = solve_range(start_n, bound)
-            else:
-                grown = []
-                for n in range(start_n, bound + 1):
-                    if debug_spans:
-                        with obs.span("vb2.solve_n", level="debug", n=n):
-                            grown.append(solve(n))
-                    else:
-                        grown.append(solve(n))
-            solutions.extend(grown)
-            log_w = np.concatenate(
-                [log_w, [s.log_weight for s in grown]]
-            )
-        if nmax is not None or clamped:
-            break
-        tail = float(np.exp(log_w[-1] - log_sum_exp(log_w)))
-        if tail < config.tail_tolerance:
-            break
-        obs.event(
-            "vb2.grow", level="debug",
-            round=growth_rounds + 1, bound=bound, tail_mass=tail,
-        )
-        growth_rounds += 1
-        bound = next_truncation_bound(observed, bound, config)
-        if bound > config.nmax_ceiling:
-            if config.truncation_policy == "clamp":
-                bound = config.nmax_ceiling
-                clamped = True
-                if bound <= solutions[-1].n:
-                    break
-                continue
-            if obs.enabled():
-                obs.counter_add("vb2.truncation_failures")
-                obs.event(
-                    "vb2.truncation_failure",
-                    bound=bound, ceiling=config.nmax_ceiling, tail_mass=tail,
-                )
-            raise TruncationError(
-                f"nmax exceeded the ceiling {config.nmax_ceiling} with tail "
-                f"mass {tail:.3e} still above tolerance "
-                f"{config.tail_tolerance:.3e}"
-            )
-
+    log_w = np.concatenate(state.log_w)
     log_norm = float(log_sum_exp(log_w))
     weights = np.exp(log_w - log_norm)
     if prior.is_proper:
-        elbo = log_norm + elbo_constant(stats, prior, alpha0)
+        elbo = log_norm + elbo_constant(state.stats, prior, alpha0)
     else:
         elbo = None  # improper priors: bound defined only up to a constant
 
+    iterations = int(np.concatenate(state.iteration_parts()).sum())
     diagnostics = {
-        "nmax": solutions[-1].n,
-        "truncation_clamped": clamped,
+        "nmax": state.last_n,
+        "truncation_clamped": state.clamped,
         "tail_mass": float(weights[-1]),
-        "fixed_point_iterations": int(sum(s.iterations for s in solutions)),
-        "n_growth_rounds": growth_rounds,
+        "fixed_point_iterations": iterations,
+        "n_growth_rounds": state.growth_rounds,
         "alpha0": alpha0,
         "data_kind": type(data).__name__,
         "warm_started": warm is not None,
         "backend": B.name,
     }
     if obs.enabled():
-        obs.counter_add("vb2.solves", len(solutions))
-        obs.observe("vb2.nmax", solutions[-1].n)
+        obs.counter_add("vb2.solves", state.lanes_done)
+        obs.observe("vb2.nmax", state.last_n)
         obs.observe("vb2.tail_mass", float(weights[-1]))
-        obs.observe("vb2.growth_rounds", growth_rounds)
-        obs.observe(
-            "vb2.fixed_point_iterations",
-            int(sum(s.iterations for s in solutions)),
-        )
-        if clamped:
+        obs.observe("vb2.growth_rounds", state.growth_rounds)
+        obs.observe("vb2.fixed_point_iterations", iterations)
+        if state.clamped:
             obs.counter_add("vb2.truncation_clamped")
         if warm is not None:
             obs.counter_add("vb2.warm_fits")
-            obs.observe(
-                "vb2.warm.fixed_point_iterations",
-                diagnostics["fixed_point_iterations"],
-            )
+            obs.observe("vb2.warm.fixed_point_iterations", iterations)
         # Tail mass stands in for a residual: the fixed-point solves
         # converge per lane, and what remains is truncation error.
         obs.fit_health(
             "VB2",
-            iterations=diagnostics["fixed_point_iterations"],
+            iterations=iterations,
             residual=diagnostics["tail_mass"],
             elbo=elbo,
             nmax=diagnostics["nmax"],
@@ -352,15 +616,4 @@ def _fit_vb2(
         )
         if sp.collecting:
             diagnostics["telemetry"] = sp.telemetry()
-    posterior = VBPosterior(
-        n_values=[s.n for s in solutions],
-        weights=weights,
-        omega_components=[
-            GammaDistribution(s.a_omega, s.b_omega) for s in solutions
-        ],
-        beta_components=[GammaDistribution(s.a_beta, s.b_beta) for s in solutions],
-        method_name="VB2",
-        elbo=elbo,
-        diagnostics=diagnostics,
-    )
-    return posterior
+    return state.posterior(weights, elbo, diagnostics)

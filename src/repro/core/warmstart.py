@@ -16,10 +16,15 @@ Contract (see docs/METHOD.md §4.5):
   the per-``N`` log-weights.  The fixed-point seed for lane ``N`` is
   ``xi = a_beta / b_beta`` — exactly the converged fixed point of that
   lane, so re-solving unchanged data costs one residual evaluation.
-* Truncation-growth replay *extends* the cached grid: the initial
-  truncation bound of a warm fit is at least ``warm.nmax`` (never
-  below), and grid rows beyond the cached grid fall back to the
-  prior-moment seed.
+* Truncation-growth replay starts from the cached support: the
+  initial truncation bound of a warm VB2 fit is floored at the cached
+  posterior's effective support plus a drift pad,
+  ``eff + max(16, (eff - observed) // 8)`` with
+  ``eff = warm.effective_nmax(tail_tolerance)``, capped by
+  ``nmax_ceiling`` (and never below the cold ``observed +
+  nmax_initial``). The usual tail-mass growth continues from there,
+  and grid rows beyond the cached grid fall back to the prior-moment
+  seed.
 * VB1 keeps two scalars: the outer-loop residual intensity
   ``lam = E[N] - observed`` and the marginal rate mean ``xi_mean``.
 * Warm starts change only the *iteration path*, never the fixed point
@@ -176,19 +181,20 @@ class WarmStart:
         """Weight-stratified stopping tolerances for rows
         ``n_start .. n_end`` inclusive.
 
-        Lanes whose cached posterior weight is below
-        ``weight_tolerance`` — and lanes above the cached grid, which
-        sit even deeper in the tail — solve at ``loose_rtol``; every
-        other lane keeps the tight ``rtol``. This is safe because each
-        lane's log-weight is *stationary* at its variational fixed
-        point (the weight is the per-``N`` evidence the coordinate
-        ascent maximises over ``q(β|N)``), so a relative solve error
-        ``r`` perturbs the log-weight only to second order — measured
+        Lanes inside the cached grid whose cached posterior weight is
+        below ``weight_tolerance`` solve at ``loose_rtol``; every other
+        lane keeps the tight ``rtol``. This is safe because each lane's
+        log-weight is *stationary* at its variational fixed point (the
+        weight is the per-``N`` evidence the coordinate ascent
+        maximises over ``q(β|N)``), so a relative solve error ``r``
+        perturbs the log-weight only to second order — measured
         curvature ≈ ``10 r²`` on the benchmark workload, i.e. ~1e-7 at
-        ``loose_rtol = 1e-4`` — on lanes that carry < ``1e-6`` of the
-        posterior mass. The induced error in any mixture functional is
-        bounded by ``weight × parameter error`` ≈ 1e-10, well under
-        the warm-vs-cold agreement gate (see docs/METHOD.md §4.5).
+        ``loose_rtol = 1e-4`` — on lanes that carry less than
+        ``weight_tolerance`` (``1e-5`` in :func:`repro.core.vb2.fit_vb2`)
+        of the posterior mass. The induced error in any mixture
+        functional is bounded by ``weight × parameter error`` ≈ 1e-9,
+        under the warm-vs-cold agreement gate (see docs/METHOD.md
+        §4.5).
 
         Rows *outside* the cached grid stay tight: below it there is no
         weight information, and above it the row only exists because

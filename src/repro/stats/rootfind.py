@@ -6,9 +6,9 @@ monotone bisection, a batched variant that drives many independent
 bisections simultaneously on vectorized functions (the interval-
 estimation hot path), a geometric bracketing helper for quantile
 problems whose support is the positive half line, and — the fit-path
-analogue — a batched frozen-lane fixed-point solver that runs the
-VB2 per-``N`` update maps for the whole latent-count grid in lock-step
-(:func:`solve_fixed_point_batch`).
+analogue — a batched fixed-point solver that runs the VB2 per-``N``
+update maps as lanes in lock-step, evaluating only the lanes still
+iterating (:func:`solve_fixed_point_batch`).
 
 Failure semantics: exhausting the iteration budget raises
 :class:`~repro.exceptions.ConvergenceError` carrying the final bracket
@@ -22,9 +22,10 @@ calibrates against.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -358,27 +359,38 @@ class BatchFixedPointResult:
         the positive domain or exhausted the budget.
     residuals:
         Per-lane final relative step ``|x' - x| / x'``.
-    residual_histories:
-        Per-lane tuples of the trailing
-        :data:`FIXED_POINT_HISTORY_LEN` residuals, oldest first.
     aitken_steps:
         Per-lane count of accepted Aitken Δ² extrapolations.
+    history_ring, history_counts:
+        Per-lane residual ring buffers (``(lanes, L)``) and how many
+        residuals each lane wrote; :attr:`residual_histories` unrolls
+        them on first read.
+    lane_label:
+        Optional ``lane -> str`` naming a lane in failure messages.
     """
 
     values: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     residuals: np.ndarray
-    residual_histories: tuple[tuple[float, ...], ...]
     aitken_steps: np.ndarray
-    lane_labels: tuple[str, ...] | None = None
+    history_ring: np.ndarray = field(repr=False)
+    history_counts: np.ndarray = field(repr=False)
+    lane_label: Callable[[int], str] | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def residual_histories(self) -> tuple[tuple[float, ...], ...]:
+        """Per-lane tuples of the trailing
+        :data:`FIXED_POINT_HISTORY_LEN` residuals, oldest first. Built
+        on first read: a successful solve never pays for the tuples."""
+        return _ring_histories(self.history_ring, self.history_counts)
 
     def lane_error(self, lane: int, max_iter: int) -> ConvergenceError:
         """Build the scalar-contract :class:`ConvergenceError` for a
         failed lane, carrying that lane's own statistics."""
         label = ""
-        if self.lane_labels is not None:
-            label = f" ({self.lane_labels[lane]})"
+        if self.lane_label is not None:
+            label = f" ({self.lane_label(lane)})"
         return ConvergenceError(
             f"fixed point did not converge in lane {lane}{label} within "
             f"{max_iter} evaluations "
@@ -407,28 +419,29 @@ def _ring_histories(
 
 
 def solve_fixed_point_batch(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
     rtol: float | np.ndarray = 1e-12,
     max_iter: int = 500,
     use_aitken: bool = True,
     raise_on_failure: bool = True,
-    lane_labels: Sequence[str] | None = None,
+    lane_label: Callable[[int], str] | None = None,
 ) -> BatchFixedPointResult:
     """Solve ``x = f(x)`` lane-wise for many positive fixed points at once.
 
-    ``f`` must be vectorized: given the current iterates (one per lane)
-    it returns the lane-wise updated values, so one call per iteration
-    step serves every lane. Lane ``i`` follows the exact update,
-    acceleration, and stopping rules of
-    :func:`repro.core.fixed_point.solve_fixed_point` started at
-    ``x0[i]`` — a converged lane *freezes* (its value never changes
-    again and it stops consuming evaluations) while the remaining lanes
-    keep iterating, which makes every lane bit-identical to the scalar
-    routine run on its own. Frozen lanes still appear in the vectors
-    handed to ``f`` (holding their last positive iterate, so the update
-    map stays inside its domain) but their results are ignored.
+    ``f(x, lanes)`` is the lane-indexed update map: ``lanes`` is an
+    ascending integer array of the lanes still iterating and ``x``
+    their current iterates (same length); it returns the updated values
+    of exactly those lanes, so one call per iteration step serves every
+    live lane. Lane ``i`` follows the exact update, acceleration, and
+    stopping rules of :func:`repro.core.fixed_point.solve_fixed_point`
+    started at ``x0[i]`` — a converged lane *freezes* (its value never
+    changes again and it leaves ``lanes``) while the remaining lanes
+    keep iterating. The map therefore evaluates each lane exactly
+    ``iterations[i]`` times, and since every lane's arithmetic depends
+    on its own inputs only, each lane is bit-identical to the scalar
+    routine run on its own.
 
     Aitken Δ² acceleration interacts with freezing per lane: each
     active lane takes the two-evaluation Aitken round in lock-step, and
@@ -454,14 +467,13 @@ def solve_fixed_point_batch(
     failed lanes emit the same ``fixed_point.divergence`` event as the
     scalar solver.
 
-    ``lane_labels`` (optional, one string per lane) names the lanes in
-    failure messages — fleet callers label lanes with their dataset so
-    a diverging project is attributable in a thousand-lane solve. The
-    labels do not affect the iteration in any way.
+    ``lane_label`` (optional, ``lane -> str``) names a lane in failure
+    messages — fleet callers label lanes with their dataset so a
+    diverging project is attributable in a thousand-lane solve. It is
+    only called for a failed lane and does not affect the iteration.
 
-    ``rtol`` may be a scalar (every lane shares it — the historical
-    behaviour, bit-identical to before) or a 1-D array with one
-    positive tolerance per lane. Per-lane tolerances are how warm
+    ``rtol`` may be a scalar (every lane shares it) or a 1-D array with
+    one positive tolerance per lane. Per-lane tolerances are how warm
     refits stratify work by posterior weight: lanes that carry
     negligible mixture mass stop early at a loose tolerance while the
     lanes that matter iterate to the tight one. Each lane remains
@@ -469,8 +481,9 @@ def solve_fixed_point_batch(
 
     Non-numpy iterates (or a non-numpy default backend) route to a
     functional variant of the same lock-step iteration — full-width
-    ``where`` freezing instead of in-place masked stores — which skips
-    the per-lane residual-history ring (histories come back empty).
+    ``where`` freezing instead of compressed live lanes, with ``f``
+    called on every lane each step — which skips the per-lane
+    residual-history ring (histories come back empty).
     """
     B = _backend.get_namespace(x0)
     if B.is_numpy:
@@ -482,11 +495,6 @@ def solve_fixed_point_batch(
     if bool(B.xp.any(~(x > 0.0))):
         bad = int(B.xp.argmax(~(x > 0.0)))
         raise ValueError(f"x0 must be positive, got {x[bad]} in lane {bad}")
-    if lane_labels is not None and len(lane_labels) != x.size:
-        raise ValueError(
-            f"lane_labels must match the lane count {x.size}, "
-            f"got {len(lane_labels)}"
-        )
     if isinstance(rtol, np.ndarray):
         rtol = np.asarray(rtol, dtype=float)
         if rtol.shape != x.shape:
@@ -505,11 +513,12 @@ def solve_fixed_point_batch(
         if B.is_numpy:
             result = _solve_batch_inner(f, x, rtol, max_iter, use_aitken)
         else:
-            result = _solve_batch_functional(B, f, x, rtol, max_iter, use_aitken)
-        if lane_labels is not None:
-            result = dataclasses.replace(
-                result, lane_labels=tuple(str(s) for s in lane_labels)
+            every_lane = np.arange(n)
+            result = _solve_batch_functional(
+                B, lambda v: f(v, every_lane), x, rtol, max_iter, use_aitken
             )
+        if lane_label is not None:
+            result = dataclasses.replace(result, lane_label=lane_label)
         # The span is the shared no-op handle when the collector sits
         # below the debug level, so attrs only exist on the live span.
         if getattr(sp, "attrs", None) is not None:
@@ -525,84 +534,100 @@ def solve_fixed_point_batch(
 
 
 def _solve_batch_inner(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: np.ndarray,
-    rtol: float | np.ndarray,  # scalar or per-lane; `<=` broadcasts
+    rtol: float | np.ndarray,  # scalar or per-lane
     max_iter: int,
     use_aitken: bool,
 ) -> BatchFixedPointResult:
     n = x.size
-    frozen = np.zeros(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=np.int64)
     residual = np.full(n, np.inf)
     aitken_steps = np.zeros(n, dtype=np.int64)
     ring = np.full((n, FIXED_POINT_HISTORY_LEN), np.nan)
     ring_count = np.zeros(n, dtype=np.int64)
+    per_lane_rtol = isinstance(rtol, np.ndarray)
+    # The live lanes (ascending) and their current iterates. A lane
+    # leaves for good when it converges or fails, writing its final
+    # value into `x`; frozen lanes never reach `f` again.
+    live = np.arange(n)
+    x_live = x.copy()
+    tol = rtol
     evaluations = 0  # shared by every still-active lane
 
-    def record(mask: np.ndarray, values: np.ndarray) -> None:
-        residual[mask] = values[mask]
-        pos = ring_count[mask] % FIXED_POINT_HISTORY_LEN
-        ring[np.flatnonzero(mask), pos] = values[mask]
-        ring_count[mask] += 1
+    def record(values: np.ndarray) -> None:
+        residual[live] = values
+        counts = ring_count[live]
+        ring[live, counts % FIXED_POINT_HISTORY_LEN] = values
+        ring_count[live] = counts + 1
 
-    while evaluations < max_iter and not frozen.all():
-        active = ~frozen
-        fx = _backend.as_float(f(x))
+    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # One map evaluation over the live lanes. A domain violation
+        # freezes the lane at its pre-step iterate with its *previous*
+        # residual, exactly as the scalar solver reports it; returns
+        # (values, mask of the lanes that stay).
+        nonlocal evaluations
+        fx = _backend.as_float(f(points, live))
         evaluations += 1
-        iterations[active] += 1
-        # Domain violation freezes the lane with its *previous* residual,
-        # exactly as the scalar solver reports it.
-        bad = active & ~(fx > 0.0)
-        if np.any(bad):
-            _emit_lane_divergence(bad, iterations, residual, ring, ring_count)
-            frozen |= bad
-            active = active & ~bad
+        iterations[live] += 1
+        ok = fx > 0.0
+        if not ok.all():
+            failed = live[~ok]
+            x[failed] = x_live[~ok]
+            _emit_lane_divergence(
+                failed, iterations, residual, ring, ring_count
+            )
+        return fx, ok
+
+    def keep(mask: np.ndarray) -> None:
+        nonlocal live, x_live, tol
+        live = live[mask]
+        x_live = x_live[mask]
+        if per_lane_rtol:
+            tol = tol[mask]
+
+    while evaluations < max_iter and live.size:
+        fx, ok = evaluate(x_live)
+        if not ok.all():
+            fx = fx[ok]
+            keep(ok)
         with np.errstate(invalid="ignore", divide="ignore"):
-            step = np.abs(fx - x) / fx
-        record(active, step)
-        done = active & (step <= rtol)
-        x[done] = fx[done]
-        frozen |= done
-        converged |= done
-        active = active & ~done
-        if not np.any(active):
-            continue
+            step = np.abs(fx - x_live) / fx
+        record(step)
+        done = step <= tol
+        if done.any():
+            x[live[done]] = fx[done]
+            converged[live[done]] = True
+            fx = fx[~done]
+            keep(~done)
+            if not live.size:
+                break
         if use_aitken and evaluations + 1 <= max_iter:
-            x_prev = x.copy()
-            x1 = np.where(active, fx, x)
-            fx2 = _backend.as_float(f(x1))
-            evaluations += 1
-            iterations[active] += 1
-            bad2 = active & ~(fx2 > 0.0)
-            if np.any(bad2):
-                _emit_lane_divergence(
-                    bad2, iterations, residual, ring, ring_count
-                )
-                frozen |= bad2
-                active = active & ~bad2
+            x1 = fx
+            fx2, ok2 = evaluate(x1)
+            if not ok2.all():
+                x1, fx2 = x1[ok2], fx2[ok2]
+                keep(ok2)
             with np.errstate(invalid="ignore", divide="ignore"):
                 step2 = np.abs(fx2 - x1) / fx2
-            record(active, step2)
-            done2 = active & (step2 <= rtol)
-            x[done2] = fx2[done2]
-            frozen |= done2
-            converged |= done2
-            active = active & ~done2
-            if not np.any(active):
-                continue
-            denom = fx2 - 2.0 * x1 + x_prev
-            ok = active & (denom != 0.0)
+            record(step2)
+            done2 = step2 <= tol
+            if done2.any():
+                x[live[done2]] = fx2[done2]
+                converged[live[done2]] = True
+                x1, fx2 = x1[~done2], fx2[~done2]
+                keep(~done2)
+                if not live.size:
+                    break
+            denom = fx2 - 2.0 * x1 + x_live
             with np.errstate(invalid="ignore", divide="ignore"):
-                accelerated = x_prev - (x1 - x_prev) ** 2 / denom
-            accept = ok & (accelerated > 0.0)
-            x[accept] = accelerated[accept]
-            aitken_steps[accept] += 1
-            plain = active & ~accept
-            x[plain] = fx2[plain]
+                accelerated = x_live - (x1 - x_live) ** 2 / denom
+            accept = (denom != 0.0) & (accelerated > 0.0)
+            aitken_steps[live[accept]] += 1
+            x_live = np.where(accept, accelerated, fx2)
         else:
-            x[active] = fx[active]
+            x_live = fx
     if obs.enabled() and np.any(converged):
         obs.counter_add("fixed_point.solves", int(converged.sum()))
         if aitken_steps[converged].sum():
@@ -610,19 +635,18 @@ def _solve_batch_inner(
                 "fixed_point.aitken_accepted",
                 int(aitken_steps[converged].sum()),
             )
-    open_lanes = ~frozen
-    if np.any(open_lanes):
+    if live.size:
         # Budget exhausted: freeze the remaining lanes as failures.
-        _emit_lane_divergence(
-            open_lanes, iterations, residual, ring, ring_count
-        )
+        x[live] = x_live
+        _emit_lane_divergence(live, iterations, residual, ring, ring_count)
     return BatchFixedPointResult(
         values=x,
         iterations=iterations,
         converged=converged,
         residuals=residual,
-        residual_histories=_ring_histories(ring, ring_count),
         aitken_steps=aitken_steps,
+        history_ring=ring,
+        history_counts=ring_count,
     )
 
 
@@ -659,7 +683,7 @@ def _solve_batch_functional(
     def freeze_failures(mask):
         if bool(xp.any(mask)):
             _emit_lane_divergence(
-                B.to_numpy(mask).astype(bool),
+                np.flatnonzero(B.to_numpy(mask)),
                 B.to_numpy(iterations),
                 B.to_numpy(residual),
                 empty_ring,
@@ -727,23 +751,25 @@ def _solve_batch_functional(
         iterations=iterations,
         converged=converged,
         residuals=residual,
-        residual_histories=tuple(() for _ in range(n)),
         aitken_steps=aitken_steps,
+        history_ring=empty_ring,
+        history_counts=zero_counts,
     )
 
 
 def _emit_lane_divergence(
-    mask: np.ndarray,
+    lanes: np.ndarray,
     iterations: np.ndarray,
     residual: np.ndarray,
     ring: np.ndarray,
     ring_count: np.ndarray,
 ) -> None:
-    """Emit the scalar-compatible divergence telemetry for failed lanes."""
+    """Emit the scalar-compatible divergence telemetry for the failed
+    ``lanes`` (ascending indices)."""
     if not obs.enabled():
         return
-    histories = _ring_histories(ring[mask], ring_count[mask])
-    for lane, hist in zip(np.flatnonzero(mask), histories):
+    histories = _ring_histories(ring[lanes], ring_count[lanes])
+    for lane, hist in zip(lanes, histories):
         obs.counter_add("fixed_point.failures")
         obs.event(
             "fixed_point.divergence",

@@ -71,7 +71,8 @@ class TestRootfindDtype:
     def test_fixed_point_float64_in_float64_out(self):
         x0 = np.full(3, 1.0)
         res = solve_fixed_point_batch(
-            lambda x: 0.5 * (x + 2.0 / x), x0, rtol=1e-12, max_iter=100
+            lambda x, lanes: 0.5 * (x + 2.0 / x), x0, rtol=1e-12,
+            max_iter=100,
         )
         assert res.values.dtype == np.float64
         np.testing.assert_allclose(res.values, np.sqrt(2.0), rtol=1e-10)

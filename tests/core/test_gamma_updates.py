@@ -19,6 +19,7 @@ from repro.core.gamma_updates import (
     elbo_constant,
     solve_conditional_grouped,
     solve_conditional_times,
+    solve_times_exponential_lanes,
 )
 from repro.data.datasets import system17_failure_times, system17_grouped
 from repro.stats.truncated import censored_gamma_mean, truncated_gamma_mean
@@ -132,56 +133,59 @@ class TestConditionalStructure:
         assert warm.log_weight == pytest.approx(cold.log_weight, rel=1e-9)
 
 
+def _exponential_lanes(stats, prior, lo, hi, m_beta=None):
+    """One dataset's latent-count range ``[lo, hi]`` as closed-form
+    Goel–Okumoto lanes."""
+    n = np.arange(lo, hi + 1, dtype=float)
+
+    def per_lane(value):
+        return np.full(n.size, float(value))
+
+    return solve_times_exponential_lanes(
+        n, per_lane(stats.me), per_lane(stats.sum_times),
+        per_lane(stats.horizon),
+        per_lane(prior.omega.shape), per_lane(prior.omega.rate),
+        per_lane(prior.beta.shape if m_beta is None else m_beta),
+        per_lane(prior.beta.rate),
+    )
+
+
 class TestVectorisedExponentialRange:
-    """The batch solver must agree with the scalar one exactly."""
+    """The closed-form lanes must agree with the scalar solver exactly."""
+
+    FIELDS = ("zeta", "xi", "a_omega", "b_omega", "a_beta", "b_beta",
+              "log_weight", "iterations")
 
     def test_matches_scalar_solutions(self, times_stats, prior_times):
-        from repro.core.gamma_updates import (
-            solve_conditional_times_exponential_range,
+        batch = _exponential_lanes(
+            times_stats, prior_times, times_stats.me, times_stats.me + 100
         )
-
-        batch = solve_conditional_times_exponential_range(
-            times_stats.me, times_stats.me + 100, prior_times, times_stats
-        )
-        for solution in (batch[0], batch[37], batch[-1]):
+        for i in (0, 37, 100):
             reference = solve_conditional_times(
-                solution.n, 1.0, prior_times, times_stats, CONFIG
+                int(batch.n[i]), 1.0, prior_times, times_stats, CONFIG
             )
-            assert solution.xi == pytest.approx(reference.xi, rel=1e-14)
-            assert solution.zeta == pytest.approx(reference.zeta, rel=1e-14)
-            assert solution.log_weight == pytest.approx(
-                reference.log_weight, abs=1e-9
-            )
+            for field in self.FIELDS:
+                assert getattr(batch, field)[i] == getattr(reference, field)
 
     def test_matches_scalar_with_flat_prior(self, times_stats):
-        from repro.bayes.priors import ModelPrior
-        from repro.core.gamma_updates import (
-            solve_conditional_times_exponential_range,
-        )
-
         flat = ModelPrior.noninformative()
-        batch = solve_conditional_times_exponential_range(
-            times_stats.me, times_stats.me + 20, flat, times_stats
+        batch = _exponential_lanes(
+            times_stats, flat, times_stats.me, times_stats.me + 20
         )
         reference = solve_conditional_times(
             times_stats.me + 20, 1.0, flat, times_stats, CONFIG
         )
-        assert batch[-1].log_weight == pytest.approx(
-            reference.log_weight, abs=1e-9
-        )
+        assert batch.log_weight[-1] == reference.log_weight
 
     def test_validation(self, times_stats, prior_times):
-        from repro.core.gamma_updates import (
-            solve_conditional_times_exponential_range,
-        )
-
-        with pytest.raises(ValueError):
-            solve_conditional_times_exponential_range(
-                times_stats.me - 1, times_stats.me, prior_times, times_stats
+        with pytest.raises(ValueError, match="below the observed"):
+            _exponential_lanes(
+                times_stats, prior_times, times_stats.me - 1, times_stats.me
             )
-        with pytest.raises(ValueError):
-            solve_conditional_times_exponential_range(
-                50, 40, prior_times, times_stats
+        with pytest.raises(ValueError, match="must be positive"):
+            _exponential_lanes(
+                times_stats, prior_times, times_stats.me, times_stats.me + 5,
+                m_beta=-float(times_stats.me + 3),
             )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.reliability import (
     ReliabilityEstimate,
+    ResidualSurvival,
     estimate_reliability,
     reliability_increment,
 )
@@ -59,6 +60,32 @@ class TestIncrement:
         b = reliability_increment(1.0, 5.0, 2.0)
         assert a == b
         assert hash(a) == hash(b)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNanHorizons:
+    """A NaN ``te`` or ``u`` made every ``c(beta)`` NaN, so no quadrature
+    cell stayed live and the interval collapsed to ``[1, 1]``: a
+    silent "ship" verdict. Both now raise up front."""
+
+    @pytest.mark.parametrize("te, u", [(math.nan, 1.0), (10.0, math.nan),
+                                       (-1.0, 1.0), (10.0, -0.5)])
+    def test_increment_rejects_nan_and_negative(self, te, u):
+        with pytest.raises(ValueError, match="non-negative"):
+            reliability_increment(1.0, te, u)
+
+    def test_infinite_window_stays_valid(self):
+        c = reliability_increment(1.0, 5.0, math.inf)
+        assert c(0.2) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("te", [math.nan, -2.0])
+    def test_residual_survival_rejects_nan_and_negative(self, te):
+        with pytest.raises(ValueError, match="non-negative"):
+            ResidualSurvival(1.0, te)
+
+    def test_estimate_rejects_nan_horizon(self, vb2_times):
+        with pytest.raises(ValueError, match="te must be non-negative"):
+            estimate_reliability(vb2_times, math.nan, 1.0)
 
 
 class TestEstimateReliability:

@@ -1,5 +1,7 @@
 """Tests for the sequential reliability tracker."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,24 @@ def tracker(info_prior_grouped):
         prediction_window=1.0,
         reliability_target=0.7,
     )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTrackerValidation:
+    """Bad tracker settings fail at construction, before any fit is
+    paid for or written to a cache."""
+
+    @pytest.mark.parametrize("window", [math.nan, -1.0])
+    def test_nan_or_negative_window_rejected(self, info_prior_grouped, window):
+        with pytest.raises(ValueError, match="prediction_window"):
+            ReliabilityTracker(info_prior_grouped, prediction_window=window)
+
+    @pytest.mark.parametrize("level", [math.nan, 0.0, 1.0, 1.5])
+    def test_level_outside_unit_interval_rejected(
+        self, info_prior_grouped, level
+    ):
+        with pytest.raises(ValueError, match="level"):
+            ReliabilityTracker(info_prior_grouped, level=level)
 
 
 class TestTracker:

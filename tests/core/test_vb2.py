@@ -159,3 +159,25 @@ class TestSmallData:
         )
         assert posterior.mean("omega") == pytest.approx(cold.mean("omega"), rel=1e-8)
         assert posterior.mean("beta") == pytest.approx(cold.mean("beta"), rel=1e-8)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestAlpha0Validation:
+    """A NaN shape used to fail late inside the fixed point and an
+    infinite one tripped a divide warning; both now raise up front."""
+
+    @pytest.mark.parametrize("alpha0", [math.nan, math.inf, 0.0, -1.0])
+    def test_fit_rejects_non_finite_or_non_positive(
+        self, grouped_data, info_prior_grouped, alpha0
+    ):
+        with pytest.raises(ValueError, match="alpha0 must be positive"):
+            fit_vb2(grouped_data, info_prior_grouped, alpha0=alpha0)
+
+    def test_fleet_names_the_dataset(self, grouped_data, info_prior_grouped):
+        from repro.core.fleet import fit_vb2_fleet
+
+        with pytest.raises(ValueError, match="dataset 1: alpha0"):
+            fit_vb2_fleet(
+                [grouped_data, grouped_data], info_prior_grouped,
+                alpha0=[1.0, math.nan],
+            )
