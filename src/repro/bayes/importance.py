@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from repro.backend import special as sc
+from repro.stats import scipy_special as sc
 
 from repro.bayes.laplace import log_posterior_fn
 from repro.bayes.priors import ModelPrior

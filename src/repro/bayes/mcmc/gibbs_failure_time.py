@@ -18,7 +18,7 @@ For general ``α0`` step 3 is replaced by data augmentation of the
 from __future__ import annotations
 
 import numpy as np
-from repro.backend import special as sc
+from repro.stats import scipy_special as sc
 
 from repro import obs
 from repro.bayes.mcmc.chains import (

@@ -19,7 +19,7 @@ Sweep structure:
 from __future__ import annotations
 
 import numpy as np
-from repro.backend import special as sc
+from repro.stats import scipy_special as sc
 
 from repro import obs
 from repro.bayes.mcmc.chains import (

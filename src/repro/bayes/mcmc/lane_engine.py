@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from repro.backend import special as sc
+from repro.stats import scipy_special as sc
 
 from repro import obs
 from repro.bayes.mcmc.chains import (

@@ -15,7 +15,7 @@ heuristic when handed a VB2 posterior, and also accepts explicit limits.
 from __future__ import annotations
 
 import numpy as np
-from repro.backend import special as sc
+from repro.stats import scipy_special as sc
 
 from repro import obs
 from repro.bayes.grid_posterior import GridPosterior

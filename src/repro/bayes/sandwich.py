@@ -45,7 +45,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from repro.backend import special as sc
+from repro.stats import scipy_special as sc
 
 from repro import obs
 from repro.bayes.joint import JointPosterior

@@ -140,12 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         "byte-identically instead of running the solver "
         "(methods vb2/vb1 with --data only)",
     )
-    fit.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend for the solver kernels (numpy, portable, "
-        "jax, cupy; default follows REPRO_BACKEND, else numpy; "
-        "methods vb2 and vb1 with --data only)",
-    )
     fit.add_argument("--level", type=float, default=0.99,
                      help="credible level for the reported intervals")
     fit.add_argument("--predict", type=float, default=None, metavar="U",
@@ -346,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "json"], default="text",
         help="output format",
     )
-    bench_report.add_argument(
-        "--backends", action="store_true",
-        help="append a per-backend column (speedup vs numpy, median "
-        "over the measured kernels) to the text report",
-    )
     return parser
 
 
@@ -414,21 +403,9 @@ def _run_fit(args) -> str:
     from repro.core.vb2 import fit_vb2
     from repro.data.failure_data import FailureTimeData
     from repro.data.io import load_failure_times_csv, load_grouped_csv
-    from repro.exceptions import BackendUnavailableError
 
     if (args.data is None) == (args.fleet is None):
         raise SystemExit("fit needs exactly one of --data or --fleet")
-    if args.backend is not None:
-        if args.fleet is not None:
-            raise SystemExit(
-                "--backend applies to --data fits only (the fleet "
-                "sweep is NumPy-only)"
-            )
-        if args.method not in ("vb2", "vb1"):
-            raise SystemExit(
-                f"--backend supports methods vb2 and vb1, "
-                f"not {args.method}"
-            )
     if args.cache_dir is not None:
         if args.fleet is not None:
             raise SystemExit("--cache-dir applies to --data fits only")
@@ -451,51 +428,27 @@ def _run_fit(args) -> str:
 
         cache = PosteriorCache(args.cache_dir)
 
-    config = None
-    if args.backend is not None:
-        from repro.core.config import VBConfig
+    if args.method == "vb2":
+        if cache is not None:
+            from repro.cache.fitting import fit_vb2_cached
 
-        try:
-            config = VBConfig(backend=args.backend)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from exc
-
-    try:
-        if args.method == "vb2":
-            if cache is not None:
-                from repro.cache.fitting import fit_vb2_cached
-
-                posterior = fit_vb2_cached(
-                    data, prior, args.alpha0, config, cache=cache
-                )
-            else:
-                posterior = fit_vb2(
-                    data, prior, alpha0=args.alpha0, config=config
-                )
-        elif args.method == "vb1":
-            if cache is not None:
-                from repro.cache.fitting import fit_vb1_cached
-
-                posterior = fit_vb1_cached(
-                    data, prior, args.alpha0, config, cache=cache
-                )
-            else:
-                posterior = fit_vb1(
-                    data, prior, alpha0=args.alpha0, config=config
-                )
-        elif args.method == "laplace":
-            posterior = fit_laplace(data, prior, alpha0=args.alpha0)
+            posterior = fit_vb2_cached(data, prior, args.alpha0, cache=cache)
         else:
-            sampler = (
-                gibbs_failure_time if isinstance(data, FailureTimeData) else gibbs_grouped
-            )
-            posterior = sampler(data, prior, alpha0=args.alpha0).posterior()
-    except (BackendUnavailableError, ValueError) as exc:
-        # Missing adapter packages and backend/feature conflicts are
-        # user errors, not tracebacks.
-        if args.backend is None:
-            raise
-        raise SystemExit(f"error: {exc}") from exc
+            posterior = fit_vb2(data, prior, alpha0=args.alpha0)
+    elif args.method == "vb1":
+        if cache is not None:
+            from repro.cache.fitting import fit_vb1_cached
+
+            posterior = fit_vb1_cached(data, prior, args.alpha0, cache=cache)
+        else:
+            posterior = fit_vb1(data, prior, alpha0=args.alpha0)
+    elif args.method == "laplace":
+        posterior = fit_laplace(data, prior, alpha0=args.alpha0)
+    else:
+        sampler = (
+            gibbs_failure_time if isinstance(data, FailureTimeData) else gibbs_grouped
+        )
+        posterior = sampler(data, prior, alpha0=args.alpha0).posterior()
 
     lines = [f"method: {posterior.method_name}    data: {data!r}"]
     if cache is not None:
@@ -894,46 +847,6 @@ def _run_cache(args) -> int:
     return 0
 
 
-def _render_backends_table(ledgers: list[dict]) -> str:
-    """Per-backend column over the normalised ledgers.
-
-    NumPy is the reference (all gated agreement checks hold against
-    it); every other backend shows the median of that suite's
-    ``…/<backend>_vs_numpy`` wall ratios, falling back to the
-    availability recorded in ``info.backends`` when the suite measured
-    nothing for it."""
-    from statistics import median
-
-    names = ("numpy", "portable", "jax", "cupy")
-    width = max(5, *(len(ledger["suite"]) for ledger in ledgers))
-    lines = [
-        "per-backend speedup vs numpy (median over measured kernels)",
-        "suite".ljust(width) + "".join(f"{name:>10}" for name in names),
-    ]
-    for ledger in ledgers:
-        avail = ledger.get("info", {}).get("backends")
-        cells = []
-        for name in names:
-            ratios = [
-                value
-                for key, value in ledger["speedups"].items()
-                if key.endswith(f"/{name}_vs_numpy")
-            ]
-            if name == "numpy":
-                cells.append("ref" if avail is not None else "-")
-            elif ratios:
-                cells.append(f"x{median(ratios):.2f}")
-            elif avail is not None:
-                cells.append("avail" if avail.get(name) else "n/a")
-            else:
-                cells.append("-")
-        lines.append(
-            ledger["suite"].ljust(width)
-            + "".join(f"{cell:>10}" for cell in cells)
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _run_bench(args) -> int:
     import json as _json
     from pathlib import Path
@@ -955,9 +868,6 @@ def _run_bench(args) -> int:
             print(_json.dumps(ledgers, indent=2, sort_keys=True))
         else:
             print(render_ledger(ledgers), end="")
-            if args.backends:
-                print()
-                print(_render_backends_table(ledgers), end="")
         return 0
 
     baseline_dir = Path(args.baseline_dir)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backend.core import KNOWN_BACKENDS
 from repro.core.warmstart import WarmStart
 
 __all__ = ["VBConfig"]
@@ -76,18 +75,6 @@ class VBConfig:
         starting changes the iteration path only — warm and cold fits
         agree on the final posterior to solver tolerance.
         See ``docs/METHOD.md`` §4.5.
-    backend:
-        Array backend for the VB2 hot kernels (``None`` → the process
-        default, normally NumPy; see :func:`repro.backend.
-        default_namespace`). ``"numpy"`` is the bit-exact reference;
-        ``"portable"`` runs the generic accelerator code path on NumPy
-        (for testing/benchmarking without device libraries); ``"jax"``
-        and ``"cupy"`` are optional adapters that raise
-        :class:`~repro.exceptions.BackendUnavailableError` at fit time
-        when their package is missing. Non-NumPy backends agree with
-        the reference within the tolerances recorded in
-        ``benchmarks/results/BENCH_backend.json`` and do not support
-        ``warm_start``. See ``docs/METHOD.md`` §4.6.
     """
 
     tail_tolerance: float = 1e-12
@@ -101,14 +88,8 @@ class VBConfig:
     batched_solver: bool = True
     variance_correction: str = "none"
     warm_start: WarmStart | None = field(default=None)
-    backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None and self.backend not in KNOWN_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {KNOWN_BACKENDS} or None, "
-                f"got {self.backend!r}"
-            )
         if self.warm_start is not None and not isinstance(
             self.warm_start, WarmStart
         ):
@@ -164,5 +145,4 @@ class VBConfig:
             "warm_start": (
                 None if self.warm_start is None else self.warm_start.canonical()
             ),
-            "backend": None if self.backend is None else str(self.backend),
         }

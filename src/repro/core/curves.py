@@ -69,7 +69,7 @@ def _curve_samples(
 ) -> np.ndarray:
     """Posterior draws of ``G(t; α0, β)`` and ``ω`` combined; shape
     ``(n_samples, len(times))`` of ``ω G(t)`` values."""
-    from repro.backend import special as sc
+    from repro.stats import scipy_special as sc
 
     sample = getattr(posterior, "sample", None)
     if sample is None:
@@ -131,7 +131,7 @@ def residual_fault_band(
 ) -> CurveBand:
     """Pointwise credible band for the residual-fault curve
     ``ω (1 - G(t))``."""
-    from repro.backend import special as sc
+    from repro.stats import scipy_special as sc
 
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0):

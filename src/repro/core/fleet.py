@@ -35,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.backend import require_numpy_backend
 from repro.bayes.grid_posterior import GridPosterior
 from repro.bayes.nint import (
     integration_limits_from_posterior,
@@ -238,7 +237,6 @@ def fit_vb2_fleet(
     nmaxes = _per_dataset(nmax, count, "nmax")
     warms = _per_dataset_warm(warm_start, count)
     config = config or VBConfig()
-    require_numpy_backend(config.backend, feature="fit_vb2_fleet")
 
     with obs.span("fleet.vb2.fit", datasets=count):
         states = [
@@ -312,7 +310,6 @@ def fit_vb2_fleet(
                 "alpha0": st.alpha0,
                 "data_kind": type(st.data).__name__,
                 "warm_started": st.warm is not None,
-                "backend": "numpy",
             }
             builders.append(_vb2_builder(st, weights, elbo, diagnostics, config))
             diags.append(diagnostics)
@@ -371,7 +368,6 @@ def fit_vb1_fleet(
     alpha0s = [float(a) for a in _per_dataset(alpha0, count, "alpha0")]
     warms = _per_dataset_warm(warm_start, count)
     config = config or VBConfig()
-    require_numpy_backend(config.backend, feature="fit_vb1_fleet")
     for a0 in alpha0s:
         if a0 <= 0.0:
             raise ValueError(f"alpha0 must be positive, got {a0}")

@@ -36,31 +36,22 @@ lower bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend.core import ArrayBackend
 from repro.bayes.priors import ModelPrior
 from repro.core.config import VBConfig
 from repro.core.fixed_point import FixedPointResult, solve_fixed_point
 from repro.data.failure_data import FailureTimeData, GroupedData
-from repro.stats.rootfind import _solve_batch_functional, solve_fixed_point_batch
+from repro.stats.rootfind import solve_fixed_point_batch
 from repro.stats.special import (
-    _log_gamma_cdf_increment_arrays,
-    _log_gamma_sf_arrays,
     log_factorial,
     log_gamma_cdf_increment,
     log_gamma_fn,
     log_gamma_sf,
 )
-from repro.stats.truncated import (
-    _censored_gamma_mean_arrays,
-    _truncated_gamma_mean_arrays,
-    censored_gamma_mean,
-    truncated_gamma_mean,
-)
+from repro.stats.truncated import censored_gamma_mean, truncated_gamma_mean
 
 __all__ = [
     "TimesStats",
@@ -262,20 +253,6 @@ def solve_conditional_times(
     )
 
 
-def _validate_range(n_start: int, n_end: int, observed: int,
-                    prior: ModelPrior) -> None:
-    if n_start < observed:
-        raise ValueError(
-            f"n_start={n_start} is below the observed failure count {observed}"
-        )
-    if n_end < n_start:
-        raise ValueError("n_end must be >= n_start")
-    if n_start == 0 and not prior.beta.is_proper:
-        raise ValueError(
-            "N = 0 with an improper beta prior leaves Pv(beta | N) improper"
-        )
-
-
 def _apply_warm_seeds(
     xi_seed: np.ndarray, xi_warm: np.ndarray | None
 ) -> np.ndarray:
@@ -297,207 +274,6 @@ def _apply_warm_seeds(
     if not np.any(usable):
         return xi_seed
     return np.where(usable, xi_warm, xi_seed)
-
-
-# ----------------------------------------------------------------------
-# Generic-backend range solvers
-# ----------------------------------------------------------------------
-# Device/portable counterparts of the NumPy lane solvers below, over
-# one dataset's latent-count range: the same update map and log-weight
-# algebra expressed through an
-# :class:`~repro.backend.core.ArrayBackend` (full-width ``where``
-# masking, no in-place stores), driving the functional lock-step
-# fixed point. They agree with the NumPy reference within the
-# tolerances recorded in benchmarks/results/BENCH_backend.json — not
-# bit-exactly (different masking strategy, emulated ``gammaincinv``).
-# Warm seeds and per-lane tolerances are NumPy-path features.
-
-
-def _lane_solution_list(
-    B: ArrayBackend,
-    n,
-    zeta,
-    xi,
-    m_omega: float,
-    phi_omega: float,
-    a_beta,
-    b_beta,
-    log_weight,
-    iterations,
-) -> list[ConditionalSolution]:
-    """Materialise backend lane arrays as scalar solutions (one sync)."""
-    n_np = B.to_numpy(n)
-    zeta_np = B.to_numpy(zeta)
-    xi_np = B.to_numpy(xi)
-    a_beta_np = B.to_numpy(a_beta)
-    b_beta_np = B.to_numpy(b_beta)
-    log_w_np = B.to_numpy(log_weight)
-    iter_np = B.to_numpy(iterations)
-    return [
-        ConditionalSolution(
-            n=int(n_np[i]),
-            zeta=float(zeta_np[i]),
-            xi=float(xi_np[i]),
-            a_omega=m_omega + float(n_np[i]),
-            b_omega=phi_omega + 1.0,
-            a_beta=float(a_beta_np[i]),
-            b_beta=float(b_beta_np[i]),
-            log_weight=float(log_w_np[i]),
-            iterations=int(iter_np[i]),
-        )
-        for i in range(n_np.size)
-    ]
-
-
-def _solve_times_range_backend(
-    B: ArrayBackend,
-    n_start: int,
-    n_end: int,
-    alpha0: float,
-    prior: ModelPrior,
-    stats: TimesStats,
-    config: VBConfig,
-) -> list[ConditionalSolution]:
-    """Generic-backend solve of ``N ∈ [n_start, n_end]`` on failure-time
-    data (the counterpart of :func:`solve_times_lanes`)."""
-    _validate_range(n_start, n_end, stats.me, prior)
-    xp = B.xp
-    m_omega, phi_omega = prior.omega.shape, prior.omega.rate
-    m_beta, phi_beta = prior.beta.shape, prior.beta.rate
-
-    n = B.as_float(xp.arange(n_start, n_end + 1))
-    residual = n - float(stats.me)
-    has_resid = residual > 0
-    a_beta = m_beta + n * alpha0
-    if bool(xp.any(a_beta <= 0.0)):
-        raise ValueError("m_beta + N*alpha0 must be positive")
-    horizon = xp.full(n.shape, float(stats.horizon))
-
-    def zeta_of(xi):
-        eta = _censored_gamma_mean_arrays(B, horizon, alpha0, xi)
-        return float(stats.sum_times) + xp.where(
-            has_resid, residual * eta, 0.0
-        )
-
-    def update(xi):
-        return a_beta / (phi_beta + zeta_of(xi))
-
-    xi_seed = a_beta / (
-        phi_beta + stats.sum_times + residual * stats.horizon + 1e-300
-    )
-    solve = _solve_batch_functional(
-        B,
-        update,
-        B.as_float(xi_seed),
-        rtol=config.fixed_point_rtol,
-        max_iter=config.fixed_point_max_iter,
-        use_aitken=config.use_aitken,
-    )
-    xi = solve.values
-    zeta = zeta_of(xi)
-    b_beta = phi_beta + zeta
-    log_weight = (
-        B.gammaln(m_omega + n)
-        - (m_omega + n) * math.log(phi_omega + 1.0)
-        + B.gammaln(a_beta)
-        - a_beta * xp.log(b_beta)
-    )
-    eta = _censored_gamma_mean_arrays(B, horizon, alpha0, xi)
-    tail = residual * (
-        _log_gamma_sf_arrays(B, horizon, alpha0, xi)
-        - alpha0 * xp.log(xi)
-        + xi * eta
-    ) - B.gammaln(residual + 1.0)
-    log_weight = log_weight + xp.where(has_resid, tail, 0.0)
-    return _lane_solution_list(
-        B, n, zeta, xi, m_omega, phi_omega, a_beta, b_beta,
-        log_weight, solve.iterations,
-    )
-
-
-def _solve_grouped_range_backend(
-    B: ArrayBackend,
-    n_start: int,
-    n_end: int,
-    alpha0: float,
-    prior: ModelPrior,
-    stats: GroupedStats,
-    config: VBConfig,
-) -> list[ConditionalSolution]:
-    """Generic-backend solve of ``N ∈ [n_start, n_end]`` on grouped data
-    (the counterpart of :func:`solve_grouped_lanes`)."""
-    _validate_range(n_start, n_end, stats.total, prior)
-    xp = B.xp
-    m_omega, phi_omega = prior.omega.shape, prior.omega.rate
-    m_beta, phi_beta = prior.beta.shape, prior.beta.rate
-
-    n = B.as_float(xp.arange(n_start, n_end + 1))
-    residual = n - float(stats.total)
-    has_resid = residual > 0
-    a_beta = m_beta + n * alpha0
-    if bool(xp.any(a_beta <= 0.0)):
-        raise ValueError("m_beta + N*alpha0 must be positive")
-    horizon = xp.full(n.shape, float(stats.horizon))
-    # Interval geometry as static python floats: the per-interval loop
-    # unrolls (interval count is data-shape, not trace-value), which is
-    # what lets the whole update map JIT-compile.
-    intervals = [
-        (float(c), float(stats.edges[i]), float(stats.edges[i + 1]))
-        for i, c in enumerate(stats.counts)
-        if c != 0
-    ]
-
-    def zeta_of(xi):
-        total = xp.zeros(xi.shape)
-        for count, lo, hi in intervals:
-            lo_a = xp.full(xi.shape, lo)
-            hi_a = xp.full(xi.shape, hi)
-            total = total + count * _truncated_gamma_mean_arrays(
-                B, lo_a, hi_a, alpha0, xi
-            )
-        eta = _censored_gamma_mean_arrays(B, horizon, alpha0, xi)
-        return total + xp.where(has_resid, residual * eta, 0.0)
-
-    def update(xi):
-        return a_beta / (phi_beta + zeta_of(xi))
-
-    zeta_hi = (
-        float(np.dot(stats.counts, stats.edges[1:]))
-        + residual * 2.0 * stats.horizon
-    )
-    solve = _solve_batch_functional(
-        B,
-        update,
-        B.as_float(a_beta / (phi_beta + zeta_hi)),
-        rtol=config.fixed_point_rtol,
-        max_iter=config.fixed_point_max_iter,
-        use_aitken=config.use_aitken,
-    )
-    xi = solve.values
-    zeta = zeta_of(xi)
-    b_beta = phi_beta + zeta
-    log_weight = (
-        B.gammaln(m_omega + n)
-        - (m_omega + n) * math.log(phi_omega + 1.0)
-        + B.gammaln(a_beta)
-        - a_beta * xp.log(b_beta)
-        - n * alpha0 * xp.log(xi)
-        + xi * zeta
-    )
-    for count, lo, hi in intervals:
-        lo_a = xp.full(xi.shape, lo)
-        hi_a = xp.full(xi.shape, hi)
-        log_weight = log_weight + count * _log_gamma_cdf_increment_arrays(
-            B, lo_a, hi_a, alpha0, xi
-        )
-    tail = residual * _log_gamma_sf_arrays(
-        B, horizon, alpha0, xi
-    ) - B.gammaln(residual + 1.0)
-    log_weight = log_weight + xp.where(has_resid, tail, 0.0)
-    return _lane_solution_list(
-        B, n, zeta, xi, m_omega, phi_omega, a_beta, b_beta,
-        log_weight, solve.iterations,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
-from repro.backend import special as sc
+from repro.stats import scipy_special as sc
 
 from repro import obs
 from repro.bayes.joint import JointPosterior

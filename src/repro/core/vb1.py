@@ -31,7 +31,6 @@ import math
 import numpy as np
 
 from repro import obs
-from repro.backend import require_numpy_backend
 from repro.bayes.priors import ModelPrior
 from repro.bayes.sandwich import apply_sandwich
 from repro.core.config import VBConfig
@@ -66,7 +65,6 @@ def fit_vb1(
     if alpha0 <= 0.0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     config = config or VBConfig()
-    require_numpy_backend(config.backend, feature="fit_vb1")
     with obs.span("vb1.fit", collect=True, data=type(data).__name__) as sp:
         posterior = _fit_vb1(data, prior, alpha0, config, sp)
     if config.variance_correction == "sandwich":

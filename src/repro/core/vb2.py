@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 
-from repro import backend as _backend
 from repro import obs
 from repro.bayes.priors import ModelPrior
 from repro.bayes.sandwich import apply_sandwich
@@ -35,8 +34,6 @@ from repro.core.gamma_updates import (
     GroupedStats,
     LaneSolutions,
     TimesStats,
-    _solve_grouped_range_backend,
-    _solve_times_range_backend,
     elbo_constant,
     solve_conditional_grouped,
     solve_conditional_times,
@@ -446,37 +443,27 @@ def _drive_vb2_group(states, kind, alpha0, config, *, solve=None,
         active = remaining
 
 
-def _reference_solver(config: VBConfig, backend):
-    """The per-round solve of the two reference paths kept beside the
-    lane sweep: the generic-backend range solver (``backend`` given),
-    or the scalar per-``N`` loop (``config.batched_solver=False``)."""
+def _reference_solver(config: VBConfig):
+    """The per-round solve of the reference path kept beside the lane
+    sweep: the scalar per-``N`` loop (``config.batched_solver=False``)."""
 
     def solve(lanes):
         ((st, start, stop),) = lanes
-        times = st.kind == "times"
-        if backend is not None:
-            solve_range = (
-                _solve_times_range_backend if times
-                else _solve_grouped_range_backend
-            )
-            sols = solve_range(
-                backend, start, stop, st.alpha0, st.prior, st.stats, config
-            )
-        else:
-            solve_n = solve_conditional_times if times else solve_conditional_grouped
-            seeds = (
-                None if st.warm is None else st.warm.seeds_for_range(start, stop)
-            )
-            sols = []
-            for n in range(start, stop + 1):
-                seed = None if seeds is None else float(seeds[n - start])
-                if seed is not None and not (np.isfinite(seed) and seed > 0.0):
-                    seed = None
-                with obs.span("vb2.solve_n", level="debug", n=n):
-                    sols.append(
-                        solve_n(n, st.alpha0, st.prior, st.stats, config,
-                                xi_start=seed)
-                    )
+        solve_n = (
+            solve_conditional_times if st.kind == "times"
+            else solve_conditional_grouped
+        )
+        seeds = None if st.warm is None else st.warm.seeds_for_range(start, stop)
+        sols = []
+        for n in range(start, stop + 1):
+            seed = None if seeds is None else float(seeds[n - start])
+            if seed is not None and not (np.isfinite(seed) and seed > 0.0):
+                seed = None
+            with obs.span("vb2.solve_n", level="debug", n=n):
+                sols.append(
+                    solve_n(n, st.alpha0, st.prior, st.stats, config,
+                            xi_start=seed)
+                )
         columns = {
             f.name: np.array([getattr(s, f.name) for s in sols])
             for f in dataclasses.fields(LaneSolutions)
@@ -542,35 +529,14 @@ def _fit_vb2(
     sp,
 ) -> VBPosterior:
     warm = config.warm_start
-    # Resolve the hot-kernel array backend. config.backend=None follows
-    # the process default (normally NumPy, override via REPRO_BACKEND);
-    # a named adapter raises BackendUnavailableError here — at fit time,
-    # with an install hint — when its package is missing.
-    B = (
-        _backend.resolve_backend(config.backend)
-        if config.backend is not None
-        else _backend.default_namespace()
-    )
-    kernel_backend = None if B.is_numpy else B
-    if kernel_backend is not None:
-        if warm is not None:
-            raise ValueError(
-                f"warm_start is not supported on the {B.name!r} backend; "
-                "warm seeding is a NumPy-path feature"
-            )
-        if not config.batched_solver:
-            raise ValueError(
-                f"backend={B.name!r} requires batched_solver=True (the "
-                "scalar per-N escape hatch is NumPy-only)"
-            )
     state = _Vb2State(data, prior, alpha0, nmax, config, warm=warm)
     # The Goel-Okumoto failure-time case is closed-form, so it always
     # takes the lane sweep; every other case does too unless the config
-    # selects a reference path (per-N loop or a generic backend).
+    # selects the per-N reference loop.
     solve = None
     closed_form = state.kind == "times" and alpha0 == 1.0
-    if not closed_form and (kernel_backend is not None or not config.batched_solver):
-        solve = _reference_solver(config, kernel_backend)
+    if not closed_form and not config.batched_solver:
+        solve = _reference_solver(config)
     _drive_vb2_group([state], state.kind, alpha0, config, solve=solve)
 
     log_w = np.concatenate(state.log_w)
@@ -591,7 +557,6 @@ def _fit_vb2(
         "alpha0": alpha0,
         "data_kind": type(data).__name__,
         "warm_started": warm is not None,
-        "backend": B.name,
     }
     if obs.enabled():
         obs.counter_add("vb2.solves", state.lanes_done)

@@ -98,7 +98,7 @@ class WeibullVBPosterior(JointPosterior):
     def _beta_moment(self, order: float) -> float:
         """``E[β^order] = E[θ^(order/c)]`` via fractional gamma moments,
         evaluated for all mixture components in one broadcast."""
-        from repro.backend.special import gammaln
+        from repro.stats.scipy_special import gammaln
 
         k = order / self._shape
         shapes, rates = self._theta_component_arrays()
@@ -132,7 +132,7 @@ class WeibullVBPosterior(JointPosterior):
     def cross_moment(self) -> float:
         """``E[ω β] = Σ_N Pv(N) E[ω|N] E[θ^(1/c)|N]``, one broadcast over
         the mixture components."""
-        from repro.backend.special import gammaln
+        from repro.stats.scipy_special import gammaln
 
         k = 1.0 / self._shape
         shapes, rates = self._theta_component_arrays()

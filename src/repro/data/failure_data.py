@@ -12,6 +12,7 @@ for online reliability tracking.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,11 +104,12 @@ class FailureTimeData:
         period instead of re-scanning the full history every time.
         """
         horizon = float(horizon)
-        if horizon <= 0:
-            raise DataValidationError("truncation horizon must be positive")
-        if horizon > self.horizon:
+        # Written as one negated range test so that NaN, for which every
+        # comparison is false, is rejected too.
+        if not 0.0 < horizon <= self.horizon:
             raise DataValidationError(
-                "cannot extend the horizon beyond the observed period"
+                f"truncation horizon must lie in (0, {self.horizon}] "
+                f"(the observed period), got {horizon}"
             )
         kept = self.times[: np.searchsorted(self.times, horizon, side="right")]
         view = object.__new__(FailureTimeData)
@@ -222,6 +224,14 @@ class GroupedData:
             raise DataValidationError("counts must be non-negative")
         if not np.all(counts_arr == np.floor(counts_arr)):
             raise DataValidationError("counts must be integers")
+        # inf passes the integer test (inf == floor(inf)) and Python ints
+        # past int64 arrive as an object array; both would wrap in the
+        # int64 cast. Counts are non-negative, so bounding the total
+        # bounds every count and the cumulative counts too.
+        if not float(np.sum(counts_arr, dtype=float)) < 2.0**63:
+            raise DataValidationError(
+                "counts must be finite with a total below 2**63"
+            )
         counts_arr = counts_arr.astype(np.int64)
         bounds = _as_float_array(boundaries, "boundaries")
         if bounds.shape != counts_arr.shape:
@@ -308,6 +318,12 @@ class GroupedData:
         validated) buffers, so truncation is O(1) — replaying a
         campaign period by period costs O(periods), not O(periods²).
         """
+        try:
+            n_intervals = operator.index(n_intervals)
+        except TypeError:
+            raise DataValidationError(
+                f"n_intervals must be an integer, got {n_intervals!r}"
+            ) from None
         if not 1 <= n_intervals <= self.n_intervals:
             raise DataValidationError(
                 f"n_intervals must be in [1, {self.n_intervals}], got {n_intervals}"

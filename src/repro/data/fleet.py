@@ -161,10 +161,10 @@ def _concat(parts) -> np.ndarray:
 
 def _log_factorial_int(n: int) -> float:
     # GroupedStats.from_data computes this through
-    # repro.stats.special.log_factorial; inlined via the backend shim to
-    # keep the data layer free of a stats dependency while producing the
-    # same gammaln(n + 1) float.
-    from repro.backend import special as sc
+    # repro.stats.special.log_factorial; inlined via the scipy.special
+    # shim (imported lazily, so loading the data layer does not load
+    # the stats package) while producing the same gammaln(n + 1) float.
+    from repro.stats import scipy_special as sc
 
     return float(sc.gammaln(n + 1.0))
 

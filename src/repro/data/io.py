@@ -77,13 +77,15 @@ def load_grouped_csv(path: str | Path, *, unit: str = "days") -> GroupedData:
 
     Mirrors :func:`load_failure_times_csv`: only the first non-numeric
     row can be a header, every later one raises
-    :class:`DataValidationError` so malformed rows never vanish.
+    :class:`DataValidationError` so malformed rows never vanish. Counts
+    are read as floats and validated by :class:`GroupedData`, so a
+    fractional, infinite or NaN count is rejected, never truncated.
     """
     boundaries: list[float] = []
-    counts: list[int] = []
+    counts: list[float] = []
     header_seen = False
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), start=1):
             if not row or not row[0].strip():
                 continue
             try:
@@ -98,8 +100,13 @@ def load_grouped_csv(path: str | Path, *, unit: str = "days") -> GroupedData:
                 continue
             if len(row) < 2:
                 raise DataValidationError(f"grouped CSV row needs two columns: {row}")
+            try:
+                counts.append(float(row[1]))
+            except ValueError:
+                raise DataValidationError(
+                    f"non-numeric count {row[1]!r} in {path} (line {line})"
+                ) from None
             boundaries.append(boundary)
-            counts.append(int(float(row[1])))
     return GroupedData(counts=counts, boundaries=boundaries, unit=unit)
 
 
@@ -134,19 +141,35 @@ def save_json(data: FailureTimeData | GroupedData, path: str | Path) -> None:
 
 
 def load_json(path: str | Path) -> FailureTimeData | GroupedData:
-    """Load a tagged JSON document written by :func:`save_json`."""
-    doc = json.loads(Path(path).read_text())
+    """Load a tagged JSON document written by :func:`save_json`.
+
+    Invalid JSON, a document that is not an object, and a missing
+    field all raise :class:`DataValidationError` naming the file.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise DataValidationError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise DataValidationError(
+            f"{path} must hold a JSON object, got {type(doc).__name__}"
+        )
     kind = doc.get("kind")
-    if kind == "failure_times":
-        return FailureTimeData(
-            np.asarray(doc["times"], dtype=float),
-            horizon=doc.get("horizon"),
-            unit=doc.get("unit", "seconds"),
-        )
-    if kind == "grouped":
-        return GroupedData(
-            counts=doc["counts"],
-            boundaries=doc["boundaries"],
-            unit=doc.get("unit", "days"),
-        )
+    try:
+        if kind == "failure_times":
+            return FailureTimeData(
+                np.asarray(doc["times"], dtype=float),
+                horizon=doc.get("horizon"),
+                unit=doc.get("unit", "seconds"),
+            )
+        if kind == "grouped":
+            return GroupedData(
+                counts=doc["counts"],
+                boundaries=doc["boundaries"],
+                unit=doc.get("unit", "days"),
+            )
+    except KeyError as err:
+        raise DataValidationError(
+            f"{kind} document {path} is missing the field {err}"
+        ) from None
     raise DataValidationError(f"unknown data kind {kind!r} in {path}")

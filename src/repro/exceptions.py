@@ -61,19 +61,3 @@ class EstimationError(ReproError, RuntimeError):
 class TelemetryError(ReproError, ValueError):
     """Raised when a telemetry trace violates the event schema
     (unknown kind, missing field, malformed name, non-scalar attr)."""
-
-
-class BackendUnavailableError(ReproError, RuntimeError):
-    """Raised when an optional array backend is requested but cannot be
-    used — its package (jax, cupy) is not importable in this
-    environment, or the name is not a registered backend.
-
-    Deliberately *not* an ImportError: callers selecting a backend via
-    ``VBConfig(backend=...)`` or ``REPRO_BACKEND`` get one actionable
-    message naming the backend and how to install it, instead of a raw
-    import traceback from deep inside an adapter.
-    """
-
-    def __init__(self, message: str, *, backend: str | None = None) -> None:
-        super().__init__(message)
-        self.backend = backend

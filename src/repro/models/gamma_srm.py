@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 import numpy as np
-from repro.backend import special as sc
+from repro.stats import scipy_special as sc
 
 from repro.exceptions import ModelSpecificationError
 from repro.models.base import NHPPModel

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as st
 
-from repro import backend as _backend
-from repro.backend import special as sc
-from repro.backend.core import ArrayBackend
-from repro.stats.special import log_gamma_cdf, log_gamma_sf
+from repro.stats import scipy_special as sc
+from repro.stats.special import as_float, log_gamma_cdf, log_gamma_sf
 
 __all__ = ["GammaDistribution", "gamma_kl_divergence", "gamma_from_uniform"]
 
@@ -27,30 +25,23 @@ _FAST_SHAPE_MIN = 8.0
 _FAST_TAIL = 1e-10
 
 
-def _gamma_from_uniform_fast(
-    B: ArrayBackend, shape, u, log_gamma_shape
-):
+def _gamma_from_uniform_fast(shape, u, log_gamma_shape):
     """Wilson–Hilferty start + two Halley refinements (unit rate).
 
     Each Halley step costs one ``gammainc`` (~6x cheaper than one
     ``gammaincinv`` Newton iteration set) plus elementwise arithmetic,
     which is what lets a lock-step Gibbs sweep invert every lane's
-    gamma conditionals in a handful of vectorized calls.  Parameterised
-    on the backend: with the NumPy reference the calls below *are* the
-    scipy ufuncs and ``xp is numpy`` (bit-identical to the historical
-    code); elsewhere the same elementwise chain runs on the device —
-    the campaign kernel XLA fuses best.
+    gamma conditionals in a handful of vectorized calls.
     """
-    xp = B.xp
-    z = B.ndtri(u)
+    z = sc.ndtri(u)
     inv9 = 1.0 / (9.0 * shape)
-    cube_root = 1.0 - inv9 + z * xp.sqrt(inv9)
+    cube_root = 1.0 - inv9 + z * np.sqrt(inv9)
     x = shape * cube_root * cube_root * cube_root
     shape_m1 = shape - 1.0
     for _ in range(2):
-        residual = B.gammainc(shape, x) - u
+        residual = sc.gammainc(shape, x) - u
         # residual / pdf, with the pdf in log space to dodge overflow.
-        step = residual * xp.exp(x - shape_m1 * xp.log(x) + log_gamma_shape)
+        step = residual * np.exp(x - shape_m1 * np.log(x) + log_gamma_shape)
         x = x - step / (1.0 - 0.5 * step * (shape_m1 / x - 1.0))
     return x
 
@@ -77,45 +68,31 @@ def gamma_from_uniform(
     ``log_gamma_shape = gammaln(shape)`` skips recomputing the constant
     when the shape vector repeats across sweeps.
     """
-    B = _backend.get_namespace(shape, u)
-    if B.is_numpy:
-        shape = np.atleast_1d(_backend.as_float(shape))
-        u = np.atleast_1d(_backend.as_float(u))
-        shape, u = np.broadcast_arrays(shape, u)
-        fast = (shape >= _FAST_SHAPE_MIN) & (u > _FAST_TAIL) & (u < 1.0 - _FAST_TAIL)
-        if fast.all():
-            if log_gamma_shape is None:
-                log_gamma_shape = sc.gammaln(shape)
-            else:
-                log_gamma_shape = np.broadcast_to(
-                    _backend.as_float(log_gamma_shape), shape.shape
-                )
-            return _gamma_from_uniform_fast(B, shape, u, log_gamma_shape)
-        out = np.empty(shape.shape, dtype=np.result_type(shape, u))
-        slow = ~fast
-        out[slow] = sc.gammaincinv(shape[slow], u[slow])
-        if fast.any():
-            lgs = (
-                sc.gammaln(shape[fast])
-                if log_gamma_shape is None
-                else np.broadcast_to(
-                    _backend.as_float(log_gamma_shape), shape.shape
-                )[fast]
-            )
-            out[fast] = _gamma_from_uniform_fast(B, shape[fast], u[fast], lgs)
-        return out
-    xp = B.xp
-    shape = xp.atleast_1d(B.as_float(shape))
-    u = xp.atleast_1d(B.as_float(u))
-    shape, u = xp.broadcast_arrays(shape, u)
+    shape = np.atleast_1d(as_float(shape))
+    u = np.atleast_1d(as_float(u))
+    shape, u = np.broadcast_arrays(shape, u)
     fast = (shape >= _FAST_SHAPE_MIN) & (u > _FAST_TAIL) & (u < 1.0 - _FAST_TAIL)
-    if log_gamma_shape is None:
-        lgs = B.gammaln(shape)
-    else:
-        lgs = xp.broadcast_to(B.as_float(log_gamma_shape), shape.shape)
-    fast_val = _gamma_from_uniform_fast(B, shape, xp.where(fast, u, 0.5), lgs)
-    slow_val = B.gammaincinv(shape, u)
-    return xp.where(fast, fast_val, slow_val)
+    if fast.all():
+        if log_gamma_shape is None:
+            log_gamma_shape = sc.gammaln(shape)
+        else:
+            log_gamma_shape = np.broadcast_to(
+                as_float(log_gamma_shape), shape.shape
+            )
+        return _gamma_from_uniform_fast(shape, u, log_gamma_shape)
+    out = np.empty(shape.shape, dtype=np.result_type(shape, u))
+    slow = ~fast
+    out[slow] = sc.gammaincinv(shape[slow], u[slow])
+    if fast.any():
+        lgs = (
+            sc.gammaln(shape[fast])
+            if log_gamma_shape is None
+            else np.broadcast_to(
+                as_float(log_gamma_shape), shape.shape
+            )[fast]
+        )
+        out[fast] = _gamma_from_uniform_fast(shape[fast], u[fast], lgs)
+    return out
 
 
 def gamma_kl_divergence(p: "GammaDistribution", q: "GammaDistribution") -> float:
@@ -227,62 +204,39 @@ class GammaDistribution:
     # ------------------------------------------------------------------
     def log_pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Log density; ``-inf`` for ``x <= 0``."""
-        B = _backend.get_namespace(x)
-        if B.is_numpy:
-            x = np.asarray(x, dtype=float)
-            out = np.full(x.shape, -np.inf)
-            pos = x > 0
-            xp = x[pos]
-            out[pos] = (
-                self.shape * math.log(self.rate)
-                + (self.shape - 1.0) * np.log(xp)
-                - self.rate * xp
-                - float(sc.gammaln(self.shape))
-            )
-            if out.ndim == 0:
-                return float(out)
-            return out
-        xp = B.xp
-        x = B.as_float(x)
-        xs = xp.where(x > 0, x, 1.0)
-        vals = (
+        x = np.asarray(x, dtype=float)
+        out = np.full(x.shape, -np.inf)
+        pos = x > 0
+        xp = x[pos]
+        out[pos] = (
             self.shape * math.log(self.rate)
-            + (self.shape - 1.0) * xp.log(xs)
-            - self.rate * xs
+            + (self.shape - 1.0) * np.log(xp)
+            - self.rate * xp
             - float(sc.gammaln(self.shape))
         )
-        return xp.where(x > 0, vals, -xp.inf)
+        if out.ndim == 0:
+            return float(out)
+        return out
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Density."""
-        B = _backend.get_namespace(x)
-        if B.is_numpy:
-            return np.exp(self.log_pdf(x))
-        return B.xp.exp(self.log_pdf(x))
+        return np.exp(self.log_pdf(x))
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Cumulative distribution function."""
-        B = _backend.get_namespace(x)
-        if B.is_numpy:
-            x = np.asarray(x, dtype=float)
-            out = sc.gammainc(self.shape, self.rate * np.clip(x, 0.0, None))
-            if out.ndim == 0:
-                return float(out)
-            return out
-        x = B.as_float(x)
-        return B.gammainc(self.shape, self.rate * B.xp.clip(x, 0.0, None))
+        x = np.asarray(x, dtype=float)
+        out = sc.gammainc(self.shape, self.rate * np.clip(x, 0.0, None))
+        if out.ndim == 0:
+            return float(out)
+        return out
 
     def sf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Survival function ``1 - cdf``."""
-        B = _backend.get_namespace(x)
-        if B.is_numpy:
-            x = np.asarray(x, dtype=float)
-            out = sc.gammaincc(self.shape, self.rate * np.clip(x, 0.0, None))
-            if out.ndim == 0:
-                return float(out)
-            return out
-        x = B.as_float(x)
-        return B.gammaincc(self.shape, self.rate * B.xp.clip(x, 0.0, None))
+        x = np.asarray(x, dtype=float)
+        out = sc.gammaincc(self.shape, self.rate * np.clip(x, 0.0, None))
+        if out.ndim == 0:
+            return float(out)
+        return out
 
     def log_cdf(self, x: float) -> float:
         """Log CDF, stable in the deep lower tail."""
@@ -294,13 +248,10 @@ class GammaDistribution:
 
     def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
         """Quantile function (inverse CDF)."""
-        B = _backend.get_namespace(q)
-        if B.is_numpy:
-            out = sc.gammaincinv(self.shape, np.asarray(q, dtype=float)) / self.rate
-            if out.ndim == 0:
-                return float(out)
-            return out
-        return B.gammaincinv(self.shape, B.as_float(q)) / self.rate
+        out = sc.gammaincinv(self.shape, np.asarray(q, dtype=float)) / self.rate
+        if out.ndim == 0:
+            return float(out)
+        return out
 
     def mgf_negative(self, c: float) -> float:
         """``E[exp(-c X)] = (rate / (rate + c))^shape`` for ``c > -rate``.

@@ -30,80 +30,11 @@ from typing import Protocol
 
 import numpy as np
 
-from repro import backend as _backend
-from repro.backend import special as sc
-from repro.backend.core import ArrayBackend
+from repro.stats import scipy_special as sc
 from repro.stats.gamma_dist import GammaDistribution
-from repro.stats.rootfind import (
-    _bisect_batch_functional,
-    bisect_increasing,
-    bisect_increasing_batch,
-)
+from repro.stats.rootfind import bisect_increasing, bisect_increasing_batch
 
-__all__ = [
-    "MixtureDistribution",
-    "MixtureComponent",
-    "mixture_cdf_grid",
-    "mixture_pdf_grid",
-    "mixture_ppf_batch",
-]
-
-
-# ----------------------------------------------------------------------
-# Backend kernels for the gamma fast path.  Module-level pure functions
-# of ``(a, b, weights, x)`` so they can be fed to ``B.jit`` and reused
-# by the benchmark suite; the class methods below wrap them.
-# ----------------------------------------------------------------------
-
-def mixture_pdf_grid(B: ArrayBackend, a, b, log_w, x):
-    """Gamma-mixture density at flat ``x``: one broadcast + logsumexp."""
-    xp = B.xp
-    xs = xp.where(x > 0.0, x, 1.0)[:, None]
-    log_pdf = (
-        a * xp.log(b)
-        + (a - 1.0) * xp.log(xs)
-        - b * xs
-        - B.gammaln(a)
-    )
-    with np.errstate(invalid="ignore"):
-        vals = xp.exp(B.logsumexp(log_w + log_pdf, axis=1))
-    return xp.where(x > 0.0, vals, 0.0)
-
-
-def mixture_cdf_grid(B: ArrayBackend, a, b, weights, x):
-    """Gamma-mixture CDF at flat ``x``: one ``gammainc`` broadcast."""
-    xp = B.xp
-    clipped = xp.clip(x, 0.0, None)[:, None]
-    return xp.sum(B.gammainc(a, b * clipped) * weights, axis=1)
-
-
-def mixture_ppf_batch(
-    B: ArrayBackend,
-    a,
-    b,
-    weights,
-    levels,
-    *,
-    xtol: float = 1e-12,
-    rtol: float = 1e-10,
-    max_iter: int = 200,
-):
-    """Gamma-mixture quantiles on a generic backend: component-quantile
-    bracketing + the functional batch bisection."""
-    xp = B.xp
-    comp_q = B.gammaincinv(a, levels[:, None]) / b
-    lo = xp.min(comp_q, axis=1)
-    hi = xp.max(comp_q, axis=1)
-    hi = xp.maximum(hi, lo)
-    return _bisect_batch_functional(
-        B,
-        lambda x: mixture_cdf_grid(B, a, b, weights, x) - levels,
-        lo,
-        hi,
-        xtol=xtol,
-        rtol=rtol,
-        max_iter=max_iter,
-    )
+__all__ = ["MixtureDistribution", "MixtureComponent"]
 
 
 class MixtureComponent(Protocol):
@@ -166,20 +97,6 @@ class MixtureDistribution:
                 self._log_w = np.log(self._weights)
         else:
             self._a = self._b = self._log_w = None
-        self._backend_params_cache: dict[str, tuple] = {}
-
-    def _backend_params(self, B: ArrayBackend) -> tuple:
-        """Component parameter arrays converted once per backend."""
-        cached = self._backend_params_cache.get(B.name)
-        if cached is None:
-            cached = (
-                B.asarray(self._a),
-                B.asarray(self._b),
-                B.asarray(self._weights),
-                B.asarray(self._log_w),
-            )
-            self._backend_params_cache[B.name] = cached
-        return cached
 
     # ------------------------------------------------------------------
     @property
@@ -288,14 +205,6 @@ class MixtureDistribution:
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Mixture density."""
-        B = _backend.get_namespace(x)
-        if not B.is_numpy and self._a is not None:
-            a, b, _, log_w = self._backend_params(B)
-            arr = B.xp.atleast_1d(B.as_float(x))
-            out = mixture_pdf_grid(B, a, b, log_w, arr.ravel()).reshape(arr.shape)
-            if np.ndim(x) == 0:
-                return float(B.to_numpy(out)[0])
-            return out
         arr = np.asarray(x, dtype=float)
         if self._a is not None:
             out = self._pdf_grid(arr.ravel()).reshape(arr.shape)
@@ -311,14 +220,6 @@ class MixtureDistribution:
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Mixture CDF."""
-        B = _backend.get_namespace(x)
-        if not B.is_numpy and self._a is not None:
-            a, b, w, _ = self._backend_params(B)
-            arr = B.xp.atleast_1d(B.as_float(x))
-            out = mixture_cdf_grid(B, a, b, w, arr.ravel()).reshape(arr.shape)
-            if np.ndim(x) == 0:
-                return float(B.to_numpy(out)[0])
-            return out
         arr = np.asarray(x, dtype=float)
         if self._a is not None:
             out = self._cdf_grid(arr.ravel()).reshape(arr.shape)
@@ -348,18 +249,6 @@ class MixtureDistribution:
             If the bisection budget is exhausted before convergence
             (never silently returns an unconverged midpoint).
         """
-        B = _backend.get_namespace(q)
-        if not B.is_numpy and self._a is not None:
-            a, b, w, _ = self._backend_params(B)
-            levels = B.xp.atleast_1d(B.as_float(q))
-            if int(levels.size) == 0:
-                return levels
-            if not bool(B.xp.all((levels > 0.0) & (levels < 1.0))):
-                raise ValueError("quantile level must be in (0, 1)")
-            out = mixture_ppf_batch(B, a, b, w, levels)
-            if np.ndim(q) == 0:
-                return float(B.to_numpy(out)[0])
-            return out
         scalar = np.ndim(q) == 0
         levels = np.atleast_1d(np.asarray(q, dtype=float))
         if levels.size == 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from repro.backend import special as sc
+from repro.stats import scipy_special as sc
 
 __all__ = [
     "log_poisson_pmf",

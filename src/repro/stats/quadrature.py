@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from repro.backend import special as sc
+from repro.stats import scipy_special as sc
 
 __all__ = ["gauss_legendre_panel", "simpson_weights", "TensorGrid"]
 

@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import backend as _backend
 from repro import obs
-from repro.backend.core import ArrayBackend
 from repro.exceptions import ConvergenceError
+from repro.stats.special import as_float
 
 __all__ = [
     "bisect_increasing",
@@ -148,13 +147,8 @@ def bisect_increasing_batch(
         any lane exhausts the budget; the error carries the widest
         unconverged bracket as ``residual``.
     """
-    B = _backend.get_namespace(lo, hi)
-    if not B.is_numpy:
-        return _bisect_batch_functional(
-            B, f, lo, hi, xtol=xtol, rtol=rtol, max_iter=max_iter
-        )
-    lo = np.array(_backend.as_float(lo))
-    hi = np.array(_backend.as_float(hi))
+    lo = np.array(as_float(lo))
+    hi = np.array(as_float(hi))
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ValueError(
             f"lo/hi must be matching 1-D arrays, got {lo.shape} and {hi.shape}"
@@ -168,8 +162,8 @@ def bisect_increasing_batch(
     out[frozen] = lo[frozen]
     if frozen.all():
         return out
-    f_lo = _backend.as_float(f(lo))
-    f_hi = _backend.as_float(f(hi))
+    f_lo = as_float(f(lo))
+    f_hi = as_float(f(hi))
     bad_lo = ~frozen & (f_lo > 0.0)
     if np.any(bad_lo):
         pinned = bad_lo & (f_lo < _EDGE_TOL)
@@ -203,7 +197,7 @@ def bisect_increasing_batch(
         frozen |= done
         if frozen.all():
             return out
-        f_mid = _backend.as_float(f(mid))
+        f_mid = as_float(f(mid))
         below = ~frozen & (f_mid < 0.0)
         above = ~frozen & ~below
         lo[below] = mid[below]
@@ -218,93 +212,6 @@ def bisect_increasing_batch(
             iterations=max_iter,
             width=width,
             lanes=int(open_lanes.sum()),
-        )
-    return out
-
-
-def _bisect_batch_functional(
-    B: ArrayBackend,
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    *,
-    xtol: float,
-    rtol: float,
-    max_iter: int,
-) -> np.ndarray:
-    """Generic-backend variant of :func:`bisect_increasing_batch`.
-
-    Same bracket/update/stopping rules, expressed with full-width
-    ``where`` masking instead of boolean-compressed in-place stores, so
-    the loop body is pure array ops the accelerator backends support
-    (JAX arrays are immutable).  Control flow (convergence tests) syncs
-    a scalar per step, which is negligible next to the lane-wide ``f``
-    evaluation this loop exists to batch.
-    """
-    xp = B.xp
-    lo = B.as_float(lo)
-    hi = B.as_float(hi)
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError(
-            f"lo/hi must be matching 1-D arrays, got {lo.shape} and {hi.shape}"
-        )
-    if bool(xp.any(hi < lo)):
-        bad = int(xp.argmax(hi < lo))
-        raise ValueError(
-            f"invalid bracket in lane {bad}: lo={lo[bad]}, hi={hi[bad]}"
-        )
-    out = xp.full(lo.shape, xp.nan)
-    frozen = lo == hi
-    out = xp.where(frozen, lo, out)
-    if bool(xp.all(frozen)):
-        return out
-    f_lo = B.as_float(f(lo))
-    f_hi = B.as_float(f(hi))
-    bad_lo = ~frozen & (f_lo > 0.0)
-    pinned = bad_lo & (f_lo < _EDGE_TOL)
-    out = xp.where(pinned, lo, out)
-    frozen = frozen | pinned
-    if bool(xp.any(bad_lo & ~pinned)):
-        lane = int(xp.argmax(bad_lo & ~pinned))
-        raise ConvergenceError(
-            f"bisect_increasing_batch: f(lo)={float(f_lo[lane]):.3g} > 0 "
-            f"at lo={float(lo[lane]):.6g} (lane {lane})"
-        )
-    bad_hi = ~frozen & (f_hi < 0.0)
-    pinned = bad_hi & (f_hi > -_EDGE_TOL)
-    out = xp.where(pinned, hi, out)
-    frozen = frozen | pinned
-    if bool(xp.any(bad_hi & ~pinned)):
-        lane = int(xp.argmax(bad_hi & ~pinned))
-        raise ConvergenceError(
-            f"bisect_increasing_batch: f(hi)={float(f_hi[lane]):.3g} < 0 "
-            f"at hi={float(hi[lane]):.6g} (lane {lane})"
-        )
-    for _ in range(max_iter):
-        if bool(xp.all(frozen)):
-            return out
-        mid = 0.5 * (lo + hi)
-        done = ~frozen & ((hi - lo) <= xtol + rtol * xp.abs(mid))
-        out = xp.where(done, mid, out)
-        frozen = frozen | done
-        if bool(xp.all(frozen)):
-            return out
-        f_mid = B.as_float(f(mid))
-        below = ~frozen & (f_mid < 0.0)
-        above = ~frozen & ~below
-        lo = xp.where(below, mid, lo)
-        hi = xp.where(above, mid, hi)
-    open_lanes = ~frozen
-    if bool(xp.any(open_lanes)):
-        width = float(xp.max(xp.where(open_lanes, hi - lo, -xp.inf)))
-        count = int(xp.sum(open_lanes))
-        raise _divergence_error(
-            f"bisect_increasing_batch: {count} of {lo.shape[0]} lanes did "
-            f"not converge within {max_iter} iterations "
-            f"(widest remaining bracket {width:.3e})",
-            iterations=max_iter,
-            width=width,
-            lanes=count,
         )
     return out
 
@@ -478,22 +385,12 @@ def solve_fixed_point_batch(
     negligible mixture mass stop early at a loose tolerance while the
     lanes that matter iterate to the tight one. Each lane remains
     bit-identical to the scalar solver run at *that lane's* tolerance.
-
-    Non-numpy iterates (or a non-numpy default backend) route to a
-    functional variant of the same lock-step iteration — full-width
-    ``where`` freezing instead of compressed live lanes, with ``f``
-    called on every lane each step — which skips the per-lane
-    residual-history ring (histories come back empty).
     """
-    B = _backend.get_namespace(x0)
-    if B.is_numpy:
-        x = np.array(_backend.as_float(x0))
-    else:
-        x = B.as_float(x0)
+    x = np.array(as_float(x0))
     if x.ndim != 1:
         raise ValueError(f"x0 must be a 1-D array, got shape {x.shape}")
-    if bool(B.xp.any(~(x > 0.0))):
-        bad = int(B.xp.argmax(~(x > 0.0)))
+    if np.any(~(x > 0.0)):
+        bad = int(np.argmax(~(x > 0.0)))
         raise ValueError(f"x0 must be positive, got {x[bad]} in lane {bad}")
     if isinstance(rtol, np.ndarray):
         rtol = np.asarray(rtol, dtype=float)
@@ -510,13 +407,7 @@ def solve_fixed_point_batch(
             )
     n = x.size
     with obs.span("fixed_point.batch", level="debug", lanes=n) as sp:
-        if B.is_numpy:
-            result = _solve_batch_inner(f, x, rtol, max_iter, use_aitken)
-        else:
-            every_lane = np.arange(n)
-            result = _solve_batch_functional(
-                B, lambda v: f(v, every_lane), x, rtol, max_iter, use_aitken
-            )
+        result = _solve_batch_inner(f, x, rtol, max_iter, use_aitken)
         if lane_label is not None:
             result = dataclasses.replace(result, lane_label=lane_label)
         # The span is the shared no-op handle when the collector sits
@@ -568,7 +459,7 @@ def _solve_batch_inner(
         # residual, exactly as the scalar solver reports it; returns
         # (values, mask of the lanes that stay).
         nonlocal evaluations
-        fx = _backend.as_float(f(points, live))
+        fx = as_float(f(points, live))
         evaluations += 1
         iterations[live] += 1
         ok = fx > 0.0
@@ -647,113 +538,6 @@ def _solve_batch_inner(
         aitken_steps=aitken_steps,
         history_ring=ring,
         history_counts=ring_count,
-    )
-
-
-def _solve_batch_functional(
-    B: ArrayBackend,
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    rtol: float | np.ndarray,
-    max_iter: int,
-    use_aitken: bool,
-) -> BatchFixedPointResult:
-    """Generic-backend variant of :func:`_solve_batch_inner`.
-
-    The same lock-step iteration — shared evaluation budget, per-lane
-    freezing, lane-wise Aitken acceptance — rewritten as pure array ops
-    (``where`` masking, no in-place stores) so it runs on immutable
-    device arrays.  Two deliberate simplifications versus the NumPy
-    reference: division guards use a ``where`` placeholder instead of
-    ``errstate``, and the per-lane residual-history ring is not kept
-    (histories come back empty; residual/iteration stats are intact).
-    Failed lanes emit the same divergence telemetry, once, at freeze
-    time.
-    """
-    xp = B.xp
-    n = x.shape[0]
-    frozen = xp.zeros(n, dtype=bool)
-    converged = xp.zeros(n, dtype=bool)
-    iterations = xp.zeros(n, dtype=xp.int64)
-    residual = xp.full(n, xp.inf)
-    aitken_steps = xp.zeros(n, dtype=xp.int64)
-    empty_ring = np.empty((n, 0))
-    zero_counts = np.zeros(n, dtype=np.int64)
-
-    def freeze_failures(mask):
-        if bool(xp.any(mask)):
-            _emit_lane_divergence(
-                np.flatnonzero(B.to_numpy(mask)),
-                B.to_numpy(iterations),
-                B.to_numpy(residual),
-                empty_ring,
-                zero_counts,
-            )
-
-    evaluations = 0
-    while evaluations < max_iter and not bool(xp.all(frozen)):
-        active = ~frozen
-        fx = B.as_float(f(x))
-        evaluations += 1
-        iterations = iterations + active.astype(xp.int64)
-        bad = active & ~(fx > 0.0)
-        freeze_failures(bad)
-        frozen = frozen | bad
-        active = active & ~bad
-        step = xp.abs(fx - x) / xp.where(fx > 0.0, fx, 1.0)
-        residual = xp.where(active, step, residual)
-        done = active & (step <= rtol)
-        x = xp.where(done, fx, x)
-        frozen = frozen | done
-        converged = converged | done
-        active = active & ~done
-        if not bool(xp.any(active)):
-            continue
-        if use_aitken and evaluations + 1 <= max_iter:
-            x_prev = x
-            x1 = xp.where(active, fx, x)
-            fx2 = B.as_float(f(x1))
-            evaluations += 1
-            iterations = iterations + active.astype(xp.int64)
-            bad2 = active & ~(fx2 > 0.0)
-            freeze_failures(bad2)
-            frozen = frozen | bad2
-            active = active & ~bad2
-            step2 = xp.abs(fx2 - x1) / xp.where(fx2 > 0.0, fx2, 1.0)
-            residual = xp.where(active, step2, residual)
-            done2 = active & (step2 <= rtol)
-            x = xp.where(done2, fx2, x)
-            frozen = frozen | done2
-            converged = converged | done2
-            active = active & ~done2
-            if not bool(xp.any(active)):
-                continue
-            denom = fx2 - 2.0 * x1 + x_prev
-            ok = active & (denom != 0.0)
-            accelerated = x_prev - (x1 - x_prev) ** 2 / xp.where(
-                denom != 0.0, denom, 1.0
-            )
-            accept = ok & (accelerated > 0.0)
-            x = xp.where(accept, accelerated, x)
-            aitken_steps = aitken_steps + accept.astype(xp.int64)
-            plain = active & ~accept
-            x = xp.where(plain, fx2, x)
-        else:
-            x = xp.where(active, fx, x)
-    if obs.enabled() and bool(xp.any(converged)):
-        obs.counter_add("fixed_point.solves", int(xp.sum(converged)))
-        accepted = int(xp.sum(xp.where(converged, aitken_steps, 0)))
-        if accepted:
-            obs.counter_add("fixed_point.aitken_accepted", accepted)
-    freeze_failures(~frozen)  # budget exhausted
-    return BatchFixedPointResult(
-        values=x,
-        iterations=iterations,
-        converged=converged,
-        residuals=residual,
-        aitken_steps=aitken_steps,
-        history_ring=empty_ring,
-        history_counts=zero_counts,
     )
 
 

@@ -1,22 +1,13 @@
 """The package's single :mod:`scipy.special` import site.
 
 Every other module that needs a special function imports it from here
-(``from repro.backend import special as sc``) instead of from scipy
+(``from repro.stats import scipy_special as sc``) instead of from scipy
 directly.  The re-exported names *are* the scipy ufunc objects — not
-wrappers — so the NumPy reference path pays zero indirection and stays
-bit-exact with code that imported scipy itself.  Centralising the
-import buys two things:
-
-* one place to see exactly which special functions the reproduction
-  depends on (the accelerator adapters must cover this list), and
-* a lint-style guarantee (``tests/backend/test_special_lint.py``) that
-  no module quietly grows a scipy.special dependency the backends
-  cannot serve.
-
-Accelerator backends do **not** import this module's functions; each
-:class:`repro.backend.ArrayBackend` carries its own implementations
-(see ``repro/backend/core.py``).  This module is the NumPy reference
-set.
+wrappers — so callers pay zero indirection and stay bit-exact with
+code that imported scipy itself.  Centralising the import buys one
+place to see exactly which special functions the reproduction depends
+on, guarded by a lint-style test (``tests/stats/test_special_lint.py``)
+that no module quietly grows a direct scipy.special dependency.
 """
 
 from __future__ import annotations

@@ -17,17 +17,6 @@ just 0-d instances of the vectorized code path (numpy ufuncs give
 identical results regardless of array length, which
 ``tests/stats/test_special.py`` pins).
 
-Backend dispatch
-----------------
-Each helper routes through :func:`repro.backend.get_namespace`.  On the
-NumPy reference backend the original code runs verbatim (the dispatch
-indirection does not change a single bit); on the generic backends
-(``portable``/``jax``/``cupy``) a functional ``where``-style variant of
-the same algorithm runs instead — no boolean compression, no in-place
-stores — so the same helpers are usable from JIT-compiled kernels.  The
-generic variants skip input *validation* (raising is impossible under a
-JAX trace); the reference backend keeps it.
-
 Conventions
 -----------
 All gamma distributions in this package use the *rate* parametrisation:
@@ -41,11 +30,10 @@ import math
 
 import numpy as np
 
-from repro import backend as _backend
-from repro.backend import special as sc
-from repro.backend.core import ArrayBackend
+from repro.stats import scipy_special as sc
 
 __all__ = [
+    "as_float",
     "log1mexp",
     "logsumexp",
     "log_sum_exp",
@@ -63,6 +51,20 @@ __all__ = [
 _LOG_HALF = math.log(0.5)
 
 
+def as_float(values) -> np.ndarray:
+    """Coerce to a floating array *following the input's dtype*.
+
+    Floating inputs keep their precision (float32 stays float32);
+    integer/bool inputs promote to float64.  The hot kernels use this
+    instead of a hard-coded ``asarray(..., dtype=float)`` cast, which
+    would silently force float64 on every input.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind != "f":
+        arr = np.asarray(arr, dtype=np.float64)
+    return arr
+
+
 def log1mexp(x: float | np.ndarray) -> float | np.ndarray:
     """Compute ``log(1 - exp(x))`` for ``x < 0`` without loss of precision.
 
@@ -74,39 +76,26 @@ def log1mexp(x: float | np.ndarray) -> float | np.ndarray:
     x:
         Strictly negative value(s). ``x == 0`` maps to ``-inf``.
     """
-    B = _backend.get_namespace(x)
-    if B.is_numpy:
-        x = np.asarray(x, dtype=float)
-        if np.any(x > 0):
-            raise ValueError("log1mexp requires x <= 0")
-        with np.errstate(divide="ignore"):
-            out = np.where(
-                x > _LOG_HALF,
-                np.log(-np.expm1(x)),
-                np.log1p(-np.exp(x)),
-            )
-        if out.ndim == 0:
-            return float(out)
-        return out
-    return _log1mexp_arrays(B, B.as_float(x))
-
-
-def _log1mexp_arrays(B: ArrayBackend, x):
-    xp = B.xp
+    x = np.asarray(x, dtype=float)
+    if np.any(x > 0):
+        raise ValueError("log1mexp requires x <= 0")
     with np.errstate(divide="ignore"):
-        return xp.where(
+        out = np.where(
             x > _LOG_HALF,
-            xp.log(-xp.expm1(x)),
-            xp.log1p(-xp.exp(x)),
+            np.log(-np.expm1(x)),
+            np.log1p(-np.exp(x)),
         )
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def logsumexp(values: np.ndarray, weights: np.ndarray | None = None) -> float:
     """Stable ``log(sum(w * exp(v)))`` reduction over a 1-D array.
 
-    Thin wrapper around ``scipy.special.logsumexp`` (via the backend
-    shim) that always returns a plain float and tolerates ``-inf``
-    entries.
+    Thin wrapper around ``scipy.special.logsumexp`` (via the
+    :mod:`repro.stats.scipy_special` shim) that always returns a plain
+    float and tolerates ``-inf`` entries.
     """
     values = np.asarray(values, dtype=float)
     if weights is None:
@@ -129,12 +118,37 @@ def log_sum_exp_stream(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     :func:`log_sum_exp` (pinned by ``tests/stats/test_special.py``).
 
     Segments of size zero (``starts[k] == starts[k+1]``, or a trailing
-    start at ``len(values)``) are the empty sum and reduce to ``-inf``.
-    Non-numpy arrays dispatch to their backend's segment-scatter
-    implementation (same convention, ``starts[0]`` must be 0 there).
+    start at ``len(values)``) are the empty sum and reduce to ``-inf``
+    — raw ``reduceat`` would instead misread them as one-element
+    segments (or raise at the boundary), which is why they get an
+    explicit branch.
     """
-    B = _backend.get_namespace(values)
-    return B.log_sum_exp_stream(values, starts)
+    values = np.asarray(values, dtype=float)
+    starts = np.asarray(starts, dtype=np.intp)
+    if starts.size == 0:
+        return np.empty(0)
+    sizes = np.diff(np.append(starts, values.size))
+    if starts[0] < 0 or np.any(sizes < 0):
+        raise ValueError(
+            "starts must be non-decreasing and within [0, len(values)]"
+        )
+    empty = sizes == 0
+    if np.any(empty):
+        out = np.full(starts.shape, -np.inf)
+        nonempty = ~empty
+        if np.any(nonempty):
+            # Zero-width segments drop out without moving any boundary,
+            # so reducing the surviving starts reduces the same slices —
+            # bit-identical to reducing them in the full call.
+            out[nonempty] = log_sum_exp_stream(values, starts[nonempty])
+        return out
+    maxima = np.maximum.reduceat(values, starts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shifted = np.exp(values - np.repeat(maxima, sizes))
+        out = maxima + np.log(np.add.reduceat(shifted, starts))
+    # A segment whose max is not finite (all -inf, or a +inf entry)
+    # reduces to nan above; the limit value is the max itself.
+    return np.where(np.isfinite(maxima), out, maxima)
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -158,16 +172,6 @@ def _broadcast(*args):
     return scalar, tuple(np.broadcast_arrays(*(np.atleast_1d(a) for a in arrays)))
 
 
-def _broadcast_generic(B: ArrayBackend, *args):
-    """Generic-path counterpart of :func:`_broadcast`."""
-    xp = B.xp
-    arrays = [B.as_float(a) for a in args]
-    scalar = all(getattr(a, "ndim", 0) == 0 for a in arrays)
-    if len(arrays) == 1:
-        return scalar, (xp.atleast_1d(arrays[0]),)
-    return scalar, tuple(xp.broadcast_arrays(*(xp.atleast_1d(a) for a in arrays)))
-
-
 def log_gamma_cdf(
     x: float | np.ndarray, shape: float, rate: float | np.ndarray
 ) -> float | np.ndarray:
@@ -177,38 +181,21 @@ def log_gamma_cdf(
     ``P(shape, rate*x)``; falls back to an asymptotic series via the
     survival complement when the CDF underflows.
     """
-    B = _backend.get_namespace(x, rate)
-    if B.is_numpy:
-        scalar, (x_a, rate_a) = _broadcast(x, rate)
-        out = np.full(x_a.shape, -np.inf)
-        pos = x_a > 0.0
-        if np.any(pos):
-            z = rate_a[pos] * x_a[pos]
-            p = sc.gammainc(shape, z)
-            vals = np.empty_like(p)
-            nz = p > 0.0
-            vals[nz] = np.log(p[nz])
-            if not np.all(nz):
-                # Deep lower tail: P(a, z) ~ z^a e^{-z} / Gamma(a+1) for z << a.
-                zz = z[~nz]
-                vals[~nz] = shape * np.log(zz) - zz - float(sc.gammaln(shape + 1.0))
-            out[pos] = vals
-        return float(out[0]) if scalar else out
-    scalar, (x_a, rate_a) = _broadcast_generic(B, x, rate)
-    out = _log_gamma_cdf_arrays(B, x_a, shape, rate_a)
+    scalar, (x_a, rate_a) = _broadcast(x, rate)
+    out = np.full(x_a.shape, -np.inf)
+    pos = x_a > 0.0
+    if np.any(pos):
+        z = rate_a[pos] * x_a[pos]
+        p = sc.gammainc(shape, z)
+        vals = np.empty_like(p)
+        nz = p > 0.0
+        vals[nz] = np.log(p[nz])
+        if not np.all(nz):
+            # Deep lower tail: P(a, z) ~ z^a e^{-z} / Gamma(a+1) for z << a.
+            zz = z[~nz]
+            vals[~nz] = shape * np.log(zz) - zz - float(sc.gammaln(shape + 1.0))
+        out[pos] = vals
     return float(out[0]) if scalar else out
-
-
-def _log_gamma_cdf_arrays(B: ArrayBackend, x_a, shape, rate_a):
-    xp = B.xp
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = rate_a * x_a
-        zs = xp.where(z > 0.0, z, 1.0)
-        p = B.gammainc(shape, zs)
-        logp = xp.log(xp.where(p > 0.0, p, 1.0))
-        asym = shape * xp.log(zs) - zs - B.gammaln(xp.asarray(shape + 1.0))
-        vals = xp.where(p > 0.0, logp, asym)
-        return xp.where(x_a > 0.0, vals, -xp.inf)
 
 
 def log_gamma_sf(
@@ -221,54 +208,29 @@ def log_gamma_sf(
     ``Q(a, z) ~ z^(a-1) e^{-z} / Γ(a)`` when ``Q`` underflows (deep right
     tail, ``z >> a``).
     """
-    B = _backend.get_namespace(x, rate)
-    if B.is_numpy:
-        scalar, (x_a, rate_a) = _broadcast(x, rate)
-        out = np.zeros(x_a.shape)
-        pos = x_a > 0.0
-        if np.any(pos):
-            z = rate_a[pos] * x_a[pos]
-            q = sc.gammaincc(shape, z)
-            vals = np.empty_like(q)
-            nz = q > 0.0
-            vals[nz] = np.log(q[nz])
-            if not np.all(nz):
-                # First-order asymptotic with one correction term.
-                zz = z[~nz]
-                correction = np.where(
-                    zz > abs(shape - 1.0), np.log1p((shape - 1.0) / zz), 0.0
-                )
-                vals[~nz] = (
-                    (shape - 1.0) * np.log(zz)
-                    - zz
-                    - float(sc.gammaln(shape))
-                    + correction
-                )
-            out[pos] = vals
-        return float(out[0]) if scalar else out
-    scalar, (x_a, rate_a) = _broadcast_generic(B, x, rate)
-    out = _log_gamma_sf_arrays(B, x_a, shape, rate_a)
+    scalar, (x_a, rate_a) = _broadcast(x, rate)
+    out = np.zeros(x_a.shape)
+    pos = x_a > 0.0
+    if np.any(pos):
+        z = rate_a[pos] * x_a[pos]
+        q = sc.gammaincc(shape, z)
+        vals = np.empty_like(q)
+        nz = q > 0.0
+        vals[nz] = np.log(q[nz])
+        if not np.all(nz):
+            # First-order asymptotic with one correction term.
+            zz = z[~nz]
+            correction = np.where(
+                zz > abs(shape - 1.0), np.log1p((shape - 1.0) / zz), 0.0
+            )
+            vals[~nz] = (
+                (shape - 1.0) * np.log(zz)
+                - zz
+                - float(sc.gammaln(shape))
+                + correction
+            )
+        out[pos] = vals
     return float(out[0]) if scalar else out
-
-
-def _log_gamma_sf_arrays(B: ArrayBackend, x_a, shape, rate_a):
-    xp = B.xp
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = rate_a * x_a
-        zs = xp.where(z > 0.0, z, 1.0)
-        q = B.gammaincc(shape, zs)
-        logq = xp.log(xp.where(q > 0.0, q, 1.0))
-        correction = xp.where(
-            zs > abs(shape - 1.0), xp.log1p((shape - 1.0) / zs), 0.0
-        )
-        asym = (
-            (shape - 1.0) * xp.log(zs)
-            - zs
-            - B.gammaln(xp.asarray(float(shape)))
-            + correction
-        )
-        vals = xp.where(q > 0.0, logq, asym)
-        return xp.where(x_a > 0.0, vals, 0.0)
 
 
 def gamma_sf_ratio(
@@ -282,40 +244,23 @@ def gamma_sf_ratio(
     ``E[T | T > x] = (shape / rate) * gamma_sf_ratio(x, shape, rate)``.
     The ratio tends to ``rate * x / shape`` as ``x → ∞``.
     """
-    B = _backend.get_namespace(x, rate)
-    if B.is_numpy:
-        scalar, (x_a, rate_a) = _broadcast(x, rate)
-        out = np.ones(x_a.shape)
-        pos = x_a > 0.0
-        if np.any(pos):
-            xs = x_a[pos]
-            rs = rate_a[pos]
-            log_num = np.atleast_1d(log_gamma_sf(xs, shape + 1.0, rs))
-            log_den = np.atleast_1d(log_gamma_sf(xs, shape, rs))
-            finite = np.isfinite(log_num) & np.isfinite(log_den)
-            vals = np.empty_like(log_num)
-            vals[finite] = np.exp(log_num[finite] - log_den[finite])
-            if not np.all(finite):
-                # Both tails underflowed even in log space (cannot happen with
-                # the asymptotic branches above, but keep a safe limit form).
-                vals[~finite] = rs[~finite] * xs[~finite] / shape
-            out[pos] = vals
-        return float(out[0]) if scalar else out
-    scalar, (x_a, rate_a) = _broadcast_generic(B, x, rate)
-    out = _gamma_sf_ratio_arrays(B, x_a, shape, rate_a)
+    scalar, (x_a, rate_a) = _broadcast(x, rate)
+    out = np.ones(x_a.shape)
+    pos = x_a > 0.0
+    if np.any(pos):
+        xs = x_a[pos]
+        rs = rate_a[pos]
+        log_num = np.atleast_1d(log_gamma_sf(xs, shape + 1.0, rs))
+        log_den = np.atleast_1d(log_gamma_sf(xs, shape, rs))
+        finite = np.isfinite(log_num) & np.isfinite(log_den)
+        vals = np.empty_like(log_num)
+        vals[finite] = np.exp(log_num[finite] - log_den[finite])
+        if not np.all(finite):
+            # Both tails underflowed even in log space (cannot happen with
+            # the asymptotic branches above, but keep a safe limit form).
+            vals[~finite] = rs[~finite] * xs[~finite] / shape
+        out[pos] = vals
     return float(out[0]) if scalar else out
-
-
-def _gamma_sf_ratio_arrays(B: ArrayBackend, x_a, shape, rate_a):
-    xp = B.xp
-    log_num = _log_gamma_sf_arrays(B, x_a, shape + 1.0, rate_a)
-    log_den = _log_gamma_sf_arrays(B, x_a, shape, rate_a)
-    finite = xp.isfinite(log_num) & xp.isfinite(log_den)
-    with np.errstate(invalid="ignore", over="ignore"):
-        ratio = xp.exp(xp.where(finite, log_num - log_den, 0.0))
-        limit = rate_a * x_a / shape
-        vals = xp.where(finite, ratio, limit)
-        return xp.where(x_a > 0.0, vals, 1.0)
 
 
 def gamma_cdf_increment(
@@ -329,38 +274,25 @@ def gamma_cdf_increment(
     Chooses between a CDF difference and an SF difference so that the
     subtraction happens on the smaller (better conditioned) tail.
     """
-    B = _backend.get_namespace(lo, hi, rate)
-    if B.is_numpy:
-        scalar, (lo_a, hi_a, rate_a) = _broadcast(lo, hi, rate)
-        if np.any(lo_a < 0.0) or np.any(lo_a >= hi_a):
-            bad = np.argmax((lo_a < 0.0) | (lo_a >= hi_a))
-            raise ValueError(
-                f"need 0 <= lo < hi, got lo={lo_a.ravel()[bad]}, "
-                f"hi={hi_a.ravel()[bad]}"
-            )
-        out = np.empty(lo_a.shape)
-        lower = hi_a <= shape / rate_a  # mean as a cheap centre proxy
-        if np.any(lower):
-            out[lower] = sc.gammainc(shape, rate_a[lower] * hi_a[lower]) - sc.gammainc(
-                shape, rate_a[lower] * lo_a[lower]
-            )
-        upper = ~lower
-        if np.any(upper):
-            out[upper] = sc.gammaincc(shape, rate_a[upper] * lo_a[upper]) - sc.gammaincc(
-                shape, rate_a[upper] * hi_a[upper]
-            )
-        return float(out[0]) if scalar else out
-    scalar, (lo_a, hi_a, rate_a) = _broadcast_generic(B, lo, hi, rate)
-    out = _gamma_cdf_increment_arrays(B, lo_a, hi_a, shape, rate_a)
-    return float(out[0]) if scalar else out
-
-
-def _gamma_cdf_increment_arrays(B: ArrayBackend, lo_a, hi_a, shape, rate_a):
-    xp = B.xp
+    scalar, (lo_a, hi_a, rate_a) = _broadcast(lo, hi, rate)
+    if np.any(lo_a < 0.0) or np.any(lo_a >= hi_a):
+        bad = np.argmax((lo_a < 0.0) | (lo_a >= hi_a))
+        raise ValueError(
+            f"need 0 <= lo < hi, got lo={lo_a.ravel()[bad]}, "
+            f"hi={hi_a.ravel()[bad]}"
+        )
+    out = np.empty(lo_a.shape)
     lower = hi_a <= shape / rate_a  # mean as a cheap centre proxy
-    cdf_diff = B.gammainc(shape, rate_a * hi_a) - B.gammainc(shape, rate_a * lo_a)
-    sf_diff = B.gammaincc(shape, rate_a * lo_a) - B.gammaincc(shape, rate_a * hi_a)
-    return xp.where(lower, cdf_diff, sf_diff)
+    if np.any(lower):
+        out[lower] = sc.gammainc(shape, rate_a[lower] * hi_a[lower]) - sc.gammainc(
+            shape, rate_a[lower] * lo_a[lower]
+        )
+    upper = ~lower
+    if np.any(upper):
+        out[upper] = sc.gammaincc(shape, rate_a[upper] * lo_a[upper]) - sc.gammaincc(
+            shape, rate_a[upper] * hi_a[upper]
+        )
+    return float(out[0]) if scalar else out
 
 
 def log_gamma_cdf_increment(
@@ -371,48 +303,29 @@ def log_gamma_cdf_increment(
 ) -> float | np.ndarray:
     """``log P(lo < T <= hi)`` for a gamma variable, stable when the
     interval sits far out in either tail."""
-    B = _backend.get_namespace(lo, hi, rate)
-    if B.is_numpy:
-        scalar, (lo_a, hi_a, rate_a) = _broadcast(lo, hi, rate)
-        inc = np.atleast_1d(gamma_cdf_increment(lo_a, hi_a, shape, rate_a))
-        out = np.empty(inc.shape)
-        pos = inc > 0.0
-        out[pos] = np.log(inc[pos])
-        if not np.all(pos):
-            # Interval so deep in a tail that the difference underflows: use
-            # log-space difference of survival functions.
-            neg = ~pos
-            log_sf_lo = np.atleast_1d(log_gamma_sf(lo_a[neg], shape, rate_a[neg]))
-            log_sf_hi = np.atleast_1d(log_gamma_sf(hi_a[neg], shape, rate_a[neg]))
-            vals = np.full(log_sf_lo.shape, -np.inf)
-            ok = log_sf_lo > log_sf_hi  # else: numerically equal tails -> -inf
-            if np.any(ok):
-                diff = np.minimum(log_sf_hi[ok] - log_sf_lo[ok], -1e-300)
-                vals[ok] = log_sf_lo[ok] + np.atleast_1d(log1mexp(diff))
-            out[neg] = vals
-        return float(out[0]) if scalar else out
-    scalar, (lo_a, hi_a, rate_a) = _broadcast_generic(B, lo, hi, rate)
-    out = _log_gamma_cdf_increment_arrays(B, lo_a, hi_a, shape, rate_a)
-    return float(out[0]) if scalar else out
-
-
-def _log_gamma_cdf_increment_arrays(B: ArrayBackend, lo_a, hi_a, shape, rate_a):
-    xp = B.xp
-    inc = _gamma_cdf_increment_arrays(B, lo_a, hi_a, shape, rate_a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        loginc = xp.log(xp.where(inc > 0.0, inc, 1.0))
-        log_sf_lo = _log_gamma_sf_arrays(B, lo_a, shape, rate_a)
-        log_sf_hi = _log_gamma_sf_arrays(B, hi_a, shape, rate_a)
+    scalar, (lo_a, hi_a, rate_a) = _broadcast(lo, hi, rate)
+    inc = np.atleast_1d(gamma_cdf_increment(lo_a, hi_a, shape, rate_a))
+    out = np.empty(inc.shape)
+    pos = inc > 0.0
+    out[pos] = np.log(inc[pos])
+    if not np.all(pos):
+        # Interval so deep in a tail that the difference underflows: use
+        # log-space difference of survival functions.
+        neg = ~pos
+        log_sf_lo = np.atleast_1d(log_gamma_sf(lo_a[neg], shape, rate_a[neg]))
+        log_sf_hi = np.atleast_1d(log_gamma_sf(hi_a[neg], shape, rate_a[neg]))
+        vals = np.full(log_sf_lo.shape, -np.inf)
         ok = log_sf_lo > log_sf_hi  # else: numerically equal tails -> -inf
-        diff = xp.minimum(xp.where(ok, log_sf_hi - log_sf_lo, -1.0), -1e-300)
-        tail = xp.where(ok, log_sf_lo + _log1mexp_arrays(B, diff), -xp.inf)
-        return xp.where(inc > 0.0, loginc, tail)
+        if np.any(ok):
+            diff = np.minimum(log_sf_hi[ok] - log_sf_lo[ok], -1e-300)
+            vals[ok] = log_sf_lo[ok] + np.atleast_1d(log1mexp(diff))
+        out[neg] = vals
+    return float(out[0]) if scalar else out
 
 
 def log_factorial(n: int | np.ndarray) -> float | np.ndarray:
     """``log(n!)`` via ``gammaln(n+1)``."""
-    B = _backend.get_namespace(n)
-    result = B.gammaln(B.as_float(n) + 1.0)
+    result = sc.gammaln(as_float(n) + 1.0)
     if np.ndim(n) == 0:
         return float(result)
     return result
@@ -420,7 +333,7 @@ def log_factorial(n: int | np.ndarray) -> float | np.ndarray:
 
 def log_gamma_fn(x: float | np.ndarray) -> float | np.ndarray:
     """``log Γ(x)``; plain re-export with float coercion for scalars."""
-    result = _backend.get_namespace(x).gammaln(x)
+    result = sc.gammaln(x)
     if np.ndim(x) == 0:
         return float(result)
     return result
@@ -428,7 +341,7 @@ def log_gamma_fn(x: float | np.ndarray) -> float | np.ndarray:
 
 def digamma(x: float | np.ndarray) -> float | np.ndarray:
     """Digamma ``ψ(x)``; plain re-export with float coercion for scalars."""
-    result = _backend.get_namespace(x).digamma(x)
+    result = sc.digamma(x)
     if np.ndim(x) == 0:
         return float(result)
     return result

@@ -15,25 +15,18 @@ Both follow from the identity
 Like the helpers in :mod:`repro.stats.special`, the moment functions
 accept scalars or broadcastable arrays for ``cut``/``lo``/``hi``/``rate``
 and evaluate element-wise through the same ufuncs either way, so the
-batched fit engine sees bit-identical values to the scalar path.  On
-the NumPy reference backend the original code runs verbatim; non-numpy
-backends take functional ``where``-style variants of the same formulas
-(see :mod:`repro.backend`).  The ``sample_*`` entry points consume a
-:class:`numpy.random.Generator` and stay NumPy by design — the
-uniform→variate maps (``*_from_uniform``) are the backend-portable
-layer.
+batched fit engine sees bit-identical values to the scalar path.  The
+``sample_*`` entry points consume a :class:`numpy.random.Generator`;
+the uniform→variate maps (``*_from_uniform``) are their uniform-stream
+twins for the lane-parallel Gibbs engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import backend as _backend
-from repro.backend import special as sc
-from repro.backend.core import ArrayBackend
+from repro.stats import scipy_special as sc
 from repro.stats.special import (
-    _gamma_cdf_increment_arrays,
-    _gamma_sf_ratio_arrays,
     gamma_cdf_increment,
     gamma_sf_ratio,
     log_gamma_sf,
@@ -62,42 +55,22 @@ def censored_gamma_mean(
     for ``shape == 1`` (exponential) this reduces to ``cut + 1/rate`` by
     memorylessness, which we use as an exact fast path.
     """
-    B = _backend.get_namespace(cut, rate)
-    if B.is_numpy:
-        cut_a = np.asarray(cut, dtype=float)
-        rate_a = np.asarray(rate, dtype=float)
-        scalar = cut_a.ndim == 0 and rate_a.ndim == 0
-        cut_a, rate_a = np.broadcast_arrays(np.atleast_1d(cut_a), np.atleast_1d(rate_a))
-        out = np.empty(cut_a.shape)
-        base = cut_a <= 0.0
-        out[base] = shape / rate_a[base]
-        active = ~base
-        if np.any(active):
-            if shape == 1.0:
-                out[active] = cut_a[active] + 1.0 / rate_a[active]
-            else:
-                out[active] = (shape / rate_a[active]) * np.atleast_1d(
-                    gamma_sf_ratio(cut_a[active], shape, rate_a[active])
-                )
-        return float(out[0]) if scalar else out
-    xp = B.xp
-    cut_a = B.as_float(cut)
-    rate_a = B.as_float(rate)
-    scalar = getattr(cut_a, "ndim", 0) == 0 and getattr(rate_a, "ndim", 0) == 0
-    cut_a, rate_a = xp.broadcast_arrays(xp.atleast_1d(cut_a), xp.atleast_1d(rate_a))
-    out = _censored_gamma_mean_arrays(B, cut_a, shape, rate_a)
+    cut_a = np.asarray(cut, dtype=float)
+    rate_a = np.asarray(rate, dtype=float)
+    scalar = cut_a.ndim == 0 and rate_a.ndim == 0
+    cut_a, rate_a = np.broadcast_arrays(np.atleast_1d(cut_a), np.atleast_1d(rate_a))
+    out = np.empty(cut_a.shape)
+    base = cut_a <= 0.0
+    out[base] = shape / rate_a[base]
+    active = ~base
+    if np.any(active):
+        if shape == 1.0:
+            out[active] = cut_a[active] + 1.0 / rate_a[active]
+        else:
+            out[active] = (shape / rate_a[active]) * np.atleast_1d(
+                gamma_sf_ratio(cut_a[active], shape, rate_a[active])
+            )
     return float(out[0]) if scalar else out
-
-
-def _censored_gamma_mean_arrays(B: ArrayBackend, cut_a, shape, rate_a):
-    xp = B.xp
-    if shape == 1.0:
-        active_val = cut_a + 1.0 / rate_a
-    else:
-        active_val = (shape / rate_a) * _gamma_sf_ratio_arrays(
-            B, cut_a, shape, rate_a
-        )
-    return xp.where(cut_a <= 0.0, shape / rate_a, active_val)
 
 
 def truncated_gamma_mean(
@@ -113,69 +86,40 @@ def truncated_gamma_mean(
     endpoint nearer the bulk of the distribution, and we return that
     endpoint instead of dividing two underflowed quantities.
     """
-    B = _backend.get_namespace(lo, hi, rate)
-    if B.is_numpy:
-        lo_a = np.asarray(lo, dtype=float)
-        hi_a = np.asarray(hi, dtype=float)
-        rate_a = np.asarray(rate, dtype=float)
-        scalar = lo_a.ndim == 0 and hi_a.ndim == 0 and rate_a.ndim == 0
-        lo_a, hi_a, rate_a = np.broadcast_arrays(
-            np.atleast_1d(lo_a), np.atleast_1d(hi_a), np.atleast_1d(rate_a)
+    lo_a = np.asarray(lo, dtype=float)
+    hi_a = np.asarray(hi, dtype=float)
+    rate_a = np.asarray(rate, dtype=float)
+    scalar = lo_a.ndim == 0 and hi_a.ndim == 0 and rate_a.ndim == 0
+    lo_a, hi_a, rate_a = np.broadcast_arrays(
+        np.atleast_1d(lo_a), np.atleast_1d(hi_a), np.atleast_1d(rate_a)
+    )
+    if np.any(lo_a < 0.0) or np.any(lo_a >= hi_a):
+        bad = np.argmax((lo_a < 0.0) | (lo_a >= hi_a))
+        raise ValueError(
+            f"need 0 <= lo < hi, got lo={lo_a.ravel()[bad]}, hi={hi_a.ravel()[bad]}"
         )
-        if np.any(lo_a < 0.0) or np.any(lo_a >= hi_a):
-            bad = np.argmax((lo_a < 0.0) | (lo_a >= hi_a))
-            raise ValueError(
-                f"need 0 <= lo < hi, got lo={lo_a.ravel()[bad]}, hi={hi_a.ravel()[bad]}"
-            )
-        denom = np.atleast_1d(gamma_cdf_increment(lo_a, hi_a, shape, rate_a))
-        out = np.empty(denom.shape)
-        empty = denom <= 0.0
-        if np.any(empty):
-            # Probability mass numerically zero: the conditional law piles up
-            # at the boundary closest to the mode.
-            mode = np.maximum((shape - 1.0) / rate_a[empty], 0.0)
-            out[empty] = np.where(
-                hi_a[empty] <= mode,
-                hi_a[empty],
-                np.where(lo_a[empty] >= mode, lo_a[empty], 0.5 * (lo_a[empty] + hi_a[empty])),
-            )
-        ok = ~empty
-        if np.any(ok):
-            numer = np.atleast_1d(
-                gamma_cdf_increment(lo_a[ok], hi_a[ok], shape + 1.0, rate_a[ok])
-            )
-            mean = (shape / rate_a[ok]) * numer / denom[ok]
-            # Guard against round-off pushing the conditional mean outside the
-            # interval (possible when denom is at the underflow edge).
-            out[ok] = np.minimum(np.maximum(mean, lo_a[ok]), hi_a[ok])
-        return float(out[0]) if scalar else out
-    xp = B.xp
-    lo_a = B.as_float(lo)
-    hi_a = B.as_float(hi)
-    rate_a = B.as_float(rate)
-    scalar = all(
-        getattr(a, "ndim", 0) == 0 for a in (lo_a, hi_a, rate_a)
-    )
-    lo_a, hi_a, rate_a = xp.broadcast_arrays(
-        xp.atleast_1d(lo_a), xp.atleast_1d(hi_a), xp.atleast_1d(rate_a)
-    )
-    out = _truncated_gamma_mean_arrays(B, lo_a, hi_a, shape, rate_a)
+    denom = np.atleast_1d(gamma_cdf_increment(lo_a, hi_a, shape, rate_a))
+    out = np.empty(denom.shape)
+    empty = denom <= 0.0
+    if np.any(empty):
+        # Probability mass numerically zero: the conditional law piles up
+        # at the boundary closest to the mode.
+        mode = np.maximum((shape - 1.0) / rate_a[empty], 0.0)
+        out[empty] = np.where(
+            hi_a[empty] <= mode,
+            hi_a[empty],
+            np.where(lo_a[empty] >= mode, lo_a[empty], 0.5 * (lo_a[empty] + hi_a[empty])),
+        )
+    ok = ~empty
+    if np.any(ok):
+        numer = np.atleast_1d(
+            gamma_cdf_increment(lo_a[ok], hi_a[ok], shape + 1.0, rate_a[ok])
+        )
+        mean = (shape / rate_a[ok]) * numer / denom[ok]
+        # Guard against round-off pushing the conditional mean outside the
+        # interval (possible when denom is at the underflow edge).
+        out[ok] = np.minimum(np.maximum(mean, lo_a[ok]), hi_a[ok])
     return float(out[0]) if scalar else out
-
-
-def _truncated_gamma_mean_arrays(B: ArrayBackend, lo_a, hi_a, shape, rate_a):
-    xp = B.xp
-    denom = _gamma_cdf_increment_arrays(B, lo_a, hi_a, shape, rate_a)
-    numer = _gamma_cdf_increment_arrays(B, lo_a, hi_a, shape + 1.0, rate_a)
-    mean = (shape / rate_a) * numer / xp.where(denom > 0.0, denom, 1.0)
-    mean = xp.minimum(xp.maximum(mean, lo_a), hi_a)
-    mode = xp.maximum((shape - 1.0) / rate_a, 0.0)
-    collapsed = xp.where(
-        hi_a <= mode,
-        hi_a,
-        xp.where(lo_a >= mode, lo_a, 0.5 * (lo_a + hi_a)),
-    )
-    return xp.where(denom <= 0.0, collapsed, mean)
 
 
 def sample_truncated_gamma(
@@ -248,56 +192,34 @@ def truncated_gamma_from_uniform(
     quantile — no special-function call at all, which is what makes the
     grouped sweep's 38-draw latent block almost free.
     """
-    B = _backend.get_namespace(lo, hi, rate, u)
-    if B.is_numpy:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        rate = np.asarray(rate, dtype=float)
-        u = np.asarray(u, dtype=float)
-        lo, hi, rate, u = np.broadcast_arrays(lo, hi, rate, u)
-        if shape == 1.0:
-            p_lo = -np.expm1(-rate * lo)
-            p_hi = -np.expm1(-rate * hi)
-        else:
-            p_lo = sc.gammainc(shape, rate * lo)
-            p_hi = sc.gammainc(shape, rate * hi)
-        degenerate = p_hi <= p_lo
-        low = np.where(degenerate, lo, p_lo)
-        high = np.where(degenerate, hi, p_hi)
-        p = low + u * (high - low)
-        if not degenerate.any():
-            if shape == 1.0:
-                return -np.log1p(-p) / rate
-            return sc.gammaincinv(shape, p) / rate
-        # Mixed case: p already *is* the jittered draw on degenerate
-        # entries; invert the CDF value only on the rest.
-        out = p.copy()
-        invert = ~degenerate
-        if shape == 1.0:
-            out[invert] = -np.log1p(-p[invert]) / rate[invert]
-        else:
-            out[invert] = sc.gammaincinv(shape, p[invert]) / rate[invert]
-        return out
-    xp = B.xp
-    lo, hi, rate, u = xp.broadcast_arrays(
-        B.as_float(lo), B.as_float(hi), B.as_float(rate), B.as_float(u)
-    )
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    rate = np.asarray(rate, dtype=float)
+    u = np.asarray(u, dtype=float)
+    lo, hi, rate, u = np.broadcast_arrays(lo, hi, rate, u)
     if shape == 1.0:
-        p_lo = -xp.expm1(-rate * lo)
-        p_hi = -xp.expm1(-rate * hi)
+        p_lo = -np.expm1(-rate * lo)
+        p_hi = -np.expm1(-rate * hi)
     else:
-        p_lo = B.gammainc(shape, rate * lo)
-        p_hi = B.gammainc(shape, rate * hi)
+        p_lo = sc.gammainc(shape, rate * lo)
+        p_hi = sc.gammainc(shape, rate * hi)
     degenerate = p_hi <= p_lo
-    low = xp.where(degenerate, lo, p_lo)
-    high = xp.where(degenerate, hi, p_hi)
+    low = np.where(degenerate, lo, p_lo)
+    high = np.where(degenerate, hi, p_hi)
     p = low + u * (high - low)
-    safe_p = xp.where(degenerate, 0.5, p)
+    if not degenerate.any():
+        if shape == 1.0:
+            return -np.log1p(-p) / rate
+        return sc.gammaincinv(shape, p) / rate
+    # Mixed case: p already *is* the jittered draw on degenerate
+    # entries; invert the CDF value only on the rest.
+    out = p.copy()
+    invert = ~degenerate
     if shape == 1.0:
-        inverted = -xp.log1p(-safe_p) / rate
+        out[invert] = -np.log1p(-p[invert]) / rate[invert]
     else:
-        inverted = B.gammaincinv(shape, safe_p) / rate
-    return xp.where(degenerate, p, inverted)
+        out[invert] = sc.gammaincinv(shape, p[invert]) / rate[invert]
+    return out
 
 
 def censored_gamma_from_uniform(
@@ -315,33 +237,19 @@ def censored_gamma_from_uniform(
     fallback once the censored mass underflows. ``shape == 1`` reduces
     to the memoryless ``cut - log(u)/rate``.
     """
-    B = _backend.get_namespace(cut, rate, u)
-    if B.is_numpy:
-        cut = np.asarray(cut, dtype=float)
-        rate = np.asarray(rate, dtype=float)
-        u = np.asarray(u, dtype=float)
-        cut, rate, u = np.broadcast_arrays(cut, rate, u)
-        if shape == 1.0:
-            # Memoryless: SF(cut) = exp(-rate cut) exactly, never underflows
-            # the inversion (log-scale arithmetic throughout).
-            return np.where(cut <= 0.0, 0.0, cut) - np.log(u) / rate
-        q_cut = sc.gammaincc(shape, rate * np.clip(cut, 0.0, None))
-        deep = q_cut <= _CENSORED_TAIL_FLOOR
-        out = sc.gammainccinv(shape, np.where(deep, 0.5, u * q_cut)) / rate
-        if np.any(deep):
-            del_mean = np.atleast_1d(censored_gamma_mean(cut, shape, rate)) - cut
-            scale = np.maximum(del_mean, 1.0 / rate)
-            out = np.where(deep, cut + scale * -np.log1p(-u), out)
-        return out
-    xp = B.xp
-    cut, rate, u = xp.broadcast_arrays(
-        B.as_float(cut), B.as_float(rate), B.as_float(u)
-    )
+    cut = np.asarray(cut, dtype=float)
+    rate = np.asarray(rate, dtype=float)
+    u = np.asarray(u, dtype=float)
+    cut, rate, u = np.broadcast_arrays(cut, rate, u)
     if shape == 1.0:
-        return xp.where(cut <= 0.0, 0.0, cut) - xp.log(u) / rate
-    q_cut = B.gammaincc(shape, rate * xp.clip(cut, 0.0, None))
+        # Memoryless: SF(cut) = exp(-rate cut) exactly, never underflows
+        # the inversion (log-scale arithmetic throughout).
+        return np.where(cut <= 0.0, 0.0, cut) - np.log(u) / rate
+    q_cut = sc.gammaincc(shape, rate * np.clip(cut, 0.0, None))
     deep = q_cut <= _CENSORED_TAIL_FLOOR
-    out = B.gammainccinv(shape, xp.where(deep, 0.5, u * q_cut)) / rate
-    del_mean = _censored_gamma_mean_arrays(B, cut, shape, rate) - cut
-    scale = xp.maximum(del_mean, 1.0 / rate)
-    return xp.where(deep, cut + scale * -xp.log1p(-u), out)
+    out = sc.gammainccinv(shape, np.where(deep, 0.5, u * q_cut)) / rate
+    if np.any(deep):
+        del_mean = np.atleast_1d(censored_gamma_mean(cut, shape, rate)) - cut
+        scale = np.maximum(del_mean, 1.0 / rate)
+        out = np.where(deep, cut + scale * -np.log1p(-u), out)
+    return out

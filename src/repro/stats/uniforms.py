@@ -31,7 +31,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro import backend as _backend
+from repro.stats.special import as_float
 
 __all__ = ["DEFAULT_CHUNK", "UniformLaneStream", "segment_sums"]
 
@@ -52,11 +52,13 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     (no empty segments) and start at 0.
 
     Dtypes follow the input (float32 stays float32; ints promote to
-    float64), and non-numpy arrays dispatch to their backend's
-    segment-scatter implementation.
+    float64).
     """
-    B = _backend.get_namespace(values)
-    return B.segment_sums(values, offsets)
+    values = as_float(values)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if offsets.size == 0:
+        return np.empty(0)
+    return np.add.reduceat(values, offsets)
 
 
 class UniformLaneStream:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.sequential import ReliabilityTracker
 from repro.bayes.priors import ModelPrior
+from repro.exceptions import DataValidationError
 
 
 @pytest.fixture()
@@ -89,6 +90,16 @@ class TestTracker:
         assert len(first) == len(second) == grouped_data.n_intervals // 16
         # history is where accumulation happens, by contract
         assert len(tracker.history) == len(first) + len(second)
+
+    def test_replay_times_rejects_nan_checkpoint(
+        self, times_data, info_prior_times
+    ):
+        # Regression: a NaN checkpoint truncated to horizon=nan and the
+        # fit failed later with a misleading TruncationError.
+        tracker = ReliabilityTracker(info_prior_times, prediction_window=1000.0)
+        checkpoints = [float(times_data.times[5]), math.nan]
+        with pytest.raises(DataValidationError, match="horizon"):
+            tracker.replay_times(times_data, checkpoints)
 
     def test_replay_times_returns_only_own_records(
         self, times_data, info_prior_times

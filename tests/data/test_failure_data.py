@@ -68,6 +68,13 @@ class TestFailureTimeData:
         with pytest.raises(DataValidationError):
             data.truncate(5.0)
 
+    def test_truncate_rejects_nan_horizon(self):
+        # Regression: both range guards are false for NaN, so a view
+        # with horizon=nan used to come back.
+        data = FailureTimeData([1.0, 2.0], horizon=3.0)
+        with pytest.raises(DataValidationError, match="horizon"):
+            data.truncate(float("nan"))
+
     def test_interarrival_times(self):
         data = FailureTimeData([1.0, 3.0, 6.0])
         assert data.interarrival_times() == pytest.approx([1.0, 2.0, 3.0])
@@ -199,6 +206,26 @@ class TestGroupedData:
         with pytest.raises(DataValidationError):
             GroupedData(counts=[1.5], boundaries=[1.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [3, np.inf],
+            [3.0, 2.0**70],
+            [3, 2**70],
+            [3, 2**63],
+            [2**62, 2**62],
+        ],
+        ids=["inf", "float-past-int64", "int-past-int64", "uint64", "total"],
+    )
+    def test_rejects_counts_past_int64(self, counts):
+        # Regression: inf passes the integer check (inf == floor(inf))
+        # and the int64 cast wrapped it to -2**63; Python ints past
+        # int64 escaped as a bare OverflowError; a total past int64
+        # wrapped negative in the cumulative counts.
+        with pytest.raises(DataValidationError, match="finite"):
+            GroupedData(counts=counts, boundaries=[1.0, 2.0])
+
     def test_rejects_nonincreasing_boundaries(self):
         with pytest.raises(DataValidationError):
             GroupedData(counts=[1, 1], boundaries=[2.0, 2.0])
@@ -223,6 +250,18 @@ class TestGroupedData:
             data.truncate(0)
         with pytest.raises(DataValidationError):
             data.truncate(2)
+
+    @pytest.mark.parametrize("n_intervals", [2.5, 2.0, "2"])
+    def test_truncate_requires_an_integer(self, n_intervals):
+        # Regression: a fractional count of intervals raised a bare
+        # slicing TypeError.
+        data = GroupedData(counts=[1, 2, 3], boundaries=[1.0, 2.0, 3.0])
+        with pytest.raises(DataValidationError, match="integer"):
+            data.truncate(n_intervals)
+
+    def test_truncate_accepts_numpy_integers(self):
+        data = GroupedData(counts=[1, 2, 3], boundaries=[1.0, 2.0, 3.0])
+        assert data.truncate(np.int64(2)).total_count == 3
 
     def test_merge_intervals(self):
         data = GroupedData(counts=[1, 2, 3, 4, 5], boundaries=[1, 2, 3, 4, 5])

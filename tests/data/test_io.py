@@ -92,6 +92,21 @@ class TestCsvRoundTrip:
         with pytest.raises(DataValidationError):
             load_grouped_csv(path)
 
+    @pytest.mark.parametrize("cell", ["2.7", "nan", "inf"])
+    def test_grouped_invalid_count_rejected(self, tmp_path, cell):
+        # Regression: counts were read with int(float(cell)), so 2.7
+        # loaded as 2 and nan/inf escaped as ValueError/OverflowError.
+        path = tmp_path / "g.csv"
+        path.write_text(f"boundary,count\n1.0,{cell}\n2.0,3\n")
+        with pytest.raises(DataValidationError):
+            load_grouped_csv(path)
+
+    def test_grouped_non_numeric_count_names_file_and_cell(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("boundary,count\n1.0,2\n2.0,abc\n")
+        with pytest.raises(DataValidationError, match=r"'abc' in .*g\.csv \(line 3\)"):
+            load_grouped_csv(path)
+
     def test_blank_lines_still_skipped(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("time\n\n1.5\n\n2.5\n")
@@ -123,6 +138,25 @@ class TestJsonRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "mystery"}')
         with pytest.raises(DataValidationError):
+            load_json(path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"kind": ', "not valid JSON"),
+            ("[1, 2]", "JSON object"),
+            ('{"kind": "grouped", "counts": [1]}', "'boundaries'"),
+            ('{"kind": "failure_times"}', "'times'"),
+        ],
+        ids=["invalid-json", "not-an-object", "missing-boundaries",
+             "missing-times"],
+    )
+    def test_malformed_document_rejected(self, tmp_path, text, match):
+        # Regression: these escaped as JSONDecodeError, AttributeError
+        # and KeyError.
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(DataValidationError, match=match):
             load_json(path)
 
     def test_unsupported_type_rejected(self, tmp_path):

@@ -1,14 +1,14 @@
 """Dtype-following regression tests for the hot kernels.
 
-The backend port removed hard-coded ``dtype=float`` casts from the
-uniform→variate layer, the batch root finders and the segment
-reductions: dtypes now follow the inputs (float32 in ⇒ float32 out),
-with ints/bools promoting to float64. These tests pin both directions
-so a future edit cannot quietly reintroduce an upcast."""
+The uniform→variate layer, the batch root finders and the segment
+reductions carry no hard-coded ``dtype=float`` casts: dtypes follow
+the inputs (float32 in ⇒ float32 out), with ints/bools promoting to
+float64. These tests pin both directions so a future edit cannot
+quietly reintroduce an upcast."""
 
 import numpy as np
 
-from repro.backend.core import as_float
+from repro.stats.special import as_float
 from repro.stats.gamma_dist import gamma_from_uniform
 from repro.stats.rootfind import bisect_increasing_batch, solve_fixed_point_batch
 from repro.stats.uniforms import segment_sums

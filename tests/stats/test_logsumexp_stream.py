@@ -13,65 +13,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import backend as bk
 from repro.stats.special import log_sum_exp, log_sum_exp_stream
 
-BACKENDS = ["numpy", "portable"]
 
-
-def stream(name, values, starts):
-    B = bk.get_backend(name)
-    return B.log_sum_exp_stream(
+def stream(values, starts):
+    return log_sum_exp_stream(
         np.asarray(values, dtype=float), np.asarray(starts)
     )
 
 
-@pytest.mark.parametrize("name", BACKENDS)
 class TestEdgeCases:
-    def test_empty_segment_is_minus_inf(self, name):
-        out = stream(name, [1.0, 2.0, 3.0], [0, 2, 2, 3])
+    def test_empty_segment_is_minus_inf(self):
+        out = stream([1.0, 2.0, 3.0], [0, 2, 2, 3])
         assert out[1] == -np.inf
         np.testing.assert_allclose(out[0], log_sum_exp([1.0, 2.0]))
         np.testing.assert_allclose(out[2], 3.0)
 
-    def test_leading_and_trailing_empty_segments(self, name):
-        out = stream(name, [5.0], [0, 0, 1, 1])
+    def test_leading_and_trailing_empty_segments(self):
+        out = stream([5.0], [0, 0, 1, 1])
         assert out[0] == -np.inf
         assert out[1] == 5.0
         assert out[2] == -np.inf
 
-    def test_all_segments_empty(self, name):
-        out = stream(name, [], [0, 0, 0])
+    def test_all_segments_empty(self):
+        out = stream([], [0, 0, 0])
         assert np.all(np.isneginf(out))
 
-    def test_single_element_segments(self, name):
+    def test_single_element_segments(self):
         values = np.array([-3.0, 0.0, 700.0, -745.0])
-        out = stream(name, values, [0, 1, 2, 3])
+        out = stream(values, [0, 1, 2, 3])
         np.testing.assert_array_equal(out, values)
 
-    def test_all_minus_inf_lane(self, name):
-        out = stream(name, [-np.inf, -np.inf, 1.0], [0, 2])
+    def test_all_minus_inf_lane(self):
+        out = stream([-np.inf, -np.inf, 1.0], [0, 2])
         assert out[0] == -np.inf
         np.testing.assert_allclose(out[1], log_sum_exp([-np.inf, 1.0]))
 
-    def test_mixed_magnitude_cancellation(self, name):
+    def test_mixed_magnitude_cancellation(self):
         # A huge and a tiny term in one segment: the shifted form must
         # not overflow and must keep the tiny term's contribution.
         values = np.array([800.0, 800.0 + np.log(1e-16)])
-        out = stream(name, values, [0])
+        out = stream(values, [0])
         np.testing.assert_allclose(
             out[0], 800.0 + np.log1p(1e-16), rtol=0, atol=1e-12
         )
 
-    def test_overflow_free_for_large_inputs(self, name):
-        out = stream(name, [750.0, 750.0], [0])
+    def test_overflow_free_for_large_inputs(self):
+        out = stream([750.0, 750.0], [0])
         np.testing.assert_allclose(out[0], 750.0 + np.log(2.0))
 
-    def test_invalid_starts_rejected(self, name):
+    def test_invalid_starts_rejected(self):
         with pytest.raises(ValueError):
-            stream(name, [1.0, 2.0], [1, 0])
+            stream([1.0, 2.0], [1, 0])
         with pytest.raises(ValueError):
-            stream(name, [1.0, 2.0], [0, 3])
+            stream([1.0, 2.0], [0, 3])
 
 
 class TestProperties:
@@ -100,17 +95,16 @@ class TestProperties:
             )
         )
         starts = np.array([0, *cuts], dtype=np.intp)
-        for name in BACKENDS:
-            out = stream(name, values, starts)
-            bounds = np.append(starts, values.size)
-            for k in range(starts.size):
-                seg = values[bounds[k]: bounds[k + 1]]
-                if seg.size == 0:
-                    assert out[k] == -np.inf
-                else:
-                    np.testing.assert_allclose(
-                        out[k], log_sum_exp(seg), rtol=0, atol=1e-10
-                    )
+        out = stream(values, starts)
+        bounds = np.append(starts, values.size)
+        for k in range(starts.size):
+            seg = values[bounds[k]: bounds[k + 1]]
+            if seg.size == 0:
+                assert out[k] == -np.inf
+            else:
+                np.testing.assert_allclose(
+                    out[k], log_sum_exp(seg), rtol=0, atol=1e-10
+                )
 
     @given(
         shift=st.floats(min_value=-500.0, max_value=500.0),
@@ -119,6 +113,6 @@ class TestProperties:
     def test_shift_equivariance(self, shift):
         values = np.array([0.3, -1.2, 4.0, 2.2, -0.5])
         starts = np.array([0, 2, 4])
-        base = stream("numpy", values, starts)
-        shifted = stream("numpy", values + shift, starts)
+        base = stream(values, starts)
+        shifted = stream(values + shift, starts)
         np.testing.assert_allclose(shifted, base + shift, rtol=0, atol=1e-9)

@@ -1,9 +1,8 @@
 """Lint-style test: exactly one module imports scipy.special.
 
 Every other module must go through the shim
-(``from repro.backend import special as sc``) so that the set of
-special functions the package depends on stays auditable — it is the
-contract each accelerator adapter has to satisfy."""
+(``from repro.stats import scipy_special as sc``) so that the set of
+special functions the package depends on stays auditable."""
 
 import re
 from pathlib import Path
@@ -11,7 +10,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: The single allowed import site.
-ALLOWED = SRC / "backend" / "special.py"
+ALLOWED = SRC / "stats" / "scipy_special.py"
 
 _IMPORT_RE = re.compile(
     r"^\s*(from\s+scipy\s+import\s+special|"
@@ -29,9 +28,9 @@ def test_only_the_shim_imports_scipy_special():
         if _IMPORT_RE.search(path.read_text()):
             offenders.append(str(path.relative_to(SRC)))
     assert offenders == [], (
-        "scipy.special imported outside repro/backend/special.py: "
+        "scipy.special imported outside repro/stats/scipy_special.py: "
         f"{offenders}; import the shim instead "
-        "(from repro.backend import special as sc)"
+        "(from repro.stats import scipy_special as sc)"
     )
 
 
