@@ -15,10 +15,11 @@ evaluation per partition for NINT. This benchmark times a synthetic
 * **times1000/vb1** — the lock-step VB1 sweep over the same portfolio.
 
 The scalar reference is the production code itself — a Python loop of
-``fit_vb2``/``fit_vb1`` calls — so the agreement checks are meaningful
-forever: on a mixed ragged identity portfolio (both kinds, α0 ∈ {1, 2},
-growth rounds forced) the max absolute difference across every number
-the posteriors carry, NINT marginals included, must be exactly 0.0.
+``fit_vb2``/``fit_vb1`` calls, each a one-dataset run of the same lane
+driver — so the agreement checks show that lanes never interact: on a
+mixed ragged identity portfolio (both kinds, α0 ∈ {1, 2}, growth rounds
+forced) the max absolute difference across every number the posteriors
+carry, NINT marginals included, must be exactly 0.0.
 
 As a script:
 

@@ -29,12 +29,9 @@ from repro.core import (
     ReliabilityEstimate,
     PredictiveCounts,
     CornishFisherInterval,
-    CurveBand,
     estimate_reliability,
     expansion_interval,
     predict_failure_counts,
-    mean_value_band,
-    residual_fault_band,
     fit_vb1,
     fit_vb2,
     fit_vb2_weibull,
@@ -54,15 +51,12 @@ from repro.bayes import (
     find_map,
     fit_laplace,
     fit_nint,
-    importance_correct,
-    prior_sensitivity,
 )
 from repro.core.sequential import ReliabilityTracker
 from repro.bayes.mcmc import (
     ChainSettings,
     gibbs_failure_time,
     gibbs_grouped,
-    random_walk_metropolis,
 )
 from repro.data import (
     FailureTimeData,
@@ -84,7 +78,7 @@ from repro.models import (
     WeibullSRM,
     make_model,
 )
-from repro.mle import fit_mle_em, fit_mle_generic, MLEResult
+from repro.mle import fit_mle_em, MLEResult
 
 __version__ = "1.0.0"
 
@@ -96,13 +90,10 @@ __all__ = [
     "ReliabilityEstimate",
     "PredictiveCounts",
     "CornishFisherInterval",
-    "CurveBand",
     "WeibullVBPosterior",
     "estimate_reliability",
     "expansion_interval",
     "predict_failure_counts",
-    "mean_value_band",
-    "residual_fault_band",
     "fit_vb1",
     "fit_vb2",
     "fit_vb2_weibull",
@@ -121,13 +112,10 @@ __all__ = [
     "find_map",
     "fit_laplace",
     "fit_nint",
-    "importance_correct",
-    "prior_sensitivity",
     "ReliabilityTracker",
     "ChainSettings",
     "gibbs_failure_time",
     "gibbs_grouped",
-    "random_walk_metropolis",
     # data
     "FailureTimeData",
     "GroupedData",
@@ -148,6 +136,5 @@ __all__ = [
     "make_model",
     # point estimation
     "fit_mle_em",
-    "fit_mle_generic",
     "MLEResult",
 ]

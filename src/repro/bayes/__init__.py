@@ -8,19 +8,8 @@ from repro.bayes.laplace import fit_laplace, find_map
 from repro.bayes.grid_posterior import GridPosterior
 from repro.bayes.normal_posterior import NormalPosterior
 from repro.bayes.sample_posterior import EmpiricalPosterior
-from repro.bayes.importance import ImportanceResult, importance_correct
-from repro.bayes.sensitivity import (
-    SensitivityRecord,
-    SensitivityReport,
-    prior_sensitivity,
-)
 
 __all__ = [
-    "ImportanceResult",
-    "importance_correct",
-    "SensitivityRecord",
-    "SensitivityReport",
-    "prior_sensitivity",
     "GammaPrior",
     "FlatPrior",
     "ScaleInvariantPrior",

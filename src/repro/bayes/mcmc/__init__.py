@@ -2,8 +2,8 @@
 
 Implements the paper's MCMC baseline (Section 4.3): Kuo–Yang Gibbs
 sampling for failure-time data, a data-augmentation Gibbs sampler for
-grouped data (Tanner & Wong), plus a general random-walk Metropolis
-fallback and convergence diagnostics.
+grouped data (Tanner & Wong), the lock-step lane engine that runs many
+chains as one sweep, and convergence diagnostics.
 """
 
 from repro.bayes.mcmc.chains import (
@@ -18,9 +18,7 @@ from repro.bayes.mcmc.lane_engine import (
     gibbs_failure_time_lanes,
     gibbs_grouped_lanes,
 )
-from repro.bayes.mcmc.metropolis import random_walk_metropolis
 from repro.bayes.mcmc.multichain import MultiChainResult, run_chains
-from repro.bayes.mcmc.slice_sampler import slice_sample
 from repro.bayes.mcmc.diagnostics import (
     effective_sample_size,
     geweke_z,
@@ -36,12 +34,10 @@ __all__ = [
     "VARIATE_LAYERS",
     "kept_draws",
     "run_chains",
-    "slice_sample",
     "gibbs_failure_time",
     "gibbs_grouped",
     "gibbs_failure_time_lanes",
     "gibbs_grouped_lanes",
-    "random_walk_metropolis",
     "effective_sample_size",
     "geweke_z",
     "gelman_rubin",

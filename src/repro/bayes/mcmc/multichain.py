@@ -28,8 +28,8 @@ from repro.bayes.mcmc.lane_engine import (
 from repro.bayes.sample_posterior import EmpiricalPosterior
 
 #: Samplers the lane engine can run as lock-step lanes of one batched
-#: fit; anything else (e.g. the Metropolis fallback) keeps the
-#: per-chain loop.
+#: fit; any other sampler with the same signature keeps the per-chain
+#: loop.
 _LANE_SAMPLERS = {
     gibbs_failure_time: gibbs_failure_time_lanes,
     gibbs_grouped: gibbs_grouped_lanes,
@@ -94,8 +94,9 @@ def run_chains(
     Parameters
     ----------
     sampler:
-        One of :func:`gibbs_failure_time`, :func:`gibbs_grouped` or
-        :func:`random_walk_metropolis`.
+        :func:`gibbs_failure_time`, :func:`gibbs_grouped`, or any
+        callable with their ``(data, prior, alpha0, settings=, rng=)``
+        signature.
     data, prior, alpha0:
         Passed through to the sampler.
     n_chains:

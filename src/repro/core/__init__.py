@@ -24,7 +24,6 @@ from repro.core.expansion import (
     expansion_interval,
 )
 from repro.core.sequential import ReliabilityTracker, TrackingRecord
-from repro.core.curves import CurveBand, mean_value_band, residual_fault_band
 from repro.core.weibull_vb import WeibullVBPosterior, fit_vb2_weibull
 from repro.core.hpd import HPDInterval, hpd_interval
 
@@ -37,9 +36,6 @@ __all__ = [
     "hpd_interval",
     "ReliabilityTracker",
     "TrackingRecord",
-    "CurveBand",
-    "mean_value_band",
-    "residual_fault_band",
     "WeibullVBPosterior",
     "fit_vb2_weibull",
     "VBConfig",

@@ -8,9 +8,11 @@ priors — fit in a handful of array sweeps instead of a Python loop of
 scalar fits.
 
 The contract: every dataset's posterior is **bit-identical** to the
-scalar fit of that dataset. :func:`repro.core.vb2.fit_vb2` runs the very
-same truncation-growth driver (:func:`repro.core.vb2._drive_vb2_group`)
-on one dataset, and the lanes of a sweep never interact:
+single fit of that dataset. :func:`repro.core.vb2.fit_vb2` and
+:func:`repro.core.vb1.fit_vb1` run the very same lane drivers
+(:func:`repro.core.vb2._drive_vb2_group`,
+:func:`repro.core.vb1._drive_vb1_group`) on one dataset, and the lanes
+of a sweep never interact:
 
 * the fixed point (:func:`repro.stats.rootfind.solve_fixed_point_batch`)
   evaluates each lane's update map on that lane's own inputs, replaying
@@ -43,21 +45,12 @@ from repro.bayes.nint import (
 )
 from repro.bayes.sandwich import apply_sandwich
 from repro.core.config import VBConfig
-from repro.core.posterior import VBPosterior
-from repro.core.vb1 import _vb1_elbo
-from repro.core.vb2 import _drive_vb2_group, _Vb2State
+from repro.core.vb1 import _drive_vb1_group, _vb1_builder
+from repro.core.vb2 import _check_alpha0, _drive_vb2_group, _Vb2State
 from repro.core.warmstart import WarmStart
-from repro.data.failure_data import FailureTimeData, GroupedData
-from repro.exceptions import ConvergenceError
-from repro.stats.gamma_dist import GammaDistribution
+from repro.data.failure_data import FailureTimeData
 from repro.stats.quadrature import TensorGrid
-from repro.stats.special import (
-    digamma,
-    log_gamma_fn,
-    log_gamma_sf,
-    log_sum_exp_stream,
-)
-from repro.stats.truncated import censored_gamma_mean, truncated_gamma_mean
+from repro.stats.special import log_gamma_fn, log_sum_exp_stream
 
 __all__ = [
     "FleetResult",
@@ -345,20 +338,17 @@ def fit_vb1_fleet(
 ) -> FleetResult:
     """Fit VB1 posteriors for a whole portfolio in lock-step.
 
-    Here a lane is a *dataset*: the outer λ/ξ mean-field iteration of
-    :func:`repro.core.vb1.fit_vb1` runs for every dataset at once, with
-    per-lane freezing on outer convergence and a shared Aitken phase
-    (valid because every still-active lane appends to its history at
-    exactly the same iterations). Bit-identical per dataset to the
-    scalar fit. Datasets partition by ``alpha0`` (kinds may mix — the
-    interval scatter-add is empty for failure-time lanes).
+    Here a lane is a *dataset*: the outer λ/ξ mean-field iteration runs
+    for every dataset at once in :func:`repro.core.vb1._drive_vb1_group`,
+    the driver :func:`repro.core.vb1.fit_vb1` runs on one dataset, so
+    each dataset's posterior is bit-identical to its single fit.
+    Datasets partition by ``alpha0`` (kinds may mix — the interval
+    scatter-add is empty for failure-time lanes).
 
     ``warm_start`` optionally carries one
     :class:`~repro.core.warmstart.WarmStart` (or ``None``) per dataset:
     warm lanes seed their outer ``λ`` and inner ``ξ`` from the previous
-    fit, cold lanes keep the defaults, and the lock-step iteration
-    stays bit-identical per lane to the correspondingly warm scalar
-    fit.
+    fit, cold lanes keep the defaults.
     """
     datasets = list(datasets)
     if not datasets:
@@ -368,17 +358,8 @@ def fit_vb1_fleet(
     alpha0s = [float(a) for a in _per_dataset(alpha0, count, "alpha0")]
     warms = _per_dataset_warm(warm_start, count)
     config = config or VBConfig()
-    for a0 in alpha0s:
-        if a0 <= 0.0:
-            raise ValueError(f"alpha0 must be positive, got {a0}")
-    for i, w in enumerate(warms):
-        if w is not None and float(w.alpha0) != alpha0s[i]:
-            raise ValueError(
-                f"dataset {i}: warm_start was extracted at "
-                f"alpha0={w.alpha0:g} but this fit uses "
-                f"alpha0={alpha0s[i]:g}; warm seeds only transfer within "
-                f"one gamma shape"
-            )
+    for i, a0 in enumerate(alpha0s):
+        _check_alpha0(a0, f"dataset {i}: ")
 
     with obs.span("fleet.vb1.fit", datasets=count):
         heartbeat = obs.Heartbeat("fleet.vb1.datasets", count)
@@ -390,254 +371,21 @@ def fit_vb1_fleet(
         elbos = [None] * count
         total_outer = 0
         for a0, members in groups.items():
-            results = _fit_vb1_group(
-                members, [datasets[i] for i in members],
-                [priors[i] for i in members], a0, config, heartbeat,
-                [warms[i] for i in members],
+            lanes, _ = _drive_vb1_group(
+                [datasets[i] for i in members], [priors[i] for i in members],
+                a0, config, [warms[i] for i in members],
+                indices=members, on_done=heartbeat.tick,
             )
-            for i, (builder, diagnostics, elbo) in zip(members, results):
-                builders[i] = builder
-                diags[i] = diagnostics
-                elbos[i] = elbo
-                total_outer += diagnostics["iterations"]
+            for i, lane in zip(members, lanes):
+                _, _, elbos[i], diags[i] = lane
+                builders[i] = _vb1_builder(datasets[i], lane, a0, config)
+                total_outer += diags[i]["iterations"]
         if obs.enabled():
             obs.counter_add("fleet.vb1.fits", count)
             obs.fit_health(
                 "VB1_FLEET", datasets=count, iterations=total_outer
             )
     return FleetResult("VB1", builders, diags, elbos)
-
-
-def _fit_vb1_group(indices, group_data, group_priors, alpha0, config,
-                   heartbeat, group_warms=None):
-    """Lock-step VB1 outer iteration for one ``alpha0`` partition."""
-    lanes = len(group_data)
-    if group_warms is None:
-        group_warms = [None] * lanes
-    observed = np.empty(lanes)
-    cut = np.empty(lanes)
-    sum_observed = np.empty(lanes)
-    lane_parts, lo_parts, hi_parts, count_parts = [], [], [], []
-    for pos, data in enumerate(group_data):
-        if isinstance(data, FailureTimeData):
-            observed[pos] = data.count
-            cut[pos] = data.horizon
-            sum_observed[pos] = data.total_time
-        elif isinstance(data, GroupedData):
-            observed[pos] = data.total_count
-            cut[pos] = data.horizon
-            sum_observed[pos] = 0.0
-            occupied = [item for item in data.intervals() if item[2] > 0]
-            if occupied:
-                lane_parts.append(np.full(len(occupied), pos, dtype=np.intp))
-                lo_parts.append(np.array([lo for lo, _, _ in occupied]))
-                hi_parts.append(np.array([hi for _, hi, _ in occupied]))
-                count_parts.append(
-                    np.array([float(c) for _, _, c in occupied])
-                )
-        else:
-            raise TypeError(f"unsupported data type: {type(data).__name__}")
-        if observed[pos] == 0 and not group_priors[pos].is_proper:
-            raise ConvergenceError(
-                f"dataset {indices[pos]}: VB1 needs either observed "
-                f"failures or proper priors"
-            )
-    pair_lane = (
-        np.concatenate(lane_parts) if lane_parts
-        else np.empty(0, dtype=np.intp)
-    )
-    pair_lo = np.concatenate(lo_parts) if lo_parts else np.empty(0)
-    pair_hi = np.concatenate(hi_parts) if hi_parts else np.empty(0)
-    pair_count = np.concatenate(count_parts) if count_parts else np.empty(0)
-
-    m_omega = np.array([p.omega.shape for p in group_priors])
-    phi_omega = np.array([p.omega.rate for p in group_priors])
-    m_beta = np.array([p.beta.shape for p in group_priors])
-    phi_beta = np.array([p.beta.rate for p in group_priors])
-
-    def zeta_of(rate: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        # Strictly in-order scatter-add onto the per-lane base: matches
-        # the scalar loop's left-to-right interval sum bit-for-bit.
-        total = sum_observed.copy()
-        if pair_lane.size:
-            terms = pair_count * truncated_gamma_mean(
-                pair_lo, pair_hi, alpha0, rate[pair_lane]
-            )
-            np.add.at(total, pair_lane, terms)
-        positive = lam > 0.0
-        if np.any(positive):
-            total[positive] = total[positive] + lam[positive] * (
-                censored_gamma_mean(
-                    cut[positive], alpha0, rate[positive]
-                )
-            )
-        return total
-
-    lam = np.maximum(0.1 * observed, 1.0)
-    xi = np.empty(lanes)
-    # Per-lane warm seeds, mirroring the scalar fit's warm branch: a
-    # valid cached lam replaces the cold default, a valid cached
-    # xi_mean pre-seeds the first inner solve.
-    xi_seeded = np.zeros(lanes, dtype=bool)
-    xi_seed_values = np.empty(lanes)
-    for pos, w in enumerate(group_warms):
-        if w is None:
-            continue
-        if w.lam > 0.0 and np.isfinite(w.lam):
-            lam[pos] = w.lam
-        if w.xi_mean > 0.0 and np.isfinite(w.xi_mean):
-            xi_seeded[pos] = True
-            xi_seed_values[pos] = w.xi_mean
-    frozen = np.zeros(lanes, dtype=bool)
-    iterations_out = np.zeros(lanes, dtype=np.int64)
-    seed_rate = 1.0 / np.maximum(cut, 1.0)
-    hist = np.empty((3, lanes))
-    phase = 0
-    aitken_accepted = 0
-    inner_total = 0
-    rtol = config.fixed_point_rtol
-    for iteration in range(1, config.fixed_point_max_iter + 1):
-        active = ~frozen
-        expected_n = observed + lam
-        a_omega = m_omega + expected_n
-        b_omega = phi_omega + 1.0
-        a_beta = m_beta + expected_n * alpha0
-        if iteration == 1:
-            xi_inner = a_beta / (phi_beta + zeta_of(seed_rate, lam))
-            if np.any(xi_seeded):
-                xi_inner = np.where(xi_seeded, xi_seed_values, xi_inner)
-        else:
-            xi_inner = xi.copy()
-        inner_frozen = frozen.copy()
-        for _ in range(config.fixed_point_max_iter):
-            if inner_frozen.all():
-                break
-            zeta = zeta_of(xi_inner, lam)
-            xi_new = a_beta / (phi_beta + zeta)
-            live = ~inner_frozen
-            inner_total += int(live.sum())
-            done = live & (np.abs(xi_new - xi_inner) <= rtol * xi_new)
-            xi_inner = np.where(live, xi_new, xi_inner)
-            inner_frozen |= done
-        xi = np.where(active, xi_inner, xi)
-        zeta = zeta_of(xi, lam)
-        b_beta = phi_beta + zeta
-        log_u = digamma(a_omega) - np.log(b_omega)
-        log_v = digamma(a_beta) - np.log(b_beta)
-        log_lam = (
-            log_u
-            + alpha0 * (log_v - np.log(xi))
-            + log_gamma_sf(cut, alpha0, xi)
-        )
-        lam_new = np.exp(log_lam)
-        conv = active & (
-            np.abs(lam_new - lam) <= rtol * np.maximum(lam_new, 1e-300)
-        )
-        lam = np.where(active, lam_new, lam)
-        iterations_out[conv] = iteration
-        frozen |= conv
-        for _ in range(int(conv.sum())):
-            heartbeat.tick()
-        if frozen.all():
-            break
-        # Shared Aitken phase: every still-active lane has appended at
-        # exactly the same iterations since the last clear, so one
-        # counter serves the whole partition (lanes that froze mid-
-        # cycle never read their stale history rows again).
-        if config.use_aitken:
-            hist[phase] = lam
-            phase += 1
-            if phase == 3:
-                l0, l1, l2 = hist[0], hist[1], hist[2]
-                step0 = l1 - l0
-                step1 = l2 - l1
-                contracting = (step0 != 0.0) & (np.abs(step1) < np.abs(step0))
-                denom = step1 - step0
-                ok = ~frozen & contracting & (denom != 0.0)
-                if np.any(ok):
-                    with np.errstate(
-                        invalid="ignore", divide="ignore", over="ignore"
-                    ):
-                        accelerated = l0 - step0**2 / denom
-                    accept = ok & (accelerated > 0.0)
-                    accept &= np.isfinite(accelerated)
-                    lam = np.where(accept, accelerated, lam)
-                    aitken_accepted += int(accept.sum())
-                phase = 0
-    if not frozen.all():
-        lane = int(np.argmax(~frozen))
-        if obs.enabled():
-            obs.counter_add("vb1.failures")
-            obs.event(
-                "vb1.divergence",
-                dataset=indices[lane],
-                outer_iterations=config.fixed_point_max_iter,
-                lambda_star=float(lam[lane]),
-            )
-        raise ConvergenceError(
-            f"dataset {indices[lane]}: VB1 did not converge within "
-            f"{config.fixed_point_max_iter} outer iterations "
-            f"(last lambda* = {lam[lane]:.6g})",
-            iterations=config.fixed_point_max_iter,
-        )
-    if obs.enabled() and aitken_accepted:
-        obs.counter_add("vb1.aitken_accepted", aitken_accepted)
-
-    expected_n = observed + lam
-    a_omega = m_omega + expected_n
-    b_omega = phi_omega + 1.0
-    a_beta = m_beta + expected_n * alpha0
-    zeta = zeta_of(xi, lam)
-    b_beta = phi_beta + zeta
-
-    results = []
-    for pos, data in enumerate(group_data):
-        prior = group_priors[pos]
-        q_omega = GammaDistribution(float(a_omega[pos]), float(b_omega[pos]))
-        q_beta = GammaDistribution(float(a_beta[pos]), float(b_beta[pos]))
-        elbo = None
-        if prior.is_proper:
-            elbo = _vb1_elbo(
-                data, prior, alpha0, q_omega, q_beta,
-                float(xi[pos]), float(lam[pos]),
-                int(observed[pos]), float(cut[pos]),
-            )
-        diagnostics = {
-            "expected_n": float(expected_n[pos]),
-            "lambda_star": float(lam[pos]),
-            "iterations": int(iterations_out[pos]),
-            "alpha0": alpha0,
-            "data_kind": type(data).__name__,
-            "warm_started": group_warms[pos] is not None,
-        }
-        results.append((
-            _vb1_builder(
-                data, q_omega, q_beta, float(expected_n[pos]),
-                elbo, diagnostics, alpha0, config,
-            ),
-            diagnostics,
-            elbo,
-        ))
-    return results
-
-
-def _vb1_builder(data, q_omega, q_beta, expected_n, elbo, diagnostics,
-                 alpha0, config):
-    def build():
-        posterior = VBPosterior(
-            n_values=[expected_n],
-            weights=[1.0],
-            omega_components=[q_omega],
-            beta_components=[q_beta],
-            method_name="VB1",
-            elbo=elbo,
-            diagnostics=diagnostics,
-        )
-        if config.variance_correction == "sandwich":
-            return apply_sandwich(posterior, data, alpha0=alpha0)
-        return posterior
-
-    return build
 
 
 # ----------------------------------------------------------------------

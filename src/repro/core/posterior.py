@@ -22,6 +22,7 @@ from repro.stats import scipy_special as sc
 
 from repro import obs
 from repro.bayes.joint import JointPosterior
+from repro.exceptions import ConvergenceError
 from repro.stats.gamma_dist import GammaDistribution
 from repro.stats.mixtures import MixtureDistribution
 
@@ -34,6 +35,10 @@ _COMPONENT_WEIGHT_FLOOR = 1e-15
 _DROP_MASS = 1e-13
 #: Round budget of the reliability-quantile solve.
 _MAX_SWEEPS = 120
+#: Cells whose ``ρ = b_ω / c(β)`` exceeds this hold ``D = ω c(β)``
+#: below ~1e-140, where ``r = exp(-D)`` is 1 in floats; they are
+#: treated as ``c(β) = 0`` (and ``Wρ²`` stays finite).
+_MAX_RATE = 1e150
 
 
 class VBPosterior(JointPosterior):
@@ -286,9 +291,10 @@ class VBPosterior(JointPosterior):
             return 1.0
         quad_w, c_values, a_omega, b_omega = self.reliability_tables(c)
         threshold = -math.log(r)
-        with np.errstate(divide="ignore"):
+        # A cut that overflows (c(β) tiny) is an empty ω tail.
+        with np.errstate(divide="ignore", over="ignore"):
             omega_cut = np.where(c_values > 0.0, threshold / c_values, np.inf)
-        tail = sc.gammaincc(a_omega, b_omega * omega_cut)
+            tail = sc.gammaincc(a_omega, b_omega * omega_cut)
         return float(np.sum(quad_w * tail))
 
     def reliability_quantile(
@@ -317,12 +323,15 @@ class VBPosterior(JointPosterior):
         posteriors concentrate and approach normality, so this start
         is close) and takes Halley steps on ``h = log F - log q`` using
         the analytic ``F'`` and ``F''`` of the gamma tails. Steps that
-        leave the maintained sign bracket fall back to bisection (or
-        doubling while the upper bracket is open), so convergence is
-        guaranteed. Each round sweeps only the levels still open, and
-        only the cells that can move ``F``: cells with ``c(β) > 0``,
-        less the lightest whose combined weight is at most
-        ``1e-13``. A 95% or 99% interval typically takes 3–4 sweeps,
+        leave the maintained sign bracket fall back to a search in
+        ``log s`` (geometric growth while the upper bracket is open,
+        geometric bisection after), and a level still open after
+        ``_MAX_SWEEPS`` rounds raises
+        :class:`~repro.exceptions.ConvergenceError`. Each round sweeps
+        only the levels still open, and only the cells that can move
+        ``F``: cells with ``c(β) > 0``, less the lightest whose combined
+        weight is at most ``1e-13``. A 95% or 99% interval typically
+        takes 3–4 sweeps,
         against the 35 CDF evaluations per level of the generic
         bisection of
         :meth:`~repro.bayes.joint.JointPosterior.reliability_quantile`,
@@ -367,11 +376,11 @@ class _LiveCells:
 
     Given its cell, ``D = ω c(β)`` is gamma with shape ``a_ω`` and rate
     ``ρ = b_ω / c``. A cell with ``c(β) = 0`` (or so small that ``ρ``
-    overflows) holds ``D = 0`` and adds nothing to ``F(s) = P(D ≥ s)``
-    for ``s > 0``. The lightest cells whose combined weight is at most
-    ``_DROP_MASS`` are dropped too: together they move ``F`` by at most
-    that much, 2000x below the β mass the tables already trim per
-    component.
+    exceeds ``_MAX_RATE``) holds ``D = 0`` and adds nothing to
+    ``F(s) = P(D ≥ s)`` for ``s > 0``. The lightest cells whose combined
+    weight is at most ``_DROP_MASS`` are dropped too: together they move
+    ``F`` by at most that much, 2000x below the β mass the tables
+    already trim per component.
     """
 
     __slots__ = ("size", "dropped_mass", "weight", "shape", "rate",
@@ -380,7 +389,7 @@ class _LiveCells:
     def __init__(self, quad_w, c_values, a_omega, b_omega) -> None:
         with np.errstate(divide="ignore", over="ignore"):
             rate = b_omega / c_values
-        live = np.isfinite(rate)
+        live = rate <= _MAX_RATE
         # Only cells at most _DROP_MASS heavy can be among the dropped.
         light = np.sort(quad_w[live & (quad_w <= _DROP_MASS)])
         n_drop = int(np.searchsorted(np.cumsum(light), _DROP_MASS, "right"))
@@ -427,9 +436,9 @@ class _LiveCells:
 
     def sweep(self, s: np.ndarray):
         """``(F, F', F'')`` at each ``s`` (one row of cells per lane)."""
-        x = s[:, None] * self.rate
-        cdf = sc.gammaincc(self.shape, x) @ self.weight
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = s[:, None] * self.rate
+            cdf = sc.gammaincc(self.shape, x) @ self.weight
             log_pdf = np.multiply.outer(np.log(s), self.shape - 1.0)
             log_pdf += self.log_pdf_offset
             log_pdf -= x
@@ -439,7 +448,9 @@ class _LiveCells:
 
 def _halley_quantiles(cells: _LiveCells, levels: np.ndarray):
     """Solve ``F(s) = q`` per level; returns ``(r, sweeps,
-    bracket_exits)`` with ``r = exp(-s)``."""
+    bracket_exits)`` with ``r = exp(-s)``. Raises
+    :class:`~repro.exceptions.ConvergenceError` if a level is still
+    open after ``_MAX_SWEEPS`` rounds."""
     s = cells.moment_start(levels)
     s_lo = np.zeros_like(levels)  # F(0+) ≥ q: always a lower bracket
     s_hi = np.full_like(levels, np.inf)
@@ -448,7 +459,13 @@ def _halley_quantiles(cells: _LiveCells, levels: np.ndarray):
     open_ = np.ones(levels.shape, dtype=bool)
     bracket_exits = 0
     sweeps = 0
-    while sweeps < _MAX_SWEEPS and open_.any():
+    while open_.any():
+        if sweeps == _MAX_SWEEPS:
+            raise ConvergenceError(
+                f"reliability quantile did not converge within "
+                f"{_MAX_SWEEPS} sweeps (levels {levels[open_].tolist()})",
+                iterations=sweeps,
+            )
         sweeps += 1
         lanes = np.nonzero(open_)[0]
         sl, q = s[lanes], levels[lanes]
@@ -477,11 +494,18 @@ def _halley_quantiles(cells: _LiveCells, levels: np.ndarray):
         # Halley approaches one-sided, so the bracket alone never
         # tightens past the far edge; accept an iterate once its own
         # step in r is far inside tolerance (the next error is smaller
-        # still). Acceptance must not demand the iterate sit strictly
-        # inside the bracket: at convergence F(s) equals q in floats,
-        # the step is exactly zero, and s itself is a bracket endpoint.
+        # still). That holds only inside the convergence basin, so the
+        # step must also be small against s itself, and the Halley and
+        # Newton steps must agree within a factor of two: near r = 1
+        # any two s below ~1e-11 differ by less than the tolerance in
+        # r, whether the step is a 30-fold jump across a log-flat F or
+        # one the model shrank to nothing. Acceptance must not demand
+        # the iterate sit strictly inside the bracket: at convergence
+        # F(s) equals q in floats, the step is exactly zero, and s
+        # itself is a bracket endpoint.
         step_done = (
-            ~bracket_done & finite
+            ~bracket_done & finite & (denom > 0.5) & (denom < 2.0)
+            & (np.abs(target - sl) <= 1e-3 * sl)
             & (np.abs(r_target - np.exp(-sl)) <= 0.05 * xtol)
         )
         result[lanes] = np.where(
@@ -491,10 +515,16 @@ def _halley_quantiles(cells: _LiveCells, levels: np.ndarray):
         )
         open_[lanes] = ~(bracket_done | step_done)
         bracket_exits += int(np.count_nonzero(bracket_done))
-        inside = (target > lo) & (target < hi) & finite
-        fallback = np.where(upper, 2.0 * sl, 0.5 * (lo + hi))
+        # A Halley step damped below an eighth of the Newton step only
+        # creeps: the slope is dominated by cells just turning on.
+        inside = (target > lo) & (target < hi) & finite & ~(denom > 8.0)
+        # Off-model steps search in log s (growing, or bisecting the
+        # bracket geometrically): when c(β) spans many decades the root
+        # can sit far from a degenerate moment start.
+        fallback = np.where(
+            upper,
+            np.fmax(2.0 * sl, np.sqrt(sl)),
+            np.sqrt(np.fmax(lo, 1e-300)) * np.sqrt(hi),
+        )
         s[lanes] = np.where(inside, target, fallback)
-    # Budget exhausted: the bracket midpoint.
-    closed = np.where(np.isinf(s_hi), s_lo, s_hi)
-    result = np.where(open_, np.exp(-0.5 * (s_lo + closed)), result)
-    return result, sweeps, bracket_exits + int(np.count_nonzero(open_))
+    return result, sweeps, bracket_exits

@@ -9,8 +9,9 @@ negative correlation between ``ω`` and ``β`` (``Cov = 0`` in the
 paper's Table 1 by construction) and underestimates the variances,
 giving interval estimates that are too narrow.
 
-Mean-field updates (derived in the module tests from the complete-data
-likelihood, generalised to shape ``α0`` and to grouped data):
+Mean-field updates (from the complete-data likelihood, generalised to
+shape ``α0`` and to grouped data; ``tests/core/test_vb1.py`` checks the
+returned posteriors against them):
 
 * ``q(ω) = Gamma(m_ω + E[N], φ_ω + 1)``
 * ``q(β) = Gamma(m_β + E[N] α0, φ_β + ζ)``
@@ -22,6 +23,11 @@ likelihood, generalised to shape ``α0`` and to grouped data):
 Note the tell-tale difference from VB2: the latent-count distribution
 uses ``e^{E[ln ω]}`` (a *point* summary of ``q(ω)``) instead of
 conditioning the parameter posterior on ``N``.
+
+The outer λ/ξ iteration is one lock-step lane driver
+(:func:`_drive_vb1_group`) shared by :func:`fit_vb1` and
+:func:`repro.core.fleet.fit_vb1_fleet`: a lane is a dataset, and a
+single fit is the one-dataset case of the fleet sweep.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from repro.bayes.priors import ModelPrior
 from repro.bayes.sandwich import apply_sandwich
 from repro.core.config import VBConfig
 from repro.core.posterior import VBPosterior
+from repro.core.vb2 import _check_alpha0
 from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.exceptions import ConvergenceError
 from repro.stats.gamma_dist import GammaDistribution, gamma_kl_divergence
@@ -62,150 +69,237 @@ def fit_vb1(
     "lambda_star", "iterations"}`` (plus a ``telemetry`` summary when
     an obs collector is active).
     """
-    if alpha0 <= 0.0:
-        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    _check_alpha0(alpha0)
     config = config or VBConfig()
+    warm = config.warm_start
     with obs.span("vb1.fit", collect=True, data=type(data).__name__) as sp:
-        posterior = _fit_vb1(data, prior, alpha0, config, sp)
-    if config.variance_correction == "sandwich":
-        return apply_sandwich(posterior, data, alpha0=alpha0)
-    return posterior
-
-
-def _fit_vb1(
-    data: FailureTimeData | GroupedData,
-    prior: ModelPrior,
-    alpha0: float,
-    config: VBConfig,
-    sp,
-) -> VBPosterior:
-
-    if isinstance(data, FailureTimeData):
-        observed = data.count
-        cut = data.horizon
-        sum_observed = data.total_time
-        intervals: list[tuple[float, float, int]] = []
-    elif isinstance(data, GroupedData):
-        observed = data.total_count
-        cut = data.horizon
-        sum_observed = 0.0
-        intervals = [item for item in data.intervals() if item[2] > 0]
-    else:
-        raise TypeError(f"unsupported data type: {type(data).__name__}")
-    if observed == 0 and not prior.is_proper:
-        raise ConvergenceError(
-            "VB1 needs either observed failures or proper priors"
+        (lane,), inner_iterations = _drive_vb1_group(
+            [data], [prior], alpha0, config, [warm]
         )
+        _, _, elbo, diagnostics = lane
+        if obs.enabled():
+            iteration = diagnostics["iterations"]
+            lam = diagnostics["lambda_star"]
+            obs.observe("vb1.outer_iterations", iteration)
+            obs.observe("vb1.inner_iterations", inner_iterations)
+            obs.observe("vb1.lambda_star", lam)
+            if warm is not None:
+                obs.counter_add("vb1.warm_fits")
+                obs.observe("vb1.warm.outer_iterations", iteration)
+            obs.fit_health(
+                "VB1", iterations=iteration, elbo=elbo, lambda_star=lam,
+                warm_start=float(warm is not None),
+            )
+            if sp.collecting:
+                diagnostics["telemetry"] = sp.telemetry()
+    return _vb1_builder(data, lane, alpha0, config)()
 
-    m_omega, phi_omega = prior.omega.shape, prior.omega.rate
-    m_beta, phi_beta = prior.beta.shape, prior.beta.rate
 
-    # Interval geometry as arrays: one broadcast truncated-mean call per
-    # zeta evaluation instead of one scalar special-function call per
-    # interval. The per-interval products are still accumulated in
-    # interval order, so the sum is bit-identical to the scalar loop.
-    int_lo = np.array([lo for lo, _, _ in intervals])
-    int_hi = np.array([hi for _, hi, _ in intervals])
-    int_count = np.array([count for _, _, count in intervals])
+def _drive_vb1_group(group_data, group_priors, alpha0, config, group_warms,
+                     *, indices=None, on_done=None):
+    """Lock-step VB1 outer iteration for the datasets of one ``alpha0``.
 
-    def zeta_of(xi: float, lam: float) -> float:
-        total = sum_observed
-        if int_count.size:
-            terms = int_count * truncated_gamma_mean(int_lo, int_hi, alpha0, xi)
-            for term in terms:
-                total += term
-        if lam > 0.0:
-            total += lam * censored_gamma_mean(cut, alpha0, xi)
+    Each dataset is a lane: lanes freeze individually on outer
+    convergence and share one Aitken phase (valid because every
+    still-active lane appends to its history at exactly the same
+    iterations). ``indices`` are the datasets' fleet positions, or
+    ``None`` for a single fit, whose errors and events then carry no
+    ``dataset`` tag; ``on_done`` is called once per converged lane.
+
+    Returns ``(lanes, inner_iterations)``: one ``(q_omega, q_beta,
+    elbo, diagnostics)`` per dataset, and the inner ξ updates summed
+    over lanes.
+    """
+    lanes = len(group_data)
+
+    def where(pos: int) -> str:
+        return "" if indices is None else f"dataset {indices[pos]}: "
+
+    observed = np.empty(lanes)
+    cut = np.empty(lanes)
+    sum_observed = np.empty(lanes)
+    lane_parts, lo_parts, hi_parts, count_parts = [], [], [], []
+    for pos, data in enumerate(group_data):
+        if isinstance(data, FailureTimeData):
+            observed[pos] = data.count
+            cut[pos] = data.horizon
+            sum_observed[pos] = data.total_time
+        elif isinstance(data, GroupedData):
+            observed[pos] = data.total_count
+            cut[pos] = data.horizon
+            sum_observed[pos] = 0.0
+            occupied = [item for item in data.intervals() if item[2] > 0]
+            if occupied:
+                lane_parts.append(np.full(len(occupied), pos, dtype=np.intp))
+                lo_parts.append(np.array([lo for lo, _, _ in occupied]))
+                hi_parts.append(np.array([hi for _, hi, _ in occupied]))
+                count_parts.append(
+                    np.array([float(c) for _, _, c in occupied])
+                )
+        else:
+            raise TypeError(f"unsupported data type: {type(data).__name__}")
+        if observed[pos] == 0 and not group_priors[pos].is_proper:
+            raise ConvergenceError(
+                f"{where(pos)}VB1 needs either observed failures or "
+                f"proper priors"
+            )
+        warm = group_warms[pos]
+        if warm is not None and float(warm.alpha0) != float(alpha0):
+            raise ValueError(
+                f"{where(pos)}warm_start was extracted at "
+                f"alpha0={warm.alpha0:g} but this fit uses "
+                f"alpha0={alpha0:g}; warm seeds only transfer within one "
+                f"gamma shape"
+            )
+    pair_lane = (
+        np.concatenate(lane_parts) if lane_parts
+        else np.empty(0, dtype=np.intp)
+    )
+    pair_lo = np.concatenate(lo_parts) if lo_parts else np.empty(0)
+    pair_hi = np.concatenate(hi_parts) if hi_parts else np.empty(0)
+    pair_count = np.concatenate(count_parts) if count_parts else np.empty(0)
+
+    m_omega = np.array([p.omega.shape for p in group_priors])
+    phi_omega = np.array([p.omega.rate for p in group_priors])
+    m_beta = np.array([p.beta.shape for p in group_priors])
+    phi_beta = np.array([p.beta.rate for p in group_priors])
+
+    def zeta_of(rate: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        # Expected total lifetime: an in-order scatter-add of the
+        # interval terms onto the per-lane base, so each lane's sum is
+        # its own left-to-right interval sum whatever lanes share it.
+        total = sum_observed.copy()
+        if pair_lane.size:
+            terms = pair_count * truncated_gamma_mean(
+                pair_lo, pair_hi, alpha0, rate[pair_lane]
+            )
+            np.add.at(total, pair_lane, terms)
+        positive = lam > 0.0
+        if np.any(positive):
+            total[positive] = total[positive] + lam[positive] * (
+                censored_gamma_mean(
+                    cut[positive], alpha0, rate[positive]
+                )
+            )
         return total
 
-    warm = config.warm_start
-    if warm is not None and float(warm.alpha0) != float(alpha0):
-        raise ValueError(
-            f"warm_start was extracted at alpha0={warm.alpha0:g} but this "
-            f"fit uses alpha0={alpha0:g}; warm seeds only transfer within "
-            f"one gamma shape"
-        )
-    lam = max(0.1 * observed, 1.0)
-    xi = None
-    if warm is not None:
-        # Seed the outer residual intensity and the inner rate mean from
-        # the previous fit; both loops then start next to their fixed
-        # points instead of at the cold defaults. Seeds change the
-        # iteration path only, never the converged values.
-        if warm.lam > 0.0 and math.isfinite(warm.lam):
-            lam = warm.lam
-        if warm.xi_mean > 0.0 and math.isfinite(warm.xi_mean):
-            xi = warm.xi_mean
-    lam_history: list[float] = []
-    inner_iterations = 0
+    lam = np.maximum(0.1 * observed, 1.0)
+    xi = np.empty(lanes)
+    # Per-lane warm seeds: a valid cached lam replaces the cold default,
+    # a valid cached xi_mean pre-seeds the first inner solve. Seeds
+    # change the iteration path only, never the converged values.
+    xi_seeded = np.zeros(lanes, dtype=bool)
+    xi_seed_values = np.empty(lanes)
+    for pos, w in enumerate(group_warms):
+        if w is None:
+            continue
+        if w.lam > 0.0 and np.isfinite(w.lam):
+            lam[pos] = w.lam
+        if w.xi_mean > 0.0 and np.isfinite(w.xi_mean):
+            xi_seeded[pos] = True
+            xi_seed_values[pos] = w.xi_mean
+    frozen = np.zeros(lanes, dtype=bool)
+    iterations_out = np.zeros(lanes, dtype=np.int64)
+    seed_rate = 1.0 / np.maximum(cut, 1.0)
+    hist = np.empty((3, lanes))
+    phase = 0
     aitken_accepted = 0
+    inner_total = 0
+    rtol = config.fixed_point_rtol
     for iteration in range(1, config.fixed_point_max_iter + 1):
+        active = ~frozen
         expected_n = observed + lam
         a_omega = m_omega + expected_n
         b_omega = phi_omega + 1.0
         a_beta = m_beta + expected_n * alpha0
         # zeta depends on xi which depends on zeta: inner fixed point.
-        xi_inner = a_beta / (phi_beta + zeta_of(1.0 / max(cut, 1.0), lam)) if xi is None else xi
+        if iteration == 1:
+            xi_inner = a_beta / (phi_beta + zeta_of(seed_rate, lam))
+            if np.any(xi_seeded):
+                xi_inner = np.where(xi_seeded, xi_seed_values, xi_inner)
+        else:
+            xi_inner = xi.copy()
+        inner_frozen = frozen.copy()
         for _ in range(config.fixed_point_max_iter):
+            if inner_frozen.all():
+                break
             zeta = zeta_of(xi_inner, lam)
             xi_new = a_beta / (phi_beta + zeta)
-            inner_iterations += 1
-            if abs(xi_new - xi_inner) <= config.fixed_point_rtol * xi_new:
-                xi_inner = xi_new
-                break
-            xi_inner = xi_new
-        xi = xi_inner
+            live = ~inner_frozen
+            inner_total += int(live.sum())
+            done = live & (np.abs(xi_new - xi_inner) <= rtol * xi_new)
+            xi_inner = np.where(live, xi_new, xi_inner)
+            inner_frozen |= done
+        xi = np.where(active, xi_inner, xi)
         zeta = zeta_of(xi, lam)
         b_beta = phi_beta + zeta
-        # Transcendentals via the numpy ufuncs (not math.*): the fleet
-        # driver replays this iteration with per-dataset lanes, and the
-        # libm behind math.log/exp is not guaranteed to agree with
-        # numpy's to the last ulp. Same ufuncs on 0-d and 1-d inputs
-        # ARE guaranteed identical, which is what the lane-vs-scalar
-        # bit-identity contract needs.
-        log_u = float(digamma(a_omega)) - float(np.log(b_omega))
-        log_v = float(digamma(a_beta)) - float(np.log(b_beta))
+        log_u = digamma(a_omega) - np.log(b_omega)
+        log_v = digamma(a_beta) - np.log(b_beta)
         log_lam = (
             log_u
-            + alpha0 * (log_v - float(np.log(xi)))
+            + alpha0 * (log_v - np.log(xi))
             + log_gamma_sf(cut, alpha0, xi)
         )
-        lam_new = float(np.exp(log_lam))
-        if abs(lam_new - lam) <= config.fixed_point_rtol * max(lam_new, 1e-300):
-            lam = lam_new
+        lam_new = np.exp(log_lam)
+        conv = active & (
+            np.abs(lam_new - lam) <= rtol * np.maximum(lam_new, 1e-300)
+        )
+        lam = np.where(active, lam_new, lam)
+        iterations_out[conv] = iteration
+        frozen |= conv
+        if on_done is not None:
+            for _ in range(int(conv.sum())):
+                on_done()
+        if frozen.all():
             break
-        lam = lam_new
         # Aitken acceleration of the slowly contracting outer sequence
-        # (extreme diffuse priors can push the contraction factor near 1).
-        # Only applied when the sequence is actually contracting —
+        # (extreme diffuse priors can push the contraction factor near
+        # 1), applied only where the sequence is actually contracting:
         # during a transient growth phase (step ratio >= 1) the
         # extrapolation would aim at the repelling fixed point instead.
-        lam_history.append(lam)
-        if config.use_aitken and len(lam_history) >= 3:
-            l0, l1, l2 = lam_history[-3:]
-            step0 = l1 - l0
-            step1 = l2 - l1
-            contracting = step0 != 0.0 and abs(step1) < abs(step0)
-            denom = step1 - step0
-            if contracting and denom != 0.0:
-                accelerated = l0 - step0**2 / denom
-                if accelerated > 0.0 and math.isfinite(accelerated):
-                    lam = accelerated
-                    aitken_accepted += 1
-            lam_history.clear()
-    else:
+        # One phase counter serves every lane, since every still-active
+        # lane has appended at exactly the same iterations since the
+        # last clear (lanes that froze mid-cycle never read their stale
+        # history rows again).
+        if config.use_aitken:
+            hist[phase] = lam
+            phase += 1
+            if phase == 3:
+                l0, l1, l2 = hist[0], hist[1], hist[2]
+                step0 = l1 - l0
+                step1 = l2 - l1
+                contracting = (step0 != 0.0) & (np.abs(step1) < np.abs(step0))
+                denom = step1 - step0
+                ok = ~frozen & contracting & (denom != 0.0)
+                if np.any(ok):
+                    with np.errstate(
+                        invalid="ignore", divide="ignore", over="ignore"
+                    ):
+                        accelerated = l0 - step0**2 / denom
+                    accept = ok & (accelerated > 0.0)
+                    accept &= np.isfinite(accelerated)
+                    lam = np.where(accept, accelerated, lam)
+                    aitken_accepted += int(accept.sum())
+                phase = 0
+    if not frozen.all():
+        lane = int(np.argmax(~frozen))
+        tags = {} if indices is None else {"dataset": indices[lane]}
         if obs.enabled():
             obs.counter_add("vb1.failures")
             obs.event(
                 "vb1.divergence",
+                **tags,
                 outer_iterations=config.fixed_point_max_iter,
-                lambda_star=lam,
+                lambda_star=float(lam[lane]),
             )
         raise ConvergenceError(
-            f"VB1 did not converge within {config.fixed_point_max_iter} outer "
-            f"iterations (last lambda* = {lam:.6g})",
+            f"{where(lane)}VB1 did not converge within "
+            f"{config.fixed_point_max_iter} outer iterations "
+            f"(last lambda* = {lam[lane]:.6g})",
             iterations=config.fixed_point_max_iter,
         )
+    if obs.enabled() and aitken_accepted:
+        obs.counter_add("vb1.aitken_accepted", aitken_accepted)
 
     expected_n = observed + lam
     a_omega = m_omega + expected_n
@@ -213,47 +307,51 @@ def _fit_vb1(
     a_beta = m_beta + expected_n * alpha0
     zeta = zeta_of(xi, lam)
     b_beta = phi_beta + zeta
-    q_omega = GammaDistribution(a_omega, b_omega)
-    q_beta = GammaDistribution(a_beta, b_beta)
 
-    elbo = None
-    if prior.is_proper:
-        elbo = _vb1_elbo(
-            data, prior, alpha0, q_omega, q_beta, xi, lam, observed, cut
-        )
+    results = []
+    for pos, data in enumerate(group_data):
+        prior = group_priors[pos]
+        q_omega = GammaDistribution(float(a_omega[pos]), float(b_omega[pos]))
+        q_beta = GammaDistribution(float(a_beta[pos]), float(b_beta[pos]))
+        elbo = None
+        if prior.is_proper:
+            elbo = _vb1_elbo(
+                data, prior, alpha0, q_omega, q_beta,
+                float(xi[pos]), float(lam[pos]),
+                int(observed[pos]), float(cut[pos]),
+            )
+        diagnostics = {
+            "expected_n": float(expected_n[pos]),
+            "lambda_star": float(lam[pos]),
+            "iterations": int(iterations_out[pos]),
+            "alpha0": alpha0,
+            "data_kind": type(data).__name__,
+            "warm_started": group_warms[pos] is not None,
+        }
+        results.append((q_omega, q_beta, elbo, diagnostics))
+    return results, inner_total
 
-    diagnostics = {
-        "expected_n": expected_n,
-        "lambda_star": lam,
-        "iterations": iteration,
-        "alpha0": alpha0,
-        "data_kind": type(data).__name__,
-        "warm_started": warm is not None,
-    }
-    if obs.enabled():
-        obs.observe("vb1.outer_iterations", iteration)
-        obs.observe("vb1.inner_iterations", inner_iterations)
-        obs.observe("vb1.lambda_star", lam)
-        if warm is not None:
-            obs.counter_add("vb1.warm_fits")
-            obs.observe("vb1.warm.outer_iterations", iteration)
-        obs.fit_health(
-            "VB1", iterations=iteration, elbo=elbo, lambda_star=lam,
-            warm_start=float(warm is not None),
+
+def _vb1_builder(data, lane, alpha0, config):
+    """Deferred construction of one lane's posterior (sandwich-wrapped
+    when the config asks for it)."""
+    q_omega, q_beta, elbo, diagnostics = lane
+
+    def build():
+        posterior = VBPosterior(
+            n_values=[diagnostics["expected_n"]],
+            weights=[1.0],
+            omega_components=[q_omega],
+            beta_components=[q_beta],
+            method_name="VB1",
+            elbo=elbo,
+            diagnostics=diagnostics,
         )
-        if aitken_accepted:
-            obs.counter_add("vb1.aitken_accepted", aitken_accepted)
-        if sp.collecting:
-            diagnostics["telemetry"] = sp.telemetry()
-    return VBPosterior(
-        n_values=[expected_n],
-        weights=[1.0],
-        omega_components=[q_omega],
-        beta_components=[q_beta],
-        method_name="VB1",
-        elbo=elbo,
-        diagnostics=diagnostics,
-    )
+        if config.variance_correction == "sandwich":
+            return apply_sandwich(posterior, data, alpha0=alpha0)
+        return posterior
+
+    return build
 
 
 def _vb1_elbo(

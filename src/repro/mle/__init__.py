@@ -9,14 +9,12 @@ construction the paper contrasts Bayesian intervals with).
 
 from repro.mle.em import fit_mle_em
 from repro.mle.newton import fit_mle_newton
-from repro.mle.generic import fit_mle_generic
 from repro.mle.fisher import observed_information, wald_interval
 from repro.mle.results import MLEResult
 
 __all__ = [
     "fit_mle_em",
     "fit_mle_newton",
-    "fit_mle_generic",
     "observed_information",
     "wald_interval",
     "MLEResult",

@@ -163,6 +163,10 @@ class TestVB2Identity:
 
 
 class TestVB1Identity:
+    """``fit_vb1`` runs the fleet's lane driver on one dataset, so
+    these identities check that lanes never interact; the mathematical
+    reference is tests/core/test_vb1.py::TestMeanFieldFixedPoint."""
+
     def test_mixed_portfolio(self, portfolio, prior):
         fleet = fit_vb1_fleet(portfolio, prior, 1.0)
         for i, data in enumerate(portfolio):

@@ -153,6 +153,49 @@ def _assert_matches_bisection(posterior, c):
         assert value == pytest.approx(slow, abs=5e-10)
 
 
+#: ``(posterior, te / horizon, u / horizon)`` windows past the horizon,
+#: where ``c(β)`` spans many decades and can be tiny: the moment start
+#: degenerates (``s ~ 1e-23`` against a root near ``1e-4``), any two
+#: ``s`` below ~1e-11 lie within tolerance in ``r``, and ``ρ = b / c(β)``
+#: overflows. The paper grid, plus one window per step-acceptance
+#: safeguard that no grid window needs.
+_LONG_HORIZON_CASES = [
+    (scenario, te_factor, u_factor)
+    for scenario in ("DT-Info", "DT-NoInfo", "DG-Info", "DG-NoInfo")
+    for te_factor in (3.0, 5.0, 80.0, 100.0, 1000.0)
+    for u_factor in (1e-3, 0.1)
+] + [
+    # the curvature shrinks the Halley step to nothing far from the root
+    ("DT-NoInfo", 2.0, 10.0),
+    # F is log-flat over decades of tiny s, so a 30-fold Newton step
+    # moves r by less than the tolerance
+    ("late-failures", 20.0, 0.1),
+]
+
+
+@pytest.fixture(scope="module")
+def long_horizon_posteriors():
+    """VB2 fits of the paper's four scenarios, and of a small project
+    whose last failures come late, keyed by name."""
+    from repro.bayes.priors import ModelPrior
+    from repro.core.vb2 import fit_vb2
+    from repro.data.failure_data import FailureTimeData
+    from repro.experiments.config import paper_scenarios
+
+    fits = {}
+    for name, scenario in paper_scenarios().items():
+        data = scenario.load_data()
+        fits[name] = (
+            fit_vb2(data, scenario.prior(), 1.0, scenario.vb_config), data
+        )
+    data = FailureTimeData(
+        [3.44, 4.12, 56.76, 63.44, 72.21, 77.32, 82.38], horizon=88.0
+    )
+    prior = ModelPrior.informative(30.0, 10.0, 0.01, 0.005)
+    fits["late-failures"] = (fit_vb2(data, prior, 1.0), data)
+    return fits
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNewtonReliabilityQuantile:
     """VBPosterior's moment-started, safeguarded Halley quantile path vs
@@ -216,6 +259,31 @@ class TestNewtonReliabilityQuantile:
         _assert_matches_bisection(
             vb2_times, reliability_increment(1.0, times_data.horizon, 1000.0)
         )
+
+    @pytest.mark.parametrize("scenario, te_factor, u_factor",
+                             _LONG_HORIZON_CASES)
+    def test_matches_at_long_horizons(self, long_horizon_posteriors, scenario,
+                                      te_factor, u_factor):
+        from repro.core.reliability import ReliabilityIncrement
+
+        posterior, data = long_horizon_posteriors[scenario]
+        _assert_matches_bisection(
+            posterior,
+            ReliabilityIncrement(
+                1.0, te_factor * data.horizon, u_factor * data.horizon
+            ),
+        )
+
+    def test_exhausted_budget_raises(self, vb2_times, times_data, monkeypatch):
+        import repro.core.posterior as posterior_module
+        from repro.exceptions import ConvergenceError
+
+        # one sweep is too few for any level here: an exhausted budget
+        # raises rather than returning a bracket midpoint
+        monkeypatch.setattr(posterior_module, "_MAX_SWEEPS", 1)
+        c = reliability_increment(1.0, times_data.horizon, 1000.0)
+        with pytest.raises(ConvergenceError, match="1 sweeps"):
+            vb2_times.reliability_quantile_batch(np.array([0.025, 0.975]), c)
 
     def test_scalar_delegates_to_batch(self, vb2_times, times_data):
         c = reliability_increment(1.0, times_data.horizon, 1000.0)
