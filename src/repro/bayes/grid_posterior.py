@@ -60,6 +60,7 @@ class GridPosterior(JointPosterior):
         self._mass_total = float(self._mass.sum())
         self._marginal_omega = self._mass.sum(axis=1)  # already weight-included
         self._marginal_beta = self._mass.sum(axis=0)
+        self._column_tables: tuple[np.ndarray, np.ndarray, float] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -178,31 +179,64 @@ class GridPosterior(JointPosterior):
         point = (self._mass * r_matrix).sum() / self._mass_total
         return float(min(max(point, 0.0), 1.0))
 
+    def _column_cdfs(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(cum, col_totals, norm)``: per β column, the cumulative
+        trapezoid ω mass at each ω node (the β quadrature weight
+        included), the column totals and their sum. Built on first use;
+        they depend on neither ``r`` nor ``c``."""
+        if self._column_tables is None:
+            columns = self._density * self._grid.wy[None, :]
+            d_omega = np.diff(self._grid.x)
+            cell_mass = 0.5 * (columns[1:, :] + columns[:-1, :]) * d_omega[:, None]
+            cum = np.vstack(
+                [np.zeros(columns.shape[1]), np.cumsum(cell_mass, axis=0)]
+            )
+            col_totals = cum[-1, :]
+            self._column_tables = (cum, col_totals, float(col_totals.sum()))
+        return self._column_tables
+
     def reliability_cdf(self, r: float, c: Callable[[np.ndarray], np.ndarray]) -> float:
         """``P(R <= r)``: for each β column, the ω mass above the
-        threshold ``-log r / c(β)``, interpolated inside grid cells."""
+        threshold ``-log r / c(β)``, interpolated inside grid cells.
+
+        All columns are interpolated at once. The columns' shares are
+        added left to right, as a per-column ``np.interp`` loop would."""
         if r <= 0.0:
             return 0.0
         if r >= 1.0:
             return 1.0
+        cum, col_totals, norm = self._column_cdfs()
         c_values = np.asarray(c(self._grid.y), dtype=float)
-        threshold = -math.log(r)
-        omega_nodes = self._grid.x
-        d_omega = np.diff(omega_nodes)
-        # Column densities (ω density within each β slice, including the
-        # β quadrature weight), turned into cumulative trapezoid CDFs.
-        columns = self._density * self._grid.wy[None, :]
-        cell_mass = 0.5 * (columns[1:, :] + columns[:-1, :]) * d_omega[:, None]
-        cum = np.vstack([np.zeros(columns.shape[1]), np.cumsum(cell_mass, axis=0)])
-        col_totals = cum[-1, :]
-        norm = float(col_totals.sum())
-        total = 0.0
-        for j in range(self._grid.y.size):
-            if col_totals[j] == 0.0:
-                continue
-            if c_values[j] <= 0.0:
-                continue  # reliability is exactly 1 in this slice: R <= r < 1 impossible
-            cut = threshold / c_values[j]
-            below = float(np.interp(cut, omega_nodes, cum[:, j]))
-            total += col_totals[j] - below
+        # A slice with c <= 0 has reliability exactly 1, so R <= r < 1
+        # is impossible there; an empty column adds nothing.
+        kept = np.flatnonzero((col_totals != 0.0) & ~(c_values <= 0.0))
+        if kept.size == 0:
+            return 0.0
+        with np.errstate(over="ignore"):  # c underflow: the cut is +inf
+            cut = -math.log(r) / c_values[kept]
+        below = _interp_columns(cut, self._grid.x, cum, kept)
+        total = np.cumsum(col_totals[kept] - below)[-1]
         return float(total / norm)
+
+
+def _interp_columns(
+    x: np.ndarray, nodes: np.ndarray, table: np.ndarray, columns: np.ndarray
+) -> np.ndarray:
+    """``np.interp(x[i], nodes, table[:, columns[i]])`` for every ``i``,
+    bit for bit: the same cell search, the same formula
+    ``slope * (x - x_k) + y_k``, ends clamped to the first/last row, and
+    NaN propagated. np.interp's rule for an exact node hit is not
+    needed: the nodes are distinct and the table finite, so the slope
+    is finite and the formula returns ``y_k`` there."""
+    last = nodes.size - 1
+    k = np.searchsorted(nodes, x, side="right") - 1  # nodes[k] <= x < nodes[k+1]
+    inside = (k >= 0) & (k < last)
+    cell = np.clip(k, 0, last - 1)
+    x0, x1 = nodes[cell], nodes[cell + 1]
+    y0, y1 = table[cell, columns], table[cell + 1, columns]
+    slope = (y1 - y0) / (x1 - x0)
+    offset = np.where(inside, x, x0) - x0  # keeps inf cuts out of the formula
+    value = slope * offset + y0
+    value = np.where(k < 0, table[0, columns], value)
+    value = np.where(k >= last, table[last, columns], value)
+    return np.where(np.isnan(x), x, value)

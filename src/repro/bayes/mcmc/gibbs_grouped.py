@@ -66,6 +66,36 @@ def gibbs_grouped(
         return _gibbs_grouped(data, prior, alpha0, settings, rng, sp)
 
 
+class _IntervalSums:
+    """Sum of one sweep's latent draws, interval by interval.
+
+    ``draws`` holds each occupied interval's draws back to back, in
+    interval order, ``counts[i]`` of them for interval ``i``. The total
+    is bit-identical to adding each interval's ``segment.sum()`` to a
+    running float in interval order, without a Python loop over the
+    intervals. Set-up groups the intervals by draw count ``L`` and keeps
+    the index block ``starts[rows, None] + arange(L)`` for each group. A
+    row sum of that C-contiguous block runs the same reduction as
+    ``.sum()`` on the row alone (pairwise from ``L = 8`` on), and
+    ``cumsum`` adds the per-interval sums left to right. A reduceat over
+    the offsets would reduce in another order.
+    """
+
+    def __init__(self, counts: np.ndarray) -> None:
+        starts = np.cumsum(counts) - counts
+        self._size = counts.size
+        self._blocks = []
+        for length in np.unique(counts):
+            rows = np.flatnonzero(counts == length)
+            self._blocks.append((rows, starts[rows, None] + np.arange(length)))
+
+    def __call__(self, draws: np.ndarray) -> float:
+        sums = np.empty(self._size)
+        for rows, block in self._blocks:
+            sums[rows] = draws[block].sum(axis=1)
+        return float(np.cumsum(sums)[-1])
+
+
 def _gibbs_grouped(
     data: GroupedData,
     prior: ModelPrior,
@@ -93,7 +123,7 @@ def _gibbs_grouped(
     int_count = np.array([count for _, _, count in intervals], dtype=np.int64)
     n_latent = int(int_count.sum())
     draw_slots = np.repeat(np.arange(int_count.size), int_count)
-    segment_offsets = np.cumsum(int_count)[:-1]
+    latent_sum_of = _IntervalSums(int_count)
 
     omega = float(max(total, 1) * 1.2 + 1.0)
     beta = 2.0 * alpha0 / horizon
@@ -116,10 +146,7 @@ def _gibbs_grouped(
             draws = u.copy()
             invert = ~degenerate[draw_slots]
             draws[invert] = sc.gammaincinv(alpha0, u[invert]) / beta
-            # Per-interval partial sums in interval order: bit-identical
-            # to accumulating each interval's draws.sum() in the loop.
-            for segment in np.split(draws, segment_offsets):
-                latent_sum += float(segment.sum())
+            latent_sum = latent_sum_of(draws)
             variates += n_latent
 
         tail_prob = float(sc.gammaincc(alpha0, beta * horizon))

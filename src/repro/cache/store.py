@@ -5,7 +5,8 @@ One cached fit is two files under ``<cache_dir>/<key[:2]>/``:
 * ``<key>.npz`` — the mixture arrays (latent grid, normalised weights,
   per-component gamma shapes/rates) as float64, byte-exact.
 * ``<key>.json`` — scalars: schema version, method name, ELBO,
-  diagnostics (minus the run-local ``telemetry`` attachment).
+  diagnostics (minus the run-local ``telemetry`` attachment), and a
+  SHA-256 over the npz bytes and the rest of this sidecar.
 
 The npz is written first and the JSON last, both via temp-file +
 ``os.replace``, so a reader never observes a half-written artifact:
@@ -16,13 +17,16 @@ bytes (fits are deterministic).
 
 Loads are corruption-safe by policy: *any* failure while reading an
 artifact (truncated JSON, corrupt npz, schema mismatch, length
-mismatch) counts and warns, then reports a miss so the caller refits
-and overwrites the bad artifact. A broken cache can cost time, never
-correctness.
+mismatch, checksum mismatch) counts and warns, then reports a miss so
+the caller refits and overwrites the bad artifact. A broken cache can
+cost time, never correctness. The checksum catches what the npz
+members' CRC-32s cannot: an edited but well-formed sidecar value, or an
+npz re-saved with changed arrays.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -41,7 +45,7 @@ from repro.stats.gamma_dist import GammaDistribution
 
 __all__ = ["CacheStats", "PosteriorCache", "ARTIFACT_SCHEMA"]
 
-ARTIFACT_SCHEMA = 1
+ARTIFACT_SCHEMA = 2
 
 _ARRAY_FIELDS = (
     "n_values",
@@ -108,6 +112,16 @@ def _serialize(posterior: VBPosterior) -> tuple[dict, dict]:
         ),
     }
     return meta, arrays
+
+
+def _checksum(npz_bytes: bytes, meta: dict) -> str:
+    """SHA-256 over the npz bytes and the sidecar content. The content
+    is hashed as compact JSON in key order, which a JSON round trip
+    reproduces exactly (tuples come back as lists, non-string keys as
+    strings, and both dump the same)."""
+    digest = hashlib.sha256(npz_bytes)
+    digest.update(json.dumps(meta).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _rebuild(meta: dict, arrays: dict) -> VBPosterior:
@@ -216,7 +230,10 @@ class PosteriorCache:
             return None
         try:
             meta = json.loads(json_path.read_text())
-            with np.load(npz_path) as archive:
+            npz_bytes = npz_path.read_bytes()
+            if meta.pop("sha256", None) != _checksum(npz_bytes, meta):
+                raise ValueError("checksum mismatch")
+            with np.load(io.BytesIO(npz_bytes)) as archive:
                 arrays = {
                     name: np.asarray(archive[name], dtype=np.float64)
                     for name in _ARRAY_FIELDS
@@ -252,7 +269,9 @@ class PosteriorCache:
         json_path.parent.mkdir(parents=True, exist_ok=True)
         buffer = io.BytesIO()
         np.savez(buffer, **arrays)
-        _atomic_write(npz_path, buffer.getvalue())
+        npz_bytes = buffer.getvalue()
+        meta["sha256"] = _checksum(npz_bytes, meta)
+        _atomic_write(npz_path, npz_bytes)
         _atomic_write(json_path, json.dumps(meta, indent=1).encode("utf-8"))
 
     def _remember(self, key: str, posterior: VBPosterior) -> None:

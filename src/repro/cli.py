@@ -343,31 +343,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_experiment(name: str, scale, out: str | None, workers: int = 1) -> str:
+def _run_experiment(
+    name: str, scale, out: str | None, workers: int = 1, results=None
+) -> str:
+    """Render one experiment. ``results`` are Table 1's fits at
+    ``scale`` (``repro all``), which every MCMC-backed table and the
+    figure then reuse instead of refitting."""
     from repro.experiments import figure1, table1, table23, table45, table67
 
     if name == "table1":
-        return table1.render(table1.run(scale=scale, workers=workers))
+        if results is None:
+            results = table1.run(scale=scale, workers=workers)
+        return table1.render(results)
     if name == "table2":
         return table23.render(
-            table23.run("DT", scale=scale, workers=workers), table_number=2
+            table23.run("DT", scale=scale, workers=workers, results=results),
+            table_number=2,
         )
     if name == "table3":
         return table23.render(
-            table23.run("DG", scale=scale, workers=workers), table_number=3
+            table23.run("DG", scale=scale, workers=workers, results=results),
+            table_number=3,
         )
     if name == "table4":
-        _, rows = table45.run("DT", scale=scale)
+        _, rows = table45.run("DT", scale=scale, results=results)
         return table45.render(rows, table_number=4, unit="s")
     if name == "table5":
-        _, rows = table45.run("DG", scale=scale)
+        _, rows = table45.run("DG", scale=scale, results=results)
         return table45.render(rows, table_number=5, unit="d")
     if name == "table6":
-        return table67.render_table6(table67.run_table6(scale=scale))
+        if results is None:
+            return table67.render_table6(table67.run_table6(scale=scale))
+        return table67.render_table6(table67.table6_rows(results))
     if name == "table7":
         return table67.render_table7(table67.run_table7())
     if name == "figure1":
-        figure = figure1.run(scale=scale)
+        figure = figure1.run(scale=scale, results=results)
         text = figure1.render_ascii(figure)
         if out:
             paths = figure1.save_csv(figure, out)
@@ -931,9 +942,16 @@ def _dispatch(args) -> int:
         return 0
     scale = PAPER_SCALE if args.scale == "paper" else QUICK_SCALE
     workers = None if args.workers == 0 else args.workers
-    names = list(_EXPERIMENTS) if args.command == "all" else [args.command]
+    results = None
+    names = [args.command]
+    if args.command == "all":
+        from repro.experiments import table1
+
+        # One fit per scenario serves every table and the figure.
+        results = table1.run(scale=scale, workers=workers)
+        names = list(_EXPERIMENTS)
     for name in names:
-        print(_run_experiment(name, scale, args.out, workers=workers))
+        print(_run_experiment(name, scale, args.out, workers=workers, results=results))
         print()
     return 0
 

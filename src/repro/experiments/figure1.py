@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments.config import ExperimentScale, QUICK_SCALE, paper_scenarios
-from repro.experiments.runner import MethodResults, run_all_methods
+from repro.experiments.runner import MethodResults, run_all_methods, select_results
 
 __all__ = ["Figure1Data", "run", "render_ascii", "save_csv"]
 
@@ -53,6 +53,7 @@ def run(
     *,
     grid_size: int = 80,
     scatter_points: int = 10_000,
+    results: dict[str, MethodResults] | None = None,
 ) -> Figure1Data:
     """Compute Figure 1's data on the DG-Info scenario.
 
@@ -60,10 +61,16 @@ def run(
     0.1%–99.9% marginal quantiles per axis (the paper hand-picked
     ``ω ∈ [30, 70]``; deriving the window from the posterior keeps the
     figure meaningful on any dataset).
+
+    ``results`` may hold fits already made at ``scale``, such as Table
+    1's; their DG-Info entry is used instead of a refit.
     """
     scenario = paper_scenarios()["DG-Info"]
-    results = run_all_methods(scenario, scale=scale)
-    reference = results.posteriors.get("NINT") or results.posteriors["VB2"]
+    if results is not None:
+        fitted = select_results(results, [scenario.name], scale)[scenario.name]
+    else:
+        fitted = run_all_methods(scenario, scale=scale)
+    reference = fitted.posteriors.get("NINT") or fitted.posteriors["VB2"]
     omega = np.linspace(
         reference.quantile("omega", 0.001),
         reference.quantile("omega", 0.999),
@@ -76,11 +83,11 @@ def run(
     )
     densities = {}
     for method in _DENSITY_METHODS:
-        posterior = results.posteriors.get(method)
+        posterior = fitted.posteriors.get(method)
         if posterior is None:
             continue
         densities[method] = np.exp(posterior.log_pdf_grid(omega, beta))
-    mcmc = results.posteriors.get("MCMC")
+    mcmc = fitted.posteriors.get("MCMC")
     scatter = (
         mcmc.scatter(scatter_points) if mcmc is not None else np.empty((0, 2))
     )
@@ -89,7 +96,7 @@ def run(
         beta=beta,
         densities=densities,
         mcmc_scatter=scatter,
-        results=results,
+        results=fitted,
     )
 
 

@@ -11,7 +11,7 @@ the scale, never on its position in the batch or the worker count.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -28,7 +28,13 @@ from repro.data.failure_data import FailureTimeData
 from repro.experiments.config import ExperimentScale, QUICK_SCALE, Scenario
 from repro.metrics.timing import time_callable
 
-__all__ = ["MethodResults", "run_all_methods", "run_scenarios", "METHOD_ORDER"]
+__all__ = [
+    "MethodResults",
+    "run_all_methods",
+    "run_scenarios",
+    "select_results",
+    "METHOD_ORDER",
+]
 
 METHOD_ORDER = ("NINT", "LAPL", "MCMC", "VB1", "VB2")
 
@@ -41,6 +47,8 @@ class MethodResults:
     ----------
     scenario:
         The scenario that was run.
+    scale:
+        The scale the methods were fitted at.
     posteriors:
         ``{method: posterior}`` in the paper's method order.
     seconds:
@@ -50,6 +58,7 @@ class MethodResults:
     """
 
     scenario: Scenario
+    scale: ExperimentScale
     posteriors: dict[str, JointPosterior]
     seconds: dict[str, float]
     extra: dict[str, dict] = field(default_factory=dict)
@@ -151,7 +160,11 @@ def run_all_methods(
 
     ordered = {name: posteriors[name] for name in METHOD_ORDER if name in posteriors}
     return MethodResults(
-        scenario=scenario, posteriors=ordered, seconds=seconds, extra=extra
+        scenario=scenario,
+        scale=scale,
+        posteriors=ordered,
+        seconds=seconds,
+        extra=extra,
     )
 
 
@@ -182,6 +195,30 @@ def run_scenarios(
         partial(_run_scenario_task, scale, methods), scenarios, workers=workers
     )
     return dict(zip(names, results))
+
+
+def select_results(
+    results: Mapping[str, MethodResults],
+    names: Iterable[str],
+    scale: ExperimentScale | None = None,
+) -> dict[str, MethodResults]:
+    """The named scenarios' entries of ``results``, in ``names`` order.
+
+    This is how one set of fits serves several tables. Raises
+    ``ValueError`` when a scenario is missing, or when ``scale`` is
+    given and a scenario was fitted at another scale.
+    """
+    names = list(names)
+    missing = [name for name in names if name not in results]
+    if missing:
+        raise ValueError(f"results have no entry for scenarios {missing}")
+    selected = {name: results[name] for name in names}
+    for name, result in selected.items():
+        if scale is not None and result.scale != scale:
+            raise ValueError(
+                f"{name} was fitted at {result.scale}, not at the requested {scale}"
+            )
+    return selected
 
 
 def _run_scenario_task(

@@ -8,7 +8,7 @@ deviation of every method's interval endpoints from NINT's.
 from __future__ import annotations
 
 from repro.experiments.config import ExperimentScale, QUICK_SCALE, paper_scenarios
-from repro.experiments.runner import MethodResults, run_scenarios
+from repro.experiments.runner import MethodResults, run_scenarios, select_results
 from repro.metrics.comparison import deviation_table
 from repro.metrics.tables import render_table
 
@@ -38,6 +38,7 @@ def run(
     scale: ExperimentScale = QUICK_SCALE,
     *,
     workers: int | None = 1,
+    results: dict[str, MethodResults] | None = None,
 ) -> dict[str, MethodResults]:
     """Run the interval experiment for one data view.
 
@@ -47,6 +48,9 @@ def run(
         "DT" (Table 2) or "DG" (Table 3).
     workers:
         Process count for running the view's scenarios concurrently.
+    results:
+        Fits already made at ``scale``, such as Table 1's; the view's
+        scenarios are taken from them instead of being refitted.
     """
     if data_view not in ("DT", "DG"):
         raise ValueError(f"data_view must be 'DT' or 'DG', got {data_view!r}")
@@ -55,6 +59,8 @@ def run(
         scenario for name, scenario in scenarios.items()
         if name.startswith(data_view)
     ]
+    if results is not None:
+        return select_results(results, [s.name for s in selected], scale)
     return run_scenarios(selected, scale=scale, workers=workers)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.reliability import estimate_reliability
 from repro.experiments.config import ExperimentScale, QUICK_SCALE, paper_scenarios
-from repro.experiments.runner import MethodResults, run_all_methods
+from repro.experiments.runner import MethodResults, run_all_methods, select_results
 from repro.metrics.tables import render_table
 
 __all__ = ["run", "render", "ReliabilityRow"]
@@ -35,6 +35,8 @@ class ReliabilityRow:
 def run(
     data_view: str,
     scale: ExperimentScale = QUICK_SCALE,
+    *,
+    results: dict[str, MethodResults] | None = None,
 ) -> tuple[MethodResults, list[ReliabilityRow]]:
     """Run the reliability experiment for one data view's Info scenario.
 
@@ -42,11 +44,17 @@ def run(
     ----------
     data_view:
         "DT" (Table 4) or "DG" (Table 5).
+    results:
+        Fits already made at ``scale``, such as Table 1's; the Info
+        scenario's entry is used instead of a refit.
     """
     if data_view not in ("DT", "DG"):
         raise ValueError(f"data_view must be 'DT' or 'DG', got {data_view!r}")
     scenario = paper_scenarios()[f"{data_view}-Info"]
-    result = run_all_methods(scenario, scale=scale)
+    if results is not None:
+        result = select_results(results, [scenario.name], scale)[scenario.name]
+    else:
+        result = run_all_methods(scenario, scale=scale)
     data = scenario.load_data()
     rows = []
     for u in scenario.reliability_windows:

@@ -12,20 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
-from repro.bayes.mcmc.gibbs_grouped import gibbs_grouped
 from repro.core.vb2 import fit_vb2
-from repro.data.failure_data import FailureTimeData
 from repro.experiments.config import ExperimentScale, PAPER_SCALE, paper_scenarios
+from repro.experiments.runner import MethodResults, run_all_methods, select_results
 from repro.metrics.tables import render_table
 from repro.metrics.timing import time_callable
 
-__all__ = ["run_table6", "run_table7", "render_table6", "render_table7",
-           "Table6Row", "Table7Row", "DEFAULT_NMAX_VALUES"]
+__all__ = ["run_table6", "run_table7", "table6_rows", "render_table6",
+           "render_table7", "Table6Row", "Table7Row", "DEFAULT_NMAX_VALUES"]
 
 DEFAULT_NMAX_VALUES = (100, 200, 500, 1000)
+_INFO_SCENARIOS = ("DT-Info", "DG-Info")
 
 
 @dataclass(frozen=True)
@@ -47,30 +44,31 @@ class Table7Row:
     seconds: float
 
 
-def run_table6(scale: ExperimentScale = PAPER_SCALE) -> list[Table6Row]:
-    """Time the Gibbs samplers on both Info scenarios."""
-    scenarios = paper_scenarios()
+def table6_rows(results: dict[str, MethodResults]) -> list[Table6Row]:
+    """Table 6 from the MCMC variate count and time that
+    :func:`~repro.experiments.runner.run_all_methods` recorded for both
+    Info scenarios."""
     rows = []
-    for name in ("DT-Info", "DG-Info"):
-        scenario = scenarios[name]
-        data = scenario.load_data()
-        prior = scenario.prior()
-        sampler = (
-            gibbs_failure_time if isinstance(data, FailureTimeData) else gibbs_grouped
-        )
-        rng = np.random.default_rng(scale.mcmc.seed)
-        timing = time_callable(
-            lambda: sampler(data, prior, scenario.alpha0, settings=scale.mcmc, rng=rng),
-            label=f"table6 MCMC {name}",
-        )
+    for name, result in select_results(results, _INFO_SCENARIOS).items():
         rows.append(
             Table6Row(
                 scenario=name,
-                variate_count=timing.result.variate_count,
-                seconds=timing.seconds,
+                variate_count=result.extra["MCMC"]["variate_count"],
+                seconds=result.seconds["MCMC"],
             )
         )
     return rows
+
+
+def run_table6(scale: ExperimentScale = PAPER_SCALE) -> list[Table6Row]:
+    """Time the Gibbs samplers on both Info scenarios."""
+    scenarios = paper_scenarios()
+    return table6_rows(
+        {
+            name: run_all_methods(scenarios[name], scale=scale, methods=("MCMC",))
+            for name in _INFO_SCENARIOS
+        }
+    )
 
 
 def run_table7(
@@ -79,7 +77,7 @@ def run_table7(
     """Time VB2 at fixed truncation points on both Info scenarios."""
     scenarios = paper_scenarios()
     rows = []
-    for name in ("DT-Info", "DG-Info"):
+    for name in _INFO_SCENARIOS:
         scenario = scenarios[name]
         data = scenario.load_data()
         prior = scenario.prior()

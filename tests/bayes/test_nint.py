@@ -10,7 +10,45 @@ from repro.bayes.nint import (
     integration_limits_from_posterior,
     log_posterior_matrix,
 )
+from repro.core.reliability import reliability_increment
 from repro.models.gamma_srm import GammaSRM
+
+
+def _reliability_cdf_loop(posterior, r, c):
+    """``P(R <= r)`` one β column at a time, with one ``np.interp`` call
+    per column: the reference for ``GridPosterior.reliability_cdf``."""
+    if r <= 0.0:
+        return 0.0
+    if r >= 1.0:
+        return 1.0
+    grid = posterior.grid
+    c_values = np.asarray(c(grid.y), dtype=float)
+    threshold = -math.log(r)
+    columns = posterior.density * grid.wy[None, :]
+    cell_mass = 0.5 * (columns[1:, :] + columns[:-1, :]) * np.diff(grid.x)[:, None]
+    cum = np.vstack([np.zeros(columns.shape[1]), np.cumsum(cell_mass, axis=0)])
+    col_totals = cum[-1, :]
+    norm = float(col_totals.sum())
+    total = 0.0
+    for j in range(grid.y.size):
+        if col_totals[j] == 0.0 or c_values[j] <= 0.0:
+            continue
+        with np.errstate(over="ignore"):
+            cut = threshold / c_values[j]
+        below = float(np.interp(cut, grid.x, cum[:, j]))
+        total += col_totals[j] - below
+    return float(total / norm)
+
+
+#: 204 reliability levels: the far tails at both ends and a sweep between.
+_R_VALUES = np.concatenate(
+    [
+        [1e-320, 1e-310, 1e-305, 1e-300],
+        np.linspace(1e-6, 1.0 - 1e-6, 194),
+        1.0 - np.array([1e-11, 1e-12, 1e-13, 1e-15]),
+        [1.0 - 2.0**-53, np.nextafter(1.0, 0.0)],
+    ]
+)
 
 
 class TestLogPosteriorMatrix:
@@ -162,6 +200,57 @@ class TestGridPosterior:
     def test_invalid_quantile_level(self, nint_times):
         with pytest.raises(ValueError):
             nint_times.quantile("omega", 1.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestReliabilityCdfIdentity:
+    """The one-pass CDF equals the per-column ``np.interp`` loop bit for
+    bit, on the paper's windows and on a window where ``c(β)`` underflows
+    to 0 (and the cut overflows to inf) on part of the β grid."""
+
+    @pytest.mark.parametrize(
+        "view, windows",
+        [("times", (1000.0, 10000.0)), ("grouped", (1.0, 5.0))],
+    )
+    def test_matches_per_column_loop(self, request, view, windows):
+        posterior = request.getfixturevalue(f"nint_{view}")
+        data = request.getfixturevalue(f"{view}_data")
+        beta_mid = float(np.median(posterior.grid.y))
+        increments = [reliability_increment(1.0, data.horizon, u) for u in windows]
+        underflow = reliability_increment(1.0, 745.0 / beta_mid, data.horizon)
+        c_values = underflow(posterior.grid.y)
+        assert np.any(c_values == 0.0) and np.any(c_values > 0.0)
+        assert np.any((c_values > 0.0) & (c_values < 1e-300))
+        for c in (*increments, underflow):
+            for r in _R_VALUES:
+                assert posterior.reliability_cdf(r, c) == _reliability_cdf_loop(
+                    posterior, r, c
+                )
+
+    def test_node_hits_and_skipped_columns(self, nint_times):
+        omega = nint_times.grid.x
+        beta = nint_times.grid.y
+        # c = 1 puts the cut at -log r in every column; pick r so that it
+        # lands exactly on ω nodes, and on the first and last node.
+        levels = []
+        for node in (omega[0], omega[7], omega[80], omega[-1]):
+            r = math.exp(-node)
+            for _ in range(64):
+                if -math.log(r) == node:
+                    break
+                r = float(np.nextafter(r, 0.0 if -math.log(r) < node else 1.0))
+            assert -math.log(r) == node
+            levels.append(r)
+        # Columns with c <= 0 are skipped: a mix of zero, negative and
+        # positive c, and a c that skips every column.
+        mixed = lambda b: np.where(
+            b < beta[60], 0.0, np.where(b > beta[140], -1.0, 1.0)
+        )
+        for c in (np.ones_like, mixed, lambda b: -np.ones_like(b)):
+            for r in (*levels, *_R_VALUES):
+                assert nint_times.reliability_cdf(r, c) == _reliability_cdf_loop(
+                    nint_times, r, c
+                )
 
 
 class TestFitNint:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -138,6 +139,48 @@ class TestFailureModes:
         cache.put(key, posterior)
         json_path, _ = _artifact_paths(cache, key)
         json_path.write_text(json_path.read_text()[:25])
+
+        reader = PosteriorCache(tmp_path)
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert reader.get(key) is None
+        assert reader.stats.corrupt == 1
+
+    @pytest.mark.parametrize("edit", ["elbo", "diagnostics", "schema-1"])
+    def test_edited_sidecar_degrades_to_miss(
+        self, tmp_path, data, prior, posterior, edit
+    ):
+        # Well-formed JSON with an altered value: only the checksum over
+        # the npz bytes and the sidecar content catches it.
+        cache = PosteriorCache(tmp_path)
+        key = fit_cache_key("VB2", data, prior)
+        cache.put(key, posterior)
+        json_path, _ = _artifact_paths(cache, key)
+        meta = json.loads(json_path.read_text())
+        if edit == "elbo":
+            meta["elbo"] += 123.0
+        elif edit == "diagnostics":
+            meta["diagnostics"]["nmax"] = 7
+        else:  # an artifact written before checksums existed
+            del meta["sha256"]
+            meta["schema"] = 1
+        json_path.write_text(json.dumps(meta, indent=1))
+
+        reader = PosteriorCache(tmp_path)
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert reader.get(key) is None
+        assert reader.stats.corrupt == 1
+        assert reader.stats.misses == 1
+
+    def test_resaved_npz_degrades_to_miss(self, tmp_path, data, prior, posterior):
+        # A valid archive (member CRC-32s intact) with one changed weight.
+        cache = PosteriorCache(tmp_path)
+        key = fit_cache_key("VB2", data, prior)
+        cache.put(key, posterior)
+        _, npz_path = _artifact_paths(cache, key)
+        with np.load(npz_path) as archive:
+            arrays = {name: archive[name].copy() for name in archive.files}
+        arrays["weights"][0] = np.nextafter(arrays["weights"][0], 1.0)
+        np.savez(npz_path, **arrays)
 
         reader = PosteriorCache(tmp_path)
         with pytest.warns(RuntimeWarning, match="corrupt"):

@@ -77,6 +77,38 @@ class TestMain:
         assert "CSV written" in captured.out
         assert (tmp_path / "fig" / "figure1_axes.csv").exists()
 
+    def test_all_fits_each_scenario_once(self, capsys, monkeypatch):
+        import repro.cli as cli
+        import repro.experiments.runner as runner
+        from repro.bayes.mcmc.chains import ChainSettings
+        from repro.experiments.config import ExperimentScale
+
+        tiny = ExperimentScale(
+            mcmc=ChainSettings(n_samples=200, burn_in=50, thin=1, seed=3),
+            nint_resolution=41,
+            label="tiny",
+        )
+        monkeypatch.setattr(cli, "QUICK_SCALE", tiny)
+        chains = []
+        for name in ("gibbs_failure_time", "gibbs_grouped"):
+            sampler = getattr(runner, name)
+
+            def counted(data, prior, *args, _sampler=sampler, **kwargs):
+                chains.append((type(data).__name__, prior.is_proper))
+                return _sampler(data, prior, *args, **kwargs)
+
+            monkeypatch.setattr(runner, name, counted)
+        assert main(["all"]) == 0
+        out = capsys.readouterr().out
+        for title in ("Table 1", "Table 3", "Table 5", "Table 6", "Table 7"):
+            assert title in out
+        assert sorted(chains) == [
+            ("FailureTimeData", False),
+            ("FailureTimeData", True),
+            ("GroupedData", False),
+            ("GroupedData", True),
+        ]
+
     def test_simulate_then_fit_roundtrip(self, capsys, tmp_path):
         csv_path = tmp_path / "sim.csv"
         exit_code = main(

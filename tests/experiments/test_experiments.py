@@ -141,6 +141,39 @@ class TestTableRendering:
         assert "VB2" in text7
 
 
+class TestSharedResults:
+    """Runners given fits made elsewhere (Table 1's) use them as they are."""
+
+    def test_table45_uses_given_results(self, dt_info_results):
+        shared = {"DT-Info": dt_info_results}
+        result, rows = table45.run("DT", scale=TINY_SCALE, results=shared)
+        assert result is dt_info_results
+        assert rows == table45.run("DT", scale=TINY_SCALE)[1]
+
+    def test_table6_rows_read_recorded_mcmc_cost(self, dt_info_results):
+        shared = {"DT-Info": dt_info_results, "DG-Info": dt_info_results}
+        rows = table67.table6_rows(shared)
+        assert [row.scenario for row in rows] == ["DT-Info", "DG-Info"]
+        assert rows[0].variate_count == 3 * TINY_SCALE.mcmc.total_iterations
+        assert rows[0].seconds == dt_info_results.seconds["MCMC"]
+
+    def test_wrong_scale_rejected(self, dt_info_results):
+        shared = {"DT-Info": dt_info_results}
+        with pytest.raises(ValueError, match="requested"):
+            table45.run("DT", scale=QUICK_SCALE, results=shared)
+
+    def test_missing_scenario_rejected(self, dt_info_results):
+        shared = {"DT-Info": dt_info_results}
+        with pytest.raises(ValueError, match="DT-NoInfo"):
+            table23.run("DT", scale=TINY_SCALE, results=shared)
+        with pytest.raises(ValueError, match="DG-Info"):
+            table45.run("DG", scale=TINY_SCALE, results=shared)
+        with pytest.raises(ValueError, match="DG-Info"):
+            table67.table6_rows(shared)
+        with pytest.raises(ValueError, match="DG-Info"):
+            figure1.run(scale=TINY_SCALE, results=shared)
+
+
 class TestFigure1:
     def test_figure_data(self, tmp_path):
         figure = figure1.run(scale=TINY_SCALE, grid_size=24, scatter_points=500)

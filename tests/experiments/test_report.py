@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bayes.mcmc.chains import ChainSettings
+from repro.experiments import runner, table1, table45
 from repro.experiments.config import ExperimentScale
 from repro.experiments.report import (
     PAPER_TABLE1_DEVIATIONS,
@@ -10,15 +11,16 @@ from repro.experiments.report import (
     build_report,
 )
 
+TINY = ExperimentScale(
+    mcmc=ChainSettings(n_samples=600, burn_in=200, thin=1, seed=8),
+    nint_resolution=81,
+    label="tiny",
+)
+
 
 @pytest.fixture(scope="module")
 def report_text():
-    tiny = ExperimentScale(
-        mcmc=ChainSettings(n_samples=600, burn_in=200, thin=1, seed=8),
-        nint_resolution=81,
-        label="tiny",
-    )
-    return build_report(scale=tiny, table7_nmax=(50, 100))
+    return build_report(scale=TINY, table7_nmax=(50, 100))
 
 
 class TestPaperReferenceData:
@@ -65,3 +67,35 @@ class TestBuildReport:
 
     def test_substitution_caveat_stated(self, report_text):
         assert "synthetic analogue" in report_text
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((name, args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestEachPosteriorOnce:
+    def test_one_chain_per_scenario_and_shared_results(self, monkeypatch):
+        chains, tables, reliability = [], [], []
+        _counting(monkeypatch, runner, "gibbs_failure_time", chains)
+        _counting(monkeypatch, runner, "gibbs_grouped", chains)
+        _counting(monkeypatch, table1, "run", tables)
+        _counting(monkeypatch, table45, "run", reliability)
+
+        build_report(scale=TINY, table7_nmax=(50,))
+        assert len(chains) == 4
+        assert len(tables) == 1
+        results = tables[0][3]
+        assert [call[1][0] for call in reliability] == ["DT", "DG"]
+        for _, (view,), _, (result, _) in reliability:
+            assert result is results[f"{view}-Info"]
+
+        # No memo across calls: a second report refits every scenario.
+        build_report(scale=TINY, table7_nmax=(50,))
+        assert len(chains) == 8
