@@ -32,7 +32,9 @@ class GridPosterior(JointPosterior):
     log_pdf_fn:
         Optional callable ``(omega_nodes, beta_nodes) -> matrix`` that
         re-evaluates the unnormalised log posterior on arbitrary nodes;
-        enables :meth:`log_pdf_grid` beyond the stored grid.
+        enables :meth:`log_pdf_grid` beyond the stored grid. A
+        module-level function or a ``functools.partial`` of one keeps
+        the posterior picklable (parallel scenario runs).
     """
 
     method_name = "NINT"
@@ -60,7 +62,17 @@ class GridPosterior(JointPosterior):
         self._mass_total = float(self._mass.sum())
         self._marginal_omega = self._mass.sum(axis=1)  # already weight-included
         self._marginal_beta = self._mass.sum(axis=0)
-        self._column_tables: tuple[np.ndarray, np.ndarray, float] | None = None
+        # Reliability CDF tables: per β column, the cumulative trapezoid
+        # ω mass at each ω node (the β quadrature weight included), the
+        # column totals and their sum.
+        columns = self._density * grid.wy[None, :]
+        d_omega = np.diff(grid.x)
+        cell_mass = 0.5 * (columns[1:, :] + columns[:-1, :]) * d_omega[:, None]
+        self._column_cum = np.vstack(
+            [np.zeros(columns.shape[1]), np.cumsum(cell_mass, axis=0)]
+        )
+        self._column_totals = self._column_cum[-1, :]
+        self._column_norm = float(self._column_totals.sum())
 
     # ------------------------------------------------------------------
     @property
@@ -146,18 +158,6 @@ class GridPosterior(JointPosterior):
         return float(np.interp(x, nodes, cdf, left=0.0, right=1.0))
 
     # ------------------------------------------------------------------
-    # Pickling (parallel campaign runner)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Drop the (often closure-based) re-evaluation callable so grid
-        posteriors cross process boundaries; every tabulated functional
-        survives, only :meth:`log_pdf_grid` beyond the stored grid is
-        lost."""
-        state = self.__dict__.copy()
-        state["_log_pdf_fn"] = None
-        return state
-
-    # ------------------------------------------------------------------
     # Density re-evaluation (Figure 1)
     # ------------------------------------------------------------------
     def log_pdf_grid(self, omega: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -179,22 +179,6 @@ class GridPosterior(JointPosterior):
         point = (self._mass * r_matrix).sum() / self._mass_total
         return float(min(max(point, 0.0), 1.0))
 
-    def _column_cdfs(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """``(cum, col_totals, norm)``: per β column, the cumulative
-        trapezoid ω mass at each ω node (the β quadrature weight
-        included), the column totals and their sum. Built on first use;
-        they depend on neither ``r`` nor ``c``."""
-        if self._column_tables is None:
-            columns = self._density * self._grid.wy[None, :]
-            d_omega = np.diff(self._grid.x)
-            cell_mass = 0.5 * (columns[1:, :] + columns[:-1, :]) * d_omega[:, None]
-            cum = np.vstack(
-                [np.zeros(columns.shape[1]), np.cumsum(cell_mass, axis=0)]
-            )
-            col_totals = cum[-1, :]
-            self._column_tables = (cum, col_totals, float(col_totals.sum()))
-        return self._column_tables
-
     def reliability_cdf(self, r: float, c: Callable[[np.ndarray], np.ndarray]) -> float:
         """``P(R <= r)``: for each β column, the ω mass above the
         threshold ``-log r / c(β)``, interpolated inside grid cells.
@@ -205,7 +189,7 @@ class GridPosterior(JointPosterior):
             return 0.0
         if r >= 1.0:
             return 1.0
-        cum, col_totals, norm = self._column_cdfs()
+        cum, col_totals = self._column_cum, self._column_totals
         c_values = np.asarray(c(self._grid.y), dtype=float)
         # A slice with c <= 0 has reliability exactly 1, so R <= r < 1
         # is impossible there; an empty column adds nothing.
@@ -216,7 +200,7 @@ class GridPosterior(JointPosterior):
             cut = -math.log(r) / c_values[kept]
         below = _interp_columns(cut, self._grid.x, cum, kept)
         total = np.cumsum(col_totals[kept] - below)[-1]
-        return float(total / norm)
+        return float(total / self._column_norm)
 
 
 def _interp_columns(

@@ -14,6 +14,8 @@ heuristic when handed a VB2 posterior, and also accepts explicit limits.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from repro.stats import scipy_special as sc
 
@@ -186,15 +188,11 @@ def fit_nint(
     with obs.span("nint.fit", collect=True, data=type(data).__name__) as sp:
         grid = TensorGrid.simpson(omega_range, beta_range, n_omega, n_beta)
         log_post = log_posterior_matrix(data, prior, alpha0, grid.x, grid.y)
-
-        def log_pdf_fn(
-            omega_nodes: np.ndarray, beta_nodes: np.ndarray
-        ) -> np.ndarray:
-            return log_posterior_matrix(
-                data, prior, alpha0, omega_nodes, beta_nodes
-            )
-
-        posterior = GridPosterior(grid, log_post, log_pdf_fn=log_pdf_fn)
+        posterior = GridPosterior(
+            grid,
+            log_post,
+            log_pdf_fn=partial(log_posterior_matrix, data, prior, alpha0),
+        )
         if obs.enabled():
             obs.counter_add("nint.fits")
             obs.counter_add("nint.grid_evaluations", grid.x.size * grid.y.size)

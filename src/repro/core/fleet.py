@@ -34,6 +34,8 @@ growing ``nmax``, mirroring per-lane freezing one level up.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro import obs
@@ -505,7 +507,7 @@ def fit_nint_fleet(
                 )
             posterior = GridPosterior(
                 grid, log_post,
-                log_pdf_fn=_nint_log_pdf_fn(data, prior_i, a0),
+                log_pdf_fn=partial(log_posterior_matrix, data, prior_i, a0),
             )
             builders.append(_prebuilt(posterior))
             diags.append({
@@ -521,13 +523,6 @@ def fit_nint_fleet(
             obs.counter_add("nint.grid_evaluations", total_nodes)
             obs.fit_health("NINT_FLEET", datasets=count, nodes=total_nodes)
     return FleetResult("NINT", builders, diags, [None] * count)
-
-
-def _nint_log_pdf_fn(data, prior, alpha0):
-    def log_pdf_fn(omega_nodes, beta_nodes):
-        return log_posterior_matrix(data, prior, alpha0, omega_nodes, beta_nodes)
-
-    return log_pdf_fn
 
 
 def _prebuilt(posterior):

@@ -180,6 +180,19 @@ class TestGridPosterior:
         # density scale of the stored grid.
         assert np.all(np.isfinite(values))
 
+    def test_pickle_round_trip_keeps_reevaluation(self, nint_grouped):
+        # Parallel scenario runs return NINT posteriors pickled; Figure 1
+        # then re-evaluates them off the stored grid.
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(nint_grouped))
+        omega = np.linspace(35.0, 55.0, 4)
+        beta = np.linspace(0.05, 0.2, 3)
+        np.testing.assert_array_equal(
+            copy.log_pdf_grid(omega, beta), nint_grouped.log_pdf_grid(omega, beta)
+        )
+        assert copy.mean("omega") == nint_grouped.mean("omega")
+
     def test_cross_moment_implies_negative_covariance(self, nint_times):
         assert nint_times.covariance() < 0.0
 

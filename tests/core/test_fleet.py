@@ -219,6 +219,20 @@ class TestNINTIdentity:
                     param, 0.975
                 )
 
+    def test_posteriors_pickle_with_reevaluation(self, portfolio, prior):
+        import pickle
+
+        data = portfolio[0]
+        limits = {"omega": (5.0, 60.0), "beta": (1e-3, 0.05)}
+        posterior = fit_nint_fleet(
+            [data], prior, 1.0, limits=limits, n_omega=41, n_beta=41
+        ).posterior(0)
+        copy = pickle.loads(pickle.dumps(posterior))
+        omega, beta = np.linspace(10.0, 50.0, 3), np.linspace(0.005, 0.04, 4)
+        np.testing.assert_array_equal(
+            copy.log_pdf_grid(omega, beta), posterior.log_pdf_grid(omega, beta)
+        )
+
     def test_explicit_limits_broadcast(self, portfolio, prior):
         data = portfolio[0]
         limits = {"omega": (5.0, 60.0), "beta": (1e-3, 0.05)}

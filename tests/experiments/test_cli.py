@@ -109,6 +109,27 @@ class TestMain:
             ("GroupedData", True),
         ]
 
+    def test_all_with_worker_pool(self, capsys, monkeypatch):
+        # Table 1's fits come back from the pool pickled; Figure 1 must
+        # still re-evaluate their densities, and the figure must equal
+        # the serial run's.
+        import repro.cli as cli
+        from repro.bayes.mcmc.chains import ChainSettings
+        from repro.experiments.config import ExperimentScale
+
+        tiny = ExperimentScale(
+            mcmc=ChainSettings(n_samples=200, burn_in=50, thin=1, seed=3),
+            nint_resolution=41,
+            label="tiny",
+        )
+        monkeypatch.setattr(cli, "QUICK_SCALE", tiny)
+        figures = []
+        for workers in ("2", "1"):
+            assert main(["all", "--workers", workers]) == 0
+            out = capsys.readouterr().out
+            figures.append(out[out.index("NINT  (omega"):])
+        assert figures[0] == figures[1]
+
     def test_simulate_then_fit_roundtrip(self, capsys, tmp_path):
         csv_path = tmp_path / "sim.csv"
         exit_code = main(
