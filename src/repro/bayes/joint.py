@@ -29,6 +29,11 @@ __all__ = ["JointPosterior", "PARAM_NAMES"]
 
 PARAM_NAMES = ("omega", "beta")
 
+#: ``log s`` bracket of the residual-count solve: below ``s ~ 1.1e-16``
+#: ``e^(-s)`` is 1 in floats, above ``s ~ 745`` it is 0.
+_LOG_S_MIN = math.log(1.1e-16)
+_LOG_S_MAX = math.log(746.0)
+
 
 class JointPosterior(abc.ABC):
     """Joint posterior distribution of the pair ``(ω, β)``."""
@@ -166,9 +171,21 @@ class JointPosterior(abc.ABC):
         :meth:`reliability_cdf` over ``[0, 1]``."""
         if not 0.0 < q < 1.0:
             raise ValueError("quantile level must be in (0, 1)")
-        return bisect_increasing(
-            lambda r: self.reliability_cdf(r, c) - q, 0.0, 1.0, xtol=1e-10
-        )
+        cdf = self._reliability_cdf_at(c)
+        r = bisect_increasing(lambda r: cdf(r) - q, 0.0, 1.0, xtol=1e-10)
+        # A CDF that stays 0 below r = 1 means R = 1 surely; the bracket
+        # midpoint would sit a tolerance below it.
+        if 1.0 - r <= 1e-10 and cdf(r) == 0.0:
+            return 1.0
+        return r
+
+    def _reliability_cdf_at(
+        self, c: Callable[[np.ndarray], np.ndarray]
+    ) -> Callable[[float], float]:
+        """``r ↦ P(R ≤ r)`` for the window ``c``, for solvers that
+        evaluate it many times; posteriors that build per-window cells
+        override it to build them once per solve."""
+        return lambda r: self.reliability_cdf(r, c)
 
     def reliability_quantile_batch(
         self, q: np.ndarray, c: Callable[[np.ndarray], np.ndarray]
@@ -208,19 +225,30 @@ class JointPosterior(abc.ABC):
         ``D = ω c(β)`` with ``c`` a :class:`~repro.core.reliability.
         ResidualSurvival` (``c(β) = 1 - G(te; β)``).
 
-        ``D = -log R`` for the reliability ``R = exp(-ω c(β))``, and
-        ``-log`` is strictly decreasing, so quantiles transform exactly:
-        the ``q``-quantile of ``D`` is ``-log`` of the ``(1-q)``-quantile
-        of ``R``. Posteriors whose reliability quantiles are not genuine
-        probabilities (the Laplace delta method) override this with a
-        native approximation.
+        ``D = -log R`` for the reliability ``R = exp(-ω c(β))``, so
+        ``P(D ≤ s) = 1 - P(R ≤ e^(-s))`` and the ``q``-quantile of ``D``
+        is the root of ``P(R ≤ e^(-s)) = 1 - q``. It is solved in
+        ``s`` itself, by bisection in ``log s`` to a relative tolerance
+        of 1e-10: bisecting ``r`` would resolve ``D`` only to
+        ``~1e-10 e^D``. Posteriors whose reliability CDF is not a
+        genuine probability (the Laplace delta method) override this
+        with a native approximation.
         """
         levels = np.atleast_1d(np.asarray(q, dtype=float))
-        rel = np.asarray(
-            self.reliability_quantile_batch(1.0 - levels, survival), dtype=float
-        )
-        with np.errstate(divide="ignore"):
-            return -np.log(np.clip(rel, 0.0, 1.0))
+        if np.any(~((levels > 0.0) & (levels < 1.0))):
+            raise ValueError("quantile levels must be in (0, 1)")
+        cdf = self._reliability_cdf_at(survival)
+        # Below s ~ 1.1e-16, e^(-s) is 1 in floats: such levels give 0.
+        at_one = cdf(math.nextafter(1.0, 0.0))
+        out = np.zeros_like(levels)
+        for i, level in enumerate(levels):
+            complement = 1.0 - float(level)
+            if at_one > complement:
+                out[i] = math.exp(bisect_increasing(
+                    lambda t: complement - cdf(math.exp(-math.exp(t))),
+                    _LOG_S_MIN, _LOG_S_MAX, xtol=1e-10, rtol=0.0,
+                ))
+        return out
 
     def residual_interval(
         self, level: float, survival: Callable[[np.ndarray], np.ndarray]

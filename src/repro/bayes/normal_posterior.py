@@ -168,6 +168,8 @@ class NormalPosterior(JointPosterior):
         if not 0.0 < q < 1.0:
             raise ValueError("quantile level must be in (0, 1)")
         r_hat, sd = self._reliability_mean_std(c)
+        if sd == 0.0:  # a degenerate window: R is r_hat surely
+            return r_hat
         return float(st.norm.ppf(q, loc=r_hat, scale=sd))
 
     # ------------------------------------------------------------------
@@ -192,9 +194,9 @@ class NormalPosterior(JointPosterior):
         )
         grad = np.array([c_hat, omega_hat * dc])
         var = float(grad @ self._cov @ grad)
+        if not var > 0.0:  # a degenerate window: D is its plug-in surely
+            return np.full(levels.shape, omega_hat * c_hat)
         return np.asarray(
-            st.norm.ppf(
-                levels, loc=omega_hat * c_hat, scale=math.sqrt(max(var, 0.0))
-            ),
+            st.norm.ppf(levels, loc=omega_hat * c_hat, scale=math.sqrt(var)),
             dtype=float,
         )

@@ -392,7 +392,7 @@ class ScaledPosterior(JointPosterior):
         scaled_c = _ScaledIncrement(
             base=c, center=float(self._mu[1]), scale=float(self._kappa[1])
         )
-        return tabler(scaled_c)
+        return tabler(scaled_c).cells()
 
     def reliability_point(self, c: Callable[[np.ndarray], np.ndarray]) -> float:
         quad_w, c_values, a_omega, b_omega = self._tables(c)
@@ -405,21 +405,27 @@ class ScaledPosterior(JointPosterior):
         return float(min(max(np.sum(quad_w * factors), 0.0), 1.0))
 
     def reliability_cdf(self, r: float, c: Callable[[np.ndarray], np.ndarray]) -> float:
-        if r <= 0.0:
-            return 0.0
-        if r >= 1.0:
-            return 1.0
+        return self._reliability_cdf_at(c)(r)
+
+    def _reliability_cdf_at(self, c):
         quad_w, c_values, a_omega, b_omega = self._tables(c)
-        threshold = -math.log(r)
         k_omega = float(self._kappa[0])
         mu_omega = float(self._mu[0])
-        with np.errstate(divide="ignore"):
-            cut = np.where(c_values > 0.0, threshold / c_values, np.inf)
-        # ω' >= cut  ⇔  ω >= μ + (cut - μ)/κ; a non-positive base cut
-        # means the whole component mass is in the tail.
-        cut_base = np.clip(mu_omega + (cut - mu_omega) / k_omega, 0.0, None)
-        tail = sc.gammaincc(a_omega, b_omega * cut_base)
-        return float(np.sum(quad_w * tail))
+
+        def cdf(r: float) -> float:
+            if r <= 0.0:
+                return 0.0
+            if r >= 1.0:
+                return 1.0
+            with np.errstate(divide="ignore"):
+                cut = np.where(c_values > 0.0, -math.log(r) / c_values, np.inf)
+            # ω' >= cut  ⇔  ω >= μ + (cut - μ)/κ; a non-positive base
+            # cut means the whole component mass is in the tail.
+            cut_base = np.clip(mu_omega + (cut - mu_omega) / k_omega, 0.0, None)
+            tail = sc.gammaincc(a_omega, b_omega * cut_base)
+            return float(np.sum(quad_w * tail))
+
+        return cdf
 
 
 def apply_sandwich(

@@ -41,7 +41,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.posterior import VBPosterior
-from repro.stats.gamma_dist import GammaDistribution
 
 __all__ = ["CacheStats", "PosteriorCache", "ARTIFACT_SCHEMA"]
 
@@ -98,18 +97,10 @@ def _serialize(posterior: VBPosterior) -> tuple[dict, dict]:
     arrays = {
         "n_values": posterior._n_values,
         "weights": posterior._weights,
-        "omega_shape": np.array(
-            [c.shape for c in posterior._omega_components], dtype=np.float64
-        ),
-        "omega_rate": np.array(
-            [c.rate for c in posterior._omega_components], dtype=np.float64
-        ),
-        "beta_shape": np.array(
-            [c.shape for c in posterior._beta_components], dtype=np.float64
-        ),
-        "beta_rate": np.array(
-            [c.rate for c in posterior._beta_components], dtype=np.float64
-        ),
+        "omega_shape": posterior._omega_shape,
+        "omega_rate": posterior._omega_rate,
+        "beta_shape": posterior._beta_shape,
+        "beta_rate": posterior._beta_rate,
     }
     return meta, arrays
 
@@ -132,23 +123,13 @@ def _rebuild(meta: dict, arrays: dict) -> VBPosterior:
         raise ValueError("artifact arrays disagree on component count")
     if arrays["n_values"].size == 0:
         raise ValueError("artifact has no mixture components")
-    omega = [
-        GammaDistribution(shape, rate)
-        for shape, rate in zip(arrays["omega_shape"], arrays["omega_rate"])
-    ]
-    beta = [
-        GammaDistribution(shape, rate)
-        for shape, rate in zip(arrays["beta_shape"], arrays["beta_rate"])
-    ]
     elbo = meta["elbo"]
-    return VBPosterior._from_normalised(
-        arrays["n_values"],
-        arrays["weights"],
-        omega,
-        beta,
+    return VBPosterior.from_arrays(
+        *(arrays[name] for name in _ARRAY_FIELDS),
         method_name=str(meta["method_name"]),
         elbo=None if elbo is None else float(elbo),
         diagnostics=meta["diagnostics"],
+        normalised=True,
     )
 
 

@@ -22,16 +22,33 @@ from repro.stats import scipy_special as sc
 
 from repro import obs
 from repro.bayes.joint import JointPosterior
-from repro.exceptions import ConvergenceError
+from repro.stats.gamma_cells import GammaCells, unit_steps
 from repro.stats.gamma_dist import GammaDistribution
 from repro.stats.mixtures import MixtureDistribution
 
 __all__ = ["VBPosterior"]
 
-_RELIABILITY_NODES = 48
-_COMPONENT_WEIGHT_FLOOR = 1e-15
-#: Reliability quantiles drop the lightest quadrature cells whose
-#: combined weight is at most this (see ``_LiveCells``).
+#: Gauss–Legendre nodes per β block: ``_RELIABILITY_NODES`` for a
+#: block holding more than 1e-6 of the mass, fewer for lighter blocks,
+#: whose quadrature error counts in proportion to their mass.
+_RELIABILITY_NODES = 128
+_BLOCK_NODES = ((1e-6, _RELIABILITY_NODES), (1e-10, 64), (0.0, 32))
+
+
+def _gauss_legendre(n: int):
+    """Nodes and log weights of the ``n``-point rule on ``[-1, 1]``."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x, np.log(w)
+
+
+_RULES = {n: _gauss_legendre(n) for _, n in _BLOCK_NODES}
+#: Each component's β range runs between these tail quantiles.
+_BETA_CLIP = 1e-13
+#: Adjacent components share a β block while the union of their ranges
+#: is at most this many times the narrowest one.
+_BLOCK_WIDTHS = 2.0
+#: The reliability tables drop the lightest components at both ends of
+#: the ``N`` range whose combined weight is at most this.
 _DROP_MASS = 1e-13
 #: Round budget of the reliability-quantile solve.
 _MAX_SWEEPS = 120
@@ -52,7 +69,8 @@ class VBPosterior(JointPosterior):
     weights:
         Mixture weights ``Pv(N)``; normalised internally.
     omega_components, beta_components:
-        Per-``N`` gamma conditionals.
+        Per-``N`` gamma conditionals (:meth:`from_arrays` takes their
+        parameters as arrays instead).
     method_name:
         Table label, "VB2" or "VB1".
     elbo:
@@ -72,65 +90,75 @@ class VBPosterior(JointPosterior):
         elbo: float | None = None,
         diagnostics: dict | None = None,
     ) -> None:
-        n_arr = np.asarray(n_values, dtype=float)
-        w_arr = np.asarray(weights, dtype=float)
-        if not (
-            len(omega_components) == len(beta_components) == n_arr.size == w_arr.size
-        ):
+        if len(omega_components) != len(beta_components):
             raise ValueError("component arrays must have equal length")
-        if n_arr.size == 0:
+        self._install(
+            n_values, _normalised(weights, len(omega_components)),
+            *([getattr(d, field) for d in components]
+              for components in (omega_components, beta_components)
+              for field in ("shape", "rate")),
+            method_name=method_name, elbo=elbo, diagnostics=diagnostics,
+        )
+
+    @classmethod
+    def from_arrays(cls, n_values, weights, omega_shape, omega_rate,
+                    beta_shape, beta_rate, *, method_name: str = "VB2",
+                    elbo: float | None = None, diagnostics: dict | None = None,
+                    normalised: bool = False) -> "VBPosterior":
+        """The posterior from per-``N`` parameter arrays.
+
+        With ``normalised`` the weights are installed verbatim: the
+        cache layer (:mod:`repro.cache.store`) persists ``_weights``
+        *after* normalisation, and dividing again on load would perturb
+        last-ulp bits (``sum(w_i / total) != 1.0`` exactly), breaking
+        the byte-identical-hit contract.
+        """
+        post = cls.__new__(cls)
+        if not normalised:
+            weights = _normalised(weights, np.size(omega_shape))
+        post._install(n_values, weights, omega_shape, omega_rate, beta_shape,
+                      beta_rate, method_name=method_name, elbo=elbo,
+                      diagnostics=diagnostics)
+        return post
+
+    def _install(self, n_values, weights, *params, method_name, elbo,
+                 diagnostics) -> None:
+        n_values, weights, *params = (
+            np.asarray(v, dtype=float) for v in (n_values, weights, *params)
+        )
+        if not all(v.shape == n_values.shape == weights.shape for v in params):
+            raise ValueError("component arrays must have equal length")
+        if n_values.size == 0:
             raise ValueError("posterior needs at least one mixture component")
-        total = float(w_arr.sum())
-        if not (total > 0.0 and np.all(w_arr >= 0.0)):
-            raise ValueError("weights must be non-negative with positive sum")
-        self._n_values = n_arr
-        self._weights = w_arr / total
-        self._omega_components = list(omega_components)
-        self._beta_components = list(beta_components)
+        # one vectorised check, with GammaDistribution's messages
+        for name, values in zip(("shape", "rate") * 2, params):
+            bad = ~((values > 0.0) & np.isfinite(values))
+            if bad.any():
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {values[np.argmax(bad)]}")
+        self._n_values = n_values
+        self._weights = weights
+        self._omega_shape, self._omega_rate, self._beta_shape, self._beta_rate = params
         self.method_name = method_name
         self.elbo = elbo
         self.diagnostics = dict(diagnostics or {})
         self._marginals = {
-            "omega": MixtureDistribution(self._omega_components, self._weights),
-            "beta": MixtureDistribution(self._beta_components, self._weights),
+            name: MixtureDistribution.of_gammas(shape, rate, weights)
+            for name, shape, rate in (("omega", *params[:2]),
+                                      ("beta", *params[2:]))
         }
-        self._reliability_cache: dict[object, tuple] = {}
+        self._beta_grid = None
+        self._reliability_cache: dict[object, _ReliabilityTables] = {}
 
-    @classmethod
-    def _from_normalised(
-        cls,
-        n_values: np.ndarray,
-        weights: np.ndarray,
-        omega_components: Sequence[GammaDistribution],
-        beta_components: Sequence[GammaDistribution],
-        *,
-        method_name: str,
-        elbo: float | None,
-        diagnostics: dict | None,
-    ) -> "VBPosterior":
-        """Exact reconstruction from already-normalised internals.
+    @property
+    def _omega_components(self) -> list[GammaDistribution]:
+        """Per-``N`` ω conditionals as objects, built on first use."""
+        return self._marginals["omega"].components
 
-        The cache layer (:mod:`repro.cache.store`) persists ``_weights``
-        *after* ``__init__``'s normalisation; re-running the division on
-        load would perturb last-ulp bits (``sum(w_i / total) != 1.0``
-        exactly), breaking the byte-identical-hit contract. This
-        constructor installs the stored arrays verbatim. Only for
-        round-tripping a posterior this class itself produced.
-        """
-        post = cls.__new__(cls)
-        post._n_values = np.asarray(n_values, dtype=float)
-        post._weights = np.asarray(weights, dtype=float)
-        post._omega_components = list(omega_components)
-        post._beta_components = list(beta_components)
-        post.method_name = method_name
-        post.elbo = elbo
-        post.diagnostics = dict(diagnostics or {})
-        post._marginals = {
-            "omega": MixtureDistribution(post._omega_components, post._weights),
-            "beta": MixtureDistribution(post._beta_components, post._weights),
-        }
-        post._reliability_cache = {}
-        return post
+    @property
+    def _beta_components(self) -> list[GammaDistribution]:
+        """Per-``N`` β conditionals as objects, built on first use."""
+        return self._marginals["beta"].components
 
     # ------------------------------------------------------------------
     # Structure accessors
@@ -180,8 +208,8 @@ class VBPosterior(JointPosterior):
 
     def cross_moment(self) -> float:
         """``E[ωβ] = Σ_N Pv(N) E[ω|N] E[β|N]`` by conditional independence."""
-        means_omega = np.array([d.mean for d in self._omega_components])
-        means_beta = np.array([d.mean for d in self._beta_components])
+        means_omega = self._omega_shape / self._omega_rate
+        means_beta = self._beta_shape / self._beta_rate
         return float(np.dot(self._weights, means_omega * means_beta))
 
     # ------------------------------------------------------------------
@@ -191,8 +219,8 @@ class VBPosterior(JointPosterior):
         return self.marginal(param).ppf(q)
 
     def quantile_batch(self, param: str, q: np.ndarray) -> np.ndarray:
-        """All levels in one simultaneous vectorized bisection on the
-        gamma-mixture CDF (see :meth:`MixtureDistribution.ppf`)."""
+        """All levels in one call of the gamma-cell quantile engine
+        (see :meth:`MixtureDistribution.ppf`)."""
         levels = np.atleast_1d(np.asarray(q, dtype=float))
         return np.asarray(self.marginal(param).ppf(levels))
 
@@ -227,75 +255,72 @@ class VBPosterior(JointPosterior):
     # ------------------------------------------------------------------
     # Software reliability R = exp(-omega * c(beta))
     # ------------------------------------------------------------------
-    def reliability_tables(self, c: Callable[[np.ndarray], np.ndarray]):
-        """Precompute per-component Gauss–Legendre tables for the β
-        integral; cached per hashable ``c``.
+    def reliability_tables(
+        self, c: Callable[[np.ndarray], np.ndarray]
+    ) -> "_ReliabilityTables":
+        """Quadrature tables of the β integral for the window ``c``;
+        cached per hashable ``c``.
 
-        Returns ``(quad_w, c_values, a_omega, b_omega)`` — the
-        quadrature weights, window increments at the β nodes, and the
-        per-component ω gamma parameters — shaped for broadcasting
-        over the kept components. The whole construction (node
-        placement from the component β quantiles, densities at the
-        nodes) is a handful of array broadcasts over the component
-        parameter vectors; the posterior-predictive quadrature in
-        :mod:`repro.core.prediction` consumes the same tables.
+        The β nodes sit on Gauss–Legendre grids shared by blocks of
+        adjacent ``N`` (:class:`_BetaGrid`, built once per posterior),
+        so ``c(β)`` is evaluated only at the block nodes, and every
+        cell of one block and node shares the ω rate ``b_ω / c(β_j)``:
+        a ladder run of :class:`~repro.stats.gamma_cells.GammaCells`.
+        The posterior-predictive quadrature in
+        :mod:`repro.core.prediction` and the sandwich-scaled posterior
+        read the same tables through :meth:`_ReliabilityTables.cells`.
         """
         key = c if getattr(c, "__hash__", None) else None
         if key is not None and key in self._reliability_cache:
             return self._reliability_cache[key]
-        nodes_x, nodes_w = np.polynomial.legendre.leggauss(_RELIABILITY_NODES)
-        keep = self._weights > _COMPONENT_WEIGHT_FLOOR * self._weights.max()
-        idxs = np.nonzero(keep)[0]
-        a_beta = np.array([self._beta_components[i].shape for i in idxs])
-        b_beta = np.array([self._beta_components[i].rate for i in idxs])
-        a_omega = np.array([[self._omega_components[i].shape] for i in idxs])
-        b_omega = np.array([[self._omega_components[i].rate] for i in idxs])
-        lo = sc.gammaincinv(a_beta, 1e-10) / b_beta
-        hi = sc.gammaincinv(a_beta, 1.0 - 1e-10) / b_beta
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        beta_nodes = mid[:, None] + half[:, None] * nodes_x[None, :]
-        log_beta_pdf = (
-            a_beta[:, None] * np.log(b_beta)[:, None]
-            + (a_beta[:, None] - 1.0) * np.log(beta_nodes)
-            - b_beta[:, None] * beta_nodes
-            - sc.gammaln(a_beta)[:, None]
+        if self._beta_grid is None:
+            self._beta_grid = _BetaGrid(self._weights, self._beta_shape,
+                                        self._beta_rate)
+        grid = self._beta_grid
+        tables = _ReliabilityTables(
+            grid,
+            np.split(np.asarray(c(grid.nodes), dtype=float), grid.node_starts),
+            self._omega_shape[grid.kept],
+            self._omega_rate[grid.kept],
         )
-        quad_w = (
-            (self._weights[idxs] * half)[:, None]
-            * nodes_w[None, :]
-            * np.exp(log_beta_pdf)
-        )
-        # Renormalise: the clipped quantile range and dropped components
-        # remove a ~1e-10 sliver of mass; keep the reliability CDF exact
-        # at r = 1.
-        quad_w /= quad_w.sum()
-        c_values = np.asarray(c(beta_nodes), dtype=float)
-        tables = (quad_w, c_values, a_omega, b_omega)
         if key is not None:
             self._reliability_cache[key] = tables
         return tables
 
     def reliability_point(self, c: Callable[[np.ndarray], np.ndarray]) -> float:
         """``E[exp(-ω c(β))]``: gamma MGF in ``ω``, quadrature in ``β``."""
-        quad_w, c_values, a_omega, b_omega = self.reliability_tables(c)
-        factors = np.exp(a_omega * (np.log(b_omega) - np.log(b_omega + c_values)))
-        # The quadrature-weight renormalisation can overshoot 1 by a few
-        # ulps when c(beta) ~ 0 everywhere; clip to the valid range.
-        return float(min(max(np.sum(quad_w * factors), 0.0), 1.0))
+        tables = self.reliability_tables(c)
+        if not any(np.any(c_block > 0.0) for c_block in tables.c_nodes):
+            return 1.0  # R = 1 surely
+        total = 0.0
+        for rows, weight, c_nodes in tables.blocks():
+            b = tables.b_omega[rows, None]
+            if np.all(b == b[0]):  # VB2: one ω rate, one log per node
+                b = b[:1]
+            log_mgf = np.log(b) - np.log(b + c_nodes)
+            total += np.sum(weight * np.exp(tables.a_omega[rows, None] * log_mgf))
+        # The weights sum to 1 only to rounding; clip to the valid range.
+        return float(min(max(total, 0.0), 1.0))
 
     def reliability_cdf(self, r: float, c: Callable[[np.ndarray], np.ndarray]) -> float:
-        """``P(exp(-ω c(β)) <= r) = E_β[ P(ω >= -log r / c(β)) ]``."""
-        if r <= 0.0:
-            return 0.0
-        if r >= 1.0:
-            return 1.0
-        quad_w, c_values, a_omega, b_omega = self.reliability_tables(c)
-        threshold = -math.log(r)
-        # A cut that overflows (c(β) tiny) is an empty ω tail.
-        with np.errstate(divide="ignore", over="ignore"):
-            omega_cut = np.where(c_values > 0.0, threshold / c_values, np.inf)
-            tail = sc.gammaincc(a_omega, b_omega * omega_cut)
-        return float(np.sum(quad_w * tail))
+        """``P(exp(-ω c(β)) <= r) = P(D >= -log r)`` for the residual
+        count ``D = ω c(β)``: the upper tail of the table's gamma cells."""
+        return self._reliability_cdf_at(c)(r)
+
+    def _reliability_cdf_at(self, c):
+        cells, _ = self.reliability_tables(c).gamma_cells()
+
+        def cdf(r: float) -> float:
+            if r <= 0.0:
+                return 0.0
+            if r >= 1.0:
+                return 1.0
+            if cells.size == 0:
+                return 0.0
+            tail, _, _ = cells.tails(np.array([-math.log(r)]), False)
+            return float(tail[0])
+
+        return cdf
 
     def reliability_quantile(
         self, q: float, c: Callable[[np.ndarray], np.ndarray]
@@ -313,37 +338,27 @@ class VBPosterior(JointPosterior):
     def reliability_quantile_batch(
         self, q: np.ndarray, c: Callable[[np.ndarray], np.ndarray]
     ) -> np.ndarray:
-        """Reliability quantiles by a safeguarded Halley iteration.
+        """Reliability quantiles from the gamma-cell quantile engine.
 
-        Works in ``s = -log r``, where the CDF is the smooth decreasing
-        map ``F(s) = Σ_cells W Q(a_ω, ρ s)`` with ``ρ = b_ω / c(β)``:
-        the probability that the residual count ``D = ω c(β)`` reaches
-        ``s``. Each level starts at the matching upper-tail quantile of
-        the gamma distribution with ``D``'s first two moments (VB
-        posteriors concentrate and approach normality, so this start
-        is close) and takes Halley steps on ``h = log F - log q`` using
-        the analytic ``F'`` and ``F''`` of the gamma tails. Steps that
-        leave the maintained sign bracket fall back to a search in
-        ``log s`` (geometric growth while the upper bracket is open,
-        geometric bisection after), and a level still open after
-        ``_MAX_SWEEPS`` rounds raises
-        :class:`~repro.exceptions.ConvergenceError`. Each round sweeps
-        only the levels still open, and only the cells that can move
-        ``F``: cells with ``c(β) > 0``, less the lightest whose combined
-        weight is at most ``1e-13``. A 95% or 99% interval typically
-        takes 3–4 sweeps,
-        against the 35 CDF evaluations per level of the generic
-        bisection of
-        :meth:`~repro.bayes.joint.JointPosterior.reliability_quantile`,
-        and agrees with it to the same ``xtol = 1e-10`` in ``r``
-        (docs/PERFORMANCE.md §5).
+        Works in ``s = -log r``, where the CDF is the upper tail
+        ``S(s) = Σ_cells W Q(a_ω, ρ s)`` with ``ρ = b_ω / c(β)`` of the
+        residual count ``D = ω c(β)``
+        (:meth:`~repro.stats.gamma_cells.GammaCells.quantiles` with
+        ``upper`` and ``negexp``): a moment-matched start, Halley steps
+        on the log tail, the log-space bracket fallback, and
+        :class:`~repro.exceptions.ConvergenceError` after
+        ``_MAX_SWEEPS`` rounds. Every block and node of the tables is a
+        ladder run, so a sweep costs one incomplete gamma per run and
+        one ``exp`` per cell. A 95% or 99% interval typically takes 2–3
+        sweeps and agrees with the generic bisection of
+        :meth:`~repro.bayes.joint.JointPosterior.reliability_quantile`
+        to its ``xtol = 1e-10`` in ``r`` (docs/PERFORMANCE.md §5).
 
         Only :class:`~repro.core.reliability.ReliabilityIncrement`
-        windows take this path. Residual-count quantiles go through
-        ``-log`` of a reliability quantile, which amplifies an r-space
-        error by ``1/r``; the downstream sandwich-nesting contracts
-        need the *correlated* errors of the shared generic bisection
-        there, so other window callables delegate to it.
+        windows take this path. Residual-count windows delegate to the
+        shared generic solver, which the sandwich-scaled posterior uses
+        too; the sandwich-nesting contracts need both sides on one
+        solver.
         """
         from repro.core.reliability import ReliabilityIncrement
 
@@ -352,179 +367,190 @@ class VBPosterior(JointPosterior):
         levels = np.atleast_1d(np.asarray(q, dtype=float))
         if np.any(~((levels > 0.0) & (levels < 1.0))):
             raise ValueError("quantile levels must be in (0, 1)")
-        cells = _LiveCells(*self.reliability_tables(c))
+        cells, dropped = self.reliability_tables(c).gamma_cells()
         if cells.size == 0:  # c(β) = 0 everywhere: R = 1 surely
             return np.ones_like(levels)
         with obs.span("reliability.quantile", level="debug",
                       lanes=levels.size) as sp:
-            result, sweeps, bracket_exits = _halley_quantiles(cells, levels)
+            result, sweeps, bracket_exits = cells.quantiles(
+                levels, upper=True, negexp=True, xtol=1e-10,
+                max_sweeps=_MAX_SWEEPS,
+            )
             # The span is the shared no-op handle when the collector
             # sits below the debug level, so attrs only exist on the
             # live span.
             if getattr(sp, "attrs", None) is not None:
-                sp.attrs["cells"] = cells.size
-                sp.attrs["dropped_mass"] = cells.dropped_mass
+                sp.attrs["cells"] = cells.runs
+                sp.attrs["ladder_terms"] = cells.size
+                sp.attrs["dropped_mass"] = dropped
                 sp.attrs["sweeps"] = sweeps
                 sp.attrs["bracket_exits"] = bracket_exits
         return np.clip(result, 0.0, 1.0)
 
 
-class _LiveCells:
-    """The quadrature cells of :meth:`VBPosterior.reliability_tables`
-    that can move the reliability CDF, flattened, with per-cell
-    constants for ``F``, ``F'`` and ``F''``.
+def _normalised(weights, count: int) -> np.ndarray:
+    """Validate the mixture weights against the component count and
+    normalise them."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (count,):
+        raise ValueError("component arrays must have equal length")
+    if count == 0:
+        raise ValueError("posterior needs at least one mixture component")
+    total = float(weights.sum())
+    if not (total > 0.0 and np.all(weights >= 0.0)):
+        raise ValueError("weights must be non-negative with positive sum")
+    return weights / total
 
-    Given its cell, ``D = ω c(β)`` is gamma with shape ``a_ω`` and rate
-    ``ρ = b_ω / c``. A cell with ``c(β) = 0`` (or so small that ``ρ``
-    exceeds ``_MAX_RATE``) holds ``D = 0`` and adds nothing to
-    ``F(s) = P(D ≥ s)`` for ``s > 0``. The lightest cells whose combined
-    weight is at most ``_DROP_MASS`` are dropped too: together they move
-    ``F`` by at most that much, 2000x below the β mass the tables
-    already trim per component.
+
+class _BetaGrid:
+    """Gauss–Legendre β nodes shared by blocks of adjacent ``N``.
+
+    Components are taken in ``N`` order, less the lightest at either end
+    whose combined weight is at most ``_DROP_MASS``. Each has a β range
+    between its ``_BETA_CLIP`` tail quantiles; a block grows while the
+    union of its members' ranges stays within ``_BLOCK_WIDTHS`` times
+    the narrowest of them, and gets Gauss–Legendre nodes over that
+    union (``_BLOCK_NODES`` by the block's mass). The cell weights
+    ``Pv(N) · half-width · w_j · Pv(β_j | N)``, normalised to sum to 1
+    (which keeps the reliability CDF exact at ``r = 1``), are rebuilt
+    on each use from the per-component log scales kept here: only the
+    nodes and ``O(K)`` constants are cached. Nothing depends on the
+    window ``c``, so one grid serves every window of the posterior.
     """
 
-    __slots__ = ("size", "dropped_mass", "weight", "shape", "rate",
-                 "log_pdf_offset", "slope_weights")
+    __slots__ = ("kept", "dropped_mass", "starts", "nodes", "node_starts",
+                 "log_nodes", "shape_m1", "rate", "log_scale")
 
-    def __init__(self, quad_w, c_values, a_omega, b_omega) -> None:
-        with np.errstate(divide="ignore", over="ignore"):
-            rate = b_omega / c_values
-        live = rate <= _MAX_RATE
-        # Only cells at most _DROP_MASS heavy can be among the dropped.
-        light = np.sort(quad_w[live & (quad_w <= _DROP_MASS)])
-        n_drop = int(np.searchsorted(np.cumsum(light), _DROP_MASS, "right"))
-        # Keep every cell at least as heavy as the lightest one past the
-        # dropped prefix (ties with it stay).
-        cut = (light[n_drop] if n_drop < light.size
-               else np.nextafter(_DROP_MASS, np.inf))
-        keep = live & (quad_w >= cut)
-        self.dropped_mass = float(np.sum(light[light < cut]))
-        self.weight = quad_w[keep]
-        self.size = int(self.weight.size)
-        # Tables are (component, node): gather per-component values by
-        # repeating each row's value once per kept node.
-        per_row = np.count_nonzero(keep, axis=1)
-        self.shape = np.repeat(a_omega[:, 0], per_row)
-        self.rate = rate[keep]
-        # log pdf(ρ s) = (a-1) log ρ - log Γ(a) + (a-1) log s - ρ s
-        self.log_pdf_offset = (self.shape - 1.0) * np.log(self.rate) - np.repeat(
-            sc.gammaln(a_omega[:, 0]), per_row
-        )
-        # F'(s) = -Σ Wρ pdf and, from ρ²((a-1)/x - 1) = ρ(a-1)/s - ρ²,
-        # F''(s) = -(Σ Wρ(a-1) pdf / s - Σ Wρ² pdf): one product with
-        # these three columns yields both derivatives.
-        w_rate = self.weight * self.rate
-        self.slope_weights = np.stack(
-            [w_rate, w_rate * (self.shape - 1.0), w_rate * self.rate], axis=1
-        )
+    def __init__(self, weights, beta_shape, beta_rate) -> None:
+        cum = np.cumsum(weights)
+        first = int(np.searchsorted(cum, 0.5 * _DROP_MASS, "right"))
+        tail = np.cumsum(weights[::-1])
+        stop = weights.size - int(np.searchsorted(tail, 0.5 * _DROP_MASS,
+                                                  "right"))
+        if stop <= first:  # everything is light: keep the heaviest
+            first = int(np.argmax(weights))
+            stop = first + 1
+        self.kept = slice(first, stop)
+        self.dropped_mass = float(weights[:first].sum() + weights[stop:].sum())
+        kept_w = weights[self.kept]
+        a = beta_shape[self.kept]
+        b = beta_rate[self.kept]
+        lo = sc.gammaincinv(a, _BETA_CLIP) / b
+        hi = sc.gammainccinv(a, _BETA_CLIP) / b
+        self.starts = _blocks(lo, hi)
+        union_lo = np.minimum.reduceat(lo, self.starts)
+        union_hi = np.maximum.reduceat(hi, self.starts)
+        mid, half = 0.5 * (union_lo + union_hi), 0.5 * (union_hi - union_lo)
+        sizes = [
+            next(n for floor, n in _BLOCK_NODES if mass > floor)
+            for mass in np.add.reduceat(kept_w, self.starts)
+        ]
+        self.nodes = np.concatenate([
+            m + h * _RULES[n][0] for m, h, n in zip(mid, half, sizes)
+        ])
+        self.node_starts = np.cumsum(sizes)[:-1]
+        self.log_nodes = np.log(self.nodes)
+        self.shape_m1 = a - 1.0
+        self.rate = b
+        counts = np.diff(np.append(self.starts, a.size))
+        with np.errstate(divide="ignore"):
+            self.log_scale = (np.log(kept_w * np.repeat(half, counts))
+                              + a * np.log(b) - sc.gammaln(a))
 
-    def moment_start(self, levels: np.ndarray) -> np.ndarray:
-        """``s`` at the levels' upper-tail quantiles of the gamma
-        distribution matching ``E[D]`` and ``Var[D]``."""
-        cell_mean = self.shape / self.rate
-        mean = self.weight @ cell_mean
-        with np.errstate(all="ignore"):
-            # Var[D] / E[D]² from E[Var[D|cell]] + Var[E[D|cell]] with
-            # Var[D|cell] = E[D|cell]² / a: free of the E[D²] - E[D]²
-            # cancellation, and of under/overflow however small D is.
-            ratio = cell_mean / mean
-            cv2 = self.weight @ (ratio * ratio / self.shape + (ratio - 1.0) ** 2)
-            start = mean * cv2 * sc.gammainccinv(1.0 / cv2, levels)
-        # fmax, not maximum: a NaN start (degenerate moments) becomes
-        # the floor, and the bracket logic takes over from there.
-        return np.fmax(start, 1e-300)
-
-    def sweep(self, s: np.ndarray):
-        """``(F, F', F'')`` at each ``s`` (one row of cells per lane)."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x = s[:, None] * self.rate
-            cdf = sc.gammaincc(self.shape, x) @ self.weight
-            log_pdf = np.multiply.outer(np.log(s), self.shape - 1.0)
-            log_pdf += self.log_pdf_offset
-            log_pdf -= x
-            sums = np.exp(log_pdf, out=log_pdf) @ self.slope_weights
-            return cdf, -sums[:, 0], sums[:, 2] - sums[:, 1] / s
+    def blocks(self) -> list:
+        """``(rows, weights)`` per block: the block's component rows and
+        its ``(rows, nodes)`` cell weights, normalised over all blocks."""
+        rows = np.append(self.starts, self.shape_m1.size)
+        cuts = np.concatenate(([0], self.node_starts, [self.nodes.size]))
+        out = []
+        for r0, r1, n0, n1 in zip(rows[:-1], rows[1:], cuts[:-1], cuts[1:]):
+            block, nodes = slice(r0, r1), slice(n0, n1)
+            log_w = np.multiply.outer(self.shape_m1[block], self.log_nodes[nodes])
+            log_w -= np.multiply.outer(self.rate[block], self.nodes[nodes])
+            log_w += self.log_scale[block, None]
+            log_w += _RULES[n1 - n0][1]
+            out.append((block, np.exp(log_w, out=log_w)))
+        total = sum(float(w.sum()) for _, w in out)
+        for _, w in out:
+            w /= total
+        return out
 
 
-def _halley_quantiles(cells: _LiveCells, levels: np.ndarray):
-    """Solve ``F(s) = q`` per level; returns ``(r, sweeps,
-    bracket_exits)`` with ``r = exp(-s)``. Raises
-    :class:`~repro.exceptions.ConvergenceError` if a level is still
-    open after ``_MAX_SWEEPS`` rounds."""
-    s = cells.moment_start(levels)
-    s_lo = np.zeros_like(levels)  # F(0+) ≥ q: always a lower bracket
-    s_hi = np.full_like(levels, np.inf)
-    xtol = 1e-10  # accuracy in r, matching the generic bisection
-    result = np.full_like(levels, np.nan)
-    open_ = np.ones(levels.shape, dtype=bool)
-    bracket_exits = 0
-    sweeps = 0
-    while open_.any():
-        if sweeps == _MAX_SWEEPS:
-            raise ConvergenceError(
-                f"reliability quantile did not converge within "
-                f"{_MAX_SWEEPS} sweeps (levels {levels[open_].tolist()})",
-                iterations=sweeps,
-            )
-        sweeps += 1
-        lanes = np.nonzero(open_)[0]
-        sl, q = s[lanes], levels[lanes]
-        cdf, slope, curvature = cells.sweep(sl)
-        above = cdf > q  # F decreasing: root sits at larger s
-        lo = np.where(above, sl, s_lo[lanes])
-        hi = np.where(above, s_hi[lanes], sl)
-        s_lo[lanes], s_hi[lanes] = lo, hi
-        upper = np.isinf(hi)
-        width = np.exp(-lo) - np.where(upper, 0.0, np.exp(-hi))
-        closed = np.where(upper, lo, hi)
-        bracket_done = width <= xtol
-        # Halley on log F rather than F: the tail of the mixture CDF
-        # is near log-linear in s, so the step stays accurate far from
-        # the root (small-q lanes) and reduces to the F step near it.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            h = np.log(cdf / q)
-            dh = slope / cdf
-            newton = -h / dh
-            denom = 1.0 + newton * (curvature / cdf - dh * dh) / (2.0 * dh)
-            # A Halley step more than twice the Newton step (or
-            # reversed) means the local quadratic model is unreliable.
-            target = sl + np.where(denom > 0.5, newton / denom, newton)
-            r_target = np.exp(-target)
-        finite = np.isfinite(target)
-        # Halley approaches one-sided, so the bracket alone never
-        # tightens past the far edge; accept an iterate once its own
-        # step in r is far inside tolerance (the next error is smaller
-        # still). That holds only inside the convergence basin, so the
-        # step must also be small against s itself, and the Halley and
-        # Newton steps must agree within a factor of two: near r = 1
-        # any two s below ~1e-11 differ by less than the tolerance in
-        # r, whether the step is a 30-fold jump across a log-flat F or
-        # one the model shrank to nothing. Acceptance must not demand
-        # the iterate sit strictly inside the bracket: at convergence
-        # F(s) equals q in floats, the step is exactly zero, and s
-        # itself is a bracket endpoint.
-        step_done = (
-            ~bracket_done & finite & (denom > 0.5) & (denom < 2.0)
-            & (np.abs(target - sl) <= 1e-3 * sl)
-            & (np.abs(r_target - np.exp(-sl)) <= 0.05 * xtol)
+def _blocks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Start indices of the β blocks: greedy runs of adjacent ranges
+    whose union spans at most ``_BLOCK_WIDTHS`` narrowest widths."""
+    starts = [0]
+    while True:
+        i = starts[-1]
+        span = np.maximum.accumulate(hi[i:]) - np.minimum.accumulate(lo[i:])
+        narrowest = np.minimum.accumulate(hi[i:] - lo[i:])
+        fits = span <= _BLOCK_WIDTHS * narrowest
+        if fits.all():
+            return np.array(starts)
+        starts.append(i + int(np.argmin(fits)))
+
+
+class _ReliabilityTables:
+    """One window's reliability tables: the posterior's β grid and
+    ``c(β)`` at its nodes, one array per block.
+
+    Cell arrays are built on each call, never cached.
+    """
+
+    __slots__ = ("grid", "c_nodes", "a_omega", "b_omega")
+
+    def __init__(self, grid: _BetaGrid, c_nodes, a_omega, b_omega) -> None:
+        self.grid = grid
+        self.c_nodes = c_nodes
+        self.a_omega = a_omega
+        self.b_omega = b_omega
+
+    def blocks(self) -> list:
+        """``(rows, weights, c)`` per block, ``c`` at its nodes."""
+        return [(rows, weights, c_nodes) for (rows, weights), c_nodes
+                in zip(self.grid.blocks(), self.c_nodes)]
+
+    def cells(self):
+        """``(quad_w, c_values, a_omega, b_omega)``, one entry per
+        (component, node) cell."""
+        parts = [
+            (w.ravel(), np.broadcast_to(c, w.shape).ravel(),
+             np.repeat(self.a_omega[rows], c.size),
+             np.repeat(self.b_omega[rows], c.size))
+            for rows, w, c in self.blocks()
+        ]
+        return tuple(np.concatenate(v) for v in zip(*parts))
+
+    def gamma_cells(self) -> tuple[GammaCells, float]:
+        """The cells of ``D = ω c(β)`` and the mass the grid dropped.
+
+        Each block is a ladder grid whose runs are its nodes and whose
+        rungs are its ``N``. A node with ``c(β) = 0``, or so small that
+        ``ρ = b_ω / c`` exceeds ``_MAX_RATE``, holds ``D = 0``: its
+        cells join the point mass at 0. Blocks whose ω rates differ, or
+        whose shapes do not step by 1 (posteriors not from VB2), go in
+        as flat cells.
+        """
+        log_gamma = sc.gammaln(self.a_omega)
+        runs, flat = [], []
+        atom = 0.0
+        for rows, weights, c_nodes in self.blocks():
+            b, shape = self.b_omega[rows], self.a_omega[rows]
+            # ρ = b / c at most _MAX_RATE, written to hold at c = 0 too
+            live = c_nodes * _MAX_RATE >= b.max()
+            atom += weights[:, ~live].sum()
+            if not live.any():
+                continue
+            if np.all(b == b[0]) and unit_steps(shape).all():
+                runs.append((weights.T[live], shape, b[0] / c_nodes[live],
+                             log_gamma[rows]))
+            else:
+                flat.append((weights.T[live].ravel(),
+                             np.tile(shape, np.count_nonzero(live)),
+                             np.divide.outer(b, c_nodes[live]).T.ravel()))
+        weight, shape, rate = (
+            (np.concatenate(v) for v in zip(*flat)) if flat else ((), (), ())
         )
-        result[lanes] = np.where(
-            bracket_done,
-            np.exp(-0.5 * (lo + closed)),
-            np.where(step_done, r_target, np.nan),
-        )
-        open_[lanes] = ~(bracket_done | step_done)
-        bracket_exits += int(np.count_nonzero(bracket_done))
-        # A Halley step damped below an eighth of the Newton step only
-        # creeps: the slope is dominated by cells just turning on.
-        inside = (target > lo) & (target < hi) & finite & ~(denom > 8.0)
-        # Off-model steps search in log s (growing, or bisecting the
-        # bracket geometrically): when c(β) spans many decades the root
-        # can sit far from a degenerate moment start.
-        fallback = np.where(
-            upper,
-            np.fmax(2.0 * sl, np.sqrt(sl)),
-            np.sqrt(np.fmax(lo, 1e-300)) * np.sqrt(hi),
-        )
-        s[lanes] = np.where(inside, target, fallback)
-    return result, sweeps, bracket_exits
+        return (GammaCells(weight, shape, rate, atom=atom, ladders=runs),
+                self.grid.dropped_mass)
+

@@ -143,7 +143,7 @@ def _poisson_pmf_matrix(means: np.ndarray, max_count: int) -> np.ndarray:
 def _vb_predictive(
     posterior: VBPosterior, c, max_count: int, tail_eps: float
 ) -> np.ndarray:
-    quad_w, c_values, a_omega, b_omega = posterior.reliability_tables(c)
+    quad_w, c_values, a_omega, b_omega = posterior.reliability_tables(c).cells()
     k = np.arange(max_count + 1)
     # Negative binomial from Gamma(a, b) mixing of Poisson(omega * c):
     # log P(K=k) = ln C(a+k-1, k) + a ln(b/(b+c)) + k ln(c/(b+c)).

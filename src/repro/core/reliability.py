@@ -65,7 +65,7 @@ class ReliabilityIncrement:
             raise ValueError("beta must be positive")
 
         def t_times_pdf(t: float) -> float:
-            if t <= 0.0:
+            if t <= 0.0 or t == np.inf:  # t g(t) vanishes at both ends
                 return 0.0
             log_g = (
                 self.alpha0 * np.log(beta)

@@ -45,7 +45,6 @@ from repro.core.posterior import VBPosterior
 from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.data.fleet import pack_grouped
 from repro.exceptions import TruncationError
-from repro.stats.gamma_dist import GammaDistribution
 from repro.stats.special import log_sum_exp, log_sum_exp_stream
 
 __all__ = ["fit_vb2", "next_truncation_bound"]
@@ -198,20 +197,9 @@ class _Vb2State:
     def posterior(self, weights, elbo, diagnostics) -> VBPosterior:
         """The mixture posterior (step 5) over the solved grid."""
         self.materialize()
-        return VBPosterior(
-            n_values=[int(v) for v in self.n],
-            weights=weights,
-            omega_components=[
-                GammaDistribution(a, b)
-                for a, b in zip(self.a_omega.tolist(), self.b_omega.tolist())
-            ],
-            beta_components=[
-                GammaDistribution(a, b)
-                for a, b in zip(self.a_beta.tolist(), self.b_beta.tolist())
-            ],
-            method_name="VB2",
-            elbo=elbo,
-            diagnostics=diagnostics,
+        return VBPosterior.from_arrays(
+            self.n, weights, self.a_omega, self.b_omega, self.a_beta,
+            self.b_beta, method_name="VB2", elbo=elbo, diagnostics=diagnostics,
         )
 
     def post_round(self, config: VBConfig, tail: float) -> bool:

@@ -275,16 +275,15 @@ def warm_start_from(posterior) -> WarmStart:
     if inner is not None:
         return warm_start_from(inner)
     base = getattr(posterior, "base", None)
-    if base is not None and not hasattr(posterior, "_beta_components"):
+    if base is not None and not hasattr(posterior, "_beta_shape"):
         return warm_start_from(base)
 
     diagnostics = getattr(posterior, "diagnostics", None) or {}
     alpha0 = float(diagnostics.get("alpha0", 1.0))
     n_values = np.asarray(posterior.n_values, dtype=np.float64)
     weights = np.asarray(posterior.weights, dtype=np.float64)
-    beta = list(posterior._beta_components)
-    a_beta = np.array([c.shape for c in beta], dtype=np.float64)
-    b_beta = np.array([c.rate for c in beta], dtype=np.float64)
+    a_beta = posterior._beta_shape
+    b_beta = posterior._beta_rate
     xi_mean = float(np.dot(weights, a_beta / b_beta))
 
     method = str(getattr(posterior, "method_name", "VB2"))

@@ -88,10 +88,7 @@ class WeibullVBPosterior(JointPosterior):
         """Shape/rate arrays of the inner θ mixture, built once."""
         cached = getattr(self, "_theta_arrays", None)
         if cached is None:
-            cached = (
-                np.array([d.shape for d in self._inner._beta_components]),
-                np.array([d.rate for d in self._inner._beta_components]),
-            )
+            cached = (self._inner._beta_shape, self._inner._beta_rate)
             self._theta_arrays = cached
         return cached
 
@@ -136,9 +133,7 @@ class WeibullVBPosterior(JointPosterior):
 
         k = 1.0 / self._shape
         shapes, rates = self._theta_component_arrays()
-        omega_means = np.array(
-            [d.mean for d in self._inner._omega_components]
-        )
+        omega_means = self._inner._omega_shape / self._inner._omega_rate
         log_m = gammaln(shapes + k) - gammaln(shapes) - k * np.log(rates)
         return float(
             np.dot(self._inner.weights, omega_means * np.exp(log_m))

@@ -26,7 +26,7 @@ from repro.stats.quadrature import (
     simpson_weights,
     TensorGrid,
 )
-from repro.stats.rootfind import bisect_increasing, bracket_quantile
+from repro.stats.rootfind import bisect_increasing
 
 __all__ = [
     "log1mexp",
@@ -45,5 +45,4 @@ __all__ = [
     "simpson_weights",
     "TensorGrid",
     "bisect_increasing",
-    "bracket_quantile",
 ]

@@ -7,19 +7,17 @@ that object a complete distribution interface — density, CDF, stable
 quantiles, raw/central moments and sampling — independent of the
 component family.
 
-Vectorized hot path
--------------------
-When every component is a :class:`~repro.stats.gamma_dist.
-GammaDistribution` (the case for all VB posteriors), the constructor
-precomputes the component parameter arrays ``a`` (shapes), ``b``
-(rates) and ``log w``, and ``pdf``/``cdf`` evaluate as a single
-``scipy.special`` broadcast over an ``(n_points, n_components)`` grid
-instead of a Python loop over components. :meth:`ppf` accepts an array
-of levels and runs one simultaneous vectorized bisection for all of
-them (sharing brackets and CDF evaluations), which is what makes
-credible-interval and HPD estimation cheap — see
-``docs/PERFORMANCE.md``. Mixtures of other component families fall
-back to the generic per-component path.
+Gamma mixtures
+--------------
+A gamma mixture — every VB posterior marginal — keeps its component
+shapes ``a`` and rates ``b`` as arrays (:meth:`MixtureDistribution.
+of_gammas` builds one from them; component objects are made only on
+request). ``pdf``/``cdf`` are single ``scipy.special`` broadcasts over
+an ``(n_points, n_components)`` grid, and :meth:`ppf` hands all levels
+to the gamma-cell quantile engine (:mod:`repro.stats.gamma_cells`),
+whose ladder kernel serves the ω marginal (shapes stepping by 1 under
+one rate) — see ``docs/PERFORMANCE.md`` §1. Other component families
+use the generic per-component path and scalar bisection.
 """
 
 from __future__ import annotations
@@ -32,7 +30,8 @@ import numpy as np
 
 from repro.stats import scipy_special as sc
 from repro.stats.gamma_dist import GammaDistribution
-from repro.stats.rootfind import bisect_increasing, bisect_increasing_batch
+from repro.stats.gamma_cells import GammaCells
+from repro.stats.rootfind import bisect_increasing
 
 __all__ = ["MixtureDistribution", "MixtureComponent"]
 
@@ -77,31 +76,36 @@ class MixtureDistribution:
     ) -> None:
         if len(components) == 0:
             raise ValueError("mixture needs at least one component")
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(components),):
-            raise ValueError(
-                f"weights shape {weights.shape} does not match "
-                f"{len(components)} components"
-            )
-        if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite and non-negative")
-        total = float(weights.sum())
-        if total <= 0.0:
-            raise ValueError("weights must not all be zero")
         self._components = list(components)
-        self._weights = weights / total
+        self._weights = _normalised(weights, len(self._components))
+        self._a = self._b = None
         if all(isinstance(c, GammaDistribution) for c in self._components):
             self._a = np.array([c.shape for c in self._components])
             self._b = np.array([c.rate for c in self._components])
-            with np.errstate(divide="ignore"):
-                self._log_w = np.log(self._weights)
-        else:
-            self._a = self._b = self._log_w = None
+
+    @classmethod
+    def of_gammas(cls, shapes: np.ndarray, rates: np.ndarray,
+                  weights: Sequence[float] | np.ndarray) -> "MixtureDistribution":
+        """Gamma mixture from component parameter arrays (validated by
+        the caller); the component objects are built on first use."""
+        mix = cls.__new__(cls)
+        mix._a = np.asarray(shapes, dtype=float)
+        mix._b = np.asarray(rates, dtype=float)
+        if mix._a.size == 0:
+            raise ValueError("mixture needs at least one component")
+        mix._components = None
+        mix._weights = _normalised(weights, mix._a.size)
+        return mix
 
     # ------------------------------------------------------------------
     @property
     def components(self) -> list[MixtureComponent]:
         """The component distributions (shared reference)."""
+        if self._components is None:
+            self._components = [
+                GammaDistribution(a, b)
+                for a, b in zip(self._a.tolist(), self._b.tolist())
+            ]
         return self._components
 
     @property
@@ -115,15 +119,21 @@ class MixtureDistribution:
         return self._a is not None
 
     def __len__(self) -> int:
-        return len(self._components)
+        return self._weights.size
 
     # ------------------------------------------------------------------
     # Moments
     # ------------------------------------------------------------------
+    def _component_means(self):
+        if self._a is not None:
+            return (self._a / self._b).tolist()
+        return [c.mean for c in self._components]
+
     @property
     def mean(self) -> float:
         """Mixture mean ``Σ w_i m_i``."""
-        return float(sum(w * c.mean for w, c in zip(self._weights, self._components)))
+        return float(sum(w * m for w, m in zip(self._weights,
+                                               self._component_means())))
 
     @property
     def variance(self) -> float:
@@ -136,10 +146,16 @@ class MixtureDistribution:
         every summand non-negative and loses nothing to cancellation.
         """
         mu = self.mean
+        if self._a is not None:
+            variances = [a / b**2 for a, b in zip(self._a.tolist(),
+                                                  self._b.tolist())]
+        else:
+            variances = [c.variance for c in self._components]
         return float(
             sum(
-                w * (c.variance + (c.mean - mu) ** 2)
-                for w, c in zip(self._weights, self._components)
+                w * (v + (m - mu) ** 2)
+                for w, v, m in zip(self._weights, variances,
+                                   self._component_means())
             )
         )
 
@@ -151,7 +167,7 @@ class MixtureDistribution:
     def moment(self, k: int) -> float:
         """Raw moment ``E[X^k] = Σ w_i E_i[X^k]``."""
         return float(
-            sum(w * c.moment(k) for w, c in zip(self._weights, self._components))
+            sum(w * c.moment(k) for w, c in zip(self._weights, self.components))
         )
 
     def central_moment(self, k: int) -> float:
@@ -165,7 +181,7 @@ class MixtureDistribution:
         """
         mu = self.mean
         total = 0.0
-        for w, c in zip(self._weights, self._components):
+        for w, c in zip(self._weights, self.components):
             delta = c.mean - mu
             inner = 0.0
             for j in range(k + 1):
@@ -188,8 +204,9 @@ class MixtureDistribution:
                 - self._b * xp
                 - sc.gammaln(self._a)
             )
-            with np.errstate(invalid="ignore"):
-                out[pos] = np.exp(sc.logsumexp(self._log_w + log_pdf, axis=1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_w = np.log(self._weights)
+                out[pos] = np.exp(sc.logsumexp(log_w + log_pdf, axis=1))
         return out
 
     def _cdf_grid(self, x: np.ndarray) -> np.ndarray:
@@ -210,7 +227,7 @@ class MixtureDistribution:
             out = self._pdf_grid(arr.ravel()).reshape(arr.shape)
         else:
             acc = None
-            for w, comp in zip(self._weights, self._components):
+            for w, comp in zip(self._weights, self.components):
                 term = w * np.asarray(comp.pdf(arr), dtype=float)
                 acc = term if acc is None else acc + term
             out = acc
@@ -225,7 +242,7 @@ class MixtureDistribution:
             out = self._cdf_grid(arr.ravel()).reshape(arr.shape)
         else:
             acc = None
-            for w, comp in zip(self._weights, self._components):
+            for w, comp in zip(self._weights, self.components):
                 term = w * np.asarray(comp.cdf(arr), dtype=float)
                 acc = term if acc is None else acc + term
             out = acc
@@ -234,20 +251,21 @@ class MixtureDistribution:
         return out
 
     def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
-        """Quantile(s) of the mixture by monotone bisection on the CDF.
+        """Quantile(s) of the mixture.
 
-        Accepts a scalar level or an array of levels; an array runs
-        *one* simultaneous vectorized bisection for every level,
-        sharing the bracket construction and evaluating the mixture
-        CDF for all levels per step. The bracket is built from the
-        extreme component quantiles, which are guaranteed to bound the
-        mixture quantile.
+        Accepts a scalar level or an array of levels. Gamma mixtures
+        solve every level in one call of the gamma-cell engine
+        (:meth:`~repro.stats.gamma_cells.GammaCells.quantiles`), to
+        ``1e-12 + 1e-10 |x|``; a scalar level is the one-level call,
+        and levels are independent lanes, so a level's quantile is
+        bit-identical alone or in a batch. Other families bisect the
+        CDF between the extreme component quantiles.
 
         Raises
         ------
         ConvergenceError
-            If the bisection budget is exhausted before convergence
-            (never silently returns an unconverged midpoint).
+            If the solver budget is exhausted before convergence
+            (never silently returns an unconverged iterate).
         """
         scalar = np.ndim(q) == 0
         levels = np.atleast_1d(np.asarray(q, dtype=float))
@@ -257,29 +275,18 @@ class MixtureDistribution:
             bad = levels[~((levels > 0.0) & (levels < 1.0))][0]
             raise ValueError(f"quantile level must be in (0, 1), got {bad}")
         if self._a is not None:
-            out = self._ppf_batch(levels)
+            cells = GammaCells(self._weights, self._a, self._b)
+            out = cells.quantiles(levels)[0]
         else:
             out = np.array([self._ppf_generic(float(l)) for l in levels])
         if scalar:
             return float(out[0])
         return out
 
-    def _ppf_batch(self, levels: np.ndarray) -> np.ndarray:
-        """Vectorized simultaneous quantile inversion (gamma path)."""
-        comp_q = sc.gammaincinv(self._a, levels[:, None]) / self._b
-        lo = comp_q.min(axis=1)
-        hi = comp_q.max(axis=1)
-        # Degenerate brackets (single component, or coincident component
-        # quantiles) are pinned by the batch bisection at lo == hi.
-        hi = np.maximum(hi, lo)
-        return bisect_increasing_batch(
-            lambda x: self._cdf_grid(x) - levels, lo, hi
-        )
-
     def _ppf_generic(self, q: float) -> float:
         """Scalar quantile for non-gamma component families."""
-        lo = min(float(c.ppf(q)) for c in self._components)
-        hi = max(float(c.ppf(q)) for c in self._components)
+        lo = min(float(c.ppf(q)) for c in self.components)
+        hi = max(float(c.ppf(q)) for c in self.components)
         if hi <= lo:
             return lo
         return bisect_increasing(lambda x: float(self.cdf(x)) - q, lo, hi)
@@ -312,9 +319,26 @@ class MixtureDistribution:
         counts = rng.multinomial(size, self._weights)
         parts = [
             comp.sample(int(n), rng)
-            for comp, n in zip(self._components, counts)
+            for comp, n in zip(self.components, counts)
             if n > 0
         ]
         out = np.concatenate(parts) if parts else np.empty(0)
         rng.shuffle(out)
         return out
+
+
+def _normalised(weights, count: int) -> np.ndarray:
+    """Validate mixture weights against the component count and
+    normalise them."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (count,):
+        raise ValueError(
+            f"weights shape {weights.shape} does not match "
+            f"{count} components"
+        )
+    if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite and non-negative")
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ValueError("weights must not all be zero")
+    return weights / total

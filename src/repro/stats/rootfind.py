@@ -2,11 +2,10 @@
 
 The paper inverts the posterior CDF of software reliability with the
 bisection method (Section 6, around Eq. 32). We provide a robust
-monotone bisection, a batched variant that drives many independent
-bisections simultaneously on vectorized functions (the interval-
-estimation hot path), a geometric bracketing helper for quantile
-problems whose support is the positive half line, and — the fit-path
-analogue — a batched fixed-point solver that runs the VB2 per-``N``
+monotone bisection — the generic solver for posteriors without gamma
+structure (NINT grids, Laplace, samples, Weibull); gamma mixtures use
+the quantile engine of :mod:`repro.stats.gamma_cells` — and, on the
+fit path, a batched fixed-point solver that runs the VB2 per-``N``
 update maps as lanes in lock-step, evaluating only the lanes still
 iterating (:func:`solve_fixed_point_batch`).
 
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -35,8 +33,6 @@ from repro.stats.special import as_float
 
 __all__ = [
     "bisect_increasing",
-    "bisect_increasing_batch",
-    "bracket_quantile",
     "BatchFixedPointResult",
     "solve_fixed_point_batch",
 ]
@@ -52,8 +48,8 @@ FIXED_POINT_HISTORY_LEN = 8
 _EDGE_TOL = 1e-9
 
 
-def _divergence_error(message: str, *, iterations: int, width: float,
-                      lanes: int = 1) -> ConvergenceError:
+def _divergence_error(message: str, *, iterations: int,
+                      width: float) -> ConvergenceError:
     """Build the budget-exhaustion error, emitting the telemetry event."""
     if obs.enabled():
         obs.counter_add("rootfind.failures")
@@ -61,7 +57,7 @@ def _divergence_error(message: str, *, iterations: int, width: float,
             "rootfind.divergence",
             iterations=iterations,
             bracket_width=width,
-            lanes=lanes,
+            lanes=1,
         )
     return ConvergenceError(message, iterations=iterations, residual=width)
 
@@ -118,135 +114,6 @@ def bisect_increasing(
         iterations=max_iter,
         width=hi - lo,
     )
-
-
-def bisect_increasing_batch(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    *,
-    xtol: float = 1e-12,
-    rtol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Solve many independent monotone root problems simultaneously.
-
-    ``f`` must be vectorized: given the current midpoints (one per
-    lane) it returns the lane-wise function values, so one call per
-    bisection step serves every lane at once. Lane ``i`` follows the
-    exact update/stopping rule of :func:`bisect_increasing` on
-    ``[lo[i], hi[i]]`` — a converged lane freezes while the rest keep
-    bisecting, which keeps the per-lane results interchangeable with
-    the scalar routine. Degenerate brackets (``lo[i] == hi[i]``) pin
-    the root at the shared endpoint.
-
-    Raises
-    ------
-    ConvergenceError
-        If any lane violates the sign condition beyond tolerance, or
-        any lane exhausts the budget; the error carries the widest
-        unconverged bracket as ``residual``.
-    """
-    lo = np.array(as_float(lo))
-    hi = np.array(as_float(hi))
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError(
-            f"lo/hi must be matching 1-D arrays, got {lo.shape} and {hi.shape}"
-        )
-    if np.any(hi < lo):
-        bad = int(np.argmax(hi < lo))
-        raise ValueError(f"invalid bracket in lane {bad}: lo={lo[bad]}, hi={hi[bad]}")
-    out = np.empty_like(lo)
-    out.fill(np.nan)
-    frozen = lo == hi
-    out[frozen] = lo[frozen]
-    if frozen.all():
-        return out
-    f_lo = as_float(f(lo))
-    f_hi = as_float(f(hi))
-    bad_lo = ~frozen & (f_lo > 0.0)
-    if np.any(bad_lo):
-        pinned = bad_lo & (f_lo < _EDGE_TOL)
-        out[pinned] = lo[pinned]
-        frozen |= pinned
-        hard = bad_lo & ~pinned
-        if np.any(hard):
-            lane = int(np.argmax(hard))
-            raise ConvergenceError(
-                f"bisect_increasing_batch: f(lo)={f_lo[lane]:.3g} > 0 "
-                f"at lo={lo[lane]:.6g} (lane {lane})"
-            )
-    bad_hi = ~frozen & (f_hi < 0.0)
-    if np.any(bad_hi):
-        pinned = bad_hi & (f_hi > -_EDGE_TOL)
-        out[pinned] = hi[pinned]
-        frozen |= pinned
-        hard = bad_hi & ~pinned
-        if np.any(hard):
-            lane = int(np.argmax(hard))
-            raise ConvergenceError(
-                f"bisect_increasing_batch: f(hi)={f_hi[lane]:.3g} < 0 "
-                f"at hi={hi[lane]:.6g} (lane {lane})"
-            )
-    for _ in range(max_iter):
-        if frozen.all():
-            return out
-        mid = 0.5 * (lo + hi)
-        done = ~frozen & ((hi - lo) <= xtol + rtol * np.abs(mid))
-        out[done] = mid[done]
-        frozen |= done
-        if frozen.all():
-            return out
-        f_mid = as_float(f(mid))
-        below = ~frozen & (f_mid < 0.0)
-        above = ~frozen & ~below
-        lo[below] = mid[below]
-        hi[above] = mid[above]
-    open_lanes = ~frozen
-    if np.any(open_lanes):
-        width = float(np.max(hi[open_lanes] - lo[open_lanes]))
-        raise _divergence_error(
-            f"bisect_increasing_batch: {int(open_lanes.sum())} of "
-            f"{lo.size} lanes did not converge within {max_iter} "
-            f"iterations (widest remaining bracket {width:.3e})",
-            iterations=max_iter,
-            width=width,
-            lanes=int(open_lanes.sum()),
-        )
-    return out
-
-
-def bracket_quantile(
-    cdf: Callable[[float], float],
-    q: float,
-    *,
-    x0: float = 1.0,
-    growth: float = 4.0,
-    max_expansions: int = 200,
-) -> tuple[float, float]:
-    """Find ``[lo, hi] ⊂ (0, ∞)`` with ``cdf(lo) <= q <= cdf(hi)``.
-
-    Expands geometrically from ``x0`` in both directions. Suitable for
-    any distribution supported on the positive half line.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    if x0 <= 0.0 or not math.isfinite(x0):
-        raise ValueError(f"x0 must be positive and finite, got {x0}")
-    lo = hi = x0
-    for _ in range(max_expansions):
-        if cdf(lo) <= q:
-            break
-        lo /= growth
-    else:
-        raise ConvergenceError(f"could not bracket quantile {q} from below")
-    for _ in range(max_expansions):
-        if cdf(hi) >= q:
-            break
-        hi *= growth
-    else:
-        raise ConvergenceError(f"could not bracket quantile {q} from above")
-    return lo, hi
 
 
 @dataclass(frozen=True)

@@ -172,3 +172,29 @@ class TestReliabilityPrimitives:
         first = vb2_times.reliability_tables(c)
         second = vb2_times.reliability_tables(c)
         assert first is second
+
+
+class TestReliabilityTableMemory:
+    def test_cached_bytes_per_posterior_stay_below_the_old_tables(self):
+        # the sequential tracker keeps dozens of posteriors alive in its
+        # cache: what each caches for its reliability window must stay
+        # within 2 K 48 doubles
+        from repro.bayes.priors import ModelPrior
+        from repro.core.reliability import estimate_reliability
+        from repro.core.vb2 import fit_vb2
+        from repro.data.failure_data import GroupedData
+
+        intensity = np.exp(-np.arange(34) / 25.0)
+        counts = np.random.default_rng(1).multinomial(45, intensity / intensity.sum())
+        campaign = GroupedData(counts=counts, boundaries=np.arange(1.0, 35.0))
+        prior = ModelPrior.informative(100.0, 50.0, 0.2, 0.1)
+        for periods in range(1, 35, 3):
+            data = campaign.truncate(periods)
+            posterior = fit_vb2(data, prior, 1.0)
+            estimate_reliability(posterior, data.horizon, 1.0)
+            grid = posterior._beta_grid
+            cached = [getattr(grid, name) for name in type(grid).__slots__]
+            for tables in posterior._reliability_cache.values():
+                cached += [*tables.c_nodes, tables.a_omega, tables.b_omega]
+            nbytes = sum(np.asarray(v).nbytes for v in cached)
+            assert nbytes <= 2 * posterior.n_components * 48 * 8

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.reliability import (
     ReliabilityEstimate,
+    ReliabilityIncrement,
     ResidualSurvival,
     estimate_reliability,
     reliability_increment,
@@ -334,3 +335,69 @@ class TestNewtonReliabilityQuantile:
         # the moment start plus Halley steps takes 3-4 sweeps here;
         # Newton steps from an omega-quantile start took 7-8
         assert span["sweeps"] <= 5
+
+
+@pytest.fixture(scope="module")
+def five_methods(times_data, info_prior_times, vb2_times, vb1_times, nint_times,
+                 quick_chain_settings):
+    """DT-Info posteriors of the five methods the paper compares."""
+    from repro.bayes.laplace import fit_laplace
+    from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
+
+    chain = gibbs_failure_time(times_data, info_prior_times, 1.0,
+                               quick_chain_settings)
+    return {
+        "NINT": nint_times,
+        "LAPL": fit_laplace(times_data, info_prior_times, 1.0),
+        "MCMC": chain.posterior(),
+        "VB1": vb1_times,
+        "VB2": vb2_times,
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDegenerateWindows:
+    """A window where ``c(β) = 0`` for every β makes ``R = 1`` surely:
+    every method reports the point and both bounds as exactly 1."""
+
+    @pytest.mark.parametrize("te_factor, u", [(1.0, 0.0), (math.inf, 1000.0)])
+    @pytest.mark.parametrize("method", ["NINT", "LAPL", "MCMC", "VB1", "VB2"])
+    def test_reliability_is_surely_one(self, five_methods, times_data, method,
+                                       te_factor, u):
+        estimate = estimate_reliability(five_methods[method],
+                                        te_factor * times_data.horizon, u)
+        assert estimate.point == estimate.lower == estimate.upper == 1.0
+
+    @pytest.mark.parametrize("method", ["NINT", "LAPL", "MCMC", "VB1", "VB2"])
+    def test_residual_count_is_surely_zero_at_infinite_horizon(
+            self, five_methods, method):
+        lower, upper = five_methods[method].residual_interval(
+            0.9, ResidualSurvival(1.0, math.inf))
+        assert lower == upper == 0.0
+
+    def test_increment_slope_vanishes_at_infinite_horizon(self):
+        assert ReliabilityIncrement(1.0, math.inf, 1.0).derivative(0.01) == 0.0
+
+
+class TestResidualQuantiles:
+    """Residual-count quantiles are solved in ``s = -log r`` to a
+    relative tolerance: bisecting ``r`` to 1e-10 capped every bound at
+    ``-log(2.9e-11) = 24.26``."""
+
+    @pytest.mark.parametrize("failures", [20, 8, 3])
+    def test_vb2_interval_matches_posterior_draws(self, failures):
+        from repro.core.vb2 import fit_vb2
+        from repro.data.failure_data import FailureTimeData
+        from repro.experiments.config import paper_scenarios
+
+        scenario = paper_scenarios()["DT-Info"]
+        times = scenario.load_data().times[:failures]
+        data = FailureTimeData(times, horizon=float(times[-1]))
+        posterior = fit_vb2(data, scenario.prior(), 1.0, scenario.vb_config)
+        survival = ResidualSurvival(1.0, data.horizon)
+        interval = posterior.residual_interval(0.9, survival)
+        draws = posterior.sample(200_000, np.random.default_rng(2024))
+        residual = draws[:, 0] * np.asarray(survival(draws[:, 1]))
+        np.testing.assert_allclose(
+            interval, np.quantile(residual, [0.05, 0.95]), rtol=0.01
+        )

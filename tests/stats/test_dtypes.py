@@ -10,7 +10,8 @@ import numpy as np
 
 from repro.stats.special import as_float
 from repro.stats.gamma_dist import gamma_from_uniform
-from repro.stats.rootfind import bisect_increasing_batch, solve_fixed_point_batch
+from repro.stats.gamma_cells import GammaCells
+from repro.stats.rootfind import solve_fixed_point_batch
 from repro.stats.uniforms import segment_sums
 
 
@@ -60,13 +61,14 @@ class TestVariateLayerDtype:
 
 
 class TestRootfindDtype:
-    def test_bisect_float64_in_float64_out(self):
-        lo = np.zeros(4)
-        hi = np.full(4, 10.0)
-        target = np.array([1.0, 2.0, 3.0, 4.0])
-        roots = bisect_increasing_batch(lambda x: x - target, lo, hi)
+    def test_gamma_cells_float64_in_float64_out(self):
+        cells = GammaCells(np.full(3, 1.0 / 3.0), np.array([4.0, 5.0, 6.0]),
+                           np.full(3, 2.0))
+        levels = np.array([0.1, 0.5, 0.9], dtype=np.float32)
+        roots, _, _ = cells.quantiles(levels)
         assert roots.dtype == np.float64
-        np.testing.assert_allclose(roots, target, atol=1e-9)
+        tail, _, _ = cells.tails(roots, np.ones(3, dtype=bool))
+        np.testing.assert_allclose(tail, levels, atol=1e-7)
 
     def test_fixed_point_float64_in_float64_out(self):
         x0 = np.full(3, 1.0)

@@ -13,8 +13,6 @@ from repro.exceptions import ConvergenceError
 from repro.stats.rootfind import (
     FIXED_POINT_HISTORY_LEN,
     bisect_increasing,
-    bisect_increasing_batch,
-    bracket_quantile,
     solve_fixed_point_batch,
 )
 
@@ -69,70 +67,6 @@ class TestBisectExhaustion:
         assert events[0]["bracket_width"] > 0.0
         assert events[0]["lanes"] == 1
         assert col.counters["rootfind.failures"] == 1
-
-
-class TestBisectBatch:
-    def test_matches_scalar_per_lane(self):
-        f = lambda x: np.tanh(x) - np.array([0.1, 0.5, 0.9])
-        lo = np.zeros(3)
-        hi = np.full(3, 5.0)
-        roots = bisect_increasing_batch(f, lo, hi)
-        for i, target in enumerate((0.1, 0.5, 0.9)):
-            scalar = bisect_increasing(
-                lambda x: math.tanh(x) - target, 0.0, 5.0
-            )
-            assert roots[i] == scalar
-
-    def test_degenerate_lane_pinned(self):
-        # lo == hi lanes return the pinned point without evaluating f there.
-        f = lambda x: x - np.array([2.0, 3.0])
-        roots = bisect_increasing_batch(
-            f, np.array([0.0, 3.0]), np.array([10.0, 3.0])
-        )
-        assert roots[0] == pytest.approx(2.0, abs=1e-9)
-        assert roots[1] == 3.0
-
-    def test_sign_violation_raises(self):
-        f = lambda x: x + 10.0
-        with pytest.raises(ConvergenceError):
-            bisect_increasing_batch(f, np.array([1.0]), np.array([2.0]))
-
-    def test_root_near_edge_pinned_within_tolerance(self):
-        # f(lo) slightly positive within the edge tolerance: pin to lo.
-        f = lambda x: x + 1e-10
-        roots = bisect_increasing_batch(f, np.array([0.0]), np.array([1.0]))
-        assert roots[0] == 0.0
-
-    def test_invalid_bracket_raises(self):
-        with pytest.raises(ValueError):
-            bisect_increasing_batch(
-                lambda x: x, np.array([2.0]), np.array([1.0])
-            )
-        with pytest.raises(ValueError):
-            bisect_increasing_batch(
-                lambda x: x, np.array([0.0, 1.0]), np.array([2.0])
-            )
-
-    def test_exhaustion_raises_with_lane_count(self):
-        f = lambda x: x - np.array([2.5, 7.5])
-        with pytest.raises(ConvergenceError) as excinfo:
-            bisect_increasing_batch(
-                f, np.zeros(2), np.full(2, 10.0), max_iter=1
-            )
-        assert excinfo.value.iterations == 1
-        assert excinfo.value.residual > 0.0
-
-    @given(target=st.floats(min_value=0.01, max_value=0.99))
-    @settings(max_examples=50)
-    def test_batch_of_one_equals_scalar(self, target):
-        cdf = lambda x: 1.0 - np.exp(-x)
-        batch = bisect_increasing_batch(
-            lambda x: cdf(x) - target, np.array([0.0]), np.array([100.0])
-        )
-        scalar = bisect_increasing(
-            lambda x: 1.0 - math.exp(-x) - target, 0.0, 100.0
-        )
-        assert batch[0] == scalar
 
 
 def _contractive_map(a, b, c):
@@ -484,24 +418,3 @@ class TestPerLaneRtol:
             solve_fixed_point_batch(
                 f, np.ones(2), rtol=np.array([1e-10, np.inf])
             )
-
-
-class TestBracketQuantile:
-    def test_brackets_exponential_quantiles(self):
-        cdf = lambda x: 1.0 - math.exp(-x)
-        for q in (0.001, 0.5, 0.999):
-            lo, hi = bracket_quantile(cdf, q)
-            assert cdf(lo) <= q <= cdf(hi)
-
-    def test_handles_far_scale(self):
-        # Distribution concentrated near 1e-5: expansion must find it.
-        cdf = lambda x: 1.0 - math.exp(-x / 1e-5)
-        lo, hi = bracket_quantile(cdf, 0.5)
-        assert cdf(lo) <= 0.5 <= cdf(hi)
-
-    def test_invalid_inputs(self):
-        cdf = lambda x: 1.0 - math.exp(-x)
-        with pytest.raises(ValueError):
-            bracket_quantile(cdf, 0.0)
-        with pytest.raises(ValueError):
-            bracket_quantile(cdf, 0.5, x0=-1.0)
