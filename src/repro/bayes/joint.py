@@ -232,7 +232,8 @@ class JointPosterior(abc.ABC):
         of 1e-10: bisecting ``r`` would resolve ``D`` only to
         ``~1e-10 e^D``. Posteriors whose reliability CDF is not a
         genuine probability (the Laplace delta method) override this
-        with a native approximation.
+        with a native approximation, and sample posteriors with the
+        exact rank rule.
         """
         levels = np.atleast_1d(np.asarray(q, dtype=float))
         if np.any(~((levels > 0.0) & (levels < 1.0))):

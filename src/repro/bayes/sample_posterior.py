@@ -143,6 +143,17 @@ class EmpiricalPosterior(JointPosterior):
         ranks = np.clip(np.rint(levels * values.size).astype(int), 1, values.size)
         return values[ranks - 1].astype(float)
 
+    def residual_quantile_batch(
+        self, q: np.ndarray, survival: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """``D = -log R`` is decreasing in ``R``, so the ``q``-quantile of
+        ``D`` is ``-log`` of the rank-``round((1-q) n)`` reliability
+        sample: exact for the sample set, from one sort, with no solve."""
+        levels = np.atleast_1d(np.asarray(q, dtype=float))
+        rel = self.reliability_quantile_batch(1.0 - levels, survival)
+        with np.errstate(divide="ignore"):
+            return -np.log(np.clip(rel, 0.0, 1.0))
+
     # ------------------------------------------------------------------
     def scatter(self, max_points: int | None = None,
                 rng: np.random.Generator | None = None) -> np.ndarray:

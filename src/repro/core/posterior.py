@@ -24,7 +24,7 @@ from repro import obs
 from repro.bayes.joint import JointPosterior
 from repro.stats.gamma_cells import GammaCells, unit_steps
 from repro.stats.gamma_dist import GammaDistribution
-from repro.stats.mixtures import MixtureDistribution
+from repro.stats.mixtures import MixtureDistribution, _normalised
 
 __all__ = ["VBPosterior"]
 
@@ -93,7 +93,7 @@ class VBPosterior(JointPosterior):
         if len(omega_components) != len(beta_components):
             raise ValueError("component arrays must have equal length")
         self._install(
-            n_values, _normalised(weights, len(omega_components)),
+            n_values, weights,
             *([getattr(d, field) for d in components]
               for components in (omega_components, beta_components)
               for field in ("shape", "rate")),
@@ -114,15 +114,13 @@ class VBPosterior(JointPosterior):
         the byte-identical-hit contract.
         """
         post = cls.__new__(cls)
-        if not normalised:
-            weights = _normalised(weights, np.size(omega_shape))
         post._install(n_values, weights, omega_shape, omega_rate, beta_shape,
                       beta_rate, method_name=method_name, elbo=elbo,
-                      diagnostics=diagnostics)
+                      diagnostics=diagnostics, normalised=normalised)
         return post
 
     def _install(self, n_values, weights, *params, method_name, elbo,
-                 diagnostics) -> None:
+                 diagnostics, normalised=False) -> None:
         n_values, weights, *params = (
             np.asarray(v, dtype=float) for v in (n_values, weights, *params)
         )
@@ -130,6 +128,8 @@ class VBPosterior(JointPosterior):
             raise ValueError("component arrays must have equal length")
         if n_values.size == 0:
             raise ValueError("posterior needs at least one mixture component")
+        if not normalised:
+            weights = _normalised(weights, n_values.size)
         # one vectorised check, with GammaDistribution's messages
         for name, values in zip(("shape", "rate") * 2, params):
             bad = ~((values > 0.0) & np.isfinite(values))
@@ -295,8 +295,6 @@ class VBPosterior(JointPosterior):
         total = 0.0
         for rows, weight, c_nodes in tables.blocks():
             b = tables.b_omega[rows, None]
-            if np.all(b == b[0]):  # VB2: one ω rate, one log per node
-                b = b[:1]
             log_mgf = np.log(b) - np.log(b + c_nodes)
             total += np.sum(weight * np.exp(tables.a_omega[rows, None] * log_mgf))
         # The weights sum to 1 only to rounding; clip to the valid range.
@@ -315,8 +313,6 @@ class VBPosterior(JointPosterior):
                 return 0.0
             if r >= 1.0:
                 return 1.0
-            if cells.size == 0:
-                return 0.0
             tail, _, _ = cells.tails(np.array([-math.log(r)]), False)
             return float(tail[0])
 
@@ -386,20 +382,6 @@ class VBPosterior(JointPosterior):
                 sp.attrs["sweeps"] = sweeps
                 sp.attrs["bracket_exits"] = bracket_exits
         return np.clip(result, 0.0, 1.0)
-
-
-def _normalised(weights, count: int) -> np.ndarray:
-    """Validate the mixture weights against the component count and
-    normalise them."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (count,):
-        raise ValueError("component arrays must have equal length")
-    if count == 0:
-        raise ValueError("posterior needs at least one mixture component")
-    total = float(weights.sum())
-    if not (total > 0.0 and np.all(weights >= 0.0)):
-        raise ValueError("weights must be non-negative with positive sum")
-    return weights / total
 
 
 class _BetaGrid:

@@ -401,3 +401,21 @@ class TestResidualQuantiles:
         np.testing.assert_allclose(
             interval, np.quantile(residual, [0.05, 0.95]), rtol=0.01
         )
+
+    def test_sample_posterior_bounds_are_reliability_ranks(self, five_methods,
+                                                           times_data):
+        # (1 - q) n is a whole number at these levels: the empirical CDF
+        # of D is flat on a whole order-statistic gap there, where a
+        # bisection would settle on the gap's lower end.
+        posterior = five_methods["MCMC"]
+        assert posterior.n_samples % 20 == 0
+        levels = np.array([0.05, 0.1, 0.5, 0.9, 0.95])
+        survival = ResidualSurvival(1.0, times_data.horizon)
+        reliability = np.sort(np.exp(
+            -posterior.samples[:, 0] * survival(posterior.samples[:, 1])
+        ))
+        ranks = np.rint((1.0 - levels) * posterior.n_samples).astype(int)
+        np.testing.assert_array_equal(
+            posterior.residual_quantile_batch(levels, survival),
+            -np.log(reliability[ranks - 1]),
+        )
