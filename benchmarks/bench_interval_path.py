@@ -240,12 +240,14 @@ def _measure_mode(mode: str, posteriors) -> dict:
         }
 
         # Reliability 99% interval (Tables 4/5) — batched path only;
-        # the cache is cleared per run so each repeat pays the full
-        # quadrature table build + interval inversion.
+        # the table cache and the β grid are reset per run so each
+        # repeat pays the full grid and table build + interval
+        # inversion.
         u = scenario.reliability_windows[0]
 
         def reliability():
             posterior._reliability_cache.clear()
+            posterior._beta_grid = None
             return estimate_reliability(
                 posterior, data.horizon, u, alpha0=scenario.alpha0, level=LEVEL
             )

@@ -13,8 +13,9 @@ them one versioned schema and one gate:
   satisfy).
 * :func:`compare` diffs a fresh run against a committed baseline:
   every gated speedup must stay above ``REGRESSION_FRACTION`` of the
-  baseline's (ratios are machine-independent), and the fresh run must
-  pass its self-checks.
+  baseline's (ratios are machine-independent), every calibrated
+  timing must stay below the baseline's divided by it, and the fresh
+  run must pass its self-checks.
 
 Unified document layout (``schema: 2, kind: "bench"``)::
 
@@ -23,13 +24,21 @@ Unified document layout (``schema: 2, kind: "bench"``)::
       "kind": "bench",
       "suite": "fit",                      # short suite name
       "generated_by": "benchmarks/bench_fit_path.py",
-      "speedups": {"quick/DG-Info/vb2_grouped": 28.26, ...},  # gated
+      "speedups": {"quick/DG-Info/nint_grid": 3.2, ...},      # gated
+      "timings": {"quick/times1000/vb2": 64.1, ...},         # gated
       "checks": {
         "vb2_max_abs_diff": {"value": 0.0, "exact": 0.0},
         "nint_max_abs_diff_vs_legacy": {"value": 5.7e-14, "max": 1e-10}
       },
       "info": {...}                        # ungated context
     }
+
+``timings`` are calibrated absolute times: the best-of seconds of a
+workload divided by the best-of seconds of the calibration kernel
+(``perfbench/calib.py::kernel``) timed in the same process, so one
+unit is one kernel run. They replace a speedup whose denominator was
+legacy code kept only to be divided by. Schema-1 documents carry them
+per mode as ``modes[mode]["timings"][key]["calibrated"]``.
 
 ``checks`` entries carry their own pass criterion: ``exact`` (equal),
 ``max`` (value <= bound), ``min`` (value >= bound, for speedup floors),
@@ -59,7 +68,8 @@ __all__ = [
 #: Version of the unified bench-ledger layout.
 LEDGER_SCHEMA = 2
 
-#: A fresh speedup below this fraction of the baseline's is a
+#: A fresh speedup below this fraction of the baseline's, or a fresh
+#: calibrated timing above the baseline's divided by it, is a
 #: regression — the same >20% criterion the inline CI gates used.
 REGRESSION_FRACTION = 0.8
 
@@ -126,12 +136,14 @@ def _lift_v1(doc: dict) -> dict:
             f"unknown schema-1 bench layout (generated_by={source!r}); "
             f"known: {sorted(_V1_SUITES)}"
         )
-    speedups = {}
+    speedups, timings = {}, {}
     for mode, payload in doc.get("modes", {}).items():
         for key, workload in payload.get("workloads", {}).items():
             speedup = workload.get("speedup")
             if speedup is not None:
                 speedups[f"{mode}/{key}"] = float(speedup)
+        for key, timing in payload.get("timings", {}).items():
+            timings[f"{mode}/{key}"] = float(timing["calibrated"])
     checks = {}
     for name, path, criterion, bound in recipe["checks"]:
         value = _dig(doc, path)
@@ -152,6 +164,7 @@ def _lift_v1(doc: dict) -> dict:
         "suite": recipe["suite"],
         "generated_by": source,
         "speedups": speedups,
+        "timings": timings,
         "checks": checks,
         "info": info,
     }
@@ -230,10 +243,13 @@ def compare(fresh: dict, baseline: dict, *,
     """Diff a fresh bench run against a committed baseline.
 
     Returns failure messages; empty means the gate passes. The fresh
-    run must satisfy its own checks, and every speedup present in both
+    run must satisfy its own checks, every speedup present in both
     documents must stay above ``fraction`` of the baseline's (ratios
     are machine-independent, so a baseline from another host is a
-    meaningful gate). Speedup keys only one side measured are ignored.
+    meaningful gate), and every calibrated timing present in both must
+    stay below the baseline's divided by ``fraction`` (kernel units
+    cancel the machine's speed). Keys only one side measured are
+    ignored.
     """
     fresh = normalise(fresh)
     baseline = normalise(baseline)
@@ -253,6 +269,17 @@ def compare(fresh: dict, baseline: dict, *,
                 f"{suite}/{key}: speedup {measured:.1f}x fell below "
                 f"{floor:.1f}x (= {fraction:.0%} of baseline "
                 f"{baseline['speedups'][key]:.1f}x)"
+            )
+    fresh_timings = fresh.get("timings", {})
+    base_timings = baseline.get("timings", {})
+    for key in sorted(set(fresh_timings) & set(base_timings)):
+        measured = fresh_timings[key]
+        ceiling = base_timings[key] / fraction
+        if measured > ceiling:
+            failures.append(
+                f"{suite}/{key}: calibrated time {measured:.1f} rose above "
+                f"{ceiling:.1f} (= baseline {base_timings[key]:.1f} / "
+                f"{fraction:.0%}) kernel units"
             )
     return failures
 
@@ -291,6 +318,11 @@ def render_ledger(ledgers: list[dict]) -> str:
         speedups = ledger["speedups"]
         for key in sorted(speedups):
             lines.append(f"  speedup {key:<46} {speedups[key]:>8.1f}x")
+        timings = ledger.get("timings", {})
+        for key in sorted(timings):
+            lines.append(
+                f"  timing {key:<47} {timings[key]:>8.1f} kernel units"
+            )
         for key in sorted(ledger.get("info", {})):
             lines.append(
                 f"  info {key:<41} {ledger['info'][key]!r:>14}"

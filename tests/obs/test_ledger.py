@@ -70,6 +70,17 @@ class TestNormalise:
         }
         assert ledger["info"]["grouped_vb2_speedup_target"] == 5.0
 
+    def test_v1_timings_lift(self):
+        doc = _v1_fit_doc()
+        doc["modes"]["quick"]["timings"] = {
+            "DG-Info/vb2_grouped": {
+                "best_s": 0.02, "kernel_s": 0.001, "calibrated": 20.0,
+            },
+        }
+        ledger = normalise(doc)
+        assert ledger["timings"] == {"quick/DG-Info/vb2_grouped": 20.0}
+        assert normalise(_v1_fit_doc())["timings"] == {}
+
     def test_v2_passes_through(self):
         doc = _v2_doc()
         assert normalise(doc) is doc
@@ -170,6 +181,21 @@ class TestCompare:
         baseline = _v1_fit_doc(speedup=10.0)
         assert compare(fresh, baseline) == []
 
+    def test_timing_regression_fails(self):
+        # A calibrated timing may rise to baseline / 80% and no further.
+        baseline = _v2_doc()
+        baseline["timings"] = {"quick/sweep": 10.0}
+        slower = json.loads(json.dumps(baseline))
+        slower["timings"]["quick/sweep"] = 12.0
+        assert compare(slower, baseline) == []
+        slower["timings"]["quick/sweep"] = 13.0
+        failures = compare(slower, baseline)
+        assert len(failures) == 1
+        assert "quick/sweep" in failures[0]
+        assert "rose above 12.5" in failures[0]
+        # keys only one side measured are ignored
+        assert compare(_v2_doc(), baseline) == []
+
     def test_suite_mismatch_rejected(self):
         failures = compare(_v1_fit_doc(), _v2_doc())
         assert failures and "suite mismatch" in failures[0]
@@ -206,6 +232,13 @@ class TestLoadAndRender:
         assert "vb2_max_abs_diff" in text
         assert "ok" in text
         assert "10.0x" in text
+
+    def test_render_shows_timings(self):
+        doc = _v2_doc()
+        doc["timings"] = {"quick/sweep": 64.25}
+        text = render_ledger([doc])
+        assert "timing quick/sweep" in text
+        assert "64.2 kernel units" in text
 
 
 class TestBenchCli:
