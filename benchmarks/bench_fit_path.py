@@ -1,28 +1,29 @@
-"""Benchmark: scalar vs batched (lane-parallel) fit path.
+"""Benchmark: the fit path, timed against the calibration kernel.
 
-The batched fit engine replaces the per-``N`` Python fixed-point loop of
-a VB2 fit with one :func:`repro.stats.rootfind.solve_fixed_point_batch`
-call whose lanes are the latent counts of the whole ``[me, nmax]``
-range, and the NINT grouped grid fill with a single incomplete-gamma
-broadcast over the ``(beta, edge)`` mesh. This benchmark times the
-paper's fit workloads both ways and emits
-``benchmarks/results/BENCH_fit.json``:
+VB2 fits solve every latent count's conditional posterior as one lane
+of the inverse solver (:func:`repro.core.gamma_updates.solve_lanes`),
+and the NINT grouped grid fill is a single incomplete-gamma broadcast
+over the ``(beta, edge)`` mesh. This benchmark times the paper's fit
+workloads and emits ``benchmarks/results/BENCH_fit.json``:
 
 * **vb2_grouped** — DG-Info / DG-NoInfo Goel–Okumoto fits (the hot
-  path of every grouped campaign; ≥5x acceptance target);
+  path of every grouped campaign), a calibrated timing (best-of
+  seconds over the calibration kernel's, see :mod:`repro.obs.ledger`);
 * **vb2_alpha2** — the delayed S-shaped member (``α0 = 2``) on both
-  data views, where even failure-time data needs the fixed point;
+  data views, where even failure-time data needs the solver, a
+  calibrated timing;
 * **vb1_zeta_kernel** — the VB1 expected-lifetime evaluation: one
   broadcast truncated-mean call versus the per-interval scalar loop;
 * **nint_grid** — the grouped NINT log-posterior matrix (≥3x target).
 
-The *scalar* reference for the VB2 workloads is the production code
-itself with ``VBConfig(batched_solver=False)`` — the per-``N`` loop is
-kept as a first-class fallback precisely so the equality ``batched ==
-scalar`` is checkable forever; the agreement block records the max
-absolute difference across posterior weights, component parameters and
-ELBO (acceptance: exactly 0.0). The NINT and VB1 legacy twins
-reimplement the pre-vectorization loops in this file.
+The agreement block checks the VB2 fits against their mathematics and
+against the fleet: every lane must give back its own ``N`` through the
+closed-form ``N(ξ)`` (evaluated here with the stats-layer moment
+functions, ``max |N(ξ_N) − N| / N <= 1e-9``), and each ``fit_vb2``
+posterior must equal the one-dataset ``fit_vb2_fleet`` posterior
+(max absolute difference across weights, component parameters and
+ELBO: exactly 0.0). The NINT and VB1 legacy twins reimplement the
+pre-vectorization loops in this file.
 
 As a script:
 
@@ -32,15 +33,14 @@ As a script:
         --out /tmp/BENCH_fit.json \\
         --baseline benchmarks/results/BENCH_fit.json
 
-With ``--baseline`` the run fails (exit 1) if any workload's speedup
-regresses below 80% of the committed baseline's — speedup ratios, not
-wall-clock, so the check is machine-independent.
+With ``--baseline`` the run fails (exit 1) on any regression that
+``repro bench check`` would report: a speedup below 80% of the
+baseline's, or a calibrated timing above the baseline's over 80%.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -56,22 +56,34 @@ for _root in (_HERE, _HERE.parent / "src"):
     if str(_root) not in sys.path:
         sys.path.insert(0, str(_root))
 
-from conftest import RESULTS_DIR
+from conftest import RESULTS_DIR, calibrated_best_of
 from repro.bayes.nint import log_posterior_matrix
+from repro.core.fleet import fit_vb2_fleet
 from repro.core.vb2 import fit_vb2
+from repro.data.failure_data import FailureTimeData
 from repro.experiments.config import paper_scenarios
-from repro.stats.truncated import truncated_gamma_mean
+from repro.obs import compare_bench, self_check_bench
+from repro.stats.truncated import censored_gamma_mean, truncated_gamma_mean
 
-GROUPED_VB2_SPEEDUP_TARGET = 5.0
 NINT_SPEEDUP_TARGET = 3.0
-REGRESSION_FRACTION = 0.8
+INVERSE_RESIDUAL_TOLERANCE = 1e-9
 
 _MODE_SETTINGS = {
     # full: the paper's adaptive configurations end to end; quick: fixed
     # truncation bounds and a coarser NINT grid, for CI wall-clock.
-    "full": {"repeat": 3, "nint_nodes": 321, "fixed_nmax_extra": None},
-    "quick": {"repeat": 2, "nint_nodes": 201, "fixed_nmax_extra": 50},
+    "full": {"repeat": 3, "timed_repeat": 12, "nint_nodes": 321,
+             "fixed_nmax_extra": None},
+    "quick": {"repeat": 2, "timed_repeat": 10, "nint_nodes": 201,
+              "fixed_nmax_extra": 50},
 }
+
+#: The VB2 fits timed and checked: (scenario, alpha0, workload kind).
+VB2_CASES = (
+    ("DG-Info", 1.0, "vb2_grouped"),
+    ("DG-NoInfo", 1.0, "vb2_grouped"),
+    ("DG-Info", 2.0, "vb2_alpha2"),
+    ("DT-Info", 2.0, "vb2_alpha2"),
+)
 
 #: NINT integration rectangle for DG-Info (VB2-quantile heuristic
 #: evaluated once and frozen, so the benchmark grid is stable).
@@ -157,29 +169,24 @@ def _posterior_max_abs_diff(a, b) -> float:
     return max(diffs)
 
 
-def _vb2_configs(scenario):
-    """The scenario's config with the batched solver on and off."""
-    batched = dataclasses.replace(scenario.vb_config, batched_solver=True)
-    scalar = dataclasses.replace(scenario.vb_config, batched_solver=False)
-    return batched, scalar
-
-
-def _measure_vb2(data, prior, alpha0, batched_cfg, scalar_cfg, nmax, repeat):
-    batched_s = _best_of(
-        lambda: fit_vb2(data, prior, alpha0=alpha0, config=batched_cfg,
-                        nmax=nmax),
-        repeat,
-    )
-    scalar_s = _best_of(
-        lambda: fit_vb2(data, prior, alpha0=alpha0, config=scalar_cfg,
-                        nmax=nmax),
-        max(1, repeat - 1),
-    )
-    return {
-        "legacy_s": scalar_s,
-        "batched_s": batched_s,
-        "speedup": scalar_s / batched_s,
-    }
+def _inverse_residual(posterior, data, prior, alpha0) -> float:
+    """``max |N(ξ_N) − N| / N`` over the lanes, with ``ξ_N = a_β / b_β``
+    and ``N(ξ) = (m_β + m ξ C − ξ (φ_β + A)) / (ξ C − α0)``."""
+    n = np.asarray(posterior.n_values, dtype=float)
+    xi = posterior._beta_shape / posterior._beta_rate
+    if isinstance(data, FailureTimeData):
+        observed, lifetime = data.count, np.full(n.size, data.total_time)
+    else:
+        observed, lifetime = data.total_count, np.zeros(n.size)
+        for lo, hi, count in data.intervals():
+            if count:
+                lifetime += count * truncated_gamma_mean(lo, hi, alpha0, xi)
+    tail = censored_gamma_mean(data.horizon, alpha0, xi)
+    n_of_xi = (
+        prior.beta.shape + observed * xi * tail
+        - xi * (prior.beta.rate + lifetime)
+    ) / (xi * tail - alpha0)
+    return float(np.max(np.abs(n_of_xi - n) / np.maximum(n, 1.0)))
 
 
 def _measure_mode(mode: str) -> dict:
@@ -188,30 +195,18 @@ def _measure_mode(mode: str) -> dict:
     extra = settings["fixed_nmax_extra"]
     scenarios = paper_scenarios()
     workloads: dict[str, dict] = {}
+    timings: dict[str, dict] = {}
 
-    # Grouped Goel-Okumoto fits: the acceptance workload.
-    for name in ("DG-Info", "DG-NoInfo"):
+    # VB2 fits: grouped Goel-Okumoto and the delayed S-shaped member.
+    for name, alpha0, kind in VB2_CASES:
         scenario = scenarios[name]
         data = scenario.load_data()
-        nmax = None if extra is None else data.total_count + extra
-        batched_cfg, scalar_cfg = _vb2_configs(scenario)
-        workloads[f"{name}/vb2_grouped"] = _measure_vb2(
-            data, scenario.prior(), 1.0, batched_cfg, scalar_cfg,
-            nmax, repeat,
-        )
-
-    # Delayed S-shaped member on both data views.
-    for name in ("DG-Info", "DT-Info"):
-        scenario = scenarios[name]
-        data = scenario.load_data()
-        observed = (
-            data.total_count if scenario.is_grouped else data.count
-        )
+        observed = data.total_count if scenario.is_grouped else data.count
         nmax = None if extra is None else observed + extra
-        batched_cfg, scalar_cfg = _vb2_configs(scenario)
-        workloads[f"{name}/vb2_alpha2"] = _measure_vb2(
-            data, scenario.prior(), 2.0, batched_cfg, scalar_cfg,
-            nmax, repeat,
+        timings[f"{name}/{kind}"] = calibrated_best_of(
+            lambda: fit_vb2(data, scenario.prior(), alpha0=alpha0,
+                            config=scenario.vb_config, nmax=nmax),
+            settings["timed_repeat"],
         )
 
     # VB1 zeta kernel on the grouped view.
@@ -265,35 +260,37 @@ def _measure_mode(mode: str) -> dict:
         "speedup": legacy_s / batched_s,
         "nodes": nodes,
     }
-    return {"repeat": repeat, "workloads": workloads}
+    return {"repeat": repeat, "workloads": workloads, "timings": timings}
 
 
 def _agreement(quick: bool) -> dict:
-    """Exact-agreement block: batched vs scalar fits, vectorized vs
-    legacy NINT grid, on the paper's System 17 configurations."""
+    """Agreement block on the paper's System 17 configurations: VB2
+    fits against the closed-form ``N(ξ)`` and against the one-dataset
+    fleet, vectorized vs legacy NINT grid."""
     scenarios = paper_scenarios()
     vb2_max = 0.0
+    residual_max = 0.0
     cases = []
-    for name, alpha0 in (("DG-Info", 1.0), ("DG-NoInfo", 1.0),
-                         ("DG-Info", 2.0), ("DT-Info", 2.0)):
+    for name, alpha0, _ in VB2_CASES:
         scenario = scenarios[name]
-        data = scenario.load_data()
+        data, prior = scenario.load_data(), scenario.prior()
         observed = (
             data.total_count if scenario.is_grouped else data.count
         )
-        # Quick mode pins nmax so the scalar NoInfo fit stays cheap; the
-        # committed full-mode baseline runs the paper's adaptive config.
+        # Quick mode pins nmax like the timed fits; the committed
+        # full-mode baseline runs the paper's adaptive configuration
+        # (DG-NoInfo clamped at its ceiling).
         nmax = observed + 50 if quick else None
-        if name == "DG-NoInfo" and not quick:
-            nmax = None  # adaptive, clamped at the paper's ceiling
-        batched_cfg, scalar_cfg = _vb2_configs(scenario)
-        batched = fit_vb2(data, scenario.prior(), alpha0=alpha0,
-                          config=batched_cfg, nmax=nmax)
-        scalar = fit_vb2(data, scenario.prior(), alpha0=alpha0,
-                         config=scalar_cfg, nmax=nmax)
-        diff = _posterior_max_abs_diff(batched, scalar)
+        single = fit_vb2(data, prior, alpha0=alpha0,
+                         config=scenario.vb_config, nmax=nmax)
+        fleet = fit_vb2_fleet([data], prior, alpha0, scenario.vb_config,
+                              nmax=nmax).posterior(0)
+        diff = _posterior_max_abs_diff(single, fleet)
+        residual = _inverse_residual(single, data, prior, alpha0)
         vb2_max = max(vb2_max, diff)
-        cases.append({"scenario": name, "alpha0": alpha0, "max_abs_diff": diff})
+        residual_max = max(residual_max, residual)
+        cases.append({"scenario": name, "alpha0": alpha0,
+                      "max_abs_diff": diff, "inverse_residual": residual})
 
     grouped = scenarios["DG-Info"].load_data()
     prior = scenarios["DG-Info"].prior()
@@ -308,6 +305,7 @@ def _agreement(quick: bool) -> dict:
     nint_diff = float(np.max(np.abs(vectorized - legacy)))
     return {
         "vb2_max_abs_diff": vb2_max,
+        "vb2_inverse_max_rel_residual": residual_max,
         "vb2_cases": cases,
         "nint_max_abs_diff_vs_legacy": nint_diff,
     }
@@ -317,81 +315,55 @@ def measure(modes: tuple[str, ...]) -> dict:
     result = {
         "schema": 1,
         "generated_by": "benchmarks/bench_fit_path.py",
-        "acceptance": {
-            "grouped_vb2_speedup_target": GROUPED_VB2_SPEEDUP_TARGET,
-            "nint_speedup_target": NINT_SPEEDUP_TARGET,
-        },
+        "acceptance": {"nint_speedup_target": NINT_SPEEDUP_TARGET},
         "agreement": _agreement(quick="full" not in modes),
         "modes": {mode: _measure_mode(mode) for mode in modes},
     }
-    grouped_speedups = [
-        w["speedup"]
-        for mode in result["modes"].values()
-        for key, w in mode["workloads"].items()
-        if key.endswith("vb2_grouped")
-    ]
     nint_speedups = [
         w["speedup"]
         for mode in result["modes"].values()
         for key, w in mode["workloads"].items()
         if key.endswith("nint_grid")
     ]
-    result["acceptance"]["grouped_vb2_speedup_measured_min"] = min(
-        grouped_speedups
-    )
     result["acceptance"]["nint_speedup_measured_min"] = min(nint_speedups)
     return result
 
 
-# -- reporting and regression gate -------------------------------------
+# -- reporting ---------------------------------------------------------
 
 
 def render(result: dict) -> str:
-    lines = ["fit path: scalar per-N loop vs batched lanes (best-of timings)"]
+    lines = ["fit path: calibrated VB2 fits, vectorized vs legacy kernels"]
     for mode, payload in result["modes"].items():
         lines.append(f"  [{mode}] repeat {payload['repeat']}")
+        for key, t in payload["timings"].items():
+            lines.append(
+                f"    {key:<28} {t['best_s'] * 1e3:9.2f} ms"
+                f"   kernel {t['kernel_s'] * 1e3:6.3f} ms"
+                f"   {t['calibrated']:7.1f} kernel units"
+            )
         for key, w in payload["workloads"].items():
             lines.append(
-                f"    {key:<28} scalar {w['legacy_s'] * 1e3:10.2f} ms"
+                f"    {key:<28} legacy {w['legacy_s'] * 1e3:10.2f} ms"
                 f"   batched {w['batched_s'] * 1e3:9.2f} ms"
                 f"   {w['speedup']:6.1f}x"
             )
     agreement = result["agreement"]
     lines.append(
-        "  agreement: vb2 batched vs scalar max |diff| "
-        f"{agreement['vb2_max_abs_diff']:.1e} (acceptance: exactly 0),"
+        "  agreement: vb2 fit_vb2 vs one-dataset fleet max |diff| "
+        f"{agreement['vb2_max_abs_diff']:.1e} (acceptance: exactly 0), "
+        "max |N(xi_N) - N| / N "
+        f"{agreement['vb2_inverse_max_rel_residual']:.1e} "
+        f"(acceptance: <= {INVERSE_RESIDUAL_TOLERANCE:.0e}),"
         " nint vectorized vs legacy "
         f"{agreement['nint_max_abs_diff_vs_legacy']:.1e}"
     )
     lines.append(
-        "  acceptance: grouped vb2 min speedup "
-        f"{result['acceptance']['grouped_vb2_speedup_measured_min']:.1f}x"
-        f" (target >= {GROUPED_VB2_SPEEDUP_TARGET:.0f}x), nint "
+        "  acceptance: nint "
         f"{result['acceptance']['nint_speedup_measured_min']:.1f}x"
         f" (target >= {NINT_SPEEDUP_TARGET:.0f}x)"
     )
     return "\n".join(lines)
-
-
-def check_regression(result: dict, baseline: dict) -> list[str]:
-    """Speedup-ratio gate against a committed baseline (machine-free)."""
-    failures = []
-    for mode, payload in result["modes"].items():
-        base_mode = baseline.get("modes", {}).get(mode)
-        if base_mode is None:
-            continue
-        for key, w in payload["workloads"].items():
-            base_w = base_mode["workloads"].get(key)
-            if base_w is None or w["speedup"] is None or base_w["speedup"] is None:
-                continue
-            floor = REGRESSION_FRACTION * base_w["speedup"]
-            if w["speedup"] < floor:
-                failures.append(
-                    f"{mode}/{key}: speedup {w['speedup']:.1f}x fell below "
-                    f"{floor:.1f}x (= {REGRESSION_FRACTION:.0%} of baseline "
-                    f"{base_w['speedup']:.1f}x)"
-                )
-    return failures
 
 
 # -- pytest entry point ------------------------------------------------
@@ -401,10 +373,13 @@ def test_batched_fit_path_quick(results_dir):
     result = measure(modes=("quick",))
     print("\n" + render(result))
     assert result["agreement"]["vb2_max_abs_diff"] == 0.0
+    assert (
+        result["agreement"]["vb2_inverse_max_rel_residual"]
+        <= INVERSE_RESIDUAL_TOLERANCE
+    )
     assert result["agreement"]["nint_max_abs_diff_vs_legacy"] <= 1e-10
-    # Conservative floors for noisy CI hosts; the committed full-mode
-    # baseline documents the >= 5x / >= 3x acceptance numbers.
-    assert result["acceptance"]["grouped_vb2_speedup_measured_min"] >= 3.0
+    # Conservative floor for noisy CI hosts; the committed full-mode
+    # baseline documents the >= 3x acceptance number.
     assert result["acceptance"]["nint_speedup_measured_min"] >= 1.5
 
 
@@ -425,7 +400,7 @@ def main(argv=None) -> int:
         "--baseline",
         type=Path,
         default=None,
-        help="committed BENCH_fit.json to gate speedup regressions against",
+        help="committed BENCH_fit.json to gate regressions against",
     )
     args = parser.parse_args(argv)
     modes = ("quick",) if args.quick else ("full", "quick")
@@ -435,41 +410,21 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(text)
     print(f"[written to {args.out}]")
-    status = 0
-    if result["agreement"]["vb2_max_abs_diff"] != 0.0:
-        print(
-            "FAIL: batched/scalar VB2 fits disagree (max |diff| "
-            f"{result['agreement']['vb2_max_abs_diff']:.3e}, expected 0)",
-            file=sys.stderr,
-        )
-        status = 1
+    if args.baseline is None:
+        failures = self_check_bench(result)
+    else:
+        failures = compare_bench(result, json.loads(args.baseline.read_text()))
+        if not failures:
+            print("within the regression gate vs baseline")
     if "full" in result["modes"]:
-        grouped = result["acceptance"]["grouped_vb2_speedup_measured_min"]
         nint = result["acceptance"]["nint_speedup_measured_min"]
-        if grouped < GROUPED_VB2_SPEEDUP_TARGET:
-            print(
-                f"FAIL: grouped vb2 speedup {grouped:.1f}x < "
-                f"{GROUPED_VB2_SPEEDUP_TARGET:.0f}x target",
-                file=sys.stderr,
-            )
-            status = 1
         if nint < NINT_SPEEDUP_TARGET:
-            print(
-                f"FAIL: nint speedup {nint:.1f}x < "
-                f"{NINT_SPEEDUP_TARGET:.0f}x target",
-                file=sys.stderr,
+            failures.append(
+                f"nint speedup {nint:.1f}x < {NINT_SPEEDUP_TARGET:.0f}x target"
             )
-            status = 1
-    if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-        failures = check_regression(result, baseline)
-        for message in failures:
-            print(f"FAIL: {message}", file=sys.stderr)
-        if failures:
-            status = 1
-        else:
-            print("speedups within the regression gate vs baseline")
-    return status
+    for message in failures:
+        print(f"FAIL: {message}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
-"""Benchmark: warm-start incremental refits + posterior cache hits.
+"""Benchmark: warm-started tracker replays + posterior cache hits.
 
 Sequential reliability tracking refits the full posterior every
 observation period. Two mechanisms make replaying a campaign cheap
 (see docs/METHOD.md §4.5 and docs/PERFORMANCE.md §5):
 
-* **Warm starts** — each period's fit seeds its per-``N`` fixed points
-  from the previous posterior and relaxes the solver tolerance on
-  weight-negligible lanes, collapsing the fixed-point iteration count;
+* **Warm starts** — each period's fit starts its truncation bound at
+  the previous posterior's effective support plus a drift pad, so the
+  cold growth schedule is not replayed;
 * **Content-addressed caching** — refitting inputs the cache has
   already seen loads the stored posterior byte-identically without
   touching the solver.
@@ -16,16 +16,15 @@ This benchmark replays a synthetic grouped test campaign through
 (``warm_start=False``) and warm, for α0 ∈ {1, 2}, and emits
 ``benchmarks/results/BENCH_warmstart.json`` (native schema-2 ledger):
 
-* **tracker50/a0=1** — the acceptance workload: 50 periods, iteration
-  ratio ≥ 3x and wall ratio ≥ 2x warm over cold;
-* **tracker50/a0=2** — the delayed S-shaped lifetime, same campaign;
+* **tracker50/a0=1**, **tracker50/a0=2** — calibrated timings of the
+  cold and of the warm replay (best-of seconds over the calibration
+  kernel's, see :mod:`repro.obs.ledger`), with their evaluation counts
+  of ``N(ξ)`` as context;
 * **cache hit** — a disk hit must be byte-identical to the fit it
   replaces, run zero solver calls, and load ≥ 10x faster than
-  refitting.
-
-Iteration counts are deterministic (machine-independent), so those
-ratios gate exactly; wall-clock ratios are gated loosely and the
-absolute targets are asserted by full runs only.
+  refitting;
+* **agreement** — the warm-chained final posterior must match the cold
+  fit of the same data to 1e-8.
 
 As a script:
 
@@ -35,9 +34,9 @@ As a script:
         --out /tmp/BENCH_warmstart.json \\
         --baseline benchmarks/results/BENCH_warmstart.json
 
-With ``--baseline`` the run fails (exit 1) if any speedup regresses
-below 80% of the committed baseline's (``repro bench check`` applies
-the same gate in CI).
+With ``--baseline`` the run fails (exit 1) on any regression that
+``repro bench check`` would report: a calibrated timing above the
+baseline's over 80%, or a failed check.
 """
 
 from __future__ import annotations
@@ -58,25 +57,22 @@ for _root in (_HERE, _HERE.parent / "src"):
     if str(_root) not in sys.path:
         sys.path.insert(0, str(_root))
 
-from conftest import RESULTS_DIR
+from conftest import RESULTS_DIR, calibrated_best_of
 from repro import obs
 from repro.bayes.priors import ModelPrior
 from repro.core.sequential import ReliabilityTracker
 from repro.core.vb2 import fit_vb2
 from repro.data.failure_data import GroupedData
+from repro.obs import compare_bench, self_check_bench
 
-ITERATION_RATIO_TARGET = 3.0
-WALL_RATIO_TARGET = 2.0
 CACHE_HIT_SPEEDUP_FLOOR = 10.0
 AGREEMENT_TOLERANCE = 1e-8
-REGRESSION_FRACTION = 0.8
 
 _MODE_SETTINGS = {
     # Both α0 values replay the same campaign; quick trims the period
-    # count for CI wall-clock (the absolute ratio targets are asserted
-    # by the full run, which produces the committed baseline).
-    "full": {"periods": 50},
-    "quick": {"periods": 20},
+    # count and the repeats for CI wall-clock.
+    "full": {"periods": 50, "repeat": 5},
+    "quick": {"periods": 20, "repeat": 5},
 }
 
 PRIOR = ModelPrior.informative(100.0, 50.0, 0.2, 0.1)
@@ -93,16 +89,17 @@ def _campaign(periods: int, seed: int = 7) -> GroupedData:
     )
 
 
-def _replay(data: GroupedData, alpha0: float, warm: bool) -> dict:
-    tracker = ReliabilityTracker(
-        PRIOR, alpha0=alpha0, prediction_window=1.0,
-        reliability_target=0.9, warm_start=warm,
-    )
-    start = time.perf_counter()
-    records = tracker.replay_grouped(data)
-    wall = time.perf_counter() - start
+def _replay(data: GroupedData, alpha0: float, warm: bool, repeat: int) -> dict:
+    def run():
+        tracker = ReliabilityTracker(
+            PRIOR, alpha0=alpha0, prediction_window=1.0,
+            reliability_target=0.9, warm_start=warm,
+        )
+        return tracker.replay_grouped(data)
+
+    records = run()
     return {
-        "wall_s": wall,
+        **calibrated_best_of(run, repeat),
         "iterations": int(sum(r.fit_iterations for r in records)),
         "periods": len(records),
         "warm_periods": sum(1 for r in records if r.warm_started),
@@ -115,9 +112,7 @@ def _replay(data: GroupedData, alpha0: float, warm: bool) -> dict:
 def _summary_diff(a, b) -> float:
     """Max |diff| over the quantities a tracking decision reads: mixture
     weights on the common support, parameter means, and 99% interval
-    endpoints. (Per-lane gamma parameters are *not* compared raw: the
-    stratified warm solver intentionally leaves weight-negligible lanes
-    at a looser tolerance — see docs/METHOD.md §4.5.)"""
+    endpoints."""
     common = min(a.weights.size, b.weights.size)
     diffs = [float(np.max(np.abs(a.weights[:common] - b.weights[:common])))]
     for param in ("omega", "beta"):
@@ -213,17 +208,14 @@ def _cache_block(data: GroupedData) -> dict:
 
 
 def _measure_mode(mode: str) -> dict:
-    periods = _MODE_SETTINGS[mode]["periods"]
+    settings = _MODE_SETTINGS[mode]
+    periods = settings["periods"]
     data = _campaign(periods)
     workloads: dict[str, dict] = {}
     for alpha0 in (1.0, 2.0):
-        cold = _replay(data, alpha0, warm=False)
-        warm = _replay(data, alpha0, warm=True)
         workloads[f"tracker{periods}/a0={alpha0:g}"] = {
-            "cold": cold,
-            "warm": warm,
-            "iteration_ratio": cold["iterations"] / warm["iterations"],
-            "wall_ratio": cold["wall_s"] / warm["wall_s"],
+            "cold": _replay(data, alpha0, False, settings["repeat"]),
+            "warm": _replay(data, alpha0, True, settings["repeat"]),
         }
     return workloads
 
@@ -233,14 +225,14 @@ def measure(modes: tuple[str, ...]) -> dict:
     agreement = _agreement(full_data)
     cache = _cache_block(full_data)
 
-    speedups: dict[str, float] = {}
+    timings: dict[str, float] = {}
     info: dict = {"modes": {}, "cache": cache}
     for mode in modes:
         workloads = _measure_mode(mode)
         info["modes"][mode] = workloads
         for key, w in workloads.items():
-            speedups[f"{mode}/{key}/iterations"] = w["iteration_ratio"]
-            speedups[f"{mode}/{key}/wall"] = w["wall_ratio"]
+            for replay in ("cold", "warm"):
+                timings[f"{mode}/{key}/{replay}"] = w[replay]["calibrated"]
 
     checks = {
         "warm_cold_summary_max_abs_diff": {
@@ -256,35 +248,19 @@ def measure(modes: tuple[str, ...]) -> dict:
             "value": cache["hit_speedup"], "min": CACHE_HIT_SPEEDUP_FLOOR,
         },
     }
-    if "full" in modes:
-        # The absolute ratio targets are asserted by full runs (which
-        # produce the committed baseline). The iteration ratio is a
-        # deterministic solver property so it gates on any host; quick
-        # CI runs cover it through the 80% speedup-ratio gate against
-        # the baseline instead.
-        acceptance = info["modes"]["full"][
-            f"tracker{_MODE_SETTINGS['full']['periods']}/a0=1"
-        ]
-        checks["warm_iteration_ratio"] = {
-            "value": acceptance["iteration_ratio"],
-            "min": ITERATION_RATIO_TARGET,
-        }
-        checks["warm_wall_ratio_target_met"] = {
-            "value": bool(acceptance["wall_ratio"] >= WALL_RATIO_TARGET),
-            "expect": True,
-        }
     return {
         "schema": 2,
         "kind": "bench",
         "suite": "warmstart",
         "generated_by": "benchmarks/bench_warmstart.py",
-        "speedups": speedups,
+        "speedups": {},
+        "timings": timings,
         "checks": checks,
         "info": info,
     }
 
 
-# -- reporting and regression gate --------------------------------------
+# -- reporting ----------------------------------------------------------
 
 
 def render(result: dict) -> str:
@@ -292,12 +268,13 @@ def render(result: dict) -> str:
     for mode, workloads in result["info"]["modes"].items():
         lines.append(f"  [{mode}]")
         for key, w in workloads.items():
+            cold, warm = w["cold"], w["warm"]
             lines.append(
-                f"    {key:<18} cold {w['cold']['iterations']:>8} it "
-                f"{w['cold']['wall_s'] * 1e3:9.1f} ms   warm "
-                f"{w['warm']['iterations']:>8} it "
-                f"{w['warm']['wall_s'] * 1e3:9.1f} ms   "
-                f"it x{w['iteration_ratio']:.2f}  wall x{w['wall_ratio']:.2f}"
+                f"    {key:<18} cold {cold['iterations']:>8} evals "
+                f"{cold['best_s'] * 1e3:8.1f} ms {cold['calibrated']:7.0f} "
+                f"units   warm {warm['iterations']:>8} evals "
+                f"{warm['best_s'] * 1e3:8.1f} ms {warm['calibrated']:7.0f} "
+                "units"
             )
     cache = result["info"]["cache"]
     lines.append(
@@ -312,38 +289,7 @@ def render(result: dict) -> str:
         f"{checks['warm_cold_summary_max_abs_diff']['value']:.1e} "
         f"(gate <= {AGREEMENT_TOLERANCE:.0e})"
     )
-    if "warm_iteration_ratio" in checks:
-        lines.append(
-            "  acceptance: iteration ratio "
-            f"{checks['warm_iteration_ratio']['value']:.2f}x "
-            f"(target >= {ITERATION_RATIO_TARGET:.0f}x), wall target "
-            f">= {WALL_RATIO_TARGET:.0f}x met: "
-            f"{checks['warm_wall_ratio_target_met']['value']}"
-        )
     return "\n".join(lines)
-
-
-def check_regression(result: dict, baseline: dict) -> list[str]:
-    """Speedup-ratio gate against a committed baseline (machine-free);
-    same criterion as ``repro bench check``."""
-    failures = []
-    for key, measured in result["speedups"].items():
-        base = baseline.get("speedups", {}).get(key)
-        if base is None:
-            continue
-        floor = REGRESSION_FRACTION * base
-        if measured < floor:
-            failures.append(
-                f"{key}: speedup {measured:.2f}x fell below {floor:.2f}x "
-                f"(= {REGRESSION_FRACTION:.0%} of baseline {base:.2f}x)"
-            )
-    return failures
-
-
-def _check_failures(result: dict) -> list[str]:
-    from repro.obs import self_check_bench
-
-    return self_check_bench(result)
 
 
 # -- pytest entry point -------------------------------------------------
@@ -352,12 +298,7 @@ def _check_failures(result: dict) -> list[str]:
 def test_warmstart_quick(results_dir):
     result = measure(modes=("quick",))
     print("\n" + render(result))
-    assert _check_failures(result) == []
-    quick = result["info"]["modes"]["quick"]
-    for key, w in quick.items():
-        # Conservative floor; the committed baseline documents the
-        # >= 3x acceptance number on the 50-period campaign.
-        assert w["iteration_ratio"] >= 1.5, (key, w["iteration_ratio"])
+    assert self_check_bench(result) == []
 
 
 def main(argv=None) -> int:
@@ -387,21 +328,15 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(text)
     print(f"[written to {args.out}]")
-    status = 0
-    failures = _check_failures(result)
+    if args.baseline is None:
+        failures = self_check_bench(result)
+    else:
+        failures = compare_bench(result, json.loads(args.baseline.read_text()))
+        if not failures:
+            print("within the regression gate vs baseline")
     for message in failures:
         print(f"FAIL: {message}", file=sys.stderr)
-        status = 1
-    if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-        regressions = check_regression(result, baseline)
-        for message in regressions:
-            print(f"FAIL: {message}", file=sys.stderr)
-        if regressions:
-            status = 1
-        else:
-            print("speedups within the regression gate vs baseline")
-    return status
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ through the sweep together, and every conditional draw of the sweep is
 made for all lanes at once: one vectorized Poisson inversion for the
 residual counts, one gamma inversion for the ``ω`` conditionals, one
 for ``β``, one ragged truncated/censored-gamma map for the latent
-blocks. This is the MCMC instance of the frozen-lane pattern
-:func:`repro.stats.rootfind.solve_fixed_point_batch` established for
-the fit path.
+blocks. It is the MCMC counterpart of the VB2 fit path's
+``(dataset, N)`` lanes (:func:`repro.core.gamma_updates.solve_lanes`),
+where every conditional solve of a growth round is one sweep.
 
 Randomness is organised per lane: lane ``i`` owns generator ``i`` and
 consumes its raw uniform stream in a fixed order

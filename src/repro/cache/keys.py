@@ -17,9 +17,9 @@ dict keys sorted. Two properties make the keys stable:
 
 The key covers everything that can move a fit's output bits: the data,
 the prior, the model kind, ``alpha0``, the fixed truncation override,
-and the full config *including* any warm-start state (warm seeds
-perturb last-ulp bits of the converged parameters, and hits promise
-byte-identity).
+and the full config *including* any warm-start state (a warm start
+changes the truncation schedule, which perturbs last-ulp bits of the
+solved parameters, and hits promise byte-identity).
 """
 
 from __future__ import annotations

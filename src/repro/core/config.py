@@ -31,14 +31,18 @@ class VBConfig:
         Hard upper bound on ``nmax``; exceeding it raises
         :class:`~repro.exceptions.TruncationError`.
     fixed_point_rtol:
-        Relative tolerance on ``ξ`` for the zeta/xi fixed point
-        (paper Eqs. 24–27).
+        Relative tolerance on ``ξ``: VB2's conditional solve (paper
+        Eqs. 24–27) polishes each latent count's ``ξ_N`` until its
+        Newton step ``|Δ log ξ|`` is at most this; VB1 stops its
+        successive substitution on the same relative step.
     fixed_point_max_iter:
-        Iteration budget per latent count ``N``.
+        Budget of VB2 polish sweeps per growth round (each sweep
+        evaluates every unconverged lane once), and of VB1 outer and
+        inner iterations.
     use_aitken:
-        Apply Aitken Δ² acceleration to the successive-substitution
-        iteration (the paper's suggested speed-up uses Newton; Aitken
-        achieves the same superlinear effect without derivatives).
+        Apply Aitken Δ² acceleration to VB1's successive-substitution
+        iteration. Read by VB1 only: VB2 inverts the closed-form
+        ``N(ξ)`` instead of iterating.
     truncation_policy:
         What to do when ``nmax`` hits the ceiling with the tail still
         above tolerance: ``"error"`` raises
@@ -49,13 +53,6 @@ class VBConfig:
         NoInfo scenarios — where every method's output is truncation-
         or run-length-dependent, as the paper itself observes for
         DG-NoInfo).
-    batched_solver:
-        Solve the whole latent-count grid with the lane-parallel
-        fixed-point solver (:func:`repro.stats.rootfind.
-        solve_fixed_point_batch`) instead of one scalar solve per
-        ``N``. Both paths produce bit-identical posteriors (the batch
-        lanes replay the scalar iteration exactly); the flag exists as
-        an escape hatch and for the benchmark/test comparisons.
     variance_correction:
         ``"none"`` returns the raw variational posterior. ``"sandwich"``
         rescales its marginal spreads to the sandwich covariance
@@ -66,15 +63,14 @@ class VBConfig:
         misfit. See ``docs/METHOD.md`` (robustness section).
     warm_start:
         Optional :class:`~repro.core.warmstart.WarmStart` state from a
-        previous fit of (an earlier prefix of) the same data. Seeds the
-        fixed-point lanes with the cached variational parameters and
+        previous fit of (an earlier prefix of) the same data. VB2
         floors the initial truncation bound at the cached posterior's
         effective support plus a drift pad (``eff + max(16, (eff -
         observed) // 8)``, capped by ``nmax_ceiling``; see
-        :meth:`~repro.core.warmstart.WarmStart.effective_nmax`). Warm
-        starting changes the iteration path only — warm and cold fits
-        agree on the final posterior to solver tolerance.
-        See ``docs/METHOD.md`` §4.5.
+        :meth:`~repro.core.warmstart.WarmStart.effective_nmax`); VB1
+        seeds its outer and inner iterations. Warm starting changes
+        the path only — warm and cold fits agree on the final
+        posterior to solver tolerance. See ``docs/METHOD.md`` §4.5.
     """
 
     tail_tolerance: float = 1e-12
@@ -85,7 +81,6 @@ class VBConfig:
     fixed_point_max_iter: int = 500
     use_aitken: bool = True
     truncation_policy: str = "error"
-    batched_solver: bool = True
     variance_correction: str = "none"
     warm_start: WarmStart | None = field(default=None)
 
@@ -126,10 +121,10 @@ class VBConfig:
         Consumed by :mod:`repro.cache.keys` when deriving cache keys.
         Field order is fixed here — by declaration order, not call-site
         dict order — so keys cannot drift across runs or refactors.
-        ``warm_start`` *is* part of the canonical content: warm seeds
-        perturb last-ulp bits of the converged parameters, and the
-        cache promises byte-exact hits, so differently-seeded fits get
-        distinct keys.
+        ``warm_start`` *is* part of the canonical content: a warm start
+        changes the truncation schedule, which perturbs last-ulp bits
+        of the solved parameters, and the cache promises byte-exact
+        hits, so differently-started fits get distinct keys.
         """
         return {
             "tail_tolerance": float(self.tail_tolerance),
@@ -140,7 +135,6 @@ class VBConfig:
             "fixed_point_max_iter": int(self.fixed_point_max_iter),
             "use_aitken": bool(self.use_aitken),
             "truncation_policy": str(self.truncation_policy),
-            "batched_solver": bool(self.batched_solver),
             "variance_correction": str(self.variance_correction),
             "warm_start": (
                 None if self.warm_start is None else self.warm_start.canonical()

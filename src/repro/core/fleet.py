@@ -1,11 +1,9 @@
 """Dataset-lane fleet fitting: one vectorized sweep over a portfolio.
 
-The batched solvers of PR 4 made the *latent-count* axis a lane axis:
-one dataset's conditional posteriors for every ``N`` solve in lock-step.
-This module generalises the lane axis to ``(dataset, N)``: thousands of
-projects' failure histories — ragged sizes, mixed kinds, per-project
-priors — fit in a handful of array sweeps instead of a Python loop of
-scalar fits.
+The VB2 solver works on ``(dataset, N)`` lanes: thousands of projects'
+failure histories — ragged sizes, mixed kinds, per-project priors —
+fit in a handful of array sweeps instead of a Python loop of single
+fits.
 
 The contract: every dataset's posterior is **bit-identical** to the
 single fit of that dataset. :func:`repro.core.vb2.fit_vb2` and
@@ -14,12 +12,11 @@ single fit of that dataset. :func:`repro.core.vb2.fit_vb2` and
 :func:`repro.core.vb1._drive_vb1_group`) on one dataset, and the lanes
 of a sweep never interact:
 
-* the fixed point (:func:`repro.stats.rootfind.solve_fixed_point_batch`)
-  evaluates each lane's update map on that lane's own inputs, replaying
-  its scalar iteration regardless of which other lanes share the solve;
+* the inverse solver (:func:`repro.core.gamma_updates.solve_lanes`)
+  brackets, interpolates and polishes each dataset's ``ξ_N`` from that
+  dataset's own inputs only, whichever datasets share the sweep;
 * ragged interval sums accumulate through in-order scatter-adds
-  (``np.add.at``), matching the scalar per-``N`` loops' left-to-right
-  order;
+  (``np.add.at``), left to right within each lane;
 * each dataset's truncation growth, weight normalisation
   (``logsumexp`` over its own contiguous weights), and ELBO constant
   are decided by the same arithmetic per dataset.
@@ -205,10 +202,10 @@ def fit_vb2_fleet(
     warm_start:
         Optional per-dataset sequence of
         :class:`~repro.core.warmstart.WarmStart` states (``None``
-        entries stay cold). A re-sweep after a few datasets gained data
-        passes the previous sweep's states: unchanged lanes converge in
-        one residual evaluation each, so only the dirty datasets pay
-        for iteration.
+        entries stay cold). A warm dataset starts its truncation bound
+        at the previous posterior's effective support plus a drift pad,
+        so a re-sweep after a few datasets gained data skips the
+        growth rounds a cold fit would replay.
 
     Returns
     -------
@@ -245,8 +242,8 @@ def fit_vb2_fleet(
         groups: dict = {}
         for st in states:
             groups.setdefault((st.kind, st.alpha0), []).append(st)
-        for (kind, a0), members in groups.items():
-            _drive_vb2_group(members, kind, a0, config, on_done=heartbeat.tick)
+        for (_, a0), members in groups.items():
+            _drive_vb2_group(members, a0, config, on_done=heartbeat.tick)
 
         builders, diags, elbos = [], [], []
         total_lanes = 0
@@ -262,12 +259,6 @@ def fit_vb2_fleet(
         flat = np.concatenate([p for st in states for p in st.log_w])
         log_norms = log_sum_exp_stream(flat, starts)
         flat_weights = np.exp(flat - np.repeat(log_norms, sizes))
-        iter_sums = np.add.reduceat(
-            np.concatenate(
-                [p for st in states for p in st.iteration_parts()]
-            ),
-            starts,
-        )
         # The prior normalisers and log Γ(α0) in the ELBO constant are
         # shared fleet-wide in the common case; cache them per distinct
         # object/value with the same expressions `elbo_constant` uses.
@@ -300,7 +291,7 @@ def fit_vb2_fleet(
                 "nmax": st.last_n,
                 "truncation_clamped": st.clamped,
                 "tail_mass": float(weights[-1]),
-                "fixed_point_iterations": int(iter_sums[k]),
+                "fixed_point_iterations": st.evaluations,
                 "n_growth_rounds": st.growth_rounds,
                 "alpha0": st.alpha0,
                 "data_kind": type(st.data).__name__,

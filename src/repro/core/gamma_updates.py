@@ -32,6 +32,18 @@ with ``S̄`` the gamma survival function and ``η_N = E[T | T > t_e]``.
 Terms constant in ``N`` are dropped (the weights are normalised over
 ``N``); :func:`elbo_constant` recovers them for a genuine evidence
 lower bound.
+
+``ξ_N`` solves ``ξ (φ_β + A(ξ) + (N − m) C(ξ)) = m_β + N α0``, with
+``A(ξ)`` the expected lifetime sum of the ``m`` observed failures and
+``C(ξ) = η = E[T | T > t_e]``. ``N`` enters linearly — ``ξ`` is an
+expected natural parameter — so ``N`` is closed-form in ``ξ``::
+
+    N(ξ) = (m_β + m ξ C(ξ) − ξ (φ_β + A(ξ))) / (ξ C(ξ) − α0)
+
+with a positive denominator (``E[T | T > t_e] > α0/ξ``). The paper
+iterates the fixed point per ``N``; :func:`solve_lanes` inverts
+``N(ξ)`` instead. At ``α0 = 1`` on failure times the inverse is
+closed-form too (:func:`solve_times_exponential_lanes`).
 """
 
 from __future__ import annotations
@@ -39,40 +51,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
+from repro import obs
 from repro.bayes.priors import ModelPrior
 from repro.core.config import VBConfig
-from repro.core.fixed_point import FixedPointResult, solve_fixed_point
 from repro.data.failure_data import FailureTimeData, GroupedData
-from repro.stats.rootfind import solve_fixed_point_batch
+from repro.data.fleet import (
+    FleetGroupedStats,
+    FleetTimesStats,
+    pack_grouped,
+    pack_times,
+)
+from repro.exceptions import ConvergenceError
 from repro.stats.special import (
     log_factorial,
     log_gamma_cdf_increment,
     log_gamma_fn,
     log_gamma_sf,
 )
-from repro.stats.truncated import censored_gamma_mean, truncated_gamma_mean
+from repro.stats.truncated import truncated_gamma_mean
 
 __all__ = [
     "TimesStats",
     "GroupedStats",
-    "ConditionalSolution",
     "LaneSolutions",
-    "solve_conditional_times",
-    "solve_conditional_grouped",
+    "SweepInputs",
+    "INVERSE_NODES",
+    "BRACKET_STEPS",
+    "BRACKET_RATIO",
     "solve_times_exponential_lanes",
-    "solve_times_lanes",
-    "solve_grouped_lanes",
+    "solve_lanes",
     "elbo_constant",
 ]
 
-# The scalar per-N solvers and the lane solvers below are kept
-# bit-identical: both evaluate every transcendental through the numpy
-# ufuncs in repro.stats.special (whose scalar calls are 0-d instances of
-# the array code), accumulate interval sums in the same order, and seed
-# the fixed point with the same closed-form expression. Tests in
-# tests/core/test_gamma_updates.py and tests/core/test_vb2_batched.py
-# pin the equality exactly (max abs diff 0.0).
+#: Chebyshev–Lobatto nodes in ``log ξ`` at which every dataset's
+#: ``N(ξ)`` is evaluated per growth round.
+INVERSE_NODES = 64
+
+#: Halvings (or doublings) of ``ξ`` allowed at each end of a bracket,
+#: and bisection steps allowed to tighten it.
+BRACKET_STEPS = 64
+
+#: Each end of a bracket is bisected in ``log ξ`` until it lies within
+#: this factor of the ``ξ`` where ``N(ξ)`` crosses the lanes' range.
+BRACKET_RATIO = 2.0 ** 0.125
 
 
 @dataclass(frozen=True)
@@ -118,285 +141,28 @@ class GroupedStats:
         )
 
 
-@dataclass(frozen=True)
-class ConditionalSolution:
-    """Variational solution conditioned on the latent fault count ``N``.
-
-    Attributes
-    ----------
-    n:
-        The conditioning value of the total fault count.
-    zeta:
-        ``ζ_N = E[Σ T_i | N]`` under the variational posterior.
-    xi:
-        ``ξ_N = E[β | N]``.
-    a_omega, b_omega:
-        Shape and rate of ``Pv(ω | N)``.
-    a_beta, b_beta:
-        Shape and rate of ``Pv(β | N)``.
-    log_weight:
-        Unnormalised ``log P̃v(N)`` (constants in ``N`` dropped).
-    iterations:
-        Fixed-point evaluations spent on this ``N``.
-    """
-
-    n: int
-    zeta: float
-    xi: float
-    a_omega: float
-    b_omega: float
-    a_beta: float
-    b_beta: float
-    log_weight: float
-    iterations: int
-
-
 # ----------------------------------------------------------------------
-# Failure-time data
+# Lanes (every VB2 fit: one dataset or a fleet)
 # ----------------------------------------------------------------------
-def _zeta_times(n: int, alpha0: float, xi: float, stats: TimesStats) -> float:
-    """Paper Eq. 24 (survival-function form): expected total lifetime."""
-    residual = n - stats.me
-    if residual == 0:
-        return stats.sum_times
-    return stats.sum_times + residual * censored_gamma_mean(
-        stats.horizon, alpha0, xi
-    )
-
-
-def solve_conditional_times(
-    n: int,
-    alpha0: float,
-    prior: ModelPrior,
-    stats: TimesStats,
-    config: VBConfig,
-    xi_start: float | None = None,
-) -> ConditionalSolution:
-    """Solve the conditional variational posterior for one ``N`` on
-    failure-time data.
-
-    For the Goel–Okumoto member (``α0 = 1``) the fixed point has the
-    closed form the paper cites in Section 5.2::
-
-        ξ_N = (m_β + m_e) / (φ_β + Σ t_i + (N - m_e) t_e)
-
-    which we use directly; other shapes go through the scalar fixed
-    point with Aitken acceleration and a warm start.
-    """
-    if n < stats.me:
-        raise ValueError(f"N={n} is below the observed failure count {stats.me}")
-    if n == 0 and not prior.beta.is_proper:
-        raise ValueError(
-            "N = 0 with an improper beta prior leaves Pv(beta | N) improper; "
-            "use a proper prior or data with at least one failure"
-        )
-    m_omega, phi_omega = prior.omega.shape, prior.omega.rate
-    m_beta, phi_beta = prior.beta.shape, prior.beta.rate
-    a_beta = m_beta + n * alpha0
-    if a_beta <= 0.0:
-        raise ValueError("m_beta + N*alpha0 must be positive")
-
-    if alpha0 == 1.0:
-        denom = phi_beta + stats.sum_times + (n - stats.me) * stats.horizon
-        xi = (m_beta + stats.me) / denom
-        iterations = 0
-        result = None
-    else:
-        def update(xi_val: float) -> float:
-            return a_beta / (phi_beta + _zeta_times(n, alpha0, xi_val, stats))
-
-        if xi_start is None:
-            # Under-estimate of zeta gives an over-estimate of xi; safe seed.
-            xi_start = a_beta / (
-                phi_beta
-                + stats.sum_times
-                + (n - stats.me) * stats.horizon
-                + 1e-300
-            )
-        result = solve_fixed_point(
-            update,
-            xi_start,
-            rtol=config.fixed_point_rtol,
-            max_iter=config.fixed_point_max_iter,
-            use_aitken=config.use_aitken,
-        )
-        xi = result.value
-        iterations = result.iterations
-
-    zeta = _zeta_times(n, alpha0, xi, stats)
-    b_beta = phi_beta + zeta
-    residual = n - stats.me
-    log_weight = (
-        float(log_gamma_fn(m_omega + n))
-        - (m_omega + n) * float(np.log(phi_omega + 1.0))
-        + float(log_gamma_fn(a_beta))
-        - a_beta * float(np.log(b_beta))
-    )
-    if residual > 0:
-        eta = censored_gamma_mean(stats.horizon, alpha0, xi)
-        log_weight += residual * (
-            log_gamma_sf(stats.horizon, alpha0, xi)
-            - alpha0 * float(np.log(xi))
-            + xi * eta
-        )
-        log_weight -= float(log_factorial(residual))
-    return ConditionalSolution(
-        n=n,
-        zeta=zeta,
-        xi=xi,
-        a_omega=m_omega + n,
-        b_omega=phi_omega + 1.0,
-        a_beta=a_beta,
-        b_beta=b_beta,
-        log_weight=log_weight,
-        iterations=iterations,
-    )
-
-
-def _apply_warm_seeds(
-    xi_seed: np.ndarray, xi_warm: np.ndarray | None
-) -> np.ndarray:
-    """Overlay warm fixed-point seeds onto the default seed array.
-
-    ``xi_warm`` entries that are finite and positive replace the default
-    seed for that lane; ``nan`` (or non-positive) entries keep the
-    default. ``None`` is a no-op, so cold paths stay bit-identical.
-    """
-    if xi_warm is None:
-        return xi_seed
-    xi_warm = np.asarray(xi_warm, dtype=np.float64)
-    if xi_warm.shape != xi_seed.shape:
-        raise ValueError(
-            f"xi_warm shape {xi_warm.shape} does not match the "
-            f"{xi_seed.shape} lane grid"
-        )
-    usable = np.isfinite(xi_warm) & (xi_warm > 0.0)
-    if not np.any(usable):
-        return xi_seed
-    return np.where(usable, xi_warm, xi_seed)
-
-
-# ----------------------------------------------------------------------
-# Grouped data
-# ----------------------------------------------------------------------
-def _zeta_grouped(n: int, alpha0: float, xi: float, stats: GroupedStats) -> float:
-    """Paper Eq. 26 (survival-function form for the tail term)."""
-    total = 0.0
-    edges = stats.edges
-    for i, count in enumerate(stats.counts):
-        if count == 0:
-            continue
-        total += count * truncated_gamma_mean(
-            float(edges[i]), float(edges[i + 1]), alpha0, xi
-        )
-    residual = n - stats.total
-    if residual > 0:
-        total += residual * censored_gamma_mean(stats.horizon, alpha0, xi)
-    return total
-
-
-def solve_conditional_grouped(
-    n: int,
-    alpha0: float,
-    prior: ModelPrior,
-    stats: GroupedStats,
-    config: VBConfig,
-    xi_start: float | None = None,
-) -> ConditionalSolution:
-    """Solve the conditional variational posterior for one ``N`` on
-    grouped data. No closed form exists even for ``α0 = 1`` because the
-    within-interval truncated means depend on ``ξ`` non-linearly."""
-    if n < stats.total:
-        raise ValueError(f"N={n} is below the observed failure count {stats.total}")
-    if n == 0 and not prior.beta.is_proper:
-        raise ValueError(
-            "N = 0 with an improper beta prior leaves Pv(beta | N) improper; "
-            "use a proper prior or data with at least one failure"
-        )
-    m_omega, phi_omega = prior.omega.shape, prior.omega.rate
-    m_beta, phi_beta = prior.beta.shape, prior.beta.rate
-    a_beta = m_beta + n * alpha0
-    if a_beta <= 0.0:
-        raise ValueError("m_beta + N*alpha0 must be positive")
-
-    def update(xi_val: float) -> float:
-        return a_beta / (phi_beta + _zeta_grouped(n, alpha0, xi_val, stats))
-
-    if xi_start is None:
-        # Seed from an upper bound on zeta: every observed time at its
-        # interval's right edge, every residual fault at 2x the horizon.
-        zeta_hi = float(
-            np.dot(stats.counts, stats.edges[1:])
-        ) + (n - stats.total) * 2.0 * stats.horizon
-        xi_start = a_beta / (phi_beta + zeta_hi)
-    result: FixedPointResult = solve_fixed_point(
-        update,
-        xi_start,
-        rtol=config.fixed_point_rtol,
-        max_iter=config.fixed_point_max_iter,
-        use_aitken=config.use_aitken,
-    )
-    xi = result.value
-    zeta = _zeta_grouped(n, alpha0, xi, stats)
-    b_beta = phi_beta + zeta
-    residual = n - stats.total
-
-    log_weight = (
-        float(log_gamma_fn(m_omega + n))
-        - (m_omega + n) * float(np.log(phi_omega + 1.0))
-        + float(log_gamma_fn(a_beta))
-        - a_beta * float(np.log(b_beta))
-        - n * alpha0 * float(np.log(xi))
-        + xi * zeta
-    )
-    edges = stats.edges
-    for i, count in enumerate(stats.counts):
-        if count == 0:
-            continue
-        log_weight += count * log_gamma_cdf_increment(
-            float(edges[i]), float(edges[i + 1]), alpha0, xi
-        )
-    if residual > 0:
-        log_weight += residual * log_gamma_sf(stats.horizon, alpha0, xi)
-        log_weight -= float(log_factorial(residual))
-    return ConditionalSolution(
-        n=n,
-        zeta=zeta,
-        xi=xi,
-        a_omega=m_omega + n,
-        b_omega=phi_omega + 1.0,
-        a_beta=a_beta,
-        b_beta=b_beta,
-        log_weight=log_weight,
-        iterations=result.iterations,
-    )
-
-
-# ----------------------------------------------------------------------
-# Lane solvers (every NumPy VB2 fit: one dataset or a fleet)
-# ----------------------------------------------------------------------
-# A lane is one ``(dataset, N)`` pair: every per-dataset quantity
-# (sufficient statistics, prior hyper-parameters) arrives as a per-lane
-# array, so one dataset's latent-count range — or a whole portfolio's —
-# collapses into one batched fixed-point solve. ``alpha0`` stays a
-# *Python scalar* per call — the truncated/censored gamma means branch
-# on ``shape == 1.0`` at the Python level, so fleets mix shapes by
+# A lane is one ``(dataset, N)`` pair. ``alpha0`` stays a *Python
+# scalar* per call — the truncated/censored gamma means branch on
+# ``shape == 1.0`` at the Python level, so fleets mix shapes by
 # grouping datasets per shape.
 #
-# Bit-identity with the scalar per-N solvers holds lane-wise because
-# (a) every transcendental is the same elementwise ufunc, (b) the
-# fixed point evaluates each lane's update map on that lane's own
-# inputs only, replaying its scalar iteration regardless of which
-# other lanes are still live, and (c) interval sums accumulate through
-# ``np.ufunc.at`` — an unbuffered, strictly in-order scatter-add,
-# matching the scalar Python loop's left-to-right sums
-# (``np.add.reduceat`` would NOT: its segment reduction is pairwise).
+# A fleet fit equals the single fits of its datasets exactly because
+# every step below is elementwise in the dataset: each dataset's
+# bracket, nodes, spline and polish read only its own inputs, and
+# interval sums accumulate through ``np.add.at`` — an unbuffered,
+# strictly in-order scatter-add, so each sum runs left to right
+# whatever else shares the call (``np.add.reduceat`` would not: its
+# segment reduction is pairwise).
 
 
 @dataclass(frozen=True)
 class LaneSolutions:
-    """Columnar :class:`ConditionalSolution` for many lanes at once:
-    the same fields, as per-lane arrays."""
+    """The conditional posteriors of many lanes at once, as per-lane
+    arrays: ``ζ_N``, ``ξ_N``, the gamma parameters of ``Pv(ω | N)`` and
+    ``Pv(β | N)``, and the unnormalised ``log P̃v(N)``."""
 
     n: np.ndarray
     zeta: np.ndarray
@@ -406,7 +172,6 @@ class LaneSolutions:
     a_beta: np.ndarray
     b_beta: np.ndarray
     log_weight: np.ndarray
-    iterations: np.ndarray
 
 
 def _validate_lanes(
@@ -420,6 +185,16 @@ def _validate_lanes(
         )
     if np.any(a_beta <= 0.0):
         raise ValueError("m_beta + N*alpha0 must be positive")
+
+
+def _common_log_weight(n, m_omega, phi_omega, a_beta, b_beta):
+    """The ``ω`` and ``β`` normaliser terms every ``log P̃v(N)`` shares."""
+    return (
+        log_gamma_fn(m_omega + n)
+        - (m_omega + n) * np.log(phi_omega + 1.0)
+        + log_gamma_fn(a_beta)
+        - a_beta * np.log(b_beta)
+    )
 
 
 def solve_times_exponential_lanes(
@@ -436,10 +211,9 @@ def solve_times_exponential_lanes(
 
     For ``α0 = 1`` every quantity is closed-form (the paper's Section
     5.2 fixed point ``ξ_N = (m_β + m_e) / (φ_β + Σ t_i + (N - m_e)
-    t_e)``), so no fixed point runs — this is the configuration behind
-    the paper's headline speed numbers (Table 7). Every argument is a
-    per-lane array (a lane is one ``(dataset, N)`` pair). Bit-identical
-    per lane to :func:`solve_conditional_times` with ``alpha0 = 1``.
+    t_e)``, DESIGN.md erratum 1), so nothing is solved — this is the
+    configuration behind the paper's headline speed numbers (Table 7).
+    Every argument is a per-lane array.
     """
     n = np.asarray(n, dtype=float)
     residual = n - me
@@ -450,10 +224,7 @@ def solve_times_exponential_lanes(
     zeta = sum_times + residual * (horizon + 1.0 / xi)
     b_beta = phi_beta + zeta
     log_weight = (
-        log_gamma_fn(m_omega + n)
-        - (m_omega + n) * np.log(phi_omega + 1.0)
-        + log_gamma_fn(a_beta)
-        - a_beta * np.log(b_beta)
+        _common_log_weight(n, m_omega, phi_omega, a_beta, b_beta)
         + residual * (1.0 - np.log(xi))
         - log_factorial(residual)
     )
@@ -466,90 +237,395 @@ def solve_times_exponential_lanes(
         a_beta=a_beta,
         b_beta=b_beta,
         log_weight=log_weight,
-        iterations=np.zeros(n.size, dtype=np.int64),
     )
 
 
-def solve_times_lanes(
-    n: np.ndarray,
-    alpha0: float,
-    me: np.ndarray,
-    sum_times: np.ndarray,
-    horizon: np.ndarray,
-    m_omega: np.ndarray,
-    phi_omega: np.ndarray,
-    m_beta: np.ndarray,
-    phi_beta: np.ndarray,
-    config: VBConfig,
-    lane_label=None,
-    xi_warm: np.ndarray | None = None,
-    rtol_lanes: np.ndarray | None = None,
-) -> LaneSolutions:
-    """Failure-time lanes for a general gamma shape: paper Eq. 24 as
-    the lane-indexed update map of one batched fixed point.
+@dataclass(frozen=True)
+class SweepInputs:
+    """Per-dataset inputs of :func:`solve_lanes` for one ``(kind,
+    α0)`` group: prior hyper-parameters and packed sufficient
+    statistics, element ``i`` of every array belonging to dataset
+    ``i``."""
 
-    ``alpha0`` must be a Python scalar shared by every lane (callers
-    group datasets per shape); all other arguments are per-lane arrays.
-    ``lane_label`` (``lane -> str``) names a failed lane in divergence
-    errors (fleet callers label each lane with its dataset).
-    ``xi_warm`` optionally replaces the default seed per lane (finite
-    entries only; ``nan`` keeps the default) and ``rtol_lanes`` the
-    shared stopping tolerance; the exponential short-circuit ignores
-    both (closed form, nothing to iterate). Bit-identical per lane to
-    :func:`solve_conditional_times`.
+    m_omega: np.ndarray
+    phi_omega: np.ndarray
+    m_beta: np.ndarray
+    phi_beta: np.ndarray
+    stats: FleetTimesStats | FleetGroupedStats
+
+    @classmethod
+    def pack(cls, datasets, priors) -> "SweepInputs":
+        """Pack datasets of one kind with their priors."""
+        datasets, priors = list(datasets), list(priors)
+        grouped = isinstance(datasets[0], GroupedData)
+        return cls(
+            m_omega=np.array([p.omega.shape for p in priors]),
+            phi_omega=np.array([p.omega.rate for p in priors]),
+            m_beta=np.array([p.beta.shape for p in priors]),
+            phi_beta=np.array([p.beta.rate for p in priors]),
+            stats=pack_grouped(datasets) if grouped else pack_times(datasets),
+        )
+
+    @property
+    def grouped(self) -> bool:
+        return isinstance(self.stats, FleetGroupedStats)
+
+    @property
+    def observed(self) -> np.ndarray:
+        return self.stats.total if self.grouped else self.stats.me
+
+
+def _interval_pairs(offsets: np.ndarray, g: np.ndarray):
+    """``(point, interval)`` index pairs: the occupied intervals of each
+    point's dataset ``g[point]``, point-major and ascending within a
+    point, as positions into the packed interval arrays."""
+    sizes = offsets[g + 1] - offsets[g]
+    point = np.repeat(np.arange(g.size), sizes)
+    shift = np.repeat(offsets[g] - (np.cumsum(sizes) - sizes), sizes)
+    return point, np.arange(point.size) + shift
+
+
+def _lifetime_sum(inputs: SweepInputs, alpha0: float, g, xi) -> np.ndarray:
+    """``A(ξ)``, the expected lifetime sum of the observed failures, at
+    points ``(dataset g, ξ)``: ``Σ t_i`` for failure times,
+    ``Σ x_i E[T | interval_i]`` for grouped data (paper Eqs. 24, 26)."""
+    stats = inputs.stats
+    if not inputs.grouped:
+        return stats.sum_times[g]
+    point, pair = _interval_pairs(stats.offsets, g)
+    total = np.zeros(g.size)
+    terms = stats.interval_count[pair] * truncated_gamma_mean(
+        stats.interval_lo[pair], stats.interval_hi[pair], alpha0, xi[point]
+    )
+    np.add.at(total, point, terms)
+    return total
+
+
+def _n_of_xi(inputs: SweepInputs, alpha0: float, g, xi):
+    """``N(ξ)`` at points ``(dataset g, ξ)``, with the ``A(ξ)``,
+    ``C(ξ) = E[T | T > t_e]`` and ``ln S̄(t_e)`` it was built from.
+
+    ``ξ C − α0 = x^α0 e^-x / (Γ(α0) S̄(t_e))`` with ``x = ξ t_e`` (the
+    ladder step ``Q(α0+1, x) − Q(α0, x)``), evaluated in log space: the
+    difference itself cancels catastrophically on the large-``N``
+    lanes, where ``ξ t_e`` is small. ``C`` follows from it.
     """
-    if alpha0 == 1.0:
-        return solve_times_exponential_lanes(
-            n, me, sum_times, horizon, m_omega, phi_omega, m_beta, phi_beta
+    horizon = inputs.stats.horizon[g]
+    lifetime = _lifetime_sum(inputs, alpha0, g, xi)
+    log_sf = log_gamma_sf(horizon, alpha0, xi)
+    x = xi * horizon
+    excess = np.exp(
+        alpha0 * np.log(x) - x - log_gamma_fn(alpha0) - log_sf
+    )
+    tail_mean = (alpha0 + excess) / xi
+    n = (
+        inputs.m_beta[g]
+        + inputs.observed[g] * xi * tail_mean
+        - xi * (inputs.phi_beta[g] + lifetime)
+    ) / excess
+    return n, lifetime, tail_mean, log_sf
+
+
+def _natural_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Second derivatives of the natural cubic spline through each row
+    of ``(x, y)`` (``x`` ascending along the row).
+
+    Every row's tridiagonal system is one block of a single banded
+    solve (LAPACK ``gtsv``): blocks meet through zero couplings and the
+    systems are diagonally dominant, so no pivot crosses a block and
+    each row's solution does not depend on the others.
+    """
+    h = np.diff(x, axis=1)
+    secant = np.diff(y, axis=1) / h
+    rows, size = x.shape[0], x.shape[1] - 2
+    bands = np.zeros((3, rows, size))
+    bands[0, :, 1:] = h[:, 1:-1]
+    bands[1] = 2.0 * (h[:, :-1] + h[:, 1:])
+    bands[2, :, :-1] = h[:, 1:-1]
+    interior = solve_banded(
+        (1, 1), bands.reshape(3, rows * size),
+        (6.0 * (secant[:, 1:] - secant[:, :-1])).ravel(),
+    )
+    m = np.zeros_like(x)
+    m[:, 1:-1] = interior.reshape(rows, size)
+    return m
+
+
+def _spline_at(x, y, m, row, t):
+    """Value and slope at ``t`` of row ``row`` of the spline."""
+    # The piece: the last node at or below t (the first piece below
+    # all nodes), found by binary lifting along each row.
+    last = x.shape[1] - 2
+    j = np.zeros(t.size, dtype=np.intp)
+    step = 1 << last.bit_length()
+    while step:
+        probe = np.minimum(j + step, last)
+        j = np.where(x[row, probe] <= t, probe, j)
+        step >>= 1
+    x0, x1 = x[row, j], x[row, j + 1]
+    y0, y1 = y[row, j], y[row, j + 1]
+    m0, m1 = m[row, j], m[row, j + 1]
+    h = x1 - x0
+    a = (x1 - t) / h
+    b = (t - x0) / h
+    value = a * y0 + b * y1 + ((a**3 - a) * m0 + (b**3 - b) * m1) * h * h / 6
+    slope = (y1 - y0) / h + (
+        (3.0 * b * b - 1.0) * m1 - (3.0 * a * a - 1.0) * m0
+    ) * h / 6.0
+    return value, slope
+
+
+def _invert(inputs, alpha0, datasets, start, stop, row, n, config, where):
+    """``ξ_N`` for every lane ``(row, n)`` — latent count ``n`` of
+    dataset ``datasets[row]``, whose lanes run ``start..stop`` — by
+    inverting ``N(ξ)``: bracket, evaluate on Chebyshev nodes,
+    interpolate ``log ξ`` at each integer ``N``, polish.
+
+    Returns the lane ``ξ`` with the ``A``, ``C`` and ``ln S̄(t_e)`` of
+    their last evaluation, the lane evaluations per dataset, and the
+    solve record (bracket steps, sweeps, largest final step).
+    """
+    g = datasets
+    count = g.size
+    observed = inputs.observed[g]
+    horizon = inputs.stats.horizon[g]
+    evaluations = np.zeros(count, dtype=np.int64)
+
+    def n_at(points, xi):
+        with np.errstate(all="ignore"):
+            return _n_of_xi(inputs, alpha0, g[points], xi)[0]
+
+    # 1. Bracket: from the prior-moment seed (every residual fault at
+    # the horizon, or at twice it for grouped data) halve ξ_lo and
+    # double ξ_hi until N(ξ_lo) > stop and N(ξ_hi) < start, then bisect
+    # each end to within BRACKET_RATIO of its crossing. The nodes must
+    # stay near the lanes: past the crossing of N = m, N(ξ) can fall to
+    # a minimum below its large-ξ limit and rise again.
+    stats = inputs.stats
+    seed_sum, tail = (
+        (stats.seed_dot[g], 2.0 * horizon) if inputs.grouped
+        else (stats.sum_times[g], horizon)
+    )
+
+    def seed(n):
+        return (inputs.m_beta[g] + n * alpha0) / (
+            inputs.phi_beta[g] + seed_sum + (n - observed) * tail
         )
-    n = np.asarray(n, dtype=float)
-    residual = n - me
+
+    lo, hi = seed(stop), seed(start)
+    everyone = np.arange(count)
+    n_lo = n_at(everyone, lo)
+    n_hi = n_at(everyone, hi)
+    evaluations += 2
+    # The nearest ξ known to lie inside each end's crossing.
+    lo_in, hi_in = np.full(count, np.inf), np.zeros(count)
+    steps = 0
+    while True:
+        low = np.flatnonzero(~(n_lo > stop))
+        high = np.flatnonzero(~(n_hi < start))
+        if not (low.size or high.size):
+            break
+        if steps == BRACKET_STEPS:
+            k = int(low[0] if low.size else high[0])
+            raise ConvergenceError(
+                f"{where[k]}no bracket of xi for N in "
+                f"[{int(start[k])}, {int(stop[k])}] within "
+                f"{BRACKET_STEPS} halvings and doublings",
+                iterations=int(evaluations[k]),
+            )
+        steps += 1
+        lo_in[low] = np.minimum(lo_in[low], lo[low])
+        hi_in[high] = np.maximum(hi_in[high], hi[high])
+        lo[low] *= 0.5
+        hi[high] *= 2.0
+        values = n_at(
+            np.concatenate((low, high)), np.concatenate((lo[low], hi[high]))
+        )
+        n_lo[low] = values[:low.size]
+        n_hi[high] = values[low.size:]
+        evaluations[low] += 1
+        evaluations[high] += 1
+    lo_in = np.minimum(lo_in, hi)
+    hi_in = np.maximum(hi_in, lo)
+    for _ in range(BRACKET_STEPS):
+        low = np.flatnonzero(lo_in > lo * BRACKET_RATIO)
+        high = np.flatnonzero(hi > hi_in * BRACKET_RATIO)
+        if not (low.size or high.size):
+            break
+        steps += 1
+        mid_lo = np.sqrt(lo[low] * lo_in[low])
+        mid_hi = np.sqrt(hi_in[high] * hi[high])
+        values = n_at(
+            np.concatenate((low, high)), np.concatenate((mid_lo, mid_hi))
+        )
+        out = values[:low.size] > stop[low]
+        lo[low[out]] = mid_lo[out]
+        lo_in[low[~out]] = mid_lo[~out]
+        out = values[low.size:] < start[high]
+        hi[high[out]] = mid_hi[out]
+        hi_in[high[~out]] = mid_hi[~out]
+        evaluations[low] += 1
+        evaluations[high] += 1
+
+    # 2. N(ξ) on Chebyshev-Lobatto nodes in log ξ, increasing in ξ.
+    nodes = INVERSE_NODES
+    u_lo, u_hi = np.log(lo), np.log(hi)
+    cosine = np.cos(np.pi * np.arange(nodes) / (nodes - 1))
+    u = (0.5 * (u_lo + u_hi))[:, None] - (
+        (0.5 * (u_hi - u_lo))[:, None] * cosine
+    )
+    n_nodes = n_at(np.repeat(everyone, nodes), np.exp(u).ravel()).reshape(
+        count, nodes
+    )
+    evaluations += nodes
+    falling = np.all(np.diff(n_nodes, axis=1) < 0.0, axis=1)
+    if not falling.all():
+        k = int(np.argmin(falling))
+        raise ConvergenceError(
+            f"{where[k]}N(xi) is not strictly decreasing on the bracket "
+            f"[{lo[k]:.6g}, {hi[k]:.6g}] of N in "
+            f"[{int(start[k])}, {int(stop[k])}]",
+            iterations=int(evaluations[k]),
+        )
+
+    # 3. A natural cubic spline of log ξ in N gives each lane's start
+    # and the slope d log ξ / dN its Newton steps use.
+    x, y = n_nodes[:, ::-1], u[:, ::-1]
+    spline = _natural_spline(x, y)
+    log_xi, slope = _spline_at(x, y, spline, row, n)
+
+    # 4. Polish: Δ log ξ = (N − N(ξ)) · slope, one sweep over every live
+    # lane, until each lane's step is within tolerance. A lane keeps
+    # the ξ of its last evaluation, so A, C and ln S̄ need no re-run.
+    lanes = n.size
+    lifetime = np.empty(lanes)
+    tail_mean = np.empty(lanes)
+    log_sf = np.empty(lanes)
+    final_step = np.zeros(lanes)
+    live = np.arange(lanes)
+    sweeps = 0
+    while live.size:
+        if sweeps == config.fixed_point_max_iter:
+            lane = int(live[0])
+            raise ConvergenceError(
+                f"{where[row[lane]]}polish of xi at N={int(n[lane])} did not "
+                f"converge within {sweeps} sweeps (last relative step "
+                f"{abs(final_step[lane]):.3e})",
+                iterations=sweeps,
+                residual=abs(float(final_step[lane])),
+            )
+        sweeps += 1
+        values = _n_of_xi(inputs, alpha0, g[row[live]], np.exp(log_xi[live]))
+        step = (n[live] - values[0]) * slope[live]
+        evaluations += np.bincount(row[live], minlength=count)
+        final_step[live] = step
+        if not np.all(np.isfinite(step)):
+            lane = int(live[np.argmin(np.isfinite(step))])
+            raise ConvergenceError(
+                f"{where[row[lane]]}polish of xi at N={int(n[lane])} left "
+                f"the finite range (xi={np.exp(log_xi[lane]):.6g})",
+                iterations=sweeps,
+            )
+        done = np.abs(step) <= config.fixed_point_rtol
+        for out, value in zip((lifetime, tail_mean, log_sf), values[1:]):
+            out[live[done]] = value[done]
+        log_xi[live[~done]] += step[~done]
+        live = live[~done]
+    record = {
+        "bracket_steps": steps,
+        "sweeps": sweeps,
+        "max_step": float(np.max(np.abs(final_step))) if lanes else 0.0,
+    }
+    return np.exp(log_xi), lifetime, tail_mean, log_sf, evaluations, record
+
+
+def solve_lanes(
+    inputs: SweepInputs,
+    alpha0: float,
+    datasets: np.ndarray,
+    start: np.ndarray,
+    stop: np.ndarray,
+    config: VBConfig,
+    where=None,
+) -> tuple[LaneSolutions, np.ndarray]:
+    """The conditional posteriors of lanes ``start[k]..stop[k]`` of
+    every dataset ``datasets[k]`` (positions into ``inputs``).
+
+    Goel–Okumoto failure-time lanes (``α0 = 1``) are closed-form
+    (:func:`solve_times_exponential_lanes`). Otherwise — any other
+    shape, and grouped data, where no closed form exists even for
+    ``α0 = 1`` — ``ξ_N`` solves the conditional equation by inverting
+    ``N(ξ)`` (see the module docstring): the lanes of a dataset are one
+    bracket, one set of :data:`INVERSE_NODES` node evaluations, and a
+    few Newton sweeps that stop per lane once ``|Δ log ξ| <=
+    config.fixed_point_rtol``. ``where[k]`` prefixes dataset ``k``'s
+    error messages (``"dataset 3: "`` in a fleet).
+
+    Returns the lanes, dataset-major, and the lane evaluations of
+    ``N(ξ)`` each dataset spent (bracket, nodes and polish).
+
+    Raises
+    ------
+    ConvergenceError
+        No bracket within :data:`BRACKET_STEPS` halvings and doublings,
+        node values of ``N(ξ)`` that are not strictly decreasing, or
+        more than ``config.fixed_point_max_iter`` polish sweeps.
+    """
+    datasets = np.asarray(datasets, dtype=np.intp)
+    start = np.asarray(start, dtype=np.int64)
+    stop = np.asarray(stop, dtype=np.int64)
+    if where is None:
+        where = [""] * datasets.size
+    # Ragged [start_k .. stop_k] ranges in one shot: a global arange
+    # shifted per block. Small integers in float64, so this is exact.
+    sizes = stop - start + 1
+    offsets = np.cumsum(sizes) - sizes
+    row = np.repeat(np.arange(datasets.size), sizes)
+    n = np.arange(int(sizes.sum()), dtype=float) - np.repeat(
+        offsets - start, sizes
+    )
+    g = datasets[row]
+    if alpha0 == 1.0 and not inputs.grouped:
+        stats = inputs.stats
+        lanes = solve_times_exponential_lanes(
+            n, stats.me[g], stats.sum_times[g], stats.horizon[g],
+            inputs.m_omega[g], inputs.phi_omega[g],
+            inputs.m_beta[g], inputs.phi_beta[g],
+        )
+        return lanes, np.zeros(datasets.size, dtype=np.int64)
+    _validate_lanes(start.astype(float), inputs.observed[datasets],
+                    inputs.m_beta[datasets] + start * alpha0)
+    with obs.span("vb2.inverse", level="debug", datasets=int(datasets.size),
+                  nodes=INVERSE_NODES) as sp:
+        xi, lifetime, tail_mean, log_sf, evaluations, record = _invert(
+            inputs, alpha0, datasets, start, stop, row, n, config, where
+        )
+        # The span is the shared no-op handle below the debug level, so
+        # attrs only exist on the live span.
+        if getattr(sp, "attrs", None) is not None:
+            sp.attrs["lanes"] = int(n.size)
+            sp.attrs.update(record)
+    residual = n - inputs.observed[g]
     has_resid = residual > 0
-    a_beta = m_beta + n * alpha0
-    _validate_lanes(n, me, a_beta)
-
-    def zeta_of(xi: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        total = sum_times[lanes]
-        resid = has_resid[lanes]
-        if np.any(resid):
-            tails = lanes[resid]
-            eta = censored_gamma_mean(horizon[tails], alpha0, xi[resid])
-            total[resid] = sum_times[tails] + residual[tails] * eta
-        return total
-
-    def update(xi: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return a_beta[lanes] / (phi_beta[lanes] + zeta_of(xi, lanes))
-
-    xi_seed = a_beta / (phi_beta + sum_times + residual * horizon + 1e-300)
-    solve = solve_fixed_point_batch(
-        update,
-        _apply_warm_seeds(xi_seed, xi_warm),
-        rtol=(
-            config.fixed_point_rtol if rtol_lanes is None else rtol_lanes
-        ),
-        max_iter=config.fixed_point_max_iter,
-        use_aitken=config.use_aitken,
-        lane_label=lane_label,
-    )
-    xi = solve.values
-    zeta = zeta_of(xi, np.arange(n.size))
-    b_beta = phi_beta + zeta
-    log_weight = (
-        log_gamma_fn(m_omega + n)
-        - (m_omega + n) * np.log(phi_omega + 1.0)
-        + log_gamma_fn(a_beta)
-        - a_beta * np.log(b_beta)
-    )
-    if np.any(has_resid):
-        xm = xi[has_resid]
-        eta = censored_gamma_mean(horizon[has_resid], alpha0, xm)
-        log_weight[has_resid] += residual[has_resid] * (
-            log_gamma_sf(horizon[has_resid], alpha0, xm)
-            - alpha0 * np.log(xm)
-            + xm * eta
+    m_omega, phi_omega = inputs.m_omega[g], inputs.phi_omega[g]
+    a_beta = inputs.m_beta[g] + n * alpha0
+    zeta = lifetime + residual * tail_mean
+    b_beta = inputs.phi_beta[g] + zeta
+    log_weight = _common_log_weight(n, m_omega, phi_omega, a_beta, b_beta)
+    if inputs.grouped:
+        log_weight = log_weight - n * alpha0 * np.log(xi) + xi * zeta
+        stats = inputs.stats
+        point, pair = _interval_pairs(stats.offsets, g)
+        increments = stats.interval_count[pair] * log_gamma_cdf_increment(
+            stats.interval_lo[pair], stats.interval_hi[pair], alpha0, xi[point]
         )
-        log_weight[has_resid] -= log_factorial(residual[has_resid])
-    return LaneSolutions(
+        np.add.at(log_weight, point, increments)
+        tail_terms = log_sf
+    else:
+        tail_terms = log_sf - alpha0 * np.log(xi) + xi * tail_mean
+    log_weight[has_resid] += residual[has_resid] * tail_terms[has_resid]
+    log_weight[has_resid] -= log_factorial(residual[has_resid])
+    lanes = LaneSolutions(
         n=n,
         zeta=zeta,
         xi=xi,
@@ -558,123 +634,8 @@ def solve_times_lanes(
         a_beta=a_beta,
         b_beta=b_beta,
         log_weight=log_weight,
-        iterations=solve.iterations,
     )
-
-
-def solve_grouped_lanes(
-    n: np.ndarray,
-    alpha0: float,
-    total_observed: np.ndarray,
-    horizon: np.ndarray,
-    pair_lane: np.ndarray,
-    pair_lo: np.ndarray,
-    pair_hi: np.ndarray,
-    pair_count: np.ndarray,
-    seed_dot: np.ndarray,
-    m_omega: np.ndarray,
-    phi_omega: np.ndarray,
-    m_beta: np.ndarray,
-    phi_beta: np.ndarray,
-    config: VBConfig,
-    lane_label=None,
-    xi_warm: np.ndarray | None = None,
-    rtol_lanes: np.ndarray | None = None,
-) -> LaneSolutions:
-    """Grouped-data lanes: paper Eq. 26 as the lane-indexed update map
-    of one batched fixed point — the hot path of every grouped VB2 fit
-    (no closed form exists even for ``α0 = 1``).
-
-    The ragged per-dataset interval structure arrives flattened as
-    ``(lane, interval)`` pairs: ``pair_lane[j]`` is the lane index of
-    pair ``j`` and ``pair_lo/hi/count`` its interval geometry, so each
-    update evaluates the truncated means of every live lane's intervals
-    in one broadcast. Pairs MUST be laid out lane-major with intervals
-    in ascending order within each lane — the scatter-adds below then
-    accumulate each lane's interval sum in exactly the scalar loop's
-    order. ``seed_dot[i]`` is the lane's dataset-level
-    ``float(np.dot(counts, edges[1:]))`` (the scalar solver's
-    upper-bound zeta seed). ``lane_label``, ``xi_warm`` and
-    ``rtol_lanes`` are as in :func:`solve_times_lanes`. Bit-identical
-    per lane to :func:`solve_conditional_grouped`.
-    """
-    n = np.asarray(n, dtype=float)
-    residual = n - total_observed
-    has_resid = residual > 0
-    a_beta = m_beta + n * alpha0
-    _validate_lanes(n, total_observed, a_beta)
-
-    def zeta_of(xi: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        total = np.zeros(lanes.size)
-        if pair_lane.size:
-            if lanes.size == n.size:
-                pairs, local = slice(None), pair_lane
-            else:
-                # The live lanes' pairs, in their original order, and
-                # each pair's position in `lanes`.
-                live = np.zeros(n.size, dtype=bool)
-                live[lanes] = True
-                pairs = np.flatnonzero(live[pair_lane])
-                local = (np.cumsum(live) - 1)[pair_lane[pairs]]
-            terms = pair_count[pairs] * truncated_gamma_mean(
-                pair_lo[pairs], pair_hi[pairs], alpha0, xi[local]
-            )
-            np.add.at(total, local, terms)
-        resid = has_resid[lanes]
-        if np.any(resid):
-            tails = lanes[resid]
-            total[resid] = total[resid] + residual[tails] * (
-                censored_gamma_mean(horizon[tails], alpha0, xi[resid])
-            )
-        return total
-
-    def update(xi: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return a_beta[lanes] / (phi_beta[lanes] + zeta_of(xi, lanes))
-
-    zeta_hi = seed_dot + residual * 2.0 * horizon
-    solve = solve_fixed_point_batch(
-        update,
-        _apply_warm_seeds(a_beta / (phi_beta + zeta_hi), xi_warm),
-        rtol=(
-            config.fixed_point_rtol if rtol_lanes is None else rtol_lanes
-        ),
-        max_iter=config.fixed_point_max_iter,
-        use_aitken=config.use_aitken,
-        lane_label=lane_label,
-    )
-    xi = solve.values
-    zeta = zeta_of(xi, np.arange(n.size))
-    b_beta = phi_beta + zeta
-
-    log_weight = (
-        log_gamma_fn(m_omega + n)
-        - (m_omega + n) * np.log(phi_omega + 1.0)
-        + log_gamma_fn(a_beta)
-        - a_beta * np.log(b_beta)
-        - n * alpha0 * np.log(xi)
-        + xi * zeta
-    )
-    if pair_lane.size:
-        incs = pair_count * log_gamma_cdf_increment(
-            pair_lo, pair_hi, alpha0, xi[pair_lane]
-        )
-        np.add.at(log_weight, pair_lane, incs)
-    if np.any(has_resid):
-        log_weight[has_resid] += residual[has_resid] * (
-            log_gamma_sf(horizon[has_resid], alpha0, xi[has_resid])
-        )
-        log_weight[has_resid] -= log_factorial(residual[has_resid])
-    return LaneSolutions(
-        n=n,
-        zeta=zeta,
-        xi=xi,
-        a_omega=m_omega + n,
-        b_omega=phi_omega + 1.0,
-        a_beta=a_beta,
-        b_beta=b_beta,
-        log_weight=log_weight,
-        iterations=solve.iterations,
-    )
+    return lanes, evaluations
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,10 @@ practical; the same loop with paper-scale MCMC would take hours, which
 is exactly the operational argument of the paper's Tables 6–7. Two
 mechanisms keep the loop linear in campaign length:
 
-* **Warm starts** (default on): each period's fit seeds its per-``N``
-  fixed points from the previous period's posterior, so a refit one
-  data point away from the answer converges in a few lane evaluations
-  instead of a full cold solve (see docs/METHOD.md §4.5).
+* **Warm starts** (default on): each period's fit starts its
+  truncation bound at the previous period's effective support, so a
+  refit one data point away from the answer skips the growth rounds a
+  cold fit would replay (see docs/METHOD.md §4.5).
 * **View-based truncation**: the ``truncate`` slices handed to each
   period share the full campaign's validated buffers, so slicing costs
   O(1)/O(log n) per period instead of re-scanning the whole history.
@@ -53,10 +53,10 @@ class TrackingRecord:
     meets_target:
         Whether the lower bound reaches the tracker's target.
     fit_iterations:
-        Fixed-point iterations the period's refit consumed (the
-        quantity warm starting collapses).
+        Evaluations of ``N(ξ)`` the period's refit consumed (the
+        ``fixed_point_iterations`` diagnostic).
     warm_started:
-        Whether the refit was seeded from the previous period.
+        Whether the refit started from the previous period's posterior.
     """
 
     horizon: float
@@ -99,10 +99,11 @@ class ReliabilityTracker:
         Credible level of the lower bound (two-sided level; the lower
         endpoint is used).
     warm_start:
-        Seed each period's fit from the previous period's posterior
-        (default). Warm starts change only the iteration path, never
-        the fixed point — records agree with cold refits to solver
-        tolerance. Set ``False`` to force cold refits every period.
+        Start each period's fit from the previous period's posterior
+        (default): its truncation bound begins at the previous
+        effective support. Warm starts change only the path, never the
+        answer — records agree with cold refits to solver tolerance.
+        Set ``False`` to force cold refits every period.
     cache:
         Optional :class:`~repro.cache.store.PosteriorCache`; each
         period's fit then goes through the content-addressed cache, so

@@ -15,13 +15,13 @@ Steps 1–4 are one truncation-growth driver (:class:`_Vb2State`,
 :func:`_drive_vb2_group`) shared by :func:`fit_vb2` and
 :func:`repro.core.fleet.fit_vb2_fleet`: each growth round solves every
 still-growing dataset's new latent-count tail as ``(dataset, N)``
-lanes of one batched fixed point (:mod:`repro.core.gamma_updates`).
-A single fit is the one-dataset case of the fleet sweep.
+lanes of one sweep of the inverse solver
+(:func:`repro.core.gamma_updates.solve_lanes`). A single fit is the
+one-dataset case of the fleet sweep.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -32,38 +32,17 @@ from repro.bayes.sandwich import apply_sandwich
 from repro.core.config import VBConfig
 from repro.core.gamma_updates import (
     GroupedStats,
-    LaneSolutions,
+    SweepInputs,
     TimesStats,
     elbo_constant,
-    solve_conditional_grouped,
-    solve_conditional_times,
-    solve_grouped_lanes,
-    solve_times_exponential_lanes,
-    solve_times_lanes,
+    solve_lanes,
 )
 from repro.core.posterior import VBPosterior
 from repro.data.failure_data import FailureTimeData, GroupedData
-from repro.data.fleet import pack_grouped
 from repro.exceptions import TruncationError
 from repro.stats.special import log_sum_exp, log_sum_exp_stream
 
 __all__ = ["fit_vb2", "next_truncation_bound"]
-
-#: Cached-weight threshold below which a warm refit solves a lane at
-#: :data:`WARM_LOOSE_RTOL` instead of ``config.fixed_point_rtol``.
-#: Safe because lane log-weights are stationary at the variational
-#: fixed point (second-order in the solve error — see
-#: :meth:`repro.core.warmstart.WarmStart.lane_rtols` and
-#: docs/METHOD.md §4.5).
-WARM_LOOSE_WEIGHT = 1e-5
-
-#: Loose stopping tolerance for weight-negligible warm lanes. At
-#: ``1e-4`` the induced log-weight perturbation is second-order
-#: (~1e-7) on lanes carrying < :data:`WARM_LOOSE_WEIGHT` posterior
-#: mass, and the first-order parameter contribution is bounded by
-#: ``weight × rtol ≈ 1e-9`` — both below the warm-vs-cold agreement
-#: gate.
-WARM_LOOSE_RTOL = 1e-4
 
 
 def next_truncation_bound(observed: int, bound: int, config: VBConfig) -> int:
@@ -95,8 +74,9 @@ class _Vb2State:
     __slots__ = (
         "index", "where", "tags", "data", "prior", "alpha0", "stats",
         "observed", "kind", "nmax_fixed", "bound", "clamped",
-        "growth_rounds", "warm", "gpos", "lanes_done", "last_n", "_parts",
-        "log_w", "n", "a_omega", "b_omega", "a_beta", "b_beta",
+        "growth_rounds", "warm", "gpos", "lanes_done", "evaluations",
+        "last_n", "_parts", "log_w", "n", "a_omega", "b_omega", "a_beta",
+        "b_beta",
     )
 
     def __init__(self, data, prior, alpha0, nmax, config, warm=None,
@@ -124,7 +104,7 @@ class _Vb2State:
             raise ValueError(
                 f"{self.where}warm_start was extracted at "
                 f"alpha0={warm.alpha0:g} but this fit uses "
-                f"alpha0={alpha0:g}; warm seeds only transfer within one "
+                f"alpha0={alpha0:g}; warm starts only transfer within one "
                 f"gamma shape"
             )
         self.data = data
@@ -163,22 +143,22 @@ class _Vb2State:
         # round's tail check reads.
         self.gpos = -1
         self.lanes_done = 0
+        self.evaluations = 0
         self.last_n = -1
         self._parts: list = []
         self.log_w: list = []
         self.n = None
 
-    def extend(self, sols, start: int, stop: int) -> None:
+    def extend(self, sols, start: int, stop: int, evaluations: int) -> None:
         """Append lanes ``start:stop`` of a round's solutions, which
-        solved this dataset's ``N`` up to the current bound."""
+        solved this dataset's ``N`` up to the current bound with
+        ``evaluations`` evaluations of ``N(ξ)``."""
         sl = slice(start, stop)
         self._parts.append((sols, sl))
         self.log_w.append(sols.log_weight[sl])
         self.lanes_done += stop - start
+        self.evaluations += evaluations
         self.last_n = self.bound
-
-    def iteration_parts(self) -> list:
-        return [sols.iterations[sl] for sols, sl in self._parts]
 
     def materialize(self) -> None:
         """Materialise the flat per-``N`` component arrays. Deferred to
@@ -234,174 +214,35 @@ class _Vb2State:
         return False
 
 
-class _GroupStatic:
-    """Per-``(kind, alpha0)`` arrays that never change across growth
-    sweeps: sufficient statistics and prior parameters, one entry per
-    dataset in group order. Packing these once (instead of per sweep)
-    keeps the sweep loop's Python work proportional to the *active*
-    datasets only."""
-
-    __slots__ = (
-        "m_omega", "phi_omega", "m_beta", "phi_beta",
-        "me", "sum_times", "horizon", "packed", "counts_per",
-    )
-
-    def __init__(self, states, kind):
-        for pos, st in enumerate(states):
-            st.gpos = pos
-        self.m_omega = np.array([st.prior.omega.shape for st in states])
-        self.phi_omega = np.array([st.prior.omega.rate for st in states])
-        self.m_beta = np.array([st.prior.beta.shape for st in states])
-        self.phi_beta = np.array([st.prior.beta.rate for st in states])
-        if kind == "times":
-            self.me = np.array([float(st.stats.me) for st in states])
-            self.sum_times = np.array([st.stats.sum_times for st in states])
-            self.horizon = np.array([st.stats.horizon for st in states])
-            self.packed = None
-            self.counts_per = None
-        else:
-            self.packed = pack_grouped([st.data for st in states])
-            self.counts_per = self.packed.interval_counts_per_dataset()
-
-
-def _solve_vb2_lanes(lanes, kind, alpha0, config, static):
-    """One growth round's lane sweep for a ``(kind, alpha0)`` group.
-
-    ``lanes`` is a list of ``(state, n_start, n_stop)``; the lane axis
-    concatenates each dataset's latent-count range. Returns the
-    :class:`LaneSolutions` plus the per-dataset slice offsets.
-    """
-    sizes = np.array([stop - start + 1 for _, start, stop in lanes],
-                     dtype=np.intp)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    ds = np.repeat(np.arange(len(lanes)), sizes)
-    # Ragged [start_k .. stop_k] ranges in one shot: a global arange
-    # shifted per block. Small integers in float64, so this is exact.
-    starts = np.array([start for _, start, _ in lanes], dtype=float)
-    n = np.arange(int(offsets[-1]), dtype=float) - np.repeat(
-        offsets[:-1] - starts, sizes
-    )
-    idx = np.array([st.gpos for st, _, _ in lanes], dtype=np.intp)[ds]
-    m_omega = static.m_omega[idx]
-    phi_omega = static.phi_omega[idx]
-    m_beta = static.m_beta[idx]
-    phi_beta = static.phi_beta[idx]
-
-    # Per-lane warm seeds and stratified tolerances, dataset by
-    # dataset — cold datasets sharing the sweep contribute nan seeds
-    # (solver default) and the tight tolerance.
-    xi_warm = None
-    rtol_lanes = None
-    if any(st.warm is not None for st, _, _ in lanes):
-        xi_parts, rtol_parts = [], []
-        for k, (st, start, stop) in enumerate(lanes):
-            if st.warm is None:
-                xi_parts.append(np.full(int(sizes[k]), np.nan))
-                rtol_parts.append(
-                    np.full(int(sizes[k]), config.fixed_point_rtol)
-                )
-            else:
-                xi_parts.append(st.warm.seeds_for_range(start, stop))
-                rtol_parts.append(
-                    st.warm.lane_rtols(
-                        start,
-                        stop,
-                        rtol=config.fixed_point_rtol,
-                        loose_rtol=WARM_LOOSE_RTOL,
-                        weight_tolerance=WARM_LOOSE_WEIGHT,
-                    )
-                )
-        xi_warm = np.concatenate(xi_parts)
-        rtol_lanes = np.concatenate(rtol_parts)
-
-    # Fleet lanes are named by dataset in divergence errors; the label
-    # is only built for a lane that fails.
-    label = None
-    if lanes[0][0].index is not None:
-        def label(lane: int) -> str:
-            return f"dataset {lanes[ds[lane]][0].index}, N={int(n[lane])}"
-
-    if kind == "times":
-        me = static.me[idx]
-        sum_times = static.sum_times[idx]
-        horizon = static.horizon[idx]
-        if alpha0 == 1.0:
-            sols = solve_times_exponential_lanes(
-                n, me, sum_times, horizon,
-                m_omega, phi_omega, m_beta, phi_beta,
-            )
-        else:
-            sols = solve_times_lanes(
-                n, alpha0, me, sum_times, horizon,
-                m_omega, phi_omega, m_beta, phi_beta, config,
-                lane_label=label,
-                xi_warm=xi_warm,
-                rtol_lanes=rtol_lanes,
-            )
-    else:
-        packed = static.packed
-        total = packed.total[idx]
-        horizon = packed.horizon[idx]
-        seed_dot = packed.seed_dot[idx]
-        lane_parts, lo_parts, hi_parts, count_parts = [], [], [], []
-        for k, (st, _, _) in enumerate(lanes):
-            n_int = int(static.counts_per[st.gpos])
-            if n_int == 0:
-                continue
-            seg = slice(packed.offsets[st.gpos], packed.offsets[st.gpos + 1])
-            n_lanes = int(sizes[k])
-            lane_parts.append(
-                offsets[k] + np.repeat(np.arange(n_lanes, dtype=np.intp), n_int)
-            )
-            lo_parts.append(np.tile(packed.interval_lo[seg], n_lanes))
-            hi_parts.append(np.tile(packed.interval_hi[seg], n_lanes))
-            count_parts.append(np.tile(packed.interval_count[seg], n_lanes))
-        pair_lane = (
-            np.concatenate(lane_parts) if lane_parts
-            else np.empty(0, dtype=np.intp)
-        )
-        sols = solve_grouped_lanes(
-            n, alpha0, total, horizon,
-            pair_lane,
-            np.concatenate(lo_parts) if lo_parts else np.empty(0),
-            np.concatenate(hi_parts) if hi_parts else np.empty(0),
-            np.concatenate(count_parts) if count_parts else np.empty(0),
-            seed_dot, m_omega, phi_omega, m_beta, phi_beta, config,
-            lane_label=label,
-            xi_warm=xi_warm,
-            rtol_lanes=rtol_lanes,
-        )
-    return sols, offsets
-
-
-def _drive_vb2_group(states, kind, alpha0, config, *, solve=None,
-                     on_done=None):
+def _drive_vb2_group(states, alpha0, config, *, on_done=None):
     """Run one ``(kind, alpha0)`` partition's growth rounds to
     completion; each round solves every still-active dataset's new
-    latent-count tail in a single lane sweep.
-
-    ``solve(lanes) -> (LaneSolutions, offsets)`` replaces the lane
-    sweep (:func:`fit_vb2`'s reference paths); ``on_done`` is called
+    latent-count tail in a single lane sweep. ``on_done`` is called
     once per dataset as it finishes.
     """
-    if solve is None:
-        static = _GroupStatic(states, kind)
-
-        def solve(lanes):
-            return _solve_vb2_lanes(lanes, kind, alpha0, config, static)
-
+    for pos, st in enumerate(states):
+        st.gpos = pos
+    inputs = SweepInputs.pack(
+        [st.data for st in states], [st.prior for st in states]
+    )
     active = list(states)
     while active:
         lanes = []
         for st in active:
-            start = st.observed + st.lanes_done
-            if start <= st.bound:
-                lanes.append((st, start, st.bound))
+            first = st.observed + st.lanes_done
+            if first <= st.bound:
+                lanes.append((st, first, st.bound))
         if lanes:
-            sols, offsets = solve(lanes)
-            offsets = offsets.tolist()
+            start = np.array([first for _, first, _ in lanes])
+            stop = np.array([st.bound for st, _, _ in lanes])
+            sols, evaluations = solve_lanes(
+                inputs, alpha0, [st.gpos for st, _, _ in lanes], start,
+                stop, config, where=[st.where for st, _, _ in lanes],
+            )
+            offsets = np.concatenate(([0], np.cumsum(stop - start + 1)))
             for k, (st, _, _) in enumerate(lanes):
-                st.extend(sols, offsets[k], offsets[k + 1])
+                st.extend(sols, int(offsets[k]), int(offsets[k + 1]),
+                          int(evaluations[k]))
         # Fixed-nmax and already-clamped datasets retire before the tail
         # check: they never grow.
         checking = []
@@ -429,36 +270,6 @@ def _drive_vb2_group(states, kind, alpha0, config, *, solve=None,
                 else:
                     remaining.append(st)
         active = remaining
-
-
-def _reference_solver(config: VBConfig):
-    """The per-round solve of the reference path kept beside the lane
-    sweep: the scalar per-``N`` loop (``config.batched_solver=False``)."""
-
-    def solve(lanes):
-        ((st, start, stop),) = lanes
-        solve_n = (
-            solve_conditional_times if st.kind == "times"
-            else solve_conditional_grouped
-        )
-        seeds = None if st.warm is None else st.warm.seeds_for_range(start, stop)
-        sols = []
-        for n in range(start, stop + 1):
-            seed = None if seeds is None else float(seeds[n - start])
-            if seed is not None and not (np.isfinite(seed) and seed > 0.0):
-                seed = None
-            with obs.span("vb2.solve_n", level="debug", n=n):
-                sols.append(
-                    solve_n(n, st.alpha0, st.prior, st.stats, config,
-                            xi_start=seed)
-                )
-        columns = {
-            f.name: np.array([getattr(s, f.name) for s in sols])
-            for f in dataclasses.fields(LaneSolutions)
-        }
-        return LaneSolutions(**columns), np.array([0, len(sols)])
-
-    return solve
 
 
 # ----------------------------------------------------------------------
@@ -494,7 +305,10 @@ def fit_vb2(
     -------
     VBPosterior
         Mixture posterior with diagnostics ``{"nmax", "tail_mass",
-        "fixed_point_iterations", "n_growth_rounds"}``. With
+        "fixed_point_iterations", "n_growth_rounds"}``;
+        ``fixed_point_iterations`` counts the evaluations of ``N(ξ)``
+        the conditional solves spent (bracket, nodes and polish; 0
+        for the closed-form Goel–Okumoto failure-time case). With
         ``config.variance_correction == "sandwich"`` the mixture is
         wrapped in a :class:`~repro.bayes.sandwich.ScaledPosterior`
         whose marginal spreads follow the sandwich covariance.
@@ -518,14 +332,7 @@ def _fit_vb2(
 ) -> VBPosterior:
     warm = config.warm_start
     state = _Vb2State(data, prior, alpha0, nmax, config, warm=warm)
-    # The Goel-Okumoto failure-time case is closed-form, so it always
-    # takes the lane sweep; every other case does too unless the config
-    # selects the per-N reference loop.
-    solve = None
-    closed_form = state.kind == "times" and alpha0 == 1.0
-    if not closed_form and not config.batched_solver:
-        solve = _reference_solver(config)
-    _drive_vb2_group([state], state.kind, alpha0, config, solve=solve)
+    _drive_vb2_group([state], alpha0, config)
 
     log_w = np.concatenate(state.log_w)
     log_norm = float(log_sum_exp(log_w))
@@ -535,7 +342,7 @@ def _fit_vb2(
     else:
         elbo = None  # improper priors: bound defined only up to a constant
 
-    iterations = int(np.concatenate(state.iteration_parts()).sum())
+    iterations = state.evaluations
     diagnostics = {
         "nmax": state.last_n,
         "truncation_clamped": state.clamped,
@@ -557,7 +364,7 @@ def _fit_vb2(
         if warm is not None:
             obs.counter_add("vb2.warm_fits")
             obs.observe("vb2.warm.fixed_point_iterations", iterations)
-        # Tail mass stands in for a residual: the fixed-point solves
+        # Tail mass stands in for a residual: the conditional solves
         # converge per lane, and what remains is truncation error.
         obs.fit_health(
             "VB2",

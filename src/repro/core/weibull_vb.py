@@ -227,7 +227,7 @@ def fit_vb2_weibull(
     :func:`fit_vb2` call and therefore lives in ``θ``-space: extract it
     (via :func:`repro.core.warmstart.warm_start_from`) from a posterior
     fitted at the *same* shape ``c``, since the transformed clock
-    ``t^c`` — and with it the fixed-point geometry — changes with the
+    ``t^c`` — and with it the latent-count support — changes with the
     shape. No transform of the state itself is needed;
     ``warm_start_from`` on a :class:`WeibullVBPosterior` already reads
     the inner ``θ``-space mixture.

@@ -12,8 +12,9 @@ The packed layout follows the ragged-stream convention of
 lane-major into one flat array, with ``offsets`` delimiting each
 dataset's slice (``offsets[i]:offsets[i+1]``). For grouped data the
 flattened elements are the *occupied* observation intervals in
-ascending order — exactly the intervals (and the order) the scalar
-zeta loop visits, which is what keeps fleet sums bit-identical.
+ascending order, so every lane's interval sum runs left to right
+whatever other datasets share a sweep — which is what keeps fleet
+sums bit-identical to single fits.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class FleetGroupedStats:
     horizon:
         Right edge of each dataset's last interval.
     seed_dot:
-        ``float(np.dot(counts, edges[1:]))`` per dataset — the scalar
-        solver's upper-bound zeta seed, computed at pack time so fleet
-        lanes seed with the identical float.
+        ``float(np.dot(counts, edges[1:]))`` per dataset — every
+        observed failure at its interval's right edge, the VB2
+        solver's bracket seed.
     sum_log_count_factorials:
         ``Σ_i ln(x_i!)`` per dataset (the ELBO constant's data term).
     offsets:

@@ -16,7 +16,7 @@ The kinds and their required fields:
     replication's ``SeedSequence`` spawn key.
 ``point``
     An instantaneous observation: ``name`` plus scalar attributes
-    (e.g. ``fixed_point.divergence`` with its residual trajectory).
+    (e.g. ``vb2.truncation_failure`` with its bound and tail mass).
 ``timing``
     A wall-clock measurement from :func:`repro.metrics.timing.
     time_callable`: ``label``, ``repeat``, ``min_s``, ``mean_s``,

@@ -94,12 +94,12 @@ _V1_SUITES = {
         "checks": [
             ("vb2_max_abs_diff", ("agreement", "vb2_max_abs_diff"),
              "exact", 0.0),
+            ("vb2_inverse_max_rel_residual",
+             ("agreement", "vb2_inverse_max_rel_residual"), "max", 1e-9),
             ("nint_max_abs_diff_vs_legacy",
              ("agreement", "nint_max_abs_diff_vs_legacy"), "max", 1e-10),
         ],
         "info": [
-            ("grouped_vb2_speedup_target",
-             ("acceptance", "grouped_vb2_speedup_target")),
             ("nint_speedup_target", ("acceptance", "nint_speedup_target")),
         ],
     },

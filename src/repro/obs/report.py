@@ -24,7 +24,7 @@ __all__ = [
 
 #: Span/metric name prefixes attributed to each posterior method, in
 #: the paper's method order; everything else lands under its own
-#: top-level prefix (e.g. ``fixed_point``, ``sbc``).
+#: top-level prefix (e.g. ``rootfind``, ``sbc``).
 _METHOD_PREFIXES = {
     "nint": "NINT",
     "laplace": "LAPL",

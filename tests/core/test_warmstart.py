@@ -12,6 +12,7 @@ from repro.core.vb2 import fit_vb2
 from repro.core.warmstart import WarmStart, warm_start_from
 from repro.core.weibull_vb import fit_vb2_weibull
 from repro.data.failure_data import GroupedData
+from tests.core.test_vb2_inverse import assert_identity, lane_xi
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,9 @@ class TestWarmStartState:
         assert warm.n[0] == warm.observed
         assert warm.n[-1] == warm.nmax
         assert np.all(np.diff(warm.n) == 1)
-        np.testing.assert_allclose(warm.xi, warm.a_beta / warm.b_beta)
+        np.testing.assert_allclose(
+            np.exp(warm.log_weights), vb2_times.weights, rtol=1e-14
+        )
 
     def test_vb1_state_has_no_grid(self, times_data, info_prior_times):
         warm = warm_start_from(fit_vb1(times_data, info_prior_times))
@@ -53,22 +56,25 @@ class TestWarmStartState:
         with pytest.raises(ValueError, match="span"):
             WarmStart(
                 method="VB2", alpha0=1.0, observed=3, nmax=6,
-                n=np.array([3, 4, 5]), a_beta=np.ones(3),
-                b_beta=np.ones(3), log_weights=np.zeros(3),
+                n=np.array([3, 4, 5]), log_weights=np.zeros(3),
                 lam=1.0, xi_mean=1.0,
             )
         with pytest.raises(ValueError, match="contiguous"):
             WarmStart(
                 method="VB2", alpha0=1.0, observed=3, nmax=6,
-                n=np.array([3, 5, 6]), a_beta=np.ones(3),
-                b_beta=np.ones(3), log_weights=np.zeros(3),
+                n=np.array([3, 5, 6]), log_weights=np.zeros(3),
+                lam=1.0, xi_mean=1.0,
+            )
+        with pytest.raises(ValueError, match="one grid"):
+            WarmStart(
+                method="VB2", alpha0=1.0, observed=3, nmax=4,
+                n=np.array([3, 4]), log_weights=np.zeros(3),
                 lam=1.0, xi_mean=1.0,
             )
         with pytest.raises(ValueError, match="positive"):
             WarmStart(
-                method="VB2", alpha0=1.0, observed=3, nmax=4,
-                n=np.array([3, 4]), a_beta=np.array([1.0, -1.0]),
-                b_beta=np.ones(2), log_weights=np.zeros(2),
+                method="VB2", alpha0=-1.0, observed=3, nmax=4,
+                n=np.array([3, 4]), log_weights=np.zeros(2),
                 lam=1.0, xi_mean=1.0,
             )
 
@@ -79,43 +85,12 @@ class TestWarmStartState:
         assert hash(first) == hash(second)
         assert first != "not a warm start"
 
-    def test_seeds_replay_and_prior_fallback(self, vb2_times):
-        warm = warm_start_from(vb2_times)
-        seeds = warm.seeds_for_range(warm.observed, warm.nmax + 5)
-        covered = seeds[: warm.n.size]
-        np.testing.assert_allclose(covered, warm.xi)
-        assert np.all(np.isnan(seeds[warm.n.size :]))
-
     def test_effective_nmax_drops_overshoot(self, vb2_times):
         warm = warm_start_from(vb2_times)
         effective = warm.effective_nmax(1e-6)
         assert warm.observed <= effective <= warm.nmax
         # no lane below tolerance -> the raw bound survives
         assert warm.effective_nmax(1e-300) == warm.nmax
-
-    def test_lane_rtols_stratified_by_weight(self, vb2_times):
-        warm = warm_start_from(vb2_times)
-        rtols = warm.lane_rtols(
-            warm.observed, warm.nmax + 3,
-            rtol=1e-10, loose_rtol=1e-4, weight_tolerance=1e-5,
-        )
-        light = warm.log_weights < np.log(1e-5)
-        np.testing.assert_array_equal(
-            rtols[: warm.n.size][light], 1e-4
-        )
-        np.testing.assert_array_equal(
-            rtols[: warm.n.size][~light], 1e-10
-        )
-        # growth rows past the cached grid stay tight
-        np.testing.assert_array_equal(rtols[warm.n.size :], 1e-10)
-
-    def test_lane_rtols_ignore_non_loosening(self, vb2_times):
-        warm = warm_start_from(vb2_times)
-        rtols = warm.lane_rtols(
-            warm.observed, warm.nmax,
-            rtol=1e-4, loose_rtol=1e-10, weight_tolerance=1e-5,
-        )
-        np.testing.assert_array_equal(rtols, 1e-4)
 
 
 class TestWarmColdAgreement:
@@ -167,3 +142,30 @@ class TestWarmColdAgreement:
     def test_config_rejects_foreign_state(self):
         with pytest.raises(TypeError, match="WarmStart"):
             VBConfig(warm_start={"xi": [1.0]})
+
+
+class TestWarmFitsOnTheirFixedPoint:
+    """A warm start may change the truncation schedule, never how
+    tightly a lane is solved: every lane of every warm-chained fit
+    gives back its own ``N`` through the closed-form ``N(ξ)``, and a
+    cold fit truncated at the same bound has the same ``ξ``."""
+
+    @pytest.mark.parametrize("alpha0", [1.0, 2.0])
+    def test_warm_chain(self, campaign_prior, alpha0):
+        rng = np.random.default_rng(7)
+        counts = rng.poisson(6.0 * np.exp(-np.arange(50) / 25.0))
+        data = GroupedData(counts=counts, boundaries=np.arange(1.0, 51.0))
+        state = None
+        for end in range(1, 51):
+            period = data.truncate(end)
+            warm = fit_vb2(
+                period, campaign_prior, alpha0, VBConfig(warm_start=state)
+            )
+            assert_identity(warm, period, campaign_prior, alpha0)
+            cold = fit_vb2(
+                period, campaign_prior, alpha0, nmax=warm.diagnostics["nmax"]
+            )
+            np.testing.assert_allclose(
+                lane_xi(warm), lane_xi(cold), rtol=1e-10
+            )
+            state = warm_start_from(warm)

@@ -22,19 +22,17 @@ def _v1_fit_doc(speedup=10.0, vb2_diff=0.0):
     return {
         "schema": 1,
         "generated_by": "benchmarks/bench_fit_path.py",
-        "acceptance": {
-            "grouped_vb2_speedup_target": 5.0,
-            "nint_speedup_target": 3.0,
-        },
+        "acceptance": {"nint_speedup_target": 3.0},
         "agreement": {
             "vb2_max_abs_diff": vb2_diff,
+            "vb2_inverse_max_rel_residual": 1e-12,
             "nint_max_abs_diff_vs_legacy": 1e-14,
         },
         "modes": {
             "quick": {
                 "repeat": 2,
                 "workloads": {
-                    "DG-Info/vb2_grouped": {
+                    "DG-Info/nint_grid": {
                         "legacy_s": 1.0,
                         "batched_s": 1.0 / speedup,
                         "speedup": speedup,
@@ -64,11 +62,14 @@ class TestNormalise:
         ledger = normalise(_v1_fit_doc())
         assert ledger["schema"] == 2
         assert ledger["suite"] == "fit"
-        assert ledger["speedups"]["quick/DG-Info/vb2_grouped"] == 10.0
+        assert ledger["speedups"]["quick/DG-Info/nint_grid"] == 10.0
         assert ledger["checks"]["vb2_max_abs_diff"] == {
             "value": 0.0, "exact": 0.0,
         }
-        assert ledger["info"]["grouped_vb2_speedup_target"] == 5.0
+        assert ledger["checks"]["vb2_inverse_max_rel_residual"] == {
+            "value": 1e-12, "max": 1e-9,
+        }
+        assert ledger["info"]["nint_speedup_target"] == 3.0
 
     def test_v1_timings_lift(self):
         doc = _v1_fit_doc()

@@ -1,6 +1,6 @@
 """Dtype-following regression tests for the hot kernels.
 
-The uniform→variate layer, the batch root finders and the segment
+The uniform→variate layer, the gamma-cell quantile engine and the segment
 reductions carry no hard-coded ``dtype=float`` casts: dtypes follow
 the inputs (float32 in ⇒ float32 out), with ints/bools promoting to
 float64. These tests pin both directions so a future edit cannot
@@ -11,7 +11,6 @@ import numpy as np
 from repro.stats.special import as_float
 from repro.stats.gamma_dist import gamma_from_uniform
 from repro.stats.gamma_cells import GammaCells
-from repro.stats.rootfind import solve_fixed_point_batch
 from repro.stats.uniforms import segment_sums
 
 
@@ -70,11 +69,3 @@ class TestRootfindDtype:
         tail, _, _ = cells.tails(roots, np.ones(3, dtype=bool))
         np.testing.assert_allclose(tail, levels, atol=1e-7)
 
-    def test_fixed_point_float64_in_float64_out(self):
-        x0 = np.full(3, 1.0)
-        res = solve_fixed_point_batch(
-            lambda x, lanes: 0.5 * (x + 2.0 / x), x0, rtol=1e-12,
-            max_iter=100,
-        )
-        assert res.values.dtype == np.float64
-        np.testing.assert_allclose(res.values, np.sqrt(2.0), rtol=1e-10)
