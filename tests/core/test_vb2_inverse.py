@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from repro import obs
 from repro.bayes.priors import ModelPrior
 from repro.core.config import VBConfig
 from repro.core.fleet import fit_vb2_fleet
@@ -210,6 +211,24 @@ class TestBracketStaysNearTheLanes:
         posterior = fit_vb2(data, prior, alpha0)
         assert_identity(posterior, data, prior, alpha0)
         assert_conditional_equations(posterior, data, prior, alpha0)
+
+
+class TestSolverRecord:
+    def test_inverse_span(self):
+        # One debug span per growth round, carrying the solver's health.
+        data = _campaign().truncate(20)
+        with obs.capture(level="debug") as col:
+            posterior = fit_vb2(data, CAMPAIGN_PRIOR, 2.0)
+        spans = [
+            e for e in col.events
+            if e["kind"] == "span" and e["name"] == "vb2.inverse"
+        ]
+        assert len(spans) == posterior.diagnostics["n_growth_rounds"] + 1
+        assert sum(sp["lanes"] for sp in spans) == len(posterior.n_values)
+        for sp in spans:
+            assert sp["datasets"] == 1 and sp["nodes"] == 64
+            assert sp["bracket_steps"] >= 1 and 1 <= sp["sweeps"] <= 10
+            assert sp["max_step"] <= VBConfig().fixed_point_rtol
 
 
 class TestTypedErrors:
