@@ -19,8 +19,12 @@ __all__ = [
 ]
 
 #: How a sampler turns randomness into variates. ``"direct"`` draws
-#: from ``numpy.random.Generator`` distribution methods (the legacy
-#: stream, frozen for the golden Table 6/7 regressions); ``"inverse"``
+#: from ``numpy.random.Generator`` distribution methods and, for the
+#: grouped latent times, from ``rng.random`` through
+#: :func:`~repro.stats.truncated.truncated_gamma_from_uniform`. Its
+#: stream consumption is frozen for the golden Table 6/7 regressions;
+#: at ``alpha0 = 1`` its values moved by a few ulps when the latent
+#: times and tail probabilities took their closed forms. ``"inverse"``
 #: maps the generator's raw uniform stream through the explicit
 #: inverse-CDF layer in :mod:`repro.stats`, the representation the
 #: lane-parallel engine batches across chains and replications.

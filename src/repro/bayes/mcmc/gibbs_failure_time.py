@@ -17,6 +17,8 @@ For general ``α0`` step 3 is replaced by data augmentation of the
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from repro.stats import scipy_special as sc
 
@@ -101,7 +103,10 @@ def _gibbs_failure_time(
     variates = 0
     kept = 0
     for sweep in range(settings.total_iterations):
-        tail_prob = float(sc.gammaincc(alpha0, beta * horizon))
+        if collapsed:
+            tail_prob = math.exp(-beta * horizon)
+        else:
+            tail_prob = float(sc.gammaincc(alpha0, beta * horizon))
         residual = int(rng.poisson(omega * tail_prob))
         variates += 1
 

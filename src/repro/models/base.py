@@ -123,19 +123,30 @@ class NHPPModel(abc.ABC):
         return total
 
     def log_likelihood_grouped(self, data: GroupedData) -> float:
-        """Grouped-data log-likelihood (paper Eq. 5)."""
-        edges = data.interval_edges()
-        cdf_vals = np.asarray(self.lifetime_cdf(edges), dtype=float)
-        increments = np.diff(cdf_vals)
-        total = -self.omega * cdf_vals[-1]
-        for count, inc in zip(data.counts, increments):
-            if count == 0:
-                continue
-            if inc <= 0.0:
-                return -math.inf  # data in an interval the model gives zero mass
-            total += count * (math.log(inc) + math.log(self.omega))
-            total -= float(log_factorial(int(count)))
-        return total
+        """Grouped-data log-likelihood (paper Eq. 5).
+
+        ``−ω G(s_k) + Σ_i [x_i (log ΔG_i + log ω) − log x_i!]`` over the
+        occupied intervals, or ``−inf`` when one of them has no model
+        mass. The terms are built as arrays and added by one ``cumsum``
+        over ``[−ω G(s_k), x_1 (log ΔG_1 + log ω), −log x_1!, …]``: the
+        same left-to-right float additions, in the same order, as a loop
+        over the intervals. ``log ΔG_i`` is taken with ``math.log`` (libm),
+        which NumPy's ``log`` can differ from by an ulp.
+        """
+        cdf_vals = np.asarray(self.lifetime_cdf(data.interval_edges()), dtype=float)
+        occupied = data.counts > 0
+        counts = data.counts[occupied]
+        increments = np.diff(cdf_vals)[occupied]
+        if np.any(increments <= 0.0):
+            return -math.inf  # data in an interval the model gives zero mass
+        log_increments = np.fromiter(
+            map(math.log, increments.tolist()), dtype=float, count=counts.size
+        )
+        terms = np.empty(2 * counts.size + 1)
+        terms[0] = -self.omega * cdf_vals[-1]
+        terms[1::2] = counts * (log_increments + math.log(self.omega))
+        terms[2::2] = -log_factorial(counts)
+        return np.cumsum(terms)[-1]
 
     def log_likelihood(self, data: FailureTimeData | GroupedData) -> float:
         """Dispatch on the data structure."""

@@ -18,7 +18,8 @@ and evaluate element-wise through the same ufuncs either way, so the
 batched fit engine sees bit-identical values to the scalar path.  The
 ``sample_*`` entry points consume a :class:`numpy.random.Generator`;
 the uniform→variate maps (``*_from_uniform``) are their uniform-stream
-twins for the lane-parallel Gibbs engine.
+twins, and :func:`sample_truncated_gamma` is its map applied to
+``rng.random``.
 """
 
 from __future__ import annotations
@@ -131,21 +132,13 @@ def sample_truncated_gamma(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw variates of ``T ~ Gamma(shape, rate)`` conditioned on
-    ``lo < T <= hi`` by inverse-CDF sampling.
-
-    Used by the grouped-data Gibbs sampler (data augmentation of the
-    failure times inside each counting interval).
+    ``lo < T <= hi`` by inverse-CDF sampling: the map
+    :func:`truncated_gamma_from_uniform` applied to ``rng.random(size)``,
+    which consumes the generator exactly as ``rng.uniform`` would.
     """
     if not 0.0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-    p_lo = float(sc.gammainc(shape, rate * lo))
-    p_hi = float(sc.gammainc(shape, rate * hi))
-    if p_hi <= p_lo:
-        # Degenerate interval in the far tail; fall back to uniform jitter
-        # so the sampler never stalls.
-        return rng.uniform(lo, hi, size=size)
-    u = rng.uniform(p_lo, p_hi, size=size)
-    return sc.gammaincinv(shape, u) / rate
+    return truncated_gamma_from_uniform(lo, hi, shape, rate, rng.random(size))
 
 
 def sample_censored_gamma(
@@ -174,52 +167,46 @@ def sample_censored_gamma(
 
 
 def truncated_gamma_from_uniform(
-    lo: np.ndarray,
-    hi: np.ndarray,
+    lo: np.ndarray | float,
+    hi: np.ndarray | float,
     shape: float,
-    rate: np.ndarray,
+    rate: np.ndarray | float,
     u: np.ndarray,
 ) -> np.ndarray:
     """Inverse-CDF map of uniforms to ``T ~ Gamma(shape, rate)`` draws
     conditioned on ``lo < T <= hi``, elementwise.
 
-    The uniform-stream twin of :func:`sample_truncated_gamma`, used by
-    the lane-parallel grouped Gibbs engine: all latent failure times of
-    all lanes map through one call. Intervals whose CDF increment
-    underflows fall back to uniform jitter on ``(lo, hi)``, exactly as
-    the direct sampler does. For the Goel–Okumoto lifetime
-    (``shape == 1``) the inversion is the closed-form exponential
-    quantile — no special-function call at all, which is what makes the
-    grouped sweep's 38-draw latent block almost free.
+    The one latent-time map of every grouped Gibbs sampler: the direct
+    sweep, :func:`sample_truncated_gamma` and the lane-parallel engine
+    all draw through it. Arguments broadcast as NumPy operands (float
+    arrays or scalars); no copies are made.
+
+    For the Goel–Okumoto lifetime (``shape == 1``) the inversion is the
+    memoryless closed form
+    ``lo - log1p(-u (1 - exp(-rate (hi - lo)))) / rate`` — the same
+    draw as inverting ``CDF(lo) + u (CDF(hi) - CDF(lo))``, without the
+    cancellation of two CDF values near 1, so far-tail intervals give
+    exact truncated exponentials rather than quantized or jittered
+    draws. For other shapes the CDF value ``p = CDF(lo) + u (CDF(hi) -
+    CDF(lo))`` is inverted with ``gammaincinv``; intervals whose CDF
+    increment underflows fall back to uniform jitter on ``(lo, hi)``.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    rate = np.asarray(rate, dtype=float)
-    u = np.asarray(u, dtype=float)
-    lo, hi, rate, u = np.broadcast_arrays(lo, hi, rate, u)
     if shape == 1.0:
-        p_lo = -np.expm1(-rate * lo)
-        p_hi = -np.expm1(-rate * hi)
-    else:
-        p_lo = sc.gammainc(shape, rate * lo)
-        p_hi = sc.gammainc(shape, rate * hi)
+        # expm1(-rate (hi - lo)) is minus the mass 1 - exp(-rate (hi - lo))
+        # of (lo, hi] beyond lo, so u times it is exactly -(u * mass).
+        return lo - np.log1p(u * np.expm1(-rate * (hi - lo))) / rate
+    p_lo = sc.gammainc(shape, rate * lo)
+    p_hi = sc.gammainc(shape, rate * hi)
     degenerate = p_hi <= p_lo
+    if not degenerate.any():
+        return sc.gammaincinv(shape, p_lo + u * (p_hi - p_lo)) / rate
+    # p *is* the jittered draw on degenerate entries; invert the CDF
+    # value only on the rest.
     low = np.where(degenerate, lo, p_lo)
     high = np.where(degenerate, hi, p_hi)
     p = low + u * (high - low)
-    if not degenerate.any():
-        if shape == 1.0:
-            return -np.log1p(-p) / rate
-        return sc.gammaincinv(shape, p) / rate
-    # Mixed case: p already *is* the jittered draw on degenerate
-    # entries; invert the CDF value only on the rest.
-    out = p.copy()
-    invert = ~degenerate
-    if shape == 1.0:
-        out[invert] = -np.log1p(-p[invert]) / rate[invert]
-    else:
-        out[invert] = sc.gammaincinv(shape, p[invert]) / rate[invert]
-    return out
+    inverted = sc.gammaincinv(shape, np.where(degenerate, 0.5, p)) / rate
+    return np.where(degenerate, p, inverted)
 
 
 def censored_gamma_from_uniform(

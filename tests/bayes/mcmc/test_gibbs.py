@@ -1,5 +1,7 @@
 """Tests for the Gibbs samplers (Kuo-Yang and data augmentation)."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import special as sc
@@ -9,13 +11,24 @@ from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
 from repro.bayes.mcmc.gibbs_grouped import _IntervalSums, gibbs_grouped
 from repro.bayes.priors import ModelPrior
 from repro.data.failure_data import GroupedData
-from repro.stats.truncated import sample_censored_gamma
+from repro.stats.truncated import (
+    sample_censored_gamma,
+    sample_truncated_gamma,
+    truncated_gamma_from_uniform,
+)
 
 
-def _per_interval_loop_chain(data, prior, alpha0, settings):
+def _per_interval_loop_chain(data, prior, alpha0, settings, special_functions=False):
     """The grouped direct sweep with its latent sum taken one interval
     at a time (``np.split`` and ``.sum()`` per interval): the reference
-    that pins ``gibbs_grouped``'s variate stream and arithmetic."""
+    that pins ``gibbs_grouped``'s variate stream and arithmetic.
+
+    At ``alpha0 = 1`` the latent times are the memoryless inversion of
+    ``rng.random`` and the tail probability is ``exp(-beta t_e)``, the
+    sampler's closed forms. Otherwise, or with ``special_functions=True``,
+    they come from ``gammainc``/``gammaincinv`` on ``rng.uniform`` and
+    from ``gammaincc``: the sweep's arithmetic before the closed forms.
+    """
     rng = np.random.default_rng(settings.seed)
     intervals = [item for item in data.intervals() if item[2] > 0]
     total = data.total_count
@@ -23,6 +36,7 @@ def _per_interval_loop_chain(data, prior, alpha0, settings):
     m_omega, phi_omega = prior.omega.shape, prior.omega.rate
     m_beta, phi_beta = prior.beta.shape, prior.beta.rate
     collapsed = alpha0 == 1.0
+    closed_form = collapsed and not special_functions
     int_lo = np.array([lo for lo, _, _ in intervals])
     int_hi = np.array([hi for _, hi, _ in intervals])
     int_count = np.array([count for _, _, count in intervals], dtype=np.int64)
@@ -37,7 +51,11 @@ def _per_interval_loop_chain(data, prior, alpha0, settings):
     kept = 0
     for sweep in range(settings.total_iterations):
         latent_sum = 0.0
-        if n_latent:
+        if n_latent and closed_form:
+            lo, hi = int_lo[draw_slots], int_hi[draw_slots]
+            u = rng.random(n_latent)
+            draws = lo - np.log1p(-u * -np.expm1(-beta * (hi - lo))) / beta
+        elif n_latent:
             p_lo = sc.gammainc(alpha0, beta * int_lo)
             p_hi = sc.gammainc(alpha0, beta * int_hi)
             degenerate = p_hi <= p_lo
@@ -47,10 +65,14 @@ def _per_interval_loop_chain(data, prior, alpha0, settings):
             draws = u.copy()
             invert = ~degenerate[draw_slots]
             draws[invert] = sc.gammaincinv(alpha0, u[invert]) / beta
+        if n_latent:
             for segment in np.split(draws, segment_offsets):
                 latent_sum += float(segment.sum())
             variates += n_latent
-        tail_prob = float(sc.gammaincc(alpha0, beta * horizon))
+        if closed_form:
+            tail_prob = math.exp(-beta * horizon)
+        else:
+            tail_prob = float(sc.gammaincc(alpha0, beta * horizon))
         residual = int(rng.poisson(omega * tail_prob))
         variates += 1
         omega = float(
@@ -77,6 +99,34 @@ def _per_interval_loop_chain(data, prior, alpha0, settings):
             residual_trace[kept] = residual
             kept += 1
     return samples, residual_trace, variates
+
+
+def _special_function_times_chain(data, prior, settings):
+    """The Kuo-Yang sweep at ``alpha0 = 1`` with its tail probability
+    from ``gammaincc``, as it was before the closed form."""
+    rng = np.random.default_rng(settings.seed)
+    me, horizon, sum_times = data.count, data.horizon, data.total_time
+    m_omega, phi_omega = prior.omega.shape, prior.omega.rate
+    m_beta, phi_beta = prior.beta.shape, prior.beta.rate
+    omega = float(max(me, 1) * 1.2 + 1.0)
+    beta = max(me, 1) / (sum_times + max(me, 1) * horizon)
+    samples = np.empty((settings.n_samples, 2))
+    residual_trace = np.empty(settings.n_samples, dtype=np.int64)
+    kept = 0
+    for sweep in range(settings.total_iterations):
+        tail_prob = float(sc.gammaincc(1.0, beta * horizon))
+        residual = int(rng.poisson(omega * tail_prob))
+        omega = float(
+            rng.gamma(shape=m_omega + me + residual, scale=1.0 / (phi_omega + 1.0))
+        )
+        rate = phi_beta + sum_times + residual * horizon
+        beta = float(rng.gamma(shape=m_beta + me, scale=1.0 / rate))
+        index = sweep - settings.burn_in
+        if index >= 0 and (index + 1) % settings.thin == 0 and kept < settings.n_samples:
+            samples[kept] = omega, beta
+            residual_trace[kept] = residual
+            kept += 1
+    return samples, residual_trace, 3 * settings.total_iterations
 
 
 def _assert_matches_loop(data, prior, alpha0, settings):
@@ -207,12 +257,10 @@ class TestGibbsGrouped:
     def test_latent_draw_block_preserves_variate_stream(
         self, grouped_data, alpha0
     ):
-        # The one-uniform-call latent block must consume the generator
-        # exactly like the per-interval sample_truncated_gamma loop it
-        # replaced: same draws, same latent sum, same final rng state —
-        # this is what keeps golden Table 7 and campaign traces frozen.
-        from repro.stats.truncated import sample_truncated_gamma
-
+        # The sweep's one-call latent block must consume the generator
+        # exactly like a per-interval sample_truncated_gamma loop: same
+        # draws, same latent sum, same final rng state — this is what
+        # keeps golden Table 7 and campaign traces frozen.
         intervals = [item for item in grouped_data.intervals() if item[2] > 0]
         beta = 2.0 * alpha0 / grouped_data.horizon
 
@@ -225,23 +273,16 @@ class TestGibbsGrouped:
                 ).sum()
             )
 
-        int_lo = np.array([lo for lo, _, _ in intervals])
-        int_hi = np.array([hi for _, hi, _ in intervals])
         int_count = np.array(
             [count for _, _, count in intervals], dtype=np.int64
         )
-        draw_slots = np.repeat(np.arange(int_count.size), int_count)
+        draw_lo = np.repeat([lo for lo, _, _ in intervals], int_count)
+        draw_hi = np.repeat([hi for _, hi, _ in intervals], int_count)
 
         vec_rng = np.random.default_rng(2024)
-        p_lo = sc.gammainc(alpha0, beta * int_lo)
-        p_hi = sc.gammainc(alpha0, beta * int_hi)
-        degenerate = p_hi <= p_lo
-        low = np.where(degenerate, int_lo, p_lo)
-        high = np.where(degenerate, int_hi, p_hi)
-        u = vec_rng.uniform(low[draw_slots], high[draw_slots])
-        draws = u.copy()
-        invert = ~degenerate[draw_slots]
-        draws[invert] = sc.gammaincinv(alpha0, u[invert]) / beta
+        draws = truncated_gamma_from_uniform(
+            draw_lo, draw_hi, alpha0, beta, vec_rng.random(int(int_count.sum()))
+        )
         vec_sum = _IntervalSums(int_count)(draws)
 
         assert vec_sum == legacy_sum
@@ -283,3 +324,38 @@ class TestGibbsGrouped:
         posterior = result.posterior()
         skew = posterior.central_moment("omega", 3)
         assert skew > 0.0
+
+
+class TestClosedFormsTrackSpecialFunctions:
+    """At ``alpha0 = 1`` both direct sweeps use closed forms (memoryless
+    latent times, ``exp(-beta t_e)`` tails) where they used to call
+    ``gammainc``/``gammaincinv``/``gammaincc``. The two agree in exact
+    arithmetic, so the chains may move by rounding only: residual traces
+    and variate counts stay equal, samples within 1e-13 relative."""
+
+    SETTINGS = ChainSettings(n_samples=1_000, burn_in=1_000, thin=1, seed=2007)
+
+    @staticmethod
+    def _assert_close(result, samples, residual_trace, variates):
+        assert np.array_equal(result.extra["residual_trace"], residual_trace)
+        assert result.variate_count == variates
+        np.testing.assert_allclose(result.samples, samples, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("prior_name", ["info_prior_grouped", "flat_prior"])
+    def test_grouped(self, grouped_data, prior_name, request):
+        prior = request.getfixturevalue(prior_name)
+        result = gibbs_grouped(grouped_data, prior, settings=self.SETTINGS)
+        self._assert_close(
+            result,
+            *_per_interval_loop_chain(
+                grouped_data, prior, 1.0, self.SETTINGS, special_functions=True
+            ),
+        )
+
+    @pytest.mark.parametrize("prior_name", ["info_prior_times", "flat_prior"])
+    def test_failure_time(self, times_data, prior_name, request):
+        prior = request.getfixturevalue(prior_name)
+        result = gibbs_failure_time(times_data, prior, settings=self.SETTINGS)
+        self._assert_close(
+            result, *_special_function_times_chain(times_data, prior, self.SETTINGS)
+        )

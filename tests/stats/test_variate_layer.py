@@ -17,6 +17,7 @@ from repro.stats.gamma_dist import gamma_from_uniform
 from repro.stats.poisson import poisson_from_uniform
 from repro.stats.truncated import (
     censored_gamma_from_uniform,
+    sample_truncated_gamma,
     truncated_gamma_from_uniform,
 )
 
@@ -158,12 +159,37 @@ class TestTruncatedGammaFromUniform:
         assert x == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_interval_jitters_on_support(self):
-        # Far right tail: CDF increment underflows, fall back to jitter.
+        # Far right tail of a shape != 1 lifetime: the CDF increment
+        # underflows, so the draw falls back to jitter on the interval.
         lo, hi = np.array([4000.0]), np.array([4001.0])
-        x = truncated_gamma_from_uniform(
-            lo, hi, 1.0, np.array([1.0]), np.array([0.25])
-        )[0]
+        rate, u = np.array([1.0]), np.array([0.25])
+        x = truncated_gamma_from_uniform(lo, hi, 2.0, rate, u)[0]
         assert x == pytest.approx(4000.25)
+        # At shape 1 the memoryless inversion needs no fallback:
+        # 4000 - log1p(-0.25 (1 - e^-1)).
+        x = truncated_gamma_from_uniform(lo, hi, 1.0, rate, u)[0]
+        assert x == pytest.approx(4000.172011060757, rel=1e-12)
+
+    @pytest.mark.parametrize("rate, lo", [(1.0, 30.0), (0.5, 80.0), (2.0, 400.0)])
+    @pytest.mark.parametrize("entry", ["map", "sampler"])
+    def test_far_tail_shape_one_is_truncated_exponential(self, rate, lo, entry):
+        # rate * lo = 30, 40, 800: both exponential CDFs round to 1 or
+        # nearly, and CDF-space inversion used to return quantized draws
+        # (30) or uniform jitter (40, 800). The draws must be distinct
+        # truncated exponentials with the exact mean.
+        n, hi = 200_000, lo + 1.0 / rate
+        rng = np.random.default_rng(31)
+        if entry == "map":
+            x = truncated_gamma_from_uniform(lo, hi, 1.0, rate, rng.random(n))
+        else:
+            x = sample_truncated_gamma(lo, hi, 1.0, rate, n, rng)
+        assert np.all((x > lo) & (x <= hi))
+        assert np.unique(x).size == n
+        # Exp(rate) on (lo, lo + 1/rate] is lo + Exp(1) on (0, 1], scaled.
+        e = np.exp(-1.0)
+        mean = lo + (1.0 - e / (1.0 - e)) / rate
+        sd = np.sqrt(1.0 - e / (1.0 - e) ** 2) / rate
+        assert abs(x.mean() - mean) <= 4.0 * sd / np.sqrt(n)
 
     def test_uniform_stream_recovers_distribution(self):
         u = (np.arange(20_000) + 0.5) / 20_000
