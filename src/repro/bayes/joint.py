@@ -207,13 +207,16 @@ class JointPosterior(abc.ABC):
         self, level: float, c: Callable[[np.ndarray], np.ndarray]
     ) -> tuple[float, float]:
         """Central two-sided credible interval for the reliability."""
-        if not 0.0 < level < 1.0:
-            raise ValueError("level must be in (0, 1)")
-        tail = 0.5 * (1.0 - level)
-        lower, upper = self.reliability_quantile_batch(
-            np.array([tail, 1.0 - tail]), c
-        )
+        lower, upper = self.reliability_quantile_batch(_central(level), c)
         return float(lower), float(upper)
+
+    def reliability_estimate(
+        self, level: float, c: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[float, float, float]:
+        """``(point, lower, upper)``: :meth:`reliability_point` and
+        :meth:`reliability_interval` of one window. Posteriors that build
+        per-window cells override it to build them once for all three."""
+        return (self.reliability_point(c), *self.reliability_interval(level, c))
 
     # ------------------------------------------------------------------
     # Residual fault count D = omega * c(beta), c = 1 - G(te)
@@ -256,12 +259,7 @@ class JointPosterior(abc.ABC):
     ) -> tuple[float, float]:
         """Central two-sided credible interval for the residual fault
         count (the robustness campaign's second coverage target)."""
-        if not 0.0 < level < 1.0:
-            raise ValueError("level must be in (0, 1)")
-        tail = 0.5 * (1.0 - level)
-        lower, upper = self.residual_quantile_batch(
-            np.array([tail, 1.0 - tail]), survival
-        )
+        lower, upper = self.residual_quantile_batch(_central(level), survival)
         return float(lower), float(upper)
 
     # ------------------------------------------------------------------
@@ -280,3 +278,12 @@ class JointPosterior(abc.ABC):
         if param not in PARAM_NAMES:
             raise ValueError(f"param must be one of {PARAM_NAMES}, got {param!r}")
         return param
+
+
+def _central(level: float) -> np.ndarray:
+    """The tail levels ``[(1 - level)/2, (1 + level)/2]`` of a central
+    interval."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    tail = 0.5 * (1.0 - level)
+    return np.array([tail, 1.0 - tail])

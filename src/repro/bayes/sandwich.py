@@ -395,20 +395,24 @@ class ScaledPosterior(JointPosterior):
         return tabler(scaled_c).cells()
 
     def reliability_point(self, c: Callable[[np.ndarray], np.ndarray]) -> float:
-        quad_w, c_values, a_omega, b_omega = self._tables(c)
+        table = self._tables(c)
+        quad_w, c_values, a_omega, b_omega = table.arrays()
         k_omega = float(self._kappa[0])
         shift = c_values * self._mu[0] * (1.0 - k_omega)
         factors = np.exp(
             a_omega * (np.log(b_omega) - np.log(b_omega + c_values * k_omega))
             - shift
         )
-        return float(min(max(np.sum(quad_w * factors), 0.0), 1.0))
+        # cells whose D is 0 surely sit in the atom: their factor is 1
+        total = table.atom + np.sum(quad_w * factors)
+        return float(min(max(total, 0.0), 1.0))
 
     def reliability_cdf(self, r: float, c: Callable[[np.ndarray], np.ndarray]) -> float:
         return self._reliability_cdf_at(c)(r)
 
     def _reliability_cdf_at(self, c):
-        quad_w, c_values, a_omega, b_omega = self._tables(c)
+        # the atom's cells hold R = 1: they add nothing below r = 1
+        quad_w, c_values, a_omega, b_omega = self._tables(c).arrays()
         k_omega = float(self._kappa[0])
         mu_omega = float(self._mu[0])
 

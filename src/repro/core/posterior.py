@@ -21,7 +21,7 @@ import numpy as np
 from repro.stats import scipy_special as sc
 
 from repro import obs
-from repro.bayes.joint import JointPosterior
+from repro.bayes.joint import JointPosterior, _central
 from repro.stats.gamma_cells import GammaCells, unit_steps
 from repro.stats.gamma_dist import GammaDistribution
 from repro.stats.mixtures import MixtureDistribution, _normalised
@@ -35,13 +35,9 @@ _RELIABILITY_NODES = 128
 _BLOCK_NODES = ((1e-6, _RELIABILITY_NODES), (1e-10, 64), (0.0, 32))
 
 
-def _gauss_legendre(n: int):
-    """Nodes and log weights of the ``n``-point rule on ``[-1, 1]``."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, np.log(w)
-
-
-_RULES = {n: _gauss_legendre(n) for _, n in _BLOCK_NODES}
+#: Nodes and log weights of the ``n``-point Gauss–Legendre rule on [-1, 1].
+_RULES = {n: (x, np.log(w)) for _, n in _BLOCK_NODES
+          for x, w in [np.polynomial.legendre.leggauss(n)]}
 #: Each component's β range runs between these tail quantiles.
 _BETA_CLIP = 1e-13
 #: Adjacent components share a β block while the union of their ranges
@@ -50,6 +46,11 @@ _BLOCK_WIDTHS = 2.0
 #: The reliability tables drop the lightest components at both ends of
 #: the ``N`` range whose combined weight is at most this.
 _DROP_MASS = 1e-13
+#: A run of the reliability cell table drops the rungs at its head, and
+#: those at its tail, whose weights sum to at most this (METHOD.md §4.1).
+_TRIM_MASS = 1e-17
+#: The reliability cell table is built this many cells at a time.
+_SPAN_CELLS = 16384
 #: Round budget of the reliability-quantile solve.
 _MAX_SWEEPS = 120
 #: Cells whose ``ρ = b_ω / c(β)`` exceeds this hold ``D = ω c(β)``
@@ -263,12 +264,13 @@ class VBPosterior(JointPosterior):
 
         The β nodes sit on Gauss–Legendre grids shared by blocks of
         adjacent ``N`` (:class:`_BetaGrid`, built once per posterior),
-        so ``c(β)`` is evaluated only at the block nodes, and every
-        cell of one block and node shares the ω rate ``b_ω / c(β_j)``:
-        a ladder run of :class:`~repro.stats.gamma_cells.GammaCells`.
-        The posterior-predictive quadrature in
-        :mod:`repro.core.prediction` and the sandwich-scaled posterior
-        read the same tables through :meth:`_ReliabilityTables.cells`.
+        so ``c(β)`` is evaluated only at the block nodes, and every cell
+        of one block and node shares the ω rate ``b_ω / c(β_j)``: a
+        ladder run of :class:`~repro.stats.gamma_cells.GammaCells`. Only
+        the nodes and ``c`` at them are cached; every reader (here, in
+        :mod:`repro.core.prediction` and in the sandwich-scaled
+        posterior) builds the cells once per call with
+        :meth:`_ReliabilityTables.cells`.
         """
         key = c if getattr(c, "__hash__", None) else None
         if key is not None and key in self._reliability_cache:
@@ -278,10 +280,8 @@ class VBPosterior(JointPosterior):
                                         self._beta_rate)
         grid = self._beta_grid
         tables = _ReliabilityTables(
-            grid,
-            np.split(np.asarray(c(grid.nodes), dtype=float), grid.node_starts),
-            self._omega_shape[grid.kept],
-            self._omega_rate[grid.kept],
+            grid, np.asarray(c(grid.nodes), dtype=float),
+            self._omega_shape[grid.kept], self._omega_rate[grid.kept],
         )
         if key is not None:
             self._reliability_cache[key] = tables
@@ -289,16 +289,7 @@ class VBPosterior(JointPosterior):
 
     def reliability_point(self, c: Callable[[np.ndarray], np.ndarray]) -> float:
         """``E[exp(-ω c(β))]``: gamma MGF in ``ω``, quadrature in ``β``."""
-        tables = self.reliability_tables(c)
-        if not any(np.any(c_block > 0.0) for c_block in tables.c_nodes):
-            return 1.0  # R = 1 surely
-        total = 0.0
-        for rows, weight, c_nodes in tables.blocks():
-            b = tables.b_omega[rows, None]
-            log_mgf = np.log(b) - np.log(b + c_nodes)
-            total += np.sum(weight * np.exp(tables.a_omega[rows, None] * log_mgf))
-        # The weights sum to 1 only to rounding; clip to the valid range.
-        return float(min(max(total, 0.0), 1.0))
+        return self._reliability_solve(np.empty(0), c)[0]
 
     def reliability_cdf(self, r: float, c: Callable[[np.ndarray], np.ndarray]) -> float:
         """``P(exp(-ω c(β)) <= r) = P(D >= -log r)`` for the residual
@@ -306,17 +297,9 @@ class VBPosterior(JointPosterior):
         return self._reliability_cdf_at(c)(r)
 
     def _reliability_cdf_at(self, c):
-        cells, _ = self.reliability_tables(c).gamma_cells()
-
-        def cdf(r: float) -> float:
-            if r <= 0.0:
-                return 0.0
-            if r >= 1.0:
-                return 1.0
-            tail, _, _ = cells.tails(np.array([-math.log(r)]), False)
-            return float(tail[0])
-
-        return cdf
+        cells = self.reliability_tables(c).cells().residual()
+        return lambda r: 0.0 if r <= 0.0 else 1.0 if r >= 1.0 else float(
+            cells.tails(np.array([-math.log(r)]), False)[0][0])
 
     def reliability_quantile(
         self, q: float, c: Callable[[np.ndarray], np.ndarray]
@@ -340,21 +323,19 @@ class VBPosterior(JointPosterior):
         ``S(s) = Σ_cells W Q(a_ω, ρ s)`` with ``ρ = b_ω / c(β)`` of the
         residual count ``D = ω c(β)``
         (:meth:`~repro.stats.gamma_cells.GammaCells.quantiles` with
-        ``upper`` and ``negexp``): a moment-matched start, Halley steps
-        on the log tail, the log-space bracket fallback, and
-        :class:`~repro.exceptions.ConvergenceError` after
-        ``_MAX_SWEEPS`` rounds. Every block and node of the tables is a
-        ladder run, so a sweep costs one incomplete gamma per run and
-        one ``exp`` per cell. A 95% or 99% interval typically takes 2–3
-        sweeps and agrees with the generic bisection of
+        ``upper`` and ``negexp``; :class:`~repro.exceptions.ConvergenceError`
+        after ``_MAX_SWEEPS`` rounds). Every block and node of the
+        tables is a ladder run trimmed to the rungs that hold mass, so a
+        sweep costs one incomplete gamma per run and one ``exp`` per
+        cell. A 95% or 99% interval typically takes 2–3 sweeps and
+        agrees with the generic bisection of
         :meth:`~repro.bayes.joint.JointPosterior.reliability_quantile`
         to its ``xtol = 1e-10`` in ``r`` (docs/PERFORMANCE.md §5).
 
         Only :class:`~repro.core.reliability.ReliabilityIncrement`
-        windows take this path. Residual-count windows delegate to the
-        shared generic solver, which the sandwich-scaled posterior uses
-        too; the sandwich-nesting contracts need both sides on one
-        solver.
+        windows take this path; residual-count windows stay on the
+        generic solver, which the sandwich-scaled posterior shares (the
+        sandwich-nesting contracts need both sides on one solver).
         """
         from repro.core.reliability import ReliabilityIncrement
 
@@ -363,25 +344,46 @@ class VBPosterior(JointPosterior):
         levels = np.atleast_1d(np.asarray(q, dtype=float))
         if np.any(~((levels > 0.0) & (levels < 1.0))):
             raise ValueError("quantile levels must be in (0, 1)")
-        cells, dropped = self.reliability_tables(c).gamma_cells()
-        if cells.size == 0:  # c(β) = 0 everywhere: R = 1 surely
-            return np.ones_like(levels)
+        return self._reliability_solve(levels, c, point=False)[1]
+
+    def reliability_estimate(
+        self, level: float, c: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[float, float, float]:
+        """The point and central interval of a ``ReliabilityIncrement``
+        window, from one build of its cell table."""
+        from repro.core.reliability import ReliabilityIncrement
+
+        if not isinstance(c, ReliabilityIncrement):
+            return super().reliability_estimate(level, c)
+        point, (lower, upper) = self._reliability_solve(_central(level), c)
+        return point, float(lower), float(upper)
+
+    def _reliability_solve(self, levels: np.ndarray, c, point: bool = True):
+        """``(point, quantiles)`` of the reliability for the window ``c``,
+        both from one cell table (the point ``None`` unless asked for)."""
+        tables = self.reliability_tables(c)
+        if not np.any(tables.c_nodes > 0.0):  # R = 1 surely
+            return 1.0, np.ones_like(levels)
+        table = tables.cells()
+        attrs = {"trimmed_mass": table.trimmed_mass,
+                 "dropped_mass": table.dropped_mass}
+        cells = table.residual()
+        del table  # only the engine's arrays stay alive during the solve
+        # The weights sum to 1 only to rounding; clip to the valid range.
+        point = min(max(cells.laplace(), 0.0), 1.0) if point else None
+        if cells.size == 0 or not levels.size:  # D ~ 0 surely: R = 1
+            return point, np.ones_like(levels)
         with obs.span("reliability.quantile", level="debug",
                       lanes=levels.size) as sp:
             result, sweeps, bracket_exits = cells.quantiles(
                 levels, upper=True, negexp=True, xtol=1e-10,
                 max_sweeps=_MAX_SWEEPS,
             )
-            # The span is the shared no-op handle when the collector
-            # sits below the debug level, so attrs only exist on the
-            # live span.
+            # Only a live (debug-level) span has attrs.
             if getattr(sp, "attrs", None) is not None:
-                sp.attrs["cells"] = cells.runs
-                sp.attrs["ladder_terms"] = cells.size
-                sp.attrs["dropped_mass"] = dropped
-                sp.attrs["sweeps"] = sweeps
-                sp.attrs["bracket_exits"] = bracket_exits
-        return np.clip(result, 0.0, 1.0)
+                sp.attrs.update(attrs, runs=cells.runs, cells=cells.size,
+                                sweeps=sweeps, bracket_exits=bracket_exits)
+        return point, np.clip(result, 0.0, 1.0)
 
 
 class _BetaGrid:
@@ -392,16 +394,13 @@ class _BetaGrid:
     between its ``_BETA_CLIP`` tail quantiles; a block grows while the
     union of its members' ranges stays within ``_BLOCK_WIDTHS`` times
     the narrowest of them, and gets Gauss–Legendre nodes over that
-    union (``_BLOCK_NODES`` by the block's mass). The cell weights
-    ``Pv(N) · half-width · w_j · Pv(β_j | N)``, normalised to sum to 1
-    (which keeps the reliability CDF exact at ``r = 1``), are rebuilt
-    on each use from the per-component log scales kept here: only the
-    nodes and ``O(K)`` constants are cached. Nothing depends on the
-    window ``c``, so one grid serves every window of the posterior.
+    union (``_BLOCK_NODES`` by the block's mass). Only per-node and
+    per-component factors of the cell weights are kept, and nothing
+    depends on the window ``c``: one grid serves every window.
     """
 
-    __slots__ = ("kept", "dropped_mass", "starts", "nodes", "node_starts",
-                 "log_nodes", "shape_m1", "rate", "log_scale")
+    __slots__ = ("kept", "dropped_mass", "blocks", "nodes", "per_node",
+                 "per_row")
 
     def __init__(self, weights, beta_shape, beta_rate) -> None:
         cum = np.cumsum(weights)
@@ -419,43 +418,29 @@ class _BetaGrid:
         b = beta_rate[self.kept]
         lo = sc.gammaincinv(a, _BETA_CLIP) / b
         hi = sc.gammainccinv(a, _BETA_CLIP) / b
-        self.starts = _blocks(lo, hi)
-        union_lo = np.minimum.reduceat(lo, self.starts)
-        union_hi = np.maximum.reduceat(hi, self.starts)
+        starts = _blocks(lo, hi)
+        union_lo = np.minimum.reduceat(lo, starts)
+        union_hi = np.maximum.reduceat(hi, starts)
         mid, half = 0.5 * (union_lo + union_hi), 0.5 * (union_hi - union_lo)
-        sizes = [
+        sizes = np.array([
             next(n for floor, n in _BLOCK_NODES if mass > floor)
-            for mass in np.add.reduceat(kept_w, self.starts)
-        ]
+            for mass in np.add.reduceat(kept_w, starts)
+        ])
         self.nodes = np.concatenate([
             m + h * _RULES[n][0] for m, h, n in zip(mid, half, sizes)
         ])
-        self.node_starts = np.cumsum(sizes)[:-1]
-        self.log_nodes = np.log(self.nodes)
-        self.shape_m1 = a - 1.0
-        self.rate = b
-        counts = np.diff(np.append(self.starts, a.size))
+        counts = np.diff(np.append(starts, a.size))
+        #: (first row, end row, first node, end node) of each block
+        self.blocks = np.stack([starts, starts + counts,
+                                np.cumsum(sizes) - sizes, np.cumsum(sizes)], axis=1)
         with np.errstate(divide="ignore"):
-            self.log_scale = (np.log(kept_w * np.repeat(half, counts))
-                              + a * np.log(b) - sc.gammaln(a))
-
-    def blocks(self) -> list:
-        """``(rows, weights)`` per block: the block's component rows and
-        its ``(rows, nodes)`` cell weights, normalised over all blocks."""
-        rows = np.append(self.starts, self.shape_m1.size)
-        cuts = np.concatenate(([0], self.node_starts, [self.nodes.size]))
-        out = []
-        for r0, r1, n0, n1 in zip(rows[:-1], rows[1:], cuts[:-1], cuts[1:]):
-            block, nodes = slice(r0, r1), slice(n0, n1)
-            log_w = np.multiply.outer(self.shape_m1[block], self.log_nodes[nodes])
-            log_w -= np.multiply.outer(self.rate[block], self.nodes[nodes])
-            log_w += self.log_scale[block, None]
-            log_w += _RULES[n1 - n0][1]
-            out.append((block, np.exp(log_w, out=log_w)))
-        total = sum(float(w.sum()) for _, w in out)
-        for _, w in out:
-            w /= total
-        return out
+            log_scale = (np.log(kept_w * np.repeat(half, counts))
+                         + a * np.log(b) - sc.gammaln(a))
+        # log cell weight = (log β_j, β_j, 1, log w_j) · (a - 1, -b, log scale, 1)
+        self.per_node = np.stack([
+            np.log(self.nodes), self.nodes, np.ones_like(self.nodes),
+            np.concatenate([_RULES[n][1] for n in sizes])], axis=1)
+        self.per_row = np.stack([a - 1.0, -b, log_scale, np.ones_like(b)])
 
 
 def _blocks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -474,10 +459,7 @@ def _blocks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 class _ReliabilityTables:
     """One window's reliability tables: the posterior's β grid and
-    ``c(β)`` at its nodes, one array per block.
-
-    Cell arrays are built on each call, never cached.
-    """
+    ``c(β)`` at its nodes."""
 
     __slots__ = ("grid", "c_nodes", "a_omega", "b_omega")
 
@@ -487,52 +469,107 @@ class _ReliabilityTables:
         self.a_omega = a_omega
         self.b_omega = b_omega
 
-    def blocks(self) -> list:
-        """``(rows, weights, c)`` per block, ``c`` at its nodes."""
-        return [(rows, weights, c_nodes) for (rows, weights), c_nodes
-                in zip(self.grid.blocks(), self.c_nodes)]
+    def cells(self) -> "_Cells":
+        """The window's cells ``(N, β_j)``, built on each call: one run
+        per block and node, whose rungs are the block's ``N`` in order.
 
-    def cells(self):
-        """``(quad_w, c_values, a_omega, b_omega)``, one entry per
-        (component, node) cell."""
-        parts = [
-            (w.ravel(), np.broadcast_to(c, w.shape).ravel(),
-             np.repeat(self.a_omega[rows], c.size),
-             np.repeat(self.b_omega[rows], c.size))
-            for rows, w, c in self.blocks()
-        ]
-        return tuple(np.concatenate(v) for v in zip(*parts))
-
-    def gamma_cells(self) -> tuple[GammaCells, float]:
-        """The cells of ``D = ω c(β)`` and the mass the grid dropped.
-
-        Each block is a ladder grid whose runs are its nodes and whose
-        rungs are its ``N``. A node with ``c(β) = 0``, or so small that
-        ``ρ = b_ω / c`` exceeds ``_MAX_RATE``, holds ``D = 0``: its
-        cells join the point mass at 0. Blocks whose ω rates differ, or
-        whose shapes do not step by 1 (posteriors not from VB2), go in
-        as flat cells.
+        A cell weighs ``Pv(N) · half-width · w_j · Pv(β_j | N)``. A run
+        drops the rungs at its head, and those at its tail, whose weights
+        sum to at most ``_TRIM_MASS``; the kept weights are renormalised
+        to sum to 1, which keeps the reliability CDF exact at ``r = 1``.
+        A node with ``c(β) = 0``, or so small that ``ρ = b_ω / c``
+        exceeds ``_MAX_RATE``, holds ``D = 0``: its run joins the point
+        mass at 0. If the ω rates differ or the shapes do not step by 1
+        (posteriors not from VB2), every cell is a run of its own.
         """
-        log_gamma = sc.gammaln(self.a_omega)
-        runs, flat = [], []
-        atom = 0.0
-        for rows, weights, c_nodes in self.blocks():
-            b, shape = self.b_omega[rows], self.a_omega[rows]
-            # ρ = b / c at most _MAX_RATE, written to hold at c = 0 too
-            live = c_nodes * _MAX_RATE >= b.max()
-            atom += weights[:, ~live].sum()
-            if not live.any():
-                continue
-            if np.all(b == b[0]) and unit_steps(shape).all():
-                runs.append((weights.T[live], shape, b[0] / c_nodes[live],
-                             log_gamma[rows]))
-            else:
-                flat.append((weights.T[live].ravel(),
-                             np.tile(shape, np.count_nonzero(live)),
-                             np.divide.outer(b, c_nodes[live]).T.ravel()))
-        weight, shape, rate = (
-            (np.concatenate(v) for v in zip(*flat)) if flat else ((), (), ())
-        )
-        return (GammaCells(weight, shape, rate, atom=atom, ladders=runs),
-                self.grid.dropped_mass)
+        grid, a, b = self.grid, self.a_omega, self.b_omega
+        block_rows = grid.blocks[:, 1] - grid.blocks[:, 0]
+        block_nodes = grid.blocks[:, 3] - grid.blocks[:, 2]
+        # ρ = b / c at most _MAX_RATE, written to hold at c = 0 too
+        live = self.c_nodes * _MAX_RATE >= b.max()
+        # Only the kept cells of the flat outputs are written; the blocks
+        # go a few nodes at a time, so the work arrays stay small.
+        out = np.empty((3, block_rows @ block_nodes))
+        first, count = np.zeros((2, grid.nodes.size), dtype=int)
+        work = np.empty((3, max(_SPAN_CELLS, block_rows.max())))
+        atom = trimmed = 0.0
+        size = 0
+        for r0, r1, n0, n1 in grid.blocks:
+            k = r1 - r0
+            step = max(_SPAN_CELLS // k, 1)
+            for n in range(n0, n1, step):
+                nodes = slice(n, min(n + step, n1))
+                j = np.arange(nodes.stop - n)
+                # one row per node: a run over the block's N, with its
+                # weight before each rung and from each rung on
+                w, before, after = (v[:k * j.size].reshape(j.size, k) for v in work)
+                np.matmul(grid.per_node[nodes], grid.per_row[:, r0:r1], out=w)
+                np.exp(w, out=w)
+                before[:, 0] = 0.0
+                np.cumsum(w[:, :-1], axis=1, out=before[:, 1:])
+                np.cumsum(w[:, ::-1], axis=1, out=after[:, ::-1])
+                # drop the head rungs whose weights sum to at most
+                # _TRIM_MASS, and likewise the tail rungs
+                lo = np.count_nonzero(before[:, 1:] <= _TRIM_MASS, axis=1)
+                hi = np.maximum(k - np.count_nonzero(after <= _TRIM_MASS, axis=1), lo)
+                head = before[j, lo]
+                tail = np.where(hi < k, after[j, np.minimum(hi, k - 1)], 0.0)
+                trimmed += head.sum() + tail.sum()
+                if not live[nodes].all():
+                    dead = ~live[nodes]
+                    atom += (after[j, lo] - tail)[dead].sum()
+                    hi[dead] = lo[dead]
+                # the kept rungs, run after run
+                kept = hi - lo
+                index = np.repeat(j * k + lo - np.cumsum(kept) + kept, kept)
+                index += np.arange(index.size)
+                cells = slice(size, size + index.size)
+                for v, values in zip(out, (w, before, after)):
+                    np.take(values.ravel(), index, out=v[cells])
+                out[1, cells] -= np.repeat(head, kept)
+                out[2, cells] -= np.repeat(tail, kept)
+                size = cells.stop
+                first[nodes], count[nodes] = lo + r0, kept
+        runs = count > 0
+        first, count, c = first[runs], count[runs], self.c_nodes[runs]
+        weight, prefix, suffix = out[:, :size]
+        norm = weight.sum() + atom
+        out[:, :size] /= norm
+        starts = np.cumsum(count) - count
+        suffix[starts] = 0.0
+        rows = np.repeat(first - starts, count) + np.arange(size)
+        if not (np.all(b == b[0]) and unit_steps(a).all()):
+            c, starts = np.repeat(c, count), np.arange(size)
+            prefix[:] = suffix[:] = 0.0
+        return _Cells(weight, rows, c, starts, prefix, suffix, atom / norm,
+                      trimmed / norm, grid.dropped_mass, a, b)
 
+
+class _Cells:
+    """A window's flat cell table: per cell its weight, its component
+    row and its run's weight before it and from it on; per run its start
+    and ``c(β)``; the point mass at ``D = 0``, the mass the runs trimmed
+    and the mass the grid dropped."""
+
+    __slots__ = ("weight", "rows", "c_runs", "starts", "prefix", "suffix",
+                 "atom", "trimmed_mass", "dropped_mass", "a_omega", "b_omega")
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            setattr(self, name, value)
+
+    def arrays(self):
+        """``(weight, c, a_ω, b_ω)`` per cell."""
+        counts = np.diff(np.append(self.starts, self.weight.size))
+        return (self.weight, np.repeat(self.c_runs, counts),
+                self.a_omega[self.rows], self.b_omega[self.rows])
+
+    def residual(self) -> GammaCells:
+        """The cells of ``D = ω c(β)``: ``Gamma(a_ω, b_ω / c)``."""
+        # a run's cells share b_ω and c(β): one rate per run
+        rate = self.b_omega[self.rows[self.starts]] / self.c_runs
+        return GammaCells(
+            self.weight, self.a_omega[self.rows],
+            np.repeat(rate, np.diff(np.append(self.starts, self.weight.size))),
+            atom=self.atom, runs=(self.starts, self.prefix, self.suffix),
+            log_gamma=sc.gammaln(self.a_omega)[self.rows])

@@ -143,30 +143,18 @@ def _poisson_pmf_matrix(means: np.ndarray, max_count: int) -> np.ndarray:
 def _vb_predictive(
     posterior: VBPosterior, c, max_count: int, tail_eps: float
 ) -> np.ndarray:
-    quad_w, c_values, a_omega, b_omega = posterior.reliability_tables(c).cells()
+    table = posterior.reliability_tables(c).cells()
+    weight, c_values, a, b = (v[:, None] for v in table.arrays())
     k = np.arange(max_count + 1)
     # Negative binomial from Gamma(a, b) mixing of Poisson(omega * c):
     # log P(K=k) = ln C(a+k-1, k) + a ln(b/(b+c)) + k ln(c/(b+c)).
-    flat_w = quad_w.ravel()
-    flat_c = np.clip(c_values.ravel(), 0.0, None)
-    flat_a = np.broadcast_to(a_omega, c_values.shape).ravel()
-    flat_b = np.broadcast_to(b_omega, c_values.shape).ravel()
+    # Cells whose D = omega * c is 0 surely sit in the table's atom.
     pmf = np.zeros(max_count + 1)
-    zero = flat_c <= 0.0
-    if np.any(zero):
-        pmf[0] += float(flat_w[zero].sum())
-    pos = ~zero
-    if np.any(pos):
-        a = flat_a[pos][:, None]
-        log_odds = np.log(flat_c[pos] / (flat_b[pos] + flat_c[pos]))[:, None]
-        log_base = (flat_a * np.log(flat_b / (flat_b + flat_c)))[pos][:, None]
-        log_comb = (
-            sc.gammaln(a + k[None, :])
-            - sc.gammaln(a)
-            - sc.gammaln(k + 1.0)[None, :]
-        )
-        contributions = np.exp(log_comb + log_base + k[None, :] * log_odds)
-        pmf += flat_w[pos] @ contributions
+    pmf[0] = table.atom
+    log_comb = sc.gammaln(a + k) - sc.gammaln(a) - sc.gammaln(k + 1.0)
+    log_odds = np.log(c_values / (b + c_values))
+    log_base = a * np.log(b / (b + c_values))
+    pmf += weight[:, 0] @ np.exp(log_comb + log_base + k * log_odds)
     return _truncate(pmf, tail_eps)
 
 

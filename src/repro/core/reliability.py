@@ -161,8 +161,7 @@ def estimate_reliability(
         Credible level (the paper uses 0.99).
     """
     c = reliability_increment(alpha0, te, u)
-    point = posterior.reliability_point(c)
-    lower, upper = posterior.reliability_interval(level, c)
+    point, lower, upper = posterior.reliability_estimate(level, c)
     return ReliabilityEstimate(
         point=point,
         lower=lower,

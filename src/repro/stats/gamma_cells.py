@@ -16,7 +16,8 @@ one ``gammaincc`` at its lowest shape plus one ``exp`` per cell
 ``gammainc`` at its highest shape plus the same terms (prefix sums).
 Both recurrences only add positive terms, and the terms are the cell
 densities, so ``F'`` and ``F''`` come with them. A run of one cell is
-the direct kernel.
+the direct kernel. All runs lie side by side in one flat cell array,
+so a sweep is one pass over the cells however many runs there are.
 
 **The solver.** Each level starts at the quantile of the gamma with the
 cells' mean and variance (VB posteriors approach normality; Hall et
@@ -49,133 +50,80 @@ _STEP_ULPS = 4.0
 _TINY = 1e-300
 
 
-class _Runs:
-    """Runs of cells side by side: run ``j`` holds the cells
-    ``Gamma(shape[j, i], rate[j])`` with weights ``weight[j, i]``, the
-    shapes stepping by 1 along the run. ``shape`` is ``(runs, rungs)``,
-    or ``(1, rungs)`` when every run has the same shapes; runs of one
-    rung are the direct kernel."""
-
-    __slots__ = ("weight", "shape", "rate", "log_rate", "total", "shape_m1",
-                 "log_gamma", "prefix", "suffix", "precise")
-
-    def __init__(self, weight, shape, rate, log_gamma=None, *,
-                 precise: bool = False) -> None:
-        self.weight, self.shape, self.rate = weight, shape, rate
-        self.log_rate = np.log(rate)
-        self.total = weight.sum(axis=1)
-        self.shape_m1 = shape - 1.0
-        self.precise = precise
-        if precise:
-            # log T(a, y) = m (log1p(t) - t) - log(2π m)/2 - stirlerr(m)
-            # with m = a - 1 and t = (y - m)/m: no (a - 1) log y to
-            # cancel against y, so the terms keep full relative
-            # precision however large a is.
-            self.log_gamma = (-0.5 * np.log(2.0 * np.pi * self.shape_m1)
-                              - _stirling_error(self.shape_m1))
-        else:
-            self.log_gamma = (sc.gammaln(shape) if log_gamma is None
-                              else log_gamma)
-        # The recurrence coefficients: Σ_{i<k} w_i for the lower tail
-        # and Σ_{i≥k} w_i for the upper, zero at each run's first cell.
-        self.prefix = np.zeros_like(weight)
-        np.cumsum(weight[:, :-1], axis=1, out=self.prefix[:, 1:])
-        self.suffix = np.cumsum(weight[:, ::-1], axis=1)[:, ::-1]
-        self.suffix[:, 0] = 0.0
-
-    def add_tails(self, x, log_x, lower, tail, sums) -> None:
-        # Sums lane by lane, never products across lanes, so a lane's
-        # value does not depend on the batch it rides in.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                         under="ignore"):
-            y = x[:, None] * self.rate
-            anchor = _by_tail(lower, y, sc.gammainc, self.shape[:, -1],
-                              sc.gammaincc, self.shape[:, 0])
-            tail += np.einsum("nr,r->n", anchor, self.total)
-            # T(a, y) = exp((a - 1) log y - y - log Γ(a)) per (lane, run,
-            # rung)
-            if self.precise:
-                terms = y[:, :, None] - self.shape_m1
-                terms /= self.shape_m1
-                shift = np.log1p(terms)
-                shift -= terms
-                shift *= self.shape_m1
-                terms = shift
-                terms += self.log_gamma
-            else:
-                terms = (log_x[:, None] + self.log_rate)[:, :, None] * self.shape_m1
-                terms -= self.log_gamma
-                terms -= y[:, :, None]
-            np.exp(terms, out=terms)
-            if self.weight.shape[1] > 1:
-                recurrence = [np.einsum("nrl,rl->n", terms, coef)
-                              for coef in (self.prefix, self.suffix)]
-                tail += np.where(lower, *recurrence)
-            # f = Σ w b T and f' = Σ w b T ((a - 1)/x - b)
-            per_run = np.einsum("nrl,rl->nr", terms, self.weight)
-            shape_m1 = np.broadcast_to(self.shape_m1, self.weight.shape)
-            per_run_a1 = np.einsum("nrl,rl,rl->nr", terms, self.weight,
-                                   shape_m1)
-            sums[0] += np.einsum("nr,r->n", per_run, self.rate)
-            sums[1] += np.einsum("nr,r->n", per_run_a1, self.rate)
-            sums[2] += np.einsum("nr,r,r->n", per_run, self.rate, self.rate)
-
-    def first_moment(self):
-        """``(Σ w, Σ w E[X])`` over the cells."""
-        return (self.total.sum(),
-                np.einsum("rl,rl,r->", self.weight,
-                          np.broadcast_to(self.shape, self.weight.shape),
-                          1.0 / self.rate))
-
-    def second_moment(self, scale: float) -> float:
-        """``Σ w E[X²] / scale²`` over the cells."""
-        inv = 1.0 / (self.rate * scale)
-        return np.einsum("rl,rl,r->", self.weight,
-                         np.broadcast_to(self.shape * (self.shape + 1.0),
-                                         self.weight.shape), inv * inv)
-
-
 class GammaCells:
     """Weighted gamma cells ``(weight, shape, rate)`` and their quantiles.
+
+    The cells lie in one flat array, run after run: a ladder run's cells
+    share one rate and step their shape by 1; a direct cell is a run of
+    one rung.
 
     Parameters
     ----------
     weight, shape, rate:
-        Flat arrays, one entry per cell; weights need not sum to 1. If
-        the cells share a rate and step their shape by 1 they form one
-        ladder run (the VB2 ω marginal); otherwise each is direct.
+        Flat arrays, one entry per cell; weights need not sum to 1.
     atom:
         Weight of a point mass at ``x = 0`` (cells whose value is 0
         surely); it adds to ``F`` and not to ``S``.
-    ladders:
-        Further ladder grids ``(weight, shape, rate, log_gamma)``:
-        ``weight`` is ``(runs, rungs)``, ``shape`` holds the ``rungs``
-        shapes stepping by 1, ``rate`` one rate per run, and
-        ``log_gamma`` is ``gammaln(shape)``.
+    runs:
+        ``(starts, prefix, suffix)``: the offset of each run and, per
+        cell, the weight before it in its run and the weight from it on
+        (zero at the run's first cell). By default the cells form one
+        run if they share a rate and step their shape by 1 (the VB2 ω
+        marginal), and each is its own run otherwise.
+    log_gamma:
+        ``gammaln(shape)`` per cell, when the caller has it.
     """
 
-    __slots__ = ("size", "runs", "atom", "_parts")
+    __slots__ = ("size", "runs", "atom", "total", "_mean", "_cv2", "_precise",
+                 "_weight", "_shape_m1", "_const", "_rate", "_wr", "_prefix",
+                 "_suffix", "_first", "_last", "_run_rate", "_run_total")
 
     def __init__(self, weight=(), shape=(), rate=(), *, atom: float = 0.0,
-                 ladders=()) -> None:
-        parts = [_Runs(w, a[None, :], r, lg[None, :]) for w, a, r, lg in ladders]
-        weight = np.asarray(weight, dtype=float)
-        shape = np.asarray(shape, dtype=float)
-        rate = np.asarray(rate, dtype=float)
-        if weight.size > 1 and np.all(rate == rate[0]) and unit_steps(shape).all():
-            parts.append(_Runs(weight[None, :], shape[None, :], rate[:1],
-                               precise=bool(shape[0] > 1.0)))
-        elif weight.size:
-            parts.append(_Runs(weight[:, None], shape[:, None], rate))
-        self._parts = parts
-        self.atom = atom
-        self.size = sum(p.weight.size for p in parts)
-        #: incomplete-gamma evaluations per lane
-        self.runs = sum(p.rate.size for p in parts)
+                 runs=None, log_gamma=None) -> None:
+        weight, shape, rate = (np.asarray(v, dtype=float)
+                               for v in (weight, shape, rate))
+        one_run = runs is None and weight.size > 1 and bool(
+            np.all(rate == rate[0]) and unit_steps(shape).all())
+        self._precise = one_run and bool(shape[0] > 1.0)
+        if one_run:
+            runs = (np.zeros(1, dtype=int), np.zeros_like(weight),
+                    np.cumsum(weight[::-1])[::-1])
+            np.cumsum(weight[:-1], out=runs[1][1:])
+            runs[2][0] = 0.0
+        elif runs is None:
+            runs = (np.arange(weight.size), *np.zeros((2, weight.size)))
+        starts, self._prefix, self._suffix = runs
+        self.size, self.runs, self.atom = weight.size, starts.size, atom
+        self.total = weight.sum()
+        self._weight, self._rate, self._wr = weight, rate, weight * rate
+        self._shape_m1 = m = shape - 1.0
+        counts = np.diff(np.append(starts, weight.size))
+        self._first, self._last = shape[starts], shape[starts + counts - 1]
+        self._run_rate = rate[starts]
+        self._run_total = np.add.reduceat(weight, starts) if weight.size else weight
+        with np.errstate(all="ignore"):
+            # The mean, and E[X²] / E[X]² - 1 from every cell's moments
+            # scaled by the mean first: no under/overflow however small
+            # X is. (The subtraction costs digits only when X is
+            # near-deterministic, and it only sets the starting point.)
+            scaled = shape / rate
+            self._mean = np.einsum("c,c->", weight, scaled) / (self.total + atom)
+            scaled /= self._mean
+            self._cv2 = np.einsum("c,c,c->", weight, scaled,
+                                  scaled * (1.0 + 1.0 / shape)) / (
+                self.total + atom) - 1.0
+        if self._precise:
+            # log T(a, y) = m (log1p(t) - t) - log(2π m)/2 - stirlerr(m)
+            # with m = a - 1 and t = (y - m)/m: no (a - 1) log y to
+            # cancel against y, so the terms keep full relative
+            # precision however large a is.
+            self._const = -0.5 * np.log(2.0 * np.pi * m) - _stirling_error(m)
+        else:
+            # log T(a, y) = m log x + (m log b - log Γ(a)) - b x
+            self._const = np.repeat(np.log(self._run_rate), counts)
+            self._const *= m
+            self._const -= sc.gammaln(shape) if log_gamma is None else log_gamma
 
-    # ------------------------------------------------------------------
-    # Kernels
-    # ------------------------------------------------------------------
     def tails(self, x: np.ndarray, lower: np.ndarray):
         """Per lane ``(tail, f, f')`` at ``x > 0``: ``tail`` is the CDF
         ``F(x)`` where ``lower`` is set and the survival ``S(x)``
@@ -183,41 +131,62 @@ class GammaCells:
         x = np.asarray(x, dtype=float)
         lower = np.broadcast_to(np.asarray(lower, dtype=bool), x.shape)
         tail = np.where(lower, self.atom, 0.0)
-        # Σ w b T, Σ w b (a - 1) T and Σ w b² T: f = the first, and
-        # f' = Σ w b T ((a - 1)/x - b) from the other two.
         sums = np.zeros((3, x.size))
-        log_x = np.log(x)
-        for part in self._parts:
-            part.add_tails(x, log_x, lower, tail, sums)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # One lane at a time, so a lane's value does not depend on the
+        # batch it rides in (and the work arrays stay one lane wide).
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                         under="ignore"):
+            m = self._shape_m1
+            terms, work = np.empty((2, self.size))
+            for i in range(x.size):
+                # the run anchors: P at each run's last shape, Q at its first
+                y = self._run_rate * x[i]
+                anchor = (sc.gammainc(self._last, y) if lower[i]
+                          else sc.gammaincc(self._first, y))
+                tail[i] += np.einsum("r,r->", anchor, self._run_total)
+                # T(a, b x) = exp((a - 1) log(b x) - b x - log Γ(a)) per cell
+                np.multiply(self._rate, x[i], out=work)
+                if self._precise:
+                    work -= m
+                    work /= m
+                    np.log1p(work, out=terms)
+                    terms -= work
+                    terms *= m
+                else:
+                    np.multiply(m, np.log(x[i]), out=terms)
+                    terms -= work
+                terms += self._const
+                np.exp(terms, out=terms)
+                tail[i] += np.einsum("c,c->", terms,
+                                     self._prefix if lower[i] else self._suffix)
+                # f = Σ w b T and f' = Σ w b T ((a - 1)/x - b)
+                terms *= self._wr
+                sums[:, i] = (np.einsum("c->", terms), np.einsum("c,c->", terms, m),
+                              np.einsum("c,c->", terms, self._rate))
             return tail, sums[0], sums[1] / x - sums[2]
+
+    def laplace(self) -> float:
+        """``E[exp(-X)]``: the gamma MGF ``(1 + 1/b)^(-a)`` summed over
+        the cells, plus the atom."""
+        with np.errstate(divide="ignore"):
+            mgf = np.log1p(1.0 / self._rate)
+        mgf *= self._shape_m1 + 1.0
+        np.exp(-mgf, out=mgf)
+        return self.atom + float(np.einsum("c,c->", self._weight, mgf))
 
     def moment_start(self, p: np.ndarray, lower: np.ndarray) -> np.ndarray:
         """``x`` at the matching tail quantile (``F = p`` where ``lower``
         is set, ``S = p`` elsewhere) of the gamma distribution with the
         cells' mean and variance."""
         with np.errstate(all="ignore"):
-            cells, first = np.sum(
-                [part.first_moment() for part in self._parts], axis=0)
-            total = cells + self.atom
-            mean = first / total
-            # E[X²] / E[X]² - 1 with every cell's moments scaled by the
-            # mean first: no under/overflow however small X is. (The
-            # subtraction costs digits only when X is near-deterministic,
-            # and this is a starting point.)
-            cv2 = sum(part.second_moment(mean) for part in self._parts) / total
-            cv2 -= 1.0
-            k = 1.0 / cv2
-            start = mean * cv2 * np.where(
+            k = 1.0 / self._cv2
+            start = self._mean * self._cv2 * np.where(
                 lower, sc.gammaincinv(k, p), sc.gammainccinv(k, p)
             )
         # fmax, not maximum: a NaN start (degenerate moments) becomes
         # the floor, and the bracket logic takes over from there.
         return np.fmax(start, _TINY)
 
-    # ------------------------------------------------------------------
-    # Quantiles
-    # ------------------------------------------------------------------
     def quantiles(self, q, *, upper: bool = False, xtol: float = 1e-12,
                   negexp: bool = False, max_sweeps: int = 120):
         """Solve ``F(x) = q`` per level (``S(x) = q`` with ``upper``).
@@ -238,16 +207,14 @@ class GammaCells:
         p = np.where(lower == (not upper), levels, 1.0 - levels)
         sign = np.where(lower, 1.0, -1.0)  # tail increasing (F) or not (S)
         if self.size == 1 and not (negexp or self.atom):  # one gamma
-            (cell,) = self._parts
             cdf_levels = 1.0 - levels if upper else levels
-            return (sc.gammaincinv(cell.shape[0, 0], cdf_levels) / cell.rate[0],
-                    0, 0)
+            return (sc.gammaincinv(self._first[0], cdf_levels)
+                    / self._run_rate[0], 0, 0)
         rtol = 0.0 if negexp else 1e-10
-        out = _neg_exp if negexp else _identity
+        out = (lambda v: np.exp(-v)) if negexp else (lambda v: v)
         result = np.full_like(levels, np.nan)
         # Levels inside the point mass at 0 have their quantile there.
-        cells = sum(part.weight.sum() for part in self._parts)
-        at_zero = np.where(lower, p <= self.atom, p >= cells)
+        at_zero = np.where(lower, p <= self.atom, p >= self.total)
         result[at_zero] = out(0.0)
         # The open lanes: their levels, tails, iterates and brackets.
         lanes = np.flatnonzero(~at_zero)
@@ -274,12 +241,10 @@ class GammaCells:
                 v_mid = out(0.5 * (lo + np.where(open_hi, lo, hi)))
                 bracket_done = (np.abs(out(hi) - out(lo))
                                 <= xtol + rtol * np.abs(v_mid))
-                # Halley on the log tail rather than the tail: far out
-                # the upper tail is near log-linear in x and the lower
-                # tail near log-linear in log x (F ~ x^a), so lower
-                # lanes step in log x. Either way the step stays good
-                # far from the root and reduces to the plain step near
-                # it.
+                # Halley on the log tail: far out the upper tail is near
+                # log-linear in x and the lower near log-linear in log x
+                # (F ~ x^a), so lower lanes step in log x; near the root
+                # either reduces to the plain step.
                 h = np.log(tail / p)
                 dh = sign * density / tail
                 curvature = sign * slope / tail - dh * dh
@@ -294,17 +259,14 @@ class GammaCells:
                 v_target, v_x = out(target), out(x)
             finite = np.isfinite(target)
             # Halley approaches one-sided, so the bracket alone never
-            # tightens past the far edge; accept an iterate once its own
-            # step is far inside tolerance (the next error is smaller
-            # still). That holds only inside the convergence basin, so
-            # the step must also be small against x itself, and the
-            # Halley and Newton steps must agree within a factor of two:
-            # under ``negexp`` any two x below ~1e-11 lie within
-            # tolerance in e^(-x), whether the step is a 30-fold jump
-            # across a log-flat tail or one the model shrank to nothing.
-            # Acceptance must not demand the iterate sit strictly inside
-            # the bracket: at convergence the tail equals p in floats,
-            # the step is exactly zero, and x is a bracket endpoint.
+            # tightens past the far edge: accept an iterate once its own
+            # step is far inside tolerance. That holds only inside the
+            # convergence basin, so the step must also be small against
+            # x, with the Halley and Newton steps within a factor of two
+            # (under ``negexp`` any two x below ~1e-11 lie within
+            # tolerance, be the step a 30-fold jump across a log-flat
+            # tail or one the model shrank to nothing). At convergence x
+            # may be a bracket endpoint: the tail equals p in floats.
             halley = finite & (denom > 0.5) & (denom < 2.0)
             basin = ~bracket_done & halley & (np.abs(target - x) <= 1e-3 * x)
             tol = 0.05 * (xtol + rtol * np.abs(v_x))
@@ -347,27 +309,6 @@ def unit_steps(shape: np.ndarray) -> np.ndarray:
     ulps: ``m + N`` is computed in floats)."""
     return (np.abs(np.diff(shape) - 1.0)
             <= _STEP_ULPS * np.finfo(float).eps * shape[1:])
-
-
-def _by_tail(lower, y, lower_fn, lower_shape, upper_fn, upper_shape):
-    """``lower_fn(lower_shape, y)`` on the rows of lower-tail lanes and
-    ``upper_fn(upper_shape, y)`` on the others."""
-    if lower.all():
-        return lower_fn(lower_shape, y)
-    if not lower.any():
-        return upper_fn(upper_shape, y)
-    out = np.empty_like(y)
-    out[lower] = lower_fn(lower_shape, y[lower])
-    out[~lower] = upper_fn(upper_shape, y[~lower])
-    return out
-
-
-def _identity(v):
-    return v
-
-
-def _neg_exp(v):
-    return np.exp(-v)
 
 
 def _stirling_error(m: np.ndarray) -> np.ndarray:

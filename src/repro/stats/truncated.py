@@ -82,10 +82,13 @@ def truncated_gamma_mean(
 ) -> float | np.ndarray:
     """``E[T | lo < T <= hi]`` for ``T ~ Gamma(shape, rate)``.
 
-    Stable even when the interval carries almost no probability mass: in
-    that regime the conditional distribution collapses towards the
-    endpoint nearer the bulk of the distribution, and we return that
-    endpoint instead of dividing two underflowed quantities.
+    At ``shape == 1`` memorylessness gives ``lo + E[U | U <= hi - lo]``
+    for ``U ~ Exp(rate)``, exact however far out the interval lies.
+    Other shapes take the ratio of CDF increments; where the interval
+    carries numerically no mass, the conditional law piles up at the
+    endpoint nearer the bulk, which is returned. (The log-space ratio of
+    ``log_gamma_cdf_increment`` is no cure: at ``(900, 901, 2, 1)`` it
+    reads 900.4159 against the exact 900.4181.)
     """
     lo_a = np.asarray(lo, dtype=float)
     hi_a = np.asarray(hi, dtype=float)
@@ -99,6 +102,9 @@ def truncated_gamma_mean(
         raise ValueError(
             f"need 0 <= lo < hi, got lo={lo_a.ravel()[bad]}, hi={hi_a.ravel()[bad]}"
         )
+    if shape == 1.0:
+        out = lo_a + _exponential_excess(hi_a - lo_a, rate_a)
+        return float(out[0]) if scalar else out
     denom = np.atleast_1d(gamma_cdf_increment(lo_a, hi_a, shape, rate_a))
     out = np.empty(denom.shape)
     empty = denom <= 0.0
@@ -121,6 +127,19 @@ def truncated_gamma_mean(
         # interval (possible when denom is at the underflow edge).
         out[ok] = np.minimum(np.maximum(mean, lo_a[ok]), hi_a[ok])
     return float(out[0]) if scalar else out
+
+
+def _exponential_excess(width: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """``E[U | U <= width] = width (1/x - 1/expm1(x))`` for
+    ``U ~ Exp(rate)``, ``x = rate * width``; ``1/rate`` at ``width = ∞``.
+    Below ``x = 0.1``, where the difference cancels, its series
+    ``1/2 - x/12 + x³/720 - x⁵/30240 + x⁷/1209600`` is exact to rounding."""
+    x = rate * width
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = 0.5 - x * (1.0 / 12.0 - x * x * (
+            1.0 / 720.0 - x * x * (1.0 / 30240.0 - x * x / 1209600.0)))
+        excess = width * np.where(x < 0.1, series, 1.0 / x - 1.0 / np.expm1(x))
+    return np.where(np.isinf(width), 1.0 / rate, excess)
 
 
 def sample_truncated_gamma(

@@ -198,3 +198,48 @@ class TestReliabilityTableMemory:
                 cached += [*tables.c_nodes, tables.a_omega, tables.b_omega]
             nbytes = sum(np.asarray(v).nbytes for v in cached)
             assert nbytes <= 2 * posterior.n_components * 48 * 8
+
+
+class TestOneTableBuild:
+    def test_one_build_per_estimate_and_nothing_per_cell_kept(self, monkeypatch):
+        # the point and both bounds read one cell table, which the
+        # posterior does not keep: what stays reachable from it is a few
+        # values per component or per node
+        from repro.bayes.priors import ModelPrior
+        from repro.core import posterior as module
+        from repro.core.reliability import estimate_reliability
+        from repro.core.vb2 import fit_vb2
+        from repro.data.failure_data import GroupedData
+
+        builds = []
+        build = module._ReliabilityTables.cells
+        monkeypatch.setattr(module._ReliabilityTables, "cells",
+                            lambda tables: builds.append(build(tables)) or builds[-1])
+        intensity = np.exp(-np.arange(34) / 25.0)
+        counts = np.random.default_rng(3).multinomial(45, intensity / intensity.sum())
+        data = GroupedData(counts=counts, boundaries=np.arange(1.0, 35.0))
+        posterior = fit_vb2(data, ModelPrior.informative(100.0, 50.0, 0.2, 0.1), 1.0)
+        estimate_reliability(posterior, data.horizon, 1.0)
+        assert len(builds) == 1
+        cells = builds.pop().weight.size
+
+        def arrays(value, depth=0):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from arrays(item, depth)
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from arrays(item, depth)
+            elif depth < 3 and (hasattr(value, "__dict__")
+                                or hasattr(value, "__slots__")):
+                names = [*getattr(value, "__dict__", {}),
+                         *getattr(type(value), "__slots__", ())]
+                for name in names:
+                    yield from arrays(getattr(value, name, None), depth + 1)
+
+        sizes = [v.size for v in arrays(posterior)]
+        limit = 4 * max(posterior.n_components, posterior._beta_grid.nodes.size)
+        assert sizes and max(sizes) <= limit < cells
+

@@ -336,6 +336,33 @@ class TestNewtonReliabilityQuantile:
         # Newton steps from an omega-quantile start took 7-8
         assert span["sweeps"] <= 5
 
+    def test_debug_span_describes_the_flat_table(self):
+        # a late tracker period: one estimate, one solve over the
+        # trimmed table, whose runs (one per block and node) each drop
+        # at most _TRIM_MASS at their head and as much at their tail
+        from repro import obs
+        from repro.bayes.priors import ModelPrior
+        from repro.core.posterior import _TRIM_MASS
+        from repro.core.vb2 import fit_vb2
+        from repro.data.failure_data import GroupedData
+
+        intensity = np.exp(-np.arange(34) / 25.0)
+        counts = np.random.default_rng(5).multinomial(45, intensity / intensity.sum())
+        data = GroupedData(counts=counts, boundaries=np.arange(1.0, 35.0))
+        posterior = fit_vb2(data, ModelPrior.informative(*_TRACKER_PRIOR), 1.0)
+        with obs.capture(level="debug") as collector:
+            estimate_reliability(posterior, data.horizon, 1.0)
+        (span,) = [
+            e for e in collector.events
+            if e["kind"] == "span" and e["name"] == "reliability.quantile"
+        ]
+        nodes = posterior._beta_grid.nodes.size
+        assert 0 < span["runs"] <= nodes
+        assert span["runs"] < span["cells"] < nodes * posterior.n_components
+        assert 0.0 < span["trimmed_mass"] <= 1.01 * 2 * _TRIM_MASS * nodes
+        assert 0.0 <= span["dropped_mass"] <= 1e-13
+        assert span["sweeps"] <= 5 and span["bracket_exits"] <= 2
+
 
 @pytest.fixture(scope="module")
 def five_methods(times_data, info_prior_times, vb2_times, vb1_times, nint_times,

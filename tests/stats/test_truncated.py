@@ -4,6 +4,7 @@ These quantities are the heart of the VB E-step (paper Eqs. 24/26), so
 they are checked against Monte Carlo, closed forms, and limit cases.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -76,6 +77,26 @@ class TestTruncatedMean:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             truncated_gamma_mean(2.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("rate", [1.0, 0.25])
+    @pytest.mark.parametrize("width", [1e-9, 1e-3, 1.0, 50.0, math.inf])
+    @pytest.mark.parametrize("lo", [0.0, 30.0, 40.0, 800.0])
+    def test_exponential_matches_forty_digit_reference(self, lo, width, rate):
+        # shape 1 far out in the tail, where both CDF increments
+        # underflow: the definition in 40-digit decimals,
+        # ((lo + 1/b) e^(-b lo) - (hi + 1/b) e^(-b hi)) / (e^(-b lo) - e^(-b hi))
+        lo, hi = lo / rate, (lo + width) / rate
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            b, a = decimal.Decimal(rate), decimal.Decimal(lo)
+            if math.isinf(hi):
+                want = a + 1 / b
+            else:
+                h = decimal.Decimal(hi)
+                ea, eh = (-b * a).exp(), (-b * h).exp()
+                want = ((a + 1 / b) * ea - (h + 1 / b) * eh) / (ea - eh)
+        got = truncated_gamma_mean(lo, hi, 1.0, rate)
+        assert abs(got - float(want)) <= 1e-14 * float(want)
 
     @given(
         shape=positive,
