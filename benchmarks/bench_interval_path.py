@@ -256,8 +256,9 @@ def _measure_mode(mode: str, posteriors) -> dict:
 
 def _reliability_timings(mode: str, posteriors) -> dict[str, dict]:
     """Calibrated best-of times of the 99% reliability interval of
-    Tables 4/5. The table cache and the β grid are reset per run, so
-    each repeat pays the full grid and table build and the interval
+    Tables 4/5. The table cache and the β blocks (with the node layouts
+    they keep) are reset per run, so each repeat pays the blocks, the
+    window's node counts, the grid, the table build and the interval
     inversion."""
     timings = {}
     for name, (scenario, data, posterior) in posteriors.items():
@@ -265,7 +266,7 @@ def _reliability_timings(mode: str, posteriors) -> dict[str, dict]:
 
         def reliability():
             posterior._reliability_cache.clear()
-            posterior._beta_grid = None
+            posterior._beta_blocks = None
             return estimate_reliability(
                 posterior, data.horizon, u, alpha0=scenario.alpha0, level=LEVEL
             )

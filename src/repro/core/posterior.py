@@ -14,6 +14,7 @@ quantiles, reliability, density grids) is shared.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 
@@ -28,18 +29,46 @@ from repro.stats.mixtures import MixtureDistribution, _normalised
 
 __all__ = ["VBPosterior"]
 
-#: Gauss–Legendre nodes per β block: ``_RELIABILITY_NODES`` for a
-#: block holding more than 1e-6 of the mass, fewer for lighter blocks,
-#: whose quadrature error counts in proportion to their mass.
-_RELIABILITY_NODES = 128
-_BLOCK_NODES = ((1e-6, _RELIABILITY_NODES), (1e-10, 64), (0.0, 32))
-
-
-#: Nodes and log weights of the ``n``-point Gauss–Legendre rule on [-1, 1].
-_RULES = {n: (x, np.log(w)) for _, n in _BLOCK_NODES
-          for x, w in [np.polynomial.legendre.leggauss(n)]}
-#: Each component's β range runs between these tail quantiles.
+#: Each component's β range runs between Chernoff bounds on its
+#: ``_BETA_CLIP`` tail quantiles (METHOD.md §4.1).
 _BETA_CLIP = 1e-13
+#: Newton steps on the Chernoff equation; from their starts the steps
+#: approach each root from outside, and three reach it to ~1e-9.
+_CHERNOFF_STEPS = 3
+#: A block's Gauss–Legendre node count is the smallest of these (steps
+#: of 8 up to ``_MAX_NODES``) whose error bound for the window meets
+#: ``_NODE_ERROR``, split evenly over the blocks
+#: (:meth:`_BetaBlocks.node_counts`).
+_MAX_NODES = 128
+_NODE_COUNTS = np.arange(8, _MAX_NODES + 1, 8)
+_NODE_ERROR = 1e-13
+#: The node rule reads the window at these Chebyshev points of each block
+#: (in units of its half-width), its slope between them...
+_PROBES = -np.cos(np.pi * np.arange(33) / 32)
+_MIDPOINTS = 0.5 * (_PROBES[1:] + _PROBES[:-1])
+#: ...at its steepest within this many sds of each component's mean...
+_CORE_SDS = 1.0
+#: ...and its Chebyshev coefficients: a window whose last two exceed
+#: this share of its largest value is not analytic on the block (a
+#: kink, a branch point close by).
+_CHEBYSHEV = np.linalg.inv(np.polynomial.chebyshev.chebvander(_PROBES, 32)).T
+_ROUGH = 1e-12
+#: Bernstein-ellipse parameters ``t = log ρ`` the bound is minimised over.
+_ELLIPSES = np.geomspace(1e-3, 4.0, 48)
+#: Each component's ``κ`` is rounded up to this ladder, whose growth on
+#: each ellipse, ``exp(κ² sinh² t / 2)``, is tabulated; one more row
+#: takes the ``κ`` beyond it. Exponents are capped at 600, where the
+#: bound is hopeless anyway.
+_KAPPAS = np.geomspace(1.0, 1e3, 128)
+_GROWTH = np.exp(np.minimum(
+    0.5 * np.outer(np.append(_KAPPAS, np.inf), np.sinh(_ELLIPSES)) ** 2, 600.0))
+#: ``log(64/15) - 2 (n - 1) t - log(e^(2t) - 1)`` per ellipse (rows) and
+#: node count (columns): the log Gauss–Legendre error bound of an
+#: integrand bounded by 1 on the ellipse (Trefethen 2008, Thm 4.5, for
+#: ``n`` nodes).
+_LOG_GL_BOUND = (math.log(64.0 / 15.0)
+                 - 2.0 * np.outer(_ELLIPSES, _NODE_COUNTS - 1)
+                 - np.log(np.expm1(2.0 * _ELLIPSES))[:, None])
 #: Adjacent components share a β block while the union of their ranges
 #: is at most this many times the narrowest one.
 _BLOCK_WIDTHS = 2.0
@@ -57,6 +86,16 @@ _MAX_SWEEPS = 120
 #: below ~1e-140, where ``r = exp(-D)`` is 1 in floats; they are
 #: treated as ``c(β) = 0`` (and ``Wρ²`` stays finite).
 _MAX_RATE = 1e150
+#: Floor on ``c(β)`` where the node rule takes its log.
+_TINY = 1e-300
+
+
+@functools.cache
+def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log weights of the ``n``-point Gauss–Legendre rule on
+    [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x, np.log(w)
 
 
 class VBPosterior(JointPosterior):
@@ -148,7 +187,7 @@ class VBPosterior(JointPosterior):
             for name, shape, rate in (("omega", *params[:2]),
                                       ("beta", *params[2:]))
         }
-        self._beta_grid = None
+        self._beta_blocks = None
         self._reliability_cache: dict[object, _ReliabilityTables] = {}
 
     @property
@@ -263,25 +302,29 @@ class VBPosterior(JointPosterior):
         cached per hashable ``c``.
 
         The β nodes sit on Gauss–Legendre grids shared by blocks of
-        adjacent ``N`` (:class:`_BetaGrid`, built once per posterior),
-        so ``c(β)`` is evaluated only at the block nodes, and every cell
-        of one block and node shares the ω rate ``b_ω / c(β_j)``: a
-        ladder run of :class:`~repro.stats.gamma_cells.GammaCells`. Only
-        the nodes and ``c`` at them are cached; every reader (here, in
-        :mod:`repro.core.prediction` and in the sandwich-scaled
+        adjacent ``N`` (:class:`_BetaBlocks`, built once per posterior),
+        each sized for the window by an error bound
+        (:meth:`_BetaBlocks.node_counts`), so ``c(β)`` is evaluated only
+        at the block nodes, and every cell of one block and node shares
+        the ω rate ``b_ω / c(β_j)``: a ladder run of
+        :class:`~repro.stats.gamma_cells.GammaCells`. Only the nodes of
+        each node layout and ``c`` at them are cached; every reader
+        (here, in :mod:`repro.core.prediction` and in the sandwich-scaled
         posterior) builds the cells once per call with
         :meth:`_ReliabilityTables.cells`.
         """
         key = c if getattr(c, "__hash__", None) else None
         if key is not None and key in self._reliability_cache:
             return self._reliability_cache[key]
-        if self._beta_grid is None:
-            self._beta_grid = _BetaGrid(self._weights, self._beta_shape,
-                                        self._beta_rate)
-        grid = self._beta_grid
+        if self._beta_blocks is None:
+            self._beta_blocks = _BetaBlocks(self._weights, self._beta_shape,
+                                            self._beta_rate, self._omega_shape)
+        blocks = self._beta_blocks
+        sizes, bound = blocks.node_counts(c)
+        grid = blocks.grid(sizes)
         tables = _ReliabilityTables(
             grid, np.asarray(c(grid.nodes), dtype=float),
-            self._omega_shape[grid.kept], self._omega_rate[grid.kept],
+            self._omega_shape[blocks.kept], self._omega_rate[blocks.kept], bound,
         )
         if key is not None:
             self._reliability_cache[key] = tables
@@ -365,8 +408,12 @@ class VBPosterior(JointPosterior):
         if not np.any(tables.c_nodes > 0.0):  # R = 1 surely
             return 1.0, np.ones_like(levels)
         table = tables.cells()
+        grid = tables.grid
         attrs = {"trimmed_mass": table.trimmed_mass,
-                 "dropped_mass": table.dropped_mass}
+                 "dropped_mass": table.dropped_mass,
+                 "nodes": grid.nodes.size,
+                 "heaviest_block_nodes": int(np.diff(grid.blocks[grid.heaviest, 2:])[0]),
+                 "node_bound": tables.node_bound}
         cells = table.residual()
         del table  # only the engine's arrays stay alive during the solve
         # The weights sum to 1 only to rounding; clip to the valid range.
@@ -386,23 +433,23 @@ class VBPosterior(JointPosterior):
         return point, np.clip(result, 0.0, 1.0)
 
 
-class _BetaGrid:
-    """Gauss–Legendre β nodes shared by blocks of adjacent ``N``.
+class _BetaBlocks:
+    """Blocks of adjacent ``N`` that share Gauss–Legendre β nodes.
 
     Components are taken in ``N`` order, less the lightest at either end
     whose combined weight is at most ``_DROP_MASS``. Each has a β range
-    between its ``_BETA_CLIP`` tail quantiles; a block grows while the
-    union of its members' ranges stays within ``_BLOCK_WIDTHS`` times
-    the narrowest of them, and gets Gauss–Legendre nodes over that
-    union (``_BLOCK_NODES`` by the block's mass). Only per-node and
-    per-component factors of the cell weights are kept, and nothing
-    depends on the window ``c``: one grid serves every window.
+    between Chernoff bounds on its ``_BETA_CLIP`` tail quantiles; a block
+    grows while the union of its members' ranges stays within
+    ``_BLOCK_WIDTHS`` times the narrowest of them. Nothing here depends
+    on the window ``c``: :meth:`node_counts` reads it to size each
+    block's rule, and :meth:`grid` lays out (and keeps) the nodes of one
+    choice of sizes.
     """
 
-    __slots__ = ("kept", "dropped_mass", "blocks", "nodes", "per_node",
-                 "per_row")
+    __slots__ = ("kept", "dropped_mass", "rows", "mid", "half", "per_row",
+                 "heaviest", "core", "scales", "rungs", "axis", "clear", "grids")
 
-    def __init__(self, weights, beta_shape, beta_rate) -> None:
+    def __init__(self, weights, beta_shape, beta_rate, omega_shape) -> None:
         cum = np.cumsum(weights)
         first = int(np.searchsorted(cum, 0.5 * _DROP_MASS, "right"))
         tail = np.cumsum(weights[::-1])
@@ -416,31 +463,134 @@ class _BetaGrid:
         kept_w = weights[self.kept]
         a = beta_shape[self.kept]
         b = beta_rate[self.kept]
-        lo = sc.gammaincinv(a, _BETA_CLIP) / b
-        hi = sc.gammainccinv(a, _BETA_CLIP) / b
+        mean, sd = a / b, np.sqrt(a) / b
+        lo, hi = _chernoff_ratios(a) * mean
         starts = _blocks(lo, hi)
+        counts = np.diff(np.append(starts, a.size))
+        #: (first row, end row) of each block
+        self.rows = np.stack([starts, starts + counts], axis=1)
         union_lo = np.minimum.reduceat(lo, starts)
         union_hi = np.maximum.reduceat(hi, starts)
-        mid, half = 0.5 * (union_lo + union_hi), 0.5 * (union_hi - union_lo)
-        sizes = np.array([
-            next(n for floor, n in _BLOCK_NODES if mass > floor)
-            for mass in np.add.reduceat(kept_w, starts)
-        ])
-        self.nodes = np.concatenate([
-            m + h * _RULES[n][0] for m, h, n in zip(mid, half, sizes)
-        ])
-        counts = np.diff(np.append(starts, a.size))
-        #: (first row, end row, first node, end node) of each block
-        self.blocks = np.stack([starts, starts + counts,
-                                np.cumsum(sizes) - sizes, np.cumsum(sizes)], axis=1)
+        self.mid, self.half = 0.5 * (union_lo + union_hi), 0.5 * (union_hi - union_lo)
+        half = np.repeat(self.half, counts)
         with np.errstate(divide="ignore"):
-            log_scale = (np.log(kept_w * np.repeat(half, counts))
-                         + a * np.log(b) - sc.gammaln(a))
+            log_scale = np.log(kept_w * half) + a * np.log(b) - sc.gammaln(a)
         # log cell weight = (log β_j, β_j, 1, log w_j) · (a - 1, -b, log scale, 1)
+        self.per_row = np.stack([a - 1.0, -b, log_scale, np.ones_like(b)])
+        self.heaviest = int(np.argmax(np.add.reduceat(kept_w, starts)))
+        # What node_counts reads, per component: the points of its core
+        # on one axis that holds block i's probes on [3i, 3i + 2], its
+        # κ² less the window's part, its normal peak Pv(N) h / (√(2π) σ),
+        # its ω shape and its block's first row of _GROWTH rungs; per
+        # block, the ellipses clear of β <= 0.
+        block = np.repeat(np.arange(starts.size), counts)
+        core = (mean - self.mid[block] + _CORE_SDS * np.array([[-1.0], [0.0], [1.0]]) * sd)
+        self.core = 3.0 * block + 1.0 + np.clip(core / half, -1.0, 1.0)
+        self.scales = np.stack([(half / sd) ** 2,
+                                kept_w * half / (math.sqrt(2.0 * math.pi) * sd),
+                                omega_shape[self.kept]])
+        self.rungs = block * len(_GROWTH)
+        self.axis = ((3.0 * np.arange(starts.size) + 1.0)[:, None] + _MIDPOINTS).ravel()
+        self.clear = np.cosh(_ELLIPSES) < (self.mid / self.half)[:, None]
+        self.grids: dict[bytes, _BetaGrid] = {}
+
+    def node_counts(self, c) -> tuple[np.ndarray, float]:
+        """Per block, the node count the window ``c`` needs, and the
+        error bound those counts give, summed over the blocks.
+
+        A block integrates ``Σ_N Pv(N) Pv(β|N) Q(a_ω, b_ω s / c(β))``
+        over ``β = mid + h x``, ``x ∈ [-1, 1]``. Near-normal (Hall et al.,
+        arXiv:1202.5183), component ``N`` contributes a normal density of
+        sd ``σ/h`` in ``x`` times a step of width ``ℓ/h``, where
+        ``ℓ = 1 / (√a_ω |d log c/dβ|)`` is the window's sharpness, taken
+        at its steepest within ``_CORE_SDS`` sds of the component's mean.
+        On the Bernstein ellipse ``E_ρ`` (``t = log ρ``, imaginary
+        half-axis ``sinh t``) the product grows by at most
+        ``exp(κ² sinh² t / 2)`` with ``κ² = (h/σ)² + (h/ℓ)²``: the
+        half-width against both scales. So the block's integrand is at
+        most ``M(t) = Σ_N Pv(N) (h / (√(2π) σ)) exp(κ² sinh² t / 2)`` on
+        ``E_ρ``, and Gauss–Legendre with ``n`` nodes errs by at most
+        ``(64/15) M(t) ρ^(2-2n) / (ρ² - 1)`` (Trefethen 2008, Thm 4.5).
+        Each block takes the smallest count in ``_NODE_COUNTS`` whose
+        bound, at the best ellipse clear of ``β = 0`` (where the gamma
+        densities branch), is at most ``_NODE_ERROR`` over the number of
+        blocks. A block no count satisfies takes ``_MAX_NODES``, and so
+        does one where the window is not analytic (``_ROUGH``): there
+        the bound does not apply.
+        """
+        size = self.mid.size
+        beta = self.mid[:, None] + self.half[:, None] * _PROBES
+        values = np.asarray(c(beta.ravel()), dtype=float).reshape(beta.shape)
+        log_c = np.log(np.maximum(values, _TINY))
+        # |d log c / dx| between adjacent probes
+        slope = np.abs(np.diff(log_c, axis=1) / np.diff(_PROBES)).ravel()
+        steepest = np.interp(self.core, self.axis, slope).max(axis=0)
+        width, peak, a_omega = self.scales
+        kappa = np.sqrt(width + a_omega * steepest ** 2)
+        mass = np.bincount(self.rungs + np.searchsorted(_KAPPAS, kappa),
+                           weights=peak, minlength=size * len(_GROWTH))
+        with np.errstate(divide="ignore"):
+            log_m = np.log(mass.reshape(size, len(_GROWTH)) @ _GROWTH)
+        rough = (np.abs(values @ _CHEBYSHEV)[:, -2:].max(axis=1)
+                 > _ROUGH * np.abs(values).max(axis=1))
+        log_m[~self.clear | rough[:, None]] = np.inf
+        log_bound = np.min(log_m[:, :, None] + _LOG_GL_BOUND, axis=1)
+        ok = log_bound <= math.log(_NODE_ERROR / size)
+        choice = np.where(ok.any(axis=1), np.argmax(ok, axis=1), _NODE_COUNTS.size - 1)
+        return (_NODE_COUNTS[choice],
+                float(np.exp(log_bound[np.arange(size), choice]).sum()))
+
+    def grid(self, sizes: np.ndarray) -> "_BetaGrid":
+        """The nodes of the blocks at ``sizes`` nodes each, built once
+        per distinct choice of sizes."""
+        key = sizes.tobytes()
+        grid = self.grids.get(key)
+        if grid is None:
+            grid = self.grids[key] = _BetaGrid(self, sizes)
+        return grid
+
+
+class _BetaGrid:
+    """One node layout of a posterior's β blocks: per block, its rows
+    and nodes, and per node the factors of the cell log weights."""
+
+    __slots__ = ("blocks", "nodes", "per_node", "per_row", "dropped_mass",
+                 "heaviest")
+
+    def __init__(self, blocks: _BetaBlocks, sizes: np.ndarray) -> None:
+        self.nodes = np.concatenate([
+            m + h * _rule(int(n))[0]
+            for m, h, n in zip(blocks.mid, blocks.half, sizes)
+        ])
+        #: (first row, end row, first node, end node) of each block
+        self.blocks = np.concatenate(
+            [blocks.rows, np.stack([np.cumsum(sizes) - sizes, np.cumsum(sizes)],
+                                   axis=1)], axis=1)
         self.per_node = np.stack([
             np.log(self.nodes), self.nodes, np.ones_like(self.nodes),
-            np.concatenate([_RULES[n][1] for n in sizes])], axis=1)
-        self.per_row = np.stack([a - 1.0, -b, log_scale, np.ones_like(b)])
+            np.concatenate([_rule(int(n))[1] for n in sizes])], axis=1)
+        self.per_row = blocks.per_row
+        self.dropped_mass = blocks.dropped_mass
+        self.heaviest = blocks.heaviest
+
+
+def _chernoff_ratios(a: np.ndarray) -> np.ndarray:
+    """``(lo, hi)``: per shape ``a``, the roots ``r < 1 < r'`` of
+    ``a ψ(r) = log(1/_BETA_CLIP)``, ``ψ(r) = r - 1 - log r``.
+
+    By the Chernoff bound, a gamma variable of shape ``a`` and mean
+    ``μ`` lies below ``r μ`` and above ``r' μ`` each with probability at
+    most ``_BETA_CLIP``, so ``[r μ, r' μ]`` holds the exact tail
+    quantiles. Newton steps on ``e^u - 1 - u = λ`` in ``u = log r``
+    (convex) start outside both roots — at ``-(√(2λ) + λ)`` and
+    ``log(1 + λ + √(2λ))`` — and so approach them from outside.
+    """
+    lam = math.log(1.0 / _BETA_CLIP) / a
+    root = np.sqrt(2.0 * lam)
+    u = np.stack([-(root + lam), np.log1p(lam + root)])
+    for _ in range(_CHERNOFF_STEPS):
+        u -= (np.expm1(u) - u - lam) / np.expm1(u)
+    return np.exp(u)
 
 
 def _blocks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -458,16 +608,18 @@ def _blocks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _ReliabilityTables:
-    """One window's reliability tables: the posterior's β grid and
-    ``c(β)`` at its nodes."""
+    """One window's reliability tables: the β grid sized for it, ``c(β)``
+    at its nodes and the error bound of its node counts."""
 
-    __slots__ = ("grid", "c_nodes", "a_omega", "b_omega")
+    __slots__ = ("grid", "c_nodes", "a_omega", "b_omega", "node_bound")
 
-    def __init__(self, grid: _BetaGrid, c_nodes, a_omega, b_omega) -> None:
+    def __init__(self, grid: _BetaGrid, c_nodes, a_omega, b_omega,
+                 node_bound: float) -> None:
         self.grid = grid
         self.c_nodes = c_nodes
         self.a_omega = a_omega
         self.b_omega = b_omega
+        self.node_bound = node_bound
 
     def cells(self) -> "_Cells":
         """The window's cells ``(N, β_j)``, built on each call: one run

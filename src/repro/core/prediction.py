@@ -31,7 +31,8 @@ from repro.core.reliability import reliability_increment
 
 __all__ = ["PredictiveCounts", "predict_failure_counts"]
 
-_QUAD_NODES = 48
+#: The predictive pmf is built this many counts at a time.
+_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -132,30 +133,48 @@ def _truncate(pmf: np.ndarray, tail_eps: float) -> np.ndarray:
     return pmf[: max(keep, 1)]
 
 
-def _poisson_pmf_matrix(means: np.ndarray, max_count: int) -> np.ndarray:
-    """``pmf[i, k] = Poisson(k; means[i])`` built in log space."""
-    k = np.arange(max_count + 1)
-    means = np.clip(means, 1e-300, None)[:, None]
-    log_pmf = k[None, :] * np.log(means) - means - sc.gammaln(k + 1.0)[None, :]
-    return np.exp(log_pmf)
+def _mixture_pmf(log_terms, weight: np.ndarray, max_count: int,
+                 tail_eps: float, atom: float = 0.0) -> np.ndarray:
+    """``pmf[k] = [k = 0] atom + Σ_i weight_i exp(log_terms(k)_i)``,
+    truncated by :func:`_truncate`.
+
+    ``log_terms`` maps a block of counts ``k`` to the log pmf of every
+    mixture term at each of them (terms × counts). The blocks are
+    ``_COLUMNS`` counts wide, so memory stays at terms × ``_COLUMNS``
+    whatever ``max_count`` is, and the build stops at the block where the
+    cumulative mass reaches ``1 - tail_eps`` (or at ``max_count``).
+    """
+    pmf = np.empty(0)
+    for start in range(0, max_count + 1, _COLUMNS):
+        k = np.arange(start, min(start + _COLUMNS, max_count + 1))
+        part = weight @ np.exp(log_terms(k))
+        if start == 0:
+            part[0] = atom + part[0]
+        pmf = np.concatenate([pmf, part])
+        # the running sum exactly as _truncate takes it
+        if np.cumsum(pmf)[-1] >= 1.0 - tail_eps:
+            break
+    return _truncate(pmf, tail_eps)
 
 
 def _vb_predictive(
     posterior: VBPosterior, c, max_count: int, tail_eps: float
 ) -> np.ndarray:
     table = posterior.reliability_tables(c).cells()
-    weight, c_values, a, b = (v[:, None] for v in table.arrays())
-    k = np.arange(max_count + 1)
+    weight, c_values, a, b = table.arrays()
+    c_values, a, b = (v[:, None] for v in (c_values, a, b))
     # Negative binomial from Gamma(a, b) mixing of Poisson(omega * c):
     # log P(K=k) = ln C(a+k-1, k) + a ln(b/(b+c)) + k ln(c/(b+c)).
     # Cells whose D = omega * c is 0 surely sit in the table's atom.
-    pmf = np.zeros(max_count + 1)
-    pmf[0] = table.atom
-    log_comb = sc.gammaln(a + k) - sc.gammaln(a) - sc.gammaln(k + 1.0)
+    log_gamma_a = sc.gammaln(a)
     log_odds = np.log(c_values / (b + c_values))
     log_base = a * np.log(b / (b + c_values))
-    pmf += weight[:, 0] @ np.exp(log_comb + log_base + k * log_odds)
-    return _truncate(pmf, tail_eps)
+
+    def log_terms(k):
+        log_comb = sc.gammaln(a + k) - log_gamma_a - sc.gammaln(k + 1.0)
+        return log_comb + log_base + k * log_odds
+
+    return _mixture_pmf(log_terms, weight, max_count, tail_eps, table.atom)
 
 
 def _sample_predictive(
@@ -163,8 +182,17 @@ def _sample_predictive(
 ) -> np.ndarray:
     samples = posterior.samples
     means = samples[:, 0] * np.asarray(c(samples[:, 1]), dtype=float)
-    pmf = _poisson_pmf_matrix(means, max_count).mean(axis=0)
-    return _truncate(pmf, tail_eps)
+    return _poisson_mean_pmf(means, max_count, tail_eps)
+
+
+def _poisson_mean_pmf(means: np.ndarray, max_count: int,
+                      tail_eps: float) -> np.ndarray:
+    """The equal-weight mixture of ``Poisson(means[i])``."""
+    weight = np.full(means.size, 1.0 / means.size)
+    means = np.clip(means, 1e-300, None)[:, None]
+    log_means = np.log(means)
+    return _mixture_pmf(lambda k: k * log_means - means - sc.gammaln(k + 1.0),
+                        weight, max_count, tail_eps)
 
 
 def _plugin_predictive(
@@ -173,8 +201,7 @@ def _plugin_predictive(
     omega_hat = posterior.mean("omega")
     beta_hat = posterior.mean("beta")
     mean = max(omega_hat * float(c(beta_hat)), 0.0)
-    pmf = _poisson_pmf_matrix(np.array([mean]), max_count)[0]
-    return _truncate(pmf, tail_eps)
+    return _poisson_mean_pmf(np.array([mean]), max_count, tail_eps)
 
 
 def _generic_predictive(
@@ -191,5 +218,4 @@ def _generic_predictive(
     draws = np.asarray(sample(20_000, rng), dtype=float)
     draws = draws[(draws[:, 0] > 0.0) & (draws[:, 1] > 0.0)]
     means = draws[:, 0] * np.asarray(c(draws[:, 1]), dtype=float)
-    pmf = _poisson_pmf_matrix(means, max_count).mean(axis=0)
-    return _truncate(pmf, tail_eps)
+    return _poisson_mean_pmf(means, max_count, tail_eps)

@@ -192,8 +192,13 @@ class TestReliabilityTableMemory:
             data = campaign.truncate(periods)
             posterior = fit_vb2(data, prior, 1.0)
             estimate_reliability(posterior, data.horizon, 1.0)
-            grid = posterior._beta_grid
-            cached = [getattr(grid, name) for name in type(grid).__slots__]
+            # the posterior's blocks and every node layout they keep
+            blocks = posterior._beta_blocks
+            holders = [blocks, *blocks.grids.values()]
+            cached = {id(v): v for holder in holders
+                      for name in type(holder).__slots__ if name != "grids"
+                      for v in [getattr(holder, name)]}
+            cached = list(cached.values())
             for tables in posterior._reliability_cache.values():
                 cached += [*tables.c_nodes, tables.a_omega, tables.b_omega]
             nbytes = sum(np.asarray(v).nbytes for v in cached)
@@ -222,6 +227,8 @@ class TestOneTableBuild:
         estimate_reliability(posterior, data.horizon, 1.0)
         assert len(builds) == 1
         cells = builds.pop().weight.size
+        # the window's grid, from the posterior's table cache
+        (tables,) = posterior._reliability_cache.values()
 
         def arrays(value, depth=0):
             if isinstance(value, np.ndarray):
@@ -240,6 +247,131 @@ class TestOneTableBuild:
                     yield from arrays(getattr(value, name, None), depth + 1)
 
         sizes = [v.size for v in arrays(posterior)]
-        limit = 4 * max(posterior.n_components, posterior._beta_grid.nodes.size)
+        limit = 4 * max(posterior.n_components, tables.grid.nodes.size)
         assert sizes and max(sizes) <= limit < cells
 
+
+_REFERENCE_RULE = np.polynomial.legendre.leggauss(400)
+
+
+def _tracker_posterior(periods, alpha0):
+    from repro.bayes.priors import ModelPrior
+    from repro.core.vb2 import fit_vb2
+    from repro.data.failure_data import GroupedData
+
+    intensity = np.exp(-np.arange(34) / 25.0)
+    counts = np.random.default_rng(501).multinomial(45, intensity / intensity.sum())
+    data = GroupedData(counts=counts, boundaries=np.arange(1.0, 35.0))
+    data = data.truncate(periods)
+    posterior = fit_vb2(data, ModelPrior.informative(100.0, 50.0, 0.2, 0.1), alpha0)
+    return posterior, reliability_increment(alpha0, data.horizon, 1.0)
+
+
+class TestNodeRule:
+    """Each β block's Gauss–Legendre count comes from an error bound for
+    its integrand ``Pv(β|N) Q(a_ω, b_ω s / c(β))`` and the window."""
+
+    @pytest.mark.parametrize("shape", [20.0, 200.0])
+    @pytest.mark.parametrize("spread", [0.0, 3.0, 6.0])
+    @pytest.mark.parametrize("sharpness", [0.0, 0.5, 1.5, 4.0])
+    def test_chosen_count_meets_the_stated_error(self, shape, spread, sharpness):
+        # three gamma conditionals whose means lie `spread` sds apart (one
+        # block of half-width ~8-14 sds, or two at the skewed shape 20),
+        # times the step Q(a_ω, b_ω s / c(β)) of c(β) = exp(-β te), whose
+        # width is 1 / `sharpness` sds; the chosen counts must agree with
+        # 400 nodes to the bound they report and to the tables' 1e-13
+        # target (METHOD.md §4.1), with the step placed across the blocks.
+        # Evaluating the integrand rounds at ~2.5e-14 (the 400- and
+        # 600-node rules differ by that much), so agreement to 5e-14
+        # always counts.
+        from repro.core.posterior import _MAX_NODES, _NODE_ERROR, _BetaBlocks
+        from repro.core.reliability import ResidualSurvival
+        from repro.stats import scipy_special as sc
+
+        sd = 1.0 / np.sqrt(shape)
+        means = 1.0 + spread * sd * np.array([0.0, 1.0, 2.0])
+        weights = np.array([0.25, 0.5, 0.25])
+        a_beta, b_beta = np.full(3, shape), shape / means
+        a_omega, b_omega = np.array([50.0, 51.0, 52.0]), 1.0
+        c = ResidualSurvival(1.0, sharpness / (sd * np.sqrt(a_omega[-1])))
+        blocks = _BetaBlocks(weights, a_beta, b_beta, a_omega)
+        sizes, bound = blocks.node_counts(c)
+        if np.all(sizes < _MAX_NODES):
+            assert bound <= _NODE_ERROR
+        if sharpness == 0.0:
+            assert np.all(sizes < _MAX_NODES)
+
+        def tails(rules, s):
+            total = 0.0
+            for (r0, r1), mid, half, (x, w) in zip(blocks.rows, blocks.mid,
+                                                   blocks.half, rules):
+                beta = (mid + half * x)[:, None]
+                a, b = a_beta[r0:r1], b_beta[r0:r1]
+                pdf = np.exp(a * np.log(b) - sc.gammaln(a) + (a - 1.0) * np.log(beta)
+                             - b * beta)
+                step = sc.gammaincc(a_omega[r0:r1], b_omega * s / c(beta))
+                total += half * (w @ (pdf * step @ weights[r0:r1]))
+            return total
+
+        chosen = [np.polynomial.legendre.leggauss(int(n)) for n in sizes]
+        reference = [_REFERENCE_RULE] * sizes.size
+        transitions = np.concatenate([means, means + 3.0 * sd * np.array([-1.0, 1.0, 2.0])])
+        # a block that no count satisfies keeps _MAX_NODES and its bound
+        stated = bound if np.any(sizes == _MAX_NODES) else min(bound, 1e-13)
+        for s in c(transitions) * a_omega[1] / b_omega:
+            error = abs(tails(chosen, s) - tails(reference, s))
+            assert error <= max(stated, 5e-14)
+
+    def test_late_tracker_period_takes_fewer_nodes(self):
+        # a smooth one-period window at alpha0 = 1: the heaviest block
+        # needs fewer than the 128 nodes it always had
+        from repro.core.posterior import _MAX_NODES
+
+        posterior, c = _tracker_posterior(34, 1.0)
+        grid = posterior.reliability_tables(c).grid
+        sizes = grid.blocks[:, 3] - grid.blocks[:, 2]
+        assert sizes[grid.heaviest] < _MAX_NODES
+        assert grid.nodes.size < _MAX_NODES * sizes.size
+
+    @pytest.mark.parametrize("name", ["DT-NoInfo", "DG-NoInfo"])
+    def test_noinfo_at_alpha_two_over_the_horizon_keeps_all_nodes(self, name):
+        # the worst case the fixed 128 nodes were set by
+        from repro.core.posterior import _MAX_NODES
+        from repro.core.vb2 import fit_vb2
+        from repro.experiments.config import paper_scenarios
+
+        scenario = paper_scenarios()[name]
+        data = scenario.load_data()
+        posterior = fit_vb2(data, scenario.prior(), 2.0, scenario.vb_config)
+        c = reliability_increment(2.0, data.horizon, data.horizon)
+        grid = posterior.reliability_tables(c).grid
+        assert grid.blocks[grid.heaviest, 3] - grid.blocks[grid.heaviest, 2] == _MAX_NODES
+
+    def test_tables_need_no_inverse_incomplete_gamma(self, monkeypatch):
+        # the β ranges are closed-form Chernoff bounds
+        from repro.stats import scipy_special
+
+        def forbidden(*args):
+            raise AssertionError("inverse incomplete gamma called")
+
+        posterior, c = _tracker_posterior(20, 1.0)
+        monkeypatch.setattr(scipy_special, "gammaincinv", forbidden)
+        monkeypatch.setattr(scipy_special, "gammainccinv", forbidden)
+        table = posterior.reliability_tables(c).cells()
+        assert table.weight.size > 0
+        assert table.weight.sum() + table.atom == pytest.approx(1.0, abs=1e-12)
+
+
+class TestChernoffRanges:
+    def test_ranges_hold_the_clip_quantiles(self):
+        from repro.core.posterior import _BETA_CLIP, _chernoff_ratios
+        from repro.stats import scipy_special as sc
+
+        shape = np.geomspace(0.5, 1e6, 400)
+        lo, hi = _chernoff_ratios(shape) * shape  # at unit rate
+        assert np.all(lo <= sc.gammaincinv(shape, _BETA_CLIP))
+        assert np.all(hi >= sc.gammainccinv(shape, _BETA_CLIP))
+        # and not much wider: the normal limit is sqrt(2 log 1e13) / 7.35
+        width = (hi - lo) / (sc.gammainccinv(shape, _BETA_CLIP)
+                             - sc.gammaincinv(shape, _BETA_CLIP))
+        assert np.all(width < 1.4) and width[-1] < 1.06

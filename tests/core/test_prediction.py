@@ -102,3 +102,77 @@ class TestOtherPosteriorTypes:
         mc_pred = predict_failure_counts(posterior, times_data.horizon, u)
         size = min(vb_pred.pmf.size, mc_pred.pmf.size, 6)
         assert vb_pred.pmf[:size] == pytest.approx(mc_pred.pmf[:size], abs=0.01)
+
+
+@pytest.fixture(scope="module")
+def late_tracker_period():
+    """The posterior of the last period of a 34-period tracker campaign,
+    and its one-period window."""
+    from repro.bayes.priors import ModelPrior
+    from repro.core.vb2 import fit_vb2
+    from repro.data.failure_data import GroupedData
+
+    intensity = np.exp(-np.arange(34) / 25.0)
+    counts = np.random.default_rng(501).multinomial(45, intensity / intensity.sum())
+    data = GroupedData(counts=counts, boundaries=np.arange(1.0, 35.0))
+    posterior = fit_vb2(data, ModelPrior.informative(100.0, 50.0, 0.2, 0.1), 1.0)
+    return posterior, data.horizon
+
+
+class TestPredictiveInColumnBlocks:
+    def test_kept_pmf_matches_the_dense_formula(self, late_tracker_period):
+        # the negative-binomial mixture over every cell and count at once
+        # (cells x (max_count + 1) arrays), truncated afterwards
+        from repro.stats import scipy_special as sc
+
+        posterior, te = late_tracker_period
+        max_count, tail_eps = 200, 1e-10
+        c = reliability_increment(1.0, te, 1.0)
+        table = posterior.reliability_tables(c).cells()
+        weight, c_values, a, b = (v[:, None] for v in table.arrays())
+        k = np.arange(max_count + 1)
+        dense = np.zeros(max_count + 1)
+        dense[0] = table.atom
+        log_comb = sc.gammaln(a + k) - sc.gammaln(a) - sc.gammaln(k + 1.0)
+        log_odds = np.log(c_values / (b + c_values))
+        log_base = a * np.log(b / (b + c_values))
+        dense += weight[:, 0] @ np.exp(log_comb + log_base + k * log_odds)
+        keep = int(np.searchsorted(np.cumsum(dense), 1.0 - tail_eps)) + 1
+
+        pmf = predict_failure_counts(posterior, te, 1.0, max_count=max_count,
+                                     tail_eps=tail_eps).pmf
+        assert pmf.size == keep < max_count
+        np.testing.assert_allclose(pmf, dense[:keep], rtol=1e-14, atol=0.0)
+
+    def test_memory_does_not_grow_with_max_count(self, late_tracker_period):
+        # only a dozen counts survive truncation here: a dense build would
+        # grow with max_count (3.5x from 10 to 50), the blocked one stops
+        import tracemalloc
+
+        posterior, te = late_tracker_period
+        predict_failure_counts(posterior, te, 1.0, max_count=10)  # warm caches
+        peaks = {}
+        for max_count in (10, 50):
+            tracemalloc.start()
+            try:
+                predict_failure_counts(posterior, te, 1.0, max_count=max_count)
+                peaks[max_count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[50] <= 1.5 * peaks[10]
+
+    def test_plugin_poisson_matches_the_dense_formula(self, times_data,
+                                                       info_prior_times):
+        # the Poisson callers take the same blocked build: the kept pmf is
+        # the truncated dense one, whatever max_count is
+        from scipy import stats
+
+        posterior = fit_laplace(times_data, info_prior_times)
+        c = reliability_increment(1.0, times_data.horizon, 10_000.0)
+        mean = posterior.mean("omega") * float(c(posterior.mean("beta")))
+        dense = stats.poisson.pmf(np.arange(1001), mean)
+        keep = int(np.searchsorted(np.cumsum(dense), 1.0 - 1e-10)) + 1
+        for max_count in (keep + 3, 1000):
+            pmf = predict_failure_counts(posterior, times_data.horizon, 10_000.0,
+                                         max_count=max_count).pmf
+            np.testing.assert_allclose(pmf, dense[:keep], rtol=1e-12, atol=0.0)

@@ -339,10 +339,12 @@ class TestNewtonReliabilityQuantile:
     def test_debug_span_describes_the_flat_table(self):
         # a late tracker period: one estimate, one solve over the
         # trimmed table, whose runs (one per block and node) each drop
-        # at most _TRIM_MASS at their head and as much at their tail
+        # at most _TRIM_MASS at their head and as much at their tail;
+        # the span also gives the grid the window was sized to and the
+        # error bound of its node counts
         from repro import obs
         from repro.bayes.priors import ModelPrior
-        from repro.core.posterior import _TRIM_MASS
+        from repro.core.posterior import _MAX_NODES, _NODE_ERROR, _TRIM_MASS
         from repro.core.vb2 import fit_vb2
         from repro.data.failure_data import GroupedData
 
@@ -356,12 +358,18 @@ class TestNewtonReliabilityQuantile:
             e for e in collector.events
             if e["kind"] == "span" and e["name"] == "reliability.quantile"
         ]
-        nodes = posterior._beta_grid.nodes.size
+        grid = posterior.reliability_tables(
+            reliability_increment(1.0, data.horizon, 1.0)).grid
+        nodes = grid.nodes.size
         assert 0 < span["runs"] <= nodes
         assert span["runs"] < span["cells"] < nodes * posterior.n_components
         assert 0.0 < span["trimmed_mass"] <= 1.01 * 2 * _TRIM_MASS * nodes
         assert 0.0 <= span["dropped_mass"] <= 1e-13
         assert span["sweeps"] <= 5 and span["bracket_exits"] <= 2
+        sizes = grid.blocks[:, 3] - grid.blocks[:, 2]
+        assert span["nodes"] == nodes == sizes.sum()
+        assert span["heaviest_block_nodes"] == sizes[grid.heaviest] <= _MAX_NODES
+        assert 0.0 < span["node_bound"] <= _NODE_ERROR
 
 
 @pytest.fixture(scope="module")
