@@ -33,6 +33,12 @@ Terms constant in ``N`` are dropped (the weights are normalised over
 ``N``); :func:`elbo_constant` recovers them for a genuine evidence
 lower bound.
 
+At ``α0 = 1`` memorylessness gives ``T | lo < T ≤ hi =d lo + (T | 0 <
+T ≤ hi − lo)``, so ``E[T | interval_i] = lo_i + E[T | 0 < T ≤ w_i]`` and
+``ln ΔG(lo_i, hi_i) = −ξ lo_i + ln ΔG(0, w_i)`` with ``w_i = hi_i −
+lo_i``: grouped data enter only through ``m``, ``s_k``, ``Σ x_i lo_i``
+and the summed count of each distinct width (:class:`IntervalClasses`).
+
 ``ξ_N`` solves ``ξ (φ_β + A(ξ) + (N − m) C(ξ)) = m_β + N α0``, with
 ``A(ξ)`` the expected lifetime sum of the ``m`` observed failures and
 ``C(ξ) = η = E[T | T > t_e]``. ``N`` enters linearly — ``ξ`` is an
@@ -76,6 +82,7 @@ __all__ = [
     "TimesStats",
     "GroupedStats",
     "LaneSolutions",
+    "IntervalClasses",
     "SweepInputs",
     "INVERSE_NODES",
     "BRACKET_STEPS",
@@ -151,8 +158,8 @@ class GroupedStats:
 #
 # A fleet fit equals the single fits of its datasets exactly because
 # every step below is elementwise in the dataset: each dataset's
-# bracket, nodes, spline and polish read only its own inputs, and
-# interval sums accumulate through ``np.add.at`` — an unbuffered,
+# classes, bracket, nodes, spline and polish read only its own inputs,
+# and class sums accumulate through ``np.add.at`` — an unbuffered,
 # strictly in-order scatter-add, so each sum runs left to right
 # whatever else shares the call (``np.add.reduceat`` would not: its
 # segment reduction is pairwise).
@@ -241,29 +248,102 @@ def solve_times_exponential_lanes(
 
 
 @dataclass(frozen=True)
+class IntervalClasses:
+    """The occupied intervals of packed grouped datasets as the VB2
+    updates read them: ``A(ξ) = shift + Σ_c count_c E[T | class c]`` and
+    ``Σ_i x_i ln ΔG_i = −ξ shift + Σ_c count_c ln ΔG(class c)``.
+
+    Class ``c`` is the interval ``(lo_c, hi_c]`` with ``count_c``
+    failures; dataset ``i``'s classes are ``[offsets[i]:offsets[i+1]]``
+    and ``shift[i]`` its ``ξ``-free part of ``A``. At ``α0 = 1`` the
+    intervals of one width ``w`` (exact float ``hi − lo``) merge into
+    one class on ``(0, w]`` with their summed count, ascending in ``w``,
+    and ``shift = Σ x_i lo_i`` in interval order (memorylessness, see
+    the module docstring). At any other shape the classes are the
+    intervals themselves and ``shift`` is 0. Each dataset's classes and
+    shift are built from its own intervals only.
+    """
+
+    offsets: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    count: np.ndarray
+    shift: np.ndarray
+
+    @classmethod
+    def pack(cls, stats: FleetGroupedStats, alpha0: float) -> "IntervalClasses":
+        lo, count = stats.interval_lo, stats.interval_count
+        if alpha0 != 1.0:
+            return cls(stats.offsets, lo, stats.interval_hi, count,
+                       np.zeros(len(stats)))
+        # Each dataset's intervals sorted by width; a class starts
+        # wherever the (dataset, width) pair changes.
+        dataset = np.repeat(np.arange(len(stats)), np.diff(stats.offsets))
+        width = stats.interval_hi - lo
+        order = np.lexsort((width, dataset))
+        width, member = width[order], dataset[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (width[1:] != width[:-1]) | (member[1:] != member[:-1])
+        total = np.zeros(np.count_nonzero(first))
+        np.add.at(total, np.cumsum(first) - 1, count[order])
+        shift = np.zeros(len(stats))
+        np.add.at(shift, dataset, count * lo)
+        sizes = np.bincount(member[first], minlength=len(stats))
+        return cls(
+            offsets=np.concatenate(([0], np.cumsum(sizes))).astype(np.intp),
+            lo=np.zeros(total.size),
+            hi=width[first],
+            count=total,
+            shift=shift,
+        )
+
+    def add_terms(self, out, term, alpha0: float, g, xi) -> np.ndarray:
+        """``out[k] += Σ_c count_c term(lo_c, hi_c, alpha0, xi[k])`` over
+        the classes of point ``k``'s dataset ``g[k]``, in class order;
+        ``term`` is a moment helper such as ``truncated_gamma_mean``.
+        Returns ``out``."""
+        sizes = self.offsets[g + 1] - self.offsets[g]
+        point = np.repeat(np.arange(g.size), sizes)
+        pair = np.arange(point.size) + np.repeat(
+            self.offsets[g] - (np.cumsum(sizes) - sizes), sizes
+        )
+        np.add.at(out, point, self.count[pair] * term(
+            self.lo[pair], self.hi[pair], alpha0, xi[point]
+        ))
+        return out
+
+
+@dataclass(frozen=True)
 class SweepInputs:
     """Per-dataset inputs of :func:`solve_lanes` for one ``(kind,
     α0)`` group: prior hyper-parameters and packed sufficient
     statistics, element ``i`` of every array belonging to dataset
-    ``i``."""
+    ``i``. Grouped inputs carry their :class:`IntervalClasses` at
+    ``alpha0``."""
 
     m_omega: np.ndarray
     phi_omega: np.ndarray
     m_beta: np.ndarray
     phi_beta: np.ndarray
     stats: FleetTimesStats | FleetGroupedStats
+    alpha0: float
+    classes: IntervalClasses | None
 
     @classmethod
-    def pack(cls, datasets, priors) -> "SweepInputs":
-        """Pack datasets of one kind with their priors."""
+    def pack(cls, datasets, priors, alpha0: float) -> "SweepInputs":
+        """Pack datasets of one kind with their priors, for lifetime
+        shape ``alpha0``."""
         datasets, priors = list(datasets), list(priors)
         grouped = isinstance(datasets[0], GroupedData)
+        stats = pack_grouped(datasets) if grouped else pack_times(datasets)
         return cls(
             m_omega=np.array([p.omega.shape for p in priors]),
             phi_omega=np.array([p.omega.rate for p in priors]),
             m_beta=np.array([p.beta.shape for p in priors]),
             phi_beta=np.array([p.beta.rate for p in priors]),
-            stats=pack_grouped(datasets) if grouped else pack_times(datasets),
+            stats=stats,
+            alpha0=float(alpha0),
+            classes=IntervalClasses.pack(stats, alpha0) if grouped else None,
         )
 
     @property
@@ -275,30 +355,17 @@ class SweepInputs:
         return self.stats.total if self.grouped else self.stats.me
 
 
-def _interval_pairs(offsets: np.ndarray, g: np.ndarray):
-    """``(point, interval)`` index pairs: the occupied intervals of each
-    point's dataset ``g[point]``, point-major and ascending within a
-    point, as positions into the packed interval arrays."""
-    sizes = offsets[g + 1] - offsets[g]
-    point = np.repeat(np.arange(g.size), sizes)
-    shift = np.repeat(offsets[g] - (np.cumsum(sizes) - sizes), sizes)
-    return point, np.arange(point.size) + shift
-
-
 def _lifetime_sum(inputs: SweepInputs, alpha0: float, g, xi) -> np.ndarray:
     """``A(ξ)``, the expected lifetime sum of the observed failures, at
     points ``(dataset g, ξ)``: ``Σ t_i`` for failure times,
-    ``Σ x_i E[T | interval_i]`` for grouped data (paper Eqs. 24, 26)."""
-    stats = inputs.stats
+    ``Σ x_i E[T | interval_i] = shift + Σ_c count_c E[T | class c]`` for
+    grouped data (paper Eqs. 24, 26)."""
     if not inputs.grouped:
-        return stats.sum_times[g]
-    point, pair = _interval_pairs(stats.offsets, g)
-    total = np.zeros(g.size)
-    terms = stats.interval_count[pair] * truncated_gamma_mean(
-        stats.interval_lo[pair], stats.interval_hi[pair], alpha0, xi[point]
+        return inputs.stats.sum_times[g]
+    classes = inputs.classes
+    return classes.add_terms(
+        classes.shift[g], truncated_gamma_mean, alpha0, g, xi
     )
-    np.add.at(total, point, terms)
-    return total
 
 
 def _n_of_xi(inputs: SweepInputs, alpha0: float, g, xi):
@@ -308,16 +375,21 @@ def _n_of_xi(inputs: SweepInputs, alpha0: float, g, xi):
     ``ξ C − α0 = x^α0 e^-x / (Γ(α0) S̄(t_e))`` with ``x = ξ t_e`` (the
     ladder step ``Q(α0+1, x) − Q(α0, x)``), evaluated in log space: the
     difference itself cancels catastrophically on the large-``N``
-    lanes, where ``ξ t_e`` is small. ``C`` follows from it.
+    lanes, where ``ξ t_e`` is small. ``C`` follows from it. At
+    ``α0 = 1`` all three are closed-form: ``ln S̄(t_e) = −x``,
+    ``ξ C − 1 = x`` and ``C = t_e + 1/ξ``.
     """
     horizon = inputs.stats.horizon[g]
     lifetime = _lifetime_sum(inputs, alpha0, g, xi)
-    log_sf = log_gamma_sf(horizon, alpha0, xi)
     x = xi * horizon
-    excess = np.exp(
-        alpha0 * np.log(x) - x - log_gamma_fn(alpha0) - log_sf
-    )
-    tail_mean = (alpha0 + excess) / xi
+    if alpha0 == 1.0:
+        log_sf, excess, tail_mean = -x, x, horizon + 1.0 / xi
+    else:
+        log_sf = log_gamma_sf(horizon, alpha0, xi)
+        excess = np.exp(
+            alpha0 * np.log(x) - x - log_gamma_fn(alpha0) - log_sf
+        )
+        tail_mean = (alpha0 + excess) / xi
     n = (
         inputs.m_beta[g]
         + inputs.observed[g] * xi * tail_mean
@@ -570,12 +642,19 @@ def solve_lanes(
         No bracket within :data:`BRACKET_STEPS` halvings and doublings,
         node values of ``N(ξ)`` that are not strictly decreasing, or
         more than ``config.fixed_point_max_iter`` polish sweeps.
+    ValueError
+        ``alpha0`` is not the shape ``inputs`` were packed at.
     """
     datasets = np.asarray(datasets, dtype=np.intp)
     start = np.asarray(start, dtype=np.int64)
     stop = np.asarray(stop, dtype=np.int64)
     if where is None:
         where = [""] * datasets.size
+    if float(alpha0) != inputs.alpha0:
+        raise ValueError(
+            f"inputs were packed at alpha0={inputs.alpha0:g}, not "
+            f"alpha0={alpha0:g}"
+        )
     # Ragged [start_k .. stop_k] ranges in one shot: a global arange
     # shifted per block. Small integers in float64, so this is exact.
     sizes = stop - start + 1
@@ -604,6 +683,9 @@ def solve_lanes(
         # attrs only exist on the live span.
         if getattr(sp, "attrs", None) is not None:
             sp.attrs["lanes"] = int(n.size)
+            sp.attrs["classes"] = int(
+                np.diff(inputs.classes.offsets)[datasets].sum()
+            ) if inputs.grouped else 0
             sp.attrs.update(record)
     residual = n - inputs.observed[g]
     has_resid = residual > 0
@@ -613,13 +695,12 @@ def solve_lanes(
     b_beta = inputs.phi_beta[g] + zeta
     log_weight = _common_log_weight(n, m_omega, phi_omega, a_beta, b_beta)
     if inputs.grouped:
-        log_weight = log_weight - n * alpha0 * np.log(xi) + xi * zeta
-        stats = inputs.stats
-        point, pair = _interval_pairs(stats.offsets, g)
-        increments = stats.interval_count[pair] * log_gamma_cdf_increment(
-            stats.interval_lo[pair], stats.interval_hi[pair], alpha0, xi[point]
+        classes = inputs.classes
+        log_weight = (
+            log_weight - n * alpha0 * np.log(xi)
+            + xi * (zeta - classes.shift[g])
         )
-        np.add.at(log_weight, point, increments)
+        classes.add_terms(log_weight, log_gamma_cdf_increment, alpha0, g, xi)
         tail_terms = log_sf
     else:
         tail_terms = log_sf - alpha0 * np.log(xi) + xi * tail_mean

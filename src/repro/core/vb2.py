@@ -223,7 +223,7 @@ def _drive_vb2_group(states, alpha0, config, *, on_done=None):
     for pos, st in enumerate(states):
         st.gpos = pos
     inputs = SweepInputs.pack(
-        [st.data for st in states], [st.prior for st in states]
+        [st.data for st in states], [st.prior for st in states], alpha0
     )
     active = list(states)
     while active:

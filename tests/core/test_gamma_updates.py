@@ -9,6 +9,7 @@ the closed-form Goel–Okumoto lanes and the inverse solver.
 """
 
 import math
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,17 +17,22 @@ import pytest
 from scipy import special
 
 from repro.bayes.priors import GammaPrior, ModelPrior
+from repro.core import gamma_updates
 from repro.core.config import VBConfig
 from repro.core.gamma_updates import (
     GroupedStats,
     SweepInputs,
     TimesStats,
+    _lifetime_sum,
     elbo_constant,
     solve_lanes,
     solve_times_exponential_lanes,
 )
+from repro.core.vb2 import fit_vb2
+from repro.core.warmstart import warm_start_from
 from repro.data.datasets import system17_failure_times, system17_grouped
-from repro.data.failure_data import FailureTimeData
+from repro.data.failure_data import FailureTimeData, GroupedData
+from repro.stats.special import log_gamma_cdf_increment
 from repro.stats.truncated import censored_gamma_mean, truncated_gamma_mean
 
 
@@ -64,7 +70,8 @@ def _lanes(data, prior, alpha0, lo, hi, config=CONFIG):
     if alpha0 == 1.0 and isinstance(data, FailureTimeData):
         return _exponential_lanes(TimesStats.from_data(data), prior, lo, hi)
     lanes, _ = solve_lanes(
-        SweepInputs.pack([data], [prior]), alpha0, [0], [lo], [hi], config
+        SweepInputs.pack([data], [prior], alpha0), alpha0, [0], [lo], [hi],
+        config,
     )
     return lanes
 
@@ -219,7 +226,7 @@ class TestVectorisedExponentialRange:
                     want[field], rel=1e-12
                 ), field
         inverted, _ = solve_lanes(
-            SweepInputs.pack([TIMES], [prior_times]), 1.0, [0],
+            SweepInputs.pack([TIMES], [prior_times], 1.0), 1.0, [0],
             [times_stats.me], [times_stats.me + 100], CONFIG,
         )
         for field in FIELDS:
@@ -392,3 +399,159 @@ class TestElboConstant:
     def test_grouped_value(self, grouped_stats, prior_grouped):
         value = elbo_constant(grouped_stats, prior_grouped, 1.0)
         assert math.isfinite(value)
+
+
+# ----------------------------------------------------------------------
+# Interval-width classes
+# ----------------------------------------------------------------------
+CAMPAIGN_PRIOR = ModelPrior.informative(100.0, 50.0, 0.2, 0.1)
+
+
+def _tracker_campaign(seed=1, periods=34, failures=45):
+    """A sequential-tracking campaign: ``failures`` spread over unit
+    periods with intensity proportional to e^(-t/25)."""
+    intensity = np.exp(-np.arange(periods) / 25.0)
+    return GroupedData(
+        counts=np.random.default_rng(seed).multinomial(
+            failures, intensity / intensity.sum()
+        ),
+        boundaries=np.arange(1.0, periods + 1.0),
+    )
+
+
+def _linspace_project():
+    """A fleet project on ``linspace`` edges: 11 intervals of width
+    90/11 whose float widths take 5 distinct values."""
+    edges = np.linspace(0.0, 90.0, 12)[1:]
+    return GroupedData(counts=np.arange(1, 12) % 4, boundaries=edges)
+
+
+MIXED = GroupedData(
+    counts=[2, 0, 3, 1, 4, 2, 5], boundaries=[1.0, 2.0, 4.0, 5.0, 7.0, 10.0, 13.0]
+)
+CLASS_DATA = {
+    "tracker": _tracker_campaign(),
+    "linspace": _linspace_project(),
+    "mixed": MIXED,
+}
+
+
+def _occupied(data):
+    return [(lo, hi, count) for lo, hi, count in data.intervals() if count]
+
+
+def _classes(data, alpha0):
+    return SweepInputs.pack([data], [CAMPAIGN_PRIOR], alpha0).classes
+
+
+class TestIntervalClasses:
+    """At α0 = 1 the grouped updates read each distinct interval width
+    once, with the summed count, plus the shift ``Σ x_i lo_i``."""
+
+    @pytest.mark.parametrize(
+        "name, size", [("tracker", 1), ("linspace", 5), ("mixed", 3)]
+    )
+    def test_memoryless_classes_are_the_distinct_widths(self, name, size):
+        data = CLASS_DATA[name]
+        occupied = _occupied(data)
+        widths = {}
+        for lo, hi, count in occupied:
+            widths[hi - lo] = widths.get(hi - lo, 0) + count
+        classes = _classes(data, 1.0)
+        assert list(classes.offsets) == [0, size] and len(widths) == size
+        assert list(classes.hi) == sorted(widths)
+        assert list(classes.count) == [widths[w] for w in sorted(widths)]
+        assert not classes.lo.any()
+        assert classes.shift[0] == pytest.approx(
+            math.fsum(count * lo for lo, _, count in occupied), rel=1e-15
+        )
+
+    @pytest.mark.parametrize("name", sorted(CLASS_DATA))
+    def test_other_shapes_read_every_interval(self, name):
+        data = CLASS_DATA[name]
+        occupied = _occupied(data)
+        classes = _classes(data, 2.0)
+        assert list(zip(classes.lo, classes.hi, classes.count)) == occupied
+        assert list(classes.offsets) == [0, len(occupied)]
+        assert list(classes.shift) == [0.0]
+
+    def test_lanes_at_another_shape_are_rejected(self, prior_grouped):
+        inputs = SweepInputs.pack([GROUPED], [prior_grouped], 1.0)
+        total = GROUPED.total_count
+        with pytest.raises(ValueError, match="packed at alpha0=1"):
+            solve_lanes(inputs, 2.0, [0], [total], [total + 5], CONFIG)
+
+    def test_each_dataset_packs_alone(self):
+        datasets = [CLASS_DATA[name] for name in sorted(CLASS_DATA)]
+        fleet = SweepInputs.pack(
+            datasets, [CAMPAIGN_PRIOR] * len(datasets), 1.0
+        ).classes
+        for i, data in enumerate(datasets):
+            alone = _classes(data, 1.0)
+            part = slice(fleet.offsets[i], fleet.offsets[i + 1])
+            for field in ("lo", "hi", "count"):
+                assert np.array_equal(
+                    getattr(fleet, field)[part], getattr(alone, field)
+                ), field
+            assert fleet.shift[i] == alone.shift[0]
+
+
+def _decimal_reference(data, xi):
+    """``A(ξ) = Σ x_i E[T | interval_i]`` and ``Σ x_i ln ΔG_i`` of an
+    exponential lifetime at rate ``xi``, per interval in 60-digit
+    decimal arithmetic, summed with ``math.fsum``."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rate = Decimal(float(xi))
+        means, logs = [], []
+        for lo, hi, count in _occupied(data):
+            lo, width = Decimal(float(lo)), Decimal(float(hi)) - Decimal(float(lo))
+            mean = lo + 1 / rate - width / ((rate * width).exp() - 1)
+            log_mass = -rate * lo + (1 - (-rate * width).exp()).ln()
+            means.append(float(count * mean))
+            logs.append(float(count * log_mass))
+    return math.fsum(means), math.fsum(logs)
+
+
+class TestClassSums:
+    """The class sums against per-interval references, from
+    ``ξ t_e = 1e-6`` to intervals at ``ξ lo ≈ 1000``, deep in the
+    exponential's tail."""
+
+    @pytest.mark.parametrize("name", sorted(CLASS_DATA))
+    def test_match_per_interval_reference(self, name):
+        data = CLASS_DATA[name]
+        inputs = SweepInputs.pack([data], [CAMPAIGN_PRIOR], 1.0)
+        last_lo = _occupied(data)[-1][0]
+        xi = np.geomspace(1e-6 / data.horizon, 1000.0 / last_lo, 41)
+        g = np.zeros(xi.size, dtype=np.intp)
+        lifetime = _lifetime_sum(inputs, 1.0, g, xi)
+        classes = inputs.classes
+        log_masses = classes.add_terms(
+            -xi * classes.shift[g], log_gamma_cdf_increment, 1.0, g, xi
+        )
+        for k, rate in enumerate(xi):
+            want_lifetime, want_log = _decimal_reference(data, rate)
+            assert lifetime[k] == pytest.approx(want_lifetime, rel=1e-13)
+            assert log_masses[k] == pytest.approx(want_log, rel=1e-13)
+
+
+class TestClassCost:
+    def test_warm_fit_reads_each_class_once_per_evaluation(self, monkeypatch):
+        # One warm tracker fit at α0 = 1: every evaluation of N(ξ) reads
+        # the campaign's single width class, not its 34 periods.
+        data = _tracker_campaign()
+        previous = fit_vb2(data.truncate(33), CAMPAIGN_PRIOR, 1.0)
+        config = VBConfig(warm_start=warm_start_from(previous))
+        passed = []
+
+        def counting(lo, hi, shape, rate):
+            passed.append(np.size(lo))
+            return truncated_gamma_mean(lo, hi, shape, rate)
+
+        monkeypatch.setattr(gamma_updates, "truncated_gamma_mean", counting)
+        posterior = fit_vb2(data, CAMPAIGN_PRIOR, 1.0, config)
+        evaluations = posterior.diagnostics["fixed_point_iterations"]
+        classes = _classes(data, 1.0).count.size
+        assert classes == 1 and evaluations > 0
+        assert 0 < sum(passed) <= evaluations * classes

@@ -213,22 +213,36 @@ class TestBracketStaysNearTheLanes:
         assert_conditional_equations(posterior, data, prior, alpha0)
 
 
+def _inverse_spans(data, alpha0):
+    with obs.capture(level="debug") as col:
+        posterior = fit_vb2(data, CAMPAIGN_PRIOR, alpha0)
+    spans = [
+        e for e in col.events
+        if e["kind"] == "span" and e["name"] == "vb2.inverse"
+    ]
+    return posterior, spans
+
+
 class TestSolverRecord:
     def test_inverse_span(self):
-        # One debug span per growth round, carrying the solver's health.
+        # One debug span per growth round, carrying the solver's health
+        # and the (dataset, class) pairs its lanes read: at α0 = 2, every
+        # occupied interval.
         data = _campaign().truncate(20)
-        with obs.capture(level="debug") as col:
-            posterior = fit_vb2(data, CAMPAIGN_PRIOR, 2.0)
-        spans = [
-            e for e in col.events
-            if e["kind"] == "span" and e["name"] == "vb2.inverse"
-        ]
+        posterior, spans = _inverse_spans(data, 2.0)
         assert len(spans) == posterior.diagnostics["n_growth_rounds"] + 1
         assert sum(sp["lanes"] for sp in spans) == len(posterior.n_values)
         for sp in spans:
             assert sp["datasets"] == 1 and sp["nodes"] == 64
+            assert sp["classes"] == np.count_nonzero(data.counts)
             assert sp["bracket_steps"] >= 1 and 1 <= sp["sweeps"] <= 10
             assert sp["max_step"] <= VBConfig().fixed_point_rtol
+
+    def test_inverse_span_reads_one_width_class(self):
+        # At α0 = 1 the campaign's unit periods are one width class.
+        posterior, spans = _inverse_spans(_campaign().truncate(20), 1.0)
+        assert len(spans) == posterior.diagnostics["n_growth_rounds"] + 1
+        assert [sp["classes"] for sp in spans] == [1] * len(spans)
 
 
 class TestTypedErrors:

@@ -152,15 +152,19 @@ class TestComputationalCost:
         assert vb2_seconds < mcmc_seconds
 
     def test_vb2_cost_grows_with_nmax(self, times_data, info_prior_times):
-        from repro.metrics.timing import time_callable
+        import time
 
-        t100 = time_callable(
-            lambda: fit_vb2(times_data, info_prior_times, nmax=100), repeat=3
-        ).seconds
-        t1000 = time_callable(
-            lambda: fit_vb2(times_data, info_prior_times, nmax=1000), repeat=3
-        ).seconds
-        assert t1000 > t100
+        # Interleaved best-of-3, so both sizes see the same spells of a
+        # shared host. nmax 10,000 takes ~1.7 ms against ~0.3 ms at 100
+        # (nmax 1,000 sits within 0.1 ms of 100, and the two can swap).
+        best = {100: float("inf"), 10_000: float("inf")}
+        for _ in range(3):
+            for nmax in best:
+                start = time.perf_counter()
+                fit_vb2(times_data, info_prior_times, nmax=nmax)
+                best[nmax] = min(best[nmax], time.perf_counter() - start)
+        t_small, t_large = best[100], best[10_000]
+        assert t_large > t_small
 
     def test_tail_mass_decays_with_nmax(self, times_data, info_prior_times):
         masses = [
