@@ -38,8 +38,8 @@ from repro.robustness import RobustnessSpec, run_robustness
 
 
 def _spec(replications: int, seed: int) -> RobustnessSpec:
-    """A two-family sweep exercising both the loop fitters and the
-    per-cell MCMC lane phase."""
+    """A two-family sweep with LAPL, VB2 and one direct MCMC chain per
+    replication."""
     return RobustnessSpec(
         families=("contaminated", "weibull-hazard"),
         methods=("LAPL", "MCMC", "VB2"),

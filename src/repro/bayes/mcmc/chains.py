@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -13,22 +13,9 @@ from repro.bayes.sample_posterior import EmpiricalPosterior
 __all__ = [
     "ChainSettings",
     "MCMCResult",
-    "VARIATE_LAYERS",
     "kept_draws",
     "record_sampler_telemetry",
 ]
-
-#: How a sampler turns randomness into variates. ``"direct"`` draws
-#: from ``numpy.random.Generator`` distribution methods and, for the
-#: grouped latent times, from ``rng.random`` through
-#: :func:`~repro.stats.truncated.truncated_gamma_from_uniform`. Its
-#: stream consumption is frozen for the golden Table 6/7 regressions;
-#: at ``alpha0 = 1`` its values moved by a few ulps when the latent
-#: times and tail probabilities took their closed forms. ``"inverse"``
-#: maps the generator's raw uniform stream through the explicit
-#: inverse-CDF layer in :mod:`repro.stats`, the representation the
-#: lane-parallel engine batches across chains and replications.
-VARIATE_LAYERS = ("direct", "inverse")
 
 
 def kept_draws(burn_in: int, thin: int, total_iterations: int) -> int:
@@ -81,7 +68,6 @@ class ChainSettings:
     burn_in: int = 10_000
     thin: int = 10
     seed: int | None = None
-    variate_layer: str = "direct"
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -90,11 +76,6 @@ class ChainSettings:
             raise ValueError("burn_in must be non-negative")
         if self.thin < 1:
             raise ValueError("thin must be at least 1")
-        if self.variate_layer not in VARIATE_LAYERS:
-            raise ValueError(
-                f"variate_layer must be one of {VARIATE_LAYERS}, "
-                f"got {self.variate_layer!r}"
-            )
         # The schedule must retain exactly n_samples draws — a mismatch
         # here would make the samplers silently return a short sample
         # array, so it is rejected up front rather than truncated later.
@@ -113,24 +94,7 @@ class ChainSettings:
 
     def with_seed(self, seed: int | None) -> "ChainSettings":
         """Copy of the schedule with a different seed (chain spawning)."""
-        return ChainSettings(
-            n_samples=self.n_samples,
-            burn_in=self.burn_in,
-            thin=self.thin,
-            seed=seed,
-            variate_layer=self.variate_layer,
-        )
-
-    def with_variate_layer(self, variate_layer: str) -> "ChainSettings":
-        """Copy of the schedule on a different variate layer (e.g. the
-        batchable ``"inverse"`` layer for lane-parallel campaigns)."""
-        return ChainSettings(
-            n_samples=self.n_samples,
-            burn_in=self.burn_in,
-            thin=self.thin,
-            seed=self.seed,
-            variate_layer=variate_layer,
-        )
+        return replace(self, seed=seed)
 
 
 @dataclass

@@ -32,14 +32,10 @@ from repro.bayes.mcmc.chains import (
 from repro.bayes.mcmc.gibbs_failure_time import _check_kept
 from repro.bayes.priors import ModelPrior
 from repro.data.failure_data import GroupedData
-from repro.stats.gamma_dist import gamma_from_uniform
-from repro.stats.poisson import poisson_from_uniform
 from repro.stats.truncated import (
-    censored_gamma_from_uniform,
     sample_censored_gamma,
     truncated_gamma_from_uniform,
 )
-from repro.stats.uniforms import UniformLaneStream, segment_sums
 
 __all__ = ["gibbs_grouped"]
 
@@ -58,19 +54,11 @@ def gibbs_grouped(
     one ``rng.random`` block. At ``alpha0 = 1`` the latent times are the
     memoryless closed-form inversion and the tail probability is
     ``exp(-β t_e)``; no special function is called in the sweep.
-
-    With ``settings.variate_layer == "inverse"`` the chain consumes the
-    generator's raw uniform stream through the explicit inverse-CDF
-    layer — the scalar reference for
-    :func:`repro.bayes.mcmc.lane_engine.gibbs_grouped_lanes`,
-    bit-identical to a lane of a batched run.
     """
     settings = settings or ChainSettings()
     if rng is None:
         rng = np.random.default_rng(settings.seed)
     with obs.span("mcmc.gibbs_grouped", collect=True) as sp:
-        if settings.variate_layer == "inverse":
-            return _gibbs_grouped_inverse(data, prior, alpha0, settings, rng, sp)
         return _gibbs_grouped(data, prior, alpha0, settings, rng, sp)
 
 
@@ -222,122 +210,3 @@ def _gibbs_grouped(
         extra=extra,
     )
 
-
-def _gibbs_grouped_inverse(
-    data: GroupedData,
-    prior: ModelPrior,
-    alpha0: float,
-    settings: ChainSettings,
-    rng: np.random.Generator,
-    sp,
-) -> MCMCResult:
-    """Scalar reference sampler on the inverse-CDF variate layer.
-
-    Same data-augmentation sweep as :func:`_gibbs_grouped`, with every
-    variate mapped from the generator's raw uniform stream through the
-    inverse-CDF layer — the single-lane ground truth for
-    :func:`repro.bayes.mcmc.lane_engine.gibbs_grouped_lanes`. Latent
-    sums use the canonical :func:`~repro.stats.uniforms.segment_sums`
-    reduction over the lane's whole latent block, matching the engine's
-    per-lane reduction bit for bit.
-    """
-    intervals = [item for item in data.intervals() if item[2] > 0]
-    total = float(data.total_count)
-    horizon = data.horizon
-    m_omega, phi_omega = prior.omega.shape, prior.omega.rate
-    m_beta, phi_beta = prior.beta.shape, prior.beta.rate
-    collapsed = alpha0 == 1.0
-
-    int_count = np.array([count for _, _, count in intervals], dtype=np.intp)
-    n_latent = int(int_count.sum())
-    if intervals:
-        draw_lo = np.repeat(np.array([lo for lo, _, _ in intervals]), int_count)
-        draw_hi = np.repeat(np.array([hi for _, hi, _ in intervals]), int_count)
-    else:
-        draw_lo = np.empty(0)
-        draw_hi = np.empty(0)
-    latent_counts = np.array([n_latent], dtype=np.intp)
-
-    floor_total = max(total, 1.0)
-    omega = np.array([floor_total * 1.2 + 1.0])
-    beta = np.full(1, 2.0 * alpha0) / horizon
-
-    shape_omega_base = m_omega + total
-    shape_beta = np.full(1, m_beta + total * alpha0) if collapsed else None
-    log_gamma_shape_beta = sc.gammaln(shape_beta) if collapsed else None
-
-    stream = UniformLaneStream([rng])
-    samples = np.empty((settings.n_samples, 2))
-    residual_trace = np.empty(settings.n_samples, dtype=np.int64)
-    variates = 0
-    kept = 0
-    for sweep in range(settings.total_iterations):
-        latent_u = stream.take_ragged(latent_counts)
-        latent_sum = np.zeros(1)
-        if n_latent:
-            latent_draws = truncated_gamma_from_uniform(
-                draw_lo, draw_hi, alpha0, np.full(n_latent, beta[0]), latent_u
-            )
-            latent_sum[0] = segment_sums(latent_draws, np.array([0]))[0]
-            variates += n_latent
-
-        u = stream.take_block(2)
-        if collapsed:
-            tail_prob = np.exp(-beta * horizon)
-        else:
-            tail_prob = sc.gammaincc(alpha0, beta * horizon)
-        residual = poisson_from_uniform(u[:, 0], omega * tail_prob)
-        variates += 3
-
-        shape_omega = shape_omega_base + residual
-        omega = gamma_from_uniform(shape_omega, u[:, 1]) / (phi_omega + 1.0)
-
-        if collapsed:
-            u_beta = stream.take_block(1)
-            rate_beta = phi_beta + latent_sum + residual * horizon
-            beta = (
-                gamma_from_uniform(
-                    shape_beta, u_beta[:, 0], log_gamma_shape=log_gamma_shape_beta
-                )
-                / rate_beta
-            )
-        else:
-            count = int(residual[0])
-            tail_u = stream.take_ragged(residual)
-            tail_sum = np.zeros(1)
-            if count:
-                tail_draws = censored_gamma_from_uniform(
-                    np.full(count, horizon),
-                    alpha0,
-                    np.full(count, beta[0]),
-                    tail_u,
-                )
-                tail_sum[0] = segment_sums(tail_draws, np.array([0]))[0]
-                variates += count
-            u_beta = stream.take_block(1)
-            rate_beta = phi_beta + latent_sum + tail_sum
-            shape_b = m_beta + (total + residual) * alpha0
-            beta = gamma_from_uniform(shape_b, u_beta[:, 0]) / rate_beta
-
-        index = sweep - settings.burn_in
-        if index >= 0 and (index + 1) % settings.thin == 0:
-            samples[kept, 0] = omega[0]
-            samples[kept, 1] = beta[0]
-            residual_trace[kept] = residual[0]
-            kept += 1
-    _check_kept(kept, settings)
-    extra = {
-        "sampler": "gibbs-data-augmentation",
-        "alpha0": alpha0,
-        "collapsed_tail": collapsed,
-        "residual_trace": residual_trace,
-    }
-    record_sampler_telemetry("gibbs-data-augmentation", samples, variates)
-    if sp.collecting:
-        extra["telemetry"] = sp.telemetry()
-    return MCMCResult(
-        samples=samples,
-        settings=settings,
-        variate_count=variates,
-        extra=extra,
-    )

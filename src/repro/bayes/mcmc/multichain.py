@@ -19,21 +19,7 @@ from repro.bayes.mcmc.diagnostics import (
     gelman_rubin,
     geweke_z,
 )
-from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
-from repro.bayes.mcmc.gibbs_grouped import gibbs_grouped
-from repro.bayes.mcmc.lane_engine import (
-    gibbs_failure_time_lanes,
-    gibbs_grouped_lanes,
-)
 from repro.bayes.sample_posterior import EmpiricalPosterior
-
-#: Samplers the lane engine can run as lock-step lanes of one batched
-#: fit; any other sampler with the same signature keeps the per-chain
-#: loop.
-_LANE_SAMPLERS = {
-    gibbs_failure_time: gibbs_failure_time_lanes,
-    gibbs_grouped: gibbs_grouped_lanes,
-}
 
 __all__ = ["MultiChainResult", "run_chains"]
 
@@ -102,39 +88,21 @@ def run_chains(
     n_chains:
         Number of independent chains (each gets seed ``base_seed + i``).
     settings:
-        Per-chain schedule (the burn-in applies to every chain). With
-        ``variate_layer="inverse"`` the Gibbs samplers run as lock-step
-        lanes of one batched fit
-        (:mod:`repro.bayes.mcmc.lane_engine`) — chain ``i``'s samples
-        are bit-identical to the per-chain loop with the same seeds.
+        Per-chain schedule (the burn-in applies to every chain).
     """
     if n_chains < 2:
         raise ValueError("run at least two chains for convergence checks")
     settings = settings or ChainSettings()
-    chain_settings = [
-        settings.with_seed(base_seed + index) for index in range(n_chains)
-    ]
-    lanes_sampler = _LANE_SAMPLERS.get(sampler)
-    if settings.variate_layer == "inverse" and lanes_sampler is not None:
-        rngs = [np.random.default_rng(cs.seed) for cs in chain_settings]
-        chains = lanes_sampler(
-            data, prior, alpha0, settings=settings, rngs=rngs
+    chains = [
+        sampler(
+            data,
+            prior,
+            alpha0,
+            settings=settings.with_seed(seed),
+            rng=np.random.default_rng(seed),
         )
-        # Re-attach each lane's own seeded schedule so per-chain
-        # provenance matches the loop path.
-        for chain, cs in zip(chains, chain_settings):
-            chain.settings = cs
-    else:
-        chains = [
-            sampler(
-                data,
-                prior,
-                alpha0,
-                settings=cs,
-                rng=np.random.default_rng(cs.seed),
-            )
-            for cs in chain_settings
-        ]
+        for seed in range(base_seed, base_seed + n_chains)
+    ]
 
     # One stacked (n_chains, n) array per parameter feeds the batched
     # diagnostics: one FFT for all chains' ACFs, one Gelman-Rubin pass.

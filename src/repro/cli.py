@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     coverage.add_argument("--methods", default="VB1,VB2",
                           help="comma-separated fitters to compare "
-                          "(subset of LAPL, VB1, VB2)")
+                          "(subset of NINT, LAPL, MCMC, VB1, VB2)")
     coverage.add_argument("--level", type=float, default=0.99,
                           help="nominal credible level to assess")
     coverage.add_argument("--true-omega", type=float, default=40.0,

@@ -7,10 +7,9 @@ flat lane-major arrays the dataset-lane solvers consume, value-based
 deduplication of repeated histories, and the JSON manifest format the
 CLI's ``repro fit --fleet`` reads.
 
-The packed layout follows the ragged-stream convention of
-:mod:`repro.stats.uniforms`: per-dataset segments concatenate
-lane-major into one flat array, with ``offsets`` delimiting each
-dataset's slice (``offsets[i]:offsets[i+1]``). For grouped data the
+In the packed layout, per-dataset segments concatenate lane-major
+into one flat array, with ``offsets`` delimiting each dataset's slice
+(``offsets[i]:offsets[i+1]``). For grouped data the
 flattened elements are the *occupied* observation intervals in
 ascending order, so every lane's interval sum runs left to right
 whatever other datasets share a sweep — which is what keeps fleet

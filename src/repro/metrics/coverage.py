@@ -11,7 +11,9 @@ Each replication owns a ``numpy.random.SeedSequence`` child derived
 from ``(seed, index)`` (see :mod:`repro.validation.seeding`), so the
 study parallelises over a process pool (``workers > 1``) with results
 bit-identical to the serial run. Fitters must then be picklable —
-module-level functions such as ``fit_vb2`` / ``fit_vb1`` are.
+module-level functions such as ``fit_vb2`` / ``fit_vb1`` are, and so
+is :class:`repro.validation.fitters.MCMCFitter`, whose chain draws from
+the replication's ``(seed, index, 1)`` stream.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.bayes.priors import ModelPrior
 from repro.data.simulation import simulate_failure_times
 from repro.exceptions import ReproError
 from repro.models.base import NHPPModel
+from repro.validation.fitters import fit_replication
 from repro.validation.parallel import parallel_map
 from repro.validation.seeding import replication_seed
 
@@ -122,7 +125,9 @@ def _coverage_replication(
     fitter raising a library error (non-convergence now *raises*
     rather than silently returning an unconverged quantile; skipping
     keeps every procedure scored on the same campaigns) — else
-    ``{label: (hit flags, interval widths)}`` per parameter.
+    ``{label: (hit flags, interval widths)}`` per parameter. MCMC
+    fitters draw from ``replication_seed(seed, index, 1)``
+    (:func:`~repro.validation.fitters.fit_replication`).
     """
     rng = np.random.default_rng(replication_seed(seed, index))
     data = simulate_failure_times(true_model, horizon, rng)
@@ -134,10 +139,11 @@ def _coverage_replication(
     }
     tail = 0.5 * (1.0 - level)
     levels = np.array([tail, 1.0 - tail])
+    fit_seed = replication_seed(seed, index, 1)
     out: dict[str, tuple[dict[str, bool], dict[str, float]]] = {}
     for label, fit in fitters.items():
         try:
-            posterior = fit(data, prior)
+            posterior = fit_replication(fit, data, prior, fit_seed)
             hits, widths = _interval_score(posterior, truths, levels)
         except ReproError as exc:
             obs.event(
@@ -149,63 +155,6 @@ def _coverage_replication(
             return None
         out[label] = (hits, widths)
     return out
-
-
-def _lane_phase(
-    per_replication: list,
-    lane_fitters: dict,
-    true_model: NHPPModel,
-    prior: ModelPrior,
-    horizon: float,
-    level: float,
-    seed: int,
-    indices: list[int],
-) -> list:
-    """Score every lane fitter on the campaigns the per-replication
-    phase kept, all campaigns at once per fitter.
-
-    Campaign ``i``'s data is rebuilt from ``replication_seed(seed, i)``
-    — the same stream the per-replication phase consumed, so both
-    phases see bit-identical datasets — and the fitter's lane ``i``
-    draws from the separate ``replication_seed(seed, i, 1)`` stream.
-    """
-    eligible = [
-        index
-        for index, outcome in zip(indices, per_replication)
-        if outcome is not None
-    ]
-    if not eligible:
-        return per_replication
-    datasets = []
-    for index in eligible:
-        rng = np.random.default_rng(replication_seed(seed, index))
-        datasets.append(simulate_failure_times(true_model, horizon, rng))
-    truths = {
-        "omega": true_model.omega,
-        "beta": float(true_model.params["beta"]),
-    }
-    tail = 0.5 * (1.0 - level)
-    levels = np.array([tail, 1.0 - tail])
-    merged = {
-        index: dict(outcome)
-        for index, outcome in zip(indices, per_replication)
-        if outcome is not None
-    }
-    for label, fitter in lane_fitters.items():
-        rngs = [
-            np.random.default_rng(replication_seed(seed, index, 1))
-            for index in eligible
-        ]
-        posteriors = fitter.fit_lanes(datasets, prior, rngs)
-        obs.event(
-            "coverage.lane_phase",
-            label=label,
-            lanes=len(eligible),
-            confidence=level,
-        )
-        for index, posterior in zip(eligible, posteriors):
-            merged[index][label] = _interval_score(posterior, truths, levels)
-    return [merged.get(index) for index in indices]
 
 
 def interval_coverage_study(
@@ -231,16 +180,9 @@ def interval_coverage_study(
         Prior handed to every fitter.
     fitters:
         ``{label: fit}`` where ``fit(data, prior)`` returns a
-        :class:`JointPosterior` (e.g. ``fit_vb2`` / ``fit_vb1``). A
-        fitter exposing ``fit_lanes(datasets, prior, rngs)`` (e.g.
-        :class:`repro.validation.fitters.MCMCLaneFitter`) is instead
-        run in a *lane phase*: every eligible campaign is fitted at
-        once as lock-step lanes of one batched MCMC run, with lane
-        ``i`` seeded from ``(seed, i, 1)``. Lane fitters score exactly
-        the campaigns the per-replication phase kept, so all
-        procedures stay comparable on a common campaign set; the
-        per-replication path itself is unchanged when no lane fitter
-        is present.
+        :class:`JointPosterior` (e.g. ``fit_vb2`` / ``fit_vb1``). An
+        :class:`repro.validation.fitters.MCMCFitter` runs one chain
+        per campaign on the ``(seed, i, 1)`` stream.
     horizon:
         Observation horizon of each simulated campaign.
     level:
@@ -259,17 +201,11 @@ def interval_coverage_study(
     """
     if replications < 1:
         raise ValueError("replications must be positive")
-    lane_fitters = {
-        label: fit for label, fit in fitters.items() if hasattr(fit, "fit_lanes")
-    }
-    loop_fitters = {
-        label: fit for label, fit in fitters.items() if label not in lane_fitters
-    }
     worker = partial(
         _coverage_replication,
         true_model,
         prior,
-        loop_fitters,
+        fitters,
         horizon,
         level,
         min_failures,
@@ -301,17 +237,6 @@ def interval_coverage_study(
             replications=replications,
             used=sum(1 for o in per_replication if o is not None),
             confidence=level,
-        )
-    if lane_fitters:
-        per_replication = _lane_phase(
-            per_replication,
-            lane_fitters,
-            true_model,
-            prior,
-            horizon,
-            level,
-            seed,
-            indices,
         )
     results = {
         label: CoverageResult(

@@ -106,15 +106,11 @@ _V1_SUITES = {
     "bench_mcmc_path.py": {
         "suite": "mcmc",
         "checks": [
-            ("lane_vs_scalar_max_abs_diff",
-             ("agreement", "lane_vs_scalar_max_abs_diff"), "exact", 0.0),
             ("diagnostics_batched_vs_scalar_max_rel",
              ("agreement", "diagnostics_batched_vs_scalar_max_rel"),
              "max", 1e-9),
         ],
-        "info": [
-            ("mcmc_speedup_target", ("acceptance", "mcmc_speedup_target")),
-        ],
+        "info": [],
     },
 }
 

@@ -21,8 +21,9 @@ Determinism mirrors the SBC campaign: every replication derives its
 randomness from ``(seed, cell index, replication index)`` alone, the
 flattened ``(cell, replication)`` job list runs through
 :func:`repro.validation.parallel.parallel_map` with telemetry captured
-per job and merged in spawn order, and MCMC runs as one batched
-lane fit per cell — so serial and parallel runs are byte-identical.
+per job and merged in spawn order, and each job's MCMC chain draws
+from its own ``(seed, cell, replication, 1)`` stream — so serial and
+parallel runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.robustness.generators import (
     default_severities,
     make_scenario,
 )
-from repro.validation.fitters import coverage_fitters
+from repro.validation.fitters import coverage_fitters, fit_replication
 from repro.validation.parallel import parallel_map
 from repro.validation.seeding import replication_seed
 
@@ -239,21 +240,13 @@ def _score_posterior(
     return hits, widths
 
 
-def _loop_fitters(spec: RobustnessSpec) -> tuple[dict, dict]:
-    """``(loop fitters, lane fitters)`` for the spec's method list."""
-    fitters = coverage_fitters(spec.methods, scale=spec.scale)
-    lane = {k: v for k, v in fitters.items() if hasattr(v, "fit_lanes")}
-    loop = {k: v for k, v in fitters.items() if k not in lane}
-    return loop, lane
-
-
 def _robustness_replication(
     spec: RobustnessSpec, job: tuple[int, int]
 ) -> dict | None:
-    """Simulate one cell replication and score every non-lane method.
+    """Simulate one cell replication and score every method.
 
     ``job = (cell index, replication index)``; the simulation stream is
-    ``(seed, cell, rep, 0)`` and MCMC lanes later draw from
+    ``(seed, cell, rep, 0)`` and the MCMC chain draws from
     ``(seed, cell, rep, 1)``, so method choices never perturb the data.
     Returns ``None`` for skipped campaigns (too few failures, or any
     fitter raising a library error — all methods stay scored on a
@@ -272,12 +265,13 @@ def _robustness_replication(
     truths = scenario.truths(spec.horizon)
     levels = _interval_levels(spec.level)
     survival = ResidualSurvival(alpha0=spec.alpha0, te=spec.horizon)
-    loop, _ = _loop_fitters(spec)
+    fitters = coverage_fitters(spec.methods, scale=spec.scale)
+    fit_seed = replication_seed(spec.seed, cell_index, rep_index, 1)
     scores: dict[str, tuple[dict[str, bool], dict[str, float]]] = {}
     vb2_posterior = None
     try:
-        for label, fit in loop.items():
-            posterior = fit(data, spec.prior)
+        for label, fit in fitters.items():
+            posterior = fit_replication(fit, data, spec.prior, fit_seed)
             if label == "VB2":
                 vb2_posterior = posterior
             scores[label] = _score_posterior(posterior, truths, levels, survival)
@@ -302,71 +296,6 @@ def _robustness_replication(
         )
         return None
     return {"failures": data.count, "scores": scores}
-
-
-def _lane_phase(
-    spec: RobustnessSpec,
-    lane_fitters: dict,
-    outcomes: list[dict | None],
-    jobs: list[tuple[int, int]],
-) -> list[dict | None]:
-    """Fit lane-capable methods (MCMC) cell by cell, all eligible
-    replications of a cell as lock-step lanes of one batched run.
-
-    Campaign data is rebuilt from the ``(seed, cell, rep, 0)`` stream —
-    bit-identical to what the per-replication phase consumed — and lane
-    ``i`` samples from ``(seed, cell, rep, 1)``.
-    """
-    levels = _interval_levels(spec.level)
-    survival = ResidualSurvival(alpha0=spec.alpha0, te=spec.horizon)
-    merged = {
-        job: dict(outcome["scores"]) if outcome is not None else None
-        for job, outcome in zip(jobs, outcomes)
-    }
-    failures = {
-        job: outcome["failures"]
-        for job, outcome in zip(jobs, outcomes)
-        if outcome is not None
-    }
-    for cell_index, (family, severity) in enumerate(spec.cells()):
-        eligible = [
-            job for job in jobs if job[0] == cell_index and merged[job] is not None
-        ]
-        if not eligible:
-            continue
-        scenario = spec.scenario(family, severity)
-        truths = scenario.truths(spec.horizon)
-        datasets = []
-        for _, rep_index in eligible:
-            rng = np.random.default_rng(
-                replication_seed(spec.seed, cell_index, rep_index, 0)
-            )
-            datasets.append(scenario.simulate(spec.horizon, rng))
-        for label, fitter in lane_fitters.items():
-            rngs = [
-                np.random.default_rng(
-                    replication_seed(spec.seed, cell_index, rep_index, 1)
-                )
-                for _, rep_index in eligible
-            ]
-            posteriors = fitter.fit_lanes(datasets, spec.prior, rngs)
-            obs.event(
-                "robustness.lane_phase",
-                label=label,
-                family=family,
-                severity=severity,
-                lanes=len(eligible),
-            )
-            for job, posterior in zip(eligible, posteriors):
-                merged[job][label] = _score_posterior(
-                    posterior, truths, levels, survival
-                )
-    return [
-        None
-        if merged[job] is None
-        else {"failures": failures[job], "scores": merged[job]}
-        for job in jobs
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -600,9 +529,7 @@ def run_robustness(
     parallel campaign runner; when a telemetry collector is active each
     job runs under its own capture and the payloads are merged in
     spawn order, so the trace is byte-identical serially and on a
-    pool. MCMC is fitted afterwards as one batched lane run per cell
-    (:class:`repro.validation.fitters.MCMCLaneFitter`), scoring exactly
-    the campaigns the per-replication phase kept.
+    pool.
     """
     jobs = [
         (cell_index, rep_index)
@@ -637,7 +564,4 @@ def run_robustness(
             ok=sum(1 for o in outcomes if o is not None),
             skipped=sum(1 for o in outcomes if o is None),
         )
-    _, lane_fitters = _loop_fitters(spec)
-    if lane_fitters:
-        outcomes = _lane_phase(spec, lane_fitters, outcomes, jobs)
     return _aggregate(spec, outcomes, jobs)

@@ -14,86 +14,9 @@ import numpy as np
 from scipy import stats as st
 
 from repro.stats import scipy_special as sc
-from repro.stats.special import as_float, log_gamma_cdf, log_gamma_sf
+from repro.stats.special import log_gamma_cdf, log_gamma_sf
 
-__all__ = ["GammaDistribution", "gamma_kl_divergence", "gamma_from_uniform"]
-
-#: Fast-path domain of :func:`gamma_from_uniform`: the Wilson–Hilferty
-#: start is accurate enough there for two Halley steps to reach ~1e-11
-#: relative error; outside it the exact (iterative) inversion is used.
-_FAST_SHAPE_MIN = 8.0
-_FAST_TAIL = 1e-10
-
-
-def _gamma_from_uniform_fast(shape, u, log_gamma_shape):
-    """Wilson–Hilferty start + two Halley refinements (unit rate).
-
-    Each Halley step costs one ``gammainc`` (~6x cheaper than one
-    ``gammaincinv`` Newton iteration set) plus elementwise arithmetic,
-    which is what lets a lock-step Gibbs sweep invert every lane's
-    gamma conditionals in a handful of vectorized calls.
-    """
-    z = sc.ndtri(u)
-    inv9 = 1.0 / (9.0 * shape)
-    cube_root = 1.0 - inv9 + z * np.sqrt(inv9)
-    x = shape * cube_root * cube_root * cube_root
-    shape_m1 = shape - 1.0
-    for _ in range(2):
-        residual = sc.gammainc(shape, x) - u
-        # residual / pdf, with the pdf in log space to dodge overflow.
-        step = residual * np.exp(x - shape_m1 * np.log(x) + log_gamma_shape)
-        x = x - step / (1.0 - 0.5 * step * (shape_m1 / x - 1.0))
-    return x
-
-
-def gamma_from_uniform(
-    shape: np.ndarray,
-    u: np.ndarray,
-    *,
-    log_gamma_shape: np.ndarray | None = None,
-) -> np.ndarray:
-    """Unit-rate gamma quantiles ``G⁻¹(u; shape)``, elementwise.
-
-    The uniform→variate map the lane-parallel Gibbs engine uses for its
-    conjugate gamma conditionals (divide by the rate to get the
-    ``Gamma(shape, rate)`` variate). A pure elementwise transform of
-    ``(shape, u)``: a lane gets bit-identical variates whether inverted
-    alone or inside a batch, which is the engine's identity contract.
-
-    For ``shape >= 8`` away from the extreme tails the Wilson–Hilferty
-    normal approximation plus two Halley steps on the regularised
-    incomplete gamma delivers better than 1e-9 relative accuracy (the Gibbs
-    conditionals here have shape ``>= m_e``, far inside this region);
-    elsewhere the exact ``gammaincinv`` inversion is used. Passing
-    ``log_gamma_shape = gammaln(shape)`` skips recomputing the constant
-    when the shape vector repeats across sweeps.
-    """
-    shape = np.atleast_1d(as_float(shape))
-    u = np.atleast_1d(as_float(u))
-    shape, u = np.broadcast_arrays(shape, u)
-    fast = (shape >= _FAST_SHAPE_MIN) & (u > _FAST_TAIL) & (u < 1.0 - _FAST_TAIL)
-    if fast.all():
-        if log_gamma_shape is None:
-            log_gamma_shape = sc.gammaln(shape)
-        else:
-            log_gamma_shape = np.broadcast_to(
-                as_float(log_gamma_shape), shape.shape
-            )
-        return _gamma_from_uniform_fast(shape, u, log_gamma_shape)
-    out = np.empty(shape.shape, dtype=np.result_type(shape, u))
-    slow = ~fast
-    out[slow] = sc.gammaincinv(shape[slow], u[slow])
-    if fast.any():
-        lgs = (
-            sc.gammaln(shape[fast])
-            if log_gamma_shape is None
-            else np.broadcast_to(
-                as_float(log_gamma_shape), shape.shape
-            )[fast]
-        )
-        out[fast] = _gamma_from_uniform_fast(shape[fast], u[fast], lgs)
-    return out
-
+__all__ = ["GammaDistribution", "gamma_kl_divergence"]
 
 def gamma_kl_divergence(p: "GammaDistribution", q: "GammaDistribution") -> float:
     """``KL(p || q)`` between two gamma distributions in closed form.

@@ -15,7 +15,6 @@ __all__ = [
     "log_poisson_pmf",
     "poisson_interval",
     "sample_poisson",
-    "poisson_from_uniform",
 ]
 
 
@@ -60,48 +59,3 @@ def sample_poisson(mean: float, rng: np.random.Generator) -> int:
         raise ValueError(f"Poisson mean must be finite and non-negative, got {mean}")
     return int(rng.poisson(mean))
 
-
-def poisson_from_uniform(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Exact Poisson quantiles ``min{k : P(K <= k) >= u}``, elementwise.
-
-    The uniform→variate map of the lane-parallel Gibbs engine: feeding
-    each lane's own uniform stream through this function draws every
-    lane's residual-count variate in one vectorized call, and — because
-    the map is a pure elementwise transform — gives bit-identical
-    variates whether a lane is evaluated alone or inside a batch.
-
-    The Cornish–Fisher start ``floor(mean + sqrt(mean) z + (z²-1)/6)``
-    with ``z = Φ⁻¹(u)`` lands on (or within a step or two of) the true
-    quantile, and a vectorized CDF walk over the few unsettled lanes
-    makes the result exact — the same integer ``scipy.stats.poisson.ppf``
-    returns for ``u ∈ (0, 1)``, at a fraction of the cost of the
-    iterative ``pdtrik`` inversion. ``u = 0`` maps to 0 (the smallest
-    support point) and ``mean = 0`` to the point mass at 0.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    u, mean = np.broadcast_arrays(u, mean)
-    if not np.all((u >= 0.0) & (u < 1.0)):
-        raise ValueError("uniforms must lie in [0, 1)")
-    if not np.all(np.isfinite(mean)) or np.any(mean < 0.0):
-        raise ValueError("Poisson mean must be finite and non-negative")
-    # Clip z so u = 0 degrades to a far-left start instead of -inf
-    # (the CDF walk below then settles on k = 0 exactly).
-    z = np.clip(sc.ndtri(u), -37.0, 37.0)
-    k = np.clip(np.floor(mean + np.sqrt(mean) * z + (z * z - 1.0) / 6.0), 0.0, None)
-    cdf = sc.pdtr(k, mean)
-    # Ascend: lanes whose start undershoots walk up to the smallest k
-    # with CDF(k) >= u. Terminates because CDF(k) -> 1 > u.
-    active = np.flatnonzero(cdf < u)
-    while active.size:
-        k[active] += 1.0
-        active = active[sc.pdtr(k[active], mean[active]) < u[active]]
-    # Descend: back off while the previous support point still covers u.
-    active = np.flatnonzero(k > 0.0)
-    while active.size:
-        active = active[sc.pdtr(k[active] - 1.0, mean[active]) >= u[active]]
-        if not active.size:
-            break
-        k[active] -= 1.0
-        active = active[k[active] > 0.0]
-    return k.astype(np.int64)

@@ -17,9 +17,8 @@ accept scalars or broadcastable arrays for ``cut``/``lo``/``hi``/``rate``
 and evaluate element-wise through the same ufuncs either way, so the
 batched fit engine sees bit-identical values to the scalar path.  The
 ``sample_*`` entry points consume a :class:`numpy.random.Generator`;
-the uniform→variate maps (``*_from_uniform``) are their uniform-stream
-twins, and :func:`sample_truncated_gamma` is its map applied to
-``rng.random``.
+:func:`sample_truncated_gamma` is the uniform→variate map
+:func:`truncated_gamma_from_uniform` applied to ``rng.random``.
 """
 
 from __future__ import annotations
@@ -27,11 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.stats import scipy_special as sc
-from repro.stats.special import (
-    gamma_cdf_increment,
-    gamma_sf_ratio,
-    log_gamma_sf,
-)
+from repro.stats.special import gamma_cdf_increment, gamma_sf_ratio
 
 __all__ = [
     "censored_gamma_mean",
@@ -39,11 +34,10 @@ __all__ = [
     "sample_truncated_gamma",
     "sample_censored_gamma",
     "truncated_gamma_from_uniform",
-    "censored_gamma_from_uniform",
 ]
 
-#: Tail mass below which :func:`sample_censored_gamma` (and its
-#: uniform-stream twin) switch to the exponential tail approximation.
+#: Tail mass below which :func:`sample_censored_gamma` switches to the
+#: exponential tail approximation.
 _CENSORED_TAIL_FLOOR = 1e-280
 
 
@@ -181,7 +175,6 @@ def sample_censored_gamma(
         return sc.gammainccinv(shape, u) / rate
     # Deep tail: T - cut is approximately exponential with rate `rate`.
     del_mean = censored_gamma_mean(cut, shape, rate) - cut
-    _ = log_gamma_sf(cut, shape, rate)  # keep the log computation honest
     return cut + rng.exponential(scale=max(del_mean, 1.0 / rate), size=size)
 
 
@@ -195,10 +188,10 @@ def truncated_gamma_from_uniform(
     """Inverse-CDF map of uniforms to ``T ~ Gamma(shape, rate)`` draws
     conditioned on ``lo < T <= hi``, elementwise.
 
-    The one latent-time map of every grouped Gibbs sampler: the direct
-    sweep, :func:`sample_truncated_gamma` and the lane-parallel engine
-    all draw through it. Arguments broadcast as NumPy operands (float
-    arrays or scalars); no copies are made.
+    The one latent-time map: the grouped Gibbs sweep and
+    :func:`sample_truncated_gamma` both draw through it. Arguments
+    broadcast as NumPy operands (float arrays or scalars); no copies
+    are made.
 
     For the Goel–Okumoto lifetime (``shape == 1``) the inversion is the
     memoryless closed form
@@ -227,35 +220,3 @@ def truncated_gamma_from_uniform(
     inverted = sc.gammaincinv(shape, np.where(degenerate, 0.5, p)) / rate
     return np.where(degenerate, p, inverted)
 
-
-def censored_gamma_from_uniform(
-    cut: np.ndarray,
-    shape: float,
-    rate: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Inverse-CDF map of uniforms to ``T ~ Gamma(shape, rate)`` draws
-    conditioned on ``T > cut``, elementwise.
-
-    The uniform-stream twin of :func:`sample_censored_gamma` for the
-    lane engine's tail augmentation (``α0 != 1``): survival-scale
-    inversion ``SF⁻¹(u · SF(cut))``, with the same exponential tail
-    fallback once the censored mass underflows. ``shape == 1`` reduces
-    to the memoryless ``cut - log(u)/rate``.
-    """
-    cut = np.asarray(cut, dtype=float)
-    rate = np.asarray(rate, dtype=float)
-    u = np.asarray(u, dtype=float)
-    cut, rate, u = np.broadcast_arrays(cut, rate, u)
-    if shape == 1.0:
-        # Memoryless: SF(cut) = exp(-rate cut) exactly, never underflows
-        # the inversion (log-scale arithmetic throughout).
-        return np.where(cut <= 0.0, 0.0, cut) - np.log(u) / rate
-    q_cut = sc.gammaincc(shape, rate * np.clip(cut, 0.0, None))
-    deep = q_cut <= _CENSORED_TAIL_FLOOR
-    out = sc.gammainccinv(shape, np.where(deep, 0.5, u * q_cut)) / rate
-    if np.any(deep):
-        del_mean = np.atleast_1d(censored_gamma_mean(cut, shape, rate)) - cut
-        scale = np.maximum(del_mean, 1.0 / rate)
-        out = np.where(deep, cut + scale * -np.log1p(-u), out)
-    return out

@@ -5,19 +5,15 @@ they must be module-level functions (or picklable instances). The
 deterministic methods are thin aliases; NINT gets a wrapper that first
 fits VB2 for its integration rectangle, as the paper prescribes.
 
-MCMC is represented by :class:`MCMCLaneFitter`: the campaign runner
-recognises the type and, instead of fitting one chain per replication
-in the per-campaign loop, runs *all* replications of the campaign as
-lock-step lanes of one batched Gibbs fit
-(:func:`repro.bayes.mcmc.lane_engine.gibbs_failure_time_lanes`). Each
-lane consumes its own ``(seed, index)``-derived stream, so the lanes
-are bit-identical to fitting the replications one at a time with the
-scalar inverse-layer sampler.
+MCMC is the frozen :class:`MCMCFitter`, one direct Gibbs chain per
+call. A campaign replication fits it through :func:`fit_replication`,
+which hands it a generator of its own ``(…, 1)`` seed branch, so the
+chain never perturbs the simulated data and serial and parallel
+campaigns stay identical.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -26,13 +22,18 @@ import numpy as np
 from repro.bayes.joint import JointPosterior
 from repro.bayes.laplace import fit_laplace
 from repro.bayes.mcmc.chains import ChainSettings
-from repro.bayes.mcmc.lane_engine import gibbs_failure_time_lanes
+from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
 from repro.bayes.nint import fit_nint
 from repro.bayes.priors import ModelPrior
 from repro.core.vb1 import fit_vb1
 from repro.core.vb2 import fit_vb2
 
-__all__ = ["MCMCLaneFitter", "coverage_fitters", "fit_nint_via_vb2"]
+__all__ = [
+    "MCMCFitter",
+    "coverage_fitters",
+    "fit_nint_via_vb2",
+    "fit_replication",
+]
 
 
 def fit_nint_via_vb2(
@@ -55,62 +56,58 @@ def fit_nint_via_vb2(
 
 
 def _default_campaign_settings() -> ChainSettings:
-    """Campaign-scale schedule on the batchable inverse layer.
+    """Campaign-scale schedule.
 
     Shorter than the paper's single-fit schedule — a coverage campaign
     multiplies the chain cost by the replication count, and interval
     endpoints at the 0.5% tail stabilise well before 20000 draws.
     """
-    return ChainSettings(
-        n_samples=4_000, burn_in=2_000, thin=2, variate_layer="inverse"
-    )
+    return ChainSettings(n_samples=4_000, burn_in=2_000, thin=2)
 
 
 @dataclass(frozen=True)
-class MCMCLaneFitter:
-    """Lane-capable MCMC fitter for coverage campaigns.
+class MCMCFitter:
+    """Kuo–Yang Gibbs fitter for failure-time campaigns.
 
-    Not called per replication like the function fitters:
-    :func:`repro.metrics.coverage.interval_coverage_study` detects the
-    type and hands every eligible replication's dataset to
-    :meth:`fit_lanes` at once, one lane per campaign.
+    ``fit(data, prior)`` runs one direct chain seeded from
+    ``settings.seed``; campaigns pass ``rng`` (see
+    :func:`fit_replication`) so each replication draws from its own
+    stream.
     """
 
     settings: ChainSettings = field(default_factory=_default_campaign_settings)
     alpha0: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.settings.variate_layer != "inverse":
-            raise ValueError(
-                "MCMCLaneFitter batches the inverse variate layer; build "
-                'the schedule with variate_layer="inverse" (see '
-                "ChainSettings.with_variate_layer)"
-            )
-
-    def fit_lanes(
+    def __call__(
         self,
-        datasets: Sequence,
+        data,
         prior: ModelPrior,
-        rngs: Sequence[np.random.Generator],
-    ) -> list[JointPosterior]:
-        """Fit all campaigns as lock-step lanes; one posterior each."""
-        results = gibbs_failure_time_lanes(
-            datasets, prior, self.alpha0, settings=self.settings, rngs=rngs
+        rng: np.random.Generator | None = None,
+    ) -> JointPosterior:
+        result = gibbs_failure_time(
+            data, prior, self.alpha0, settings=self.settings, rng=rng
         )
-        return [result.posterior() for result in results]
+        return result.posterior()
 
-    def __call__(self, data, prior: ModelPrior) -> JointPosterior:
-        raise TypeError(
-            "MCMCLaneFitter is not a per-replication callable; pass it to "
-            "interval_coverage_study, which batches all replications "
-            "through the lane engine"
-        )
+
+def fit_replication(
+    fit, data, prior: ModelPrior, fit_seed: np.random.SeedSequence
+) -> JointPosterior:
+    """One campaign replication's fit of ``fit``.
+
+    An :class:`MCMCFitter` draws from a fresh generator on ``fit_seed``
+    (the replication's ``(…, 1)`` branch); every other fitter is called
+    as ``fit(data, prior)``.
+    """
+    if isinstance(fit, MCMCFitter):
+        return fit(data, prior, rng=np.random.default_rng(fit_seed))
+    return fit(data, prior)
 
 
 _COVERAGE_FITTERS = {
     "NINT": fit_nint_via_vb2,
     "LAPL": fit_laplace,
-    "MCMC": MCMCLaneFitter(),
+    "MCMC": MCMCFitter(),
     "VB1": fit_vb1,
     "VB2": fit_vb2,
 }
@@ -121,10 +118,9 @@ def coverage_fitters(labels, scale=None) -> dict:
 
     With an :class:`~repro.experiments.config.ExperimentScale`, the
     scale-sensitive methods honour it: NINT integrates on the scale's
-    grid resolution and MCMC runs the scale's chain schedule (forced
-    onto the batchable inverse variate layer). The returned callables
-    stay picklable — partials of module-level functions and frozen
-    fitter instances.
+    grid resolution and MCMC runs the scale's chain schedule. The
+    returned callables stay picklable — partials of module-level
+    functions and frozen fitter instances.
 
     >>> sorted(coverage_fitters(["VB2", "VB1"]))
     ['VB1', 'VB2']
@@ -142,7 +138,5 @@ def coverage_fitters(labels, scale=None) -> dict:
                 fit_nint_via_vb2, resolution=scale.nint_resolution
             )
         if "MCMC" in fitters:
-            fitters["MCMC"] = MCMCLaneFitter(
-                settings=scale.mcmc.with_variate_layer("inverse")
-            )
+            fitters["MCMC"] = MCMCFitter(settings=scale.mcmc)
     return fitters

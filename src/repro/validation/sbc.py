@@ -39,7 +39,6 @@ from repro import obs
 from repro.bayes.joint import JointPosterior
 from repro.bayes.laplace import fit_laplace
 from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
-from repro.bayes.mcmc.lane_engine import gibbs_failure_time_lanes
 from repro.bayes.nint import fit_nint
 from repro.bayes.priors import GammaPrior, ModelPrior
 from repro.core.reliability import ReliabilityIncrement, ResidualSurvival
@@ -402,24 +401,10 @@ def run_sbc(
     payloads are merged into the ambient collector in spawn-key
     (replication-index) order — the identical code path serially and on
     a process pool, so the merged trace is byte-identical either way.
-
-    MCMC campaigns whose schedule selects the ``"inverse"`` variate
-    layer skip the per-replication loop entirely: every replication's
-    chain runs as a lane of one batched Gibbs fit
-    (:func:`repro.bayes.mcmc.lane_engine.gibbs_failure_time_lanes`).
-    Lane ``i`` consumes exactly the streams replication ``i`` would
-    have, so the outcomes — ranks included — are bit-identical to the
-    loop; ``workers`` is ignored (the vectorized fit replaces the
-    process pool).
     """
     if indices is None:
         indices = range(spec.replications)
     indices = list(indices)
-    if (
-        spec.method == "MCMC"
-        and spec.scale.mcmc.variate_layer == "inverse"
-    ):
-        return _run_sbc_lanes(spec, indices)
     task = partial(run_replication, spec)
     heartbeat = obs.Heartbeat("sbc.replications", len(indices))
     on_result = lambda done, _result: heartbeat.tick(done)  # noqa: E731
@@ -452,92 +437,3 @@ def run_sbc(
         )
     return SBCResult(spec=spec, outcomes=tuple(outcomes))
 
-
-def _run_sbc_lanes(spec: SBCSpec, indices: list[int]) -> SBCResult:
-    """MCMC campaign with every replication's chain as one lane.
-
-    Phase 1 simulates each replication's truth and campaign from its
-    ``(seed, index, 0)`` stream (cheap, serial); phase 2 fits all
-    non-skipped campaigns in one lock-step batched Gibbs run, lane
-    ``i`` drawing from the ``(seed, index, 1)`` stream; phase 3 draws
-    the rank binomials from ``(seed, index, 2)``. Stream-for-stream the
-    same consumption as :func:`run_replication`, so the outcomes are
-    bit-identical to the per-replication loop.
-    """
-    outcomes: dict[int, ReplicationOutcome] = {}
-    pending: list[tuple[int, dict[str, float], object]] = []
-    for index in indices:
-        sim_rng = np.random.default_rng(replication_seed(spec.seed, index, 0))
-        omega, beta = _draw_truth(spec.prior, sim_rng)
-        truth = {"omega": omega, "beta": beta}
-        model = make_model(spec.model, omega=omega, beta=beta)
-        data = simulate_failure_times(model, spec.horizon, sim_rng)
-        if data.count < spec.min_failures:
-            outcomes[index] = ReplicationOutcome(
-                index=index, status="skipped", failures=data.count, truth=truth
-            )
-        else:
-            pending.append((index, truth, data))
-    if pending:
-        rngs = [
-            np.random.default_rng(replication_seed(spec.seed, index, 1))
-            for index, _, _ in pending
-        ]
-        results = gibbs_failure_time_lanes(
-            [data for _, _, data in pending],
-            spec.prior,
-            spec.alpha0,
-            settings=spec.scale.mcmc,
-            rngs=rngs,
-        )
-        heartbeat = obs.Heartbeat("sbc.lane_ranks", len(pending))
-        for (index, truth, data), result in zip(pending, results):
-            heartbeat.tick()
-            rank_rng = np.random.default_rng(
-                replication_seed(spec.seed, index, 2)
-            )
-            try:
-                pit = _pit_values(
-                    spec, result.posterior(), truth["omega"], truth["beta"]
-                )
-            except ReproError as exc:
-                _logger.info("SBC replication %d failed: %s: %s",
-                             index, type(exc).__name__, exc)
-                obs.event(
-                    "sbc.replication_failed",
-                    index=index,
-                    error=type(exc).__name__,
-                )
-                outcomes[index] = ReplicationOutcome(
-                    index=index,
-                    status="failed",
-                    failures=data.count,
-                    truth=truth,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-                continue
-            ranks = {
-                name: int(rank_rng.binomial(spec.ranks, min(max(u, 0.0), 1.0)))
-                for name, u in pit.items()
-            }
-            outcomes[index] = ReplicationOutcome(
-                index=index,
-                status="ok",
-                failures=data.count,
-                truth=truth,
-                ranks=ranks,
-            )
-    if obs.active() is not None:
-        obs.event(
-            "sbc.campaign",
-            method=spec.method,
-            model=spec.model,
-            replications=len(indices),
-            lanes=len(pending),
-            ok=sum(1 for o in outcomes.values() if o.status == "ok"),
-            skipped=sum(1 for o in outcomes.values() if o.status == "skipped"),
-            failed=sum(1 for o in outcomes.values() if o.status == "failed"),
-        )
-    return SBCResult(
-        spec=spec, outcomes=tuple(outcomes[index] for index in indices)
-    )

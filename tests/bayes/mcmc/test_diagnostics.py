@@ -9,10 +9,6 @@ from repro.bayes.mcmc.diagnostics import (
     gelman_rubin,
     geweke_z,
 )
-from repro.bayes.mcmc.quantile_ci import (
-    quantile_coverage_interval,
-    sample_size_for_quantile,
-)
 
 
 def ar1(n, rho, rng, loc=0.0):
@@ -100,29 +96,3 @@ class TestGelmanRubin:
         with pytest.raises(ValueError):
             gelman_rubin([rng.standard_normal(100)])
 
-
-class TestQuantileCI:
-    def test_paper_schedule_coverage(self):
-        # 20000 samples at p = 0.025: band roughly 0.025 +/- 0.002.
-        lo, hi = quantile_coverage_interval(20_000, 0.025, 0.95)
-        assert lo == pytest.approx(0.025 - 1.96 * np.sqrt(0.025 * 0.975 / 20_000),
-                                   rel=1e-4)
-        assert 0.022 < lo < 0.025 < hi < 0.028
-
-    def test_sample_size_inverse(self):
-        n = sample_size_for_quantile(0.025, 0.001, 0.95)
-        lo, hi = quantile_coverage_interval(n, 0.025, 0.95)
-        assert hi - 0.025 <= 0.001 * 1.001
-
-    def test_cost_grows_quadratically_with_precision(self):
-        n_coarse = sample_size_for_quantile(0.025, 0.002, 0.95)
-        n_fine = sample_size_for_quantile(0.025, 0.001, 0.95)
-        assert n_fine == pytest.approx(4 * n_coarse, rel=0.01)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            quantile_coverage_interval(0, 0.5, 0.95)
-        with pytest.raises(ValueError):
-            quantile_coverage_interval(10, 1.5, 0.95)
-        with pytest.raises(ValueError):
-            sample_size_for_quantile(0.5, 0.0, 0.95)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special as sc
 
-from repro.bayes.mcmc.chains import ChainSettings
+from repro.bayes.mcmc.chains import ChainSettings, kept_draws
 from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
 from repro.bayes.mcmc.gibbs_grouped import _IntervalSums, gibbs_grouped
 from repro.bayes.priors import ModelPrior
@@ -164,6 +164,24 @@ class TestChainSettings:
             ChainSettings(burn_in=-1)
         with pytest.raises(ValueError):
             ChainSettings(thin=0)
+
+
+class TestScheduleArithmetic:
+    def test_kept_draws_matches_keep_rule(self):
+        for burn_in, thin, total in [(0, 1, 5), (10, 3, 40), (7, 2, 7)]:
+            kept = sum(
+                1
+                for sweep in range(total)
+                if sweep >= burn_in and (sweep - burn_in + 1) % thin == 0
+            )
+            assert kept_draws(burn_in, thin, total) == kept
+
+    def test_schedule_always_keeps_n_samples(self):
+        schedule = ChainSettings(n_samples=30, burn_in=16, thin=2)
+        assert (
+            kept_draws(schedule.burn_in, schedule.thin, schedule.total_iterations)
+            == schedule.n_samples
+        )
 
 
 class TestGibbsFailureTime:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bayes.mcmc.chains import ChainSettings
 from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
+from repro.bayes.mcmc.gibbs_grouped import gibbs_grouped
 from repro.bayes.mcmc.multichain import run_chains
 
 
@@ -49,6 +50,26 @@ class TestRunChains:
             nint_times.mean("omega"), rel=0.03
         )
         assert posterior.diagnostics["n_chains"] == 3
+
+    @pytest.mark.parametrize(
+        "sampler", [gibbs_failure_time, gibbs_grouped], ids=["times", "grouped"]
+    )
+    def test_chain_i_runs_on_seed_base_plus_i(
+        self, times_data, grouped_data, info_prior_times, sampler
+    ):
+        data = times_data if sampler is gibbs_failure_time else grouped_data
+        settings = ChainSettings(n_samples=30, burn_in=16, thin=2)
+        result = run_chains(
+            sampler, data, info_prior_times, n_chains=3,
+            settings=settings, base_seed=9,
+        )
+        for index, chain in enumerate(result.chains):
+            alone = sampler(
+                data, info_prior_times, settings=settings.with_seed(9 + index)
+            )
+            assert chain.settings.seed == 9 + index
+            assert np.array_equal(chain.samples, alone.samples)
+            assert chain.variate_count == alone.variate_count
 
     def test_requires_two_chains(self, times_data, info_prior_times):
         with pytest.raises(ValueError):

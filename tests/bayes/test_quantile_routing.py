@@ -2,18 +2,13 @@
 
 Scalar ``quantile`` / ``reliability_quantile`` are now thin wrappers
 over the batched entry points, so these tests pin (a) exact agreement
-between the two spellings, (b) the rank convention against a naive
-sorted-array oracle, and (c) the vectorized quantile-coverage helpers
-against their scalar forms.
+between the two spellings and (b) the rank convention against a naive
+sorted-array oracle.
 """
 
 import numpy as np
 import pytest
 
-from repro.bayes.mcmc.quantile_ci import (
-    quantile_coverage_interval,
-    sample_size_for_quantile,
-)
 from repro.bayes.sample_posterior import EmpiricalPosterior
 
 _LEVELS = [0.005, 0.025, 0.1, 0.5, 0.9, 0.975, 0.995]
@@ -82,25 +77,3 @@ class TestReliabilityQuantiles:
         with pytest.raises(ValueError):
             posterior.reliability_quantile_batch(np.array([1.5]), _window)
 
-
-class TestVectorizedQuantileCI:
-    def test_array_levels_match_scalar_calls(self):
-        p = np.array([0.005, 0.025, 0.5, 0.975])
-        lo, hi = quantile_coverage_interval(20_000, p, 0.95)
-        for i, level in enumerate(p):
-            slo, shi = quantile_coverage_interval(20_000, float(level), 0.95)
-            assert lo[i] == slo and hi[i] == shi
-
-    def test_scalar_in_scalar_out(self):
-        lo, hi = quantile_coverage_interval(1_000, 0.1, 0.95)
-        assert isinstance(lo, float) and isinstance(hi, float)
-
-    def test_sample_size_vectorizes(self):
-        p = np.array([0.025, 0.975])
-        n = sample_size_for_quantile(p, 0.001, 0.95)
-        assert n.shape == (2,)
-        for i, level in enumerate(p):
-            assert n[i] == sample_size_for_quantile(float(level), 0.001, 0.95)
-
-    def test_sample_size_scalar_returns_int(self):
-        assert isinstance(sample_size_for_quantile(0.025, 0.001, 0.95), int)

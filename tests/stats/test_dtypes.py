@@ -1,17 +1,14 @@
 """Dtype-following regression tests for the hot kernels.
 
-The uniform→variate layer, the gamma-cell quantile engine and the segment
-reductions carry no hard-coded ``dtype=float`` casts: dtypes follow
-the inputs (float32 in ⇒ float32 out), with ints/bools promoting to
-float64. These tests pin both directions so a future edit cannot
-quietly reintroduce an upcast."""
+``as_float`` and the gamma-cell quantile engine carry no hard-coded
+``dtype=float`` casts: dtypes follow the inputs (float32 in ⇒ float32
+out), with ints/bools promoting to float64. These tests pin both
+directions so a future edit cannot quietly reintroduce an upcast."""
 
 import numpy as np
 
 from repro.stats.special import as_float
-from repro.stats.gamma_dist import gamma_from_uniform
 from repro.stats.gamma_cells import GammaCells
-from repro.stats.uniforms import segment_sums
 
 
 class TestAsFloat:
@@ -32,31 +29,6 @@ class TestAsFloat:
         np.testing.assert_array_equal(
             as_float(x), np.asarray(x, dtype=float)
         )
-
-
-class TestSegmentSumsDtype:
-    # reduceat convention: offsets mark segment starts only, so the
-    # last segment runs to the end of `values`.
-    def test_float64_in_float64_out(self):
-        out = segment_sums(np.arange(6.0), np.array([0, 2, 4]))
-        assert out.dtype == np.float64
-
-    def test_float32_in_float32_out(self):
-        out = segment_sums(
-            np.arange(6, dtype=np.float32), np.array([0, 2, 4])
-        )
-        assert out.dtype == np.float32
-
-    def test_int_in_float64_out(self):
-        out = segment_sums(np.arange(6), np.array([0, 2, 4]))
-        assert out.dtype == np.float64
-
-
-class TestVariateLayerDtype:
-    def test_gamma_from_uniform_float64(self):
-        shape = np.full(8, 3.0)
-        u = np.linspace(0.1, 0.9, 8)
-        assert gamma_from_uniform(shape, u).dtype == np.float64
 
 
 class TestRootfindDtype:

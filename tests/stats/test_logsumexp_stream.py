@@ -1,7 +1,7 @@
 """Edge-case and property tests for ``log_sum_exp_stream``.
 
-The segmented reduction is the normalisation kernel of every VB2 fit
-and of the lane-parallel Gibbs engine, and its raw ``reduceat``
+The segmented reduction is the normalisation kernel of every VB2
+fit, and its raw ``reduceat``
 implementation has two classic traps: a zero-width segment
 (``starts[k] == starts[k+1]``) silently misread as one element, and a
 trailing ``starts[k] == len(values)`` raising. These tests pin the

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sc
+import scipy.stats as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from repro.stats.truncated import (
     censored_gamma_mean,
     sample_censored_gamma,
     sample_truncated_gamma,
+    truncated_gamma_from_uniform,
     truncated_gamma_mean,
 )
 
@@ -148,3 +151,79 @@ class TestCensoredSampler:
         draws = sample_censored_gamma(10_000.0, 2.0, 1.0, 1000, rng)
         assert np.all(draws > 10_000.0)
         assert np.all(np.isfinite(draws))
+
+
+class TestTruncatedGammaFromUniform:
+    def test_draws_inside_interval(self):
+        rng = np.random.default_rng(10)
+        lo = rng.uniform(0.0, 2.0, size=300)
+        hi = lo + rng.uniform(0.1, 3.0, size=300)
+        rate = rng.uniform(0.05, 4.0, size=300)
+        u = rng.random(300)
+        for shape in (1.0, 2.5):
+            x = truncated_gamma_from_uniform(lo, hi, shape, rate, u)
+            assert np.all(x >= lo) and np.all(x <= hi)
+
+    def test_shape_one_closed_form(self):
+        lo, hi = np.array([1.0]), np.array([4.0])
+        rate, u = np.array([0.7]), np.array([0.42])
+        x = truncated_gamma_from_uniform(lo, hi, 1.0, rate, u)[0]
+        p = sps.expon(scale=1.0 / 0.7).cdf
+        expected = sps.expon(scale=1.0 / 0.7).ppf(
+            p(1.0) + 0.42 * (p(4.0) - p(1.0))
+        )
+        assert x == pytest.approx(expected, rel=1e-12)
+
+    def test_general_shape_matches_cdf_inversion(self):
+        lo, hi = np.array([0.5]), np.array([2.0])
+        rate, u = np.array([1.3]), np.array([0.8])
+        x = truncated_gamma_from_uniform(lo, hi, 3.0, rate, u)[0]
+        p_lo = sc.gammainc(3.0, 1.3 * 0.5)
+        p_hi = sc.gammainc(3.0, 1.3 * 2.0)
+        expected = sc.gammaincinv(3.0, p_lo + 0.8 * (p_hi - p_lo)) / 1.3
+        assert x == pytest.approx(expected, rel=1e-12)
+
+    def test_degenerate_interval_jitters_on_support(self):
+        # Far right tail of a shape != 1 lifetime: the CDF increment
+        # underflows, so the draw falls back to jitter on the interval.
+        lo, hi = np.array([4000.0]), np.array([4001.0])
+        rate, u = np.array([1.0]), np.array([0.25])
+        x = truncated_gamma_from_uniform(lo, hi, 2.0, rate, u)[0]
+        assert x == pytest.approx(4000.25)
+        # At shape 1 the memoryless inversion needs no fallback:
+        # 4000 - log1p(-0.25 (1 - e^-1)).
+        x = truncated_gamma_from_uniform(lo, hi, 1.0, rate, u)[0]
+        assert x == pytest.approx(4000.172011060757, rel=1e-12)
+
+    @pytest.mark.parametrize("rate, lo", [(1.0, 30.0), (0.5, 80.0), (2.0, 400.0)])
+    @pytest.mark.parametrize("entry", ["map", "sampler"])
+    def test_far_tail_shape_one_is_truncated_exponential(self, rate, lo, entry):
+        # rate * lo = 30, 40, 800: both exponential CDFs round to 1 or
+        # nearly, and CDF-space inversion used to return quantized draws
+        # (30) or uniform jitter (40, 800). The draws must be distinct
+        # truncated exponentials with the exact mean.
+        n, hi = 200_000, lo + 1.0 / rate
+        rng = np.random.default_rng(31)
+        if entry == "map":
+            x = truncated_gamma_from_uniform(lo, hi, 1.0, rate, rng.random(n))
+        else:
+            x = sample_truncated_gamma(lo, hi, 1.0, rate, n, rng)
+        assert np.all((x > lo) & (x <= hi))
+        assert np.unique(x).size == n
+        # Exp(rate) on (lo, lo + 1/rate] is lo + Exp(1) on (0, 1], scaled.
+        e = np.exp(-1.0)
+        mean = lo + (1.0 - e / (1.0 - e)) / rate
+        sd = np.sqrt(1.0 - e / (1.0 - e) ** 2) / rate
+        assert abs(x.mean() - mean) <= 4.0 * sd / np.sqrt(n)
+
+    def test_uniform_stream_recovers_distribution(self):
+        u = (np.arange(20_000) + 0.5) / 20_000
+        x = truncated_gamma_from_uniform(
+            np.full_like(u, 1.0), np.full_like(u, 3.0), 2.0,
+            np.full_like(u, 1.0), u,
+        )
+        p_lo, p_hi = sc.gammainc(2.0, 1.0), sc.gammainc(2.0, 3.0)
+        grid = np.linspace(1.05, 2.95, 9)
+        for g in grid:
+            expected = (sc.gammainc(2.0, g) - p_lo) / (p_hi - p_lo)
+            assert np.mean(x <= g) == pytest.approx(expected, abs=5e-4)

@@ -19,7 +19,7 @@ from repro.cli import (
 )
 from repro.experiments import PAPER_SCALE, QUICK_SCALE
 from repro.validation.fitters import (
-    MCMCLaneFitter,
+    MCMCFitter,
     coverage_fitters,
     fit_nint_via_vb2,
 )
@@ -130,9 +130,8 @@ class TestScalePlumbing:
         assert nint.func is fit_nint_via_vb2
         assert nint.keywords == {"resolution": QUICK_SCALE.nint_resolution}
         mcmc = fitters["MCMC"]
-        assert isinstance(mcmc, MCMCLaneFitter)
-        assert mcmc.settings.n_samples == QUICK_SCALE.mcmc.n_samples
-        assert mcmc.settings.variate_layer == "inverse"
+        assert isinstance(mcmc, MCMCFitter)
+        assert mcmc.settings == QUICK_SCALE.mcmc
 
     def test_paper_scale_differs_from_quick(self):
         quick = coverage_fitters(["NINT", "MCMC"], scale=QUICK_SCALE)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.bayes.priors import ModelPrior
-from repro.validation.fitters import coverage_fitters, fit_nint_via_vb2
+from repro.validation.fitters import (
+    MCMCFitter,
+    coverage_fitters,
+    fit_nint_via_vb2,
+)
 from repro.validation.sbc import (
     SBC_METHODS,
     SBC_QUANTITIES,
@@ -114,10 +118,10 @@ class TestCoverageFitters:
         assert set(fitters) == {"VB1", "VB2", "LAPL", "NINT"}
         assert fitters["NINT"] is fit_nint_via_vb2
 
-    def test_mcmc_label_is_lane_fitter(self):
+    def test_mcmc_label_is_mcmc_fitter(self):
         fitters = coverage_fitters(["MCMC"])
-        assert hasattr(fitters["MCMC"], "fit_lanes")
-        assert fitters["MCMC"].settings.variate_layer == "inverse"
+        assert isinstance(fitters["MCMC"], MCMCFitter)
+        assert fitters["MCMC"].settings.total_iterations == 10_000
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="BOGUS"):
