@@ -25,7 +25,6 @@ _logging.getLogger("repro").addHandler(_logging.NullHandler())
 from repro.core import (
     VBConfig,
     VBPosterior,
-    WeibullVBPosterior,
     ReliabilityEstimate,
     PredictiveCounts,
     CornishFisherInterval,
@@ -34,7 +33,6 @@ from repro.core import (
     predict_failure_counts,
     fit_vb1,
     fit_vb2,
-    fit_vb2_weibull,
     FleetResult,
     fit_nint_fleet,
     fit_vb1_fleet,
@@ -71,14 +69,11 @@ from repro.models import (
     DelayedSShaped,
     GammaSRM,
     GoelOkumoto,
-    LogNormalSRM,
     NHPPModel,
-    ParetoSRM,
     RayleighSRM,
     WeibullSRM,
     make_model,
 )
-from repro.mle import fit_mle_em, MLEResult
 
 __version__ = "1.0.0"
 
@@ -90,13 +85,11 @@ __all__ = [
     "ReliabilityEstimate",
     "PredictiveCounts",
     "CornishFisherInterval",
-    "WeibullVBPosterior",
     "estimate_reliability",
     "expansion_interval",
     "predict_failure_counts",
     "fit_vb1",
     "fit_vb2",
-    "fit_vb2_weibull",
     "FleetResult",
     "fit_nint_fleet",
     "fit_vb1_fleet",
@@ -128,13 +121,8 @@ __all__ = [
     "DelayedSShaped",
     "GammaSRM",
     "GoelOkumoto",
-    "LogNormalSRM",
     "NHPPModel",
-    "ParetoSRM",
     "RayleighSRM",
     "WeibullSRM",
     "make_model",
-    # point estimation
-    "fit_mle_em",
-    "MLEResult",
 ]

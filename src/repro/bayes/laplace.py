@@ -2,8 +2,12 @@
 
 The joint posterior is approximated by a bivariate normal centred at
 the MAP estimate with covariance equal to the inverse negative Hessian
-of the log posterior at the MAP. With flat priors this reduces to the
-classical MLE confidence-interval construction of Yamada & Osaki.
+of the log posterior at the MAP. That Hessian is exact: the analytic
+observed information of the likelihood
+(:func:`repro.bayes.sandwich.observed_information`) plus the gamma
+prior's curvature ``(m - 1)/x²`` in each parameter. With flat priors
+this reduces to the classical MLE confidence-interval construction of
+Yamada & Osaki.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from scipy import optimize
 from repro import obs
 from repro.bayes.normal_posterior import NormalPosterior
 from repro.bayes.priors import ModelPrior
+from repro.bayes.sandwich import observed_information
 from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.exceptions import EstimationError
 from repro.models.gamma_srm import GammaSRM
@@ -94,31 +99,6 @@ def find_map(
     return omega_hat, beta_hat
 
 
-def _hessian(
-    log_post, omega_hat: float, beta_hat: float
-) -> np.ndarray:
-    """Central-difference Hessian of the log posterior at the MAP,
-    with parameter-scaled steps."""
-    steps = np.array([1e-4 * omega_hat, 1e-4 * beta_hat])
-    point = np.array([omega_hat, beta_hat])
-
-    def f(p: np.ndarray) -> float:
-        return log_post(p[0], p[1])
-
-    hess = np.empty((2, 2))
-    f0 = f(point)
-    for i in range(2):
-        ei = np.zeros(2)
-        ei[i] = steps[i]
-        hess[i, i] = (f(point + ei) - 2.0 * f0 + f(point - ei)) / steps[i] ** 2
-    e0 = np.array([steps[0], 0.0])
-    e1 = np.array([0.0, steps[1]])
-    hess[0, 1] = hess[1, 0] = (
-        f(point + e0 + e1) - f(point + e0 - e1) - f(point - e0 + e1) + f(point - e0 - e1)
-    ) / (4.0 * steps[0] * steps[1])
-    return hess
-
-
 def fit_laplace(
     data: FailureTimeData | GroupedData,
     prior: ModelPrior,
@@ -137,10 +117,15 @@ def fit_laplace(
     with obs.span("laplace.fit", collect=True, data=type(data).__name__) as sp:
         log_post = log_posterior_fn(data, prior, alpha0)
         omega_hat, beta_hat = find_map(data, prior, alpha0, initial=initial)
-        hess = _hessian(log_post, omega_hat, beta_hat)
-        neg_hess = -hess
+        information = observed_information(data, omega_hat, beta_hat, alpha0)
+        # Every prior here is a (possibly improper) gamma: its log density
+        # (m - 1) log x - φ x has the exact curvature -(m - 1)/x².
+        precision = information + np.diag([
+            (prior.omega.shape - 1.0) / omega_hat**2,
+            (prior.beta.shape - 1.0) / beta_hat**2,
+        ])
         try:
-            cov = np.linalg.inv(neg_hess)
+            cov = np.linalg.inv(precision)
         except np.linalg.LinAlgError as exc:
             if obs.enabled():
                 obs.counter_add("laplace.failures")

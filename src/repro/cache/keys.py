@@ -134,7 +134,7 @@ def fit_cache_key(
 ) -> str:
     """Content key of one deterministic fit.
 
-    ``method`` is the fit family ("VB2", "VB1", "VB2-Weibull", ...);
+    ``method`` is the fit family ("VB2", "VB1", ...);
     distinct families hash to distinct keys even on identical data.
     """
     config = config or VBConfig()

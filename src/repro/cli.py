@@ -44,6 +44,7 @@ import sys
 
 import numpy as np
 
+from repro.exceptions import ModelSpecificationError
 from repro.experiments import PAPER_SCALE, QUICK_SCALE
 from repro.obs import TRACE_LEVELS
 
@@ -925,7 +926,10 @@ def _dispatch(args) -> int:
         print(_run_fit(args))
         return 0
     if args.command == "simulate":
-        print(_run_simulate(args))
+        try:
+            print(_run_simulate(args))
+        except ModelSpecificationError as exc:
+            raise SystemExit(f"error: {exc}") from exc
         return 0
     if args.command == "validate":
         try:

@@ -24,7 +24,6 @@ from repro.core.expansion import (
     expansion_interval,
 )
 from repro.core.sequential import ReliabilityTracker, TrackingRecord
-from repro.core.weibull_vb import WeibullVBPosterior, fit_vb2_weibull
 from repro.core.hpd import HPDInterval, hpd_interval
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "hpd_interval",
     "ReliabilityTracker",
     "TrackingRecord",
-    "WeibullVBPosterior",
-    "fit_vb2_weibull",
     "VBConfig",
     "fit_vb2",
     "fit_vb1",

@@ -168,15 +168,10 @@ def warm_start_from(posterior) -> WarmStart:
     """Extract a :class:`WarmStart` from any VB posterior.
 
     Accepts plain :class:`~repro.core.posterior.VBPosterior` objects
-    (VB2 mixtures and VB1 single-component fits), Weibull wrappers
-    (delegates to the theta-space inner posterior — warm states live in
-    transformed time), and sandwich-scaled posteriors (delegates to the
-    uncorrected base: the scale correction does not move the
-    variational fixed point).
+    (VB2 mixtures and VB1 single-component fits) and sandwich-scaled
+    posteriors (delegates to the uncorrected base: the scale correction
+    does not move the variational fixed point).
     """
-    inner = getattr(posterior, "theta_posterior", None)
-    if inner is not None:
-        return warm_start_from(inner)
     base = getattr(posterior, "base", None)
     if base is not None and not hasattr(posterior, "_beta_shape"):
         return warm_start_from(base)

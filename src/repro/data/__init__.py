@@ -12,7 +12,6 @@ from repro.data.datasets import (
     ntds_failure_times,
     dataset_registry,
 )
-from repro.data.musa_format import load_musa, save_musa
 from repro.data.fleet import (
     FleetGroupedStats,
     FleetTimesStats,
@@ -29,8 +28,6 @@ __all__ = [
     "pack_grouped",
     "dedupe_datasets",
     "load_fleet_manifest",
-    "load_musa",
-    "save_musa",
     "FailureTimeData",
     "GroupedData",
     "simulate_failure_times",

@@ -3,14 +3,6 @@
 from repro.metrics.comparison import relative_deviation, deviation_table
 from repro.metrics.tables import render_table, format_value
 from repro.metrics.timing import time_callable, TimingRecord
-from repro.metrics.gof import (
-    TrendTestResult,
-    laplace_trend_test,
-    ks_uplot_statistic,
-    ChiSquareResult,
-    chi_square_grouped,
-    log_likelihood_ratio,
-)
 from repro.metrics.coverage import CoverageResult, interval_coverage_study
 
 __all__ = [
@@ -20,12 +12,6 @@ __all__ = [
     "format_value",
     "time_callable",
     "TimingRecord",
-    "TrendTestResult",
-    "laplace_trend_test",
-    "ks_uplot_statistic",
-    "ChiSquareResult",
-    "chi_square_grouped",
-    "log_likelihood_ratio",
     "CoverageResult",
     "interval_coverage_study",
 ]

@@ -5,8 +5,6 @@ from repro.models.gamma_srm import GammaSRM
 from repro.models.goel_okumoto import GoelOkumoto
 from repro.models.delayed_s_shaped import DelayedSShaped
 from repro.models.weibull_srm import WeibullSRM, RayleighSRM
-from repro.models.lognormal_srm import LogNormalSRM
-from repro.models.pareto_srm import ParetoSRM
 from repro.models.registry import model_registry, make_model
 
 __all__ = [
@@ -16,8 +14,6 @@ __all__ = [
     "DelayedSShaped",
     "WeibullSRM",
     "RayleighSRM",
-    "LogNormalSRM",
-    "ParetoSRM",
     "model_registry",
     "make_model",
 ]

@@ -13,8 +13,6 @@ from repro.models.base import NHPPModel
 from repro.models.delayed_s_shaped import DelayedSShaped
 from repro.models.gamma_srm import GammaSRM
 from repro.models.goel_okumoto import GoelOkumoto
-from repro.models.lognormal_srm import LogNormalSRM
-from repro.models.pareto_srm import ParetoSRM
 from repro.models.weibull_srm import RayleighSRM, WeibullSRM
 
 __all__ = ["model_registry", "make_model"]
@@ -28,8 +26,6 @@ def model_registry() -> dict[str, Callable[..., NHPPModel]]:
         GammaSRM.name: GammaSRM,
         WeibullSRM.name: WeibullSRM,
         RayleighSRM.name: RayleighSRM,
-        LogNormalSRM.name: LogNormalSRM,
-        ParetoSRM.name: ParetoSRM,
     }
 
 

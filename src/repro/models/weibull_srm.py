@@ -3,8 +3,8 @@
 Fault lifetimes follow a Weibull distribution with fixed shape ``c`` and
 free rate ``β``:  ``G(t) = 1 - exp(-(βt)^c)``. ``c = 1`` recovers the
 Goel–Okumoto model; ``c = 2`` is the Rayleigh-type SRM. Included so the
-MLE layer and the simulation examples can exercise a model outside the
-family covered by the VB algorithm (the VB layer rejects it cleanly).
+robustness generators can simulate data from a model outside the family
+covered by the VB algorithm (the VB layer rejects it cleanly).
 """
 
 from __future__ import annotations

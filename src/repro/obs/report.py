@@ -31,7 +31,6 @@ _METHOD_PREFIXES = {
     "mcmc": "MCMC",
     "vb1": "VB1",
     "vb2": "VB2",
-    "mle": "MLE",
 }
 
 

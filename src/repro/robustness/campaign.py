@@ -265,7 +265,9 @@ def _robustness_replication(
     truths = scenario.truths(spec.horizon)
     levels = _interval_levels(spec.level)
     survival = ResidualSurvival(alpha0=spec.alpha0, te=spec.horizon)
-    fitters = coverage_fitters(spec.methods, scale=spec.scale)
+    fitters = coverage_fitters(
+        spec.methods, scale=spec.scale, alpha0=spec.alpha0
+    )
     fit_seed = replication_seed(spec.seed, cell_index, rep_index, 1)
     scores: dict[str, tuple[dict[str, bool], dict[str, float]]] = {}
     vb2_posterior = None

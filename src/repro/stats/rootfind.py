@@ -3,7 +3,7 @@
 The paper inverts the posterior CDF of software reliability with the
 bisection method (Section 6, around Eq. 32). We provide a robust
 monotone bisection — the generic solver for posteriors without gamma
-structure (NINT grids, Laplace, samples, Weibull); gamma mixtures use
+structure (NINT grids, Laplace, samples); gamma mixtures use
 the quantile engine of :mod:`repro.stats.gamma_cells`.
 
 Failure semantics: exhausting the iteration budget raises

@@ -1,9 +1,9 @@
-"""Picklable ``fit(data, prior)`` callables for coverage campaigns.
+"""Picklable ``fit(data, prior)`` callables for campaigns.
 
 The parallel campaign runner ships fitters to worker processes, so
-they must be module-level functions (or picklable instances). The
-deterministic methods are thin aliases; NINT gets a wrapper that first
-fits VB2 for its integration rectangle, as the paper prescribes.
+they must be partials of module-level functions or picklable
+instances. NINT gets a wrapper that first fits VB2 for its integration
+rectangle, as the paper prescribes.
 
 MCMC is the frozen :class:`MCMCFitter`, one direct Gibbs chain per
 call. A campaign replication fits it through :func:`fit_replication`,
@@ -104,39 +104,35 @@ def fit_replication(
     return fit(data, prior)
 
 
-_COVERAGE_FITTERS = {
-    "NINT": fit_nint_via_vb2,
-    "LAPL": fit_laplace,
-    "MCMC": MCMCFitter(),
-    "VB1": fit_vb1,
-    "VB2": fit_vb2,
-}
-
-
-def coverage_fitters(labels, scale=None) -> dict:
+def coverage_fitters(labels, scale=None, alpha0: float = 1.0) -> dict:
     """``{label: fit}`` for the requested method labels.
 
-    With an :class:`~repro.experiments.config.ExperimentScale`, the
-    scale-sensitive methods honour it: NINT integrates on the scale's
-    grid resolution and MCMC runs the scale's chain schedule. The
-    returned callables stay picklable — partials of module-level
+    Every fitter runs at the lifetime shape ``alpha0``, the campaign's
+    own. With an :class:`~repro.experiments.config.ExperimentScale`,
+    the scale-sensitive methods honour it: NINT integrates on the
+    scale's grid resolution and MCMC runs the scale's chain schedule.
+    The returned callables stay picklable — partials of module-level
     functions and frozen fitter instances.
 
     >>> sorted(coverage_fitters(["VB2", "VB1"]))
     ['VB1', 'VB2']
     """
-    unknown = [label for label in labels if label not in _COVERAGE_FITTERS]
+    nint = partial(fit_nint_via_vb2, alpha0=alpha0)
+    mcmc = MCMCFitter(alpha0=alpha0)
+    if scale is not None:
+        nint = partial(nint, resolution=scale.nint_resolution)
+        mcmc = MCMCFitter(scale.mcmc, alpha0)
+    table = {
+        "NINT": nint,
+        "LAPL": partial(fit_laplace, alpha0=alpha0),
+        "MCMC": mcmc,
+        "VB1": partial(fit_vb1, alpha0=alpha0),
+        "VB2": partial(fit_vb2, alpha0=alpha0),
+    }
+    unknown = [label for label in labels if label not in table]
     if unknown:
         raise ValueError(
             f"no coverage fitter for {unknown}; "
-            f"available: {sorted(_COVERAGE_FITTERS)}"
+            f"available: {sorted(table)}"
         )
-    fitters = {label: _COVERAGE_FITTERS[label] for label in labels}
-    if scale is not None:
-        if "NINT" in fitters:
-            fitters["NINT"] = partial(
-                fit_nint_via_vb2, resolution=scale.nint_resolution
-            )
-        if "MCMC" in fitters:
-            fitters["MCMC"] = MCMCFitter(settings=scale.mcmc)
-    return fitters
+    return {label: table[label] for label in labels}

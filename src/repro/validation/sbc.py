@@ -37,17 +37,13 @@ import numpy as np
 
 from repro import obs
 from repro.bayes.joint import JointPosterior
-from repro.bayes.laplace import fit_laplace
-from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
-from repro.bayes.nint import fit_nint
 from repro.bayes.priors import GammaPrior, ModelPrior
 from repro.core.reliability import ReliabilityIncrement, ResidualSurvival
-from repro.core.vb1 import fit_vb1
-from repro.core.vb2 import fit_vb2
 from repro.data.simulation import simulate_failure_times
 from repro.exceptions import ReproError
 from repro.experiments.config import ExperimentScale, QUICK_SCALE
 from repro.models.registry import make_model
+from repro.validation.fitters import coverage_fitters, fit_replication
 from repro.validation.parallel import parallel_map
 from repro.validation.seeding import replication_seed
 from repro.validation.uniformity import UniformityReport, uniformity_report
@@ -65,7 +61,7 @@ __all__ = [
 #: Quantities whose posterior calibration is checked.
 SBC_QUANTITIES = ("omega", "beta", "residual", "reliability")
 
-#: Methods :func:`_fit` can dispatch — the same labels as
+#: Methods the campaign fitters can fit — the same labels as
 #: ``repro.experiments.runner.METHOD_ORDER``, defined here too because
 #: importing the runner from this module would close an import cycle
 #: (runner → metrics.coverage → validation).
@@ -200,36 +196,6 @@ def _draw_truth(prior: ModelPrior, rng: np.random.Generator) -> tuple[float, flo
     return draw(prior.omega), draw(prior.beta)
 
 
-def _fit(spec: SBCSpec, data, fit_seed: np.random.SeedSequence) -> JointPosterior:
-    """Fit the method under test on one simulated campaign."""
-    if spec.method == "VB2":
-        return fit_vb2(data, spec.prior, spec.alpha0)
-    if spec.method == "VB1":
-        return fit_vb1(data, spec.prior, spec.alpha0)
-    if spec.method == "LAPL":
-        return fit_laplace(data, spec.prior, spec.alpha0)
-    if spec.method == "NINT":
-        reference = fit_vb2(data, spec.prior, spec.alpha0)
-        return fit_nint(
-            data,
-            spec.prior,
-            spec.alpha0,
-            reference_posterior=reference,
-            n_omega=spec.scale.nint_resolution,
-            n_beta=spec.scale.nint_resolution,
-        )
-    # MCMC; SBC simulates failure-time campaigns, so the failure-time
-    # sampler applies.
-    result = gibbs_failure_time(
-        data,
-        spec.prior,
-        spec.alpha0,
-        settings=spec.scale.mcmc,
-        rng=np.random.default_rng(fit_seed),
-    )
-    return result.posterior()
-
-
 def _pit_values(
     spec: SBCSpec, posterior: JointPosterior, omega: float, beta: float
 ) -> dict[str, float]:
@@ -280,7 +246,10 @@ def run_replication(spec: SBCSpec, index: int) -> ReplicationOutcome:
             index=index, status="skipped", failures=data.count, truth=truth
         )
     try:
-        posterior = _fit(spec, data, fit_seed)
+        fit = coverage_fitters(
+            [spec.method], scale=spec.scale, alpha0=spec.alpha0
+        )[spec.method]
+        posterior = fit_replication(fit, data, spec.prior, fit_seed)
         pit = _pit_values(spec, posterior, omega, beta)
     except ReproError as exc:
         _logger.info("SBC replication %d failed: %s: %s",

@@ -8,7 +8,29 @@ import pytest
 from repro.bayes.laplace import find_map, fit_laplace, log_posterior_fn
 from repro.bayes.normal_posterior import NormalPosterior
 from repro.core.reliability import reliability_increment
-from repro.mle.newton import fit_mle_newton
+from repro.experiments.config import paper_scenarios
+
+
+def _central_hessian(log_post, point: np.ndarray, rel: float) -> np.ndarray:
+    """Central-difference Hessian with steps ``rel`` times each coordinate."""
+    steps = rel * point
+
+    def f(p: np.ndarray) -> float:
+        return log_post(p[0], p[1])
+
+    hess = np.empty((2, 2))
+    f0 = f(point)
+    for i in range(2):
+        e = np.zeros(2)
+        e[i] = steps[i]
+        hess[i, i] = (f(point + e) - 2.0 * f0 + f(point - e)) / steps[i] ** 2
+    e0 = np.array([steps[0], 0.0])
+    e1 = np.array([0.0, steps[1]])
+    hess[0, 1] = hess[1, 0] = (
+        f(point + e0 + e1) - f(point + e0 - e1)
+        - f(point - e0 + e1) + f(point - e0 - e1)
+    ) / (4.0 * steps[0] * steps[1])
+    return hess
 
 
 class TestLogPosterior:
@@ -28,11 +50,20 @@ class TestFindMap:
                 assert log_post(omega_hat + d_omega, beta_hat + d_beta) <= centre + 1e-9
 
     def test_flat_prior_map_equals_mle(self, times_data, flat_prior):
-        # With flat priors the MAP is the MLE (paper Section 4.2).
+        # With flat priors the MAP is the MLE (paper Section 4.2): the
+        # Goel-Okumoto likelihood equations hold at it,
+        # ω = m / G(te; β) and a zero β-score.
         omega_hat, beta_hat = find_map(times_data, flat_prior)
-        mle = fit_mle_newton(times_data, information=False)
-        assert omega_hat == pytest.approx(mle.omega, rel=1e-4)
-        assert beta_hat == pytest.approx(mle.beta, rel=1e-4)
+        m, te = times_data.count, times_data.horizon
+        assert omega_hat == pytest.approx(
+            m / -math.expm1(-beta_hat * te), rel=1e-6
+        )
+        beta_score = (
+            m / beta_hat
+            - times_data.times.sum()
+            - omega_hat * te * math.exp(-beta_hat * te)
+        )
+        assert beta_hat * beta_score / m == pytest.approx(0.0, abs=1e-6)
 
     def test_informative_prior_shrinks_towards_prior_mean(
         self, times_data, info_prior_times, flat_prior
@@ -81,6 +112,24 @@ class TestFitLaplace:
         assert posterior.variance("beta") == pytest.approx(
             nint_times.variance("beta"), rel=0.1
         )
+
+    @pytest.mark.parametrize("alpha0", [1.0, 2.0])
+    @pytest.mark.parametrize("scenario", sorted(paper_scenarios()))
+    def test_precision_is_the_exact_hessian(self, scenario, alpha0):
+        # The covariance inverts the exact negative Hessian of the log
+        # posterior; Richardson-extrapolated central differences reach
+        # it to ~2e-8 relative.
+        spec = paper_scenarios()[scenario]
+        data, prior = spec.load_data(), spec.prior()
+        posterior = fit_laplace(data, prior, alpha0)
+        point = np.array([posterior.mean("omega"), posterior.mean("beta")])
+        log_post = log_posterior_fn(data, prior, alpha0)
+        reference = -(
+            4.0 * _central_hessian(log_post, point, 1e-3)
+            - _central_hessian(log_post, point, 2e-3)
+        ) / 3.0
+        precision = np.linalg.inv(posterior.covariance_matrix())
+        assert np.max(np.abs(precision - reference) / np.abs(reference)) <= 1e-7
 
     def test_diagnostics_attached(self, times_data, info_prior_times):
         posterior = fit_laplace(times_data, info_prior_times)

@@ -10,7 +10,6 @@ from repro.core.config import VBConfig
 from repro.core.vb1 import fit_vb1
 from repro.core.vb2 import fit_vb2
 from repro.core.warmstart import WarmStart, warm_start_from
-from repro.core.weibull_vb import fit_vb2_weibull
 from repro.data.failure_data import GroupedData
 from tests.core.test_vb2_inverse import assert_identity, lane_xi
 
@@ -44,13 +43,6 @@ class TestWarmStartState:
         assert warm.method == "VB1"
         assert warm.n.size == 0
         assert warm.xi_mean > 0.0
-
-    def test_weibull_state_reads_theta_space(self, times_data):
-        prior = ModelPrior.informative(50.0, 15.8, 1.0e-7, 5.0e-8)
-        posterior = fit_vb2_weibull(times_data, prior, shape=1.2)
-        warm = warm_start_from(posterior)
-        inner = warm_start_from(posterior.theta_posterior)
-        assert warm == inner
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="span"):

@@ -55,8 +55,3 @@ class TestExamples:
         output = run_example("test_planning.py")
         assert "Predictive failure counts" in output
         assert "P(K<=1" in output
-
-    def test_weibull_analysis(self):
-        output = run_example("weibull_analysis.py")
-        assert "Family comparison" in output
-        assert "Weibull VB2" in output

@@ -90,28 +90,30 @@ def test_hypothesis_sweep(grouped_data, log_omega, log_beta, alpha0):
     _assert_same(model, grouped_data)
 
 
-#: ``fit_laplace`` MAP and covariance on the paper's four scenarios, as
-#: the per-interval loop gave them (``repr`` of each float).
+#: ``fit_laplace`` MAP and covariance on the paper's four scenarios
+#: (``repr`` of each float): the MAP as the per-interval loop gave it,
+#: the covariance as the inverse of the analytic observed information
+#: plus the prior's curvature at that MAP.
 _LAPLACE_GOLDEN = {
     "DT-Info": (
         (43.18509633233804, 9.136208632546135e-06),
-        ((44.11028571504103, -4.180856677902609e-06),
-         (-4.180856677902609e-06, 3.934509635490723e-12)),
+        ((44.11030893177436, -4.180865959079767e-06),
+         (-4.180865959079767e-06, 3.934517718663644e-12)),
     ),
     "DT-NoInfo": (
         (42.53129277944236, 9.330135112215147e-06),
-        ((57.86309747143623, -8.429390148897433e-06),
-         (-8.429390148897433e-06, 6.9252832733156955e-12)),
+        ((57.86312649528148, -8.429419758606929e-06),
+         (-8.429419758606929e-06, 6.925308986287497e-12)),
     ),
     "DG-Info": (
         (43.20897985704694, 0.034176771284314046),
-        ((44.36780161599072, -0.016325889066159782),
-         (-0.016325889066159782, 5.724243117288957e-05)),
+        ((44.36780160287494, -0.016325888309745053),
+         (-0.016325888309745053, 5.7242426393268016e-05)),
     ),
     "DG-NoInfo": (
         (41.58660827078262, 0.0382901753763262),
-        ((51.92622992972905, -0.025534568235832174),
-         (-0.025534568235832174, 0.00010164703310158726)),
+        ((51.926239706660496, -0.025534608609793116),
+         (-0.025534608609793116, 0.00010164719185562108)),
     ),
 }
 

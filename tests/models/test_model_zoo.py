@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats as stdist
 
+from repro.cli import main
 from repro.exceptions import ModelSpecificationError
 from repro.models import (
     DelayedSShaped,
     GammaSRM,
     GoelOkumoto,
-    LogNormalSRM,
-    ParetoSRM,
     RayleighSRM,
     WeibullSRM,
     make_model,
@@ -131,8 +130,6 @@ class TestRegistry:
             "gamma",
             "weibull",
             "rayleigh",
-            "lognormal",
-            "pareto",
         }
 
     def test_make_model(self):
@@ -147,61 +144,11 @@ class TestRegistry:
         with pytest.raises(ModelSpecificationError):
             make_model("jelinski-moranda", omega=1.0)
 
-
-class TestNewFamilies:
-    def test_lognormal_cdf_matches_scipy(self):
-        model = LogNormalSRM(omega=1.0, beta=0.5, sigma=0.7)
-        t = np.array([0.3, 1.0, 5.0])
-        ref = stdist.lognorm.cdf(t, s=0.7, scale=2.0)  # median = 1/beta = 2
-        assert model.lifetime_cdf(t) == pytest.approx(ref, rel=1e-10)
-
-    def test_lognormal_log_pdf_matches_scipy(self):
-        model = LogNormalSRM(omega=1.0, beta=0.5, sigma=0.7)
-        t = np.array([0.3, 1.0, 5.0])
-        ref = stdist.lognorm.logpdf(t, s=0.7, scale=2.0)
-        assert model.lifetime_log_pdf(t) == pytest.approx(ref, rel=1e-10)
-
-    def test_lognormal_sampling(self, rng):
-        model = LogNormalSRM(omega=1.0, beta=0.5, sigma=0.5)
-        draws = model.sample_lifetimes(200_000, rng)
-        expected_mean = 2.0 * np.exp(0.125)
-        assert draws.mean() == pytest.approx(expected_mean, rel=0.02)
-
-    def test_pareto_cdf_matches_scipy(self):
-        model = ParetoSRM(omega=1.0, beta=0.5, kappa=3.0)
-        t = np.array([0.5, 2.0, 10.0])
-        # Lomax with c = kappa, scale = kappa / beta.
-        ref = stdist.lomax.cdf(t, c=3.0, scale=6.0)
-        assert model.lifetime_cdf(t) == pytest.approx(ref, rel=1e-10)
-
-    def test_pareto_hazard_at_zero_is_beta(self):
-        model = ParetoSRM(omega=1.0, beta=0.5, kappa=3.0)
-        pdf0 = float(np.exp(model.lifetime_log_pdf(1e-12)))
-        assert pdf0 == pytest.approx(0.5, rel=1e-6)
-
-    def test_pareto_limits_to_exponential(self):
-        # kappa -> infinity: Lomax -> exponential.
-        heavy = ParetoSRM(omega=1.0, beta=0.5, kappa=1e7)
-        go = GoelOkumoto(omega=1.0, beta=0.5)
-        t = np.array([0.5, 2.0, 5.0])
-        assert heavy.lifetime_cdf(t) == pytest.approx(go.lifetime_cdf(t), rel=1e-5)
-
-    def test_pareto_sampling_median(self, rng):
-        model = ParetoSRM(omega=1.0, beta=0.5, kappa=2.0)
-        draws = model.sample_lifetimes(200_000, rng)
-        expected_median = (2.0 / 0.5) * (2.0 ** (1.0 / 2.0) - 1.0)
-        assert np.median(draws) == pytest.approx(expected_median, rel=0.02)
-
-    def test_validation(self):
-        with pytest.raises(ModelSpecificationError):
-            LogNormalSRM(omega=1.0, beta=-1.0)
-        with pytest.raises(ModelSpecificationError):
-            LogNormalSRM(omega=1.0, beta=1.0, sigma=0.0)
-        with pytest.raises(ModelSpecificationError):
-            ParetoSRM(omega=1.0, beta=1.0, kappa=-2.0)
-
-    def test_replace_keeps_fixed_params(self):
-        lognormal = LogNormalSRM(omega=10.0, beta=1.0, sigma=0.6).replace(beta=2.0)
-        assert lognormal.sigma == 0.6
-        pareto = ParetoSRM(omega=10.0, beta=1.0, kappa=4.0).replace(omega=20.0)
-        assert pareto.kappa == 4.0
+    def test_simulate_rejects_unregistered_family(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", "lognormal", "--omega", "40",
+                  "--beta", "0.1", "--horizon", "10"])
+        assert exc.value.code == (
+            "error: unknown model 'lognormal'; "
+            f"available: {sorted(model_registry())}"
+        )

@@ -17,7 +17,6 @@ from repro.bayes.laplace import fit_laplace
 from repro.bayes.nint import fit_nint
 from repro.core.vb1 import fit_vb1
 from repro.core.vb2 import fit_vb2
-from repro.mle.em import fit_mle_em
 from repro.obs.sink import encode_event
 from repro.validation.sbc import SBCSpec, run_sbc
 
@@ -78,14 +77,12 @@ class TestNoOpBitIdentity:
         assert plain.diagnostics["nmax"] == traced.diagnostics["nmax"]
         assert plain.elbo == traced.elbo
 
-    def test_em_results_identical(self, times_data):
-        plain = fit_mle_em(times_data, information=False)
+    def test_laplace_results_identical(self, times_data, info_prior_times):
+        plain = fit_laplace(times_data, info_prior_times)
         with obs.capture(level="debug"):
-            traced = fit_mle_em(times_data, information=False)
-        assert plain.model.omega == traced.model.omega
-        assert plain.model.beta == traced.model.beta
-        assert plain.log_likelihood == traced.log_likelihood
-        assert plain.iterations == traced.iterations
+            traced = fit_laplace(times_data, info_prior_times)
+        assert np.all(plain.map_estimate == traced.map_estimate)
+        assert np.all(plain.covariance_matrix() == traced.covariance_matrix())
 
     def test_sbc_ranks_identical(self):
         from repro.validation.sbc import SBC_QUANTITIES

@@ -29,7 +29,6 @@ class TestMethodOf:
             ("nint.grid_evaluations", "NINT"),
             ("laplace.fits", "LAPL"),
             ("mcmc.ess_omega", "MCMC"),
-            ("mle.em.fit", "MLE"),
             ("fixed_point.iterations", "fixed_point"),
         ],
     )
@@ -66,11 +65,11 @@ class TestRenderReport:
     def test_failure_events_listed(self):
         with obs.capture() as col:
             col.emit("meta", schema=1, level="summary")
-            obs.event("mle.em.divergence", iterations=100)
+            obs.event("vb1.divergence", iterations=100)
             col.emit_summary()
         text = render_report(col.events)
         assert "## failure events" in text
-        assert "mle.em.divergence" in text
+        assert "vb1.divergence" in text
 
     def test_failed_spans_listed(self):
         with obs.capture() as col:

@@ -128,7 +128,9 @@ class TestScalePlumbing:
         fitters = coverage_fitters(["NINT", "MCMC"], scale=QUICK_SCALE)
         nint = fitters["NINT"]
         assert nint.func is fit_nint_via_vb2
-        assert nint.keywords == {"resolution": QUICK_SCALE.nint_resolution}
+        assert nint.keywords == {
+            "alpha0": 1.0, "resolution": QUICK_SCALE.nint_resolution
+        }
         mcmc = fitters["MCMC"]
         assert isinstance(mcmc, MCMCFitter)
         assert mcmc.settings == QUICK_SCALE.mcmc
@@ -144,7 +146,8 @@ class TestScalePlumbing:
 
     def test_no_scale_keeps_campaign_defaults(self):
         fitters = coverage_fitters(["NINT", "MCMC"])
-        assert fitters["NINT"] is fit_nint_via_vb2
+        assert fitters["NINT"].func is fit_nint_via_vb2
+        assert fitters["NINT"].keywords == {"alpha0": 1.0}
         assert fitters["MCMC"].settings.n_samples == 4_000
 
     def test_scaled_fitters_are_picklable(self):

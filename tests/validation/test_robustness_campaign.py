@@ -146,6 +146,39 @@ class TestReplication:
         assert set(outcome["scores"]) == {"LAPL", SANDWICH_LABEL}
 
 
+    def test_every_fitter_runs_at_campaign_alpha0(self, monkeypatch):
+        # Each method must fit at the campaign's alpha0, the shape its
+        # residual truths are scored at.
+        from types import SimpleNamespace
+
+        from repro.core.vb1 import fit_vb1
+        from repro.validation import fitters
+
+        seen = {}
+
+        def spy(label):
+            def fit(data, prior, alpha0=1.0, **kwargs):
+                seen[label] = alpha0
+                return fit_vb1(data, prior, alpha0)
+
+            return fit
+
+        for label, name in (("NINT", "fit_nint_via_vb2"), ("LAPL", "fit_laplace"),
+                            ("VB1", "fit_vb1"), ("VB2", "fit_vb2")):
+            monkeypatch.setattr(fitters, name, spy(label))
+        mcmc = spy("MCMC")
+        monkeypatch.setattr(
+            fitters,
+            "gibbs_failure_time",
+            lambda data, prior, alpha0, **kwargs: SimpleNamespace(
+                posterior=lambda: mcmc(data, prior, alpha0)
+            ),
+        )
+        spec = _mini_spec(methods=ROBUSTNESS_METHODS, sandwich=False, alpha0=2.0)
+        assert _robustness_replication(spec, (0, 0)) is not None
+        assert seen == dict.fromkeys(ROBUSTNESS_METHODS, 2.0)
+
+
 class TestAggregation:
     def test_all_skipped_cell_raises(self):
         spec = _mini_spec(replications=2)

@@ -116,7 +116,7 @@ class TestCoverageFitters:
     def test_requested_labels_returned(self):
         fitters = coverage_fitters(["VB1", "VB2", "LAPL", "NINT"])
         assert set(fitters) == {"VB1", "VB2", "LAPL", "NINT"}
-        assert fitters["NINT"] is fit_nint_via_vb2
+        assert fitters["NINT"].func is fit_nint_via_vb2
 
     def test_mcmc_label_is_mcmc_fitter(self):
         fitters = coverage_fitters(["MCMC"])
