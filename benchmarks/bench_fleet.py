@@ -2,11 +2,10 @@
 
 The dataset-lane fleet drivers (:mod:`repro.core.fleet`) fit a whole
 portfolio of projects in one vectorized sweep: the lane axis of the
-VB2 solver becomes ``(dataset, N)``, a dataset per lane for VB1's
-lock-step outer iteration, and one broadcast β-terms evaluation per
-partition for NINT. This benchmark times a synthetic 1000-project
-portfolio and emits ``benchmarks/results/BENCH_fleet.json`` (native
-schema-2 ledger):
+VB2 solver becomes ``(dataset, N)``, and a dataset is a lane of VB1's
+lock-step outer iteration. This benchmark times a synthetic
+1000-project portfolio and emits ``benchmarks/results/BENCH_fleet.json``
+(native schema-2 ledger):
 
 * **times1000/vb2** — 1000 Goel–Okumoto failure-time projects in one
   fleet sweep, a calibrated timing (best-of seconds over the
@@ -20,7 +19,7 @@ The agreement checks show that lanes never interact: on a mixed ragged
 identity portfolio (both kinds, α0 ∈ {1, 2}, growth rounds forced)
 the max absolute difference between each fleet posterior and the
 single fit of that dataset, across every number the posteriors carry,
-NINT marginals included, must be exactly 0.0.
+must be exactly 0.0.
 
 As a script:
 
@@ -53,9 +52,8 @@ for _root in (_HERE, _HERE.parent / "src"):
         sys.path.insert(0, str(_root))
 
 from conftest import RESULTS_DIR, calibrated_best_of
-from repro.bayes.nint import fit_nint
 from repro.bayes.priors import ModelPrior
-from repro.core.fleet import fit_nint_fleet, fit_vb1_fleet, fit_vb2_fleet
+from repro.core.fleet import fit_vb1_fleet, fit_vb2_fleet
 from repro.core.vb1 import fit_vb1
 from repro.core.vb2 import fit_vb2
 from repro.data.simulation import simulate_failure_times, simulate_grouped
@@ -134,7 +132,7 @@ def _posterior_max_abs_diff(a, b) -> float:
 
 def _agreement() -> dict:
     """Exact-agreement block on a mixed ragged identity portfolio:
-    fleet vs scalar loop for VB2 (α0 ∈ {1, 2}), VB1 and NINT, with
+    fleet vs scalar loop for VB2 (α0 ∈ {1, 2}) and VB1, with
     diagnostics dict equality on top of the numeric diff."""
     portfolio = _times_portfolio(24, seed=7) + _grouped_portfolio(16, seed=8)
 
@@ -165,36 +163,9 @@ def _agreement() -> dict:
         }
         diagnostics_equal &= fleet.diagnostics[i] == scalar_diag
 
-    nint_subset = portfolio[:6] + portfolio[-4:]
-    reference = fit_vb2_fleet(nint_subset, PRIOR, 1.0)
-    nint_fleet = fit_nint_fleet(
-        nint_subset, PRIOR, 1.0, reference=reference, n_omega=61, n_beta=61
-    )
-    nint_max = 0.0
-    for i, data in enumerate(nint_subset):
-        scalar = fit_nint(
-            data, PRIOR, 1.0,
-            reference_posterior=reference.posterior(i),
-            n_omega=61, n_beta=61,
-        )
-        posterior = nint_fleet.posterior(i)
-        for param in ("omega", "beta"):
-            nint_max = max(
-                nint_max,
-                abs(posterior.mean(param) - scalar.mean(param)),
-                abs(
-                    posterior.quantile(param, 0.975)
-                    - scalar.quantile(param, 0.975)
-                ),
-            )
-        nint_max = max(
-            nint_max, abs(posterior.log_normaliser - scalar.log_normaliser)
-        )
-
     return {
         "vb2_identity_max_abs_diff": vb2_max,
         "vb1_identity_max_abs_diff": vb1_max,
-        "nint_identity_max_abs_diff": nint_max,
         "diagnostics_equal": diagnostics_equal,
         "identity_portfolio": len(portfolio),
     }
@@ -255,10 +226,6 @@ def measure(modes: tuple[str, ...]) -> dict:
             "value": agreement["vb1_identity_max_abs_diff"],
             "exact": 0.0,
         },
-        "nint_identity_max_abs_diff": {
-            "value": agreement["nint_identity_max_abs_diff"],
-            "exact": 0.0,
-        },
         "diagnostics_equal": {
             "value": agreement["diagnostics_equal"],
             "expect": True,
@@ -301,8 +268,7 @@ def render(result: dict) -> str:
     lines.append(
         "  identity (fleet vs scalar, max |diff|): vb2 "
         f"{checks['vb2_identity_max_abs_diff']['value']:.1e}, vb1 "
-        f"{checks['vb1_identity_max_abs_diff']['value']:.1e}, nint "
-        f"{checks['nint_identity_max_abs_diff']['value']:.1e} "
+        f"{checks['vb1_identity_max_abs_diff']['value']:.1e} "
         "(acceptance: exactly 0)"
     )
     return "\n".join(lines)
@@ -316,7 +282,6 @@ def test_fleet_quick(results_dir):
     print("\n" + render(result))
     assert result["checks"]["vb2_identity_max_abs_diff"]["value"] == 0.0
     assert result["checks"]["vb1_identity_max_abs_diff"]["value"] == 0.0
-    assert result["checks"]["nint_identity_max_abs_diff"]["value"] == 0.0
     assert result["checks"]["diagnostics_equal"]["value"] is True
 
 

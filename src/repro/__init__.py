@@ -34,7 +34,6 @@ from repro.core import (
     fit_vb1,
     fit_vb2,
     FleetResult,
-    fit_nint_fleet,
     fit_vb1_fleet,
     fit_vb2_fleet,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "fit_vb1",
     "fit_vb2",
     "FleetResult",
-    "fit_nint_fleet",
     "fit_vb1_fleet",
     "fit_vb2_fleet",
     # bayesian baselines

@@ -30,42 +30,7 @@ __all__ = [
     "fit_nint",
     "integration_limits_from_posterior",
     "log_posterior_matrix",
-    "times_log_posterior_terms",
 ]
-
-
-def times_log_posterior_terms(
-    me: np.ndarray,
-    sum_log_times: np.ndarray,
-    total_time: np.ndarray,
-    horizon: np.ndarray,
-    alpha0: float,
-    beta_nodes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Failure-time β-axis data terms for many datasets at once.
-
-    ``beta_nodes`` is ``(datasets, n_beta)`` (one grid row per
-    dataset); the per-dataset scalars broadcast down rows. Row ``d``
-    evaluates exactly the expressions :func:`log_posterior_matrix` uses
-    for dataset ``d`` — same ufuncs, same order — so fleet NINT fits
-    stay bit-identical to per-dataset scalar fits. Returns
-    ``(beta_part, tail_g)``, each ``(datasets, n_beta)``.
-    """
-    beta_nodes = np.asarray(beta_nodes, dtype=float)
-    if np.any(beta_nodes <= 0.0):
-        raise ValueError("grid nodes must be strictly positive")
-    me = np.asarray(me, dtype=float)[:, None]
-    sum_log_times = np.asarray(sum_log_times, dtype=float)[:, None]
-    total_time = np.asarray(total_time, dtype=float)[:, None]
-    horizon = np.asarray(horizon, dtype=float)[:, None]
-    beta_part = (
-        me * alpha0 * np.log(beta_nodes)
-        + (alpha0 - 1.0) * sum_log_times
-        - beta_nodes * total_time
-        - me * float(sc.gammaln(alpha0))
-    )
-    tail_g = sc.gammainc(alpha0, beta_nodes * horizon)
-    return beta_part, tail_g
 
 
 def log_posterior_matrix(

@@ -8,21 +8,12 @@ the ``vb2.solves`` obs counter in the test suite); a miss fits and
 stores. Because fits are deterministic and the key covers every input
 — including warm-start content — a hit is byte-identical to the refit
 it replaces.
-
-Sandwich-corrected fits (``config.variance_correction == "sandwich"``)
-cache the *uncorrected* VB posterior and re-apply the correction on
-every call: the :class:`~repro.bayes.sandwich.ScaledPosterior` wrapper
-is a cheap deterministic function of the cached mixture and the data,
-so hits stay exact while the artifact format stays a plain mixture.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro import obs
 from repro.bayes.priors import ModelPrior
-from repro.bayes.sandwich import apply_sandwich
 from repro.core.config import VBConfig
 from repro.core.vb1 import fit_vb1
 from repro.core.vb2 import fit_vb2
@@ -33,18 +24,12 @@ __all__ = ["fit_vb2_cached", "fit_vb1_cached"]
 
 
 def _cached_fit(method, fitter, data, prior, alpha0, config, nmax, cache):
-    sandwich = config.variance_correction == "sandwich"
-    if sandwich:
-        # Cache the raw mixture; the correction re-applies on the way out.
-        config = replace(config, variance_correction="none")
     key = fit_cache_key(method, data, prior, alpha0, config, nmax=nmax)
     posterior = cache.get(key)
     if posterior is None:
         kwargs = {"nmax": nmax} if method == "VB2" else {}
         posterior = fitter(data, prior, alpha0, config, **kwargs)
         cache.put(key, posterior)
-    if sandwich:
-        posterior = apply_sandwich(posterior, data, alpha0=alpha0)
     return posterior
 
 

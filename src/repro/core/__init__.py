@@ -7,7 +7,6 @@ from repro.core.vb2 import fit_vb2
 from repro.core.vb1 import fit_vb1
 from repro.core.fleet import (
     FleetResult,
-    fit_nint_fleet,
     fit_vb1_fleet,
     fit_vb2_fleet,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "FleetResult",
     "fit_vb2_fleet",
     "fit_vb1_fleet",
-    "fit_nint_fleet",
     "HPDInterval",
     "hpd_interval",
     "ReliabilityTracker",

@@ -39,10 +39,6 @@ class VBConfig:
         Budget of VB2 polish sweeps per growth round (each sweep
         evaluates every unconverged lane once), and of VB1 outer and
         inner iterations.
-    use_aitken:
-        Apply Aitken Δ² acceleration to VB1's successive-substitution
-        iteration. Read by VB1 only: VB2 inverts the closed-form
-        ``N(ξ)`` instead of iterating.
     truncation_policy:
         What to do when ``nmax`` hits the ceiling with the tail still
         above tolerance: ``"error"`` raises
@@ -53,14 +49,6 @@ class VBConfig:
         NoInfo scenarios — where every method's output is truncation-
         or run-length-dependent, as the paper itself observes for
         DG-NoInfo).
-    variance_correction:
-        ``"none"`` returns the raw variational posterior. ``"sandwich"``
-        rescales its marginal spreads to the sandwich covariance
-        ``A⁻¹BA⁻¹`` estimated from the data at the posterior mean
-        (:func:`repro.bayes.sandwich.apply_sandwich`) — a
-        misspecification-robust interval mode: asymptotically a no-op
-        under the true model, wider when the mean-value function is
-        misfit. See ``docs/METHOD.md`` (robustness section).
     warm_start:
         Optional :class:`~repro.core.warmstart.WarmStart` state from a
         previous fit of (an earlier prefix of) the same data. VB2
@@ -79,9 +67,7 @@ class VBConfig:
     nmax_ceiling: int = 200_000
     fixed_point_rtol: float = 1e-12
     fixed_point_max_iter: int = 500
-    use_aitken: bool = True
     truncation_policy: str = "error"
-    variance_correction: str = "none"
     warm_start: WarmStart | None = field(default=None)
 
     def __post_init__(self) -> None:
@@ -96,11 +82,6 @@ class VBConfig:
             raise ValueError(
                 f"truncation_policy must be 'error' or 'clamp', "
                 f"got {self.truncation_policy!r}"
-            )
-        if self.variance_correction not in ("none", "sandwich"):
-            raise ValueError(
-                f"variance_correction must be 'none' or 'sandwich', "
-                f"got {self.variance_correction!r}"
             )
         if not 0.0 < self.tail_tolerance < 1.0:
             raise ValueError("tail_tolerance must be in (0, 1)")
@@ -133,9 +114,7 @@ class VBConfig:
             "nmax_ceiling": int(self.nmax_ceiling),
             "fixed_point_rtol": float(self.fixed_point_rtol),
             "fixed_point_max_iter": int(self.fixed_point_max_iter),
-            "use_aitken": bool(self.use_aitken),
             "truncation_policy": str(self.truncation_policy),
-            "variance_correction": str(self.variance_correction),
             "warm_start": (
                 None if self.warm_start is None else self.warm_start.canonical()
             ),

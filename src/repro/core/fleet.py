@@ -9,8 +9,9 @@ The contract: every dataset's posterior is **bit-identical** to the
 single fit of that dataset. :func:`repro.core.vb2.fit_vb2` and
 :func:`repro.core.vb1.fit_vb1` run the very same lane drivers
 (:func:`repro.core.vb2._drive_vb2_group`,
-:func:`repro.core.vb1._drive_vb1_group`) on one dataset, and the lanes
-of a sweep never interact:
+:func:`repro.core.vb1._drive_vb1_group`) on one dataset, VB2's step 5
+(:func:`repro.core.vb2._finish`) included, and the lanes of a sweep
+never interact:
 
 * the inverse solver (:func:`repro.core.gamma_updates.solve_lanes`)
   brackets, interpolates and polishes each dataset's ``ξ_N`` from that
@@ -36,26 +37,15 @@ from functools import partial
 import numpy as np
 
 from repro import obs
-from repro.bayes.grid_posterior import GridPosterior
-from repro.bayes.nint import (
-    integration_limits_from_posterior,
-    log_posterior_matrix,
-    times_log_posterior_terms,
-)
-from repro.bayes.sandwich import apply_sandwich
 from repro.core.config import VBConfig
-from repro.core.vb1 import _drive_vb1_group, _vb1_builder
-from repro.core.vb2 import _check_alpha0, _drive_vb2_group, _Vb2State
+from repro.core.vb1 import _drive_vb1_group, _vb1_posterior
+from repro.core.vb2 import _check_alpha0, _drive_vb2_group, _finish, _Vb2State
 from repro.core.warmstart import WarmStart
-from repro.data.failure_data import FailureTimeData
-from repro.stats.quadrature import TensorGrid
-from repro.stats.special import log_gamma_fn, log_sum_exp_stream
 
 __all__ = [
     "FleetResult",
     "fit_vb2_fleet",
     "fit_vb1_fleet",
-    "fit_nint_fleet",
 ]
 
 
@@ -71,14 +61,13 @@ class FleetResult:
     Attributes
     ----------
     method_name:
-        "VB2", "VB1" or "NINT".
+        "VB2" or "VB1".
     diagnostics:
         One diagnostics dict per dataset, equal to what the scalar fit
         would report (minus the optional ``telemetry`` entry, which is
         per-fit by construction).
     elbos:
-        One ELBO per dataset (``None`` under improper priors, and for
-        NINT which has no bound).
+        One ELBO per dataset (``None`` under improper priors).
     """
 
     def __init__(self, method_name, builders, diagnostics, elbos):
@@ -128,17 +117,10 @@ class FleetResult:
         )
 
     def expected_total_faults(self) -> np.ndarray:
-        """``E[N]`` per dataset (VB posteriors only)."""
-        values = []
-        for i in range(len(self)):
-            posterior = self.posterior(i)
-            fn = getattr(posterior, "expected_total_faults", None)
-            if fn is None:
-                raise AttributeError(
-                    f"{type(posterior).__name__} has no expected_total_faults"
-                )
-            values.append(fn())
-        return np.array(values)
+        """``E[N]`` per dataset."""
+        return np.array(
+            [p.expected_total_faults() for p in self.posteriors()]
+        )
 
 
 def _per_dataset(value, count: int, name: str) -> list:
@@ -168,16 +150,6 @@ def _per_dataset_warm(warm_start, count: int) -> list:
 # ----------------------------------------------------------------------
 # VB2
 # ----------------------------------------------------------------------
-def _vb2_builder(state, weights, elbo, diagnostics, config):
-    def build():
-        posterior = state.posterior(weights, elbo, diagnostics)
-        if config.variance_correction == "sandwich":
-            return apply_sandwich(posterior, state.data, alpha0=state.alpha0)
-        return posterior
-
-    return build
-
-
 def fit_vb2_fleet(
     datasets,
     prior,
@@ -245,75 +217,23 @@ def fit_vb2_fleet(
         for (_, a0), members in groups.items():
             _drive_vb2_group(members, a0, config, on_done=heartbeat.tick)
 
-        builders, diags, elbos = [], [], []
-        total_lanes = 0
-        total_iterations = 0
-        total_growth = 0
-        max_tail = 0.0
-        # Normalise every dataset's mixture in one segmented sweep: the
-        # per-segment reductions (and the broadcast exp) produce the
-        # same floats as the scalar fit's per-dataset normalisation.
-        sizes = np.array([st.lanes_done for st in states], dtype=np.intp)
-        stops = np.cumsum(sizes)
-        starts = stops - sizes
-        flat = np.concatenate([p for st in states for p in st.log_w])
-        log_norms = log_sum_exp_stream(flat, starts)
-        flat_weights = np.exp(flat - np.repeat(log_norms, sizes))
-        # The prior normalisers and log Γ(α0) in the ELBO constant are
-        # shared fleet-wide in the common case; cache them per distinct
-        # object/value with the same expressions `elbo_constant` uses.
-        prior_consts: dict[int, float] = {}
-        lgf_consts: dict[float, float] = {}
-        for k, st in enumerate(states):
-            log_norm = float(log_norms[k])
-            weights = flat_weights[starts[k]:stops[k]]
-            if st.prior.is_proper:
-                const = prior_consts.get(id(st.prior))
-                if const is None:
-                    const = (
-                        -st.prior.omega.log_normaliser()
-                        - st.prior.beta.log_normaliser()
-                    )
-                    prior_consts[id(st.prior)] = const
-                if st.kind == "times":
-                    lgf = lgf_consts.get(st.alpha0)
-                    if lgf is None:
-                        lgf = float(log_gamma_fn(st.alpha0))
-                        lgf_consts[st.alpha0] = lgf
-                    const = const + (st.alpha0 - 1.0) * st.stats.sum_log_times
-                    const -= st.stats.me * lgf
-                else:
-                    const = const - st.stats.sum_log_count_factorials
-                elbo = log_norm + const
-            else:
-                elbo = None
-            diagnostics = {
-                "nmax": st.last_n,
-                "truncation_clamped": st.clamped,
-                "tail_mass": float(weights[-1]),
-                "fixed_point_iterations": st.evaluations,
-                "n_growth_rounds": st.growth_rounds,
-                "alpha0": st.alpha0,
-                "data_kind": type(st.data).__name__,
-                "warm_started": st.warm is not None,
-            }
-            builders.append(_vb2_builder(st, weights, elbo, diagnostics, config))
-            diags.append(diagnostics)
-            elbos.append(elbo)
-            total_lanes += st.lanes_done
-            total_iterations += diagnostics["fixed_point_iterations"]
-            total_growth += st.growth_rounds
-            max_tail = max(max_tail, diagnostics["tail_mass"])
+        finished = _finish(states)
+        builders = [
+            partial(st.posterior, *done) for st, done in zip(states, finished)
+        ]
+        diags = [diagnostics for _, _, diagnostics in finished]
+        elbos = [elbo for _, elbo, _ in finished]
         if obs.enabled():
+            total_lanes = sum(st.lanes_done for st in states)
             obs.counter_add("fleet.vb2.fits", count)
             obs.counter_add("vb2.solves", total_lanes)
             obs.fit_health(
                 "VB2_FLEET",
                 datasets=count,
                 lanes=total_lanes,
-                iterations=total_iterations,
-                growth_rounds=total_growth,
-                residual=max_tail,
+                iterations=sum(st.evaluations for st in states),
+                growth_rounds=sum(st.growth_rounds for st in states),
+                residual=max(d["tail_mass"] for d in diags),
             )
     return FleetResult("VB2", builders, diags, elbos)
 
@@ -371,7 +291,7 @@ def fit_vb1_fleet(
             )
             for i, lane in zip(members, lanes):
                 _, _, elbos[i], diags[i] = lane
-                builders[i] = _vb1_builder(datasets[i], lane, a0, config)
+                builders[i] = partial(_vb1_posterior, lane)
                 total_outer += diags[i]["iterations"]
         if obs.enabled():
             obs.counter_add("fleet.vb1.fits", count)
@@ -379,142 +299,3 @@ def fit_vb1_fleet(
                 "VB1_FLEET", datasets=count, iterations=total_outer
             )
     return FleetResult("VB1", builders, diags, elbos)
-
-
-# ----------------------------------------------------------------------
-# NINT
-# ----------------------------------------------------------------------
-def fit_nint_fleet(
-    datasets,
-    prior,
-    alpha0=1.0,
-    *,
-    limits=None,
-    reference: FleetResult | None = None,
-    n_omega: int = 321,
-    n_beta: int = 321,
-) -> FleetResult:
-    """Reference NINT posteriors for a whole portfolio.
-
-    The failure-time β-axis data terms evaluate as one broadcast per
-    ``alpha0`` partition (:func:`repro.bayes.nint.
-    times_log_posterior_terms`); grids, normalisation, and grouped-data
-    matrices stay per-dataset (they dominate asymptotically anyway).
-    Bit-identical per dataset to :func:`repro.bayes.nint.fit_nint`.
-
-    Parameters
-    ----------
-    limits:
-        One limits dict fleet-wide, or a sequence of per-dataset
-        dicts. If omitted, ``reference`` must be given and the paper's
-        quantile heuristic is read off each reference posterior.
-    reference:
-        A :class:`FleetResult` (typically from :func:`fit_vb2_fleet`)
-        or sequence of posteriors supplying the limit heuristic.
-    """
-    datasets = list(datasets)
-    if not datasets:
-        raise ValueError("fleet fit needs at least one dataset")
-    count = len(datasets)
-    priors = _per_dataset(prior, count, "prior")
-    alpha0s = [float(a) for a in _per_dataset(alpha0, count, "alpha0")]
-
-    if limits is None:
-        if reference is None:
-            raise ValueError(
-                "either explicit limits or a reference fleet is required"
-            )
-        refs = (
-            [reference.posterior(i) for i in range(len(reference))]
-            if isinstance(reference, FleetResult)
-            else list(reference)
-        )
-        if len(refs) != count:
-            raise ValueError(
-                f"reference must cover every dataset ({count}), "
-                f"got {len(refs)}"
-            )
-        limits_list = [integration_limits_from_posterior(p) for p in refs]
-    elif isinstance(limits, dict):
-        limits_list = [limits] * count
-    else:
-        limits_list = _per_dataset(limits, count, "limits")
-
-    with obs.span("fleet.nint.fit", datasets=count):
-        heartbeat = obs.Heartbeat("fleet.nint.datasets", count)
-        grids = []
-        for i, lims in enumerate(limits_list):
-            omega_range = lims["omega"]
-            beta_range = lims["beta"]
-            if not 0.0 < omega_range[0] < omega_range[1]:
-                raise ValueError(
-                    f"dataset {i}: invalid omega limits {omega_range}"
-                )
-            if not 0.0 < beta_range[0] < beta_range[1]:
-                raise ValueError(
-                    f"dataset {i}: invalid beta limits {beta_range}"
-                )
-            grids.append(
-                TensorGrid.simpson(omega_range, beta_range, n_omega, n_beta)
-            )
-
-        # Batched beta-part per alpha0 partition of failure-time data.
-        beta_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        times_groups: dict = {}
-        for i, data in enumerate(datasets):
-            if isinstance(data, FailureTimeData):
-                times_groups.setdefault(alpha0s[i], []).append(i)
-        for a0, members in times_groups.items():
-            beta_part, tail_g = times_log_posterior_terms(
-                np.array([float(datasets[i].count) for i in members]),
-                np.array([datasets[i].sum_log_times for i in members]),
-                np.array([datasets[i].total_time for i in members]),
-                np.array([datasets[i].horizon for i in members]),
-                a0,
-                np.stack([grids[i].y for i in members]),
-            )
-            for k, i in enumerate(members):
-                beta_parts[i] = (beta_part[k], tail_g[k])
-
-        builders, diags = [], []
-        total_nodes = 0
-        for i, data in enumerate(datasets):
-            grid = grids[i]
-            prior_i = priors[i]
-            a0 = alpha0s[i]
-            if isinstance(data, FailureTimeData):
-                beta_part, tail_g = beta_parts[i]
-                log_prior_omega = np.asarray(prior_i.omega.log_pdf(grid.x))
-                log_prior_beta = np.asarray(prior_i.beta.log_pdf(grid.y))
-                omega_part = data.count * np.log(grid.x) + log_prior_omega
-                log_post = (
-                    omega_part[:, None]
-                    + (beta_part + log_prior_beta)[None, :]
-                    - np.outer(grid.x, tail_g)
-                )
-            else:
-                log_post = log_posterior_matrix(
-                    data, prior_i, a0, grid.x, grid.y
-                )
-            posterior = GridPosterior(
-                grid, log_post,
-                log_pdf_fn=partial(log_posterior_matrix, data, prior_i, a0),
-            )
-            builders.append(_prebuilt(posterior))
-            diags.append({
-                "nodes_omega": grid.x.size,
-                "nodes_beta": grid.y.size,
-                "alpha0": a0,
-                "data_kind": type(data).__name__,
-            })
-            total_nodes += grid.x.size * grid.y.size
-            heartbeat.tick()
-        if obs.enabled():
-            obs.counter_add("fleet.nint.fits", count)
-            obs.counter_add("nint.grid_evaluations", total_nodes)
-            obs.fit_health("NINT_FLEET", datasets=count, nodes=total_nodes)
-    return FleetResult("NINT", builders, diags, [None] * count)
-
-
-def _prebuilt(posterior):
-    return lambda: posterior

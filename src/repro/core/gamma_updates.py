@@ -30,8 +30,8 @@ grouped data (counts ``x_i`` on ``(s_{i-1}, s_i]``, ``m = Σ x_i``)::
 
 with ``S̄`` the gamma survival function and ``η_N = E[T | T > t_e]``.
 Terms constant in ``N`` are dropped (the weights are normalised over
-``N``); :func:`elbo_constant` recovers them for a genuine evidence
-lower bound.
+``N``); VB2's step 5 (:func:`repro.core.vb2._finish`) adds them back
+for a genuine evidence lower bound.
 
 At ``α0 = 1`` memorylessness gives ``T | lo < T ≤ hi =d lo + (T | 0 <
 T ≤ hi − lo)``, so ``E[T | interval_i] = lo_i + E[T | 0 < T ≤ w_i]`` and
@@ -60,9 +60,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from repro import obs
-from repro.bayes.priors import ModelPrior
 from repro.core.config import VBConfig
-from repro.data.failure_data import FailureTimeData, GroupedData
+from repro.data.failure_data import GroupedData
 from repro.data.fleet import (
     FleetGroupedStats,
     FleetTimesStats,
@@ -79,8 +78,6 @@ from repro.stats.special import (
 from repro.stats.truncated import truncated_gamma_mean
 
 __all__ = [
-    "TimesStats",
-    "GroupedStats",
     "LaneSolutions",
     "IntervalClasses",
     "SweepInputs",
@@ -89,7 +86,6 @@ __all__ = [
     "BRACKET_RATIO",
     "solve_times_exponential_lanes",
     "solve_lanes",
-    "elbo_constant",
 ]
 
 #: Chebyshev–Lobatto nodes in ``log ξ`` at which every dataset's
@@ -103,49 +99,6 @@ BRACKET_STEPS = 64
 #: Each end of a bracket is bisected in ``log ξ`` until it lies within
 #: this factor of the ``ξ`` where ``N(ξ)`` crosses the lanes' range.
 BRACKET_RATIO = 2.0 ** 0.125
-
-
-@dataclass(frozen=True)
-class TimesStats:
-    """Sufficient statistics of failure-time data for the VB updates."""
-
-    me: int
-    sum_times: float
-    sum_log_times: float
-    horizon: float
-
-    @classmethod
-    def from_data(cls, data: FailureTimeData) -> "TimesStats":
-        return cls(
-            me=data.count,
-            sum_times=data.total_time,
-            sum_log_times=data.sum_log_times,
-            horizon=data.horizon,
-        )
-
-
-@dataclass(frozen=True)
-class GroupedStats:
-    """Sufficient statistics of grouped data for the VB updates."""
-
-    counts: np.ndarray
-    edges: np.ndarray  # length k+1, edges[0] == 0
-    total: int
-    horizon: float
-    sum_log_count_factorials: float
-
-    @classmethod
-    def from_data(cls, data: GroupedData) -> "GroupedStats":
-        counts = np.asarray(data.counts, dtype=np.int64)
-        return cls(
-            counts=counts,
-            edges=data.interval_edges(),
-            total=int(counts.sum()),
-            horizon=data.horizon,
-            sum_log_count_factorials=float(
-                np.sum([log_factorial(int(c)) for c in counts])
-            ),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -717,27 +670,3 @@ def solve_lanes(
         log_weight=log_weight,
     )
     return lanes, evaluations
-
-
-# ----------------------------------------------------------------------
-# Evidence lower bound constants
-# ----------------------------------------------------------------------
-def elbo_constant(
-    stats: TimesStats | GroupedStats, prior: ModelPrior, alpha0: float
-) -> float:
-    """The ``N``-independent terms dropped from ``log P̃v(N)``.
-
-    Adding this to ``logsumexp_N log P̃v(N)`` yields the full variational
-    lower bound ``F[Pv] <= log P(D)``. Requires proper priors (improper
-    priors have no normaliser, so the bound is only defined up to a
-    constant); raises otherwise.
-    """
-    const = -prior.omega.log_normaliser() - prior.beta.log_normaliser()
-    if isinstance(stats, TimesStats):
-        const += (alpha0 - 1.0) * stats.sum_log_times
-        const -= stats.me * float(log_gamma_fn(alpha0))
-    elif isinstance(stats, GroupedStats):
-        const -= stats.sum_log_count_factorials
-    else:
-        raise TypeError(f"unsupported stats type: {type(stats).__name__}")
-    return const

@@ -69,17 +69,6 @@ class TrackingRecord:
     warm_started: bool = False
 
 
-def _fit_diagnostics(posterior) -> dict:
-    """The fit diagnostics, looking through a sandwich wrapper."""
-    diagnostics = getattr(posterior, "diagnostics", None)
-    if diagnostics:
-        return diagnostics
-    base = getattr(posterior, "base", None)
-    if base is not None:
-        return getattr(base, "diagnostics", None) or {}
-    return {}
-
-
 class ReliabilityTracker:
     """Sequential reliability assessment over a growing dataset.
 
@@ -166,7 +155,7 @@ class ReliabilityTracker:
             alpha0=self._alpha0,
             level=self._level,
         )
-        diagnostics = _fit_diagnostics(posterior)
+        diagnostics = posterior.diagnostics
         record = TrackingRecord(
             horizon=data.horizon,
             observed_failures=observed,

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro import obs
 from repro.bayes.priors import ModelPrior
-from repro.bayes.sandwich import apply_sandwich
 from repro.core.config import VBConfig
 from repro.core.posterior import VBPosterior
 from repro.core.vb2 import _check_alpha0
@@ -92,7 +91,7 @@ def fit_vb1(
             )
             if sp.collecting:
                 diagnostics["telemetry"] = sp.telemetry()
-    return _vb1_builder(data, lane, alpha0, config)()
+    return _vb1_posterior(lane)
 
 
 def _drive_vb1_group(group_data, group_priors, alpha0, config, group_warms,
@@ -261,26 +260,25 @@ def _drive_vb1_group(group_data, group_priors, alpha0, config, group_warms,
         # lane has appended at exactly the same iterations since the
         # last clear (lanes that froze mid-cycle never read their stale
         # history rows again).
-        if config.use_aitken:
-            hist[phase] = lam
-            phase += 1
-            if phase == 3:
-                l0, l1, l2 = hist[0], hist[1], hist[2]
-                step0 = l1 - l0
-                step1 = l2 - l1
-                contracting = (step0 != 0.0) & (np.abs(step1) < np.abs(step0))
-                denom = step1 - step0
-                ok = ~frozen & contracting & (denom != 0.0)
-                if np.any(ok):
-                    with np.errstate(
-                        invalid="ignore", divide="ignore", over="ignore"
-                    ):
-                        accelerated = l0 - step0**2 / denom
-                    accept = ok & (accelerated > 0.0)
-                    accept &= np.isfinite(accelerated)
-                    lam = np.where(accept, accelerated, lam)
-                    aitken_accepted += int(accept.sum())
-                phase = 0
+        hist[phase] = lam
+        phase += 1
+        if phase == 3:
+            l0, l1, l2 = hist[0], hist[1], hist[2]
+            step0 = l1 - l0
+            step1 = l2 - l1
+            contracting = (step0 != 0.0) & (np.abs(step1) < np.abs(step0))
+            denom = step1 - step0
+            ok = ~frozen & contracting & (denom != 0.0)
+            if np.any(ok):
+                with np.errstate(
+                    invalid="ignore", divide="ignore", over="ignore"
+                ):
+                    accelerated = l0 - step0**2 / denom
+                accept = ok & (accelerated > 0.0)
+                accept &= np.isfinite(accelerated)
+                lam = np.where(accept, accelerated, lam)
+                aitken_accepted += int(accept.sum())
+            phase = 0
     if not frozen.all():
         lane = int(np.argmax(~frozen))
         tags = {} if indices is None else {"dataset": indices[lane]}
@@ -332,26 +330,19 @@ def _drive_vb1_group(group_data, group_priors, alpha0, config, group_warms,
     return results, inner_total
 
 
-def _vb1_builder(data, lane, alpha0, config):
-    """Deferred construction of one lane's posterior (sandwich-wrapped
-    when the config asks for it)."""
+def _vb1_posterior(lane) -> VBPosterior:
+    """One lane's ``(q_omega, q_beta, elbo, diagnostics)`` as a
+    posterior."""
     q_omega, q_beta, elbo, diagnostics = lane
-
-    def build():
-        posterior = VBPosterior(
-            n_values=[diagnostics["expected_n"]],
-            weights=[1.0],
-            omega_components=[q_omega],
-            beta_components=[q_beta],
-            method_name="VB1",
-            elbo=elbo,
-            diagnostics=diagnostics,
-        )
-        if config.variance_correction == "sandwich":
-            return apply_sandwich(posterior, data, alpha0=alpha0)
-        return posterior
-
-    return build
+    return VBPosterior(
+        n_values=[diagnostics["expected_n"]],
+        weights=[1.0],
+        omega_components=[q_omega],
+        beta_components=[q_beta],
+        method_name="VB1",
+        elbo=elbo,
+        diagnostics=diagnostics,
+    )
 
 
 def _vb1_elbo(

@@ -16,7 +16,8 @@ Steps 1–4 are one truncation-growth driver (:class:`_Vb2State`,
 :func:`repro.core.fleet.fit_vb2_fleet`: each growth round solves every
 still-growing dataset's new latent-count tail as ``(dataset, N)``
 lanes of one sweep of the inverse solver
-(:func:`repro.core.gamma_updates.solve_lanes`). A single fit is the
+(:func:`repro.core.gamma_updates.solve_lanes`). Step 5 is one helper
+(:func:`_finish`) that both call as well. A single fit is the
 one-dataset case of the fleet sweep.
 """
 
@@ -28,19 +29,12 @@ import numpy as np
 
 from repro import obs
 from repro.bayes.priors import ModelPrior
-from repro.bayes.sandwich import apply_sandwich
 from repro.core.config import VBConfig
-from repro.core.gamma_updates import (
-    GroupedStats,
-    SweepInputs,
-    TimesStats,
-    elbo_constant,
-    solve_lanes,
-)
+from repro.core.gamma_updates import SweepInputs, solve_lanes
 from repro.core.posterior import VBPosterior
 from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.exceptions import TruncationError
-from repro.stats.special import log_sum_exp, log_sum_exp_stream
+from repro.stats.special import log_gamma_fn, log_sum_exp_stream
 
 __all__ = ["fit_vb2", "next_truncation_bound"]
 
@@ -68,11 +62,13 @@ class _Vb2State:
     Only the *solving* is shared with the other datasets in a lane
     sweep; every growth decision is this dataset's own. ``index`` is
     the dataset's fleet position, or ``None`` for a single fit, whose
-    errors and events then carry no ``dataset`` tag.
+    errors and events then carry no ``dataset`` tag. The driver hands
+    each state its partition's packed :class:`SweepInputs` (``inputs``)
+    and its row there (``gpos``).
     """
 
     __slots__ = (
-        "index", "where", "tags", "data", "prior", "alpha0", "stats",
+        "index", "where", "tags", "data", "prior", "alpha0", "inputs",
         "observed", "kind", "nmax_fixed", "bound", "clamped",
         "growth_rounds", "warm", "gpos", "lanes_done", "evaluations",
         "last_n", "_parts", "log_w", "n", "a_omega", "b_omega", "a_beta",
@@ -87,12 +83,10 @@ class _Vb2State:
         _check_alpha0(alpha0, self.where)
         if isinstance(data, FailureTimeData):
             self.kind = "times"
-            self.stats = TimesStats.from_data(data)
-            self.observed = self.stats.me
+            self.observed = data.count
         elif isinstance(data, GroupedData):
             self.kind = "grouped"
-            self.stats = GroupedStats.from_data(data)
-            self.observed = self.stats.total
+            self.observed = data.total_count
         else:
             raise TypeError(f"unsupported data type: {type(data).__name__}")
         if self.observed == 0 and not prior.beta.is_proper:
@@ -141,6 +135,7 @@ class _Vb2State:
         # a thousand datasets' seven fields otherwise dominates the
         # small-sweep cost. `log_w` keeps the log-weight views every
         # round's tail check reads.
+        self.inputs = None
         self.gpos = -1
         self.lanes_done = 0
         self.evaluations = 0
@@ -220,11 +215,12 @@ def _drive_vb2_group(states, alpha0, config, *, on_done=None):
     latent-count tail in a single lane sweep. ``on_done`` is called
     once per dataset as it finishes.
     """
-    for pos, st in enumerate(states):
-        st.gpos = pos
     inputs = SweepInputs.pack(
         [st.data for st in states], [st.prior for st in states], alpha0
     )
+    for pos, st in enumerate(states):
+        st.inputs = inputs
+        st.gpos = pos
     active = list(states)
     while active:
         lanes = []
@@ -273,6 +269,73 @@ def _drive_vb2_group(states, alpha0, config, *, on_done=None):
 
 
 # ----------------------------------------------------------------------
+# Step 5 (one dataset or a fleet)
+# ----------------------------------------------------------------------
+def _finish(states) -> list[tuple[np.ndarray, float | None, dict]]:
+    """Step 5 for finished datasets: ``(weights, elbo, diagnostics)``
+    per state.
+
+    One segmented ``logsumexp`` normalises every dataset's ``P̃v(N)``
+    over its own contiguous weights (``log_sum_exp`` is the one-segment
+    case). The ELBO adds back the ``N``-independent terms that
+    ``log P̃v(N)`` drops: the prior normalisers, plus ``(α0 − 1) Σ ln
+    t_i − m_e ln Γ(α0)`` for failure times or ``−Σ ln x_i!`` for
+    grouped data, read from the dataset's row of its partition's
+    packed statistics. Improper priors have no normaliser, so their
+    bound is defined only up to a constant and ``elbo`` is ``None``.
+    """
+    sizes = np.array([st.lanes_done for st in states], dtype=np.intp)
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    flat = np.concatenate([p for st in states for p in st.log_w])
+    log_norms = log_sum_exp_stream(flat, starts)
+    flat_weights = np.exp(flat - np.repeat(log_norms, sizes))
+    # A fleet usually shares one prior and a few shapes: each distinct
+    # prior normaliser and ln Γ(α0) is computed once.
+    prior_consts: dict[int, float] = {}
+    lgf_consts: dict[float, float] = {}
+    finished = []
+    for k, st in enumerate(states):
+        weights = flat_weights[starts[k]:stops[k]]
+        elbo = None
+        if st.prior.is_proper:
+            const = prior_consts.get(id(st.prior))
+            if const is None:
+                const = (
+                    -st.prior.omega.log_normaliser()
+                    - st.prior.beta.log_normaliser()
+                )
+                prior_consts[id(st.prior)] = const
+            stats = st.inputs.stats
+            if st.kind == "times":
+                lgf = lgf_consts.get(st.alpha0)
+                if lgf is None:
+                    lgf = float(log_gamma_fn(st.alpha0))
+                    lgf_consts[st.alpha0] = lgf
+                const = const + (st.alpha0 - 1.0) * float(
+                    stats.sum_log_times[st.gpos]
+                )
+                const -= st.observed * lgf
+            else:
+                const = const - float(
+                    stats.sum_log_count_factorials[st.gpos]
+                )
+            elbo = float(log_norms[k]) + const
+        diagnostics = {
+            "nmax": st.last_n,
+            "truncation_clamped": st.clamped,
+            "tail_mass": float(weights[-1]),
+            "fixed_point_iterations": st.evaluations,
+            "n_growth_rounds": st.growth_rounds,
+            "alpha0": st.alpha0,
+            "data_kind": type(st.data).__name__,
+            "warm_started": st.warm is not None,
+        }
+        finished.append((weights, elbo, diagnostics))
+    return finished
+
+
+# ----------------------------------------------------------------------
 # Single-dataset fit
 # ----------------------------------------------------------------------
 def fit_vb2(
@@ -308,72 +371,39 @@ def fit_vb2(
         "fixed_point_iterations", "n_growth_rounds"}``;
         ``fixed_point_iterations`` counts the evaluations of ``N(ξ)``
         the conditional solves spent (bracket, nodes and polish; 0
-        for the closed-form Goel–Okumoto failure-time case). With
-        ``config.variance_correction == "sandwich"`` the mixture is
-        wrapped in a :class:`~repro.bayes.sandwich.ScaledPosterior`
-        whose marginal spreads follow the sandwich covariance.
+        for the closed-form Goel–Okumoto failure-time case). For
+        sandwich-scaled spreads, pass the result to
+        :func:`repro.bayes.sandwich.apply_sandwich`.
     """
     _check_alpha0(alpha0)
     config = config or VBConfig()
-    with obs.span("vb2.fit", collect=True, data=type(data).__name__) as sp:
-        posterior = _fit_vb2(data, prior, alpha0, config, nmax, sp)
-    if config.variance_correction == "sandwich":
-        return apply_sandwich(posterior, data, alpha0=alpha0)
-    return posterior
-
-
-def _fit_vb2(
-    data: FailureTimeData | GroupedData,
-    prior: ModelPrior,
-    alpha0: float,
-    config: VBConfig,
-    nmax: int | None,
-    sp,
-) -> VBPosterior:
     warm = config.warm_start
-    state = _Vb2State(data, prior, alpha0, nmax, config, warm=warm)
-    _drive_vb2_group([state], alpha0, config)
-
-    log_w = np.concatenate(state.log_w)
-    log_norm = float(log_sum_exp(log_w))
-    weights = np.exp(log_w - log_norm)
-    if prior.is_proper:
-        elbo = log_norm + elbo_constant(state.stats, prior, alpha0)
-    else:
-        elbo = None  # improper priors: bound defined only up to a constant
-
-    iterations = state.evaluations
-    diagnostics = {
-        "nmax": state.last_n,
-        "truncation_clamped": state.clamped,
-        "tail_mass": float(weights[-1]),
-        "fixed_point_iterations": iterations,
-        "n_growth_rounds": state.growth_rounds,
-        "alpha0": alpha0,
-        "data_kind": type(data).__name__,
-        "warm_started": warm is not None,
-    }
-    if obs.enabled():
-        obs.counter_add("vb2.solves", state.lanes_done)
-        obs.observe("vb2.nmax", state.last_n)
-        obs.observe("vb2.tail_mass", float(weights[-1]))
-        obs.observe("vb2.growth_rounds", state.growth_rounds)
-        obs.observe("vb2.fixed_point_iterations", iterations)
-        if state.clamped:
-            obs.counter_add("vb2.truncation_clamped")
-        if warm is not None:
-            obs.counter_add("vb2.warm_fits")
-            obs.observe("vb2.warm.fixed_point_iterations", iterations)
-        # Tail mass stands in for a residual: the conditional solves
-        # converge per lane, and what remains is truncation error.
-        obs.fit_health(
-            "VB2",
-            iterations=iterations,
-            residual=diagnostics["tail_mass"],
-            elbo=elbo,
-            nmax=diagnostics["nmax"],
-            warm_start=float(warm is not None),
-        )
-        if sp.collecting:
-            diagnostics["telemetry"] = sp.telemetry()
-    return state.posterior(weights, elbo, diagnostics)
+    with obs.span("vb2.fit", collect=True, data=type(data).__name__) as sp:
+        state = _Vb2State(data, prior, alpha0, nmax, config, warm=warm)
+        _drive_vb2_group([state], alpha0, config)
+        ((weights, elbo, diagnostics),) = _finish([state])
+        if obs.enabled():
+            iterations = state.evaluations
+            obs.counter_add("vb2.solves", state.lanes_done)
+            obs.observe("vb2.nmax", state.last_n)
+            obs.observe("vb2.tail_mass", diagnostics["tail_mass"])
+            obs.observe("vb2.growth_rounds", state.growth_rounds)
+            obs.observe("vb2.fixed_point_iterations", iterations)
+            if state.clamped:
+                obs.counter_add("vb2.truncation_clamped")
+            if warm is not None:
+                obs.counter_add("vb2.warm_fits")
+                obs.observe("vb2.warm.fixed_point_iterations", iterations)
+            # Tail mass stands in for a residual: the conditional solves
+            # converge per lane, and what remains is truncation error.
+            obs.fit_health(
+                "VB2",
+                iterations=iterations,
+                residual=diagnostics["tail_mass"],
+                elbo=elbo,
+                nmax=diagnostics["nmax"],
+                warm_start=float(warm is not None),
+            )
+            if sp.collecting:
+                diagnostics["telemetry"] = sp.telemetry()
+        return state.posterior(weights, elbo, diagnostics)

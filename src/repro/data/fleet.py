@@ -43,9 +43,8 @@ class FleetTimesStats:
     """Per-dataset sufficient statistics of failure-time data, packed
     columnar: element ``i`` of every array belongs to dataset ``i``.
 
-    Mirrors :class:`repro.core.gamma_updates.TimesStats` with the
-    dataset axis vectorized (``me`` as float so lane arithmetic needs
-    no casts; the counts are exact in float64).
+    ``me`` is float so lane arithmetic needs no casts; the counts are
+    exact in float64.
     """
 
     me: np.ndarray
@@ -119,6 +118,10 @@ def pack_times(datasets) -> FleetTimesStats:
 def pack_grouped(datasets) -> FleetGroupedStats:
     """Pack grouped datasets, flattening the ragged interval structure
     dataset-major (occupied intervals only, in ascending order)."""
+    # Imported here so that loading the data layer does not load the
+    # stats package.
+    from repro.stats import scipy_special as sc
+
     datasets = list(datasets)
     lo_parts, hi_parts, count_parts = [], [], []
     totals, horizons, seed_dots, logfacts = [], [], [], []
@@ -139,9 +142,7 @@ def pack_grouped(datasets) -> FleetGroupedStats:
         totals.append(float(counts.sum()))
         horizons.append(data.horizon)
         seed_dots.append(float(np.dot(counts, edges[1:])))
-        logfacts.append(
-            float(np.sum([_log_factorial_int(int(c)) for c in counts]))
-        )
+        logfacts.append(float(sc.gammaln(counts + 1.0).sum()))
     offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
     return FleetGroupedStats(
         total=np.array(totals),
@@ -157,16 +158,6 @@ def pack_grouped(datasets) -> FleetGroupedStats:
 
 def _concat(parts) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0)
-
-
-def _log_factorial_int(n: int) -> float:
-    # GroupedStats.from_data computes this through
-    # repro.stats.special.log_factorial; inlined via the scipy.special
-    # shim (imported lazily, so loading the data layer does not load
-    # the stats package) while producing the same gammaln(n + 1) float.
-    from repro.stats import scipy_special as sc
-
-    return float(sc.gammaln(n + 1.0))
 
 
 def dedupe_datasets(datasets):

@@ -32,7 +32,7 @@ from repro.data.simulation import simulate_failure_times
 from repro.exceptions import ReproError
 from repro.models.base import NHPPModel
 from repro.validation.fitters import fit_replication
-from repro.validation.parallel import parallel_map
+from repro.validation.parallel import campaign_map
 from repro.validation.seeding import replication_seed
 
 __all__ = ["CoverageResult", "interval_coverage_study"]
@@ -211,27 +211,11 @@ def interval_coverage_study(
         min_failures,
         seed,
     )
-    indices = list(range(replications))
-    heartbeat = obs.Heartbeat("coverage.replications", len(indices))
-    on_result = lambda done, _result: heartbeat.tick(done)  # noqa: E731
-    col = obs.active()
-    if col is None:
-        per_replication = parallel_map(
-            worker, indices, workers=workers, on_result=on_result
-        )
-    else:
-        # Same capture-and-merge path serially and on a process pool:
-        # the merged trace is byte-identical for any worker count.
-        pairs = parallel_map(
-            partial(obs.traced_task, worker, col.level),
-            indices,
-            workers=workers,
-            on_result=on_result,
-        )
-        per_replication = []
-        for index, (outcome, payload) in zip(indices, pairs):
-            col.merge(payload, rep=index)
-            per_replication.append(outcome)
+    per_replication = campaign_map(
+        worker, range(replications), label="coverage.replications",
+        workers=workers,
+    )
+    if obs.enabled():
         obs.event(
             "coverage.campaign",
             replications=replications,

@@ -20,7 +20,7 @@ coverage the correction buys back.
 Determinism mirrors the SBC campaign: every replication derives its
 randomness from ``(seed, cell index, replication index)`` alone, the
 flattened ``(cell, replication)`` job list runs through
-:func:`repro.validation.parallel.parallel_map` with telemetry captured
+:func:`repro.validation.parallel.campaign_map` with telemetry captured
 per job and merged in spawn order, and each job's MCMC chain draws
 from its own ``(seed, cell, replication, 1)`` stream — so serial and
 parallel runs are byte-identical.
@@ -48,7 +48,7 @@ from repro.robustness.generators import (
     make_scenario,
 )
 from repro.validation.fitters import coverage_fitters, fit_replication
-from repro.validation.parallel import parallel_map
+from repro.validation.parallel import campaign_map
 from repro.validation.seeding import replication_seed
 
 __all__ = [
@@ -240,20 +240,19 @@ def _score_posterior(
     return hits, widths
 
 
-def _robustness_replication(
-    spec: RobustnessSpec, job: tuple[int, int]
-) -> dict | None:
+def _robustness_replication(spec: RobustnessSpec, job: int) -> dict | None:
     """Simulate one cell replication and score every method.
 
-    ``job = (cell index, replication index)``; the simulation stream is
-    ``(seed, cell, rep, 0)`` and the MCMC chain draws from
-    ``(seed, cell, rep, 1)``, so method choices never perturb the data.
+    ``job = cell index * replications + replication index``; the
+    simulation stream is ``(seed, cell, rep, 0)`` and the MCMC chain
+    draws from ``(seed, cell, rep, 1)``, so method choices never perturb
+    the data.
     Returns ``None`` for skipped campaigns (too few failures, or any
     fitter raising a library error — all methods stay scored on a
     common campaign set), else ``{"failures": m, "scores": {label:
     (hits, widths)}}``.
     """
-    cell_index, rep_index = job
+    cell_index, rep_index = divmod(job, spec.replications)
     family, severity = spec.cells()[cell_index]
     scenario = spec.scenario(family, severity)
     sim_rng = np.random.default_rng(
@@ -462,18 +461,14 @@ class RobustnessResult:
 
 
 def _aggregate(
-    spec: RobustnessSpec,
-    outcomes: list[dict | None],
-    jobs: list[tuple[int, int]],
+    spec: RobustnessSpec, outcomes: list[dict | None]
 ) -> RobustnessResult:
+    """Per-cell scores from the job outcomes, which run cell-major."""
     labels = spec.labels()
     cells: list[CellResult] = []
+    reps = spec.replications
     for cell_index, (family, severity) in enumerate(spec.cells()):
-        cell_outcomes = [
-            outcome
-            for job, outcome in zip(jobs, outcomes)
-            if job[0] == cell_index
-        ]
+        cell_outcomes = outcomes[cell_index * reps:(cell_index + 1) * reps]
         used = [o for o in cell_outcomes if o is not None]
         if not used:
             raise ValueError(
@@ -533,32 +528,14 @@ def run_robustness(
     spawn order, so the trace is byte-identical serially and on a
     pool.
     """
-    jobs = [
-        (cell_index, rep_index)
-        for cell_index in range(len(spec.cells()))
-        for rep_index in range(spec.replications)
-    ]
-    task = partial(_robustness_replication, spec)
-    heartbeat = obs.Heartbeat("robustness.replications", len(jobs))
-    on_result = lambda done, _result: heartbeat.tick(done)  # noqa: E731
-    col = obs.active()
-    if col is None:
-        outcomes = parallel_map(
-            task, jobs, workers=workers, chunk_size=chunk_size,
-            on_result=on_result,
-        )
-    else:
-        pairs = parallel_map(
-            partial(obs.traced_task, task, col.level),
-            jobs,
-            workers=workers,
-            chunk_size=chunk_size,
-            on_result=on_result,
-        )
-        outcomes = []
-        for position, (outcome, payload) in enumerate(pairs):
-            col.merge(payload, rep=position)
-            outcomes.append(outcome)
+    outcomes = campaign_map(
+        partial(_robustness_replication, spec),
+        range(len(spec.cells()) * spec.replications),
+        label="robustness.replications",
+        workers=workers,
+        chunk_size=chunk_size,
+    )
+    if obs.enabled():
         obs.event(
             "robustness.campaign",
             cells=len(spec.cells()),
@@ -566,4 +543,4 @@ def run_robustness(
             ok=sum(1 for o in outcomes if o is not None),
             skipped=sum(1 for o in outcomes if o is None),
         )
-    return _aggregate(spec, outcomes, jobs)
+    return _aggregate(spec, outcomes)

@@ -16,6 +16,10 @@ Determinism contract: the callable must depend only on its item (each
 item carries its own seed material, see :mod:`repro.validation.
 seeding`), so the parallel result equals the serial result bit for
 bit. The property suite enforces this for the SBC engine.
+
+``campaign_map`` is the campaign runners' traced form of
+``parallel_map``: a heartbeat, and under an active telemetry collector
+one capture per replication, merged in replication order.
 """
 
 from __future__ import annotations
@@ -25,9 +29,12 @@ import os
 import warnings
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import TypeVar
 
-__all__ = ["parallel_map", "default_workers"]
+from repro import obs
+
+__all__ = ["parallel_map", "campaign_map", "default_workers"]
 
 _logger = logging.getLogger(__name__)
 
@@ -129,3 +136,46 @@ def parallel_map(
             stacklevel=2,
         )
         return _map_serial(fn, items, on_result)
+
+
+def campaign_map(
+    fn: Callable[[int], R],
+    indices: Sequence[int],
+    *,
+    label: str,
+    workers: int | None = 1,
+    chunk_size: int | None = None,
+) -> list[R]:
+    """:func:`parallel_map` over replication ``indices``, with telemetry.
+
+    A :class:`~repro.obs.Heartbeat` named ``label`` ticks once per
+    finished replication. When a telemetry collector is active
+    (:func:`repro.obs.active`), each replication runs under its own
+    capture (:func:`repro.obs.traced_task`) and its payload is merged
+    into the ambient collector tagged ``rep=indices[i]``, in input
+    order. That is the same code path serially and on a process pool,
+    so the merged trace is byte-identical for any worker count.
+
+    Returns ``[fn(index) for index in indices]``.
+    """
+    indices = list(indices)
+    heartbeat = obs.Heartbeat(label, len(indices))
+    on_result = lambda done, _result: heartbeat.tick(done)  # noqa: E731
+    col = obs.active()
+    if col is None:
+        return parallel_map(
+            fn, indices, workers=workers, chunk_size=chunk_size,
+            on_result=on_result,
+        )
+    pairs = parallel_map(
+        partial(obs.traced_task, fn, col.level),
+        indices,
+        workers=workers,
+        chunk_size=chunk_size,
+        on_result=on_result,
+    )
+    results = []
+    for index, (result, payload) in zip(indices, pairs):
+        col.merge(payload, rep=index)
+        results.append(result)
+    return results

@@ -44,7 +44,7 @@ from repro.exceptions import ReproError
 from repro.experiments.config import ExperimentScale, QUICK_SCALE
 from repro.models.registry import make_model
 from repro.validation.fitters import coverage_fitters, fit_replication
-from repro.validation.parallel import parallel_map
+from repro.validation.parallel import campaign_map
 from repro.validation.seeding import replication_seed
 from repro.validation.uniformity import UniformityReport, uniformity_report
 
@@ -374,27 +374,11 @@ def run_sbc(
     if indices is None:
         indices = range(spec.replications)
     indices = list(indices)
-    task = partial(run_replication, spec)
-    heartbeat = obs.Heartbeat("sbc.replications", len(indices))
-    on_result = lambda done, _result: heartbeat.tick(done)  # noqa: E731
-    col = obs.active()
-    if col is None:
-        outcomes = parallel_map(
-            task, indices, workers=workers, chunk_size=chunk_size,
-            on_result=on_result,
-        )
-    else:
-        pairs = parallel_map(
-            partial(obs.traced_task, task, col.level),
-            indices,
-            workers=workers,
-            chunk_size=chunk_size,
-            on_result=on_result,
-        )
-        outcomes = []
-        for index, (outcome, payload) in zip(indices, pairs):
-            col.merge(payload, rep=index)
-            outcomes.append(outcome)
+    outcomes = campaign_map(
+        partial(run_replication, spec), indices, label="sbc.replications",
+        workers=workers, chunk_size=chunk_size,
+    )
+    if obs.enabled():
         obs.event(
             "sbc.campaign",
             method=spec.method,

@@ -25,9 +25,7 @@ from repro.bayes.sandwich import (
 )
 from repro.bayes.laplace import fit_laplace
 from repro.bayes.normal_posterior import NormalPosterior
-from repro.core.config import VBConfig
 from repro.core.reliability import ResidualSurvival
-from repro.core.vb1 import fit_vb1
 from repro.core.vb2 import fit_vb2
 from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.data.simulation import simulate_failure_times
@@ -206,26 +204,6 @@ class TestApplySandwich:
         assert corrected.variance("omega") == pytest.approx(
             kappa**2 * base.variance("omega")
         )
-
-    def test_config_wiring_vb2(self):
-        data = _well_specified_data()
-        config = VBConfig(variance_correction="sandwich")
-        corrected = fit_vb2(data, PRIOR, config=config)
-        assert corrected.method_name == "VB2+SW"
-        plain = fit_vb2(data, PRIOR)
-        assert plain.method_name == "VB2"
-        assert corrected.mean("omega") == pytest.approx(plain.mean("omega"))
-
-    def test_config_wiring_vb1(self):
-        data = _well_specified_data()
-        corrected = fit_vb1(
-            data, PRIOR, config=VBConfig(variance_correction="sandwich")
-        )
-        assert corrected.method_name == "VB1+SW"
-
-    def test_config_validates_correction_name(self):
-        with pytest.raises(ValueError, match="variance_correction"):
-            VBConfig(variance_correction="jackknife")
 
 
 class TestOracle:

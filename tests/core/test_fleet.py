@@ -9,9 +9,8 @@ shapes, priors and truncation settings sharing the sweep.
 import numpy as np
 import pytest
 
-from repro.bayes.nint import fit_nint
 from repro.bayes.priors import ModelPrior
-from repro.core import fit_nint_fleet, fit_vb1_fleet, fit_vb2_fleet
+from repro.core import fit_vb1_fleet, fit_vb2_fleet
 from repro.core.config import VBConfig
 from repro.core.vb1 import fit_vb1
 from repro.core.vb2 import fit_vb2
@@ -118,14 +117,6 @@ class TestVB2Identity:
         with pytest.raises(TruncationError, match="dataset 0"):
             fit_vb2_fleet(portfolio[:1], prior, 1.0, config)
 
-    def test_sandwich_correction(self, portfolio, prior):
-        config = VBConfig(variance_correction="sandwich")
-        fleet = fit_vb2_fleet(portfolio[:3], prior, 1.0, config)
-        for i, data in enumerate(portfolio[:3]):
-            scalar = fit_vb2(data, prior, 1.0, config)
-            assert fleet.posterior(i).variance("omega") == scalar.variance("omega")
-            assert fleet.posterior(i).mean("beta") == scalar.mean("beta")
-
     def test_validation(self, portfolio, prior):
         with pytest.raises(ValueError, match="at least one dataset"):
             fit_vb2_fleet([], prior)
@@ -186,69 +177,10 @@ class TestVB1Identity:
         for i, data in enumerate(portfolio):
             assert_identical(fleet.posterior(i), fit_vb1(data, priors[i], alphas[i]))
 
-    def test_no_aitken_matches_scalar(self, portfolio, prior):
-        config = VBConfig(use_aitken=False)
-        fleet = fit_vb1_fleet(portfolio, prior, 1.0, config)
-        for i, data in enumerate(portfolio):
-            assert_identical(fleet.posterior(i), fit_vb1(data, prior, 1.0, config))
-
     def test_divergence_names_dataset(self, portfolio, prior):
         config = VBConfig(fixed_point_max_iter=2)
         with pytest.raises(ConvergenceError, match="dataset"):
             fit_vb1_fleet(portfolio, prior, 1.0, config)
-
-
-class TestNINTIdentity:
-    def test_reference_fleet(self, portfolio, prior):
-        subset = portfolio[:4]
-        reference = fit_vb2_fleet(subset, prior, 1.0)
-        fleet = fit_nint_fleet(
-            subset, prior, 1.0, reference=reference, n_omega=61, n_beta=61
-        )
-        for i, data in enumerate(subset):
-            scalar = fit_nint(
-                data, prior, 1.0,
-                reference_posterior=reference.posterior(i),
-                n_omega=61, n_beta=61,
-            )
-            posterior = fleet.posterior(i)
-            assert posterior.log_normaliser == scalar.log_normaliser
-            for param in ("omega", "beta"):
-                assert posterior.mean(param) == scalar.mean(param)
-                assert posterior.quantile(param, 0.975) == scalar.quantile(
-                    param, 0.975
-                )
-
-    def test_posteriors_pickle_with_reevaluation(self, portfolio, prior):
-        import pickle
-
-        data = portfolio[0]
-        limits = {"omega": (5.0, 60.0), "beta": (1e-3, 0.05)}
-        posterior = fit_nint_fleet(
-            [data], prior, 1.0, limits=limits, n_omega=41, n_beta=41
-        ).posterior(0)
-        copy = pickle.loads(pickle.dumps(posterior))
-        omega, beta = np.linspace(10.0, 50.0, 3), np.linspace(0.005, 0.04, 4)
-        np.testing.assert_array_equal(
-            copy.log_pdf_grid(omega, beta), posterior.log_pdf_grid(omega, beta)
-        )
-
-    def test_explicit_limits_broadcast(self, portfolio, prior):
-        data = portfolio[0]
-        limits = {"omega": (5.0, 60.0), "beta": (1e-3, 0.05)}
-        fleet = fit_nint_fleet(
-            [data, data], prior, 1.0, limits=limits, n_omega=41, n_beta=41
-        )
-        scalar = fit_nint(data, prior, 1.0, limits=limits, n_omega=41, n_beta=41)
-        assert fleet.posterior(0).mean("omega") == scalar.mean("omega")
-        assert fleet.posterior(1).mean("beta") == scalar.mean("beta")
-
-    def test_validation(self, portfolio, prior):
-        with pytest.raises(ValueError, match="reference fleet"):
-            fit_nint_fleet(portfolio[:1], prior, 1.0)
-        bad = {"omega": (-1.0, 2.0), "beta": (1e-3, 0.05)}
-        with pytest.raises(ValueError, match="dataset 0"):
-            fit_nint_fleet(portfolio[:1], prior, 1.0, limits=bad)
 
 
 class TestFleetResult:

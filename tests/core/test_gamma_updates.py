@@ -20,11 +20,8 @@ from repro.bayes.priors import GammaPrior, ModelPrior
 from repro.core import gamma_updates
 from repro.core.config import VBConfig
 from repro.core.gamma_updates import (
-    GroupedStats,
     SweepInputs,
-    TimesStats,
     _lifetime_sum,
-    elbo_constant,
     solve_lanes,
     solve_times_exponential_lanes,
 )
@@ -36,14 +33,26 @@ from repro.stats.special import log_gamma_cdf_increment
 from repro.stats.truncated import censored_gamma_mean, truncated_gamma_mean
 
 
+def _times_stats(data):
+    """The failure-time statistics the closed forms below read."""
+    return SimpleNamespace(
+        me=data.count, sum_times=data.total_time, horizon=data.horizon
+    )
+
+
 @pytest.fixture(scope="module")
 def times_stats():
-    return TimesStats.from_data(system17_failure_times())
+    return _times_stats(system17_failure_times())
 
 
 @pytest.fixture(scope="module")
 def grouped_stats():
-    return GroupedStats.from_data(system17_grouped())
+    data = system17_grouped()
+    counts = np.asarray(data.counts, dtype=np.int64)
+    return SimpleNamespace(
+        counts=counts, edges=data.interval_edges(), total=int(counts.sum()),
+        horizon=data.horizon,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +77,7 @@ def _lanes(data, prior, alpha0, lo, hi, config=CONFIG):
     """Lanes ``lo..hi`` of one dataset: the closed form for Goel–Okumoto
     failure times, the inverse solver otherwise."""
     if alpha0 == 1.0 and isinstance(data, FailureTimeData):
-        return _exponential_lanes(TimesStats.from_data(data), prior, lo, hi)
+        return _exponential_lanes(_times_stats(data), prior, lo, hi)
     lanes, _ = solve_lanes(
         SweepInputs.pack([data], [prior], alpha0), alpha0, [0], [lo], [hi],
         config,
@@ -381,24 +390,6 @@ class TestMarginalExactness:
         assert float(ns @ vb) == pytest.approx(float(ns @ exact), abs=0.5)
         # Total variation distance is small.
         assert 0.5 * np.abs(vb - exact).sum() < 0.05
-
-
-class TestElboConstant:
-    def test_requires_proper_priors(self, times_stats):
-        flat = ModelPrior.noninformative()
-        with pytest.raises(Exception):
-            elbo_constant(times_stats, flat, 1.0)
-
-    def test_times_value(self, times_stats, prior_times):
-        value = elbo_constant(times_stats, prior_times, 1.0)
-        expected = (
-            -prior_times.omega.log_normaliser() - prior_times.beta.log_normaliser()
-        )
-        assert value == pytest.approx(expected)  # alpha0=1: data terms vanish
-
-    def test_grouped_value(self, grouped_stats, prior_grouped):
-        value = elbo_constant(grouped_stats, prior_grouped, 1.0)
-        assert math.isfinite(value)
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.bayes.nint import fit_nint
 from repro.bayes.priors import ModelPrior
 from repro.core.config import VBConfig
 from repro.core.vb2 import fit_vb2
+from repro.core.warmstart import warm_start_from
 from repro.data.failure_data import FailureTimeData
 from repro.exceptions import TruncationError
+from repro.experiments.config import paper_scenarios
 
 
 class TestFitting:
@@ -133,6 +136,21 @@ class TestElbo:
         gap = nint_times.log_normaliser - vb2.elbo
         assert 0.0 <= gap < 0.5
 
+    @pytest.mark.parametrize("alpha0", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("scenario", ["DT-Info", "DG-Info"])
+    def test_data_constants_close_the_gap(self, scenario, alpha0):
+        # The ELBO adds back (alpha0 - 1) sum ln t_i - m_e ln Gamma(alpha0)
+        # for failure times and -sum ln x_i! for grouped data. The first
+        # term is non-zero at alpha0 != 1, the second only at alpha0 = 1.5
+        # (ln Gamma(1) = ln Gamma(2) = 0). A wrong sign or a missing term
+        # moves the gap to the evidence by far more than 0.1.
+        spec = paper_scenarios()[scenario]
+        data, prior = spec.load_data(), spec.prior()
+        vb2 = fit_vb2(data, prior, alpha0)
+        nint = fit_nint(data, prior, alpha0, reference_posterior=vb2)
+        gap = nint.log_normaliser - vb2.elbo
+        assert 0.0 <= gap < 0.1
+
 
 class TestSmallData:
     def test_single_failure(self, info_prior_times):
@@ -149,16 +167,25 @@ class TestSmallData:
         assert posterior.mean("omega") < 50.0
 
     def test_warm_start_equals_cold_numerics(self, times_data, info_prior_times):
-        # alpha0 != 1 exercises the warm-started fixed point across N.
-        posterior = fit_vb2(times_data, info_prior_times, alpha0=1.5)
-        cold = fit_vb2(
-            times_data,
-            info_prior_times,
-            alpha0=1.5,
-            config=VBConfig(use_aitken=False),
+        # alpha0 != 1 runs the inverse solver. A warm start from a fit of
+        # the first 60% of the horizon changes the truncation schedule,
+        # not the posterior.
+        prefix = times_data.truncate(0.6 * times_data.horizon)
+        warm = warm_start_from(fit_vb2(prefix, info_prior_times, alpha0=1.5))
+        cold = fit_vb2(times_data, info_prior_times, alpha0=1.5)
+        warmed = fit_vb2(
+            times_data, info_prior_times, alpha0=1.5,
+            config=VBConfig(warm_start=warm),
         )
-        assert posterior.mean("omega") == pytest.approx(cold.mean("omega"), rel=1e-8)
-        assert posterior.mean("beta") == pytest.approx(cold.mean("beta"), rel=1e-8)
+        assert warmed.diagnostics["warm_started"]
+        assert warmed.diagnostics["nmax"] != cold.diagnostics["nmax"]
+        for param in ("omega", "beta"):
+            assert warmed.mean(param) == pytest.approx(
+                cold.mean(param), rel=1e-10
+            )
+            assert warmed.variance(param) == pytest.approx(
+                cold.variance(param), rel=1e-8
+            )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

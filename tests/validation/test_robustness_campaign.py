@@ -117,8 +117,9 @@ class TestSpecGeometry:
 class TestReplication:
     def test_replication_is_deterministic(self):
         spec = _mini_spec()
-        first = _robustness_replication(spec, (1, 3))
-        second = _robustness_replication(spec, (1, 3))
+        job = 1 * spec.replications + 3  # cell 1, replication 3
+        first = _robustness_replication(spec, job)
+        second = _robustness_replication(spec, job)
         assert first is not None
         assert first["failures"] == second["failures"]
         for label in ("LAPL", "VB2", SANDWICH_LABEL):
@@ -130,19 +131,19 @@ class TestReplication:
 
     def test_different_jobs_differ(self):
         spec = _mini_spec()
-        a = _robustness_replication(spec, (0, 0))
-        b = _robustness_replication(spec, (0, 1))
+        a = _robustness_replication(spec, 0)
+        b = _robustness_replication(spec, 1)
         assert a["failures"] != b["failures"] or (
             a["scores"]["VB2"][1] != b["scores"]["VB2"][1]
         )
 
     def test_min_failures_skip_returns_none(self):
         spec = _mini_spec(min_failures=10_000)
-        assert _robustness_replication(spec, (0, 0)) is None
+        assert _robustness_replication(spec, 0) is None
 
     def test_sandwich_scored_even_without_vb2_method(self):
         spec = _mini_spec(methods=("LAPL",), sandwich=True)
-        outcome = _robustness_replication(spec, (0, 0))
+        outcome = _robustness_replication(spec, 0)
         assert set(outcome["scores"]) == {"LAPL", SANDWICH_LABEL}
 
 
@@ -175,23 +176,21 @@ class TestReplication:
             ),
         )
         spec = _mini_spec(methods=ROBUSTNESS_METHODS, sandwich=False, alpha0=2.0)
-        assert _robustness_replication(spec, (0, 0)) is not None
+        assert _robustness_replication(spec, 0) is not None
         assert seen == dict.fromkeys(ROBUSTNESS_METHODS, 2.0)
 
 
 class TestAggregation:
     def test_all_skipped_cell_raises(self):
         spec = _mini_spec(replications=2)
-        jobs = [(0, 0), (0, 1), (1, 0), (1, 1)]
         outcomes = [None, None, {"failures": 5, "scores": {}}, None]
         with pytest.raises(ValueError, match="every replication"):
-            _aggregate(spec, outcomes, jobs)
+            _aggregate(spec, outcomes)
 
     def test_synthetic_counts(self):
         spec = _mini_spec(
             methods=("VB2",), sandwich=False, replications=3
         )
-        jobs = [(c, r) for c in range(2) for r in range(3)]
 
         def outcome(hit_omega, hit_residual, failures):
             return {
@@ -212,7 +211,7 @@ class TestAggregation:
             outcome(1, 1, 8),
             outcome(1, 1, 7),
         ]
-        result = _aggregate(spec, outcomes, jobs)
+        result = _aggregate(spec, outcomes)
         first = result.cell("contaminated", 0.0)
         assert first.used == 2 and first.skipped == 1
         assert first.mean_failures == pytest.approx(12.0)
@@ -236,7 +235,6 @@ class TestAggregation:
                     )},
                 }
             ] * 2,
-            [(0, 0), (1, 0)],
         )
         with pytest.raises(KeyError):
             result.cell("contaminated", 0.123)
