@@ -2,52 +2,43 @@
 
 VB2 fits solve every latent count's conditional posterior as one lane
 of the inverse solver (:func:`repro.core.gamma_updates.solve_lanes`),
-and the NINT grouped grid fill is a single incomplete-gamma broadcast
-over the ``(beta, edge)`` mesh. This benchmark times the paper's fit
-workloads and emits ``benchmarks/results/BENCH_fit.json``:
+VB1 runs its lane driver on one dataset, and the NINT grouped grid
+fill is a single incomplete-gamma broadcast over the ``(beta, edge)``
+mesh. This benchmark times the paper's fit workloads and writes
+``benchmarks/results/BENCH_fit.json``. Each workload is a calibrated
+timing (``benchmarks/conftest.py::calibrated_best_of``: one unit is
+one run of perfbench's calibration kernel), gated by ``repro bench
+check``:
 
 * **vb2_grouped** — DG-Info / DG-NoInfo Goel–Okumoto fits (the hot
-  path of every grouped campaign), a calibrated timing (best-of
-  seconds over the calibration kernel's, see :mod:`repro.obs.ledger`);
+  path of every grouped campaign);
 * **vb2_alpha2** — the delayed S-shaped member (``α0 = 2``) on both
-  data views, where even failure-time data needs the solver, a
-  calibrated timing;
-* **vb1_zeta_kernel** — the VB1 expected-lifetime evaluation: one
-  broadcast truncated-mean call versus the per-interval scalar loop;
-* **nint_grid** — the grouped NINT log-posterior matrix (≥3x target).
+  data views, where even failure-time data needs the solver;
+* **vb1_grouped** — ``fit_vb1`` on DG-Info with the scenario's config;
+* **nint_grid** — the grouped NINT log-posterior matrix
+  (``log_posterior_matrix``) on a 201² quick / 321² full mesh.
 
-The agreement block checks the VB2 fits against their mathematics and
-against the fleet: every lane must give back its own ``N`` through the
-closed-form ``N(ξ)`` (evaluated here with the stats-layer moment
-functions, ``max |N(ξ_N) − N| / N <= 1e-9``), and each ``fit_vb2``
-posterior must equal the one-dataset ``fit_vb2_fleet`` posterior
-(max absolute difference across weights, component parameters and
-ELBO: exactly 0.0). The NINT and VB1 legacy twins reimplement the
-pre-vectorization loops in this file.
+The checks hold the VB2 fits to their mathematics and to the fleet:
+every lane must give back its own ``N`` through the closed-form
+``N(ξ)`` (evaluated here with the stats-layer moment functions,
+``max |N(ξ_N) − N| / N <= 1e-9``), and each ``fit_vb2`` posterior must
+equal the one-dataset ``fit_vb2_fleet`` posterior (max absolute
+difference across weights, component parameters and ELBO: exactly
+0.0).
 
 As a script:
 
     PYTHONPATH=src python benchmarks/bench_fit_path.py            # full + quick
-    PYTHONPATH=src python benchmarks/bench_fit_path.py --quick    # CI mode
     PYTHONPATH=src python benchmarks/bench_fit_path.py --quick \\
-        --out /tmp/BENCH_fit.json \\
-        --baseline benchmarks/results/BENCH_fit.json
-
-With ``--baseline`` the run fails (exit 1) on any regression that
-``repro bench check`` would report: a speedup below 80% of the
-baseline's, or a calibrated timing above the baseline's over 80%.
+        --out /tmp/BENCH_fit.json                                 # CI mode
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
-from scipy import special as sc
 
 # Script-mode bootstrap: pytest injects these roots via benchmarks/
 # conftest.py, a bare `python benchmarks/bench_fit_path.py` does not.
@@ -56,26 +47,34 @@ for _root in (_HERE, _HERE.parent / "src"):
     if str(_root) not in sys.path:
         sys.path.insert(0, str(_root))
 
-from conftest import RESULTS_DIR, calibrated_best_of
+from conftest import (
+    bench_main,
+    calibrated_best_of,
+    posterior_max_abs_diff,
+    quick_failures,
+)
 from repro.bayes.nint import log_posterior_matrix
 from repro.core.fleet import fit_vb2_fleet
+from repro.core.vb1 import fit_vb1
 from repro.core.vb2 import fit_vb2
 from repro.data.failure_data import FailureTimeData
 from repro.experiments.config import paper_scenarios
-from repro.obs import compare_bench, self_check_bench
 from repro.stats.truncated import censored_gamma_mean, truncated_gamma_mean
 
-NINT_SPEEDUP_TARGET = 3.0
 INVERSE_RESIDUAL_TOLERANCE = 1e-9
 
 _MODE_SETTINGS = {
     # full: the paper's adaptive configurations end to end; quick: fixed
     # truncation bounds and a coarser NINT grid, for CI wall-clock.
-    "full": {"repeat": 3, "timed_repeat": 12, "nint_nodes": 321,
-             "fixed_nmax_extra": None},
-    "quick": {"repeat": 2, "timed_repeat": 10, "nint_nodes": 201,
-              "fixed_nmax_extra": 50},
+    "full": {"vb2_repeat": 12, "nint_nodes": 321, "fixed_nmax_extra": None},
+    "quick": {"vb2_repeat": 10, "nint_nodes": 201, "fixed_nmax_extra": 50},
 }
+
+#: Best-of counts of the VB1 fit and the NINT grid fill, both a few
+#: milliseconds or less: a best-of spread over a second or more
+#: outlasts the spells of a busy neighbour.
+VB1_REPEAT = 50
+NINT_REPEAT = 100
 
 #: The VB2 fits timed and checked: (scenario, alpha0, workload kind).
 VB2_CASES = (
@@ -88,85 +87,6 @@ VB2_CASES = (
 #: NINT integration rectangle for DG-Info (VB2-quantile heuristic
 #: evaluated once and frozen, so the benchmark grid is stable).
 NINT_LIMITS = {"omega": (20.0, 90.0), "beta": (0.008, 0.12)}
-
-
-# -- legacy (pre-vectorization) references ------------------------------
-
-
-def _legacy_nint_grouped_matrix(data, prior, alpha0, omega_nodes, beta_nodes):
-    """Seed-era grouped grid fill: one Python loop pass per beta node."""
-    edges = data.interval_edges()
-    observed = data.total_count
-    beta_part = np.zeros(beta_nodes.size)
-    for j, beta in enumerate(beta_nodes):
-        cdf_vals = sc.gammainc(alpha0, beta * edges)
-        increments = np.diff(cdf_vals)
-        with np.errstate(divide="ignore"):
-            log_inc = np.log(increments)
-        mask = data.counts > 0
-        if np.any(increments[mask] <= 0.0):
-            beta_part[j] = -np.inf
-            continue
-        beta_part[j] = float(np.dot(data.counts[mask], log_inc[mask]))
-    beta_part -= float(np.sum(sc.gammaln(np.asarray(data.counts) + 1.0)))
-    tail_g = sc.gammainc(alpha0, beta_nodes * data.horizon)
-    log_prior_omega = np.asarray(prior.omega.log_pdf(omega_nodes))
-    log_prior_beta = np.asarray(prior.beta.log_pdf(beta_nodes))
-    omega_part = observed * np.log(omega_nodes) + log_prior_omega
-    return (
-        omega_part[:, None]
-        + (beta_part + log_prior_beta)[None, :]
-        - np.outer(omega_nodes, tail_g)
-    )
-
-
-def _legacy_vb1_zeta(intervals, alpha0, xi):
-    """Seed-era VB1 zeta: one scalar truncated-mean call per interval."""
-    total = 0.0
-    for lo, hi, count in intervals:
-        total += count * truncated_gamma_mean(float(lo), float(hi), alpha0, xi)
-    return total
-
-
-def _batched_vb1_zeta(int_lo, int_hi, int_count, alpha0, xi):
-    """Production VB1 kernel: one broadcast, interval-ordered summation."""
-    total = 0.0
-    terms = int_count * truncated_gamma_mean(int_lo, int_hi, alpha0, xi)
-    for term in terms:
-        total += term
-    return total
-
-
-# -- measurement -------------------------------------------------------
-
-
-def _best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _posterior_max_abs_diff(a, b) -> float:
-    """Max absolute difference over every number a VB2 posterior carries."""
-    diffs = [
-        float(np.max(np.abs(np.asarray(a.weights) - np.asarray(b.weights)))),
-        float(np.max(np.abs(
-            np.asarray(a.n_values, dtype=float)
-            - np.asarray(b.n_values, dtype=float)
-        ))),
-    ]
-    for da, db in zip(a._omega_components, b._omega_components):
-        diffs.append(abs(da.shape - db.shape))
-        diffs.append(abs(da.rate - db.rate))
-    for da, db in zip(a._beta_components, b._beta_components):
-        diffs.append(abs(da.shape - db.shape))
-        diffs.append(abs(da.rate - db.rate))
-    if a.elbo is not None and b.elbo is not None:
-        diffs.append(abs(a.elbo - b.elbo))
-    return max(diffs)
 
 
 def _inverse_residual(posterior, data, prior, alpha0) -> float:
@@ -191,11 +111,9 @@ def _inverse_residual(posterior, data, prior, alpha0) -> float:
 
 def _measure_mode(mode: str) -> dict:
     settings = _MODE_SETTINGS[mode]
-    repeat = settings["repeat"]
     extra = settings["fixed_nmax_extra"]
     scenarios = paper_scenarios()
-    workloads: dict[str, dict] = {}
-    timings: dict[str, dict] = {}
+    runs: dict[str, dict] = {}
 
     # VB2 fits: grouped Goel-Okumoto and the delayed S-shaped member.
     for name, alpha0, kind in VB2_CASES:
@@ -203,73 +121,35 @@ def _measure_mode(mode: str) -> dict:
         data = scenario.load_data()
         observed = data.total_count if scenario.is_grouped else data.count
         nmax = None if extra is None else observed + extra
-        timings[f"{name}/{kind}"] = calibrated_best_of(
+        runs[f"{name}/{kind}"] = calibrated_best_of(
             lambda: fit_vb2(data, scenario.prior(), alpha0=alpha0,
                             config=scenario.vb_config, nmax=nmax),
-            settings["timed_repeat"],
+            settings["vb2_repeat"],
         )
 
-    # VB1 zeta kernel on the grouped view.
-    grouped = scenarios["DG-Info"].load_data()
-    intervals = [item for item in grouped.intervals() if item[2] > 0]
-    int_lo = np.array([lo for lo, _, _ in intervals])
-    int_hi = np.array([hi for _, hi, _ in intervals])
-    int_count = np.array([count for _, _, count in intervals])
-    xi_values = np.linspace(0.01, 0.1, 50)
-    legacy_s = _best_of(
-        lambda: [_legacy_vb1_zeta(intervals, 1.0, xi) for xi in xi_values],
-        repeat,
+    scenario = scenarios["DG-Info"]
+    grouped, prior = scenario.load_data(), scenario.prior()
+    runs["DG-Info/vb1_grouped"] = calibrated_best_of(
+        lambda: fit_vb1(grouped, prior, scenario.alpha0, scenario.vb_config),
+        VB1_REPEAT,
     )
-    batched_s = _best_of(
-        lambda: [
-            _batched_vb1_zeta(int_lo, int_hi, int_count, 1.0, xi)
-            for xi in xi_values
-        ],
-        repeat,
-    )
-    workloads["DG-Info/vb1_zeta_kernel"] = {
-        "legacy_s": legacy_s,
-        "batched_s": batched_s,
-        "speedup": legacy_s / batched_s,
-        "evaluations": int(xi_values.size),
-    }
 
-    # NINT grid fill on the grouped view. The workload is only a few
-    # milliseconds, so best-of a larger repeat keeps the speedup ratio
-    # stable enough for the regression gate.
     nodes = settings["nint_nodes"]
-    nint_repeat = max(repeat, 7)
-    prior = scenarios["DG-Info"].prior()
     omega_nodes = np.linspace(*NINT_LIMITS["omega"], nodes)
     beta_nodes = np.linspace(*NINT_LIMITS["beta"], nodes)
-    legacy_s = _best_of(
-        lambda: _legacy_nint_grouped_matrix(
-            grouped, prior, 1.0, omega_nodes, beta_nodes
-        ),
-        nint_repeat,
-    )
-    batched_s = _best_of(
+    runs["DG-Info/nint_grid"] = calibrated_best_of(
         lambda: log_posterior_matrix(
             grouped, prior, 1.0, omega_nodes, beta_nodes
         ),
-        nint_repeat,
+        NINT_REPEAT,
     )
-    workloads["DG-Info/nint_grid"] = {
-        "legacy_s": legacy_s,
-        "batched_s": batched_s,
-        "speedup": legacy_s / batched_s,
-        "nodes": nodes,
-    }
-    return {"repeat": repeat, "workloads": workloads, "timings": timings}
+    return runs
 
 
-def _agreement(quick: bool) -> dict:
-    """Agreement block on the paper's System 17 configurations: VB2
-    fits against the closed-form ``N(ξ)`` and against the one-dataset
-    fleet, vectorized vs legacy NINT grid."""
+def _vb2_cases(quick: bool) -> list[dict]:
+    """VB2 fits on the paper's System 17 configurations against the
+    closed-form ``N(ξ)`` and against the one-dataset fleet."""
     scenarios = paper_scenarios()
-    vb2_max = 0.0
-    residual_max = 0.0
     cases = []
     for name, alpha0, _ in VB2_CASES:
         scenario = scenarios[name]
@@ -285,147 +165,58 @@ def _agreement(quick: bool) -> dict:
                          config=scenario.vb_config, nmax=nmax)
         fleet = fit_vb2_fleet([data], prior, alpha0, scenario.vb_config,
                               nmax=nmax).posterior(0)
-        diff = _posterior_max_abs_diff(single, fleet)
-        residual = _inverse_residual(single, data, prior, alpha0)
-        vb2_max = max(vb2_max, diff)
-        residual_max = max(residual_max, residual)
-        cases.append({"scenario": name, "alpha0": alpha0,
-                      "max_abs_diff": diff, "inverse_residual": residual})
-
-    grouped = scenarios["DG-Info"].load_data()
-    prior = scenarios["DG-Info"].prior()
-    omega_nodes = np.linspace(*NINT_LIMITS["omega"], 61)
-    beta_nodes = np.linspace(*NINT_LIMITS["beta"], 61)
-    vectorized = log_posterior_matrix(
-        grouped, prior, 1.0, omega_nodes, beta_nodes
-    )
-    legacy = _legacy_nint_grouped_matrix(
-        grouped, prior, 1.0, omega_nodes, beta_nodes
-    )
-    nint_diff = float(np.max(np.abs(vectorized - legacy)))
-    return {
-        "vb2_max_abs_diff": vb2_max,
-        "vb2_inverse_max_rel_residual": residual_max,
-        "vb2_cases": cases,
-        "nint_max_abs_diff_vs_legacy": nint_diff,
-    }
+        cases.append({
+            "scenario": name, "alpha0": alpha0,
+            "max_abs_diff": posterior_max_abs_diff(single, fleet),
+            "inverse_residual": _inverse_residual(single, data, prior, alpha0),
+        })
+    return cases
 
 
 def measure(modes: tuple[str, ...]) -> dict:
-    result = {
-        "schema": 1,
-        "generated_by": "benchmarks/bench_fit_path.py",
-        "acceptance": {"nint_speedup_target": NINT_SPEEDUP_TARGET},
-        "agreement": _agreement(quick="full" not in modes),
-        "modes": {mode: _measure_mode(mode) for mode in modes},
+    cases = _vb2_cases(quick="full" not in modes)
+    info: dict = {"vb2_cases": cases, "modes": {}}
+    timings: dict[str, float] = {}
+    for mode in modes:
+        runs = info["modes"][mode] = _measure_mode(mode)
+        for key, t in runs.items():
+            timings[f"{mode}/{key}"] = t["calibrated"]
+    checks = {
+        "vb2_max_abs_diff": {
+            "value": max(c["max_abs_diff"] for c in cases), "exact": 0.0,
+        },
+        "vb2_inverse_max_rel_residual": {
+            "value": max(c["inverse_residual"] for c in cases),
+            "max": INVERSE_RESIDUAL_TOLERANCE,
+        },
     }
-    nint_speedups = [
-        w["speedup"]
-        for mode in result["modes"].values()
-        for key, w in mode["workloads"].items()
-        if key.endswith("nint_grid")
-    ]
-    result["acceptance"]["nint_speedup_measured_min"] = min(nint_speedups)
-    return result
+    return {"timings": timings, "checks": checks, "info": info}
 
 
-# -- reporting ---------------------------------------------------------
-
-
-def render(result: dict) -> str:
-    lines = ["fit path: calibrated VB2 fits, vectorized vs legacy kernels"]
-    for mode, payload in result["modes"].items():
-        lines.append(f"  [{mode}] repeat {payload['repeat']}")
-        for key, t in payload["timings"].items():
+def render(ledger: dict) -> str:
+    lines = ["fit path: calibrated best-of timings"]
+    for mode, runs in ledger["info"]["modes"].items():
+        lines.append(f"  [{mode}]")
+        for key, t in runs.items():
             lines.append(
                 f"    {key:<28} {t['best_s'] * 1e3:9.2f} ms"
                 f"   kernel {t['kernel_s'] * 1e3:6.3f} ms"
                 f"   {t['calibrated']:7.1f} kernel units"
             )
-        for key, w in payload["workloads"].items():
-            lines.append(
-                f"    {key:<28} legacy {w['legacy_s'] * 1e3:10.2f} ms"
-                f"   batched {w['batched_s'] * 1e3:9.2f} ms"
-                f"   {w['speedup']:6.1f}x"
-            )
-    agreement = result["agreement"]
+    checks = ledger["checks"]
     lines.append(
         "  agreement: vb2 fit_vb2 vs one-dataset fleet max |diff| "
-        f"{agreement['vb2_max_abs_diff']:.1e} (acceptance: exactly 0), "
+        f"{checks['vb2_max_abs_diff']['value']:.1e} (acceptance: exactly 0), "
         "max |N(xi_N) - N| / N "
-        f"{agreement['vb2_inverse_max_rel_residual']:.1e} "
-        f"(acceptance: <= {INVERSE_RESIDUAL_TOLERANCE:.0e}),"
-        " nint vectorized vs legacy "
-        f"{agreement['nint_max_abs_diff_vs_legacy']:.1e}"
-    )
-    lines.append(
-        "  acceptance: nint "
-        f"{result['acceptance']['nint_speedup_measured_min']:.1f}x"
-        f" (target >= {NINT_SPEEDUP_TARGET:.0f}x)"
+        f"{checks['vb2_inverse_max_rel_residual']['value']:.1e} "
+        f"(acceptance: <= {INVERSE_RESIDUAL_TOLERANCE:.0e})"
     )
     return "\n".join(lines)
 
 
-# -- pytest entry point ------------------------------------------------
-
-
-def test_batched_fit_path_quick(results_dir):
-    result = measure(modes=("quick",))
-    print("\n" + render(result))
-    assert result["agreement"]["vb2_max_abs_diff"] == 0.0
-    assert (
-        result["agreement"]["vb2_inverse_max_rel_residual"]
-        <= INVERSE_RESIDUAL_TOLERANCE
-    )
-    assert result["agreement"]["nint_max_abs_diff_vs_legacy"] <= 1e-10
-    # Conservative floor for noisy CI hosts; the committed full-mode
-    # baseline documents the >= 3x acceptance number.
-    assert result["acceptance"]["nint_speedup_measured_min"] >= 1.5
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="measure only the quick (fixed-nmax, coarse-grid) mode, for CI",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULTS_DIR / "BENCH_fit.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="committed BENCH_fit.json to gate regressions against",
-    )
-    args = parser.parse_args(argv)
-    modes = ("quick",) if args.quick else ("full", "quick")
-    result = measure(modes=modes)
-    text = render(result)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    print(text)
-    print(f"[written to {args.out}]")
-    if args.baseline is None:
-        failures = self_check_bench(result)
-    else:
-        failures = compare_bench(result, json.loads(args.baseline.read_text()))
-        if not failures:
-            print("within the regression gate vs baseline")
-    if "full" in result["modes"]:
-        nint = result["acceptance"]["nint_speedup_measured_min"]
-        if nint < NINT_SPEEDUP_TARGET:
-            failures.append(
-                f"nint speedup {nint:.1f}x < {NINT_SPEEDUP_TARGET:.0f}x target"
-            )
-    for message in failures:
-        print(f"FAIL: {message}", file=sys.stderr)
-    return 1 if failures else 0
+def test_fit_path_quick():
+    assert quick_failures("fit", measure, render) == []
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main("fit", measure, render))

@@ -1,50 +1,35 @@
-"""Benchmark: scalar vs batched interval-estimation path.
+"""Benchmark: the interval-estimation path, timed against the calibration kernel.
 
-The vectorized interval engine (``MixtureDistribution.ppf`` on level
-arrays + ``quantile_batch`` consumers) replaces per-level scalar
-bisections — each one looping the mixture CDF over ~200 gamma
-components — with a single simultaneous bisection whose CDF evaluations
-are one ``scipy.special.gammainc`` broadcast. This benchmark times the
-paper's interval workloads both ways and emits
-``benchmarks/results/BENCH_interval.json``:
+Every VB interval is a quantile of a gamma mixture, solved for all
+levels at once by the gamma-cell engine (``MixtureDistribution.ppf``;
+``docs/PERFORMANCE.md`` §1). This benchmark times the paper's interval
+workloads on the DT-Info and DG-Info VB2 posteriors and writes
+``benchmarks/results/BENCH_interval.json``. Each workload is a
+calibrated timing (``benchmarks/conftest.py::calibrated_best_of``: one
+unit is one run of perfbench's calibration kernel), gated by
+``repro bench check``:
 
-* **central99** — the 99% central intervals of ω and β (the interval
-  columns of Tables 2/3);
-* **hpd99_omega** — the 99% HPD interval of ω (coarse grid + golden-
-  section refinement; the headline ≥10× acceptance target);
+* **central99** — ``credible_interval`` of ω and β at 99% (the
+  interval columns of Tables 2/3);
+* **hpd99_omega** — ``hpd_interval`` of ω at 99% (coarse grid of 41
+  quick / 201 full candidates plus golden-section refinement);
 * **reliability99** — the 99% reliability interval of Tables 4/5, the
-  dominant serving call. It has no legacy twin, so it is gated as a
-  calibrated timing (``timings``; ``benchmarks/conftest.py::
-  calibrated_best_of``, one unit is one run of perfbench's calibration
-  kernel) rather than as a speedup.
+  dominant serving call.
 
-The *legacy* reference reimplements the pre-vectorization path exactly
-(per-component CDF loop + one scalar bisection per level; the HPD
-coarse search as 2·grid scalar quantile calls). Agreement is recorded
-as the max absolute difference between batched and scalar quantiles
-over a level sweep (acceptance: ≤ 1e-9; the batched path is bit-equal
-to the current scalar API by construction).
+The one check, ``max_abs_diff_scalar`` (≤ 1e-9), compares the batched
+quantiles with one-level ``ppf`` calls over a level sweep; lanes are
+independent, so it reads exactly 0.
 
 As a script:
 
     PYTHONPATH=src python benchmarks/bench_interval_path.py            # full + quick
-    PYTHONPATH=src python benchmarks/bench_interval_path.py --quick    # CI mode
     PYTHONPATH=src python benchmarks/bench_interval_path.py --quick \\
-        --out /tmp/BENCH_interval.json \\
-        --baseline benchmarks/results/BENCH_interval.json
-
-With ``--baseline`` the run fails (exit 1) if any workload's speedup
-falls below 80% of the committed baseline's, or any calibrated timing
-rises above the baseline's divided by 0.8 (``repro bench check``'s
-rule).
+        --out /tmp/BENCH_interval.json                                 # CI mode
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -57,17 +42,14 @@ for _root in (_HERE, _HERE.parent / "src"):
     if str(_root) not in sys.path:
         sys.path.insert(0, str(_root))
 
-from conftest import RESULTS_DIR, calibrated_best_of
+from conftest import bench_main, calibrated_best_of, quick_failures
 from repro.core.hpd import hpd_interval
 from repro.core.reliability import estimate_reliability
 from repro.core.vb2 import fit_vb2
 from repro.experiments.config import paper_scenarios
-from repro.obs import compare_bench
-from repro.stats.rootfind import bisect_increasing
 
 LEVEL = 0.99
 SCENARIOS = ("DT-Info", "DG-Info")
-HPD_SPEEDUP_TARGET = 10.0
 AGREEMENT_TOL = 1e-9
 
 #: Level sweep for the batched/scalar agreement check: bulk plus the
@@ -76,96 +58,13 @@ AGREEMENT_LEVELS = np.array(
     [1e-6, 1e-4, 0.005, 0.025, 0.25, 0.5, 0.75, 0.975, 0.995, 1 - 1e-4, 1 - 1e-6]
 )
 
-_MODE_SETTINGS = {
-    # repeat: best-of count for the fast (batched) side; the legacy
-    # side of the HPD workload is timed once — it is the >10x-slower
-    # path, so single-run noise cannot flip the conclusion.
-    # timed_repeat: best-of count of the calibrated reliability timing,
-    # spread over a few seconds to outlast a spell of a busy neighbour
-    # (on a 2-vCPU host, eight best-of-100 quick timings spread by up to
-    # 1.34x, eight best-of-300 by up to 1.12x).
-    "full": {"hpd_grid_size": 201, "repeat": 3, "timed_repeat": 300},
-    "quick": {"hpd_grid_size": 41, "repeat": 2, "timed_repeat": 300},
-}
+#: Best-of counts of the calibrated timings. Spread over a few seconds,
+#: they outlast a spell of a busy neighbour (on a 2-vCPU host, eight
+#: best-of-100 quick reliability timings spread by up to 1.34x, eight
+#: best-of-300 by up to 1.12x).
+REPEATS = {"central99": 300, "hpd99_omega": 30, "reliability99": 300}
 
-
-# -- legacy (pre-vectorization) reference ------------------------------
-
-
-def _legacy_cdf(mixture, x: float) -> float:
-    """Seed-era mixture CDF: a Python loop over the components."""
-    acc = 0.0
-    for w, comp in zip(mixture.weights, mixture.components):
-        acc += w * float(comp.cdf(x))
-    return acc
-
-
-def _legacy_ppf(mixture, q: float) -> float:
-    """Seed-era mixture quantile: one scalar bisection per level."""
-    lo = min(float(c.ppf(q)) for c in mixture.components)
-    hi = max(float(c.ppf(q)) for c in mixture.components)
-    if hi <= lo:
-        return lo
-    return bisect_increasing(lambda x: _legacy_cdf(mixture, x) - q, lo, hi)
-
-
-def _legacy_central_intervals(posterior, level: float) -> dict[str, tuple]:
-    tail = 0.5 * (1.0 - level)
-    out = {}
-    for param in ("omega", "beta"):
-        marginal = posterior.marginal(param)
-        out[param] = (
-            _legacy_ppf(marginal, tail),
-            _legacy_ppf(marginal, 1.0 - tail),
-        )
-    return out
-
-
-def _legacy_hpd(posterior, param: str, level: float, *, grid_size: int,
-                refine_iterations: int = 30):
-    """Seed-era HPD search: every quantile a scalar legacy inversion."""
-    marginal = posterior.marginal(param)
-    quantile = lambda q: _legacy_ppf(marginal, q)
-    slack = 1.0 - level
-
-    def width(t: float) -> float:
-        return quantile(t + level) - quantile(t)
-
-    eps = min(1e-6, slack * 1e-3)
-    candidates = [
-        eps + (slack - 2 * eps) * i / (grid_size - 1) for i in range(grid_size)
-    ]
-    widths = [width(t) for t in candidates]
-    best = min(range(grid_size), key=widths.__getitem__)
-    a = candidates[max(best - 1, 0)]
-    b = candidates[min(best + 1, grid_size - 1)]
-    inv_phi = (5**0.5 - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = width(c), width(d)
-    for _ in range(refine_iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = width(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = width(d)
-    t_star = 0.5 * (a + b)
-    return quantile(t_star), quantile(t_star + level)
-
-
-# -- measurement -------------------------------------------------------
-
-
-def _best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+HPD_GRID_SIZE = {"full": 201, "quick": 41}
 
 
 def _fit_scenarios() -> dict[str, tuple]:
@@ -181,10 +80,9 @@ def _fit_scenarios() -> dict[str, tuple]:
     return out
 
 
-def _agreement(posteriors) -> dict[str, float]:
-    """Max |batched - scalar| and |batched - legacy| quantile gaps."""
-    vs_scalar = 0.0
-    vs_legacy = 0.0
+def _max_abs_diff_scalar(posteriors) -> float:
+    """Max |batched - one-level| quantile gap over the level sweep."""
+    worst = 0.0
     for _, _, posterior in posteriors.values():
         for param in ("omega", "beta"):
             marginal = posterior.marginal(param)
@@ -192,221 +90,79 @@ def _agreement(posteriors) -> dict[str, float]:
             scalars = np.array(
                 [marginal.ppf(float(q)) for q in AGREEMENT_LEVELS]
             )
-            legacy = np.array(
-                [_legacy_ppf(marginal, float(q)) for q in AGREEMENT_LEVELS]
-            )
-            # Scale β's tiny quantiles up to ω's so one absolute bound
-            # covers both: compare on the level scale is wrong (that is
-            # what the bisection already controls); report raw max.
-            vs_scalar = max(vs_scalar, float(np.abs(batch - scalars).max()))
-            vs_legacy = max(vs_legacy, float(np.abs(batch - legacy).max()))
-    return {"max_abs_diff_scalar": vs_scalar, "max_abs_diff_legacy": vs_legacy}
+            worst = max(worst, float(np.abs(batch - scalars).max()))
+    return worst
 
 
-def _measure_mode(mode: str, posteriors) -> dict:
-    settings = _MODE_SETTINGS[mode]
-    grid = settings["hpd_grid_size"]
-    repeat = settings["repeat"]
-    workloads: dict[str, dict] = {}
-    for name, (scenario, data, posterior) in posteriors.items():
-        # Central 99% intervals of both parameters (Tables 2/3).
-        legacy_s = _best_of(
-            lambda: _legacy_central_intervals(posterior, LEVEL), repeat
-        )
-        batched_s = _best_of(
-            lambda: (
-                posterior.credible_interval("omega", LEVEL),
-                posterior.credible_interval("beta", LEVEL),
-            ),
-            repeat,
-        )
-        workloads[f"{name}/central99"] = {
-            "legacy_s": legacy_s,
-            "batched_s": batched_s,
-            "speedup": legacy_s / batched_s,
-        }
+def _workloads(mode: str, scenario, data, posterior) -> dict:
+    grid = HPD_GRID_SIZE[mode]
+    u = scenario.reliability_windows[0]
 
-        # HPD 99% interval of omega — the acceptance workload.
-        start = time.perf_counter()
-        legacy_hpd = _legacy_hpd(posterior, "omega", LEVEL, grid_size=grid)
-        legacy_s = time.perf_counter() - start
-        batched_s = _best_of(
-            lambda: hpd_interval(posterior, "omega", LEVEL, grid_size=grid),
-            repeat,
+    def reliability():
+        # The table cache and the β blocks (with the node layouts they
+        # keep) are reset per run, so each repeat pays the blocks, the
+        # window's node counts, the grid, the table build and the
+        # interval inversion.
+        posterior._reliability_cache.clear()
+        posterior._beta_blocks = None
+        return estimate_reliability(
+            posterior, data.horizon, u, alpha0=scenario.alpha0, level=LEVEL
         )
-        new_hpd = hpd_interval(posterior, "omega", LEVEL, grid_size=grid)
-        workloads[f"{name}/hpd99_omega"] = {
-            "legacy_s": legacy_s,
-            "batched_s": batched_s,
-            "speedup": legacy_s / batched_s,
-            "grid_size": grid,
-            "endpoint_gap": max(
-                abs(new_hpd.lower - legacy_hpd[0]),
-                abs(new_hpd.upper - legacy_hpd[1]),
-            ),
-        }
 
     return {
-        "hpd_grid_size": grid,
-        "repeat": repeat,
-        "workloads": workloads,
-        "timings": _reliability_timings(mode, posteriors),
+        "central99": lambda: (
+            posterior.credible_interval("omega", LEVEL),
+            posterior.credible_interval("beta", LEVEL),
+        ),
+        "hpd99_omega": lambda: hpd_interval(
+            posterior, "omega", LEVEL, grid_size=grid
+        ),
+        "reliability99": reliability,
     }
-
-
-def _reliability_timings(mode: str, posteriors) -> dict[str, dict]:
-    """Calibrated best-of times of the 99% reliability interval of
-    Tables 4/5. The table cache and the β blocks (with the node layouts
-    they keep) are reset per run, so each repeat pays the blocks, the
-    window's node counts, the grid, the table build and the interval
-    inversion."""
-    timings = {}
-    for name, (scenario, data, posterior) in posteriors.items():
-        u = scenario.reliability_windows[0]
-
-        def reliability():
-            posterior._reliability_cache.clear()
-            posterior._beta_blocks = None
-            return estimate_reliability(
-                posterior, data.horizon, u, alpha0=scenario.alpha0, level=LEVEL
-            )
-
-        timings[f"{name}/reliability99"] = calibrated_best_of(
-            reliability, _MODE_SETTINGS[mode]["timed_repeat"]
-        )
-    return timings
 
 
 def measure(modes: tuple[str, ...]) -> dict:
     posteriors = _fit_scenarios()
-    agreement = _agreement(posteriors)
-    result = {
-        "schema": 1,
-        "generated_by": "benchmarks/bench_interval_path.py",
-        "acceptance": {
-            "hpd_speedup_target": HPD_SPEEDUP_TARGET,
-            "agreement_tolerance": AGREEMENT_TOL,
+    timings: dict[str, float] = {}
+    info: dict = {"hpd_grid_size": {}, "modes": {}}
+    for mode in modes:
+        info["hpd_grid_size"][mode] = HPD_GRID_SIZE[mode]
+        runs = info["modes"][mode] = {}
+        for name, fitted in posteriors.items():
+            for kind, fn in _workloads(mode, *fitted).items():
+                key = f"{name}/{kind}"
+                runs[key] = calibrated_best_of(fn, REPEATS[kind])
+                timings[f"{mode}/{key}"] = runs[key]["calibrated"]
+    checks = {
+        "max_abs_diff_scalar": {
+            "value": _max_abs_diff_scalar(posteriors), "max": AGREEMENT_TOL,
         },
-        "agreement": agreement,
-        "modes": {mode: _measure_mode(mode, posteriors) for mode in modes},
     }
-    hpd_speedups = [
-        w["speedup"]
-        for mode in result["modes"].values()
-        for key, w in mode["workloads"].items()
-        if key.endswith("hpd99_omega")
-    ]
-    result["acceptance"]["hpd_speedup_measured_min"] = min(hpd_speedups)
-    return result
+    return {"timings": timings, "checks": checks, "info": info}
 
 
-# -- reporting ---------------------------------------------------------
-
-
-def render(result: dict) -> str:
-    lines = ["interval path: legacy scalar vs batched (best-of timings)"]
-    for mode, payload in result["modes"].items():
-        lines.append(
-            f"  [{mode}] hpd grid {payload['hpd_grid_size']}, "
-            f"repeat {payload['repeat']}"
-        )
-        for key, w in payload["workloads"].items():
+def render(ledger: dict) -> str:
+    lines = ["interval path: calibrated best-of timings"]
+    info = ledger["info"]
+    for mode, runs in info["modes"].items():
+        lines.append(f"  [{mode}] hpd grid {info['hpd_grid_size'][mode]}")
+        for key, t in runs.items():
             lines.append(
-                f"    {key:<24} legacy {w['legacy_s'] * 1e3:10.2f} ms"
-                f"   batched {w['batched_s'] * 1e3:9.2f} ms"
-                f"   {w['speedup']:6.1f}x"
-            )
-        for key, t in payload["timings"].items():
-            lines.append(
-                f"    {key:<24} batched {t['best_s'] * 1e3:9.2f} ms"
+                f"    {key:<24} {t['best_s'] * 1e3:9.2f} ms"
                 f"   kernel {t['kernel_s'] * 1e3:6.3f} ms"
                 f"   {t['calibrated']:7.1f} kernel units"
             )
-    agreement = result["agreement"]
     lines.append(
-        f"  agreement: batched vs scalar {agreement['max_abs_diff_scalar']:.3e}"
-        f" (tol {AGREEMENT_TOL:.0e}),"
-        f" vs legacy {agreement['max_abs_diff_legacy']:.3e}"
-    )
-    lines.append(
-        f"  acceptance: min hpd speedup "
-        f"{result['acceptance']['hpd_speedup_measured_min']:.1f}x"
-        f" (target >= {HPD_SPEEDUP_TARGET:.0f}x)"
+        "  agreement: batched vs one-level ppf "
+        f"{ledger['checks']['max_abs_diff_scalar']['value']:.3e}"
+        f" (tol {AGREEMENT_TOL:.0e})"
     )
     return "\n".join(lines)
 
 
-# -- pytest entry point ------------------------------------------------
-
-
-def test_batched_interval_path_quick(results_dir):
-    result = measure(modes=("quick",))
-    print("\n" + render(result))
-    assert result["agreement"]["max_abs_diff_scalar"] <= AGREEMENT_TOL
-    # Conservative floor for noisy CI hosts; the committed full-mode
-    # baseline documents the >= 10x acceptance number.
-    assert result["acceptance"]["hpd_speedup_measured_min"] >= 5.0
-    for mode in result["modes"].values():
-        for key, w in mode["workloads"].items():
-            if key.endswith("hpd99_omega"):
-                assert w["endpoint_gap"] <= 1e-4
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="measure only the quick (small-grid) mode, for CI",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULTS_DIR / "BENCH_interval.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="committed BENCH_interval.json to gate regressions against",
-    )
-    args = parser.parse_args(argv)
-    modes = ("quick",) if args.quick else ("full", "quick")
-    result = measure(modes=modes)
-    text = render(result)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    print(text)
-    print(f"[written to {args.out}]")
-    status = 0
-    if result["agreement"]["max_abs_diff_scalar"] > AGREEMENT_TOL:
-        print(
-            f"FAIL: batched/scalar disagreement "
-            f"{result['agreement']['max_abs_diff_scalar']:.3e} > {AGREEMENT_TOL:.0e}",
-            file=sys.stderr,
-        )
-        status = 1
-    if "full" in result["modes"]:
-        measured = result["acceptance"]["hpd_speedup_measured_min"]
-        if measured < HPD_SPEEDUP_TARGET:
-            print(
-                f"FAIL: hpd speedup {measured:.1f}x < "
-                f"{HPD_SPEEDUP_TARGET:.0f}x target",
-                file=sys.stderr,
-            )
-            status = 1
-    if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-        failures = compare_bench(result, baseline)
-        for message in failures:
-            print(f"FAIL: {message}", file=sys.stderr)
-        if failures:
-            status = 1
-        else:
-            print("within the regression gate vs baseline")
-    return status
+def test_interval_path_quick():
+    assert quick_failures("interval", measure, render) == []
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main("interval", measure, render))

@@ -15,28 +15,21 @@ kernel), each gated by ``repro bench check``:
   simulated from ``replication_seed(seed, i)`` and fitted on the
   ``(seed, i, 1)`` stream, exactly as the campaign runners do.
 
-The agreement block records the worst relative divergence of the
-batched convergence diagnostics against their per-trace scalar forms
-over 16 direct chains from :func:`~repro.bayes.mcmc.run_chains` per
-sampler (acceptance: ≤ 1e-9; the batched FFT is ~1-ulp, not bitwise).
+The check ``diagnostics_batched_vs_scalar_max_rel`` records the worst
+relative divergence of the batched convergence diagnostics against
+their per-trace scalar forms over 16 direct chains from
+:func:`~repro.bayes.mcmc.run_chains` per sampler (acceptance: ≤ 1e-9;
+the batched FFT is ~1-ulp, not bitwise).
 
 As a script:
 
     PYTHONPATH=src python benchmarks/bench_mcmc_path.py            # full + quick
-    PYTHONPATH=src python benchmarks/bench_mcmc_path.py --quick    # CI mode
     PYTHONPATH=src python benchmarks/bench_mcmc_path.py --quick \\
-        --out /tmp/BENCH_mcmc.json \\
-        --baseline benchmarks/results/BENCH_mcmc.json
-
-With ``--baseline`` the run fails (exit 1) if any calibrated timing
-rises above the baseline's divided by 0.8 (``repro bench check``'s
-rule).
+        --out /tmp/BENCH_mcmc.json                                 # CI mode
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -49,7 +42,7 @@ for _root in (_HERE, _HERE.parent / "src"):
     if str(_root) not in sys.path:
         sys.path.insert(0, str(_root))
 
-from conftest import RESULTS_DIR, calibrated_best_of
+from conftest import bench_main, calibrated_best_of, quick_failures
 from repro.bayes.mcmc.chains import ChainSettings
 from repro.bayes.mcmc.diagnostics import (
     effective_sample_size,
@@ -64,7 +57,6 @@ from repro.data.datasets import system17_failure_times, system17_grouped
 from repro.data.simulation import simulate_failure_times
 from repro.experiments.config import paper_scenarios
 from repro.models.goel_okumoto import GoelOkumoto
-from repro.obs import compare_bench
 from repro.validation.seeding import replication_seed
 
 N_CHAINS = 16
@@ -140,12 +132,12 @@ def _diagnostics_divergence(chains: list) -> float:
 def _measure_mode(mode: str) -> tuple[dict, float]:
     settings = _MODE_SETTINGS[mode]
     schedule = ChainSettings(**settings["schedule"], seed=BASE_SEED)
-    timings = {}
+    runs = {}
     for name in TIMED_SCENARIOS:
         scenario = paper_scenarios()[name]
         data, prior = scenario.load_data(), scenario.prior()
         sampler = gibbs_grouped if scenario.is_grouped else gibbs_failure_time
-        timings[f"direct/{name}"] = calibrated_best_of(
+        runs[f"direct/{name}"] = calibrated_best_of(
             lambda: sampler(data, prior, 1.0, settings=schedule),
             settings["chain_repeat"],
         )
@@ -164,7 +156,7 @@ def _measure_mode(mode: str) -> tuple[dict, float]:
                 ),
             )
 
-    timings["campaign/sbc_mcmc"] = calibrated_best_of(
+    runs["campaign/sbc_mcmc"] = calibrated_best_of(
         fit_campaign, settings["campaign_repeat"]
     )
 
@@ -182,111 +174,54 @@ def _measure_mode(mode: str) -> tuple[dict, float]:
     )
     payload = {
         "schedule": settings["schedule"],
-        "chain_repeat": settings["chain_repeat"],
-        "campaign_repeat": settings["campaign_repeat"],
         "campaign_datasets": len(campaign),
-        "timings": timings,
+        "runs": runs,
     }
     return payload, diagnostics
 
 
 def measure(modes: tuple[str, ...]) -> dict:
-    result = {
-        "schema": 1,
-        "generated_by": "benchmarks/bench_mcmc_path.py",
-        "modes": {},
-    }
+    timings: dict[str, float] = {}
+    info: dict = {"modes": {}}
     worst = 0.0
     for mode in modes:
-        result["modes"][mode], diagnostics = _measure_mode(mode)
+        payload, diagnostics = _measure_mode(mode)
+        info["modes"][mode] = payload
         worst = max(worst, diagnostics)
-    result["agreement"] = {"diagnostics_batched_vs_scalar_max_rel": worst}
-    return result
+        for key, t in payload["runs"].items():
+            timings[f"{mode}/{key}"] = t["calibrated"]
+    checks = {
+        "diagnostics_batched_vs_scalar_max_rel": {"value": worst, "max": 1e-9},
+    }
+    return {"timings": timings, "checks": checks, "info": info}
 
 
-# -- reporting ---------------------------------------------------------
-
-
-def render(result: dict) -> str:
+def render(ledger: dict) -> str:
     lines = ["mcmc path: direct Gibbs chains (calibrated best-of timings)"]
-    for mode, payload in result["modes"].items():
+    for mode, payload in ledger["info"]["modes"].items():
         schedule = payload["schedule"]
         lines.append(
             f"  [{mode}] schedule {schedule['n_samples']}/"
             f"{schedule['burn_in']}/{schedule['thin']}, campaign of "
             f"{payload['campaign_datasets']} datasets"
         )
-        for key, t in payload["timings"].items():
+        for key, t in payload["runs"].items():
             lines.append(
                 f"    {key:<28} {t['best_s'] * 1e3:9.2f} ms"
                 f"   kernel {t['kernel_s'] * 1e3:6.3f} ms"
                 f"   {t['calibrated']:7.1f} kernel units"
             )
+    worst = ledger["checks"]["diagnostics_batched_vs_scalar_max_rel"]["value"]
     lines.append(
-        "  agreement: batched diagnostics max rel "
-        f"{result['agreement']['diagnostics_batched_vs_scalar_max_rel']:.1e}"
+        f"  agreement: batched diagnostics max rel {worst:.1e}"
         " (acceptance: <= 1e-9)"
     )
     return "\n".join(lines)
 
 
-# -- pytest entry point ------------------------------------------------
-
-
-def test_mcmc_path_quick(results_dir):
-    result = measure(modes=("quick",))
-    print("\n" + render(result))
-    assert (
-        result["agreement"]["diagnostics_batched_vs_scalar_max_rel"] <= 1e-9
-    )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="measure only the quick (short-schedule) mode, for CI",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULTS_DIR / "BENCH_mcmc.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="committed BENCH_mcmc.json to gate regressions against",
-    )
-    args = parser.parse_args(argv)
-    modes = ("quick",) if args.quick else ("full", "quick")
-    result = measure(modes=modes)
-    text = render(result)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    print(text)
-    print(f"[written to {args.out}]")
-    status = 0
-    if result["agreement"]["diagnostics_batched_vs_scalar_max_rel"] > 1e-9:
-        print(
-            "FAIL: batched diagnostics diverge from scalar (max rel "
-            f"{result['agreement']['diagnostics_batched_vs_scalar_max_rel']:.3e})",
-            file=sys.stderr,
-        )
-        status = 1
-    if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-        failures = compare_bench(result, baseline)
-        for message in failures:
-            print(f"FAIL: {message}", file=sys.stderr)
-        if failures:
-            status = 1
-        else:
-            print("within the regression gate vs baseline")
-    return status
+def test_mcmc_path_quick():
+    assert quick_failures("mcmc", measure, render) == []
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main("mcmc", measure, render))

@@ -14,7 +14,8 @@ observation period. Two mechanisms make replaying a campaign cheap
 This benchmark replays a synthetic grouped test campaign through
 :class:`~repro.core.sequential.ReliabilityTracker` cold
 (``warm_start=False``) and warm, for α0 ∈ {1, 2}, and emits
-``benchmarks/results/BENCH_warmstart.json`` (native schema-2 ledger):
+``benchmarks/results/BENCH_warmstart.json``, gated by ``repro bench
+check``:
 
 * **tracker50/a0=1**, **tracker50/a0=2** — calibrated timings of the
   cold and of the warm replay (best-of seconds over the calibration
@@ -28,20 +29,12 @@ This benchmark replays a synthetic grouped test campaign through
 As a script:
 
     PYTHONPATH=src python benchmarks/bench_warmstart.py          # full + quick
-    PYTHONPATH=src python benchmarks/bench_warmstart.py --quick  # CI mode
     PYTHONPATH=src python benchmarks/bench_warmstart.py --quick \\
-        --out /tmp/BENCH_warmstart.json \\
-        --baseline benchmarks/results/BENCH_warmstart.json
-
-With ``--baseline`` the run fails (exit 1) on any regression that
-``repro bench check`` would report: a calibrated timing above the
-baseline's over 80%, or a failed check.
+        --out /tmp/BENCH_warmstart.json                          # CI mode
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -55,13 +48,12 @@ for _root in (_HERE, _HERE.parent / "src"):
     if str(_root) not in sys.path:
         sys.path.insert(0, str(_root))
 
-from conftest import RESULTS_DIR, calibrated_best_of
+from conftest import bench_main, calibrated_best_of, quick_failures
 from repro import obs
 from repro.bayes.priors import ModelPrior
 from repro.core.sequential import ReliabilityTracker
 from repro.core.vb2 import fit_vb2
 from repro.data.failure_data import GroupedData
-from repro.obs import compare_bench, self_check_bench
 
 AGREEMENT_TOLERANCE = 1e-8
 
@@ -238,24 +230,15 @@ def measure(modes: tuple[str, ...]) -> dict:
             "value": cache["solver_calls"], "exact": 0,
         },
     }
-    return {
-        "schema": 2,
-        "kind": "bench",
-        "suite": "warmstart",
-        "generated_by": "benchmarks/bench_warmstart.py",
-        "speedups": {},
-        "timings": timings,
-        "checks": checks,
-        "info": info,
-    }
+    return {"timings": timings, "checks": checks, "info": info}
 
 
 # -- reporting ----------------------------------------------------------
 
 
-def render(result: dict) -> str:
+def render(ledger: dict) -> str:
     lines = ["sequential refits: cold vs warm-started tracker replay"]
-    for mode, workloads in result["info"]["modes"].items():
+    for mode, workloads in ledger["info"]["modes"].items():
         lines.append(f"  [{mode}]")
         for key, w in workloads.items():
             cold, warm = w["cold"], w["warm"]
@@ -266,14 +249,14 @@ def render(result: dict) -> str:
                 f"{warm['best_s'] * 1e3:8.1f} ms {warm['calibrated']:7.0f} "
                 "units"
             )
-    cache = result["info"]["cache"]
+    cache = ledger["info"]["cache"]
     lines.append(
         f"  cache: disk hit {cache['hit']['best_s'] * 1e3:.2f} ms "
         f"({cache['hit']['calibrated']:.2f} units), "
         f"byte-identical {cache['identical']}, "
         f"solver calls on hit {cache['solver_calls']}"
     )
-    checks = result["checks"]
+    checks = ledger["checks"]
     lines.append(
         "  agreement (warm vs cold final posterior, max |diff|): "
         f"{checks['warm_cold_summary_max_abs_diff']['value']:.1e} "
@@ -285,49 +268,9 @@ def render(result: dict) -> str:
 # -- pytest entry point -------------------------------------------------
 
 
-def test_warmstart_quick(results_dir):
-    result = measure(modes=("quick",))
-    print("\n" + render(result))
-    assert self_check_bench(result) == []
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="measure only the quick (shorter campaign) mode, for CI",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=RESULTS_DIR / "BENCH_warmstart.json",
-        help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="committed BENCH_warmstart.json to gate regressions against",
-    )
-    args = parser.parse_args(argv)
-    modes = ("quick",) if args.quick else ("full", "quick")
-    result = measure(modes=modes)
-    text = render(result)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    print(text)
-    print(f"[written to {args.out}]")
-    if args.baseline is None:
-        failures = self_check_bench(result)
-    else:
-        failures = compare_bench(result, json.loads(args.baseline.read_text()))
-        if not failures:
-            print("within the regression gate vs baseline")
-    for message in failures:
-        print(f"FAIL: {message}", file=sys.stderr)
-    return 1 if failures else 0
+def test_warmstart_quick():
+    assert quick_failures("warmstart", measure, render) == []
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main("warmstart", measure, render))

@@ -117,30 +117,11 @@ class JointPosterior(abc.ABC):
         lower, upper = self.quantile_batch(param, np.array([tail, 1.0 - tail]))
         return float(lower), float(upper)
 
+    @abc.abstractmethod
     def cdf(self, param: str, x: float) -> float:
-        """Marginal posterior CDF of ``param`` at ``x``.
-
-        Default implementation inverts :meth:`quantile` by bisection
-        (the quantile function is monotone); subclasses with an
-        analytic or tabulated CDF override this. The validation layer
-        uses it for probability-integral-transform (SBC rank)
-        statistics.
-        """
-        self._check_param(param)
-        lo, hi = 1e-12, 1.0 - 1e-12
-        if x <= self.quantile(param, lo):
-            return 0.0
-        if x >= self.quantile(param, hi):
-            return 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.quantile(param, mid) < x:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13:
-                break
-        return 0.5 * (lo + hi)
+        """Marginal posterior CDF of ``param`` at ``x``. The validation
+        layer uses it for probability-integral-transform (SBC rank)
+        statistics."""
 
     # ------------------------------------------------------------------
     # Density (for Figure 1 style contour data); optional

@@ -117,6 +117,12 @@ class NormalPosterior(JointPosterior):
             dtype=float,
         )
 
+    def cdf(self, param: str, x: float) -> float:
+        idx = _PARAM_INDEX[self._check_param(param)]
+        return float(
+            st.norm.cdf(x, loc=self._mean[idx], scale=math.sqrt(self._cov[idx, idx]))
+        )
+
     def log_pdf_grid(self, omega: np.ndarray, beta: np.ndarray) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
         beta = np.asarray(beta, dtype=float)

@@ -318,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_check = bench_kind.add_parser(
         "check",
         help="gate fresh benchmark runs against the committed baselines "
-        "(exit 1 on a >20%% speedup regression or a failed exactness "
-        "check); with no files, self-check every committed baseline",
+        "(exit 1 when a calibrated timing rises above its baseline's "
+        "over 0.8, a baseline timing or check is missing, or a check "
+        "fails); with no files, self-check every committed baseline",
     )
     bench_check.add_argument(
         "fresh", nargs="*", metavar="BENCH.json",

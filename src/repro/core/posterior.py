@@ -183,7 +183,7 @@ class VBPosterior(JointPosterior):
         self.elbo = elbo
         self.diagnostics = dict(diagnostics or {})
         self._marginals = {
-            name: MixtureDistribution.of_gammas(shape, rate, weights)
+            name: MixtureDistribution(shape, rate, weights)
             for name, shape, rate in (("omega", *params[:2]),
                                       ("beta", *params[2:]))
         }

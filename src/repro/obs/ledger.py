@@ -1,51 +1,44 @@
 """Unified perf ledger over the committed BENCH_*.json artifacts.
 
-The benchmark scripts historically each invented their own JSON layout
-(schema 1) and their own inline shell gate in CI. The ledger gives
-them one versioned schema and one gate:
+Every benchmark script writes one versioned document, and one gate
+reads them all:
 
-* :func:`normalise` lifts any known BENCH document — schema-1 layouts
-  from ``bench_interval_path.py`` / ``bench_fit_path.py`` /
-  ``bench_mcmc_path.py`` as well as native schema-2 documents (e.g.
-  ``bench_robustness.py``) — into the unified form.
+* :func:`normalise` validates a document's layout;
 * :func:`self_check` verifies a document against its *own* declared
   exactness/tolerance checks (what the committed baselines must always
-  satisfy).
+  satisfy);
 * :func:`compare` diffs a fresh run against a committed baseline:
-  every gated speedup must stay above ``REGRESSION_FRACTION`` of the
-  baseline's (ratios are machine-independent), every calibrated
-  timing must stay below the baseline's divided by it, and the fresh
-  run must pass its self-checks.
+  every calibrated timing must stay below the baseline's divided by
+  ``REGRESSION_FRACTION``, no baseline timing or check may be missing,
+  and the fresh run must pass its self-checks.
 
-Unified document layout (``schema: 2, kind: "bench"``)::
+Document layout (``schema: 2, kind: "bench"``)::
 
     {
       "schema": 2,
       "kind": "bench",
       "suite": "fit",                      # short suite name
       "generated_by": "benchmarks/bench_fit_path.py",
-      "speedups": {"quick/DG-Info/nint_grid": 3.2, ...},      # gated
-      "timings": {"quick/times1000/vb2": 64.1, ...},         # gated
+      "timings": {"quick/DG-Info/nint_grid": 1.4, ...},      # gated
       "checks": {
         "vb2_max_abs_diff": {"value": 0.0, "exact": 0.0},
-        "nint_max_abs_diff_vs_legacy": {"value": 5.7e-14, "max": 1e-10}
+        "vb2_inverse_max_rel_residual": {"value": 9e-13, "max": 1e-9}
       },
       "info": {...}                        # ungated context
     }
 
-``timings`` are calibrated absolute times: the best-of seconds of a
-workload divided by the best-of seconds of the calibration kernel
-(``perfbench/calib.py::kernel``) timed in the same process, so one
-unit is one kernel run. They replace a speedup whose denominator was
-legacy code kept only to be divided by. Schema-1 documents carry them
-per mode as ``modes[mode]["timings"][key]["calibrated"]``.
+``timings`` are calibrated absolute times of production calls: the
+best-of seconds of a workload divided by the best-of seconds of the
+calibration kernel (``perfbench/calib.py::kernel``) timed in the same
+process, so one unit is one kernel run. A key's first segment names
+the bench mode that measured it (``quick`` or ``full``); a key without
+one (``cache/hit``) is measured in every mode.
 
 ``checks`` entries carry their own pass criterion: ``exact`` (equal),
-``max`` (value <= bound), ``min`` (value >= bound, for speedup floors),
-or ``expect`` (equal, for booleans). Every failure message names the
-check and gives both the observed value and the expected bound on one
-line. The CLI surface is ``repro bench check`` / ``repro bench
-report``.
+``max`` (value <= bound) or ``expect`` (equal, for booleans). Every
+failure message names the check and gives both the observed value and
+the expected bound on one line. The CLI surface is ``repro bench
+check`` / ``repro bench report``.
 """
 
 from __future__ import annotations
@@ -65,127 +58,50 @@ __all__ = [
     "render_ledger",
 ]
 
-#: Version of the unified bench-ledger layout.
+#: Version of the bench-ledger layout.
 LEDGER_SCHEMA = 2
 
-#: A fresh speedup below this fraction of the baseline's, or a fresh
-#: calibrated timing above the baseline's divided by it, is a
-#: regression — the same >20% criterion the inline CI gates used.
+#: A fresh calibrated timing above the baseline's divided by this
+#: fraction is a regression (a >20% slowdown).
 REGRESSION_FRACTION = 0.8
 
-#: Per-suite agreement checks applied when lifting a schema-1 document:
-#: (check name, path into the document, criterion kind, bound). These
-#: mirror the gates the benchmark scripts themselves enforce.
-_V1_SUITES = {
-    "bench_interval_path.py": {
-        "suite": "interval",
-        "checks": [
-            ("max_abs_diff_scalar", ("agreement", "max_abs_diff_scalar"),
-             "max", 1e-9),
-        ],
-        "info": [
-            ("max_abs_diff_legacy", ("agreement", "max_abs_diff_legacy")),
-            ("hpd_speedup_target",
-             ("acceptance", "hpd_speedup_target")),
-        ],
-    },
-    "bench_fit_path.py": {
-        "suite": "fit",
-        "checks": [
-            ("vb2_max_abs_diff", ("agreement", "vb2_max_abs_diff"),
-             "exact", 0.0),
-            ("vb2_inverse_max_rel_residual",
-             ("agreement", "vb2_inverse_max_rel_residual"), "max", 1e-9),
-            ("nint_max_abs_diff_vs_legacy",
-             ("agreement", "nint_max_abs_diff_vs_legacy"), "max", 1e-10),
-        ],
-        "info": [
-            ("nint_speedup_target", ("acceptance", "nint_speedup_target")),
-        ],
-    },
-    "bench_mcmc_path.py": {
-        "suite": "mcmc",
-        "checks": [
-            ("diagnostics_batched_vs_scalar_max_rel",
-             ("agreement", "diagnostics_batched_vs_scalar_max_rel"),
-             "max", 1e-9),
-        ],
-        "info": [],
-    },
-}
+#: Bench modes, the first segment of a mode's timing keys.
+_MODES = ("full", "quick")
 
+_CRITERIA = ("exact", "max", "expect")
 
-def _dig(doc: dict, path: tuple):
-    value = doc
-    for key in path:
-        if not isinstance(value, dict) or key not in value:
-            return None
-        value = value[key]
-    return value
-
-
-def _lift_v1(doc: dict) -> dict:
-    source = doc.get("generated_by", "")
-    recipe = _V1_SUITES.get(Path(source).name)
-    if recipe is None:
-        raise TelemetryError(
-            f"unknown schema-1 bench layout (generated_by={source!r}); "
-            f"known: {sorted(_V1_SUITES)}"
-        )
-    speedups, timings = {}, {}
-    for mode, payload in doc.get("modes", {}).items():
-        for key, workload in payload.get("workloads", {}).items():
-            speedup = workload.get("speedup")
-            if speedup is not None:
-                speedups[f"{mode}/{key}"] = float(speedup)
-        for key, timing in payload.get("timings", {}).items():
-            timings[f"{mode}/{key}"] = float(timing["calibrated"])
-    checks = {}
-    for name, path, criterion, bound in recipe["checks"]:
-        value = _dig(doc, path)
-        if value is None:
-            raise TelemetryError(
-                f"bench document from {source!r} is missing check "
-                f"field {'/'.join(path)}"
-            )
-        checks[name] = {"value": value, criterion: bound}
-    info = {}
-    for name, path in recipe["info"]:
-        value = _dig(doc, path)
-        if value is not None:
-            info[name] = value
-    return {
-        "schema": LEDGER_SCHEMA,
-        "kind": "bench",
-        "suite": recipe["suite"],
-        "generated_by": source,
-        "speedups": speedups,
-        "timings": timings,
-        "checks": checks,
-        "info": info,
-    }
+_FIELDS = ("schema", "kind", "suite", "generated_by", "timings", "checks",
+           "info")
 
 
 def normalise(doc: dict) -> dict:
-    """Lift any known BENCH document into the unified schema-2 form."""
+    """Validate a bench ledger document and return it."""
     if not isinstance(doc, dict) or "schema" not in doc:
         raise TelemetryError("bench document has no schema field")
     schema = doc["schema"]
-    if schema == 1:
-        return _lift_v1(doc)
-    if schema == LEDGER_SCHEMA:
-        if doc.get("kind") != "bench":
+    extra = sorted(set(doc) - set(_FIELDS))
+    if schema == 1 or (schema == LEDGER_SCHEMA and extra):
+        # Schema 1 and the retired ratio section gated legacy code; a
+        # rerun of the script writes the current layout.
+        raise TelemetryError(
+            f"outdated bench document (schema {schema!r}"
+            f"{', fields ' + ', '.join(extra) if extra else ''}); rerun "
+            f"{doc.get('generated_by') or 'its benchmark script'} to "
+            f"write a schema-{LEDGER_SCHEMA} ledger"
+        )
+    if schema != LEDGER_SCHEMA:
+        raise TelemetryError(f"unsupported bench schema {schema!r}")
+    if doc.get("kind") != "bench":
+        raise TelemetryError(
+            f"schema-2 document is not a bench ledger "
+            f"(kind={doc.get('kind')!r})"
+        )
+    for field in ("suite", "timings", "checks"):
+        if field not in doc:
             raise TelemetryError(
-                f"schema-2 document is not a bench ledger "
-                f"(kind={doc.get('kind')!r})"
+                f"bench ledger missing required field {field!r}"
             )
-        for field in ("suite", "speedups", "checks"):
-            if field not in doc:
-                raise TelemetryError(
-                    f"bench ledger missing required field {field!r}"
-                )
-        return doc
-    raise TelemetryError(f"unsupported bench schema {schema!r}")
+    return doc
 
 
 def _check_failures(suite: str, checks: dict) -> list[str]:
@@ -207,13 +123,6 @@ def _check_failures(suite: str, checks: dict) -> list[str]:
                     f"{suite}: check {name}: observed {value!r}, "
                     f"expected <= {entry['max']!r}"
                 )
-        elif "min" in entry:
-            if not (isinstance(value, (int, float))
-                    and value >= entry["min"]):
-                failures.append(
-                    f"{suite}: check {name}: observed {value!r}, "
-                    f"expected >= {entry['min']!r}"
-                )
         elif "expect" in entry:
             if value != entry["expect"]:
                 failures.append(
@@ -223,7 +132,7 @@ def _check_failures(suite: str, checks: dict) -> list[str]:
         else:
             failures.append(
                 f"{suite}: check {name} declares no criterion "
-                f"(exact/max/min/expect)"
+                f"({'/'.join(_CRITERIA)})"
             )
     return failures
 
@@ -239,49 +148,47 @@ def compare(fresh: dict, baseline: dict, *,
     """Diff a fresh bench run against a committed baseline.
 
     Returns failure messages; empty means the gate passes. The fresh
-    run must satisfy its own checks, every speedup present in both
-    documents must stay above ``fraction`` of the baseline's (ratios
-    are machine-independent, so a baseline from another host is a
-    meaningful gate), and every calibrated timing present in both must
-    stay below the baseline's divided by ``fraction`` (kernel units
-    cancel the machine's speed). Keys only one side measured are
-    ignored.
+    run must satisfy its own checks and carry every baseline check;
+    every baseline timing of a mode the fresh run measured, and every
+    mode-less one, must be present and stay below the baseline's
+    divided by ``fraction`` (kernel units cancel the machine's speed).
+    Fresh keys the baseline lacks are not gated.
     """
     fresh = normalise(fresh)
     baseline = normalise(baseline)
     suite = fresh["suite"]
-    failures = []
     if suite != baseline["suite"]:
         return [
             f"suite mismatch: fresh is {suite!r}, baseline is "
             f"{baseline['suite']!r}"
         ]
-    failures.extend(_check_failures(suite, fresh["checks"]))
-    for key in sorted(set(fresh["speedups"]) & set(baseline["speedups"])):
-        measured = fresh["speedups"][key]
-        floor = fraction * baseline["speedups"][key]
-        if measured < floor:
-            failures.append(
-                f"{suite}/{key}: speedup {measured:.1f}x fell below "
-                f"{floor:.1f}x (= {fraction:.0%} of baseline "
-                f"{baseline['speedups'][key]:.1f}x)"
-            )
-    fresh_timings = fresh.get("timings", {})
-    base_timings = baseline.get("timings", {})
-    for key in sorted(set(fresh_timings) & set(base_timings)):
+    failures = _check_failures(suite, fresh["checks"])
+    for name in sorted(set(baseline["checks"]) - set(fresh["checks"])):
+        failures.append(f"{suite}: check {name}: missing from the fresh run")
+    fresh_timings = fresh["timings"]
+    measured_modes = {key.split("/", 1)[0] for key in fresh_timings}
+    for key, base in sorted(baseline["timings"].items()):
+        mode = key.split("/", 1)[0]
+        if key not in fresh_timings:
+            if mode in measured_modes or mode not in _MODES:
+                failures.append(
+                    f"{suite}/{key}: baseline timing missing from the "
+                    f"fresh run"
+                )
+            continue
         measured = fresh_timings[key]
-        ceiling = base_timings[key] / fraction
+        ceiling = base / fraction
         if measured > ceiling:
             failures.append(
                 f"{suite}/{key}: calibrated time {measured:.1f} rose above "
-                f"{ceiling:.1f} (= baseline {base_timings[key]:.1f} / "
+                f"{ceiling:.1f} (= baseline {base:.1f} / "
                 f"{fraction:.0%}) kernel units"
             )
     return failures
 
 
 def load_ledger(path) -> dict:
-    """Read and normalise one BENCH JSON file."""
+    """Read and validate one BENCH JSON file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -293,28 +200,23 @@ def load_ledger(path) -> dict:
 
 
 def render_ledger(ledgers: list[dict]) -> str:
-    """Text report over normalised ledger documents."""
+    """Text report over validated ledger documents."""
     lines = []
     for ledger in ledgers:
         lines.append(f"suite {ledger['suite']} ({ledger['generated_by']})")
         checks = ledger["checks"]
         for name in sorted(checks):
             entry = checks[name]
-            for criterion in ("exact", "max", "min", "expect"):
-                if criterion in entry:
-                    bound = f"{criterion} {entry[criterion]!r}"
-                    break
-            else:
-                bound = "no criterion"
+            bound = next(
+                (f"{c} {entry[c]!r}" for c in _CRITERIA if c in entry),
+                "no criterion",
+            )
             ok = not _check_failures(ledger["suite"], {name: entry})
             lines.append(
                 f"  check {name:<40} {entry.get('value')!r:>14} "
                 f"[{bound}] {'ok' if ok else 'FAIL'}"
             )
-        speedups = ledger["speedups"]
-        for key in sorted(speedups):
-            lines.append(f"  speedup {key:<46} {speedups[key]:>8.1f}x")
-        timings = ledger.get("timings", {})
+        timings = ledger["timings"]
         for key in sorted(timings):
             lines.append(
                 f"  timing {key:<47} {timings[key]:>8.1f} kernel units"

@@ -1,106 +1,61 @@
-"""Finite mixture of one-dimensional distributions.
+"""Finite mixture of gamma distributions.
 
 The VB2 marginal posterior of each model parameter is a finite mixture
 of gamma distributions indexed by the latent fault count ``N``
 (paper Section 5.1: ``Pv(µ) = Σ_N Pv(µ|N) Pv(N)``). This module gives
 that object a complete distribution interface — density, CDF, stable
-quantiles, raw/central moments and sampling — independent of the
-component family.
+quantiles, raw/central moments and sampling.
 
-Gamma mixtures
---------------
-A gamma mixture — every VB posterior marginal — keeps its component
-shapes ``a`` and rates ``b`` as arrays (:meth:`MixtureDistribution.
-of_gammas` builds one from them; component objects are made only on
-request). ``pdf``/``cdf`` are single ``scipy.special`` broadcasts over
-an ``(n_points, n_components)`` grid, and :meth:`ppf` hands all levels
-to the gamma-cell quantile engine (:mod:`repro.stats.gamma_cells`),
-whose ladder kernel serves the ω marginal (shapes stepping by 1 under
-one rate) — see ``docs/PERFORMANCE.md`` §1. Other component families
-use the generic per-component path and scalar bisection.
+The mixture keeps its component shapes ``a`` and rates ``b`` as
+arrays; component objects are made only on request. ``pdf``/``cdf``
+are single ``scipy.special`` broadcasts over an ``(n_points,
+n_components)`` grid, and :meth:`MixtureDistribution.ppf` hands all
+levels to the gamma-cell quantile engine
+(:mod:`repro.stats.gamma_cells`), whose ladder kernel serves the ω
+marginal (shapes stepping by 1 under one rate) — see
+``docs/PERFORMANCE.md`` §1.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Protocol
 
 import numpy as np
 
 from repro.stats import scipy_special as sc
 from repro.stats.gamma_dist import GammaDistribution
 from repro.stats.gamma_cells import GammaCells
-from repro.stats.rootfind import bisect_increasing
 
-__all__ = ["MixtureDistribution", "MixtureComponent"]
-
-
-class MixtureComponent(Protocol):
-    """Minimum interface a mixture component must expose."""
-
-    @property
-    def mean(self) -> float: ...
-
-    @property
-    def variance(self) -> float: ...
-
-    def pdf(self, x): ...
-
-    def cdf(self, x): ...
-
-    def ppf(self, q): ...
-
-    def moment(self, k: int) -> float: ...
-
-    def central_moment(self, k: int) -> float: ...
-
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray: ...
+__all__ = ["MixtureDistribution"]
 
 
 class MixtureDistribution:
-    """Weighted finite mixture ``Σ_i w_i F_i`` of 1-D distributions.
+    """Weighted finite mixture ``Σ_i w_i Gamma(a_i, b_i)``.
 
     Parameters
     ----------
-    components:
-        Sequence of component distributions (see :class:`MixtureComponent`).
+    shapes, rates:
+        Component shapes ``a`` and rates ``b`` (positive and finite;
+        validated by the caller).
     weights:
         Non-negative weights; normalised internally.
     """
 
-    def __init__(
-        self,
-        components: Sequence[MixtureComponent],
-        weights: Sequence[float] | np.ndarray,
-    ) -> None:
-        if len(components) == 0:
+    def __init__(self, shapes: np.ndarray, rates: np.ndarray,
+                 weights: Sequence[float] | np.ndarray) -> None:
+        self._a = np.asarray(shapes, dtype=float)
+        self._b = np.asarray(rates, dtype=float)
+        if self._a.size == 0:
             raise ValueError("mixture needs at least one component")
-        self._components = list(components)
-        self._weights = _normalised(weights, len(self._components))
-        self._a = self._b = None
-        if all(isinstance(c, GammaDistribution) for c in self._components):
-            self._a = np.array([c.shape for c in self._components])
-            self._b = np.array([c.rate for c in self._components])
-
-    @classmethod
-    def of_gammas(cls, shapes: np.ndarray, rates: np.ndarray,
-                  weights: Sequence[float] | np.ndarray) -> "MixtureDistribution":
-        """Gamma mixture from component parameter arrays (validated by
-        the caller); the component objects are built on first use."""
-        mix = cls.__new__(cls)
-        mix._a = np.asarray(shapes, dtype=float)
-        mix._b = np.asarray(rates, dtype=float)
-        if mix._a.size == 0:
-            raise ValueError("mixture needs at least one component")
-        mix._components = None
-        mix._weights = _normalised(weights, mix._a.size)
-        return mix
+        self._components = None
+        self._weights = _normalised(weights, self._a.size)
 
     # ------------------------------------------------------------------
     @property
-    def components(self) -> list[MixtureComponent]:
-        """The component distributions (shared reference)."""
+    def components(self) -> list[GammaDistribution]:
+        """The component distributions, built on first use (shared
+        reference)."""
         if self._components is None:
             self._components = [
                 GammaDistribution(a, b)
@@ -113,11 +68,6 @@ class MixtureDistribution:
         """Normalised mixture weights (copy)."""
         return self._weights.copy()
 
-    @property
-    def is_gamma_mixture(self) -> bool:
-        """Whether the vectorized gamma fast path is active."""
-        return self._a is not None
-
     def __len__(self) -> int:
         return self._weights.size
 
@@ -125,9 +75,7 @@ class MixtureDistribution:
     # Moments
     # ------------------------------------------------------------------
     def _component_means(self):
-        if self._a is not None:
-            return (self._a / self._b).tolist()
-        return [c.mean for c in self._components]
+        return (self._a / self._b).tolist()
 
     @property
     def mean(self) -> float:
@@ -146,11 +94,8 @@ class MixtureDistribution:
         every summand non-negative and loses nothing to cancellation.
         """
         mu = self.mean
-        if self._a is not None:
-            variances = [a / b**2 for a, b in zip(self._a.tolist(),
-                                                  self._b.tolist())]
-        else:
-            variances = [c.variance for c in self._components]
+        variances = [a / b**2 for a, b in zip(self._a.tolist(),
+                                              self._b.tolist())]
         return float(
             sum(
                 w * (v + (m - mu) ** 2)
@@ -192,12 +137,14 @@ class MixtureDistribution:
     # ------------------------------------------------------------------
     # Distribution functions
     # ------------------------------------------------------------------
-    def _pdf_grid(self, x: np.ndarray) -> np.ndarray:
-        """Gamma fast path: density at flat ``x`` via one broadcast."""
-        out = np.zeros(x.size)
-        pos = x > 0.0
+    def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Mixture density: one broadcast over the components."""
+        arr = np.asarray(x, dtype=float)
+        flat = arr.ravel()
+        out = np.zeros(flat.size)
+        pos = flat > 0.0
         if np.any(pos):
-            xp = x[pos][:, None]
+            xp = flat[pos][:, None]
             log_pdf = (
                 self._a * np.log(self._b)
                 + (self._a - 1.0) * np.log(xp)
@@ -207,59 +154,33 @@ class MixtureDistribution:
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_w = np.log(self._weights)
                 out[pos] = np.exp(sc.logsumexp(log_w + log_pdf, axis=1))
-        return out
+        if np.ndim(x) == 0:
+            return float(out[0])
+        return out.reshape(arr.shape)
 
-    def _cdf_grid(self, x: np.ndarray) -> np.ndarray:
-        """Gamma fast path: CDF at flat ``x`` via one broadcast.
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Mixture CDF: one broadcast over the components.
 
         The weighted reduction uses per-row pairwise summation (not a
         BLAS matvec) so a point's CDF value is bit-identical whether it
-        is evaluated alone or inside a batch — which keeps the batched
-        and scalar quantile inversions on identical bisection paths.
+        is evaluated alone or inside a batch.
         """
-        clipped = np.clip(x, 0.0, None)[:, None]
-        return (sc.gammainc(self._a, self._b * clipped) * self._weights).sum(axis=1)
-
-    def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Mixture density."""
         arr = np.asarray(x, dtype=float)
-        if self._a is not None:
-            out = self._pdf_grid(arr.ravel()).reshape(arr.shape)
-        else:
-            acc = None
-            for w, comp in zip(self._weights, self.components):
-                term = w * np.asarray(comp.pdf(arr), dtype=float)
-                acc = term if acc is None else acc + term
-            out = acc
+        clipped = np.clip(arr.ravel(), 0.0, None)[:, None]
+        out = (sc.gammainc(self._a, self._b * clipped) * self._weights).sum(axis=1)
         if np.ndim(x) == 0:
-            return float(out)
-        return out
-
-    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Mixture CDF."""
-        arr = np.asarray(x, dtype=float)
-        if self._a is not None:
-            out = self._cdf_grid(arr.ravel()).reshape(arr.shape)
-        else:
-            acc = None
-            for w, comp in zip(self._weights, self.components):
-                term = w * np.asarray(comp.cdf(arr), dtype=float)
-                acc = term if acc is None else acc + term
-            out = acc
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+            return float(out[0])
+        return out.reshape(arr.shape)
 
     def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
         """Quantile(s) of the mixture.
 
-        Accepts a scalar level or an array of levels. Gamma mixtures
-        solve every level in one call of the gamma-cell engine
+        Accepts a scalar level or an array of levels. Every level is
+        solved in one call of the gamma-cell engine
         (:meth:`~repro.stats.gamma_cells.GammaCells.quantiles`), to
         ``1e-12 + 1e-10 |x|``; a scalar level is the one-level call,
         and levels are independent lanes, so a level's quantile is
-        bit-identical alone or in a batch. Other families bisect the
-        CDF between the extreme component quantiles.
+        bit-identical alone or in a batch.
 
         Raises
         ------
@@ -274,22 +195,10 @@ class MixtureDistribution:
         if not np.all((levels > 0.0) & (levels < 1.0)):
             bad = levels[~((levels > 0.0) & (levels < 1.0))][0]
             raise ValueError(f"quantile level must be in (0, 1), got {bad}")
-        if self._a is not None:
-            cells = GammaCells(self._weights, self._a, self._b)
-            out = cells.quantiles(levels)[0]
-        else:
-            out = np.array([self._ppf_generic(float(l)) for l in levels])
+        out = GammaCells(self._weights, self._a, self._b).quantiles(levels)[0]
         if scalar:
             return float(out[0])
         return out
-
-    def _ppf_generic(self, q: float) -> float:
-        """Scalar quantile for non-gamma component families."""
-        lo = min(float(c.ppf(q)) for c in self.components)
-        hi = max(float(c.ppf(q)) for c in self.components)
-        if hi <= lo:
-            return lo
-        return bisect_increasing(lambda x: float(self.cdf(x)) - q, lo, hi)
 
     def interval(self, confidence: float) -> tuple[float, float]:
         """Central two-sided interval of the given confidence level."""

@@ -81,6 +81,13 @@ class TestContract:
             values = [posterior.quantile(param, q) for q in q_levels]
             assert all(a <= b for a, b in zip(values, values[1:]))
 
+    def test_cdf_inverts_quantile(self, posteriors, method):
+        posterior = posteriors[method]
+        for param in ("omega", "beta"):
+            for q in (0.005, 0.1, 0.5, 0.9, 0.995):
+                x = posterior.quantile(param, q)
+                assert abs(posterior.cdf(param, x) - q) <= 1e-12
+
     def test_credible_interval_ordering(self, posteriors, method):
         posterior = posteriors[method]
         narrow = posterior.credible_interval("omega", 0.5)

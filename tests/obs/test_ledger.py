@@ -18,28 +18,18 @@ from repro.obs.ledger import (
 RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
-def _v1_fit_doc(speedup=10.0, vb2_diff=0.0):
+def _fit_doc(timing=10.0, vb2_diff=0.0):
     return {
-        "schema": 1,
+        "schema": 2,
+        "kind": "bench",
+        "suite": "fit",
         "generated_by": "benchmarks/bench_fit_path.py",
-        "acceptance": {"nint_speedup_target": 3.0},
-        "agreement": {
-            "vb2_max_abs_diff": vb2_diff,
-            "vb2_inverse_max_rel_residual": 1e-12,
-            "nint_max_abs_diff_vs_legacy": 1e-14,
+        "timings": {"quick/DG-Info/nint_grid": timing},
+        "checks": {
+            "vb2_max_abs_diff": {"value": vb2_diff, "exact": 0.0},
+            "vb2_inverse_max_rel_residual": {"value": 1e-12, "max": 1e-9},
         },
-        "modes": {
-            "quick": {
-                "repeat": 2,
-                "workloads": {
-                    "DG-Info/nint_grid": {
-                        "legacy_s": 1.0,
-                        "batched_s": 1.0 / speedup,
-                        "speedup": speedup,
-                    },
-                },
-            },
-        },
+        "info": {},
     }
 
 
@@ -49,7 +39,7 @@ def _v2_doc(identical=True):
         "kind": "bench",
         "suite": "robustness",
         "generated_by": "benchmarks/bench_robustness.py",
-        "speedups": {"parallel4/campaign": 2.0},
+        "timings": {},
         "checks": {
             "serial_parallel_identical": {"value": identical, "expect": True},
         },
@@ -58,37 +48,28 @@ def _v2_doc(identical=True):
 
 
 class TestNormalise:
-    def test_v1_fit_lifts(self):
-        ledger = normalise(_v1_fit_doc())
-        assert ledger["schema"] == 2
-        assert ledger["suite"] == "fit"
-        assert ledger["speedups"]["quick/DG-Info/nint_grid"] == 10.0
-        assert ledger["checks"]["vb2_max_abs_diff"] == {
-            "value": 0.0, "exact": 0.0,
-        }
-        assert ledger["checks"]["vb2_inverse_max_rel_residual"] == {
-            "value": 1e-12, "max": 1e-9,
-        }
-        assert ledger["info"]["nint_speedup_target"] == 3.0
-
-    def test_v1_timings_lift(self):
-        doc = _v1_fit_doc()
-        doc["modes"]["quick"]["timings"] = {
-            "DG-Info/vb2_grouped": {
-                "best_s": 0.02, "kernel_s": 0.001, "calibrated": 20.0,
-            },
-        }
-        ledger = normalise(doc)
-        assert ledger["timings"] == {"quick/DG-Info/vb2_grouped": 20.0}
-        assert normalise(_v1_fit_doc())["timings"] == {}
-
     def test_v2_passes_through(self):
         doc = _v2_doc()
         assert normalise(doc) is doc
 
     def test_unknown_v1_layout_rejected(self):
-        with pytest.raises(TelemetryError, match="unknown schema-1"):
+        # Schema 1 is never lifted; the message names the script to rerun.
+        with pytest.raises(TelemetryError, match="rerun mystery.py"):
             normalise({"schema": 1, "generated_by": "mystery.py"})
+
+    def test_retired_ratio_section_rejected(self):
+        doc = _v2_doc()
+        doc["speedups"] = {"parallel4/campaign": 2.0}
+        with pytest.raises(
+            TelemetryError, match="rerun benchmarks/bench_robustness.py"
+        ):
+            normalise(doc)
+
+    def test_missing_required_field_rejected(self):
+        doc = _v2_doc()
+        del doc["timings"]
+        with pytest.raises(TelemetryError, match="'timings'"):
+            normalise(doc)
 
     def test_missing_schema_rejected(self):
         with pytest.raises(TelemetryError, match="schema"):
@@ -102,20 +83,14 @@ class TestNormalise:
         with pytest.raises(TelemetryError, match="kind"):
             normalise({"schema": 2, "kind": "trace"})
 
-    def test_v1_missing_check_field_rejected(self):
-        doc = _v1_fit_doc()
-        del doc["agreement"]["vb2_max_abs_diff"]
-        with pytest.raises(TelemetryError, match="missing check"):
-            normalise(doc)
-
 
 class TestSelfCheck:
     def test_clean_doc_passes(self):
-        assert self_check(_v1_fit_doc()) == []
+        assert self_check(_fit_doc()) == []
         assert self_check(_v2_doc()) == []
 
     def test_exact_violation_reported(self):
-        failures = self_check(_v1_fit_doc(vb2_diff=1e-9))
+        failures = self_check(_fit_doc(vb2_diff=1e-9))
         assert len(failures) == 1
         assert "vb2_max_abs_diff" in failures[0]
 
@@ -131,21 +106,14 @@ class TestSelfCheck:
             doc = json.loads(path.read_text())
             assert self_check(doc) == [], path.name
 
-    def _min_doc(self, value):
-        doc = _v2_doc()
-        doc["checks"]["warm_iteration_ratio"] = {"value": value, "min": 3.0}
-        return doc
-
     def test_min_criterion(self):
-        assert self_check(self._min_doc(3.15)) == []
-        assert self_check(self._min_doc(3.0)) == []
-        failures = self_check(self._min_doc(2.4))
-        assert failures == [
-            "robustness: check warm_iteration_ratio: observed 2.4, "
-            "expected >= 3.0"
+        # Floors retired with the ratios: ``min`` is no criterion.
+        doc = _v2_doc()
+        doc["checks"]["warm_iteration_ratio"] = {"value": 3.15, "min": 3.0}
+        assert self_check(doc) == [
+            "robustness: check warm_iteration_ratio declares no criterion "
+            "(exact/max/expect)"
         ]
-        # a non-numeric value can never satisfy a floor
-        assert len(self_check(self._min_doc("fast"))) == 1
 
     def test_failure_messages_name_both_sides(self):
         # every criterion reports observed and expected on one line
@@ -167,20 +135,16 @@ class TestSelfCheck:
 
 class TestCompare:
     def test_identical_runs_pass(self):
-        assert compare(_v1_fit_doc(), _v1_fit_doc()) == []
+        assert compare(_fit_doc(), _fit_doc()) == []
 
     def test_injected_regression_fails(self):
-        # >20% slowdown of the speedup ratio must trip the gate.
-        fresh = _v1_fit_doc(speedup=7.0)
-        baseline = _v1_fit_doc(speedup=10.0)
-        failures = compare(fresh, baseline)
+        # A >25% rise of a calibrated timing must trip the gate.
+        failures = compare(_fit_doc(timing=13.0), _fit_doc(timing=10.0))
         assert len(failures) == 1
-        assert "fell below" in failures[0]
+        assert "rose above" in failures[0]
 
     def test_small_slowdown_passes(self):
-        fresh = _v1_fit_doc(speedup=8.5)
-        baseline = _v1_fit_doc(speedup=10.0)
-        assert compare(fresh, baseline) == []
+        assert compare(_fit_doc(timing=12.0), _fit_doc(timing=10.0)) == []
 
     def test_timing_regression_fails(self):
         # A calibrated timing may rise to baseline / 80% and no further.
@@ -194,25 +158,57 @@ class TestCompare:
         assert len(failures) == 1
         assert "quick/sweep" in failures[0]
         assert "rose above 12.5" in failures[0]
-        # keys only one side measured are ignored
-        assert compare(_v2_doc(), baseline) == []
+
+    def test_missing_timing_fails(self):
+        baseline = _fit_doc()
+        baseline["timings"]["quick/DG-Info/vb1_grouped"] = 7.3
+        failures = compare(_fit_doc(), baseline)
+        assert failures == [
+            "fit/quick/DG-Info/vb1_grouped: baseline timing missing from "
+            "the fresh run"
+        ]
+
+    def test_unmeasured_mode_ignored(self):
+        # A quick run cannot carry the baseline's full-mode timings.
+        baseline = _fit_doc()
+        baseline["timings"]["full/DG-Info/nint_grid"] = 14.0
+        assert compare(_fit_doc(), baseline) == []
+        fresh = _v2_doc()
+        baseline = _v2_doc()
+        baseline["timings"] = {"quick/sweep": 10.0}
+        assert compare(fresh, baseline) == []
+
+    def test_missing_modeless_timing_fails(self):
+        # A key without a mode is measured by every run.
+        baseline = _fit_doc()
+        baseline["timings"]["cache/hit"] = 1.5
+        failures = compare(_fit_doc(), baseline)
+        assert len(failures) == 1
+        assert "cache/hit: baseline timing missing" in failures[0]
+
+    def test_missing_check_fails(self):
+        fresh = _fit_doc()
+        del fresh["checks"]["vb2_inverse_max_rel_residual"]
+        assert compare(fresh, _fit_doc()) == [
+            "fit: check vb2_inverse_max_rel_residual: missing from the "
+            "fresh run"
+        ]
 
     def test_suite_mismatch_rejected(self):
-        failures = compare(_v1_fit_doc(), _v2_doc())
+        failures = compare(_fit_doc(), _v2_doc())
         assert failures and "suite mismatch" in failures[0]
 
     def test_fresh_must_pass_own_checks(self):
-        failures = compare(_v1_fit_doc(vb2_diff=0.5), _v1_fit_doc())
+        failures = compare(_fit_doc(vb2_diff=0.5), _fit_doc())
         assert any("vb2_max_abs_diff" in f for f in failures)
 
     def test_injected_regression_on_committed_fit_baseline(self):
         baseline = json.loads((RESULTS_DIR / "BENCH_fit.json").read_text())
         degraded = json.loads(json.dumps(baseline))
-        for payload in degraded["modes"].values():
-            for workload in payload["workloads"].values():
-                workload["speedup"] *= 0.5
+        for key in degraded["timings"]:
+            degraded["timings"][key] *= 2.0
         failures = compare(degraded, baseline)
-        assert failures, "halved speedups must trip the regression gate"
+        assert len(failures) == len(baseline["timings"])
 
 
 class TestLoadAndRender:
@@ -226,13 +222,12 @@ class TestLoadAndRender:
         with pytest.raises(TelemetryError, match="not JSON"):
             load_ledger(bad)
 
-    def test_render_shows_checks_and_speedups(self):
-        text = render_ledger([normalise(_v1_fit_doc()), _v2_doc()])
+    def test_render_shows_checks(self):
+        text = render_ledger([_fit_doc(), _v2_doc()])
         assert "suite fit" in text
         assert "suite robustness" in text
-        assert "vb2_max_abs_diff" in text
-        assert "ok" in text
-        assert "10.0x" in text
+        assert "check vb2_max_abs_diff" in text
+        assert "[exact 0.0] ok" in text
 
     def test_render_shows_timings(self):
         doc = _v2_doc()
@@ -263,9 +258,8 @@ class TestBenchCli:
 
     def test_check_fresh_regression_fails(self, tmp_path, capsys):
         doc = json.loads((RESULTS_DIR / "BENCH_fit.json").read_text())
-        for payload in doc["modes"].values():
-            for workload in payload["workloads"].values():
-                workload["speedup"] *= 0.5
+        for key in doc["timings"]:
+            doc["timings"][key] *= 2.0
         fresh = tmp_path / "BENCH_fit.json"
         fresh.write_text(json.dumps(doc))
         code = main([
@@ -274,6 +268,19 @@ class TestBenchCli:
         ])
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["timings", "checks"])
+    def test_check_fresh_missing_key_fails(self, tmp_path, capsys, section):
+        doc = json.loads((RESULTS_DIR / "BENCH_fit.json").read_text())
+        doc[section].pop(sorted(doc[section])[0])
+        fresh = tmp_path / "BENCH_fit.json"
+        fresh.write_text(json.dumps(doc))
+        code = main([
+            "bench", "check", str(fresh),
+            "--baseline-dir", str(RESULTS_DIR),
+        ])
+        assert code == 1
+        assert "missing from the fresh run" in capsys.readouterr().err
 
     def test_check_fresh_without_baseline_exits(self, tmp_path):
         fresh = tmp_path / "BENCH_unknown.json"

@@ -46,8 +46,8 @@ _SETTINGS = dict(
 
 
 def build_mixture(params, raw_weights):
-    comps = [GammaDistribution(a, b) for a, b in params]
-    return MixtureDistribution(comps, np.asarray(raw_weights[: len(comps)]))
+    shapes, rates = np.array(params).T
+    return MixtureDistribution(shapes, rates, np.asarray(raw_weights[: len(params)]))
 
 
 class TestBatchedMatchesScalar:
@@ -80,7 +80,7 @@ class TestBatchedMatchesScalar:
         # lo == hi for every level: the batch bisection pins each root
         # at the (exact) component quantile without any iteration.
         base = GammaDistribution(shape, rate)
-        mix = MixtureDistribution([base], [1.0])
+        mix = MixtureDistribution([shape], [rate], [1.0])
         levels = np.array(raw_levels + [1e-6, 1.0 - 1e-6])
         batch = mix.ppf(levels)
         expected = np.array([base.ppf(float(q)) for q in levels])
