@@ -16,7 +16,10 @@ check``:
   data views, where even failure-time data needs the solver;
 * **vb1_grouped** — ``fit_vb1`` on DG-Info with the scenario's config;
 * **nint_grid** — the grouped NINT log-posterior matrix
-  (``log_posterior_matrix``) on a 201² quick / 321² full mesh.
+  (``log_posterior_matrix``) on a 201² quick / 321² full mesh;
+* **laplace** — ``fit_laplace`` on DT-Info and DG-Info: the profile
+  Newton search for the MAP and the analytic Hessian (the same call in
+  both modes).
 
 The checks hold the VB2 fits to their mathematics and to the fleet:
 every lane must give back its own ``N`` through the closed-form
@@ -53,6 +56,7 @@ from conftest import (
     posterior_max_abs_diff,
     quick_failures,
 )
+from repro.bayes.laplace import fit_laplace
 from repro.bayes.nint import log_posterior_matrix
 from repro.core.fleet import fit_vb2_fleet
 from repro.core.vb1 import fit_vb1
@@ -70,11 +74,15 @@ _MODE_SETTINGS = {
     "quick": {"vb2_repeat": 10, "nint_nodes": 201, "fixed_nmax_extra": 50},
 }
 
-#: Best-of counts of the VB1 fit and the NINT grid fill, both a few
-#: milliseconds or less: a best-of spread over a second or more
-#: outlasts the spells of a busy neighbour.
+#: Best-of counts of the VB1 fit, the NINT grid fill and the LAPL fit,
+#: each a few milliseconds or less: a best-of spread over a second or
+#: more outlasts the spells of a busy neighbour.
 VB1_REPEAT = 50
 NINT_REPEAT = 100
+LAPLACE_REPEAT = 500
+
+#: Scenarios whose LAPL fit is a gated timing.
+LAPLACE_SCENARIOS = ("DT-Info", "DG-Info")
 
 #: The VB2 fits timed and checked: (scenario, alpha0, workload kind).
 VB2_CASES = (
@@ -143,6 +151,13 @@ def _measure_mode(mode: str) -> dict:
         ),
         NINT_REPEAT,
     )
+
+    for name in LAPLACE_SCENARIOS:
+        scenario = scenarios[name]
+        data, prior = scenario.load_data(), scenario.prior()
+        runs[f"{name}/laplace"] = calibrated_best_of(
+            lambda: fit_laplace(data, prior, scenario.alpha0), LAPLACE_REPEAT
+        )
     return runs
 
 

@@ -44,11 +44,13 @@ def calibrated_best_of(fn, repeat: int, kernel_samples: int = 3) -> dict:
     Kernel samples alternate with the repeats of ``fn`` in this
     process, so the two minima see the same spells of a shared
     machine. As in :mod:`timeit`, the garbage collector is off while
-    ``fn`` runs.
+    ``fn`` runs. One collection precedes the repeats: a collection
+    before each would start every sub-millisecond call on a cold cache
+    and cost more than the calls it times.
     """
     best = kernel_s = float("inf")
+    gc.collect()
     for _ in range(repeat):
-        gc.collect()
         gc.disable()
         try:
             start = time.perf_counter()

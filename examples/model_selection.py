@@ -8,6 +8,9 @@ cheap Bayesian model-selection criterion; we cross-check it against the
 MLE log-likelihood (which always prefers richer fits) and against AIC.
 Under flat priors the MAP is the MLE and the log posterior is the
 log-likelihood (paper Section 4.2), so the MLE comes from the MAP search.
+Where the likelihood has no interior maximum (NTDS at alpha0 = 0.5 rises
+toward beta -> 0 as omega -> infinity) the search raises EstimationError
+and the row shows no MLE.
 
 Run with:  python examples/model_selection.py
 """
@@ -20,6 +23,7 @@ from repro import (
     system17_failure_times,
 )
 from repro.bayes.laplace import log_posterior_fn
+from repro.exceptions import EstimationError
 from repro.metrics.tables import render_table
 
 CANDIDATE_SHAPES = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -32,16 +36,18 @@ def analyse(name, data, prior):
     best_elbo = -float("inf")
     for alpha0 in CANDIDATE_SHAPES:
         posterior = fit_vb2(data, prior, alpha0=alpha0)
-        log_likelihood = log_posterior_fn(data, FLAT, alpha0)(
-            *find_map(data, FLAT, alpha0)
-        )
-        aic = 2 * 2 - 2 * log_likelihood
+        try:
+            log_likelihood = log_posterior_fn(data, FLAT, alpha0)(
+                *find_map(data, FLAT, alpha0)
+            )
+            mle_cells = [f"{log_likelihood:.3f}", f"{2 * 2 - 2 * log_likelihood:.2f}"]
+        except EstimationError:
+            mle_cells = ["no MLE", "-"]
         rows.append(
             [
                 f"alpha0={alpha0:g}",
                 f"{posterior.elbo:.3f}",
-                f"{log_likelihood:.3f}",
-                f"{aic:.2f}",
+                *mle_cells,
                 f"{posterior.mean('omega'):.1f}",
             ]
         )

@@ -79,12 +79,21 @@ def _gibbs_failure_time(
     m_beta, phi_beta = prior.beta.shape, prior.beta.rate
     collapsed = alpha0 == 1.0
 
+    # Sweep invariants, hoisted: each sum is the left operand the sweep's
+    # own expression would form first, so the chain is unchanged bit
+    # for bit.
+    omega_shape = m_omega + me
+    omega_scale = 1.0 / (phi_omega + 1.0)
+    beta_rate = phi_beta + sum_times
+    beta_shape = m_beta + me * alpha0
+    burn_in, thin, n_samples = settings.burn_in, settings.thin, settings.n_samples
+
     # Initial state: crude moment-style guesses; burn-in washes them out.
     omega = float(max(me, 1) * 1.2 + 1.0)
     beta = alpha0 * max(me, 1) / (sum_times + max(me, 1) * horizon)
 
-    samples = np.empty((settings.n_samples, 2))
-    residual_trace = np.empty(settings.n_samples, dtype=np.int64)
+    samples = np.empty((n_samples, 2))
+    residual_trace = np.empty(n_samples, dtype=np.int64)
     variates = 0
     kept = 0
     for sweep in range(settings.total_iterations):
@@ -95,14 +104,12 @@ def _gibbs_failure_time(
         residual = int(rng.poisson(omega * tail_prob))
         variates += 1
 
-        omega = float(
-            rng.gamma(shape=m_omega + me + residual, scale=1.0 / (phi_omega + 1.0))
-        )
+        omega = float(rng.gamma(shape=omega_shape + residual, scale=omega_scale))
         variates += 1
 
         if collapsed:
-            rate = phi_beta + sum_times + residual * horizon
-            beta = float(rng.gamma(shape=m_beta + me * alpha0, scale=1.0 / rate))
+            rate = beta_rate + residual * horizon
+            beta = float(rng.gamma(shape=beta_shape, scale=1.0 / rate))
             variates += 1
         else:
             tail_sum = 0.0
@@ -112,13 +119,13 @@ def _gibbs_failure_time(
                 )
                 tail_sum = float(tail_times.sum())
                 variates += residual
-            rate = phi_beta + sum_times + tail_sum
+            rate = beta_rate + tail_sum
             shape = m_beta + (me + residual) * alpha0
             beta = float(rng.gamma(shape=shape, scale=1.0 / rate))
             variates += 1
 
-        index = sweep - settings.burn_in
-        if index >= 0 and (index + 1) % settings.thin == 0 and kept < settings.n_samples:
+        index = sweep - burn_in
+        if index >= 0 and (index + 1) % thin == 0 and kept < n_samples:
             samples[kept, 0] = omega
             samples[kept, 1] = beta
             residual_trace[kept] = residual

@@ -9,7 +9,8 @@ matching Table 6's (3 + 38) x (10000 + 10 x 20000) = 8.61M variates.
 Sweep structure:
 
 1. latent times: for each interval ``(s_{i-1}, s_i]`` draw the ``x_i``
-   failure times from the gamma lifetime law truncated to the interval;
+   failure times from the gamma lifetime law truncated to the interval
+   (the β draw reads only their sum);
 2. residual count ``N̄ ~ Poisson(ω S̄(s_k; α0, β))``;
 3. ``ω | N̄ ~ Gamma(m_ω + m + N̄, φ_ω + 1)``;
 4. ``β`` from the conjugate gamma conditional, with the censored tail
@@ -49,11 +50,13 @@ def gibbs_grouped(
 ) -> MCMCResult:
     """Run the data-augmentation Gibbs sampler on grouped data.
 
-    Each sweep draws all latent failure times through one
-    :func:`~repro.stats.truncated.truncated_gamma_from_uniform` call on
-    one ``rng.random`` block. At ``alpha0 = 1`` the latent times are the
-    memoryless closed-form inversion and the tail probability is
-    ``exp(-β t_e)``; no special function is called in the sweep.
+    Each sweep draws its latent failure times from one ``rng.random``
+    block and keeps only their sum. At ``alpha0 = 1`` the sum is the
+    memoryless closed form ``Σ lo_j - Σ log1p(u_j expm1(-β w_j))/β``
+    over draws ``j`` on intervals of width ``w_j``, and the tail
+    probability is ``exp(-β t_e)``; no special function is called in
+    the sweep. Otherwise the block maps through
+    :func:`~repro.stats.truncated.truncated_gamma_from_uniform`.
     """
     settings = settings or ChainSettings()
     if rng is None:
@@ -62,55 +65,37 @@ def gibbs_grouped(
         return _gibbs_grouped(data, prior, alpha0, settings, rng, sp)
 
 
-#: From this many terms on, NumPy's ``.sum()`` accumulates a row eight
-#: ways (pairwise); below it, the terms are added left to right.
-_PAIRWISE_FROM = 8
+def _latent_block(intervals, alpha0: float):
+    """``(n, sum_of)``: the number of latent times a sweep draws and the
+    map ``sum_of(u, beta)`` from its ``rng.random(n)`` block to their sum.
 
-
-class _IntervalSums:
-    """Sum of one sweep's latent draws, interval by interval.
-
-    ``draws`` holds each occupied interval's draws back to back, in
-    interval order, ``counts[i]`` of them for interval ``i``. The total
-    is bit-identical to adding each interval's ``segment.sum()`` to a
-    running float in interval order, without a Python loop over the
-    intervals. A row sum of a C-contiguous index block runs the same
-    reduction as ``.sum()`` on the row alone, and a running sum
-    (``np.add.accumulate``) adds the per-interval sums left to right; a
-    reduceat over the offsets would reduce in another order.
-
-    Intervals with fewer than ``_PAIRWISE_FROM`` draws share one block,
-    padded to the longest of them with the index of a zero kept after
-    the draws: those rows add left to right, and trailing zeros add
-    exactly nothing. Each longer draw count ``L``, where ``.sum()`` runs
-    pairwise and padding would change the order, keeps a block
-    ``starts[rows, None] + arange(L)`` of its own.
+    The block holds one uniform per draw, each occupied interval's draws
+    back to back in interval order: one double per draw, as per-interval
+    ``rng.uniform`` calls take, so the variate stream and the Table 6
+    counts are those of a per-interval loop. The β conditional reads only
+    the sum. At ``alpha0 = 1`` memorylessness gives it in closed form,
+    ``Σ lo_j - Σ log1p(u_j expm1(-β w_j))/β`` with ``w_j`` the width of
+    draw ``j``'s interval and ``Σ lo_j`` fixed for the chain; otherwise
+    the block maps through ``truncated_gamma_from_uniform`` and is summed
+    once.
     """
-
-    def __init__(self, counts: np.ndarray) -> None:
-        starts = np.cumsum(counts) - counts
-        total = int(counts.sum())
-        self._padded = np.zeros(total + 1)
-        self._size = counts.size
-        self._blocks = []
-        short = np.flatnonzero(counts < _PAIRWISE_FROM)
-        if short.size:
-            columns = np.arange(counts[short].max())
-            block = np.where(
-                columns < counts[short, None], starts[short, None] + columns, total
+    counts = np.array([count for _, _, count in intervals], dtype=np.int64)
+    draw_lo = np.repeat([lo for lo, _, _ in intervals], counts)
+    draw_hi = np.repeat([hi for _, hi, _ in intervals], counts)
+    if alpha0 != 1.0:
+        def sum_of(u: np.ndarray, beta: float) -> float:
+            return float(
+                truncated_gamma_from_uniform(draw_lo, draw_hi, alpha0, beta, u).sum()
             )
-            self._blocks.append((short, block))
-        for length in np.unique(counts[counts >= _PAIRWISE_FROM]):
-            rows = np.flatnonzero(counts == length)
-            self._blocks.append((rows, starts[rows, None] + np.arange(length)))
+        return int(counts.sum()), sum_of
 
-    def __call__(self, draws: np.ndarray) -> float:
-        padded = self._padded
-        padded[:-1] = draws
-        sums = np.empty(self._size)
-        for rows, block in self._blocks:
-            sums[rows] = np.add.reduce(padded[block], axis=1)
-        return float(np.add.accumulate(sums)[-1])
+    lo_sum = float(draw_lo.sum())
+    neg_width = draw_lo - draw_hi
+
+    def sum_of(u: np.ndarray, beta: float) -> float:
+        return lo_sum - float(np.log1p(u * np.expm1(beta * neg_width)).sum()) / beta
+
+    return int(counts.sum()), sum_of
 
 
 def _gibbs_grouped(
@@ -128,34 +113,23 @@ def _gibbs_grouped(
     m_beta, phi_beta = prior.beta.shape, prior.beta.rate
     collapsed = alpha0 == 1.0
 
-    # Interval geometry hoisted out of the sweep loop: each occupied
-    # interval's bounds repeated once per draw, so all latent times of a
-    # sweep map through ONE truncated_gamma_from_uniform call on ONE
-    # rng.random block. rng.random takes one double per draw, as the
-    # per-interval rng.uniform calls did, and at alpha0 != 1 the map's
-    # p_lo + u (p_hi - p_lo) rounds as rng.uniform(p_lo, p_hi) did: the
-    # variate stream, the Table 6 variate counts and the alpha0 != 1
-    # chains are unchanged bit for bit.
-    int_count = np.array([count for _, _, count in intervals], dtype=np.int64)
-    n_latent = int(int_count.sum())
-    draw_lo = np.repeat([lo for lo, _, _ in intervals], int_count)
-    draw_hi = np.repeat([hi for _, hi, _ in intervals], int_count)
-    latent_sum_of = _IntervalSums(int_count)
+    n_latent, latent_sum_of = _latent_block(intervals, alpha0)
+    omega_shape = m_omega + total
+    omega_scale = 1.0 / (phi_omega + 1.0)
+    beta_shape = m_beta + total * alpha0
+    burn_in, thin, n_samples = settings.burn_in, settings.thin, settings.n_samples
 
     omega = float(max(total, 1) * 1.2 + 1.0)
     beta = 2.0 * alpha0 / horizon
 
-    samples = np.empty((settings.n_samples, 2))
-    residual_trace = np.empty(settings.n_samples, dtype=np.int64)
+    samples = np.empty((n_samples, 2))
+    residual_trace = np.empty(n_samples, dtype=np.int64)
     variates = 0
     kept = 0
     for sweep in range(settings.total_iterations):
         latent_sum = 0.0
         if n_latent:
-            draws = truncated_gamma_from_uniform(
-                draw_lo, draw_hi, alpha0, beta, rng.random(n_latent)
-            )
-            latent_sum = latent_sum_of(draws)
+            latent_sum = latent_sum_of(rng.random(n_latent), beta)
             variates += n_latent
 
         if collapsed:
@@ -165,14 +139,12 @@ def _gibbs_grouped(
         residual = int(rng.poisson(omega * tail_prob))
         variates += 1
 
-        omega = float(
-            rng.gamma(shape=m_omega + total + residual, scale=1.0 / (phi_omega + 1.0))
-        )
+        omega = float(rng.gamma(shape=omega_shape + residual, scale=omega_scale))
         variates += 1
 
         if collapsed:
             rate = phi_beta + latent_sum + residual * horizon
-            beta = float(rng.gamma(shape=m_beta + total * alpha0, scale=1.0 / rate))
+            beta = float(rng.gamma(shape=beta_shape, scale=1.0 / rate))
             variates += 1
         else:
             tail_sum = 0.0
@@ -187,8 +159,8 @@ def _gibbs_grouped(
             beta = float(rng.gamma(shape=shape, scale=1.0 / rate))
             variates += 1
 
-        index = sweep - settings.burn_in
-        if index >= 0 and (index + 1) % settings.thin == 0 and kept < settings.n_samples:
+        index = sweep - burn_in
+        if index >= 0 and (index + 1) % thin == 0 and kept < n_samples:
             samples[kept, 0] = omega
             samples[kept, 1] = beta
             residual_trace[kept] = residual

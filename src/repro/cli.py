@@ -44,7 +44,7 @@ import sys
 
 import numpy as np
 
-from repro.exceptions import ModelSpecificationError
+from repro.exceptions import ModelSpecificationError, ReproError
 from repro.experiments import PAPER_SCALE, QUICK_SCALE
 from repro.obs import TRACE_LEVELS
 
@@ -924,7 +924,12 @@ def _run_bench(args) -> int:
 def _dispatch(args) -> int:
     """Run the selected command (inside the trace context, if any)."""
     if args.command == "fit":
-        print(_run_fit(args))
+        try:
+            print(_run_fit(args))
+        except ReproError as exc:
+            # A library error (no interior mode, a truncation ceiling
+            # hit, ...) is an answer about the input: one line, exit 1.
+            raise SystemExit(f"error: {exc}") from exc
         return 0
     if args.command == "simulate":
         try:

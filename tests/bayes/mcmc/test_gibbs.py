@@ -8,7 +8,7 @@ from scipy import special as sc
 
 from repro.bayes.mcmc.chains import ChainSettings, kept_draws
 from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
-from repro.bayes.mcmc.gibbs_grouped import _IntervalSums, gibbs_grouped
+from repro.bayes.mcmc.gibbs_grouped import _latent_block, gibbs_grouped
 from repro.bayes.priors import ModelPrior
 from repro.data.failure_data import GroupedData
 from repro.stats.truncated import (
@@ -19,9 +19,10 @@ from repro.stats.truncated import (
 
 
 def _per_interval_loop_chain(data, prior, alpha0, settings, special_functions=False):
-    """The grouped direct sweep with its latent sum taken one interval
-    at a time (``np.split`` and ``.sum()`` per interval): the reference
-    that pins ``gibbs_grouped``'s variate stream and arithmetic.
+    """The grouped direct sweep with its latent times drawn one by one
+    and summed one interval at a time (``np.split`` and ``.sum()`` per
+    interval): the reference that pins ``gibbs_grouped``'s variate
+    stream, and its arithmetic to rounding.
 
     At ``alpha0 = 1`` the latent times are the memoryless inversion of
     ``rng.random`` and the tail probability is ``exp(-beta t_e)``, the
@@ -130,13 +131,17 @@ def _special_function_times_chain(data, prior, settings):
 
 
 def _assert_matches_loop(data, prior, alpha0, settings):
+    # The sampler sums each sweep's latent block in one reduction (in
+    # closed form at alpha0 = 1), the loop draw by draw and interval by
+    # interval: the two agree in exact arithmetic, so the chains may
+    # move by rounding only.
     result = gibbs_grouped(data, prior, alpha0, settings=settings)
     samples, residual_trace, variates = _per_interval_loop_chain(
         data, prior, alpha0, settings
     )
-    assert np.array_equal(result.samples, samples)
     assert np.array_equal(result.extra["residual_trace"], residual_trace)
     assert result.variate_count == variates
+    np.testing.assert_allclose(result.samples, samples, rtol=1e-13, atol=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +152,17 @@ def wide_grouped_data():
     counts = np.random.default_rng(5).integers(0, 92, size=40)
     counts[::7] = 0
     return GroupedData(counts, np.linspace(1.0, 40.0, 40))
+
+
+@pytest.fixture(scope="module")
+def multi_width_grouped_data():
+    """Ten intervals of six different widths (0.5 to 3), with empty
+    intervals among them: the latent sum weighs each draw by its own
+    interval's width."""
+    return GroupedData(
+        [3, 0, 5, 2, 7, 1, 0, 4, 6, 2],
+        [0.5, 1.0, 2.0, 2.5, 4.0, 6.0, 6.5, 8.0, 11.0, 12.0],
+    )
 
 
 class TestChainSettings:
@@ -275,10 +291,10 @@ class TestGibbsGrouped:
     def test_latent_draw_block_preserves_variate_stream(
         self, grouped_data, alpha0
     ):
-        # The sweep's one-call latent block must consume the generator
-        # exactly like a per-interval sample_truncated_gamma loop: same
-        # draws, same latent sum, same final rng state — this is what
-        # keeps golden Table 7 and campaign traces frozen.
+        # The sweep's one latent block must consume the generator exactly
+        # like a per-interval sample_truncated_gamma loop, and its sum
+        # must be the loop's to rounding: this keeps golden Table 7 and
+        # campaign traces frozen.
         intervals = [item for item in grouped_data.intervals() if item[2] > 0]
         beta = 2.0 * alpha0 / grouped_data.horizon
 
@@ -291,26 +307,20 @@ class TestGibbsGrouped:
                 ).sum()
             )
 
-        int_count = np.array(
-            [count for _, _, count in intervals], dtype=np.int64
-        )
-        draw_lo = np.repeat([lo for lo, _, _ in intervals], int_count)
-        draw_hi = np.repeat([hi for _, hi, _ in intervals], int_count)
+        n_latent, sum_of = _latent_block(intervals, alpha0)
+        assert n_latent == grouped_data.total_count
+        block_rng = np.random.default_rng(2024)
+        block_sum = sum_of(block_rng.random(n_latent), beta)
 
-        vec_rng = np.random.default_rng(2024)
-        draws = truncated_gamma_from_uniform(
-            draw_lo, draw_hi, alpha0, beta, vec_rng.random(int(int_count.sum()))
-        )
-        vec_sum = _IntervalSums(int_count)(draws)
-
-        assert vec_sum == legacy_sum
+        assert block_sum == pytest.approx(legacy_sum, rel=1e-13, abs=0.0)
         # Stream position identical: next draws coincide.
-        assert vec_rng.uniform() == legacy_rng.uniform()
+        assert block_rng.uniform() == legacy_rng.uniform()
 
     def test_sampler_golden_head(self, grouped_data, info_prior_grouped):
         # Freeze the head of the (omega, beta) chain against the
         # per-interval loop: any change to the sweep's variate
-        # consumption order or arithmetic shows up here immediately.
+        # consumption order shows up here immediately, and any change to
+        # its arithmetic beyond rounding.
         settings = ChainSettings(n_samples=4, burn_in=0, thin=1, seed=777)
         _assert_matches_loop(grouped_data, info_prior_grouped, 1.0, settings)
 
@@ -332,6 +342,17 @@ class TestGibbsGrouped:
         prior = ModelPrior.informative(1.1 * total, 0.2 * total, 0.05, 0.02)
         settings = ChainSettings(n_samples=200, burn_in=50, thin=1, seed=42)
         _assert_matches_loop(wide_grouped_data, prior, alpha0, settings)
+
+    @pytest.mark.parametrize("alpha0", [1.0, 2.0])
+    def test_stream_matches_loop_on_multi_width_intervals(
+        self, multi_width_grouped_data, alpha0
+    ):
+        prior = ModelPrior.informative(40.0, 12.0, 0.2, 0.08)
+        settings = ChainSettings(n_samples=300, burn_in=100, thin=2, seed=43)
+        _assert_matches_loop(multi_width_grouped_data, prior, alpha0, settings)
+        _assert_matches_loop(
+            multi_width_grouped_data, ModelPrior.noninformative(), alpha0, settings
+        )
 
     def test_flat_prior_heavy_tail_behaviour(self, grouped_data, flat_prior):
         # DG-NoInfo: the paper reports wild MCMC excursions (E[omega] in

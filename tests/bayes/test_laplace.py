@@ -1,13 +1,18 @@
 """Tests for the MAP finder and the Laplace approximation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.bayes.laplace import find_map, fit_laplace, log_posterior_fn
+from repro.bayes.laplace import _Profile, find_map, fit_laplace, log_posterior_fn
 from repro.bayes.normal_posterior import NormalPosterior
+from repro.bayes.priors import ModelPrior
 from repro.core.reliability import reliability_increment
+from repro.data.datasets import ntds_failure_times
+from repro.data.failure_data import FailureTimeData, GroupedData
+from repro.exceptions import EstimationError
 from repro.experiments.config import paper_scenarios
 
 
@@ -77,6 +82,95 @@ class TestFindMap:
         omega_hat, beta_hat = find_map(grouped_data, info_prior_grouped)
         assert 35.0 < omega_hat < 55.0
         assert 0.01 < beta_hat < 0.08
+
+    @pytest.mark.parametrize("alpha0", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("scenario", sorted(paper_scenarios()))
+    def test_profile_newton_is_stationary(self, scenario, alpha0):
+        # The Newton step left at the returned MAP, |p'(s)/p''(s)| on the
+        # profile in s = log(beta), is at rounding level; and omega is
+        # the profile's closed-form maximiser, a zero of the omega score.
+        spec = paper_scenarios()[scenario]
+        data, prior = spec.load_data(), spec.prior()
+        omega_hat, beta_hat = find_map(data, prior, alpha0)
+        profile = _Profile(data, prior, alpha0)
+        slope, curvature = profile(math.log(beta_hat))
+        assert curvature < 0.0
+        assert abs(slope / curvature) <= 1e-10
+        log_post = log_posterior_fn(data, prior, alpha0)
+        step = 1e-6 * omega_hat
+        omega_score = (
+            log_post(omega_hat + step, beta_hat) - log_post(omega_hat - step, beta_hat)
+        ) / (2.0 * step)
+        assert abs(omega_score) * omega_hat <= 1e-6
+
+    @pytest.mark.parametrize("counts", [
+        [5000, 0, 0, 0, 1],
+        [100] + [0] * 18 + [1],
+    ], ids=["5-intervals", "20-intervals"])
+    def test_walk_backs_off_where_interval_mass_underflows(self, counts):
+        # The bracket walk's doubling steps overshoot into betas where
+        # the last interval has no model mass (a non-finite profile);
+        # it retries shorter steps and still brackets the mode. Near the
+        # mode that interval's mass is ~1e-14, so its increment must come
+        # from the survival function, not from two CDF values near 1.
+        data = GroupedData(counts, np.arange(1.0, len(counts) + 1.0))
+        prior = ModelPrior.noninformative()
+        _, beta_hat = find_map(data, prior)
+        slope, curvature = _Profile(data, prior, 1.0)(math.log(beta_hat))
+        assert abs(slope / curvature) <= 1e-10
+
+
+class TestNoInteriorMode:
+    """A posterior whose mode lies on the boundary of the parameter
+    space has no Laplace approximation: the fit raises a typed error
+    instead of returning a normal centred on the boundary."""
+
+    def test_ntds_flat_prior_at_half_shape(self):
+        # The profile rises toward beta -> 0 with omega -> infinity.
+        with pytest.raises(EstimationError, match="no interior mode"):
+            fit_laplace(ntds_failure_times(), ModelPrior.noninformative(), 0.5)
+
+    @pytest.mark.parametrize("data", [
+        FailureTimeData(np.array([]), horizon=100.0),
+        GroupedData([0, 0, 0], [1.0, 2.0, 3.0]),
+    ], ids=["times", "grouped"])
+    def test_zero_failures_under_flat_priors(self, data):
+        # m_omega + m = 1: the omega mode is at 0.
+        with pytest.raises(EstimationError, match="no interior mode"):
+            fit_laplace(data, ModelPrior.noninformative())
+
+    def test_grouped_profile_rising_to_a_plateau(self):
+        # Every failure in the first interval: the profile increases
+        # toward beta -> infinity, where its slope underflows to 0.
+        with pytest.raises(EstimationError, match="no interior mode"):
+            find_map(GroupedData([5, 0, 0], [1.0, 2.0, 3.0]),
+                     ModelPrior.noninformative())
+
+    def test_dt_noinfo_half_shape_keeps_its_interior_mode(self):
+        # A flat but interior profile: its slope near the MAP is ~1e-3
+        # per unit of log(beta) away from it.
+        spec = paper_scenarios()["DT-NoInfo"]
+        _, beta_hat = find_map(spec.load_data(), spec.prior(), 0.5)
+        assert beta_hat == pytest.approx(2.83e-7, rel=2e-3)
+
+    def test_bracket_emits_no_numpy_warning(self):
+        # Walks down to the beta*t_e floor, up through a plateau whose
+        # slope underflows, and into betas where an occupied interval
+        # has no model mass left in double precision.
+        flat = ModelPrior.noninformative()
+        cases = [
+            (ntds_failure_times(), 0.5),
+            (GroupedData([5, 0, 0], [1.0, 2.0, 3.0]), 1.0),
+            (GroupedData([0, 0, 5], [1.0, 2.0, 3.0]), 2.0),
+            # The mode puts e^(-101 beta) of mass on the last interval,
+            # below the smallest double.
+            (GroupedData([10**12] + [0] * 100 + [1], np.arange(1.0, 103.0)), 1.0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for data, alpha0 in cases:
+                with pytest.raises(EstimationError, match="LAPL found no MAP"):
+                    find_map(data, flat, alpha0)
 
 
 class TestFitLaplace:
@@ -202,3 +296,40 @@ class TestNormalPosterior:
         draws = posterior.sample(200_000, rng)
         assert draws[:, 0].mean() == pytest.approx(40.0, abs=0.05)
         assert np.cov(draws.T)[0, 1] == pytest.approx(-0.5, abs=0.02)
+
+
+#: ``fit_laplace`` MAP and covariance on the paper's four scenarios
+#: (``repr`` of each float): the MAP as the profile Newton gives it, the
+#: covariance as the inverse of the analytic observed information plus
+#: the prior's curvature at that MAP.
+_LAPLACE_GOLDEN = {
+    "DT-Info": (
+        (43.18509747439235, 9.13620884066076e-06),
+        ((44.110311364716935, -4.180866261915707e-06),
+         (-4.180866261915707e-06, 3.934517992073917e-12)),
+    ),
+    "DT-NoInfo": (
+        (42.53129530230078, 9.33013469868522e-06),
+        ((57.86313750622129, -8.429422328481657e-06),
+         (-8.429422328481657e-06, 6.9253095886999485e-12)),
+    ),
+    "DG-Info": (
+        (43.20898071500164, 0.034176771100925755),
+        ((44.36780374809881, -0.01632588946205509),
+         (-0.01632588946205509, 5.7242427488489925e-05)),
+    ),
+    "DG-NoInfo": (
+        (41.58660828797968, 0.03829017515530129),
+        ((51.926239907068776, -0.0255346088754127),
+         (-0.0255346088754127, 0.00010164719139106233)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAPLACE_GOLDEN))
+def test_laplace_fit_unchanged(name):
+    scenario = paper_scenarios()[name]
+    posterior = fit_laplace(scenario.load_data(), scenario.prior(), scenario.alpha0)
+    mean, cov = _LAPLACE_GOLDEN[name]
+    assert np.array_equal(posterior.map_estimate, np.array(mean))
+    assert np.array_equal(posterior._cov, np.array(cov))

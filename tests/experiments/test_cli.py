@@ -190,6 +190,23 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["fit", "--data", str(csv_path), "--omega-mean", "50"])
 
+    @pytest.mark.parametrize("method", ["laplace", "vb2"])
+    def test_fit_library_error_is_one_line(self, tmp_path, method):
+        # NTDS under flat priors at alpha0 = 0.5: LAPL finds no interior
+        # mode and VB2 hits its truncation ceiling. Each is a typed
+        # library error, reported as one `error:` line.
+        from repro.data.datasets import ntds_failure_times
+        from repro.data.io import save_failure_times_csv
+
+        csv_path = tmp_path / "ntds.csv"
+        save_failure_times_csv(ntds_failure_times(), csv_path)
+        with pytest.raises(SystemExit) as info:
+            main(["fit", "--data", str(csv_path), "--kind", "times",
+                  "--method", method, "--alpha0", "0.5"])
+        message = str(info.value.code)
+        assert message.startswith("error: ")
+        assert "\n" not in message
+
 
 class TestCacheCommands:
     def _simulate(self, tmp_path, capsys):

@@ -2,8 +2,7 @@
 
 ``NHPPModel.log_likelihood_grouped`` adds its terms with one ``cumsum``
 instead of a Python loop over the intervals. It must return the loop's
-value bit for bit, so LAPL's Nelder–Mead search (hundreds of
-evaluations per fit) lands on the same MAP and Hessian.
+value bit for bit.
 """
 
 import math
@@ -13,9 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bayes.laplace import fit_laplace
 from repro.data.failure_data import GroupedData
-from repro.experiments.config import paper_scenarios
 from repro.models.gamma_srm import GammaSRM
 from repro.stats.special import log_factorial
 
@@ -88,40 +85,3 @@ def test_hypothesis_sweep(grouped_data, log_omega, log_beta, alpha0):
     model = GammaSRM(omega=math.exp(log_omega), beta=math.exp(log_beta),
                      alpha0=alpha0)
     _assert_same(model, grouped_data)
-
-
-#: ``fit_laplace`` MAP and covariance on the paper's four scenarios
-#: (``repr`` of each float): the MAP as the per-interval loop gave it,
-#: the covariance as the inverse of the analytic observed information
-#: plus the prior's curvature at that MAP.
-_LAPLACE_GOLDEN = {
-    "DT-Info": (
-        (43.18509633233804, 9.136208632546135e-06),
-        ((44.11030893177436, -4.180865959079767e-06),
-         (-4.180865959079767e-06, 3.934517718663644e-12)),
-    ),
-    "DT-NoInfo": (
-        (42.53129277944236, 9.330135112215147e-06),
-        ((57.86312649528148, -8.429419758606929e-06),
-         (-8.429419758606929e-06, 6.925308986287497e-12)),
-    ),
-    "DG-Info": (
-        (43.20897985704694, 0.034176771284314046),
-        ((44.36780160287494, -0.016325888309745053),
-         (-0.016325888309745053, 5.7242426393268016e-05)),
-    ),
-    "DG-NoInfo": (
-        (41.58660827078262, 0.0382901753763262),
-        ((51.926239706660496, -0.025534608609793116),
-         (-0.025534608609793116, 0.00010164719185562108)),
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_LAPLACE_GOLDEN))
-def test_laplace_fit_unchanged(name):
-    scenario = paper_scenarios()[name]
-    posterior = fit_laplace(scenario.load_data(), scenario.prior(), scenario.alpha0)
-    mean, cov = _LAPLACE_GOLDEN[name]
-    assert np.array_equal(posterior.map_estimate, np.array(mean))
-    assert np.array_equal(posterior._cov, np.array(cov))
