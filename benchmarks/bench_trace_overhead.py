@@ -53,11 +53,6 @@ _STUB_NAMES = (
     "observe",
     "event",
     "timing_sample",
-    "metric_counter",
-    "metric_gauge",
-    "metric_observe",
-    "metric_latency",
-    "fit_health",
     "progress",
 )
 
@@ -121,9 +116,9 @@ def _measure_fit(fit, repeat: int) -> dict[str, float]:
 
     enabled = _best_of(traced, repeat)
 
-    # The metrics/profile path: timing-level capture additionally feeds
-    # the labeled latency histograms, and the captured span stream is
-    # folded into the call-tree profile. Both are enabled-mode features,
+    # The timing/profile path: timing-level capture additionally records
+    # wall-clock on every span, and the captured span stream is folded
+    # into the call-tree profile. Both are enabled-mode features,
     # reported for context like `enabled_s`.
     def traced_timing():
         with obs.capture(level="timing"):
@@ -171,7 +166,7 @@ def render(workloads: dict[str, dict[str, float]], repeat: int) -> str:
             f"({stats['enabled_overhead']:+.2%} vs stubbed, summary capture)",
             f"    timing    {stats['enabled_timing_s'] * 1e3:8.3f} ms   "
             f"({stats['enabled_timing_overhead']:+.2%} vs stubbed, "
-            "metrics histograms live)",
+            "wall-clock spans)",
             f"    profile   {stats['profile_build_s'] * 1e3:8.3f} ms   "
             "(span stream -> folded call tree)",
         ])

@@ -28,11 +28,16 @@ import numpy as np
 from repro import obs
 from repro.bayes.normal_posterior import NormalPosterior
 from repro.bayes.priors import ModelPrior
-from repro.bayes.sandwich import _g_dbeta, _g_dbeta2, _g_value, observed_information
+from repro.bayes.sandwich import (
+    _g_dbeta,
+    _g_dbeta2,
+    _g_increments,
+    _g_value,
+    observed_information,
+)
 from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.exceptions import EstimationError
 from repro.models.gamma_srm import GammaSRM
-from repro.stats import scipy_special as sc
 
 __all__ = ["find_map", "fit_laplace", "log_posterior_fn"]
 
@@ -115,7 +120,7 @@ class _Profile:
         self.evaluations += 1
         beta = math.exp(s)
         alpha0 = self.alpha0
-        g0 = _g_value(self.edges, alpha0, beta)
+        g0, inc = _g_increments(self.edges, alpha0, beta)
         g1 = _g_dbeta(self.edges, alpha0, beta)
         g2 = _g_dbeta2(self.edges, alpha0, beta)
         denom = self.phi_omega + g0[-1]
@@ -125,13 +130,6 @@ class _Profile:
             s1 = self.count * alpha0 - beta * self.sum_times
             ds1 = -beta * self.sum_times
         else:
-            inc = np.diff(g0)
-            # Past the median a CDF difference loses its digits to
-            # cancellation; the survival difference keeps them.
-            upper = g0[:-1] > 0.5
-            if upper.any():
-                survival = sc.gammaincc(alpha0, beta * self.edges)
-                inc = np.where(upper, -np.diff(survival), inc)
             inc = inc[self.occupied]
             with np.errstate(divide="ignore", invalid="ignore"):
                 q1 = beta * np.diff(g1)[self.occupied] / inc
@@ -251,11 +249,6 @@ def find_map(
     if obs.enabled():
         obs.observe("laplace.map_iterations", steps)
         obs.observe("laplace.map_evaluations", profile.evaluations)
-        obs.fit_health(
-            "LAPL",
-            iterations=steps,
-            objective=-log_posterior_fn(data, prior, alpha0)(omega_hat, beta_hat),
-        )
     return omega_hat, beta_hat
 
 
@@ -312,6 +305,8 @@ def fit_laplace(
         }
         if obs.enabled():
             obs.counter_add("laplace.fits")
+            obs.observe("laplace.log_posterior_at_map",
+                        posterior.diagnostics["log_posterior_at_map"])
             if sp.collecting:
                 posterior.diagnostics["telemetry"] = sp.telemetry()
         return posterior

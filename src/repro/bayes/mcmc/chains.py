@@ -50,7 +50,6 @@ def record_sampler_telemetry(
         ess_beta = effective_sample_size(samples[:, 1])
         obs.observe("mcmc.ess_omega", ess_omega)
         obs.observe("mcmc.ess_beta", ess_beta)
-        obs.fit_health("MCMC", ess_omega=ess_omega, ess_beta=ess_beta)
     for key, value in extra_metrics.items():
         obs.observe(f"mcmc.{key}", float(value))
 

@@ -23,6 +23,7 @@ from repro import obs
 from repro.bayes.grid_posterior import GridPosterior
 from repro.bayes.joint import JointPosterior
 from repro.bayes.priors import ModelPrior
+from repro.bayes.sandwich import _g_increments
 from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.stats.quadrature import TensorGrid
 
@@ -69,10 +70,11 @@ def log_posterior_matrix(
         observed = data.total_count
         # One broadcast over the whole (beta, edge) mesh instead of a
         # Python loop per beta row: the incomplete-gamma evaluation at
-        # every node lands in a single ufunc call.
+        # every node lands in one ufunc call (and one more for the
+        # survival differences past the median).
         mask = data.counts > 0
-        cdf_vals = sc.gammainc(alpha0, np.outer(beta_nodes, edges))
-        increments = np.diff(cdf_vals, axis=1)[:, mask]
+        _, increments = _g_increments(edges, alpha0, beta_nodes[:, None])
+        increments = increments[:, mask]
         bad = np.any(increments <= 0.0, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_inc = np.log(increments)
@@ -164,11 +166,6 @@ def fit_nint(
             obs.observe("nint.nodes_omega", grid.x.size)
             obs.observe("nint.nodes_beta", grid.y.size)
             obs.observe("nint.log_normaliser", posterior.log_normaliser)
-            obs.fit_health(
-                "NINT",
-                nodes=grid.x.size * grid.y.size,
-                log_normaliser=posterior.log_normaliser,
-            )
             if sp.collecting:
                 posterior.diagnostics = {"telemetry": sp.telemetry()}
         return posterior

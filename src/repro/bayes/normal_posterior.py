@@ -32,21 +32,11 @@ class NormalPosterior(JointPosterior):
         Length-2 location (the MAP estimate).
     cov:
         2x2 covariance (inverse negative Hessian at the MAP).
-    c_derivative:
-        Optional callable ``beta -> dc/dβ`` used by the delta-method
-        reliability interval; when absent a central difference on ``c``
-        is used.
     """
 
     method_name = "LAPL"
 
-    def __init__(
-        self,
-        mean: np.ndarray,
-        cov: np.ndarray,
-        *,
-        c_derivative: Callable[[float], float] | None = None,
-    ) -> None:
+    def __init__(self, mean: np.ndarray, cov: np.ndarray) -> None:
         mean = np.asarray(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
         if mean.shape != (2,):
@@ -59,7 +49,6 @@ class NormalPosterior(JointPosterior):
             raise ValueError("covariance diagonal must be positive")
         self._mean = mean
         self._cov = 0.5 * (cov + cov.T)  # symmetrise
-        self._c_derivative = c_derivative
 
     # ------------------------------------------------------------------
     @property
@@ -70,15 +59,11 @@ class NormalPosterior(JointPosterior):
     def with_covariance(self, cov: np.ndarray) -> "NormalPosterior":
         """Copy of this posterior with a replaced covariance.
 
-        Keeps the MAP location and the reliability-derivative hook; the
-        sandwich correction (:func:`repro.bayes.sandwich.apply_sandwich`)
-        uses this because an affine spread change of a normal is again a
-        normal in closed form.
+        Keeps the MAP location; the sandwich correction
+        (:func:`repro.bayes.sandwich.apply_sandwich`) uses this because an
+        affine spread change of a normal is again a normal in closed form.
         """
-        return NormalPosterior(
-            self._mean, np.asarray(cov, dtype=float),
-            c_derivative=self._c_derivative,
-        )
+        return NormalPosterior(self._mean, np.asarray(cov, dtype=float))
 
     def mean(self, param: str) -> float:
         return float(self._mean[_PARAM_INDEX[self._check_param(param)]])
@@ -147,11 +132,8 @@ class NormalPosterior(JointPosterior):
         omega_hat, beta_hat = self._mean
         c_hat = float(c(beta_hat))
         r_hat = math.exp(-omega_hat * c_hat)
-        if self._c_derivative is not None:
-            dc = float(self._c_derivative(beta_hat))
-        else:
-            step = 1e-6 * beta_hat
-            dc = float(c(beta_hat + step) - c(beta_hat - step)) / (2.0 * step)
+        step = 1e-6 * beta_hat
+        dc = float(c(beta_hat + step) - c(beta_hat - step)) / (2.0 * step)
         grad = np.array([-c_hat * r_hat, -omega_hat * dc * r_hat])
         var = float(grad @ self._cov @ grad)
         return r_hat, math.sqrt(max(var, 0.0))

@@ -74,6 +74,25 @@ def _g_value(t: np.ndarray, alpha0: float, beta: float) -> np.ndarray:
     return sc.gammainc(alpha0, beta * np.clip(t, 0.0, None))
 
 
+def _g_increments(edges: np.ndarray, alpha0: float, beta) -> tuple:
+    """``(G, ΔG)``: ``G`` at the interval ``edges`` and its increments
+    between consecutive edges (along the last axis).
+
+    ``beta`` is a scalar, or a column of nodes (NINT's β axis) giving
+    one row per node. Past the median a CDF difference loses its digits
+    to cancellation; there the increment is the survival difference
+    ``Q(α0, βt_{i-1}) - Q(α0, βt_i)``, which keeps them.
+    """
+    scaled = beta * np.clip(edges, 0.0, None)
+    g = sc.gammainc(alpha0, scaled)
+    inc = np.diff(g, axis=-1)
+    upper = g[..., :-1] > 0.5
+    if upper.any():
+        survival = sc.gammaincc(alpha0, scaled)
+        inc = np.where(upper, -np.diff(survival, axis=-1), inc)
+    return g, inc
+
+
 def _g_dbeta(t: np.ndarray, alpha0: float, beta: float) -> np.ndarray:
     """``∂G/∂β = t (βt)^{α0-1} e^{-βt} / Γ(α0)`` (= ``(t/β) g(t)``)."""
     t = np.asarray(t, dtype=float)
@@ -142,7 +161,7 @@ def observed_information(
     if isinstance(data, GroupedData):
         edges = data.interval_edges()
         counts = data.counts.astype(float)
-        d_g = np.diff(_g_value(edges, alpha0, beta))
+        _, d_g = _g_increments(edges, alpha0, beta)
         d_dg = np.diff(_g_dbeta(edges, alpha0, beta))
         d_ddg = np.diff(_g_dbeta2(edges, alpha0, beta))
         occupied = counts > 0
@@ -202,7 +221,7 @@ def score_covariance(
             raise ValueError("grouped data needs at least 2 intervals for B")
         edges = data.interval_edges()
         counts = data.counts.astype(float)
-        d_g = np.diff(_g_value(edges, alpha0, beta))
+        _, d_g = _g_increments(edges, alpha0, beta)
         d_dg = np.diff(_g_dbeta(edges, alpha0, beta))
         ratio = np.zeros(counts.shape)
         occupied = counts > 0
@@ -455,11 +474,9 @@ def apply_sandwich(
     kappa = np.maximum(raw, 1.0)
     if obs.enabled():
         method = getattr(posterior, "method_name", None) or "posterior"
-        obs.fit_health(
-            f"{method}+SW",
-            kappa_omega=float(kappa[0]),
-            kappa_beta=float(kappa[1]),
-        )
+        prefix = "sandwich." + method.lower().replace("+", "_")
+        obs.observe(f"{prefix}.kappa_omega", float(kappa[0]))
+        obs.observe(f"{prefix}.kappa_beta", float(kappa[1]))
     diagnostics = {
         "variance_correction": "sandwich",
         "kappa_omega": float(kappa[0]),

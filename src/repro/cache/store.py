@@ -271,11 +271,6 @@ class PosteriorCache:
     def __len__(self) -> int:
         return len(self._memory)
 
-    def memory_keys(self) -> list[str]:
-        """LRU-ordered keys (oldest first) of the in-process tier."""
-        with self._lock:
-            return list(self._memory)
-
     def disk_entries(self) -> list[str]:
         """Keys of every complete artifact on disk (sorted)."""
         if self.cache_dir is None or not self.cache_dir.exists():

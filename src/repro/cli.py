@@ -267,11 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format: human-readable tables or a JSON summary",
     )
     report.add_argument(
-        "--metrics", action="store_true",
-        help="also render the labeled metrics snapshot "
-        "(counters/gauges/log-bucket histograms)",
-    )
-    report.add_argument(
         "--profile", action="store_true",
         help="also render the aggregated span call tree "
         "(call counts, self/cumulative wall time)",
@@ -798,7 +793,6 @@ def _run_report(args) -> str:
         render_report,
         summarise_report,
     )
-    from repro.obs.report import render_metrics
 
     try:
         events = load_validated_trace(args.trace_file)
@@ -826,8 +820,6 @@ def _run_report(args) -> str:
         return _json.dumps(payload, indent=2, sort_keys=True)
 
     parts = [render_report(events)]
-    if args.metrics:
-        parts.append("## metrics snapshot\n" + render_metrics(events))
     if args.profile:
         parts.append("## span profile\n" + render_profile(profile_root))
     if args.folded:

@@ -227,14 +227,12 @@ def fit_vb2_fleet(
             total_lanes = sum(st.lanes_done for st in states)
             obs.counter_add("fleet.vb2.fits", count)
             obs.counter_add("vb2.solves", total_lanes)
-            obs.fit_health(
-                "VB2_FLEET",
-                datasets=count,
-                lanes=total_lanes,
-                iterations=sum(st.evaluations for st in states),
-                growth_rounds=sum(st.growth_rounds for st in states),
-                residual=max(d["tail_mass"] for d in diags),
-            )
+            obs.observe("fleet.vb2.iterations",
+                        sum(st.evaluations for st in states))
+            obs.observe("fleet.vb2.growth_rounds",
+                        sum(st.growth_rounds for st in states))
+            obs.observe("fleet.vb2.tail_mass",
+                        max(d["tail_mass"] for d in diags))
     return FleetResult("VB2", builders, diags, elbos)
 
 
@@ -295,7 +293,5 @@ def fit_vb1_fleet(
                 total_outer += diags[i]["iterations"]
         if obs.enabled():
             obs.counter_add("fleet.vb1.fits", count)
-            obs.fit_health(
-                "VB1_FLEET", datasets=count, iterations=total_outer
-            )
+            obs.observe("fleet.vb1.iterations", total_outer)
     return FleetResult("VB1", builders, diags, elbos)

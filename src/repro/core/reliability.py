@@ -56,29 +56,6 @@ class ReliabilityIncrement:
             return float(out)
         return out
 
-    def derivative(self, beta: float) -> float:
-        """``dc/dβ``, used by the Laplace delta method.
-
-        From ``d/dβ G(t; α0, β) = (t/β) g(t; α0, β)``.
-        """
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
-
-        def t_times_pdf(t: float) -> float:
-            if t <= 0.0 or t == np.inf:  # t g(t) vanishes at both ends
-                return 0.0
-            log_g = (
-                self.alpha0 * np.log(beta)
-                + (self.alpha0 - 1.0) * np.log(t)
-                - beta * t
-                - float(sc.gammaln(self.alpha0))
-            )
-            return float(t * np.exp(log_g))
-
-        return (
-            t_times_pdf(self.te + self.u) - t_times_pdf(self.te)
-        ) / beta
-
 
 def reliability_increment(alpha0: float, te: float, u: float) -> ReliabilityIncrement:
     """Build the ``c(β)`` function for a gamma-type model."""

@@ -85,10 +85,8 @@ def fit_vb1(
             if warm is not None:
                 obs.counter_add("vb1.warm_fits")
                 obs.observe("vb1.warm.outer_iterations", iteration)
-            obs.fit_health(
-                "VB1", iterations=iteration, elbo=elbo, lambda_star=lam,
-                warm_start=float(warm is not None),
-            )
+            if elbo is not None:
+                obs.observe("vb1.elbo", elbo)
             if sp.collecting:
                 diagnostics["telemetry"] = sp.telemetry()
     return _vb1_posterior(lane)

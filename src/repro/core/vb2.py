@@ -394,16 +394,8 @@ def fit_vb2(
             if warm is not None:
                 obs.counter_add("vb2.warm_fits")
                 obs.observe("vb2.warm.fixed_point_iterations", iterations)
-            # Tail mass stands in for a residual: the conditional solves
-            # converge per lane, and what remains is truncation error.
-            obs.fit_health(
-                "VB2",
-                iterations=iterations,
-                residual=diagnostics["tail_mass"],
-                elbo=elbo,
-                nmax=diagnostics["nmax"],
-                warm_start=float(warm is not None),
-            )
+            if elbo is not None:
+                obs.observe("vb2.elbo", elbo)
             if sp.collecting:
                 diagnostics["telemetry"] = sp.telemetry()
         return state.posterior(weights, elbo, diagnostics)

@@ -15,7 +15,6 @@ from repro.data.datasets import (
 from repro.data.fleet import (
     FleetGroupedStats,
     FleetTimesStats,
-    dedupe_datasets,
     load_fleet_manifest,
     pack_grouped,
     pack_times,
@@ -26,7 +25,6 @@ __all__ = [
     "FleetGroupedStats",
     "pack_times",
     "pack_grouped",
-    "dedupe_datasets",
     "load_fleet_manifest",
     "FailureTimeData",
     "GroupedData",

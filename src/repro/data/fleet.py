@@ -3,9 +3,8 @@
 Fleet fitting (:mod:`repro.core.fleet`) sweeps thousands of projects'
 failure histories through one vectorized solve. This module owns the
 data side of that: packing ragged per-project histories into the
-flat lane-major arrays the dataset-lane solvers consume, value-based
-deduplication of repeated histories, and the JSON manifest format the
-CLI's ``repro fit --fleet`` reads.
+flat lane-major arrays the dataset-lane solvers consume, and the JSON
+manifest format the CLI's ``repro fit --fleet`` reads.
 
 In the packed layout, per-dataset segments concatenate lane-major
 into one flat array, with ``offsets`` delimiting each dataset's slice
@@ -33,7 +32,6 @@ __all__ = [
     "FleetGroupedStats",
     "pack_times",
     "pack_grouped",
-    "dedupe_datasets",
     "load_fleet_manifest",
 ]
 
@@ -92,10 +90,6 @@ class FleetGroupedStats:
 
     def __len__(self) -> int:
         return self.total.size
-
-    def interval_counts_per_dataset(self) -> np.ndarray:
-        """Number of occupied intervals per dataset."""
-        return np.diff(self.offsets)
 
 
 def pack_times(datasets) -> FleetTimesStats:
@@ -158,30 +152,6 @@ def pack_grouped(datasets) -> FleetGroupedStats:
 
 def _concat(parts) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0)
-
-
-def dedupe_datasets(datasets):
-    """Collapse value-equal datasets, returning ``(unique, index)``.
-
-    ``unique`` preserves first-seen order; ``index[i]`` maps dataset
-    ``i`` of the input to its representative in ``unique``. Relies on
-    the value-based ``__eq__``/``__hash__`` of the data containers, so
-    byte-identical histories loaded from different files collapse too.
-    Fleet callers fit only the unique histories and fan results back
-    out through ``index``.
-    """
-    datasets = list(datasets)
-    unique = []
-    seen: dict = {}
-    index = np.empty(len(datasets), dtype=np.intp)
-    for i, data in enumerate(datasets):
-        j = seen.get(data)
-        if j is None:
-            j = len(unique)
-            seen[data] = j
-            unique.append(data)
-        index[i] = j
-    return unique, index
 
 
 def load_fleet_manifest(path):

@@ -131,12 +131,20 @@ class NHPPModel(abc.ABC):
         over ``[−ω G(s_k), x_1 (log ΔG_1 + log ω), −log x_1!, …]``: the
         same left-to-right float additions, in the same order, as a loop
         over the intervals. ``log ΔG_i`` is taken with ``math.log`` (libm),
-        which NumPy's ``log`` can differ from by an ulp.
+        which NumPy's ``log`` can differ from by an ulp. Past the median
+        ``ΔG_i`` is a survival difference: a CDF difference there loses
+        its digits to cancellation.
         """
-        cdf_vals = np.asarray(self.lifetime_cdf(data.interval_edges()), dtype=float)
+        edges = data.interval_edges()
+        cdf_vals = np.asarray(self.lifetime_cdf(edges), dtype=float)
         occupied = data.counts > 0
         counts = data.counts[occupied]
-        increments = np.diff(cdf_vals)[occupied]
+        increments = np.diff(cdf_vals)
+        upper = cdf_vals[:-1] > 0.5
+        if upper.any():
+            survival = np.asarray(self.lifetime_sf(edges), dtype=float)
+            increments = np.where(upper, -np.diff(survival), increments)
+        increments = increments[occupied]
         if np.any(increments <= 0.0):
             return -math.inf  # data in an interval the model gives zero mass
         log_increments = np.fromiter(

@@ -1,11 +1,11 @@
 """Observability layer: structured tracing, metrics, and run reports.
 
-See :mod:`repro.obs.core` for the collector design, :mod:`repro.obs.
-events` for the event schema, :mod:`repro.obs.metrics` for the labeled
-campaign metrics registry, :mod:`repro.obs.profile` for span-tree
-profiling, :mod:`repro.obs.ledger` for the unified BENCH perf ledger,
-and ``docs/OBSERVABILITY.md`` for the span/metric taxonomy and how to
-read a trace.
+See :mod:`repro.obs.core` for the collector design (its counters and
+histograms are the one telemetry store), :mod:`repro.obs.events` for
+the event schema, :mod:`repro.obs.profile` for span-tree profiling,
+:mod:`repro.obs.ledger` for the unified BENCH perf ledger, and
+``docs/OBSERVABILITY.md`` for the span/metric taxonomy and how to read
+a trace.
 """
 
 from repro.obs.core import (
@@ -17,11 +17,6 @@ from repro.obs.core import (
     counter_add,
     enabled,
     event,
-    fit_health,
-    metric_counter,
-    metric_gauge,
-    metric_latency,
-    metric_observe,
     observe,
     progress,
     span,
@@ -40,7 +35,6 @@ from repro.obs.ledger import compare as compare_bench
 from repro.obs.ledger import load_ledger, render_ledger
 from repro.obs.ledger import self_check as self_check_bench
 from repro.obs.logcfg import configure_verbosity, package_logger
-from repro.obs.metrics import LogHistogram, MetricsRegistry
 from repro.obs.profile import (
     ProfileNode,
     build_profile,
@@ -59,8 +53,6 @@ __all__ = [
     "Heartbeat",
     "Histogram",
     "JsonlSink",
-    "LogHistogram",
-    "MetricsRegistry",
     "ProfileNode",
     "active",
     "build_profile",
@@ -70,14 +62,9 @@ __all__ = [
     "counter_add",
     "enabled",
     "event",
-    "fit_health",
     "fold_stacks",
     "load_ledger",
     "load_validated_trace",
-    "metric_counter",
-    "metric_gauge",
-    "metric_latency",
-    "metric_observe",
     "observe",
     "package_logger",
     "progress",

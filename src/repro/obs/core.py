@@ -16,8 +16,11 @@ changing a single numerical result. Design constraints, in order:
    traces byte-identically to a serial run. Wall-clock durations appear
    only at the ``"timing"`` and ``"debug"`` levels.
 3. **Aggregation over event spam.** Counters and histograms aggregate
-   in memory (count/total/min/max/sum-of-squares); only spans, point
-   events, and the final summary are materialised as events.
+   in memory (count/total/min/max/sum-of-squares plus fixed log-bucket
+   counts); only spans, point events, and the final summary are
+   materialised as events. They are the package's one telemetry store:
+   per-fit solver health (VB2 ``nmax``, ELBOs, sandwich ``kappa``) is
+   recorded here under its method's prefix, once.
 
 Usage::
 
@@ -41,7 +44,6 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
 from repro.obs.events import SCHEMA_VERSION, sanitise_value
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "TRACE_LEVELS",
@@ -54,11 +56,6 @@ __all__ = [
     "event",
     "span",
     "timing_sample",
-    "metric_counter",
-    "metric_gauge",
-    "metric_observe",
-    "metric_latency",
-    "fit_health",
     "progress",
     "capture",
     "tracing",
@@ -77,14 +74,39 @@ _logger = logging.getLogger("repro.obs")
 _COLLECTOR: "Collector | None" = None
 
 
-class Histogram:
-    """Streaming scalar aggregate: count, total, min, max, variance.
+#: Fixed bucket grid: 4 log-spaced buckets per decade over [1e-9, 1e9)
+#: (nanoseconds and tiny residuals up to large counts). Values outside
+#: clamp into the edge buckets; the grid never adapts to the data, so
+#: merging two histograms adds integer bucket counts.
+BUCKETS_PER_DECADE = 4
+_MIN_INDEX = -9 * BUCKETS_PER_DECADE
+_MAX_INDEX = 9 * BUCKETS_PER_DECADE - 1
 
-    Keeps the sum of squares so that independently collected histograms
-    merge exactly (worker traces folding into a campaign trace).
+
+def bucket_index(value: float) -> int:
+    """Grid bucket of a positive value (clamped into the edge buckets)."""
+    idx = math.floor(math.log10(min(value, 1e9)) * BUCKETS_PER_DECADE)
+    return min(max(idx, _MIN_INDEX), _MAX_INDEX)
+
+
+def bucket_bounds(index: int) -> tuple[float, float]:
+    """``[lo, hi)`` bounds of one bucket of the grid."""
+    return (10.0 ** (index / BUCKETS_PER_DECADE),
+            10.0 ** ((index + 1) / BUCKETS_PER_DECADE))
+
+
+class Histogram:
+    """Streaming scalar aggregate: count, total, min, max, variance, and
+    counts on the fixed log-bucket grid.
+
+    Keeps the sum of squares and the bucket counts so that
+    independently collected histograms merge (worker traces folding
+    into a campaign trace); :meth:`summary` reads approximate
+    quantiles off the buckets.
     """
 
-    __slots__ = ("count", "total", "sumsq", "min", "max")
+    __slots__ = ("count", "total", "sumsq", "min", "max", "buckets",
+                 "nonpos")
 
     def __init__(self) -> None:
         self.count = 0
@@ -92,6 +114,8 @@ class Histogram:
         self.sumsq = 0.0
         self.min = math.inf
         self.max = -math.inf
+        self.buckets: dict[int, int] = {}
+        self.nonpos = 0
 
     def record(self, value: float) -> None:
         value = float(value)
@@ -102,6 +126,11 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
+        if value > 0.0:
+            idx = bucket_index(value)
+            self.buckets[idx] = self.buckets.get(idx, 0) + 1
+        else:
+            self.nonpos += 1
 
     @property
     def mean(self) -> float:
@@ -115,14 +144,33 @@ class Histogram:
         mean = self.mean
         return math.sqrt(max(self.sumsq / self.count - mean * mean, 0.0))
 
+    def quantile(self, q: float) -> float | None:
+        """Bucket-resolution ``q``-quantile: the geometric midpoint of
+        the bucket that holds it. ``None`` when the histogram is empty
+        or holds a value that is not positive (<= 0 or NaN): log
+        buckets order positive values only.
+        """
+        if not self.count or self.nonpos:
+            return None
+        target = q * self.count
+        seen = 0
+        for idx in sorted(self.buckets):
+            seen += self.buckets[idx]
+            if seen >= target:
+                break
+        lo, hi = bucket_bounds(idx)
+        return math.sqrt(lo * hi)
+
     def state(self) -> dict:
-        """Exact mergeable state (for shipping across processes)."""
+        """Mergeable state (for shipping across processes)."""
         return {
             "count": self.count,
             "total": self.total,
             "sumsq": self.sumsq,
             "min": self.min,
             "max": self.max,
+            "buckets": dict(sorted(self.buckets.items())),
+            "nonpos": self.nonpos,
         }
 
     def merge_state(self, state: dict) -> None:
@@ -132,6 +180,9 @@ class Histogram:
         self.sumsq += float(state["sumsq"])
         self.min = min(self.min, float(state["min"]))
         self.max = max(self.max, float(state["max"]))
+        for idx, count in state["buckets"].items():
+            self.buckets[idx] = self.buckets.get(idx, 0) + count
+        self.nonpos += int(state["nonpos"])
 
     def summary(self) -> dict:
         """JSON-ready summary for trace summary events."""
@@ -142,6 +193,9 @@ class Histogram:
             "std": self.std,
             "min": self.min,
             "max": self.max,
+            "p50": self.quantile(0.5),
+            "p90": self.quantile(0.9),
+            "p99": self.quantile(0.99),
         }
 
 
@@ -250,7 +304,6 @@ class Collector:
         self.counters: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
         self.span_stats: dict[str, dict] = {}
-        self.metrics = MetricsRegistry()
         self._stack: list[str] = []
         self._collecting: list[_Span] = []
         self._seq = 0
@@ -339,22 +392,13 @@ class Collector:
         """Emit the aggregate view as a ``summary`` event."""
         return self.emit("summary", **self.summary())
 
-    def emit_metrics(self) -> dict | None:
-        """Emit the metrics registry as a ``metrics`` snapshot event.
-
-        Skipped entirely when the registry is empty so traces from code
-        that records no labeled metrics keep their pre-schema-2 shape.
-        """
-        if self.metrics.empty:
-            return None
-        return self.emit("metrics", **self.metrics.snapshot())
-
     def export(self) -> dict:
         """Serialisable payload for merging into a parent collector.
 
-        Everything in the payload is plain JSON-compatible data, so it
-        crosses a process boundary by pickling without losing exactness
-        (histogram merge uses the raw sums, not the derived mean/std).
+        Everything in the payload is plain Python data, so it crosses a
+        process boundary by pickling without losing exactness (histogram
+        merge uses the raw sums and bucket counts, not the derived
+        mean/std/quantiles).
         """
         return {
             "events": list(self.events),
@@ -365,7 +409,6 @@ class Collector:
             "spans": {
                 name: dict(stats) for name, stats in self.span_stats.items()
             },
-            "metrics": self.metrics.export(),
         }
 
     def merge(self, payload: dict, *, rep: int | None = None) -> None:
@@ -397,10 +440,6 @@ class Collector:
             mine["errors"] += stats["errors"]
             if "wall_s" in stats:
                 mine["wall_s"] = mine.get("wall_s", 0.0) + stats["wall_s"]
-        # Payloads from pre-metrics exports simply lack the key.
-        metrics_state = payload.get("metrics")
-        if metrics_state:
-            self.metrics.merge(metrics_state)
 
 
 # -- module-level API (all no-ops when no collector is installed) ------
@@ -474,67 +513,6 @@ def timing_sample(label: str, samples) -> None:
     )
 
 
-def metric_counter(name: str, value: float = 1, **labels) -> None:
-    """Add to a labeled campaign metric counter (no-op when disabled)."""
-    col = _COLLECTOR
-    if col is not None:
-        col.metrics.counter_add(name, value, labels or None)
-
-
-def metric_gauge(name: str, value: float, **labels) -> None:
-    """Set a labeled last-write-wins gauge (no-op when disabled)."""
-    col = _COLLECTOR
-    if col is not None:
-        col.metrics.gauge_set(name, value, labels or None)
-
-
-def metric_observe(name: str, value: float, **labels) -> None:
-    """Record into a labeled log-bucket histogram (no-op when off).
-
-    For deterministic solver quantities (iterations, residuals, ELBO).
-    Wall-clock latencies must go through :func:`metric_latency` instead
-    so the default summary-level trace stays byte-identical between
-    serial and parallel campaign runs.
-    """
-    col = _COLLECTOR
-    if col is not None:
-        col.metrics.observe(name, value, labels or None)
-
-
-def metric_latency(name: str, seconds: float, **labels) -> None:
-    """Record a wall-clock latency histogram sample.
-
-    Only recorded at the ``timing`` level and above — like
-    :func:`timing_sample`, wall-clock values are non-deterministic and
-    would break campaign byte-identity at the default level.
-    """
-    col = _COLLECTOR
-    if col is not None and col.timing:
-        col.metrics.observe(name, seconds, labels or None)
-
-
-def fit_health(method: str, **values) -> None:
-    """Record per-fit solver-health metrics for one posterior method.
-
-    Each keyword becomes both a ``fit.<key>{method=...}`` gauge (the
-    latest fit's value) and a histogram observation (the campaign-wide
-    distribution). ``None`` values are skipped, so callers can pass
-    optional quantities (e.g. an ELBO that is undefined under improper
-    priors) unconditionally.
-    """
-    col = _COLLECTOR
-    if col is None:
-        return
-    for key, value in values.items():
-        if value is None:
-            continue
-        value = float(value)
-        name = f"fit.{key}"
-        labels = {"method": method}
-        col.metrics.gauge_set(name, value, labels)
-        col.metrics.observe(name, value, labels)
-
-
 def progress(label: str, done: int, total: int, **extra) -> None:
     """Emit a campaign ``progress`` heartbeat event.
 
@@ -572,7 +550,6 @@ def tracing(path, level: str = "summary", **meta) -> Iterator[Collector]:
     """Capture telemetry and stream it to a JSONL trace file.
 
     Writes a ``meta`` header event first, then — after the block — a
-    ``metrics`` snapshot (when any labeled metrics were recorded) and a
     ``summary`` event (the aggregated counters/histograms/span stats),
     then closes the file. ``meta`` keyword arguments land in the header
     event.
@@ -584,7 +561,6 @@ def tracing(path, level: str = "summary", **meta) -> Iterator[Collector]:
         with capture(level=level, sink=sink) as collector:
             collector.emit("meta", schema=SCHEMA_VERSION, level=level, **meta)
             yield collector
-            collector.emit_metrics()
             collector.emit_summary()
     finally:
         sink.close()

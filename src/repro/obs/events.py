@@ -24,13 +24,9 @@ The kinds and their required fields:
 ``summary``
     Aggregate view, always last when written via ``obs.tracing``:
     ``counters`` (name → number), ``histograms`` (name → count/total/
-    mean/std/min/max), ``spans`` (name → count/errors[/wall_s]).
-``metrics`` *(schema 2)*
-    Snapshot of the labeled metrics registry
-    (:class:`repro.obs.metrics.MetricsRegistry`), emitted just before
-    the summary: ``counters`` (key → number), ``gauges`` (key →
-    value/updates), ``histograms`` (key → count/total/mean/min/max/
-    p50/p90/p99). Keys are ``name`` or ``name{label=value,...}``.
+    mean/std/min/max/p50/p90/p99, the quantiles read off the fixed
+    log-bucket grid and ``null`` when a value <= 0 was recorded),
+    ``spans`` (name → count/errors[/wall_s]).
 ``progress`` *(schema 2)*
     Campaign heartbeat: ``label``, ``done``, ``total``. Rate and ETA
     fields (``elapsed_s``, ``rate_per_s``, ``eta_s``) are wall-clock
@@ -38,9 +34,13 @@ The kinds and their required fields:
     events themselves are timing-level, so the default summary trace
     stays byte-identical between serial and parallel runs.
 
-Schema history: version 2 added the ``metrics`` and ``progress`` kinds
-(and the gauges/quantile layouts above); version 1 traces remain fully
-readable — every v1 event validates unchanged under this validator.
+Schema history: version 3 added the ``p50``/``p90``/``p99`` fields to
+summary histograms and dropped the ``metrics`` kind. Version 2 added
+the ``progress`` kind and a ``metrics`` snapshot of a labeled metrics
+registry (dict fields ``counters``, ``gauges``, ``histograms``).
+Traces of versions 1 and 2 stay readable: their six-field summary
+histograms validate, and a version-2 ``metrics`` event validates by
+its three dict fields and is skipped by the report.
 
 The validator is deliberately dependency-free (no jsonschema): it
 checks required fields, types, name syntax, and that every extra
@@ -53,7 +53,6 @@ import re
 from collections.abc import Iterable
 
 from repro.exceptions import TelemetryError
-from repro.obs.metrics import METRIC_KEY_RE
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -64,19 +63,21 @@ __all__ = [
     "validate_trace",
 ]
 
-#: Bumped whenever the event layout changes. Version 2 added the
-#: ``metrics`` and ``progress`` kinds; older versions stay readable.
-SCHEMA_VERSION = 2
+#: Bumped whenever the event layout changes. Version 3 added summary
+#: histogram quantiles and dropped the ``metrics`` kind; older versions
+#: stay readable.
+SCHEMA_VERSION = 3
 #: Schema versions this validator accepts in ``meta`` headers.
-SUPPORTED_SCHEMAS = (1, 2)
+SUPPORTED_SCHEMAS = (1, 2, 3)
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 _STATUS_RE = re.compile(r"^(ok|error:[A-Za-z_][A-Za-z0-9_]*)$")
 
-_HIST_FIELDS = frozenset({"count", "total", "mean", "std", "min", "max"})
-_METRIC_HIST_FIELDS = frozenset(
-    {"count", "total", "mean", "min", "max", "p50", "p90", "p99"}
+#: Summary histogram layouts: schemas 1-2, then schema 3.
+_LEGACY_HIST_FIELDS = frozenset(
+    {"count", "total", "mean", "std", "min", "max"}
 )
+_HIST_FIELDS = _LEGACY_HIST_FIELDS | {"p50", "p90", "p99"}
 
 #: kind -> {field: type check}
 EVENT_KINDS = ("meta", "span", "point", "timing", "summary", "metrics",
@@ -191,7 +192,7 @@ def validate_event(event: dict) -> None:
         for name, hist in histograms.items():
             if not _NAME_RE.match(name) or not isinstance(hist, dict):
                 _fail(f"bad histogram entry {name!r}")
-            if set(hist) != _HIST_FIELDS:
+            if set(hist) not in (_HIST_FIELDS, _LEGACY_HIST_FIELDS):
                 _fail(
                     f"histogram {name!r} must have fields "
                     f"{sorted(_HIST_FIELDS)}, got {sorted(hist)}"
@@ -204,30 +205,9 @@ def validate_event(event: dict) -> None:
                 _fail(f"span stats {name!r} must have count and errors")
         known |= {"counters", "histograms", "spans"}
     elif kind == "metrics":
-        counters = _require(event, "counters", dict, kind)
-        for key, value in counters.items():
-            if not METRIC_KEY_RE.match(key) or not isinstance(
-                value, (int, float)
-            ):
-                _fail(f"bad metric counter entry {key!r}: {value!r}")
-        gauges = _require(event, "gauges", dict, kind)
-        for key, gauge in gauges.items():
-            if not METRIC_KEY_RE.match(key) or not isinstance(gauge, dict):
-                _fail(f"bad metric gauge entry {key!r}")
-            if set(gauge) != {"value", "updates"}:
-                _fail(
-                    f"gauge {key!r} must have fields ['updates', 'value'], "
-                    f"got {sorted(gauge)}"
-                )
-        histograms = _require(event, "histograms", dict, kind)
-        for key, hist in histograms.items():
-            if not METRIC_KEY_RE.match(key) or not isinstance(hist, dict):
-                _fail(f"bad metric histogram entry {key!r}")
-            if set(hist) != _METRIC_HIST_FIELDS:
-                _fail(
-                    f"metric histogram {key!r} must have fields "
-                    f"{sorted(_METRIC_HIST_FIELDS)}, got {sorted(hist)}"
-                )
+        # Schema 2 only; the report skips it.
+        for field in ("counters", "gauges", "histograms"):
+            _require(event, field, dict, kind)
         known |= {"counters", "gauges", "histograms"}
     elif kind == "progress":
         label = _require(event, "label", str, kind)

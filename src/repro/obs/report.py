@@ -5,10 +5,10 @@ the human-readable companion of the paper's computation-cost tables:
 per-method fit counts, failure counts, and wall-clock (when the trace
 was recorded at the ``timing`` level or above), plus the solver
 convergence histograms (fixed-point iterations, VB2 ``nmax``, MCMC
-acceptance, ...) and raw counters. ``--format json`` returns the same
-summary machine-readable (:func:`summarise_report`); ``--metrics`` and
-``--profile`` add the labeled metrics snapshot and the aggregated span
-call tree.
+acceptance, ...) with their approximate quantiles, and raw counters.
+``--format json`` returns the same summary machine-readable
+(:func:`summarise_report`, which :func:`render_report` renders);
+``--profile`` adds the aggregated span call tree.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from collections import defaultdict
 
 __all__ = [
     "render_report",
-    "render_metrics",
     "summarise_report",
     "method_of",
 ]
@@ -57,7 +56,9 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def _num(value: float) -> str:
+def _num(value: float | None) -> str:
+    if value is None:
+        return "-"
     if isinstance(value, float) and not value.is_integer():
         return f"{value:.6g}"
     return f"{int(value)}"
@@ -87,77 +88,63 @@ def _method_costs(span_stats: dict) -> dict[str, dict]:
 
 def render_report(events: list[dict]) -> str:
     """Build the full text report from a list of trace events."""
-    meta = events[0] if events and events[0].get("kind") == "meta" else {}
-    summaries = [e for e in events if e.get("kind") == "summary"]
-    summary = summaries[-1] if summaries else {
-        "counters": {}, "histograms": {}, "spans": {}
-    }
-    spans = [e for e in events if e.get("kind") == "span"]
-    points = [e for e in events if e.get("kind") == "point"]
-    timings = [e for e in events if e.get("kind") == "timing"]
-    reps = {e["rep"] for e in events if "rep" in e}
-
+    report = summarise_report(events)
     lines = []
-    level = meta.get("level", "?")
-    header = f"telemetry report — {len(events)} events, level {level}"
-    if meta.get("command"):
-        header += f", command {meta['command']}"
+    header = (
+        f"telemetry report — {report['events']} events, "
+        f"level {report['level'] or '?'}"
+    )
+    if report["command"]:
+        header += f", command {report['command']}"
     lines.append(header)
+    reps = report["replications"]
     if reps:
         lines.append(
-            f"replications merged: {len(reps)} "
-            f"(spawn keys {min(reps)}..{max(reps)})"
+            f"replications merged: {reps['count']} "
+            f"(spawn keys {reps['min']}..{reps['max']})"
         )
     lines.append("")
 
-    # Per-method cost table from the aggregated span stats.
-    span_stats = summary.get("spans", {})
-    if span_stats:
-        rows = []
-        for method, agg in _method_costs(span_stats).items():
-            wall = f"{agg['wall_s']:.4f}" if agg["timed"] else "-"
-            mean = (
-                f"{agg['wall_s'] / agg['count']:.4f}"
-                if agg["timed"] and agg["count"]
-                else "-"
-            )
-            rows.append(
-                [method, str(agg["count"]), str(agg["errors"]), wall, mean]
-            )
+    if report["methods"]:
+        rows = [
+            [
+                method,
+                str(entry["spans"]),
+                str(entry["errors"]),
+                f"{entry['wall_s']:.4f}" if "wall_s" in entry else "-",
+                f"{entry['mean_s']:.4f}" if "mean_s" in entry else "-",
+            ]
+            for method, entry in report["methods"].items()
+        ]
         lines.append("## cost per method (spans)")
         lines += _format_table(
             ["method", "spans", "errors", "total s", "mean s"], rows
         )
         lines.append("")
 
-    # Convergence table from histograms.
-    histograms = summary.get("histograms", {})
-    if histograms:
+    if report["histograms"]:
         rows = [
-            [
-                name,
-                str(hist["count"]),
-                _num(hist["mean"]),
-                _num(hist["std"]),
-                _num(hist["min"]),
-                _num(hist["max"]),
-            ]
-            for name, hist in sorted(histograms.items())
+            [name, str(hist["count"])]
+            + [_num(hist.get(field)) for field in
+               ("mean", "std", "min", "max", "p50", "p90", "p99")]
+            for name, hist in report["histograms"].items()
         ]
         lines.append("## convergence metrics (histograms)")
         lines += _format_table(
-            ["metric", "count", "mean", "std", "min", "max"], rows
+            ["metric", "count", "mean", "std", "min", "max", "~p50",
+             "~p90", "~p99"],
+            rows,
         )
         lines.append("")
 
-    counters = summary.get("counters", {})
-    if counters:
-        rows = [[name, _num(value)] for name, value in sorted(counters.items())]
+    if report["counters"]:
+        rows = [[name, _num(value)]
+                for name, value in report["counters"].items()]
         lines.append("## counters")
         lines += _format_table(["counter", "value"], rows)
         lines.append("")
 
-    if timings:
+    if report["timings"]:
         rows = [
             [
                 t.get("label") or "(unlabelled)",
@@ -166,7 +153,7 @@ def render_report(events: list[dict]) -> str:
                 f"{t['mean_s']:.4f}",
                 f"{t['std_s']:.4f}",
             ]
-            for t in timings
+            for t in report["timings"]
         ]
         lines.append("## wall-clock timings")
         lines += _format_table(
@@ -174,23 +161,16 @@ def render_report(events: list[dict]) -> str:
         )
         lines.append("")
 
-    failures = [
-        p for p in points
-        if p.get("name", "").endswith((".divergence", ".failure", ".failed"))
-    ]
-    if failures:
+    failures = report["failures"]
+    if failures["points"]:
         lines.append("## failure events")
-        for p in failures:
-            attrs = {
-                k: v for k, v in p.items()
-                if k not in ("kind", "seq", "name")
-            }
+        for p in failures["points"]:
+            attrs = {k: v for k, v in p.items() if k != "name"}
             lines.append(f"  {p['name']}  {attrs}")
         lines.append("")
-    error_spans = [s for s in spans if s.get("status", "ok") != "ok"]
-    if error_spans:
+    if failures["spans"]:
         lines.append("## failed spans")
-        for s in error_spans:
+        for s in failures["spans"]:
             rep = f" rep={s['rep']}" if "rep" in s else ""
             lines.append(f"  {s['name']}  {s['status']}{rep}")
         lines.append("")
@@ -200,63 +180,13 @@ def render_report(events: list[dict]) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def _last_metrics(events: list[dict]) -> dict | None:
-    snapshots = [e for e in events if e.get("kind") == "metrics"]
-    return snapshots[-1] if snapshots else None
-
-
-def render_metrics(events: list[dict]) -> str:
-    """Text rendering of the trace's labeled metrics snapshot."""
-    snapshot = _last_metrics(events)
-    if snapshot is None:
-        return "metrics: no snapshot recorded\n"
-    lines = []
-    counters = snapshot.get("counters", {})
-    if counters:
-        rows = [[key, _num(value)] for key, value in sorted(counters.items())]
-        lines.append("## metric counters")
-        lines += _format_table(["counter", "value"], rows)
-        lines.append("")
-    gauges = snapshot.get("gauges", {})
-    if gauges:
-        rows = [
-            [key, _num(gauge["value"]), str(gauge["updates"])]
-            for key, gauge in sorted(gauges.items())
-        ]
-        lines.append("## metric gauges (last write)")
-        lines += _format_table(["gauge", "value", "updates"], rows)
-        lines.append("")
-    histograms = snapshot.get("histograms", {})
-    if histograms:
-        rows = []
-        for key, hist in sorted(histograms.items()):
-            quantiles = [
-                _num(hist[q]) if hist.get(q) is not None else "-"
-                for q in ("p50", "p90", "p99")
-            ]
-            rows.append(
-                [key, str(hist["count"]), _num(hist["mean"]),
-                 _num(hist["min"]), _num(hist["max"]), *quantiles]
-            )
-        lines.append("## metric histograms (log buckets)")
-        lines += _format_table(
-            ["histogram", "count", "mean", "min", "max", "~p50", "~p90",
-             "~p99"],
-            rows,
-        )
-        lines.append("")
-    if not lines:
-        return "metrics: snapshot is empty\n"
-    return "\n".join(lines).rstrip() + "\n"
-
-
 def summarise_report(events: list[dict]) -> dict:
     """Machine-readable counterpart of :func:`render_report`.
 
     The returned dict is plain JSON-compatible data: trace header
     fields, the per-method cost table, the final summary (counters,
-    histograms, span stats), the labeled metrics snapshot (when one
-    was recorded), wall-clock timings, and failure events.
+    histograms, span stats), wall-clock timings, and failure events.
+    A schema-2 ``metrics`` event is skipped.
     """
     meta = events[0] if events and events[0].get("kind") == "meta" else {}
     summaries = [e for e in events if e.get("kind") == "summary"]
@@ -277,12 +207,6 @@ def summarise_report(events: list[dict]) -> dict:
                 entry["mean_s"] = agg["wall_s"] / agg["count"]
         methods[method] = entry
 
-    metrics = _last_metrics(events)
-    if metrics is not None:
-        metrics = {
-            k: v for k, v in metrics.items() if k not in ("kind", "seq")
-        }
-
     return {
         "events": len(events),
         "schema": meta.get("schema"),
@@ -296,7 +220,6 @@ def summarise_report(events: list[dict]) -> dict:
         "counters": dict(sorted(summary.get("counters", {}).items())),
         "histograms": dict(sorted(summary.get("histograms", {}).items())),
         "spans": dict(sorted(summary.get("spans", {}).items())),
-        "metrics": metrics,
         "timings": [
             {k: v for k, v in t.items() if k not in ("kind", "seq")}
             for t in timings

@@ -21,11 +21,7 @@ from repro.stats.truncated import (
     sample_truncated_gamma,
 )
 from repro.stats.mixtures import MixtureDistribution
-from repro.stats.quadrature import (
-    gauss_legendre_panel,
-    simpson_weights,
-    TensorGrid,
-)
+from repro.stats.quadrature import simpson_weights, TensorGrid
 from repro.stats.rootfind import bisect_increasing
 
 __all__ = [
@@ -41,7 +37,6 @@ __all__ = [
     "censored_gamma_mean",
     "sample_truncated_gamma",
     "MixtureDistribution",
-    "gauss_legendre_panel",
     "simpson_weights",
     "TensorGrid",
     "bisect_increasing",

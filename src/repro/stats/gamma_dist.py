@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as st
 
 from repro.stats import scipy_special as sc
 from repro.stats.special import log_gamma_cdf, log_gamma_sf
@@ -176,23 +175,9 @@ class GammaDistribution:
             return float(out)
         return out
 
-    def mgf_negative(self, c: float) -> float:
-        """``E[exp(-c X)] = (rate / (rate + c))^shape`` for ``c > -rate``.
-
-        The software-reliability point estimate under a gamma posterior of
-        ``ω`` is exactly this transform (paper Eq. 31 with Eq. 3).
-        """
-        if c <= -self.rate:
-            raise ValueError("mgf_negative requires c > -rate")
-        return math.exp(self.shape * (math.log(self.rate) - math.log(self.rate + c)))
-
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` i.i.d. variates."""
         return rng.gamma(shape=self.shape, scale=1.0 / self.rate, size=size)
-
-    def as_scipy(self) -> st.rv_continuous:
-        """Frozen :mod:`scipy.stats` equivalent (for cross-checking)."""
-        return st.gamma(a=self.shape, scale=1.0 / self.rate)

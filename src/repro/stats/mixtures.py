@@ -200,28 +200,6 @@ class MixtureDistribution:
             return float(out[0])
         return out
 
-    def interval(self, confidence: float) -> tuple[float, float]:
-        """Central two-sided interval of the given confidence level."""
-        if not 0.0 < confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-        tail = 0.5 * (1.0 - confidence)
-        endpoints = self.ppf(np.array([tail, 1.0 - tail]))
-        return float(endpoints[0]), float(endpoints[1])
-
-    def interval_batch(self, confidences: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Central intervals for many confidence levels at once.
-
-        Returns an ``(n, 2)`` array of ``(lower, upper)`` endpoints,
-        computed by a single batched :meth:`ppf` call over all ``2n``
-        tail levels.
-        """
-        conf = np.atleast_1d(np.asarray(confidences, dtype=float))
-        if not np.all((conf > 0.0) & (conf < 1.0)):
-            raise ValueError("confidence levels must be in (0, 1)")
-        tails = 0.5 * (1.0 - conf)
-        quantiles = self.ppf(np.concatenate([tails, 1.0 - tails]))
-        return np.column_stack([quantiles[: conf.size], quantiles[conf.size:]])
-
     # ------------------------------------------------------------------
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw variates by multinomial component selection."""

@@ -9,33 +9,12 @@ attributes to naive implementations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from repro.stats import scipy_special as sc
 
-__all__ = ["gauss_legendre_panel", "simpson_weights", "TensorGrid"]
-
-
-def gauss_legendre_panel(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss–Legendre nodes and weights on the interval ``[a, b]``.
-
-    Parameters
-    ----------
-    a, b:
-        Interval endpoints, ``a < b``.
-    n:
-        Number of nodes (exact for polynomials up to degree ``2n-1``).
-    """
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    if n < 1:
-        raise ValueError(f"need at least one node, got n={n}")
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid + half * x, half * w
+__all__ = ["simpson_weights", "TensorGrid"]
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:
@@ -95,29 +74,12 @@ class TensorGrid:
             wy=simpson_weights(ny, y[1] - y[0]),
         )
 
-    @classmethod
-    def gauss_legendre(
-        cls,
-        x_range: tuple[float, float],
-        y_range: tuple[float, float],
-        nx: int,
-        ny: int,
-    ) -> "TensorGrid":
-        """Gauss–Legendre tensor grid."""
-        x, wx = gauss_legendre_panel(*x_range, nx)
-        y, wy = gauss_legendre_panel(*y_range, ny)
-        return cls(x=x, y=y, wx=wx, wy=wy)
-
     # ------------------------------------------------------------------
     @property
     def log_weight_matrix(self) -> np.ndarray:
         """``log(wx_i * wy_j)`` as a 2-D array (outer sum of logs)."""
         with np.errstate(divide="ignore"):
             return np.log(self.wx)[:, None] + np.log(self.wy)[None, :]
-
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid (indexing='ij') of the axes."""
-        return np.meshgrid(self.x, self.y, indexing="ij")
 
     def integrate(self, values: np.ndarray) -> float:
         """Integrate function values sampled on the grid."""
@@ -132,7 +94,7 @@ class TensorGrid:
     def log_integrate(self, log_values: np.ndarray) -> float:
         """Stable ``log ∫∫ exp(log_values)`` over the grid.
 
-        Weight signs are all positive for the rules above, so plain
+        Weight signs are all positive for the rule above, so plain
         log-sum-exp applies.
         """
         log_values = np.asarray(log_values, dtype=float)
@@ -143,10 +105,3 @@ class TensorGrid:
             )
         combined = log_values + self.log_weight_matrix
         return float(sc.logsumexp(combined))
-
-    def normalised_density(self, log_values: np.ndarray) -> np.ndarray:
-        """Exponentiate ``log_values`` so the grid integral equals one."""
-        log_norm = self.log_integrate(log_values)
-        if not math.isfinite(log_norm):
-            raise ValueError("density integrates to zero or infinity on this grid")
-        return np.exp(np.asarray(log_values, dtype=float) - log_norm)

@@ -43,7 +43,6 @@ _EXPORTS = {
     "run_sbc": "sbc",
     "run_replication": "sbc",
     "replication_seed": "seeding",
-    "spawn_rngs": "seeding",
     "spawn_seeds": "seeding",
     "UniformityReport": "uniformity",
     "uniformity_report": "uniformity",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["replication_seed", "spawn_seeds", "spawn_rngs"]
+__all__ = ["replication_seed", "spawn_seeds"]
 
 
 def replication_seed(
@@ -48,8 +48,3 @@ def spawn_seeds(root_seed: int, n: int) -> list[np.random.SeedSequence]:
     if n < 0:
         raise ValueError("n must be non-negative")
     return [replication_seed(root_seed, index) for index in range(n)]
-
-
-def spawn_rngs(root_seed: int, n: int) -> list[np.random.Generator]:
-    """Independent generators for replications ``0..n-1``."""
-    return [np.random.default_rng(seed) for seed in spawn_seeds(root_seed, n)]

@@ -315,13 +315,13 @@ _LAPLACE_GOLDEN = {
     ),
     "DG-Info": (
         (43.20898071500164, 0.034176771100925755),
-        ((44.36780374809881, -0.01632588946205509),
-         (-0.01632588946205509, 5.7242427488489925e-05)),
+        ((44.36780374809882, -0.016325889462055133),
+         (-0.016325889462055133, 5.724242748849008e-05)),
     ),
     "DG-NoInfo": (
         (41.58660828797968, 0.03829017515530129),
-        ((51.926239907068776, -0.0255346088754127),
-         (-0.0255346088754127, 0.00010164719139106233)),
+        ((51.92623990706876, -0.02553460887541266),
+         (-0.02553460887541266, 0.00010164719139106218)),
     ),
 }
 

@@ -219,8 +219,11 @@ class TestLruAndMaintenance:
         cache.get(k1)  # k1 now most recent; k2 is the LRU entry
         cache.put(k3, posterior)
         assert cache.stats.evictions == 1
-        assert cache.memory_keys() == [k1, k3]
-        # the evicted entry still loads from disk
+        # k1 and k3 stay in memory; the evicted k2 loads from disk
+        hits = cache.stats.hits_memory
+        assert cache.get(k1) is not None and cache.get(k3) is not None
+        assert cache.stats.hits_memory == hits + 2
+        assert cache.stats.hits_disk == 0
         assert cache.get(k2) is not None
         assert cache.stats.hits_disk == 1
 

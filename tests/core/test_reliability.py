@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.reliability import (
     ReliabilityEstimate,
-    ReliabilityIncrement,
     ResidualSurvival,
     estimate_reliability,
     reliability_increment,
@@ -39,13 +38,6 @@ class TestIncrement:
         c = reliability_increment(1.0, 1e9, 1.0)
         assert c(1.0) == 0.0
 
-    def test_derivative_matches_numeric(self):
-        c = reliability_increment(2.0, 10.0, 3.0)
-        beta = 0.37
-        step = 1e-7
-        numeric = (c(beta + step) - c(beta - step)) / (2.0 * step)
-        assert c.derivative(beta) == pytest.approx(numeric, rel=1e-5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             reliability_increment(0.0, 1.0, 1.0)
@@ -53,8 +45,6 @@ class TestIncrement:
             reliability_increment(1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             reliability_increment(1.0, 1.0, -1.0)
-        with pytest.raises(ValueError):
-            reliability_increment(1.0, 1.0, 1.0).derivative(0.0)
 
     def test_hashable_for_caching(self):
         a = reliability_increment(1.0, 5.0, 2.0)
@@ -409,9 +399,6 @@ class TestDegenerateWindows:
         lower, upper = five_methods[method].residual_interval(
             0.9, ResidualSurvival(1.0, math.inf))
         assert lower == upper == 0.0
-
-    def test_increment_slope_vanishes_at_infinite_horizon(self):
-        assert ReliabilityIncrement(1.0, math.inf, 1.0).derivative(0.01) == 0.0
 
 
 class TestResidualQuantiles:

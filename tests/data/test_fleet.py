@@ -1,4 +1,4 @@
-"""Lane-major portfolio packing, dedup and the fleet manifest loader."""
+"""Lane-major portfolio packing and the fleet manifest loader."""
 
 import json
 
@@ -7,12 +7,7 @@ import pytest
 from scipy import special as sc
 
 from repro.data.failure_data import FailureTimeData, GroupedData
-from repro.data.fleet import (
-    dedupe_datasets,
-    load_fleet_manifest,
-    pack_grouped,
-    pack_times,
-)
+from repro.data.fleet import load_fleet_manifest, pack_grouped, pack_times
 from repro.data.io import save_failure_times_csv, save_grouped_csv, save_json
 from repro.exceptions import DataValidationError
 
@@ -55,7 +50,6 @@ class TestPackGrouped:
         # Dataset 0 has a zero-count interval: only occupied intervals
         # pack, ascending within the dataset, datasets in order.
         assert list(packed.offsets) == [0, 2, 4]
-        assert list(packed.interval_counts_per_dataset()) == [2, 2]
         assert list(packed.interval_lo) == [0.0, 5.0, 0.0, 1.0]
         assert list(packed.interval_hi) == [2.0, 9.0, 1.0, 3.0]
         assert list(packed.interval_count) == [3.0, 2.0, 1.0, 4.0]
@@ -84,21 +78,6 @@ class TestPackGrouped:
     def test_rejects_wrong_kind(self, times_pair):
         with pytest.raises(TypeError, match="dataset 1"):
             pack_grouped([GroupedData([1], [1.0]), times_pair[0]])
-
-
-class TestDedupe:
-    def test_value_equal_datasets_collapse(self, times_pair):
-        clone = FailureTimeData([1.0, 4.0, 9.0], horizon=12.0)
-        unique, index = dedupe_datasets(
-            [times_pair[0], times_pair[1], clone, times_pair[1]]
-        )
-        assert unique == [times_pair[0], times_pair[1]]
-        assert list(index) == [0, 1, 0, 1]
-
-    def test_mixed_kinds(self, times_pair, grouped_pair):
-        unique, index = dedupe_datasets(times_pair + grouped_pair)
-        assert len(unique) == 4
-        assert list(index) == [0, 1, 2, 3]
 
 
 class TestManifestLoader:

@@ -18,14 +18,22 @@ from repro.stats.special import log_factorial
 
 
 def _loop_log_likelihood(model, data):
-    """Paper Eq. 5 one interval at a time: the reference arithmetic."""
+    """Paper Eq. 5 one interval at a time: the reference arithmetic.
+
+    An interval that starts past the median takes its increment as a
+    survival difference, where a CDF difference would cancel.
+    """
     edges = data.interval_edges()
     cdf_vals = np.asarray(model.lifetime_cdf(edges), dtype=float)
-    increments = np.diff(cdf_vals)
+    sf_vals = np.asarray(model.lifetime_sf(edges), dtype=float)
     total = -model.omega * cdf_vals[-1]
-    for count, inc in zip(data.counts, increments):
+    for i, count in enumerate(data.counts):
         if count == 0:
             continue
+        if cdf_vals[i] > 0.5:
+            inc = sf_vals[i] - sf_vals[i + 1]
+        else:
+            inc = cdf_vals[i + 1] - cdf_vals[i]
         if inc <= 0.0:
             return -math.inf
         total += count * (math.log(inc) + math.log(model.omega))

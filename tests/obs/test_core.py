@@ -50,7 +50,8 @@ class TestHistogram:
         hist = Histogram()
         hist.record(1.0)
         assert set(hist.summary()) == {
-            "count", "total", "mean", "std", "min", "max",
+            "count", "total", "mean", "std", "min", "max", "p50", "p90",
+            "p99",
         }
 
 
@@ -264,7 +265,5 @@ class TestMerge:
     def test_traced_task_returns_result_and_export(self):
         result, payload = obs.traced_task(lambda x: x * 2, "summary", 21)
         assert result == 42
-        assert set(payload) == {
-            "events", "counters", "histograms", "spans", "metrics",
-        }
+        assert set(payload) == {"events", "counters", "histograms", "spans"}
         assert not obs.enabled()  # capture restored

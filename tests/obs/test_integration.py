@@ -145,7 +145,7 @@ class TestCampaignTraces:
 
 
 def _traced_campaign_bytes(path, workers):
-    """Full tracing() run (meta + spans + metrics + summary) to disk."""
+    """Full tracing() run (meta + spans + summary) to disk."""
     import warnings
 
     with warnings.catch_warnings():
@@ -156,9 +156,9 @@ def _traced_campaign_bytes(path, workers):
 
 
 class TestMetricsByteIdentity:
-    """The schema-2 additions must preserve the serial-vs-parallel
-    byte-identity guarantee: merged metrics registries (solver-health
-    gauges, labeled histograms) are part of the trace now."""
+    """Merged solver health (histograms with their log-bucket counts)
+    is part of the summary event, and must keep the serial-vs-parallel
+    byte-identity guarantee."""
 
     def test_serial_and_parallel_traces_identical(self, tmp_path):
         serial = _traced_campaign_bytes(tmp_path / "serial.jsonl", 1)
@@ -170,19 +170,85 @@ class TestMetricsByteIdentity:
 
         _traced_campaign_bytes(tmp_path / "trace.jsonl", 1)
         events = load_validated_trace(tmp_path / "trace.jsonl")
-        (metrics,) = [e for e in events if e["kind"] == "metrics"]
-        hist = metrics["histograms"]["fit.iterations{method=VB2}"]
+        assert not [e for e in events if e["kind"] == "metrics"]
+        histograms = events[-1]["histograms"]
+        hist = histograms["vb2.fixed_point_iterations"]
         assert hist["count"] > 0
-        assert metrics["gauges"]["fit.nmax{method=VB2}"]["updates"] > 0
+        assert histograms["vb2.nmax"]["p50"] is not None
+        assert histograms["vb2.elbo"]["count"] == hist["count"]
 
-    def test_merged_registry_equals_serial_registry(self):
+    def test_merged_summary_equals_serial_summary(self):
         import warnings
 
-        registries = []
+        collectors = []
         for workers in (1, 2):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 with obs.capture(level="summary") as col:
                     run_sbc(SBCSpec(method="VB2", **_SMOKE), workers=workers)
-            registries.append(col.metrics.export())
-        assert registries[0] == registries[1]
+            collectors.append(col)
+        serial, parallel = collectors
+        assert serial.summary() == parallel.summary()
+        assert {k: h.state() for k, h in serial.histograms.items()} == {
+            k: h.state() for k, h in parallel.histograms.items()
+        }
+
+
+#: Where each fit's health lands in the one store, one name per value.
+_HEALTH_HISTOGRAMS = (
+    "vb2.fixed_point_iterations", "vb2.tail_mass", "vb2.nmax", "vb2.elbo",
+    "vb1.outer_iterations", "vb1.lambda_star", "vb1.elbo",
+    "laplace.map_iterations", "laplace.log_posterior_at_map",
+    "mcmc.ess_omega", "mcmc.ess_beta",
+    "sandwich.vb2.kappa_omega", "sandwich.vb2.kappa_beta",
+)
+
+
+class TestOneStore:
+    """A traced DT-Info run of VB2, VB1, LAPL, MCMC and VB2+SW records
+    every health value once, in the summary's histograms."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory, times_data, info_prior_times):
+        from repro.bayes.mcmc.chains import ChainSettings
+        from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
+        from repro.bayes.sandwich import apply_sandwich
+        from repro.obs.sink import load_validated_trace
+
+        path = tmp_path_factory.mktemp("one_store") / "trace.jsonl"
+        settings = ChainSettings(n_samples=200, burn_in=100, thin=1, seed=7)
+        with obs.tracing(path, level="summary", command="test"):
+            vb2 = fit_vb2(times_data, info_prior_times)
+            vb1 = fit_vb1(times_data, info_prior_times)
+            lapl = fit_laplace(times_data, info_prior_times)
+            gibbs_failure_time(times_data, info_prior_times,
+                               settings=settings)
+            sw = apply_sandwich(vb2, times_data)
+        events = load_validated_trace(path)
+        return events, dict(vb2=vb2, vb1=vb1, lapl=lapl, sw=sw)
+
+    def test_summary_is_the_only_snapshot(self, traced):
+        events, _ = traced
+        kinds = [e["kind"] for e in events]
+        assert kinds[0] == "meta" and kinds[-1] == "summary"
+        assert kinds.count("summary") == 1
+        assert "metrics" not in kinds
+        assert events[0]["schema"] == obs.SCHEMA_VERSION == 3
+
+    def test_each_health_value_has_one_name(self, traced):
+        events, fits = traced
+        summary = events[-1]
+        names = list(summary["histograms"]) + list(summary["counters"])
+        assert not [name for name in names if name.startswith("fit.")]
+        for name in _HEALTH_HISTOGRAMS:
+            assert summary["histograms"][name]["count"] == 1, name
+        histograms = summary["histograms"]
+        assert histograms["vb2.elbo"]["max"] == fits["vb2"].elbo
+        assert histograms["vb1.elbo"]["max"] == fits["vb1"].elbo
+        assert histograms["laplace.log_posterior_at_map"]["max"] == (
+            fits["lapl"].diagnostics["log_posterior_at_map"]
+        )
+        for param in ("omega", "beta"):
+            assert histograms[f"sandwich.vb2.kappa_{param}"]["max"] == (
+                fits["sw"].diagnostics[f"kappa_{param}"]
+            )

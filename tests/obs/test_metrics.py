@@ -1,55 +1,16 @@
-"""Unit tests for the labeled-metrics registry (repro.obs.metrics)."""
+"""Unit tests for the fixed log-bucket grid of the telemetry histogram
+(:class:`repro.obs.core.Histogram`)."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
-from repro.obs.metrics import (
-    METRIC_KEY_RE,
-    LogHistogram,
-    MetricsRegistry,
+from repro.obs.core import (
+    BUCKETS_PER_DECADE,
+    Histogram,
     bucket_bounds,
     bucket_index,
-    decode_metric_key,
-    encode_metric_key,
 )
-
-
-class TestMetricKeys:
-    def test_plain_name(self):
-        assert encode_metric_key("vb2.solves") == "vb2.solves"
-
-    def test_labels_sorted(self):
-        key = encode_metric_key("fit.elbo", {"method": "VB2", "data": "DG"})
-        assert key == "fit.elbo{data=DG,method=VB2}"
-
-    def test_round_trip(self):
-        key = encode_metric_key("fit.kappa", {"method": "VB2+SW"})
-        name, labels = decode_metric_key(key)
-        assert name == "fit.kappa"
-        assert labels == {"method": "VB2+SW"}
-
-    def test_bad_name_rejected(self):
-        with pytest.raises(ValueError, match="dotted identifier"):
-            encode_metric_key("Bad Name")
-
-    def test_bad_label_rejected(self):
-        with pytest.raises(ValueError):
-            encode_metric_key("ok.name", {"k": "bad value"})
-
-    def test_regex_matches_encoded_keys(self):
-        for key in (
-            "vb2.solves",
-            "fit.elbo{method=VB2}",
-            "fit.kappa_omega{method=VB2+SW}",
-            "a.b{x=1,y=2.5}",
-        ):
-            assert METRIC_KEY_RE.match(key), key
-
-    def test_regex_rejects_garbage(self):
-        for key in ("", "Bad", "a.b{", "a.b{x=}", "a.b{=v}", "a b"):
-            assert not METRIC_KEY_RE.match(key), key
 
 
 class TestBuckets:
@@ -63,10 +24,28 @@ class TestBuckets:
         assert indices == sorted(indices)
         assert len(set(indices)) == 4
 
+    def test_four_buckets_per_decade(self):
+        assert BUCKETS_PER_DECADE == 4
+        assert bucket_index(1.0) == 0
+        assert bucket_index(10.0) == 4
+        assert bucket_index(0.1) == -4
+        lo, hi = bucket_bounds(0)
+        assert lo == 1.0
+        assert hi == pytest.approx(10.0 ** 0.25)
+
+    def test_values_outside_the_grid_clamp_to_the_edge_buckets(self):
+        low, high = bucket_index(1e-9), bucket_index(1e9 * (1 - 1e-15))
+        assert bucket_bounds(low)[0] == pytest.approx(1e-9)
+        assert bucket_bounds(high)[1] == pytest.approx(1e9)
+        for tiny in (1e-12, 5e-324):
+            assert bucket_index(tiny) == low
+        for huge in (1e9, 1e300, math.inf):
+            assert bucket_index(huge) == high
+
 
 class TestLogHistogram:
     def test_summary_fields(self):
-        hist = LogHistogram()
+        hist = Histogram()
         for v in (1.0, 2.0, 4.0):
             hist.record(v)
         s = hist.summary()
@@ -77,98 +56,54 @@ class TestLogHistogram:
         assert s["max"] == 4.0
         assert s["p50"] is not None
 
-    def test_total_is_exact(self):
-        hist = LogHistogram()
-        # 0.1 is not dyadic but is an exact binary float once parsed;
-        # Fraction accumulation keeps the float sum independent of order.
-        values = [0.1, 1e300, -1e300, 0.2]
-        for v in values:
+    def test_quantile_is_the_geometric_midpoint_of_its_bucket(self):
+        hist = Histogram()
+        for v in [1.5] * 50 + [150.0] * 45 + [15000.0] * 5:
             hist.record(v)
-        assert hist.total == sum(Fraction(v) for v in values)
-
-    def test_non_finite_rejected(self):
-        hist = LogHistogram()
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError):
-                hist.record(bad)
+        for q, value in ((0.5, 1.5), (0.9, 150.0), (0.99, 15000.0)):
+            lo, hi = bucket_bounds(bucket_index(value))
+            assert hist.quantile(q) == pytest.approx(math.sqrt(lo * hi))
+        s = hist.summary()
+        assert (s["p50"], s["p90"], s["p99"]) == (
+            hist.quantile(0.5), hist.quantile(0.9), hist.quantile(0.99)
+        )
 
     def test_quantile_none_with_negatives(self):
-        hist = LogHistogram()
+        hist = Histogram()
         hist.record(-1.0)
         hist.record(2.0)
         assert hist.quantile(0.5) is None
 
+    @pytest.mark.parametrize("value", [0.0, -3.0, math.nan])
+    def test_quantiles_none_when_a_value_is_not_positive(self, value):
+        hist = Histogram()
+        hist.record(5.0)
+        hist.record(value)
+        s = hist.summary()
+        assert s["p50"] is None and s["p90"] is None and s["p99"] is None
+        assert hist.nonpos == 1
+
+    def test_quantiles_none_when_empty(self):
+        s = Histogram().summary()
+        assert s["p50"] is None and s["p90"] is None and s["p99"] is None
+
     def test_state_round_trip(self):
-        hist = LogHistogram()
+        hist = Histogram()
         for v in (0.5, 1.5, 1.5, 300.0, 0.0, -2.0):
             hist.record(v)
-        other = LogHistogram()
+        other = Histogram()
         other.merge_state(hist.state())
         assert other.state() == hist.state()
         assert other.summary() == hist.summary()
 
     def test_merge_is_sum(self):
-        a, b = LogHistogram(), LogHistogram()
+        a, b = Histogram(), Histogram()
         for v in (1.0, 2.0):
             a.record(v)
         for v in (3.0, 4.0):
             b.record(v)
         a.merge_state(b.state())
         assert a.count == 4
-        assert float(a.total) == pytest.approx(10.0)
+        assert a.total == pytest.approx(10.0)
         assert a.min == 1.0 and a.max == 4.0
-
-
-class TestMetricsRegistry:
-    def test_counter_int_when_integral(self):
-        reg = MetricsRegistry()
-        reg.counter_add("vb2.solves", 2)
-        reg.counter_add("vb2.solves", 3)
-        snap = reg.snapshot()
-        assert snap["counters"]["vb2.solves"] == 5
-        assert isinstance(snap["counters"]["vb2.solves"], int)
-
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.gauge_set("fit.elbo", 1.0, {"method": "VB2"})
-        reg.gauge_set("fit.elbo", 2.0, {"method": "VB2"})
-        entry = reg.snapshot()["gauges"]["fit.elbo{method=VB2}"]
-        assert entry == {"value": 2.0, "updates": 2}
-
-    def test_empty_property(self):
-        reg = MetricsRegistry()
-        assert reg.empty
-        reg.counter_add("x.y")
-        assert not reg.empty
-
-    def test_merge_of_export_doubles_counters(self):
-        reg = MetricsRegistry()
-        reg.counter_add("a.b", 3)
-        reg.observe("lat.x", 0.25)
-        payload = reg.export()
-        reg.merge(payload)
-        snap = reg.snapshot()
-        assert snap["counters"]["a.b"] == 6
-        assert snap["histograms"]["lat.x"]["count"] == 2
-
-    def test_merge_gauge_order(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge_set("g.v", 1.0)
-        b.gauge_set("g.v", 9.0)
-        a.merge(b.export())
-        assert a.snapshot()["gauges"]["g.v"]["value"] == 9.0
-        assert a.snapshot()["gauges"]["g.v"]["updates"] == 2
-
-    def test_merge_skips_empty_gauge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge_set("g.v", 1.0)
-        # b never touched g.v: merging must not clobber a's value.
-        b.counter_add("c.x")
-        a.merge(b.export())
-        assert a.snapshot()["gauges"]["g.v"]["value"] == 1.0
-
-    def test_snapshot_keys_sorted(self):
-        reg = MetricsRegistry()
-        reg.counter_add("z.last")
-        reg.counter_add("a.first")
-        assert list(reg.snapshot()["counters"]) == ["a.first", "z.last"]
+        assert sum(a.buckets.values()) == 4

@@ -205,13 +205,13 @@ class TestReportFormats:
 
         assert main(["report", str(fit_trace), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["command"] == "fit"
         assert "VB2" in payload["methods"]
-        assert payload["metrics"]["gauges"]
-        assert any(
-            key.startswith("fit.elbo") for key in payload["metrics"]["gauges"]
-        )
+        assert "metrics" not in payload
+        elbo = payload["histograms"]["vb2.elbo"]
+        assert elbo["count"] == 1
+        assert set(elbo) >= {"p50", "p90", "p99"}
 
     def test_json_format_with_profile(self, fit_trace, capsys):
         import json
@@ -225,11 +225,22 @@ class TestReportFormats:
         assert "vb2.fit" in names
 
     def test_metrics_section(self, fit_trace, capsys):
-        assert main(["report", str(fit_trace), "--metrics"]) == 0
+        # The convergence-metrics table carries each fit's health with
+        # its approximate quantiles; there is no separate snapshot.
+        assert main(["report", str(fit_trace)]) == 0
         out = capsys.readouterr().out
-        assert "## metrics snapshot" in out
-        assert "metric gauges" in out
-        assert "fit.elbo{method=VB2}" in out
+        assert "## convergence metrics (histograms)" in out
+        assert "metrics snapshot" not in out
+        lines = out.splitlines()
+        header = next(line for line in lines if line.startswith("metric "))
+        assert header.split()[-3:] == ["~p50", "~p90", "~p99"]
+        nmax = next(line for line in lines if line.startswith("vb2.nmax"))
+        assert "-" not in nmax.split()[-3:]
+        assert any(line.startswith("vb2.elbo") for line in lines)
+
+    def test_metrics_flag_is_gone(self, fit_trace):
+        with pytest.raises(SystemExit):
+            main(["report", str(fit_trace), "--metrics"])
 
     def test_profile_section(self, fit_trace, capsys):
         assert main(["report", str(fit_trace), "--profile"]) == 0

@@ -111,6 +111,22 @@ class TestValidateEvent:
                  "histograms": {"m": {"count": 1}}, "spans": {}}
             )
 
+    def test_summary_histogram_layouts(self):
+        legacy = {"count": 1, "total": 2.0, "mean": 2.0, "std": 0.0,
+                  "min": 2.0, "max": 2.0}
+        current = {**legacy, "p50": 2.05, "p90": 2.05, "p99": 2.05}
+        for hist in (legacy, current):
+            validate_event(
+                {"kind": "summary", "seq": 0, "counters": {},
+                 "histograms": {"m.x": hist}, "spans": {}}
+            )
+        with pytest.raises(TelemetryError, match="histogram"):
+            validate_event(
+                {"kind": "summary", "seq": 0, "counters": {},
+                 "histograms": {"m.x": {**legacy, "p50": 2.05}},
+                 "spans": {}}
+            )
+
     def test_rep_must_be_int(self):
         with pytest.raises(TelemetryError, match="rep"):
             validate_event(
@@ -187,20 +203,64 @@ class TestJsonlRoundTrip:
         assert path.exists()
 
 
+#: A schema-1 trace as written before the metrics registry existed.
+_SCHEMA_1_TRACE = [
+    {"kind": "meta", "seq": 0, "schema": 1, "level": "summary"},
+    {"kind": "span", "seq": 1, "name": "vb2.fit", "depth": 0,
+     "status": "ok"},
+    {"kind": "summary", "seq": 2, "counters": {"vb2.solves": 201},
+     "histograms": {"vb2.nmax": {"count": 1, "total": 228.0,
+                                 "mean": 228.0, "std": 0.0, "min": 228.0,
+                                 "max": 228.0}},
+     "spans": {"vb2.fit": {"count": 1, "errors": 0}}},
+]
+
+#: A schema-2 trace: the same, plus the labeled registry's snapshot.
+_SCHEMA_2_TRACE = [
+    {**_SCHEMA_1_TRACE[0], "schema": 2},
+    _SCHEMA_1_TRACE[1],
+    {"kind": "metrics", "seq": 2, "counters": {"vb2.fits": 1},
+     "gauges": {"fit.elbo{method=VB2}": {"value": -5.0, "updates": 1}},
+     "histograms": {"fit.nmax{method=VB2}": {
+         "count": 1, "total": 228.0, "mean": 228.0, "min": 228.0,
+         "max": 228.0, "p50": 237.1, "p90": 237.1, "p99": 237.1}}},
+    {**_SCHEMA_1_TRACE[2], "seq": 3},
+]
+
+
+def _write_trace(path, events):
+    with JsonlSink(path) as sink:
+        for ev in events:
+            sink.write(ev)
+    return path
+
+
 class TestSchema2Events:
-    def test_metrics_event_round_trip(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with obs.tracing(path, level="summary", command="fit"):
-            obs.metric_counter("vb2.fits", 3)
-            obs.fit_health("VB2", iterations=12, elbo=-5.0)
-        events = load_validated_trace(path)
-        assert events[0]["schema"] == 2
-        (metrics,) = [e for e in events if e["kind"] == "metrics"]
-        assert metrics["counters"]["vb2.fits"] == 3
-        assert metrics["gauges"]["fit.elbo{method=VB2}"]["value"] == -5.0
-        assert metrics["histograms"]["fit.iterations{method=VB2}"][
-            "count"
-        ] == 1
+    def test_metrics_event_round_trip(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        path = _write_trace(tmp_path / "v2.jsonl", _SCHEMA_2_TRACE)
+        assert load_validated_trace(path) == _SCHEMA_2_TRACE
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "vb2.nmax" in out
+        assert "fit." not in out  # the report skips the metrics event
+        assert main(["report", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == 2
+        assert "metrics" not in payload
+        assert payload["histograms"]["vb2.nmax"]["max"] == 228.0
+
+    @pytest.mark.parametrize("field", ["counters", "gauges", "histograms"])
+    def test_metrics_event_needs_its_dict_fields(self, field):
+        event = {"kind": "metrics", "seq": 0, "counters": {}, "gauges": {},
+                 "histograms": {}}
+        validate_event(event)
+        del event[field]
+        with pytest.raises(TelemetryError, match=field):
+            validate_event(event)
 
     def test_progress_event_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -221,36 +281,49 @@ class TestSchema2Events:
     def test_no_metrics_event_when_registry_empty(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with obs.tracing(path, level="summary"):
-            obs.counter_add("legacy.counter")  # span-layer, not registry
+            obs.counter_add("vb2.solves")
+            obs.observe("vb2.elbo", -5.0)
         events = load_validated_trace(path)
+        assert events[0]["schema"] == 3
         assert not [e for e in events if e["kind"] == "metrics"]
+        assert events[-1]["histograms"]["vb2.elbo"]["p50"] is None
 
-    def test_schema_1_trace_still_valid(self):
-        events = [
-            {"kind": "meta", "seq": 0, "schema": 1, "level": "summary"},
-            {"kind": "point", "seq": 1, "name": "x"},
-        ]
-        assert validate_trace(events) == 2
+    def test_schema_1_trace_still_valid(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert validate_trace(_SCHEMA_1_TRACE) == 3
+        path = _write_trace(tmp_path / "v1.jsonl", _SCHEMA_1_TRACE)
+        assert main(["report", str(path)]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("vb2.nmax"))
+        # The six-field layout has no quantiles to show.
+        assert row.split()[-3:] == ["-", "-", "-"]
 
     def test_unsupported_schema_rejected(self):
         with pytest.raises(TelemetryError, match="schema"):
             validate_trace(
-                [{"kind": "meta", "seq": 0, "schema": 3, "level": "summary"}]
+                [{"kind": "meta", "seq": 0, "schema": 4, "level": "summary"}]
             )
 
     def test_bad_metric_key_rejected(self):
-        with pytest.raises(TelemetryError, match="metric counter"):
+        with pytest.raises(TelemetryError, match="counter"):
             validate_event(
-                {"kind": "metrics", "seq": 0,
-                 "counters": {"Bad Key": 1}, "gauges": {},
-                 "histograms": {}}
+                {"kind": "summary", "seq": 0,
+                 "counters": {"Bad Key": 1}, "histograms": {},
+                 "spans": {}}
+            )
+        with pytest.raises(TelemetryError, match="histogram"):
+            validate_event(
+                {"kind": "summary", "seq": 0, "counters": {},
+                 "histograms": {"fit.elbo{method=VB2}": {}}, "spans": {}}
             )
 
     def test_gauge_shape_checked(self):
-        with pytest.raises(TelemetryError, match="gauge"):
+        # A schema-2 metrics event is read by its three dict fields.
+        with pytest.raises(TelemetryError, match="gauges"):
             validate_event(
                 {"kind": "metrics", "seq": 0, "counters": {},
-                 "gauges": {"g.v": {"value": 1.0}}, "histograms": {}}
+                 "gauges": [{"value": 1.0}], "histograms": {}}
             )
 
     def test_progress_done_beyond_total_rejected(self):
@@ -277,7 +350,7 @@ class TestCrashSafety:
             "from repro.obs.sink import JsonlSink\n"
             "sink = JsonlSink(sys.argv[1])\n"
             "with obs.capture(level='summary', sink=sink) as col:\n"
-            "    col.emit('meta', schema=2, level='summary')\n"
+            "    col.emit('meta', schema=3, level='summary')\n"
             "    with obs.span('vb2.fit'):\n"
             "        obs.counter_add('vb2.solves')\n"
             "    os._exit(1)  # simulated hard crash, nothing runs after\n"

@@ -95,16 +95,3 @@ class TestBatchedMatchesScalar:
         levels = np.array([1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0 - 1e-6])
         batch = mix.ppf(levels)
         assert np.all(np.diff(batch) >= 0.0)
-
-    @given(
-        params=components,
-        raw_weights=weights,
-        confidence=st.floats(min_value=0.5, max_value=0.999),
-    )
-    @settings(**_SETTINGS)
-    def test_interval_batch_equals_interval(self, params, raw_weights, confidence):
-        mix = build_mixture(params, raw_weights)
-        (row,) = mix.interval_batch([confidence])
-        lo, hi = mix.interval(confidence)
-        assert row[0] == lo
-        assert row[1] == hi

@@ -94,19 +94,6 @@ class TestDistributionFunctions:
         for q in (0.005, 0.025, 0.5, 0.975, 0.995):
             assert dist.cdf(dist.ppf(q)) == pytest.approx(q, abs=1e-10)
 
-    def test_mgf_negative(self):
-        dist = GammaDistribution(3.0, 2.0)
-        c = 0.7
-        samples = dist.sample(400_000, np.random.default_rng(1))
-        assert dist.mgf_negative(c) == pytest.approx(
-            np.exp(-c * samples).mean(), rel=5e-3
-        )
-
-    def test_mgf_negative_domain(self):
-        dist = GammaDistribution(3.0, 2.0)
-        with pytest.raises(ValueError):
-            dist.mgf_negative(-2.5)
-
     @given(shape=positive, rate=positive, q=st.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=100)
     def test_ppf_cdf_roundtrip_property(self, shape, rate, q):
@@ -120,12 +107,6 @@ class TestSampling:
         samples = dist.sample(200_000, rng)
         assert samples.mean() == pytest.approx(dist.mean, rel=0.02)
         assert samples.var() == pytest.approx(dist.variance, rel=0.05)
-
-    def test_as_scipy_equivalence(self):
-        dist = GammaDistribution(2.0, 5.0)
-        ref = dist.as_scipy()
-        assert ref.mean() == pytest.approx(dist.mean)
-        assert ref.std() == pytest.approx(dist.std)
 
 
 class TestKLDivergence:

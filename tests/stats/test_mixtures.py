@@ -87,18 +87,12 @@ class TestDistributionFunctions:
         hi = max(c.ppf(q) for c in mix.components)
         assert lo <= mix.ppf(q) <= hi
 
-    def test_interval_levels(self):
-        mix = two_component()
-        lo, hi = mix.interval(0.99)
-        assert mix.cdf(lo) == pytest.approx(0.005, abs=1e-7)
-        assert mix.cdf(hi) == pytest.approx(0.995, abs=1e-7)
-
     def test_invalid_quantile_levels(self):
         mix = two_component()
         with pytest.raises(ValueError):
             mix.ppf(0.0)
         with pytest.raises(ValueError):
-            mix.interval(1.5)
+            mix.ppf(1.5)
 
     @given(
         w=st.floats(min_value=0.01, max_value=0.99),
@@ -126,20 +120,6 @@ class TestBatchedQuantiles:
         mix = two_component()
         with pytest.raises(ValueError):
             mix.ppf(np.array([0.5, 1.0]))
-
-    def test_interval_batch_matches_interval(self):
-        mix = two_component()
-        confs = np.array([0.9, 0.95, 0.99])
-        batch = mix.interval_batch(confs)
-        assert batch.shape == (3, 2)
-        for row, conf in zip(batch, confs):
-            lo, hi = mix.interval(float(conf))
-            assert row[0] == lo
-            assert row[1] == hi
-
-    def test_interval_batch_rejects_bad_confidence(self):
-        with pytest.raises(ValueError):
-            two_component().interval_batch([0.9, 1.0])
 
     def test_extreme_levels(self):
         mix = two_component()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.validation.seeding import replication_seed, spawn_rngs, spawn_seeds
+from repro.validation.seeding import replication_seed, spawn_seeds
 
 
 class TestReplicationSeed:
@@ -50,12 +50,6 @@ class TestSpawnHelpers:
         for index, seed in enumerate(seeds):
             assert seed.generate_state(2).tolist() == \
                 replication_seed(11, index).generate_state(2).tolist()
-
-    def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(11, 3)
-        draws = [rng.random(4) for rng in rngs]
-        assert not np.array_equal(draws[0], draws[1])
-        assert not np.array_equal(draws[1], draws[2])
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
