@@ -95,20 +95,34 @@ def _grouped_workload():
     return lambda: fit_vb2(data, prior)
 
 
+def _elapsed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
 def _best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return min(_elapsed(fn) for _ in range(repeat))
+
+
+def _stubbed_and_disabled(fit, repeat: int) -> tuple[float, float]:
+    """Best-of ``repeat`` of the stubbed and of the disabled fit, taken
+    in alternating repeats (and alternating which side goes first), so
+    that a burst of load on a shared host lands on both sides alike."""
+    stubbed = disabled = float("inf")
+    for i in range(repeat):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            if side == 0:
+                with _StubbedObs():
+                    stubbed = min(stubbed, _elapsed(fit))
+            else:
+                disabled = min(disabled, _elapsed(fit))
+    return stubbed, disabled
 
 
 def _measure_fit(fit, repeat: int) -> dict[str, float]:
     fit()  # warm caches before any timing
-    with _StubbedObs():
-        stubbed = _best_of(fit, repeat)
-    disabled = _best_of(fit, repeat)
+    stubbed, disabled = _stubbed_and_disabled(fit, repeat)
 
     def traced():
         with obs.capture(level="summary"):

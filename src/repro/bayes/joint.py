@@ -192,12 +192,13 @@ class JointPosterior(abc.ABC):
         return float(lower), float(upper)
 
     def reliability_estimate(
-        self, level: float, c: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[float, float, float]:
-        """``(point, lower, upper)``: :meth:`reliability_point` and
-        :meth:`reliability_interval` of one window. Posteriors that build
-        per-window cells override it to build them once for all three."""
-        return (self.reliability_point(c), *self.reliability_interval(level, c))
+        self, q: np.ndarray, c: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[float, np.ndarray]:
+        """``(point, quantiles)``: :meth:`reliability_point` and
+        :meth:`reliability_quantile_batch` at the levels ``q`` of one
+        window. Posteriors that build per-window cells override it to
+        build them once for the point and every level."""
+        return self.reliability_point(c), self.reliability_quantile_batch(q, c)
 
     # ------------------------------------------------------------------
     # Residual fault count D = omega * c(beta), c = 1 - G(te)

@@ -4,8 +4,9 @@ VB fits are deterministic functions of ``(data, prior, model kind,
 alpha0, config)`` — same inputs, same output, bit for bit. That makes
 them content-addressable: :mod:`repro.cache.keys` serializes the fit
 inputs into a canonical byte string and hashes it to a SHA-256 key;
-:mod:`repro.cache.store` persists posterior artifacts (JSON scalars +
-npz arrays) under that key with an in-process LRU in front; and
+:mod:`repro.cache.store` persists posterior artifacts (a JSON sidecar
+of scalars + one raw float64 block of the mixture arrays) under that
+key with an in-process LRU in front; and
 :mod:`repro.cache.fitting` wraps ``fit_vb2``/``fit_vb1`` with
 cache-or-fit semantics. Cache hits are *exact*: a loaded posterior is
 byte-identical to the refit it replaces, and a hit never runs the

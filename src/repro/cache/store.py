@@ -2,32 +2,36 @@
 
 One cached fit is two files under ``<cache_dir>/<key[:2]>/``:
 
-* ``<key>.npz`` — the mixture arrays (latent grid, normalised weights,
-  per-component gamma shapes/rates) as float64, byte-exact.
-* ``<key>.json`` — scalars: schema version, method name, ELBO,
-  diagnostics (minus the run-local ``telemetry`` attachment), and a
-  SHA-256 over the npz bytes and the rest of this sidecar.
+* ``<key>.f64`` — the mixture arrays (latent grid, normalised weights,
+  per-component gamma shapes/rates) as one raw little-endian float64
+  block of shape ``(6, K)``, one row per array in ``_ARRAY_FIELDS``
+  order, byte-exact.
+* ``<key>.json`` — scalars: schema version, the block's shape, method
+  name, ELBO, diagnostics (minus the run-local ``telemetry``
+  attachment), and a SHA-256 over the block bytes and the rest of this
+  sidecar.
 
-The npz is written first and the JSON last, both via temp-file +
+The block is written first and the JSON last, both via temp-file +
 ``os.replace``, so a reader never observes a half-written artifact:
 either the JSON is present and both files are complete, or the lookup
 is a miss. Concurrent writers of the same key are safe for the same
 reason — ``os.replace`` is atomic and both writers produce identical
-bytes (fits are deterministic).
+bytes (fits are deterministic). A load is one read per file and a
+``frombuffer`` view: no archive or header to parse.
 
 Loads are corruption-safe by policy: *any* failure while reading an
-artifact (truncated JSON, corrupt npz, schema mismatch, length
-mismatch, checksum mismatch) counts and warns, then reports a miss so
-the caller refits and overwrites the bad artifact. A broken cache can
-cost time, never correctness. The checksum catches what the npz
-members' CRC-32s cannot: an edited but well-formed sidecar value, or an
-npz re-saved with changed arrays.
+artifact (truncated JSON, a truncated or edited block, a schema
+mismatch such as a schema-2 ``.npz`` artifact, a shape mismatch, a
+checksum mismatch) counts and warns, then reports a miss so the caller
+refits and overwrites the bad artifact. A broken cache can cost time,
+never correctness. The checksum covers the whole block and the
+sidecar, so a flipped byte, a block rewritten under the old sidecar or
+an edited sidecar value (the shape included) all fail it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import tempfile
@@ -44,7 +48,7 @@ from repro.core.posterior import VBPosterior
 
 __all__ = ["CacheStats", "PosteriorCache", "ARTIFACT_SCHEMA"]
 
-ARTIFACT_SCHEMA = 2
+ARTIFACT_SCHEMA = 3
 
 _ARRAY_FIELDS = (
     "n_values",
@@ -54,6 +58,12 @@ _ARRAY_FIELDS = (
     "beta_shape",
     "beta_rate",
 )
+#: The block's element type: float64, little-endian on every host.
+_BLOCK_DTYPE = np.dtype("<f8")
+#: Artifact file suffixes: the array block and its JSON sidecar.
+_BLOCK, _SIDECAR = ".f64", ".json"
+#: The array file of a schema-2 artifact; ``clear`` removes it too.
+_NPZ = ".npz"
 
 
 @dataclass
@@ -82,50 +92,48 @@ class CacheStats:
         return out
 
 
-def _serialize(posterior: VBPosterior) -> tuple[dict, dict]:
+def _serialize(posterior: VBPosterior) -> tuple[dict, bytes]:
     diagnostics = {
         key: value
         for key, value in posterior.diagnostics.items()
         if key != "telemetry"  # run-local, not part of the fit's content
     }
+    block = np.stack([getattr(posterior, f"_{name}") for name in _ARRAY_FIELDS])
+    block = block.astype(_BLOCK_DTYPE, copy=False)
     meta = {
         "schema": ARTIFACT_SCHEMA,
+        "shape": list(block.shape),
         "method_name": posterior.method_name,
         "elbo": posterior.elbo,
         "diagnostics": diagnostics,
     }
-    arrays = {
-        "n_values": posterior._n_values,
-        "weights": posterior._weights,
-        "omega_shape": posterior._omega_shape,
-        "omega_rate": posterior._omega_rate,
-        "beta_shape": posterior._beta_shape,
-        "beta_rate": posterior._beta_rate,
-    }
-    return meta, arrays
+    return meta, block.tobytes()
 
 
-def _checksum(npz_bytes: bytes, meta: dict) -> str:
-    """SHA-256 over the npz bytes and the sidecar content. The content
+def _checksum(block: bytes, meta: dict) -> str:
+    """SHA-256 over the block bytes and the sidecar content. The content
     is hashed as compact JSON in key order, which a JSON round trip
     reproduces exactly (tuples come back as lists, non-string keys as
     strings, and both dump the same)."""
-    digest = hashlib.sha256(npz_bytes)
+    digest = hashlib.sha256(block)
     digest.update(json.dumps(meta).encode("utf-8"))
     return digest.hexdigest()
 
 
-def _rebuild(meta: dict, arrays: dict) -> VBPosterior:
-    if meta.get("schema") != ARTIFACT_SCHEMA:
-        raise ValueError(f"unsupported artifact schema: {meta.get('schema')!r}")
-    sizes = {arrays[name].shape for name in _ARRAY_FIELDS}
-    if len(sizes) != 1 or arrays["n_values"].ndim != 1:
-        raise ValueError("artifact arrays disagree on component count")
-    if arrays["n_values"].size == 0:
-        raise ValueError("artifact has no mixture components")
+def _rebuild(meta: dict, block: bytes) -> VBPosterior:
+    """The posterior from a checksummed sidecar and its block."""
+    shape = meta["shape"]
+    if not (len(shape) == 2 and shape[0] == len(_ARRAY_FIELDS)
+            and isinstance(shape[1], int) and shape[1] >= 1):
+        raise ValueError(f"artifact block shape {shape!r} is not (6, K >= 1)")
+    if len(block) != shape[0] * shape[1] * _BLOCK_DTYPE.itemsize:
+        raise ValueError(
+            f"artifact block holds {len(block)} bytes, not {shape[0]} x "
+            f"{shape[1]} float64"
+        )
     elbo = meta["elbo"]
     return VBPosterior.from_arrays(
-        *(arrays[name] for name in _ARRAY_FIELDS),
+        *np.frombuffer(block, dtype=_BLOCK_DTYPE).reshape(shape),
         method_name=str(meta["method_name"]),
         elbo=None if elbo is None else float(elbo),
         diagnostics=meta["diagnostics"],
@@ -180,7 +188,7 @@ class PosteriorCache:
     def _paths(self, key: str) -> tuple[Path, Path]:
         assert self.cache_dir is not None
         shard = self.cache_dir / key[:2]
-        return shard / f"{key}.json", shard / f"{key}.npz"
+        return shard / f"{key}{_SIDECAR}", shard / f"{key}{_BLOCK}"
 
     # -- lookup --------------------------------------------------------
 
@@ -206,20 +214,18 @@ class PosteriorCache:
     def _load_disk(self, key: str) -> VBPosterior | None:
         if self.cache_dir is None:
             return None
-        json_path, npz_path = self._paths(key)
+        json_path, block_path = self._paths(key)
         if not json_path.exists():
             return None
         try:
             meta = json.loads(json_path.read_text())
-            npz_bytes = npz_path.read_bytes()
-            if meta.pop("sha256", None) != _checksum(npz_bytes, meta):
+            if meta.get("schema") != ARTIFACT_SCHEMA:
+                raise ValueError(
+                    f"unsupported artifact schema: {meta.get('schema')!r}")
+            block = block_path.read_bytes()
+            if meta.pop("sha256", None) != _checksum(block, meta):
                 raise ValueError("checksum mismatch")
-            with np.load(io.BytesIO(npz_bytes)) as archive:
-                arrays = {
-                    name: np.asarray(archive[name], dtype=np.float64)
-                    for name in _ARRAY_FIELDS
-                }
-            return _rebuild(meta, arrays)
+            return _rebuild(meta, block)
         except Exception as exc:  # corrupt artifact: degrade to a miss
             self.stats.corrupt += 1
             obs.counter_add("cache.corrupt")
@@ -245,14 +251,11 @@ class PosteriorCache:
         self._remember(key, posterior)
         if self.cache_dir is None:
             return
-        meta, arrays = _serialize(posterior)
-        json_path, npz_path = self._paths(key)
+        meta, block = _serialize(posterior)
+        json_path, block_path = self._paths(key)
         json_path.parent.mkdir(parents=True, exist_ok=True)
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        npz_bytes = buffer.getvalue()
-        meta["sha256"] = _checksum(npz_bytes, meta)
-        _atomic_write(npz_path, npz_bytes)
+        meta["sha256"] = _checksum(block, meta)
+        _atomic_write(block_path, block)
         _atomic_write(json_path, json.dumps(meta, indent=1).encode("utf-8"))
 
     def _remember(self, key: str, posterior: VBPosterior) -> None:
@@ -276,9 +279,9 @@ class PosteriorCache:
         if self.cache_dir is None or not self.cache_dir.exists():
             return []
         keys = []
-        for json_path in self.cache_dir.glob("??/*.json"):
+        for json_path in self.cache_dir.glob(f"??/*{_SIDECAR}"):
             stem = json_path.stem
-            if _is_key(stem) and json_path.with_suffix(".npz").exists():
+            if _is_key(stem) and json_path.with_suffix(_BLOCK).exists():
                 keys.append(stem)
         return sorted(keys)
 
@@ -288,17 +291,18 @@ class PosteriorCache:
             return 0
         total = 0
         for path in self.cache_dir.glob("??/*"):
-            if _is_key(path.stem) and path.suffix in (".json", ".npz"):
+            if _is_key(path.stem) and path.suffix in (_SIDECAR, _BLOCK):
                 total += path.stat().st_size
         return total
 
     def clear(self) -> int:
         """Delete every artifact; returns the number of entries removed.
 
-        Only files this store wrote are touched: ``<64-hex>.json`` /
-        ``<64-hex>.npz`` inside two-hex shard directories. Anything
-        else sharing the tree is left alone, and shard directories are
-        only pruned when they end up empty.
+        Only files this store writes or wrote are touched:
+        ``<64-hex>.json``, ``<64-hex>.f64`` and schema-2
+        ``<64-hex>.npz`` inside two-hex shard directories. Anything else
+        sharing the tree is left alone, and shard directories are only
+        pruned when they end up empty.
         """
         with self._lock:
             self._memory.clear()
@@ -313,8 +317,8 @@ class PosteriorCache:
             ):
                 continue
             for path in sorted(shard.iterdir()):
-                if _is_key(path.stem) and path.suffix in (".json", ".npz"):
-                    if path.suffix == ".json":
+                if _is_key(path.stem) and path.suffix in (_SIDECAR, _BLOCK, _NPZ):
+                    if path.suffix == _SIDECAR:
                         removed += 1
                     path.unlink()
             try:

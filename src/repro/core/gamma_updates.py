@@ -75,7 +75,7 @@ from repro.stats.special import (
     log_gamma_fn,
     log_gamma_sf,
 )
-from repro.stats.truncated import truncated_gamma_mean
+from repro.stats.truncated import _exponential_excess, truncated_gamma_mean
 
 __all__ = [
     "LaneSolutions",
@@ -316,9 +316,14 @@ def _lifetime_sum(inputs: SweepInputs, alpha0: float, g, xi) -> np.ndarray:
     if not inputs.grouped:
         return inputs.stats.sum_times[g]
     classes = inputs.classes
-    return classes.add_terms(
-        classes.shift[g], truncated_gamma_mean, alpha0, g, xi
-    )
+    if alpha0 == 1.0:
+        # Every class lies on (0, w], validated when packed: the
+        # memoryless kernel is truncated_gamma_mean without its per-call
+        # coercion and checks (and 0 + e == e, so the sums are the same).
+        term = lambda lo, hi, alpha0, rate: _exponential_excess(hi, rate)
+    else:
+        term = truncated_gamma_mean
+    return classes.add_terms(classes.shift[g], term, alpha0, g, xi)
 
 
 def _n_of_xi(inputs: SweepInputs, alpha0: float, g, xi):

@@ -22,7 +22,7 @@ import numpy as np
 from repro.stats import scipy_special as sc
 
 from repro import obs
-from repro.bayes.joint import JointPosterior, _central
+from repro.bayes.joint import JointPosterior
 from repro.stats.gamma_cells import GammaCells, unit_steps
 from repro.stats.gamma_dist import GammaDistribution
 from repro.stats.mixtures import MixtureDistribution, _normalised
@@ -78,7 +78,7 @@ _DROP_MASS = 1e-13
 #: A run of the reliability cell table drops the rungs at its head, and
 #: those at its tail, whose weights sum to at most this (METHOD.md §4.1).
 _TRIM_MASS = 1e-17
-#: The reliability cell table is built this many cells at a time.
+#: The reliability cell table lays its blocks out this many cells at a time.
 _SPAN_CELLS = 16384
 #: Round budget of the reliability-quantile solve.
 _MAX_SWEEPS = 120
@@ -332,7 +332,7 @@ class VBPosterior(JointPosterior):
 
     def reliability_point(self, c: Callable[[np.ndarray], np.ndarray]) -> float:
         """``E[exp(-ω c(β))]``: gamma MGF in ``ω``, quadrature in ``β``."""
-        return self._reliability_solve(np.empty(0), c)[0]
+        return self.reliability_estimate(np.empty(0), c)[0]
 
     def reliability_cdf(self, r: float, c: Callable[[np.ndarray], np.ndarray]) -> float:
         """``P(exp(-ω c(β)) <= r) = P(D >= -log r)`` for the residual
@@ -340,7 +340,7 @@ class VBPosterior(JointPosterior):
         return self._reliability_cdf_at(c)(r)
 
     def _reliability_cdf_at(self, c):
-        cells = self.reliability_tables(c).cells().residual()
+        cells = self.reliability_tables(c).cells().engine
         return lambda r: 0.0 if r <= 0.0 else 1.0 if r >= 1.0 else float(
             cells.tails(np.array([-math.log(r)]), False)[0][0])
 
@@ -387,23 +387,20 @@ class VBPosterior(JointPosterior):
         levels = np.atleast_1d(np.asarray(q, dtype=float))
         if np.any(~((levels > 0.0) & (levels < 1.0))):
             raise ValueError("quantile levels must be in (0, 1)")
-        return self._reliability_solve(levels, c, point=False)[1]
+        return self.reliability_estimate(levels, c)[1]
 
     def reliability_estimate(
-        self, level: float, c: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[float, float, float]:
-        """The point and central interval of a ``ReliabilityIncrement``
-        window, from one build of its cell table."""
+        self, q: np.ndarray, c: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[float, np.ndarray]:
+        """The point and the quantiles at levels ``q`` of the window
+        ``c``, from one build of its cell table; the quantiles of windows
+        other than ``ReliabilityIncrement`` come from the generic solver
+        (see :meth:`reliability_quantile_batch`)."""
         from repro.core.reliability import ReliabilityIncrement
 
-        if not isinstance(c, ReliabilityIncrement):
-            return super().reliability_estimate(level, c)
-        point, (lower, upper) = self._reliability_solve(_central(level), c)
-        return point, float(lower), float(upper)
-
-    def _reliability_solve(self, levels: np.ndarray, c, point: bool = True):
-        """``(point, quantiles)`` of the reliability for the window ``c``,
-        both from one cell table (the point ``None`` unless asked for)."""
+        levels = np.asarray(q, dtype=float)
+        if levels.size and not isinstance(c, ReliabilityIncrement):
+            return super().reliability_estimate(levels, c)
         tables = self.reliability_tables(c)
         if not np.any(tables.c_nodes > 0.0):  # R = 1 surely
             return 1.0, np.ones_like(levels)
@@ -414,10 +411,10 @@ class VBPosterior(JointPosterior):
                  "nodes": grid.nodes.size,
                  "heaviest_block_nodes": int(np.diff(grid.blocks[grid.heaviest, 2:])[0]),
                  "node_bound": tables.node_bound}
-        cells = table.residual()
+        cells = table.engine
         del table  # only the engine's arrays stay alive during the solve
         # The weights sum to 1 only to rounding; clip to the valid range.
-        point = min(max(cells.laplace(), 0.0), 1.0) if point else None
+        point = min(max(cells.laplace(), 0.0), 1.0)
         if cells.size == 0 or not levels.size:  # D ~ 0 surely: R = 1
             return point, np.ones_like(levels)
         with obs.span("reliability.quantile", level="debug",
@@ -633,78 +630,91 @@ class _ReliabilityTables:
         exceeds ``_MAX_RATE``, holds ``D = 0``: its run joins the point
         mass at 0. If the ω rates differ or the shapes do not step by 1
         (posteriors not from VB2), every cell is a run of its own.
+
+        One pass, a span of blocks at a time, lays the runs out side by
+        side with their running sums from both ends and trims them at
+        once; the quantile engine's arrays come from the kept cells.
         """
         grid, a, b = self.grid, self.a_omega, self.b_omega
-        block_rows = grid.blocks[:, 1] - grid.blocks[:, 0]
-        block_nodes = grid.blocks[:, 3] - grid.blocks[:, 2]
+        r0, r1, n0, n1 = grid.blocks.T
+        length = np.repeat(r1 - r0, n1 - n0)  # per run, i.e. per node
+        edge = np.cumsum(np.append(0, length))  # run i's cells: edge[i]:edge[i + 1]
         # ρ = b / c at most _MAX_RATE, written to hold at c = 0 too
-        live = self.c_nodes * _MAX_RATE >= b.max()
-        # Only the kept cells of the flat outputs are written; the blocks
-        # go a few nodes at a time, so the work arrays stay small.
-        out = np.empty((3, block_rows @ block_nodes))
-        first, count = np.zeros((2, grid.nodes.size), dtype=int)
-        work = np.empty((3, max(_SPAN_CELLS, block_rows.max())))
-        atom = trimmed = 0.0
+        dead = ~(self.c_nodes * _MAX_RATE >= b.max())
+        # per run: rungs dropped at its head, rungs kept; weight dropped at each end, kept
+        lo, count = np.empty((2, length.size), dtype=np.intp)
+        head, tail, mass = ends = np.empty((3, length.size))
+        # Blocks starting within one stretch of _SPAN_CELLS cells share the
+        # work arrays; of `kept`, only the kept cells' pages are touched.
+        span = np.flatnonzero(np.diff(edge[n0] // _SPAN_CELLS, prepend=-1, append=-1))
+        kept = np.empty((3, edge[-1]))
+        work = np.empty((3, np.diff(np.append(edge[n0], edge[-1])[span]).max()))
         size = 0
-        for r0, r1, n0, n1 in grid.blocks:
-            k = r1 - r0
-            step = max(_SPAN_CELLS // k, 1)
-            for n in range(n0, n1, step):
-                nodes = slice(n, min(n + step, n1))
-                j = np.arange(nodes.stop - n)
-                # one row per node: a run over the block's N, with its
-                # weight before each rung and from each rung on
-                w, before, after = (v[:k * j.size].reshape(j.size, k) for v in work)
-                np.matmul(grid.per_node[nodes], grid.per_row[:, r0:r1], out=w)
+        for first, last in zip(span[:-1], span[1:]):
+            runs = slice(n0[first], n1[last - 1])
+            at = edge[runs.start]
+            # per cell: its weight, and its run's weight before it and from it on
+            table = work[:, :edge[runs.stop] - at]
+            for row, row_end, node, node_end in grid.blocks[first:last]:
+                k = row_end - row
+                block = slice(edge[node] - at, edge[node_end] - at)
+                w, before, after = (v[block].reshape(-1, k) for v in table)
+                np.matmul(grid.per_node[node:node_end], grid.per_row[:, row:row_end], out=w)
                 np.exp(w, out=w)
                 before[:, 0] = 0.0
                 np.cumsum(w[:, :-1], axis=1, out=before[:, 1:])
                 np.cumsum(w[:, ::-1], axis=1, out=after[:, ::-1])
-                # drop the head rungs whose weights sum to at most
-                # _TRIM_MASS, and likewise the tail rungs
-                lo = np.count_nonzero(before[:, 1:] <= _TRIM_MASS, axis=1)
-                hi = np.maximum(k - np.count_nonzero(after <= _TRIM_MASS, axis=1), lo)
-                head = before[j, lo]
-                tail = np.where(hi < k, after[j, np.minimum(hi, k - 1)], 0.0)
-                trimmed += head.sum() + tail.sum()
-                if not live[nodes].all():
-                    dead = ~live[nodes]
-                    atom += (after[j, lo] - tail)[dead].sum()
-                    hi[dead] = lo[dead]
-                # the kept rungs, run after run
-                kept = hi - lo
-                index = np.repeat(j * k + lo - np.cumsum(kept) + kept, kept)
-                index += np.arange(index.size)
-                cells = slice(size, size + index.size)
-                for v, values in zip(out, (w, before, after)):
-                    np.take(values.ravel(), index, out=v[cells])
-                out[1, cells] -= np.repeat(head, kept)
-                out[2, cells] -= np.repeat(tail, kept)
-                size = cells.stop
-                first[nodes], count[nodes] = lo + r0, kept
-        runs = count > 0
-        first, count, c = first[runs], count[runs], self.c_nodes[runs]
-        weight, prefix, suffix = out[:, :size]
-        norm = weight.sum() + atom
-        out[:, :size] /= norm
+            # Drop the head rungs whose weights sum to at most _TRIM_MASS,
+            # and likewise the tail rungs: the running sums are monotone in
+            # a run, so each end's count of small sums locates it.
+            w, before, after = table
+            start, k = edge[runs] - at, length[runs]
+            run_lo = np.add.reduceat(before <= _TRIM_MASS, start, dtype=np.intp) - 1
+            run_hi = np.maximum(
+                k - np.add.reduceat(after <= _TRIM_MASS, start, dtype=np.intp), run_lo)
+            head[runs] = before[start + run_lo]
+            tail[runs] = np.where(run_hi < k, after[start + np.minimum(run_hi, k - 1)], 0.0)
+            mass[runs] = after[start + run_lo] - tail[runs]
+            run_hi[dead[runs]] = run_lo[dead[runs]]
+            lo[runs], count[runs] = run_lo, run_hi - run_lo
+            # the kept rungs, run after run
+            n = count[runs]
+            index = np.repeat(start + run_lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+            kept[:, size:size + index.size] = np.take(table, index, axis=1)
+            size += index.size
+        del work, table, w, before, after  # the engine's arrays reuse this memory
+        weight, prefix, suffix = kept = kept[:, :size]
+        kept[1:] -= np.repeat(ends[:2], count, axis=1)  # sums within the kept rungs
+        trimmed, atom = head.sum() + tail.sum(), mass[dead].sum()
         starts = np.cumsum(count) - count
+        rows = np.repeat(np.repeat(r0, n1 - n0) + lo - starts, count) + np.arange(size)
+        runs = count > 0
+        count, starts, c = count[runs], starts[runs], self.c_nodes[runs]
+        norm = weight.sum() + atom
+        kept /= norm
         suffix[starts] = 0.0
-        rows = np.repeat(first - starts, count) + np.arange(size)
         if not (np.all(b == b[0]) and unit_steps(a).all()):
-            c, starts = np.repeat(c, count), np.arange(size)
+            c, count, starts = np.repeat(c, count), 1, np.arange(weight.size)
             prefix[:] = suffix[:] = 0.0
-        return _Cells(weight, rows, c, starts, prefix, suffix, atom / norm,
-                      trimmed / norm, grid.dropped_mass, a, b)
+        shape = np.take(a, rows)
+        # a run's cells share b_ω and c(β): one rate per run
+        rate = np.repeat(np.take(b, rows[starts]) / c, count)
+        engine = GammaCells(weight, shape, rate, atom=atom / norm, runs=(starts, prefix, suffix),
+                            log_gamma=np.take(sc.gammaln(a), rows))
+        return _Cells(weight, rows, shape, c, starts, prefix, suffix, atom / norm,
+                      trimmed / norm, grid.dropped_mass, b, engine)
 
 
 class _Cells:
-    """A window's flat cell table: per cell its weight, its component
-    row and its run's weight before it and from it on; per run its start
-    and ``c(β)``; the point mass at ``D = 0``, the mass the runs trimmed
-    and the mass the grid dropped."""
+    """A window's flat cell table: per cell its weight, component row, ω
+    shape and its run's weight before it and from it on; per run its
+    start and ``c(β)``; the point mass at ``D = 0``, the mass the runs
+    trimmed and the grid dropped; and ``engine``, the cells of
+    ``D = ω c(β)`` (``Gamma(a_ω, b_ω / c)``) for the quantile engine."""
 
-    __slots__ = ("weight", "rows", "c_runs", "starts", "prefix", "suffix",
-                 "atom", "trimmed_mass", "dropped_mass", "a_omega", "b_omega")
+    __slots__ = ("weight", "rows", "shape", "c_runs", "starts", "prefix",
+                 "suffix", "atom", "trimmed_mass", "dropped_mass", "b_omega",
+                 "engine")
 
     def __init__(self, *fields) -> None:
         for name, value in zip(self.__slots__, fields):
@@ -713,15 +723,5 @@ class _Cells:
     def arrays(self):
         """``(weight, c, a_ω, b_ω)`` per cell."""
         counts = np.diff(np.append(self.starts, self.weight.size))
-        return (self.weight, np.repeat(self.c_runs, counts),
-                self.a_omega[self.rows], self.b_omega[self.rows])
-
-    def residual(self) -> GammaCells:
-        """The cells of ``D = ω c(β)``: ``Gamma(a_ω, b_ω / c)``."""
-        # a run's cells share b_ω and c(β): one rate per run
-        rate = self.b_omega[self.rows[self.starts]] / self.c_runs
-        return GammaCells(
-            self.weight, self.a_omega[self.rows],
-            np.repeat(rate, np.diff(np.append(self.starts, self.weight.size))),
-            atom=self.atom, runs=(self.starts, self.prefix, self.suffix),
-            log_gamma=sc.gammaln(self.a_omega)[self.rows])
+        return (self.weight, np.repeat(self.c_runs, counts), self.shape,
+                self.b_omega[self.rows])

@@ -6,7 +6,7 @@ For the gamma-type NHPP family, the reliability over ``(te, te+u]`` is
 ``reliability_point`` and ``reliability_cdf`` in terms of ``c``; this
 module supplies the user-facing wrapper: it builds ``c`` from the model
 family and packages the point estimate with a two-sided credible
-interval (paper Tables 4 and 5).
+interval (paper Tables 4 and 5), or with its lower bound alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from repro.stats import scipy_special as sc
 
-from repro.bayes.joint import JointPosterior
+from repro.bayes.joint import JointPosterior, _central
 
 __all__ = ["ReliabilityIncrement", "ResidualSurvival", "reliability_increment",
            "ReliabilityEstimate", "estimate_reliability"]
@@ -94,20 +94,22 @@ class ResidualSurvival:
 
 @dataclass(frozen=True)
 class ReliabilityEstimate:
-    """Point and interval estimate of ``R(te+u | te)``."""
+    """Point and interval estimate of ``R(te+u | te)``; ``upper`` is
+    ``None`` when only the lower bound was asked for."""
 
     point: float
     lower: float
-    upper: float
+    upper: float | None
     level: float
     te: float
     u: float
     method: str
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
+        upper = "-" if self.upper is None else f"{self.upper:.4f}"
         return (
             f"R({self.te:g}+{self.u:g} | {self.te:g}) = {self.point:.4f} "
-            f"[{self.lower:.4f}, {self.upper:.4f}] @ {self.level:.0%} "
+            f"[{self.lower:.4f}, {upper}] @ {self.level:.0%} "
             f"({self.method})"
         )
 
@@ -119,6 +121,7 @@ def estimate_reliability(
     *,
     alpha0: float = 1.0,
     level: float = 0.99,
+    upper: bool = True,
 ) -> ReliabilityEstimate:
     """Posterior point estimate and two-sided credible interval of the
     software reliability for the period ``(te, te+u]``.
@@ -136,13 +139,20 @@ def estimate_reliability(
         Lifetime shape of the gamma-type model family.
     level:
         Credible level (the paper uses 0.99).
+    upper:
+        Solve for the interval's upper bound too. With ``False`` only
+        the lower bound is solved, and ``upper`` is ``None``; ``point``
+        and ``lower`` are the same as in the two-sided estimate.
     """
     c = reliability_increment(alpha0, te, u)
-    point, lower, upper = posterior.reliability_estimate(level, c)
+    levels = _central(level)
+    point, bounds = posterior.reliability_estimate(
+        levels if upper else levels[:1], c
+    )
     return ReliabilityEstimate(
         point=point,
-        lower=lower,
-        upper=upper,
+        lower=float(bounds[0]),
+        upper=float(bounds[1]) if upper else None,
         level=level,
         te=te,
         u=u,

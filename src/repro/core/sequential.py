@@ -154,6 +154,7 @@ class ReliabilityTracker:
             self._window,
             alpha0=self._alpha0,
             level=self._level,
+            upper=False,  # a record holds the point and the lower bound
         )
         diagnostics = posterior.diagnostics
         record = TrackingRecord(

@@ -146,9 +146,12 @@ class Histogram:
 
     def quantile(self, q: float) -> float | None:
         """Bucket-resolution ``q``-quantile: the geometric midpoint of
-        the bucket that holds it. ``None`` when the histogram is empty
-        or holds a value that is not positive (<= 0 or NaN): log
-        buckets order positive values only.
+        the bucket that holds it, clamped into ``[min, max]`` of the
+        recorded values (so values that all sit at one end of a bucket,
+        or beyond the grid, read as that end, not as the midpoint).
+        ``None`` when the histogram is empty or holds a value that is
+        not positive (<= 0 or NaN): log buckets order positive values
+        only.
         """
         if not self.count or self.nonpos:
             return None
@@ -159,7 +162,7 @@ class Histogram:
             if seen >= target:
                 break
         lo, hi = bucket_bounds(idx)
-        return math.sqrt(lo * hi)
+        return min(max(math.sqrt(lo * hi), self.min), self.max)
 
     def state(self) -> dict:
         """Mergeable state (for shipping across processes)."""

@@ -102,19 +102,60 @@ class TestCachedFitting:
 
 
 class TestFailureModes:
-    def test_corrupt_npz_degrades_to_miss(self, tmp_path, data, prior, posterior):
+    @pytest.mark.parametrize("damage", [
+        "flipped-byte", "truncated-block", "edited-shape", "rewritten-block",
+        "schema-2",
+    ])
+    def test_damaged_block_degrades_to_miss_and_heals(
+        self, tmp_path, data, prior, damage
+    ):
         cache = PosteriorCache(tmp_path)
+        fitted = fit_vb2_cached(data, prior, 1.0, cache=cache)
         key = fit_cache_key("VB2", data, prior)
-        cache.put(key, posterior)
-        _, npz_path = _artifact_paths(cache, key)
-        npz_path.write_bytes(b"not a zip archive")
+        json_path, block_path = _artifact_paths(cache, key)
+        block = block_path.read_bytes()
+        meta = json.loads(json_path.read_text())
+        if damage == "flipped-byte":
+            middle = len(block) // 2
+            block_path.write_bytes(
+                block[:middle] + bytes([block[middle] ^ 0x01]) + block[middle + 1:])
+        elif damage == "truncated-block":
+            block_path.write_bytes(block[:-8])
+        elif damage == "edited-shape":
+            meta["shape"] = [6, meta["shape"][1] - 1]
+            json_path.write_text(json.dumps(meta, indent=1))
+        elif damage == "rewritten-block":
+            # A well-formed block under the old sidecar and its SHA.
+            arrays = np.frombuffer(block, dtype="<f8").reshape(meta["shape"]).copy()
+            arrays[1, 0] = np.nextafter(arrays[1, 0], 1.0)
+            block_path.write_bytes(arrays.tobytes())
+        else:  # the npz layout an earlier version wrote
+            block_path.unlink()
+            names = ("n_values", "weights", "omega_shape", "omega_rate",
+                     "beta_shape", "beta_rate")
+            arrays = np.frombuffer(block, dtype="<f8").reshape(meta["shape"])
+            np.savez(json_path.with_suffix(".npz"), **dict(zip(names, arrays)))
+            meta["schema"] = 2
+            del meta["shape"]
+            json_path.write_text(json.dumps(meta, indent=1))
 
         reader = PosteriorCache(tmp_path)
         with pytest.warns(RuntimeWarning, match="corrupt"), obs.capture() as c:
             assert reader.get(key) is None
-        assert reader.stats.corrupt == 1
-        assert reader.stats.misses == 1
+        assert reader.stats.corrupt == 1 and reader.stats.misses == 1
         assert c.counters.get("cache.corrupt") == 1
+
+        healer = PosteriorCache(tmp_path)
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            fit_vb2_cached(data, prior, 1.0, cache=healer)
+        assert healer.stats.stores == 1
+        fresh = PosteriorCache(tmp_path)
+        healed = fresh.get(key)
+        assert fresh.stats.hits_disk == 1 and fresh.stats.corrupt == 0
+        np.testing.assert_array_equal(healed.weights, fitted.weights)
+        # clear() also removes an earlier version's npz block
+        assert fresh.clear() == 1
+        assert not any(tmp_path.rglob(f"{key}.*"))
 
     def test_truncated_json_degrades_to_miss(
         self, tmp_path, data, prior, posterior
@@ -135,7 +176,7 @@ class TestFailureModes:
         self, tmp_path, data, prior, posterior, edit
     ):
         # Well-formed JSON with an altered value: only the checksum over
-        # the npz bytes and the sidecar content catches it.
+        # the block bytes and the sidecar content catches it.
         cache = PosteriorCache(tmp_path)
         key = fit_cache_key("VB2", data, prior)
         cache.put(key, posterior)
@@ -155,22 +196,6 @@ class TestFailureModes:
             assert reader.get(key) is None
         assert reader.stats.corrupt == 1
         assert reader.stats.misses == 1
-
-    def test_resaved_npz_degrades_to_miss(self, tmp_path, data, prior, posterior):
-        # A valid archive (member CRC-32s intact) with one changed weight.
-        cache = PosteriorCache(tmp_path)
-        key = fit_cache_key("VB2", data, prior)
-        cache.put(key, posterior)
-        _, npz_path = _artifact_paths(cache, key)
-        with np.load(npz_path) as archive:
-            arrays = {name: archive[name].copy() for name in archive.files}
-        arrays["weights"][0] = np.nextafter(arrays["weights"][0], 1.0)
-        np.savez(npz_path, **arrays)
-
-        reader = PosteriorCache(tmp_path)
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            assert reader.get(key) is None
-        assert reader.stats.corrupt == 1
 
     def test_corrupt_artifact_heals_on_refit(self, tmp_path, data, prior):
         cache = PosteriorCache(tmp_path)

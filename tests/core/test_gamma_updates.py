@@ -30,7 +30,11 @@ from repro.core.warmstart import warm_start_from
 from repro.data.datasets import system17_failure_times, system17_grouped
 from repro.data.failure_data import FailureTimeData, GroupedData
 from repro.stats.special import log_gamma_cdf_increment
-from repro.stats.truncated import censored_gamma_mean, truncated_gamma_mean
+from repro.stats.truncated import (
+    _exponential_excess,
+    censored_gamma_mean,
+    truncated_gamma_mean,
+)
 
 
 def _times_stats(data):
@@ -536,11 +540,12 @@ class TestClassCost:
         config = VBConfig(warm_start=warm_start_from(previous))
         passed = []
 
-        def counting(lo, hi, shape, rate):
-            passed.append(np.size(lo))
-            return truncated_gamma_mean(lo, hi, shape, rate)
+        # at α0 = 1 the lifetime sum calls the memoryless kernel directly
+        def counting(width, rate):
+            passed.append(np.size(width))
+            return _exponential_excess(width, rate)
 
-        monkeypatch.setattr(gamma_updates, "truncated_gamma_mean", counting)
+        monkeypatch.setattr(gamma_updates, "_exponential_excess", counting)
         posterior = fit_vb2(data, CAMPAIGN_PRIOR, 1.0, config)
         evaluations = posterior.diagnostics["fixed_point_iterations"]
         classes = _classes(data, 1.0).count.size

@@ -251,6 +251,63 @@ class TestOneTableBuild:
         assert sizes and max(sizes) <= limit < cells
 
 
+class TestFusedTable:
+    @pytest.mark.parametrize("te", [20.0, 3000.0])
+    def test_matches_a_per_run_loop(self, te):
+        # te = 3000 puts the window's far β nodes at D = 0 (c(β) below
+        # b_ω / _MAX_RATE): their runs join the point mass
+        from repro.core.posterior import _MAX_RATE, _TRIM_MASS
+
+        posterior, _ = _tracker_posterior(20, 1.0)
+        tables = posterior.reliability_tables(reliability_increment(1.0, te, 1.0))
+        grid = tables.grid
+        weight, prefix, suffix, rows, starts, c_runs = [], [], [], [], [], []
+        heads, tails, kept_mass, dead_mass = [], [], [], []
+        for r0, r1, n0, n1 in grid.blocks:
+            block = np.exp(grid.per_node[n0:n1] @ grid.per_row[:, r0:r1])
+            for node, w in zip(range(n0, n1), block):
+                before = np.concatenate(([0.0], np.cumsum(w[:-1])))
+                after = np.cumsum(w[::-1])[::-1]
+                lo = int(np.count_nonzero(before[1:] <= _TRIM_MASS))
+                hi = max(w.size - int(np.count_nonzero(after <= _TRIM_MASS)), lo)
+                tail = after[hi] if hi < w.size else 0.0
+                heads.append(before[lo])
+                tails.append(tail)
+                if not tables.c_nodes[node] * _MAX_RATE >= tables.b_omega.max():
+                    dead_mass.append(after[lo] - tail)
+                    continue
+                if hi == lo:  # nothing left to keep
+                    continue
+                starts.append(len(weight))
+                rows.extend(range(r0 + lo, r0 + hi))
+                weight.extend(w[lo:hi])
+                prefix.extend(before[lo:hi] - before[lo])
+                suffix.extend(after[lo:hi] - tail)
+                c_runs.append(tables.c_nodes[node])
+                kept_mass.append(after[lo] - tail)
+        atom = np.sum(dead_mass)
+        assert (atom > 0.0) == (te > 20.0)
+        norm = np.sum(weight) + atom
+        suffix = np.array(suffix) / norm
+        suffix[starts] = 0.0
+
+        table = tables.cells()
+        np.testing.assert_array_equal(table.starts, starts)
+        np.testing.assert_array_equal(table.rows, rows)
+        np.testing.assert_array_equal(table.c_runs, c_runs)
+        np.testing.assert_array_equal(table.weight, np.array(weight) / norm)
+        np.testing.assert_array_equal(table.prefix, np.array(prefix) / norm)
+        np.testing.assert_array_equal(table.suffix, suffix)
+        assert table.atom == atom / norm
+        assert table.trimmed_mass == pytest.approx(
+            (np.sum(heads) + np.sum(tails)) / norm, rel=1e-12)
+        # the engine reads the same cells: each run sums to its kept mass
+        np.testing.assert_allclose(table.engine._run_total,
+                                   np.array(kept_mass) / norm, rtol=1e-13)
+        assert table.engine.size == table.weight.size
+        assert table.engine.runs == len(starts)
+
+
 _REFERENCE_RULE = np.polynomial.legendre.leggauss(400)
 
 

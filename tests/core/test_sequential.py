@@ -175,3 +175,50 @@ class TestCampaignScale:
         assert [r.reliability_lower for r in first] == [
             r.reliability_lower for r in second
         ]
+
+
+class TestRecordsAreTheEstimate:
+    @pytest.mark.parametrize("alpha0", [1.0, 2.0])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_records_equal_the_two_sided_estimate(
+        self, alpha0, cached, tmp_path, monkeypatch
+    ):
+        """The tracker solves the lower bound alone; its records hold the
+        two-sided estimate's point and lower bound bit for bit."""
+        import repro.core.sequential as sequential
+        from repro.cache.store import PosteriorCache
+        from repro.core.reliability import estimate_reliability
+        from repro.data.failure_data import GroupedData
+
+        rng = np.random.default_rng(31)
+        intensity = np.exp(-np.arange(34) / 25.0)
+        campaign = GroupedData(
+            counts=rng.multinomial(45, intensity / intensity.sum()),
+            boundaries=np.arange(1.0, 35.0),
+        )
+        prior = ModelPrior.informative(100.0, 50.0, 0.2, 0.1)
+
+        def replay():
+            cache = PosteriorCache(tmp_path) if cached else None
+            tracker = ReliabilityTracker(prior, alpha0=alpha0, cache=cache)
+            return tracker.replay_grouped(campaign), cache
+
+        if cached:  # the posteriors below come from disk hits
+            replay()
+        posteriors = []
+
+        def spy(posterior, *args, **kwargs):
+            assert kwargs["upper"] is False
+            posteriors.append(posterior)
+            return estimate_reliability(posterior, *args, **kwargs)
+
+        monkeypatch.setattr(sequential, "estimate_reliability", spy)
+        records, cache = replay()
+        assert len(records) == len(posteriors) == 34
+        if cached:
+            assert cache.stats.hits_disk == 34
+        for record, posterior in zip(records, posteriors):
+            both = estimate_reliability(posterior, record.horizon, 1.0,
+                                        alpha0=alpha0, level=0.99)
+            assert (record.reliability_point, record.reliability_lower) == (
+                both.point, both.lower)

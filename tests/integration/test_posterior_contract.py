@@ -13,7 +13,7 @@ from repro.bayes.laplace import fit_laplace
 from repro.bayes.mcmc.chains import ChainSettings
 from repro.bayes.mcmc.gibbs_failure_time import gibbs_failure_time
 from repro.bayes.nint import fit_nint
-from repro.core.reliability import reliability_increment
+from repro.core.reliability import estimate_reliability, reliability_increment
 from repro.core.vb1 import fit_vb1
 from repro.core.vb2 import fit_vb2
 
@@ -130,6 +130,16 @@ class TestContract:
         lo, hi = posterior.reliability_interval(0.95, c)
         assert lo == pytest.approx(posterior.reliability_quantile(0.025, c))
         assert hi == pytest.approx(posterior.reliability_quantile(0.975, c))
+
+    def test_lower_bound_alone_matches_the_two_sided_estimate(
+        self, posteriors, method, times_data
+    ):
+        posterior = posteriors[method]
+        both = estimate_reliability(posterior, times_data.horizon, 5000.0)
+        lower = estimate_reliability(posterior, times_data.horizon, 5000.0,
+                                     upper=False)
+        assert (lower.point, lower.lower) == (both.point, both.lower)
+        assert lower.upper is None and both.upper is not None
 
 
 class TestCrossMethodAgreement:

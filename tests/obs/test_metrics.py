@@ -57,16 +57,47 @@ class TestLogHistogram:
         assert s["p50"] is not None
 
     def test_quantile_is_the_geometric_midpoint_of_its_bucket(self):
+        # every midpoint lies inside [min, max] of the recorded values
         hist = Histogram()
-        for v in [1.5] * 50 + [150.0] * 45 + [15000.0] * 5:
+        for v in [1.2] * 50 + [150.0] * 45 + [15000.0] * 5:
             hist.record(v)
-        for q, value in ((0.5, 1.5), (0.9, 150.0), (0.99, 15000.0)):
+        for q, value in ((0.5, 1.2), (0.9, 150.0), (0.99, 15000.0)):
             lo, hi = bucket_bounds(bucket_index(value))
             assert hist.quantile(q) == pytest.approx(math.sqrt(lo * hi))
         s = hist.summary()
         assert (s["p50"], s["p90"], s["p99"]) == (
             hist.quantile(0.5), hist.quantile(0.9), hist.quantile(0.99)
         )
+
+    def test_quantile_stays_inside_the_recorded_range(self):
+        # κ floored at 1 fills the bottom of [1, 1.78): the midpoint 1.33
+        # lies above every value recorded
+        hist = Histogram()
+        for _ in range(20):
+            hist.record(1.0)
+        assert hist.quantile(0.5) == hist.quantile(0.99) == 1.0
+        # one value past the midpoint: the bucket reads its midpoint again
+        hist.record(1.6)
+        assert hist.quantile(0.5) == pytest.approx(10.0 ** 0.125)
+
+    def test_quantile_below_the_grid_reads_the_observed_extremes(self):
+        # a DT fit's tail mass clamps into the lowest bucket, [1e-9, 1.78e-9)
+        hist = Histogram()
+        for value in (3.1e-21, 4.0e-19, 2.5e-18):
+            hist.record(value)
+        assert hist.quantile(0.1) == hist.quantile(0.99) == 2.5e-18
+        # inside the grid, a bucket's midpoint is clamped to the largest value
+        hist.record(2e-9)
+        assert hist.quantile(0.5) == pytest.approx(10.0 ** -8.875)
+        assert hist.quantile(0.99) == 2e-9
+
+    def test_clamped_quantiles_merge_exactly(self):
+        left, right, whole = Histogram(), Histogram(), Histogram()
+        for i, value in enumerate((1.0, 1.0, 3e-21, 1.6, 1.0, 2e10)):
+            (left if i % 2 else right).record(value)
+            whole.record(value)
+        left.merge_state(right.state())
+        assert left.summary() == whole.summary()
 
     def test_quantile_none_with_negatives(self):
         hist = Histogram()
